@@ -13,11 +13,11 @@
 //! lowering adds call levels), inflating AQV back toward Lazy.
 
 use serde::{Serialize, Value};
-use square_core::{compile, CerParams, CompilerConfig, Policy, RouterKind};
+use square_core::{compile, CerParams, CompilerConfig, Policy, RouterKind, SweepArch};
 use square_workloads::{build, Benchmark};
 
 use crate::runner::lattice_for;
-use crate::sweep::{run_sweep, SweepArch, SweepSpec};
+use crate::sweep::{run_sweep, SweepSpec};
 
 /// One ablation variant.
 #[derive(Debug, Clone, Copy)]

@@ -1,16 +1,19 @@
 //! The benchmark baseline recorder and CI regression gate.
 //!
 //! ```text
-//! bench_gate record [--out BENCH_square.json] [--set full|smoke|routing] [--samples N]
-//! bench_gate check --baseline BENCH_square.json [--set smoke|full|routing] [--samples N] [--tolerance 0.15]
+//! bench_gate record [--out PATH|-] [--set full|smoke|routing|service] [--samples N]
+//! bench_gate check --baseline PATH [--set smoke|full|routing|service] [--samples N] [--tolerance 0.15]
 //! ```
 //!
-//! `record` measures the executor across `benchmarks × policies` and
+//! `record` measures the cells of a set — whole compiles and executor
+//! time of catalog benchmarks, or compile-service requests — and
 //! writes the machine-readable baseline (calibration-normalized; see
-//! `square_bench::baseline`). `check` re-measures and fails (exit 1)
-//! when any deterministic circuit fingerprint drifted, when a cell is
-//! missing from the baseline, or when the hot-path geomean timing
-//! ratio regresses beyond the tolerance.
+//! `square_bench::baseline`). It writes `BENCH_squared.json` for the
+//! service set and `BENCH_square.json` otherwise, unless `--out` says
+//! where. `check` re-measures and fails (exit 1) when any
+//! deterministic circuit fingerprint drifted, when a cell is missing
+//! from the baseline, or when the geomean timing ratio regresses
+//! beyond the tolerance.
 //!
 //! All progress goes to stderr; `record --out -` writes the JSON
 //! baseline to stdout so it stays pipeable.
@@ -24,7 +27,7 @@ struct Options {
     samples: usize,
     tolerance: f64,
     baseline_path: Option<String>,
-    out: String,
+    out: Option<String>,
 }
 
 fn parse_options(mode: &str, args: &[String]) -> Result<Options, String> {
@@ -37,7 +40,7 @@ fn parse_options(mode: &str, args: &[String]) -> Result<Options, String> {
         samples: if mode == "record" { 5 } else { 3 },
         tolerance: 0.15,
         baseline_path: None,
-        out: "BENCH_square.json".to_string(),
+        out: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -62,7 +65,7 @@ fn parse_options(mode: &str, args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--tolerance: not a number".to_string())?;
             }
             "--baseline" => opts.baseline_path = Some(value(arg)?),
-            "--out" => opts.out = value(arg)?,
+            "--out" => opts.out = Some(value(arg)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -77,13 +80,19 @@ fn run() -> Result<bool, String> {
         "record" => {
             let measured = baseline::measure(opts.set, opts.samples, |line| eprintln!("{line}"))?;
             let json = serde_json::to_string_pretty(&measured).map_err(|e| e.to_string())? + "\n";
-            if opts.out == "-" {
+            let out = opts.out.unwrap_or_else(|| {
+                match opts.set {
+                    BenchSet::Service => "BENCH_squared.json",
+                    _ => "BENCH_square.json",
+                }
+                .to_string()
+            });
+            if out == "-" {
                 print!("{json}");
             } else {
-                std::fs::write(&opts.out, json).map_err(|e| format!("{}: {e}", opts.out))?;
+                std::fs::write(&out, json).map_err(|e| format!("{out}: {e}"))?;
                 eprintln!(
-                    "wrote {} ({} cells, calibration {:.1}ms)",
-                    opts.out,
+                    "wrote {out} ({} cells, calibration {:.1}ms)",
                     measured.cells.len(),
                     measured.calibration_ns as f64 / 1e6
                 );
@@ -95,7 +104,7 @@ fn run() -> Result<bool, String> {
                 .baseline_path
                 .ok_or_else(|| "check needs --baseline <path>".to_string())?;
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-            let committed = baseline::parse(&text).map_err(|e| e.to_string())?;
+            let committed = baseline::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             let current = baseline::measure(opts.set, opts.samples, |line| eprintln!("{line}"))?;
             let report = baseline::gate(&committed, &current, opts.tolerance);
             eprint!("{}", report.render());
@@ -114,8 +123,8 @@ fn main() -> ExitCode {
         Err(message) => {
             eprintln!("{message}");
             eprintln!(
-                "usage: bench_gate record [--out PATH|-] [--set full|smoke|routing] [--samples N]\n\
-                 \x20      bench_gate check --baseline PATH [--set smoke|full|routing] [--samples N] [--tolerance F]"
+                "usage: bench_gate record [--out PATH|-] [--set full|smoke|routing|service] [--samples N]\n\
+                 \x20      bench_gate check --baseline PATH [--set smoke|full|routing|service] [--samples N] [--tolerance F]"
             );
             ExitCode::from(2)
         }

@@ -70,7 +70,7 @@ fn sweep_spec_from_flags(args: &[String]) -> Result<(SweepSpec, bool), String> {
                 spec.policies = parse_list(arg, flag_value(arg)?, Policy::parse)?;
             }
             "--arch" => {
-                spec.archs = parse_list(arg, flag_value(arg)?, SweepArch::parse)?;
+                spec.archs = parse_list(arg, flag_value(arg)?, |s| s.parse::<SweepArch>().ok())?;
             }
             "--budgets" | "--budget" => {
                 // `inf`/`none` is the unbudgeted base cell; numbers are

@@ -2,7 +2,9 @@
 //!
 //! One module per artifact of the paper's evaluation section; the
 //! `experiments` binary regenerates any of them (`-- all` for the full
-//! set). EXPERIMENTS.md records paper-vs-measured values.
+//! set). EXPERIMENTS.md records paper-vs-measured values. [`baseline`]
+//! is the one benchmark gate (`bench_gate`) over compile, executor and
+//! compile-service cells.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,9 +21,7 @@ pub mod sweep;
 pub mod table3;
 pub mod table4;
 
-pub use baseline::{Baseline, BenchSet, GateReport, MeasuredCell};
+pub use baseline::{Baseline, BenchSet, GateReport, Layer, MeasuredCell};
 pub use runner::{lattice_for, run_policies, ExperimentResult};
-pub use sweep::{
-    error_json, report_json, run_sweep, run_sweep_with_progress, SweepArch, SweepCell, SweepMatrix,
-    SweepSpec,
-};
+pub use square_core::{error_json, report_json, SweepArch};
+pub use sweep::{run_sweep, run_sweep_with_progress, SweepCell, SweepMatrix, SweepSpec};

@@ -15,144 +15,19 @@
 //!    "barely fits Eager" to "comfortably fits Lazy" — the
 //!    quantitative version of Fig. 1's capacity lines.
 
-use std::fmt;
 use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Serialize, Value};
 use square_core::{
-    compile, ArchSpec, CompileError, CompileReport, CompilerConfig, Policy, RouterKind,
+    compile, error_json, report_json, ArchSpec, CompileError, CompileReport, CompilerConfig,
+    Policy, RouterKind, SweepArch,
 };
 use square_workloads::{build, Benchmark};
 
 // ---------------------------------------------------------------------------
 // Product sweep: SweepSpec × rayon → SweepMatrix
 // ---------------------------------------------------------------------------
-
-/// One architecture setting of a sweep cell: the machine family plus
-/// its communication model. Auto-sized variants let every benchmark
-/// pick its own machine, which keeps cells independent (no shared
-/// probe pass) and therefore embarrassingly parallel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SweepArch {
-    /// NISQ: auto-sized 2-D lattice, swap-chain communication.
-    NisqAuto,
-    /// FT: auto-sized logical-tile grid, braid communication.
-    FtAuto,
-    /// Explicit lattice, swap chains.
-    Grid {
-        /// Width in qubits.
-        width: u32,
-        /// Height in qubits.
-        height: u32,
-    },
-    /// Fully connected machine, swap chains (distance 1: none occur).
-    Full {
-        /// Qubit count.
-        n: u32,
-    },
-    /// Linear chain, swap chains.
-    Line {
-        /// Qubit count.
-        n: u32,
-    },
-    /// IBM-style heavy-hex lattice of distance `d`, swap chains.
-    HeavyHex {
-        /// Lattice distance parameter.
-        d: u32,
-    },
-    /// Auto-sized heavy-hex lattice (smallest odd distance that fits
-    /// the program), swap chains.
-    HeavyHexAuto,
-    /// 1-D ring of `n` qubits, swap chains.
-    Ring {
-        /// Qubit count.
-        n: u32,
-    },
-    /// Auto-sized ring, swap chains.
-    RingAuto,
-}
-
-impl SweepArch {
-    /// The compiler configuration this architecture implies for
-    /// `policy`.
-    pub fn config(&self, policy: Policy) -> CompilerConfig {
-        match *self {
-            SweepArch::NisqAuto => CompilerConfig::nisq(policy),
-            SweepArch::FtAuto => CompilerConfig::ft(policy),
-            SweepArch::Grid { width, height } => {
-                CompilerConfig::nisq(policy).with_arch(ArchSpec::Grid { width, height })
-            }
-            SweepArch::Full { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Full { n }),
-            SweepArch::Line { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Line { n }),
-            SweepArch::HeavyHex { d } => {
-                CompilerConfig::nisq(policy).with_arch(ArchSpec::HeavyHex { d })
-            }
-            SweepArch::HeavyHexAuto => {
-                CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoHeavyHex)
-            }
-            SweepArch::Ring { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Ring { n }),
-            SweepArch::RingAuto => CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoRing),
-        }
-    }
-
-    /// True when this architecture communicates by braiding — the
-    /// swap-chain router never runs there.
-    pub fn is_braided(&self) -> bool {
-        matches!(self, SweepArch::FtAuto)
-    }
-
-    /// Parses a CLI-style spec: `nisq`, `ft`, or any [`ArchSpec`]
-    /// spelling (`grid:WxH`, `full:N`, `line:N`, `heavyhex:D` or bare
-    /// `heavyhex`, `ring:N` or bare `ring`), case-insensitive.
-    ///
-    /// This is a compatibility shim kept for the sweep CLI's sake: the
-    /// grammar itself lives in [`ArchSpec`]'s `FromStr` impl, which is
-    /// what new call sites should use — only the `nisq`/`ft`
-    /// communication-model aliases are interpreted here.
-    pub fn parse(spec: &str) -> Option<SweepArch> {
-        match spec.to_ascii_lowercase().as_str() {
-            "nisq" => return Some(SweepArch::NisqAuto),
-            "ft" => return Some(SweepArch::FtAuto),
-            _ => {}
-        }
-        spec.parse::<ArchSpec>().ok().map(SweepArch::from)
-    }
-}
-
-impl From<ArchSpec> for SweepArch {
-    /// Embeds a machine layout as a swap-chain sweep cell (`AutoGrid`
-    /// maps to the NISQ auto cell; `ft` has no `ArchSpec` spelling —
-    /// braiding is a communication model, not a layout).
-    fn from(arch: ArchSpec) -> SweepArch {
-        match arch {
-            ArchSpec::AutoGrid => SweepArch::NisqAuto,
-            ArchSpec::Grid { width, height } => SweepArch::Grid { width, height },
-            ArchSpec::Full { n } => SweepArch::Full { n },
-            ArchSpec::Line { n } => SweepArch::Line { n },
-            ArchSpec::HeavyHex { d } => SweepArch::HeavyHex { d },
-            ArchSpec::AutoHeavyHex => SweepArch::HeavyHexAuto,
-            ArchSpec::Ring { n } => SweepArch::Ring { n },
-            ArchSpec::AutoRing => SweepArch::RingAuto,
-        }
-    }
-}
-
-impl fmt::Display for SweepArch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            SweepArch::NisqAuto => f.write_str("nisq"),
-            SweepArch::FtAuto => f.write_str("ft"),
-            SweepArch::Grid { width, height } => write!(f, "grid:{width}x{height}"),
-            SweepArch::Full { n } => write!(f, "full:{n}"),
-            SweepArch::Line { n } => write!(f, "line:{n}"),
-            SweepArch::HeavyHex { d } => write!(f, "heavyhex:{d}"),
-            SweepArch::HeavyHexAuto => f.write_str("heavyhex"),
-            SweepArch::Ring { n } => write!(f, "ring:{n}"),
-            SweepArch::RingAuto => f.write_str("ring"),
-        }
-    }
-}
 
 /// The product to evaluate: every `(benchmark, policy, arch)` cell.
 #[derive(Debug, Clone)]
@@ -349,127 +224,6 @@ impl SweepMatrix {
             self.wall_ms
         ));
         out
-    }
-}
-
-/// The JSON encoding of a [`CompileReport`], shared by the sweep
-/// matrix serializer and the `squarec` driver's `--json` mode so both
-/// emit field-identical report objects.
-pub fn report_json(r: &CompileReport) -> Value {
-    let mut fields = vec![
-        ("router", Value::String(r.router.cli_name().to_string())),
-        ("gates", Value::UInt(r.gates)),
-        ("swaps", Value::UInt(r.swaps)),
-        ("depth", Value::UInt(r.depth)),
-        ("qubits", Value::UInt(r.qubits as u64)),
-        ("peak_active", Value::UInt(r.peak_active as u64)),
-        ("aqv", Value::UInt(r.aqv)),
-        ("comm_factor", Value::Float(r.comm_factor)),
-        ("machine_qubits", Value::UInt(r.machine_qubits as u64)),
-        (
-            "decisions",
-            Value::map([
-                ("reclaimed", Value::UInt(r.decisions.reclaimed)),
-                ("garbage", Value::UInt(r.decisions.garbage)),
-                ("forced", Value::UInt(r.decisions.forced)),
-            ]),
-        ),
-        (
-            "cer_cache",
-            Value::map([
-                ("hits", Value::UInt(r.cer_cache.hits)),
-                ("misses", Value::UInt(r.cer_cache.misses)),
-                ("invalidations", Value::UInt(r.cer_cache.invalidations)),
-            ]),
-        ),
-    ];
-    // Budget keys appear only on budgeted compiles: unbudgeted report
-    // JSON (and therefore every pre-budget bench fingerprint) stays
-    // byte-identical.
-    if let Some(budget) = r.budget {
-        fields.push(("budget", Value::UInt(budget as u64)));
-        fields.push((
-            "recompute",
-            Value::map([
-                (
-                    "early_uncomputed_frames",
-                    Value::UInt(r.recompute.early_uncomputed_frames),
-                ),
-                (
-                    "early_uncompute_gates",
-                    Value::UInt(r.recompute.early_uncompute_gates),
-                ),
-                (
-                    "recomputed_frames",
-                    Value::UInt(r.recompute.recomputed_frames),
-                ),
-                ("recompute_gates", Value::UInt(r.recompute.recompute_gates)),
-            ]),
-        ));
-    }
-    // MBU keys appear only on MBU-enabled compiles, so MBU-off report
-    // JSON (and therefore every pre-MBU bench fingerprint) stays
-    // byte-identical.
-    if r.mbu {
-        fields.push((
-            "mbu",
-            Value::map([
-                ("mbu_frames", Value::UInt(r.mbu_stats.mbu_frames)),
-                ("measurements", Value::UInt(r.mbu_stats.measurements)),
-                (
-                    "cond_corrections",
-                    Value::UInt(r.mbu_stats.cond_corrections),
-                ),
-                ("mbu_gates", Value::UInt(r.mbu_stats.mbu_gates)),
-                (
-                    "unitary_gates_avoided",
-                    Value::UInt(r.mbu_stats.unitary_gates_avoided),
-                ),
-            ]),
-        ));
-    }
-    Value::map(fields)
-}
-
-/// The structured JSON encoding of a capacity-exhaustion failure:
-/// machine-readable fields alongside the rendered message, so sweep
-/// consumers can retry with `min_feasible` instead of grepping text.
-pub fn error_json(e: &CompileError) -> Value {
-    match e {
-        CompileError::OutOfQubits {
-            requested,
-            capacity,
-            live,
-            policy,
-            budget,
-            module,
-            min_feasible,
-        } => Value::map(vec![
-            ("kind", Value::String("out_of_qubits".to_string())),
-            ("message", Value::String(e.to_string())),
-            ("requested", Value::UInt(*requested as u64)),
-            ("capacity", Value::UInt(*capacity as u64)),
-            ("live", Value::UInt(*live as u64)),
-            ("policy", Value::String(policy.cli_name().to_string())),
-            (
-                "budget",
-                budget.map_or(Value::Null, |n| Value::UInt(n as u64)),
-            ),
-            (
-                "module",
-                module
-                    .as_ref()
-                    .map_or(Value::Null, |m| Value::String(m.clone())),
-            ),
-            (
-                "min_feasible",
-                min_feasible.map_or(Value::Null, |n| Value::UInt(n as u64)),
-            ),
-        ]),
-        other => Value::map(vec![
-            ("kind", Value::String("compile_error".to_string())),
-            ("message", Value::String(other.to_string())),
-        ]),
     }
 }
 
@@ -775,40 +529,5 @@ mod tests {
         let json = serde_json::to_string(&matrix).unwrap();
         assert!(json.contains("\"report\":null"));
         assert!(json.contains("out of qubits"));
-    }
-
-    #[test]
-    fn arch_specs_parse_and_round_trip() {
-        for (text, arch) in [
-            ("nisq", SweepArch::NisqAuto),
-            ("ft", SweepArch::FtAuto),
-            (
-                "grid:8x4",
-                SweepArch::Grid {
-                    width: 8,
-                    height: 4,
-                },
-            ),
-            ("full:64", SweepArch::Full { n: 64 }),
-            ("line:100", SweepArch::Line { n: 100 }),
-            ("heavyhex:5", SweepArch::HeavyHex { d: 5 }),
-            ("heavyhex", SweepArch::HeavyHexAuto),
-            ("ring:24", SweepArch::Ring { n: 24 }),
-            ("ring", SweepArch::RingAuto),
-        ] {
-            assert_eq!(SweepArch::parse(text), Some(arch), "{text}");
-            assert_eq!(SweepArch::parse(&arch.to_string()), Some(arch));
-        }
-        assert_eq!(SweepArch::parse("grid:8"), None);
-        assert_eq!(SweepArch::parse("hex:3"), None);
-        assert_eq!(SweepArch::parse("heavyhex:0"), None);
-        assert_eq!(SweepArch::parse("heavyhex:99"), None, "table-size guard");
-        assert_eq!(SweepArch::parse("ring:0"), None);
-        // Degenerate and overflowing sizes are parse errors, not
-        // panics inside a sweep worker.
-        assert_eq!(SweepArch::parse("grid:0x4"), None);
-        assert_eq!(SweepArch::parse("full:0"), None);
-        assert_eq!(SweepArch::parse("line:0"), None);
-        assert_eq!(SweepArch::parse("grid:70000x70000"), None);
     }
 }

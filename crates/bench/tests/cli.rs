@@ -1,7 +1,7 @@
 //! CLI-level checks of the `experiments` and `bench_gate` binaries:
 //! stdout stays machine-readable (progress is stderr-only), and the
 //! record → check baseline round trip gates correctly in both
-//! directions.
+//! directions, for compile cells and for compile-service cells.
 
 use std::process::Command;
 
@@ -45,35 +45,41 @@ fn corrupt_first_gates(json: &str) -> String {
     format!("{}{}{}", &json[..at], "999999999", &json[end..])
 }
 
-#[test]
-fn bench_gate_round_trip_passes_then_fails_on_fingerprint_drift() {
-    let dir = std::env::temp_dir().join(format!("square_bench_gate_{}", std::process::id()));
+/// Runs `bench_gate` with `args` followed by `path`.
+fn bench_gate(args: &[&str], path: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_bench_gate"))
+        .args(args)
+        .arg(path)
+        .output()
+        .expect("bench_gate runs")
+}
+
+/// Records a baseline of `set`, checks it against the same compiler,
+/// then corrupts a fingerprint and checks again.
+fn round_trip(set: &str) {
+    let dir = std::env::temp_dir().join(format!("square_bench_gate_{set}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let baseline = dir.join("baseline.json");
-    let record = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .args(["record", "--set", "smoke", "--samples", "1", "--out"])
-        .arg(&baseline)
-        .output()
-        .expect("bench_gate record runs");
+    let record = bench_gate(
+        &["record", "--set", set, "--samples", "1", "--out"],
+        &baseline,
+    );
     assert!(record.status.success(), "{record:?}");
 
     // Checking a freshly recorded baseline against the same compiler
     // must pass: fingerprints are deterministic, and the huge
     // tolerance absorbs timing noise.
-    let check = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .args([
-            "check",
-            "--set",
-            "smoke",
-            "--samples",
-            "1",
-            "--tolerance",
-            "100",
-            "--baseline",
-        ])
-        .arg(&baseline)
-        .output()
-        .expect("bench_gate check runs");
+    let check_args = [
+        "check",
+        "--set",
+        set,
+        "--samples",
+        "1",
+        "--tolerance",
+        "100",
+        "--baseline",
+    ];
+    let check = bench_gate(&check_args, &baseline);
     assert!(
         check.status.success(),
         "stderr: {}",
@@ -84,20 +90,7 @@ fn bench_gate_round_trip_passes_then_fails_on_fingerprint_drift() {
     // tolerance.
     let text = std::fs::read_to_string(&baseline).expect("baseline readable");
     std::fs::write(&baseline, corrupt_first_gates(&text)).expect("baseline writable");
-    let drift = Command::new(env!("CARGO_BIN_EXE_bench_gate"))
-        .args([
-            "check",
-            "--set",
-            "smoke",
-            "--samples",
-            "1",
-            "--tolerance",
-            "100",
-            "--baseline",
-        ])
-        .arg(&baseline)
-        .output()
-        .expect("bench_gate check runs");
+    let drift = bench_gate(&check_args, &baseline);
     assert_eq!(drift.status.code(), Some(1), "{drift:?}");
     assert!(
         String::from_utf8_lossy(&drift.stderr).contains("FINGERPRINT DRIFT"),
@@ -105,4 +98,14 @@ fn bench_gate_round_trip_passes_then_fails_on_fingerprint_drift() {
         String::from_utf8_lossy(&drift.stderr)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bench_gate_round_trip_passes_then_fails_on_fingerprint_drift() {
+    round_trip("smoke");
+}
+
+#[test]
+fn bench_gate_service_round_trip_passes_then_fails_on_fingerprint_drift() {
+    round_trip("service");
 }

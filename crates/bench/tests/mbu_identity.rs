@@ -6,7 +6,7 @@
 //! across the MBU rollout.
 
 use proptest::prelude::*;
-use square_bench::sweep::report_json;
+use square_bench::report_json;
 use square_core::{compile, CompilerConfig, Policy};
 use square_qir::TraceOp;
 use square_workloads::synthetic::{synthesize, SynthParams};

@@ -3,7 +3,7 @@
 use square_arch::{
     CommModel, FullTopology, GridTopology, HeavyHexTopology, LineTopology, RingTopology, Topology,
 };
-use square_route::RouterConfig;
+use square_route::{RouterConfig, RouterKind};
 
 use crate::policy::Policy;
 
@@ -164,6 +164,154 @@ impl ArchSpec {
             ArchSpec::AutoRing => Box::new(RingTopology::with_capacity(Self::auto_capacity(
                 capacity_hint,
             ))),
+        }
+    }
+}
+
+/// A compile target: a machine layout plus its communication model,
+/// as every front end names it (`squarec --arch`, the sweep CLI, the
+/// compile-service wire protocol). Auto-sized variants let every
+/// program pick its own machine, which keeps sweep cells independent
+/// (no shared probe pass) and therefore embarrassingly parallel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SweepArch {
+    /// NISQ: auto-sized 2-D lattice, swap-chain communication.
+    NisqAuto,
+    /// FT: auto-sized logical-tile grid, braid communication.
+    FtAuto,
+    /// Explicit lattice, swap chains.
+    Grid {
+        /// Width in qubits.
+        width: u32,
+        /// Height in qubits.
+        height: u32,
+    },
+    /// Fully connected machine, swap chains (distance 1: none occur).
+    Full {
+        /// Qubit count.
+        n: u32,
+    },
+    /// Linear chain, swap chains.
+    Line {
+        /// Qubit count.
+        n: u32,
+    },
+    /// IBM-style heavy-hex lattice of distance `d`, swap chains.
+    HeavyHex {
+        /// Lattice distance parameter.
+        d: u32,
+    },
+    /// Auto-sized heavy-hex lattice (smallest odd distance that fits
+    /// the program), swap chains.
+    HeavyHexAuto,
+    /// 1-D ring of `n` qubits, swap chains.
+    Ring {
+        /// Qubit count.
+        n: u32,
+    },
+    /// Auto-sized ring, swap chains.
+    RingAuto,
+}
+
+impl SweepArch {
+    /// Every auto-sized target, in validation-matrix order (fuzz cells
+    /// and seeds are laid out over this order).
+    pub const AUTO: [SweepArch; 4] = [
+        SweepArch::NisqAuto,
+        SweepArch::FtAuto,
+        SweepArch::HeavyHexAuto,
+        SweepArch::RingAuto,
+    ];
+
+    /// The compiler configuration this target implies for `policy`.
+    pub fn config(&self, policy: Policy) -> CompilerConfig {
+        match *self {
+            SweepArch::NisqAuto => CompilerConfig::nisq(policy),
+            SweepArch::FtAuto => CompilerConfig::ft(policy),
+            SweepArch::Grid { width, height } => {
+                CompilerConfig::nisq(policy).with_arch(ArchSpec::Grid { width, height })
+            }
+            SweepArch::Full { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Full { n }),
+            SweepArch::Line { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Line { n }),
+            SweepArch::HeavyHex { d } => {
+                CompilerConfig::nisq(policy).with_arch(ArchSpec::HeavyHex { d })
+            }
+            SweepArch::HeavyHexAuto => {
+                CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoHeavyHex)
+            }
+            SweepArch::Ring { n } => CompilerConfig::nisq(policy).with_arch(ArchSpec::Ring { n }),
+            SweepArch::RingAuto => CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoRing),
+        }
+    }
+
+    /// True when this target communicates by braiding — the
+    /// swap-chain router never runs there.
+    pub fn is_braided(&self) -> bool {
+        matches!(self, SweepArch::FtAuto)
+    }
+
+    /// True when the machine size depends on the program compiled.
+    pub fn is_auto_sized(&self) -> bool {
+        SweepArch::AUTO.contains(self)
+    }
+
+    /// The routers worth running on this target: both on swap-chain
+    /// machines, greedy alone under braiding (the router never runs
+    /// there, so the cells would be identical).
+    pub fn routers(&self) -> &'static [RouterKind] {
+        if self.is_braided() {
+            &[RouterKind::Greedy]
+        } else {
+            &RouterKind::ALL
+        }
+    }
+}
+
+/// Parses `nisq`, `ft`, or any [`ArchSpec`] spelling (`grid:WxH`,
+/// `full:N`, `line:N`, `heavyhex:D` or bare `heavyhex`, `ring:N` or
+/// bare `ring`), case-insensitive.
+impl std::str::FromStr for SweepArch {
+    type Err = ArchSpecParseError;
+
+    fn from_str(spec: &str) -> Result<Self, Self::Err> {
+        match spec.to_ascii_lowercase().as_str() {
+            "nisq" => Ok(SweepArch::NisqAuto),
+            "ft" => Ok(SweepArch::FtAuto),
+            _ => spec.parse::<ArchSpec>().map(SweepArch::from),
+        }
+    }
+}
+
+impl From<ArchSpec> for SweepArch {
+    /// Embeds a machine layout as a swap-chain target (`AutoGrid` maps
+    /// to the NISQ auto target; `ft` has no `ArchSpec` spelling —
+    /// braiding is a communication model, not a layout).
+    fn from(arch: ArchSpec) -> SweepArch {
+        match arch {
+            ArchSpec::AutoGrid => SweepArch::NisqAuto,
+            ArchSpec::Grid { width, height } => SweepArch::Grid { width, height },
+            ArchSpec::Full { n } => SweepArch::Full { n },
+            ArchSpec::Line { n } => SweepArch::Line { n },
+            ArchSpec::HeavyHex { d } => SweepArch::HeavyHex { d },
+            ArchSpec::AutoHeavyHex => SweepArch::HeavyHexAuto,
+            ArchSpec::Ring { n } => SweepArch::Ring { n },
+            ArchSpec::AutoRing => SweepArch::RingAuto,
+        }
+    }
+}
+
+impl std::fmt::Display for SweepArch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SweepArch::NisqAuto => f.write_str("nisq"),
+            SweepArch::FtAuto => f.write_str("ft"),
+            SweepArch::Grid { width, height } => write!(f, "grid:{width}x{height}"),
+            SweepArch::Full { n } => write!(f, "full:{n}"),
+            SweepArch::Line { n } => write!(f, "line:{n}"),
+            SweepArch::HeavyHex { d } => write!(f, "heavyhex:{d}"),
+            SweepArch::HeavyHexAuto => f.write_str("heavyhex"),
+            SweepArch::Ring { n } => write!(f, "ring:{n}"),
+            SweepArch::RingAuto => f.write_str("ring"),
         }
     }
 }
@@ -416,6 +564,45 @@ mod tests {
         ] {
             let err = bad.parse::<ArchSpec>().unwrap_err();
             assert!(err.to_string().contains(bad), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn sweep_archs_parse_and_round_trip() {
+        for (text, arch) in [
+            ("nisq", SweepArch::NisqAuto),
+            ("ft", SweepArch::FtAuto),
+            (
+                "grid:8x4",
+                SweepArch::Grid {
+                    width: 8,
+                    height: 4,
+                },
+            ),
+            ("full:64", SweepArch::Full { n: 64 }),
+            ("line:100", SweepArch::Line { n: 100 }),
+            ("heavyhex:5", SweepArch::HeavyHex { d: 5 }),
+            ("heavyhex", SweepArch::HeavyHexAuto),
+            ("ring:24", SweepArch::Ring { n: 24 }),
+            ("ring", SweepArch::RingAuto),
+        ] {
+            assert_eq!(text.parse::<SweepArch>(), Ok(arch), "{text}");
+            assert_eq!(arch.to_string().parse::<SweepArch>(), Ok(arch));
+        }
+        // Degenerate and overflowing sizes are parse errors, not
+        // panics inside a sweep worker.
+        for bad in [
+            "grid:8",
+            "hex:3",
+            "heavyhex:0",
+            "heavyhex:99",
+            "ring:0",
+            "grid:0x4",
+            "full:0",
+            "line:0",
+            "grid:70000x70000",
+        ] {
+            assert!(bad.parse::<SweepArch>().is_err(), "{bad}");
         }
     }
 

@@ -46,14 +46,14 @@ pub mod report;
 mod error;
 
 pub use cer::{CerCacheStats, CerEngine, ModuleCostTable};
-pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, LaaWeights};
+pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, LaaWeights, SweepArch};
 pub use error::CompileError;
 pub use executor::{
     compile, compile_prepared, compile_prepared_on, compile_with_inputs, PreparedProgram,
 };
 pub use heap::{AncillaHeap, HeapError, HeapHandle};
 pub use policy::{BudgetPolicy, Policy};
-pub use report::{CompileReport, ReclaimDecision, RecomputeStats};
+pub use report::{error_json, report_json, CompileReport, ReclaimDecision, RecomputeStats};
 // Router selection is part of the compiler configuration; re-export
 // the kind so downstream crates need not depend on square-route.
 pub use square_route::RouterKind;

@@ -2,12 +2,14 @@
 
 use std::collections::HashMap;
 
+use serde::Value;
 use square_arch::{CommModel, PhysId};
 use square_metrics::{aqv, UsageCurve};
 use square_qir::{ModuleId, TraceOp, VirtId};
 use square_route::{CommStats, LivenessSegment, PlacementEvent, RouterKind, ScheduledGate};
 
 use crate::cer::CerCacheStats;
+use crate::error::CompileError;
 use crate::policy::Policy;
 
 /// One recorded reclamation decision, in frame-completion (post-)
@@ -195,6 +197,127 @@ impl CompileReport {
             self.depth,
             self.swaps
         )
+    }
+}
+
+/// The JSON encoding of a [`CompileReport`], shared by the sweep
+/// matrix serializer, the `squarec` driver's `--json` mode and the
+/// compile service so all three emit field-identical report objects.
+pub fn report_json(r: &CompileReport) -> Value {
+    let mut fields = vec![
+        ("router", Value::String(r.router.cli_name().to_string())),
+        ("gates", Value::UInt(r.gates)),
+        ("swaps", Value::UInt(r.swaps)),
+        ("depth", Value::UInt(r.depth)),
+        ("qubits", Value::UInt(r.qubits as u64)),
+        ("peak_active", Value::UInt(r.peak_active as u64)),
+        ("aqv", Value::UInt(r.aqv)),
+        ("comm_factor", Value::Float(r.comm_factor)),
+        ("machine_qubits", Value::UInt(r.machine_qubits as u64)),
+        (
+            "decisions",
+            Value::map([
+                ("reclaimed", Value::UInt(r.decisions.reclaimed)),
+                ("garbage", Value::UInt(r.decisions.garbage)),
+                ("forced", Value::UInt(r.decisions.forced)),
+            ]),
+        ),
+        (
+            "cer_cache",
+            Value::map([
+                ("hits", Value::UInt(r.cer_cache.hits)),
+                ("misses", Value::UInt(r.cer_cache.misses)),
+                ("invalidations", Value::UInt(r.cer_cache.invalidations)),
+            ]),
+        ),
+    ];
+    // Budget keys appear only on budgeted compiles: unbudgeted report
+    // JSON (and therefore every pre-budget bench fingerprint) stays
+    // byte-identical.
+    if let Some(budget) = r.budget {
+        fields.push(("budget", Value::UInt(budget as u64)));
+        fields.push((
+            "recompute",
+            Value::map([
+                (
+                    "early_uncomputed_frames",
+                    Value::UInt(r.recompute.early_uncomputed_frames),
+                ),
+                (
+                    "early_uncompute_gates",
+                    Value::UInt(r.recompute.early_uncompute_gates),
+                ),
+                (
+                    "recomputed_frames",
+                    Value::UInt(r.recompute.recomputed_frames),
+                ),
+                ("recompute_gates", Value::UInt(r.recompute.recompute_gates)),
+            ]),
+        ));
+    }
+    // MBU keys appear only on MBU-enabled compiles, so MBU-off report
+    // JSON (and therefore every pre-MBU bench fingerprint) stays
+    // byte-identical.
+    if r.mbu {
+        fields.push((
+            "mbu",
+            Value::map([
+                ("mbu_frames", Value::UInt(r.mbu_stats.mbu_frames)),
+                ("measurements", Value::UInt(r.mbu_stats.measurements)),
+                (
+                    "cond_corrections",
+                    Value::UInt(r.mbu_stats.cond_corrections),
+                ),
+                ("mbu_gates", Value::UInt(r.mbu_stats.mbu_gates)),
+                (
+                    "unitary_gates_avoided",
+                    Value::UInt(r.mbu_stats.unitary_gates_avoided),
+                ),
+            ]),
+        ));
+    }
+    Value::map(fields)
+}
+
+/// The structured JSON encoding of a capacity-exhaustion failure:
+/// machine-readable fields alongside the rendered message, so sweep
+/// consumers can retry with `min_feasible` instead of grepping text.
+pub fn error_json(e: &CompileError) -> Value {
+    match e {
+        CompileError::OutOfQubits {
+            requested,
+            capacity,
+            live,
+            policy,
+            budget,
+            module,
+            min_feasible,
+        } => Value::map(vec![
+            ("kind", Value::String("out_of_qubits".to_string())),
+            ("message", Value::String(e.to_string())),
+            ("requested", Value::UInt(*requested as u64)),
+            ("capacity", Value::UInt(*capacity as u64)),
+            ("live", Value::UInt(*live as u64)),
+            ("policy", Value::String(policy.cli_name().to_string())),
+            (
+                "budget",
+                budget.map_or(Value::Null, |n| Value::UInt(n as u64)),
+            ),
+            (
+                "module",
+                module
+                    .as_ref()
+                    .map_or(Value::Null, |m| Value::String(m.clone())),
+            ),
+            (
+                "min_feasible",
+                min_feasible.map_or(Value::Null, |n| Value::UInt(n as u64)),
+            ),
+        ]),
+        other => Value::map(vec![
+            ("kind", Value::String("compile_error".to_string())),
+            ("message", Value::String(other.to_string())),
+        ]),
     }
 }
 

@@ -36,10 +36,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::Value;
-use square_bench::SweepArch;
-use square_core::{Policy, RouterKind};
+use square_core::{Policy, RouterKind, SweepArch};
 use square_service::proto::PROTO_VERSION;
-use square_workloads::{sq_source, Benchmark};
+use square_workloads::Benchmark;
 
 const USAGE: &str = "usage: loadgen --addr HOST:PORT [--corpus DIR]... \
      [--catalog NAME,NAME,...] [--clients N] [--requests M] [--open --rate R] \
@@ -118,12 +117,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     Policy::parse(&v).ok_or_else(|| format!("--policy: unknown policy `{v}`"))?;
             }
             "--arch" => {
-                // One grammar everywhere: `SweepArch::parse` is a thin
-                // shim over `ArchSpec`'s `FromStr` plus the `nisq`/`ft`
-                // comm-model aliases.
                 let v = value(arg)?;
-                opts.arch =
-                    SweepArch::parse(&v).ok_or_else(|| format!("--arch: unknown arch `{v}`"))?;
+                opts.arch = v
+                    .parse()
+                    .map_err(|_| format!("--arch: unknown arch `{v}`"))?;
             }
             "--router" => {
                 let v = value(arg)?;
@@ -149,34 +146,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err("--clients and --requests must be > 0".to_string());
     }
     Ok(opts)
-}
-
-/// Loads the corpus as `(name, source)` pairs, files sorted per dir.
-fn load_corpus(opts: &Options) -> Result<Vec<(String, String)>, String> {
-    let mut corpus = Vec::new();
-    for dir in &opts.corpus_dirs {
-        let mut files: Vec<_> = std::fs::read_dir(dir)
-            .map_err(|e| format!("{}: {e}", dir.display()))?
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "sq"))
-            .collect();
-        files.sort();
-        for path in files {
-            let name = path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            // Flatten multi-file sources: the wire carries one
-            // self-contained program per request.
-            corpus.push((name, square_service::gate::wire_source(&path)?));
-        }
-    }
-    for &bench in &opts.catalog {
-        let source = sq_source(bench).map_err(|e| format!("{}: {e}", bench.name()))?;
-        corpus.push((format!("catalog:{}", bench.name()), source));
-    }
-    Ok(corpus)
 }
 
 /// One completed request as seen by a client.
@@ -297,7 +266,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let corpus = match load_corpus(&opts) {
+    let corpus = match square_service::load_corpus(&opts.corpus_dirs, &opts.catalog) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("loadgen: {e}");

@@ -25,8 +25,6 @@
 //!   --json               machine-readable output on stdout
 //!   --roundtrip          also check parse → pretty → parse is the identity
 //!   --dump-catalog DIR   write the 17 built-in benchmarks as .sq files
-//!   --serve ADDR         run the squared compile service on ADDR
-//!                        instead of compiling files
 //! ```
 //!
 //! Parse errors render as spanned, multi-error diagnostics with
@@ -42,8 +40,10 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use serde::Value;
-use square_bench::{error_json, report_json, SweepArch};
-use square_core::{compile, BudgetPolicy, CompileError, CompileReport, Policy, RouterKind};
+use square_core::{
+    compile, error_json, report_json, BudgetPolicy, CompileError, CompileReport, Policy,
+    RouterKind, SweepArch,
+};
 use square_qir::pretty::program_listing;
 use square_qir::Program;
 use square_workloads::{sq_file_stem, sq_source, Benchmark};
@@ -69,7 +69,6 @@ struct Options {
     json: bool,
     roundtrip: bool,
     dump_catalog: Option<PathBuf>,
-    serve: Option<String>,
 }
 
 /// Set as soon as any file fails, so an early exit (EPIPE on stdout)
@@ -85,8 +84,7 @@ const USAGE: &str = "usage: squarec FILE.sq [FILE2.sq …] \
      [--policy lazy|eager|square|laa[,budget:N]] \
      [--arch nisq|ft|grid:WxH|full:N|line:N|heavyhex[:D]|ring[:N]] \
      [--router greedy|lookahead] [--mbu] [--all-policies] [--validate] \
-     [--emit report|listing|schedule] [--json] [--roundtrip] [--dump-catalog DIR] \
-     [--serve ADDR]";
+     [--emit report|listing|schedule] [--json] [--roundtrip] [--dump-catalog DIR]";
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
@@ -103,7 +101,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         json: false,
         roundtrip: false,
         dump_catalog: None,
-        serve: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -124,12 +121,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.budget = spec.budget;
             }
             "--arch" => {
-                // One grammar everywhere: `SweepArch::parse` is a thin
-                // shim over `ArchSpec`'s `FromStr` plus the `nisq`/`ft`
-                // comm-model aliases.
                 let v = value(arg)?;
-                opts.arch =
-                    SweepArch::parse(&v).ok_or_else(|| format!("--arch: unknown arch `{v}`"))?;
+                opts.arch = v
+                    .parse()
+                    .map_err(|_| format!("--arch: unknown arch `{v}`"))?;
             }
             "--router" => {
                 let v = value(arg)?;
@@ -150,16 +145,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => opts.json = true,
             "--roundtrip" => opts.roundtrip = true,
             "--dump-catalog" => opts.dump_catalog = Some(PathBuf::from(value(arg)?)),
-            "--serve" => opts.serve = Some(value(arg)?),
             flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             file => opts.files.push(PathBuf::from(file)),
         }
     }
-    if opts.serve.is_some() && !opts.files.is_empty() {
-        return Err("--serve takes no input files".to_string());
-    }
-    if opts.files.is_empty() && opts.dump_catalog.is_none() && opts.serve.is_none() {
-        return Err("no input files (and no --dump-catalog / --serve)".to_string());
+    if opts.files.is_empty() && opts.dump_catalog.is_none() {
+        return Err("no input files (and no --dump-catalog)".to_string());
     }
     Ok(opts)
 }
@@ -174,33 +165,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    // `--serve` turns the driver into the squared service: same
-    // compile path, shared caches, the protocol documented in
-    // `square_service::proto`.
-    if let Some(addr) = &opts.serve {
-        let listener = match std::net::TcpListener::bind(addr) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("--serve {addr}: cannot bind: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let service = std::sync::Arc::new(square_service::CompileService::new(
-            square_service::ServiceConfig::default(),
-        ));
-        return match square_service::server::serve(
-            listener,
-            service,
-            square_service::server::ServerConfig::default(),
-        ) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("squared: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     if let Some(dir) = &opts.dump_catalog {
         if let Err(message) = dump_catalog(dir) {

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! squared [--addr HOST:PORT] [--workers N] [--queue N]
-//!         [--programs-cap N] [--prepared-cap N]
-//!         [--topologies-cap N] [--reports-cap N]
+//!         [--prepared-cap N] [--topologies-cap N] [--reports-cap N]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7878`; use port 0 to let the
@@ -20,7 +19,7 @@ use square_service::server::{serve, ServerConfig};
 use square_service::{CompileService, ServiceConfig};
 
 const USAGE: &str = "usage: squared [--addr HOST:PORT] [--workers N] [--queue N] \
-     [--programs-cap N] [--prepared-cap N] [--topologies-cap N] [--reports-cap N]";
+     [--prepared-cap N] [--topologies-cap N] [--reports-cap N]";
 
 struct Options {
     addr: String,
@@ -49,7 +48,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--addr" => opts.addr = value(arg)?,
             "--workers" => opts.server.workers = number(arg, value(arg)?)?,
             "--queue" => opts.server.queue_depth = number(arg, value(arg)?)?,
-            "--programs-cap" => opts.service.programs_cap = number(arg, value(arg)?)?,
             "--prepared-cap" => opts.service.prepared_cap = number(arg, value(arg)?)?,
             "--topologies-cap" => opts.service.topologies_cap = number(arg, value(arg)?)?,
             "--reports-cap" => opts.service.reports_cap = number(arg, value(arg)?)?,

@@ -121,8 +121,8 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         );
     }
 
-    /// Drops every entry (counters are preserved). The service gate
-    /// uses this to force repeated requests through the real compile
+    /// Drops every entry (counters are preserved). The `service` cells
+    /// of `bench_gate` use this to force repeated requests through the real compile
     /// path while keeping the other caches warm.
     pub fn flush(&mut self) {
         self.map.clear();

@@ -10,9 +10,9 @@
 //! What makes the service worth running over a fleet of one-shot
 //! processes is the shared state between requests:
 //!
-//! * **Parsed programs** and **prepared programs** (lowered QIR +
+//! * **Prepared programs** (lowered QIR +
 //!   [`ModuleCostTable`](square_core::ModuleCostTable) memos) are
-//!   cached by source content hash.
+//!   cached by source content hash; a source is parsed only on a miss.
 //! * **Topologies** — including the graph-backed layouts whose
 //!   all-pairs BFS distance/next-hop tables build lazily — are cached
 //!   per `(arch, capacity)` and shared across concurrent compiles via
@@ -21,21 +21,20 @@
 //!   cell, and identical cells *in flight* are coalesced so a burst of
 //!   duplicate requests costs one compile.
 //!
-//! Every response carries hit/miss/eviction counters for all four
+//! Every response carries hit/miss/eviction counters for all three
 //! caches. The crate also ships the `squared` server bin, the
-//! `loadgen` traffic generator, the `service_gate` latency-baseline
-//! harness, and the `squarec` CLI (which grew a `--serve` flag).
+//! `loadgen` traffic generator, and the `squarec` CLI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod gate;
 pub mod proto;
 pub mod server;
 pub mod service;
 
 pub use cache::{content_hash, CacheStats, LruCache};
+pub use proto::{load_corpus, wire_source};
 pub use service::{
     CompileOutcome, CompileRequest, CompileService, ServiceConfig, ServiceError, ServiceStats,
 };

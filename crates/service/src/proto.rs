@@ -35,10 +35,11 @@
 //! cell) and a `cache` block with the live [`ServiceStats`].
 
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
-use square_bench::SweepArch;
-use square_core::{BudgetPolicy, Policy, RouterKind};
+use square_core::{error_json, BudgetPolicy, Policy, RouterKind, SweepArch};
+use square_workloads::{sq_source, Benchmark};
 
 use crate::service::{CompileOutcome, CompileRequest, ServiceError, ServiceStats};
 
@@ -177,9 +178,9 @@ impl Request {
         }
         let arch = match value.get("arch").and_then(Value::as_str) {
             None => SweepArch::NisqAuto,
-            Some(spec) => {
-                SweepArch::parse(spec).ok_or_else(|| malformed(format!("unknown arch `{spec}`")))?
-            }
+            Some(spec) => spec
+                .parse()
+                .map_err(|_| malformed(format!("unknown arch `{spec}`")))?,
         };
         let router = match value.get("router").and_then(Value::as_str) {
             None => RouterKind::Greedy,
@@ -326,9 +327,7 @@ impl Response {
     /// `compile_failed` with a message.
     pub fn service_error(id: &Value, error: &ServiceError) -> Response {
         let (kind, detail) = match error {
-            ServiceError::OutOfQubits(e) => {
-                (ErrorKind::OutOfQubits, Some(square_bench::error_json(e)))
-            }
+            ServiceError::OutOfQubits(e) => (ErrorKind::OutOfQubits, Some(error_json(e))),
             ServiceError::Parse(_) | ServiceError::Compile(_) => (ErrorKind::CompileFailed, None),
         };
         Response::Error {
@@ -415,6 +414,74 @@ impl Response {
     }
 }
 
+/// Reads a `.sq` file as single-file wire-protocol source.
+///
+/// The wire carries one self-contained program per request, so files
+/// written against the multi-file frontend are flattened at load time:
+/// import-free sources pass through **byte-identical** (the raw file
+/// is the wire payload), while sources with `import` items resolve
+/// against the importing file's directory plus the workspace `lib/`
+/// and render back to their canonical single-file listing.
+///
+/// # Errors
+///
+/// I/O failures, or rendered diagnostics when the program does not
+/// resolve.
+pub fn wire_source(path: &Path) -> Result<String, String> {
+    let source = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    if square_lang::parse_program(&source).is_ok() {
+        return Ok(source);
+    }
+    let lib = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../lib");
+    let loader = square_lang::SearchPathLoader::with_default_lib(vec![lib]);
+    let display = path.display().to_string();
+    let (map, parsed) = square_lang::parse_files(&display, &source, &loader);
+    match parsed {
+        Ok(program) => Ok(square_qir::pretty::program_listing(&program)),
+        Err(diags) => Err(format!(
+            "{display} does not resolve:\n{}",
+            map.render(&diags)
+        )),
+    }
+}
+
+/// Loads a request corpus as `(name, source)` pairs: every `.sq` file
+/// in each of `dirs` (sorted per directory, named by file stem,
+/// flattened through [`wire_source`]), then each of `catalog` rendered
+/// from the workload catalog as `catalog:NAME`.
+///
+/// # Errors
+///
+/// Unreadable directories, or a file or benchmark that does not
+/// render.
+pub fn load_corpus(
+    dirs: &[PathBuf],
+    catalog: &[Benchmark],
+) -> Result<Vec<(String, String)>, String> {
+    let mut corpus = Vec::new();
+    for dir in dirs {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .map_err(|e| format!("{}: {e}", dir.display()))?
+            .filter_map(Result::ok)
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sq"))
+            .collect();
+        files.sort();
+        for path in files {
+            let name = path
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            corpus.push((name, wire_source(&path)?));
+        }
+    }
+    for &bench in catalog {
+        let source = sq_source(bench).map_err(|e| format!("{}: {e}", bench.name()))?;
+        corpus.push((format!("catalog:{}", bench.name()), source));
+    }
+    Ok(corpus)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,6 +517,24 @@ mod tests {
                 );
                 assert_eq!(req.router, RouterKind::Lookahead);
             }
+            other => panic!("expected compile, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn mebibyte_source_lines_parse() {
+        // A long line costs time linear in its length: quadratic
+        // string scanning would tie a worker up for minutes here.
+        let module = "entry module main(0 params, 3 ancilla) {\n  compute { x a0; cx a0 a1; }\n}\n";
+        let source = module.repeat((1 << 20) / module.len() + 1);
+        let line = serde_json::to_string(&Value::map([
+            ("id", Value::UInt(1)),
+            ("source", Value::String(source.clone())),
+        ]))
+        .unwrap();
+        assert!(line.len() >= 1 << 20);
+        match Request::parse(&line).unwrap() {
+            Request::Compile { req, .. } => assert_eq!(req.source, source),
             other => panic!("expected compile, got {other:?}"),
         }
     }

@@ -1,11 +1,10 @@
 //! The shared compile path behind every front end.
 //!
-//! [`CompileService`] owns the four cross-request caches and the
-//! in-flight dedupe table. `squared` sessions, `squarec --serve`, the
-//! load generator's in-process mode and the service latency gate all
-//! call [`CompileService::compile_source`]; the report `Value` it
-//! returns is produced by the same [`report_json`] encoder the CLI
-//! uses, so a served response serializes byte-identically to a
+//! [`CompileService`] owns the three cross-request caches and the
+//! in-flight dedupe table. `squared` sessions and the `bench_gate`
+//! service cells call [`CompileService::compile_source`]; the report
+//! `Value` it returns is produced by the same [`report_json`] encoder
+//! the CLI uses, so a served response serializes byte-identically to a
 //! one-shot `squarec --json` compile of the same cell.
 
 use std::collections::HashMap;
@@ -15,19 +14,16 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 use square_arch::Topology;
-use square_bench::{report_json, SweepArch};
 use square_core::{
-    compile_prepared_on, CerCacheStats, Policy, PreparedProgram, RecomputeStats, RouterKind,
+    compile_prepared_on, report_json, CerCacheStats, Policy, PreparedProgram, RecomputeStats,
+    RouterKind, SweepArch,
 };
-use square_qir::Program;
 
 use crate::cache::{content_hash, CacheStats, LruCache};
 
 /// Cache capacities for a [`CompileService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Parsed-program cache entries (keyed by source hash).
-    pub programs_cap: usize,
     /// Prepared-program (lowered QIR + cost table) cache entries.
     pub prepared_cap: usize,
     /// Shared-topology cache entries (keyed by arch + capacity).
@@ -39,7 +35,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            programs_cap: 256,
             prepared_cap: 128,
             topologies_cap: 64,
             reports_cap: 512,
@@ -122,8 +117,6 @@ impl std::error::Error for ServiceError {}
 /// embedded in each response and served by the `stats` command.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceStats {
-    /// Parsed-program cache.
-    pub programs: CacheStats,
     /// Prepared-program cache.
     pub prepared: CacheStats,
     /// Shared-topology cache.
@@ -148,7 +141,6 @@ pub struct ServiceStats {
 impl Serialize for ServiceStats {
     fn serialize(&self) -> Value {
         Value::map([
-            ("programs", self.programs.serialize()),
             ("prepared", self.prepared.serialize()),
             ("topologies", self.topologies.serialize()),
             ("reports", self.reports.serialize()),
@@ -213,7 +205,6 @@ struct Inflight {
 /// around the square-core compile pipeline. Cheap to share as
 /// `Arc<CompileService>`; every method takes `&self`.
 pub struct CompileService {
-    programs: Mutex<LruCache<String, Arc<Program>>>,
     prepared: Mutex<LruCache<String, Arc<PreparedProgram>>>,
     topologies: Mutex<LruCache<(SweepArch, usize), Arc<dyn Topology>>>,
     reports: Mutex<LruCache<CellKey, (Arc<Value>, f64)>>,
@@ -229,7 +220,6 @@ impl CompileService {
     /// Creates a service with the given cache capacities.
     pub fn new(config: ServiceConfig) -> Self {
         CompileService {
-            programs: Mutex::new(LruCache::new(config.programs_cap)),
             prepared: Mutex::new(LruCache::new(config.prepared_cap)),
             topologies: Mutex::new(LruCache::new(config.topologies_cap)),
             reports: Mutex::new(LruCache::new(config.reports_cap)),
@@ -247,9 +237,9 @@ impl CompileService {
     /// 1. finished-report cache — hit returns immediately;
     /// 2. in-flight table — an identical compile already running makes
     ///    this request a follower that waits for the leader's result;
-    /// 3. otherwise this request leads: parse, prepare and compile
-    ///    (each prefix stage itself cache-assisted), publish to any
-    ///    followers and the report cache.
+    /// 3. otherwise this request leads: prepare (parsing only on a
+    ///    prepared-cache miss), build or reuse the topology, compile,
+    ///    and publish to any followers and the report cache.
     ///
     /// # Errors
     ///
@@ -352,28 +342,17 @@ impl CompileService {
         let start = Instant::now();
 
         // Each lookup binds through a `let` so the guard drops before
-        // the miss path re-locks the same cache to insert.
-        let cached_program = self.programs.lock().unwrap().get(&key.hash);
-        let program = match cached_program {
-            Some(p) => p,
-            None => {
-                let display = format!("sq:{}", key.hash);
-                let parsed = square_lang::parse_program(&req.source).map_err(|diags| {
-                    ServiceError::Parse(square_lang::render(&req.source, &display, &diags))
-                })?;
-                let parsed = Arc::new(parsed);
-                self.programs
-                    .lock()
-                    .unwrap()
-                    .insert(key.hash.clone(), Arc::clone(&parsed));
-                parsed
-            }
-        };
-
+        // the miss path re-locks the same cache to insert. The parsed
+        // program only feeds `PreparedProgram::new`, so a source is
+        // parsed on a prepared miss and never cached on its own.
         let cached_prepared = self.prepared.lock().unwrap().get(&key.hash);
         let prepared = match cached_prepared {
             Some(p) => p,
             None => {
+                let display = format!("sq:{}", key.hash);
+                let program = square_lang::parse_program(&req.source).map_err(|diags| {
+                    ServiceError::Parse(square_lang::render(&req.source, &display, &diags))
+                })?;
                 let built = PreparedProgram::new(&program)
                     .map_err(|e| ServiceError::Compile(e.to_string()))?;
                 let built = Arc::new(built);
@@ -394,7 +373,7 @@ impl CompileService {
         // Fixed-size archs build the same machine for every program;
         // auto-sized ones depend on the program's ancilla footprint.
         // Key accordingly so a fixed arch is one shared entry.
-        let capacity = if arch_is_auto_sized(key.arch) {
+        let capacity = if key.arch.is_auto_sized() {
             prepared.capacity_hint()
         } else {
             0
@@ -438,7 +417,7 @@ impl CompileService {
     }
 
     /// Drops every finished report (counters survive) while leaving
-    /// the program/prepared/topology caches warm. The latency gate
+    /// the prepared/topology caches warm. The latency gate
     /// uses this to re-measure real compiles under steady-state
     /// prefix caches.
     pub fn flush_reports(&self) {
@@ -448,7 +427,6 @@ impl CompileService {
     /// A snapshot of all cache and service counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
-            programs: self.programs.lock().unwrap().stats(),
             prepared: self.prepared.lock().unwrap().stats(),
             topologies: self.topologies.lock().unwrap().stats(),
             reports: self.reports.lock().unwrap().stats(),
@@ -459,15 +437,6 @@ impl CompileService {
             recompute: *self.recompute_totals.lock().unwrap(),
         }
     }
-}
-
-/// True for the `Auto*` arch variants whose machine size depends on
-/// the program being compiled.
-fn arch_is_auto_sized(arch: SweepArch) -> bool {
-    matches!(
-        arch,
-        SweepArch::NisqAuto | SweepArch::FtAuto | SweepArch::HeavyHexAuto | SweepArch::RingAuto
-    )
 }
 
 #[cfg(test)]

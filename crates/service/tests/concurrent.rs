@@ -11,8 +11,7 @@ use std::sync::Arc;
 use std::thread;
 
 use serde::Value;
-use square_bench::{report_json, SweepArch};
-use square_core::{compile, Policy, RouterKind};
+use square_core::{compile, report_json, Policy, RouterKind, SweepArch};
 use square_service::server::{serve, ServerConfig};
 use square_service::{CompileService, ServiceConfig};
 
@@ -57,7 +56,7 @@ fn corpus_sources() -> Vec<String> {
     files.sort();
     files
         .iter()
-        .map(|p| square_service::gate::wire_source(p).expect("corpus file resolves"))
+        .map(|p| square_service::wire_source(p).expect("corpus file resolves"))
         .collect()
 }
 

@@ -15,11 +15,11 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use square_core::{Policy, RouterKind};
+use square_core::{Policy, RouterKind, SweepArch};
 use square_qir::Program;
 use square_workloads::synthetic::{synthesize, synthesize_disciplined, SynthParams};
 
-use crate::validate::{validate, MachineKind, Mismatch, Stage, ValidationError};
+use crate::validate::{validate, Mismatch, Stage, ValidationError};
 
 /// Domain separator so case derivation is independent of any other
 /// consumer of the same seed.
@@ -140,7 +140,7 @@ pub struct FuzzFailure {
     /// Policy of the failing cell.
     pub policy: Policy,
     /// Machine target of the failing cell.
-    pub machine: MachineKind,
+    pub machine: SweepArch,
     /// Swap-chain router of the failing cell.
     pub router: RouterKind,
     /// True if the failing program came from the disciplined
@@ -167,7 +167,7 @@ impl fmt::Display for FuzzFailure {
 }
 
 /// Validates one program over the full `policy × machine × router`
-/// product — every machine target ([`MachineKind::ALL`], heavy-hex
+/// product — every machine target ([`SweepArch::AUTO`], heavy-hex
 /// and ring included) under every router the target routes with —
 /// plus one *budgeted* cell: Square capped at the program's own
 /// eager-probe width floor (the tightest always-satisfiable
@@ -184,12 +184,12 @@ fn run_program(
     inputs: &[bool],
     cross_check: bool,
     stats: &mut CaseStats,
-) -> Result<(), (Policy, MachineKind, RouterKind, ValidationError)> {
+) -> Result<(), (Policy, SweepArch, RouterKind, ValidationError)> {
     let mut reference: Option<(Vec<bool>, bool)> = None;
-    for machine in MachineKind::ALL {
+    for machine in SweepArch::AUTO {
         for policy in Policy::ALL {
             for &router in machine.routers() {
-                let v = validate(program, inputs, &machine.config_with(policy, router))
+                let v = validate(program, inputs, &machine.config(policy).with_router(router))
                     .map_err(|e| (policy, machine, router, e))?;
                 stats.cells += 1;
                 stats.gates += v.report.gates;
@@ -238,12 +238,13 @@ fn run_program(
     // is satisfiable by construction (the budget clamp never needs
     // more than the eager stack width), so any failure here — compile,
     // oracle mismatch, or a peak over the cap — is a real bug.
-    let (machine, router) = (MachineKind::Nisq, RouterKind::Greedy);
+    let (machine, router) = (SweepArch::NisqAuto, RouterKind::Greedy);
     let floor = square_core::compile(program, &machine.config(Policy::Eager))
         .map_err(|e| (Policy::Eager, machine, router, ValidationError::Compile(e)))?
         .peak_active;
     let cfg = machine
-        .config_with(Policy::Square, router)
+        .config(Policy::Square)
+        .with_router(router)
         .with_budget(Some(floor));
     let v = validate(program, inputs, &cfg).map_err(|e| (Policy::Square, machine, router, e))?;
     stats.cells += 1;
@@ -261,7 +262,10 @@ fn run_program(
     // every frame, so any MBU-eligible slice actually gets the
     // measure-and-correct lowering and the classical side channel is
     // exercised through all three oracles.
-    let cfg = machine.config_with(Policy::Eager, router).with_mbu(true);
+    let cfg = machine
+        .config(Policy::Eager)
+        .with_router(router)
+        .with_mbu(true);
     let v = validate(program, inputs, &cfg).map_err(|e| (Policy::Eager, machine, router, e))?;
     stats.cells += 1;
     stats.gates += v.report.gates;
@@ -304,7 +308,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseStats, Box<FuzzFailure>> {
             Err(e) => {
                 return Err(fail(
                     Policy::Lazy,
-                    MachineKind::Nisq,
+                    SweepArch::NisqAuto,
                     RouterKind::Greedy,
                     ValidationError::Compile(e.into()),
                 ))
@@ -316,7 +320,7 @@ pub fn run_case(case: &FuzzCase) -> Result<CaseStats, Box<FuzzFailure>> {
         if let Err(e) = square_lang::check_roundtrip(&program) {
             return Err(fail(
                 Policy::Lazy,
-                MachineKind::Nisq,
+                SweepArch::NisqAuto,
                 RouterKind::Greedy,
                 ValidationError::RoundTrip(e.to_string()),
             ));
@@ -547,7 +551,7 @@ pub fn run_stdlib_case(case: &StdlibCase) -> Result<CaseStats, Box<StdlibFailure
     // Import-vs-flat differential: the resolved program and the
     // flattened one must observe identical entry registers.
     for policy in [Policy::Square, Policy::Eager] {
-        let config = MachineKind::Nisq.config(policy);
+        let config = SweepArch::NisqAuto.config(policy);
         let via_import = validate(&program, &[], &config)
             .map_err(|e| fail(format!("import path under {}: {e}", policy.cli_name())))?;
         let via_flat = validate(&flat, &[], &config)

@@ -32,5 +32,5 @@ pub mod validate;
 pub use fuzz::{run_case, shrink, CaseStats, FuzzCase, FuzzFailure};
 pub use validate::{
     check_physical, check_reference, default_inputs, replay_virtual, validate, validate_benchmark,
-    validate_benchmark_with, MachineKind, Mismatch, Stage, Validated, ValidationError,
+    validate_benchmark_with, Mismatch, Stage, Validated, ValidationError,
 };

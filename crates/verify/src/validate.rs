@@ -30,8 +30,8 @@ use std::fmt;
 
 use square_arch::{CommModel, PhysId};
 use square_core::{
-    compile_with_inputs, ArchSpec, CompileError, CompileReport, CompilerConfig, Policy,
-    ReclaimDecision, RouterKind,
+    compile_with_inputs, CompileError, CompileReport, CompilerConfig, Policy, ReclaimDecision,
+    RouterKind, SweepArch,
 };
 use square_qir::sem::{RecordedDecisions, SemError};
 use square_qir::{lower_mcx, ClbitId, Gate, Program, TraceOp, VirtId};
@@ -514,68 +514,6 @@ pub fn validate(
     })
 }
 
-/// The auto-sized machine targets of the validation matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MachineKind {
-    /// Auto-sized NISQ lattice, swap chains.
-    Nisq,
-    /// Auto-sized FT tile grid, braiding.
-    Ft,
-    /// Auto-sized IBM-style heavy-hex lattice, swap chains.
-    HeavyHex,
-    /// Auto-sized ring, swap chains.
-    Ring,
-}
-
-impl MachineKind {
-    /// The historical pair of targets (PR 3's matrix).
-    pub const BOTH: [MachineKind; 2] = [MachineKind::Nisq, MachineKind::Ft];
-
-    /// Every target, including the graph-backed topologies.
-    pub const ALL: [MachineKind; 4] = [
-        MachineKind::Nisq,
-        MachineKind::Ft,
-        MachineKind::HeavyHex,
-        MachineKind::Ring,
-    ];
-
-    /// The compiler configuration for `policy` on this target.
-    pub fn config(&self, policy: Policy) -> CompilerConfig {
-        match self {
-            MachineKind::Nisq => CompilerConfig::nisq(policy),
-            MachineKind::Ft => CompilerConfig::ft(policy),
-            MachineKind::HeavyHex => CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoHeavyHex),
-            MachineKind::Ring => CompilerConfig::nisq(policy).with_arch(ArchSpec::AutoRing),
-        }
-    }
-
-    /// [`MachineKind::config`] with an explicit swap-chain router.
-    pub fn config_with(&self, policy: Policy, router: RouterKind) -> CompilerConfig {
-        self.config(policy).with_router(router)
-    }
-
-    /// The routers worth validating on this target: both on
-    /// swap-chain machines, greedy alone under braiding (the router
-    /// never runs there, so the cells would be identical).
-    pub fn routers(&self) -> &'static [RouterKind] {
-        match self {
-            MachineKind::Ft => &[RouterKind::Greedy],
-            _ => &RouterKind::ALL,
-        }
-    }
-}
-
-impl fmt::Display for MachineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            MachineKind::Nisq => "nisq",
-            MachineKind::Ft => "ft",
-            MachineKind::HeavyHex => "heavyhex",
-            MachineKind::Ring => "ring",
-        })
-    }
-}
-
 /// Deterministic alternating input pattern for a benchmark's input
 /// register (the pattern the integration suites use).
 pub fn default_inputs(bench: Benchmark) -> Vec<bool> {
@@ -591,7 +529,7 @@ pub fn default_inputs(bench: Benchmark) -> Vec<bool> {
 pub fn validate_benchmark(
     bench: Benchmark,
     policy: Policy,
-    machine: MachineKind,
+    machine: SweepArch,
 ) -> Result<Validated, ValidationError> {
     validate_benchmark_with(bench, policy, machine, RouterKind::Greedy)
 }
@@ -604,14 +542,14 @@ pub fn validate_benchmark(
 pub fn validate_benchmark_with(
     bench: Benchmark,
     policy: Policy,
-    machine: MachineKind,
+    machine: SweepArch,
     router: RouterKind,
 ) -> Result<Validated, ValidationError> {
     let program = build(bench).map_err(CompileError::from)?;
     validate(
         &program,
         &default_inputs(bench),
-        &machine.config_with(policy, router),
+        &machine.config(policy).with_router(router),
     )
 }
 
@@ -653,7 +591,7 @@ mod tests {
     fn validate_passes_for_all_policies_on_both_targets() {
         let p = small_program();
         for policy in Policy::ALL {
-            for machine in MachineKind::BOTH {
+            for machine in [SweepArch::NisqAuto, SweepArch::FtAuto] {
                 let v = validate(&p, &[], &machine.config(policy))
                     .unwrap_or_else(|e| panic!("{policy}/{machine}: {e}"));
                 assert!(v.outputs[2], "{policy}/{machine}: stored output");
@@ -723,7 +661,7 @@ mod tests {
     #[test]
     fn mbu_compiles_validate_through_all_three_oracles() {
         let p = toffoli_program();
-        for machine in MachineKind::BOTH {
+        for machine in [SweepArch::NisqAuto, SweepArch::FtAuto] {
             let cfg = machine.config(Policy::Eager).with_mbu(true);
             let v = validate(&p, &[], &cfg).unwrap_or_else(|e| panic!("{machine}: {e}"));
             assert!(
@@ -737,7 +675,7 @@ mod tests {
     #[test]
     fn tampered_clbit_is_caught_and_named() {
         let p = toffoli_program();
-        let cfg = MachineKind::Nisq
+        let cfg = SweepArch::NisqAuto
             .config(Policy::Eager)
             .with_mbu(true)
             .with_schedule();

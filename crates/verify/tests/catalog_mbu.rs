@@ -6,12 +6,12 @@
 //! classical-bit side channel — on both the NISQ lattice and the FT
 //! tile grid.
 
-use square_verify::{default_inputs, validate, MachineKind};
+use square_verify::{default_inputs, validate};
 
-use square_core::Policy;
+use square_core::{Policy, SweepArch};
 use square_workloads::{build, Benchmark};
 
-fn validate_catalog(machine: MachineKind) {
+fn validate_catalog(machine: SweepArch) {
     let mut engaged = 0u64;
     for bench in Benchmark::NISQ {
         let program = build(bench).expect("benchmark builds");
@@ -31,10 +31,10 @@ fn validate_catalog(machine: MachineKind) {
 
 #[test]
 fn nisq_catalog_validates_with_mbu_on_the_nisq_lattice() {
-    validate_catalog(MachineKind::Nisq);
+    validate_catalog(SweepArch::NisqAuto);
 }
 
 #[test]
 fn nisq_catalog_validates_with_mbu_on_the_ft_grid() {
-    validate_catalog(MachineKind::Ft);
+    validate_catalog(SweepArch::FtAuto);
 }

@@ -5,12 +5,12 @@
 //! product (the exhaustive product is `#[ignore]`d for the CI stdlib
 //! job; a quick subset always runs).
 
-use square_core::Policy;
+use square_core::{Policy, SweepArch};
 use square_lang::{parse_files, MapLoader};
 use square_qir::sem::{self, ReclaimOracle};
 use square_qir::{lower_mcx, ModuleId, Program};
 use square_verify::fuzz::STDLIB_SOURCE;
-use square_verify::validate::{validate, MachineKind};
+use square_verify::validate::validate;
 
 /// Every stdlib routine with its arity, for driver generation.
 const ROUTINES: &[(&str, usize)] = &[
@@ -176,7 +176,7 @@ fn every_routine_validates_on_the_quick_subset() {
     for &(name, arity) in ROUTINES {
         let program = driver(name, arity);
         for policy in Policy::ALL {
-            validate(&program, &[], &MachineKind::Nisq.config(policy))
+            validate(&program, &[], &SweepArch::NisqAuto.config(policy))
                 .unwrap_or_else(|e| panic!("{name}/{policy:?}/nisq: {e}"));
         }
     }
@@ -189,12 +189,13 @@ fn every_routine_validates_on_the_full_matrix() {
     // router for every stdlib routine.
     for &(name, arity) in ROUTINES {
         let program = driver(name, arity);
-        for machine in MachineKind::ALL {
+        for machine in SweepArch::AUTO {
             for policy in Policy::ALL {
                 for &router in machine.routers() {
-                    validate(&program, &[], &machine.config_with(policy, router)).unwrap_or_else(
-                        |e| panic!("{name}/{policy:?}/{machine:?}/{router:?}: {e}"),
-                    );
+                    validate(&program, &[], &machine.config(policy).with_router(router))
+                        .unwrap_or_else(|e| {
+                            panic!("{name}/{policy:?}/{machine:?}/{router:?}: {e}")
+                        });
                 }
             }
         }

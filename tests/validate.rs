@@ -14,16 +14,19 @@
 //! ```
 
 use rayon::prelude::*;
-use square_repro::core::{Policy, RouterKind};
+use square_repro::core::{Policy, RouterKind, SweepArch};
 use square_repro::verify::{
-    validate_benchmark, validate_benchmark_with, MachineKind, Mismatch, ValidationError,
+    validate_benchmark, validate_benchmark_with, Mismatch, ValidationError,
 };
 use square_repro::workloads::Benchmark;
 
+/// The two paper targets: the NISQ lattice and the FT tile grid.
+const NISQ_AND_FT: [SweepArch; 2] = [SweepArch::NisqAuto, SweepArch::FtAuto];
+
 fn cells(
     benchmarks: &[Benchmark],
-    machines: &[MachineKind],
-) -> Vec<(Benchmark, Policy, MachineKind, RouterKind)> {
+    machines: &[SweepArch],
+) -> Vec<(Benchmark, Policy, SweepArch, RouterKind)> {
     let mut out = Vec::new();
     for &bench in benchmarks {
         for &machine in machines {
@@ -37,7 +40,7 @@ fn cells(
     out
 }
 
-fn validate_cells(benchmarks: &[Benchmark], machines: &[MachineKind]) {
+fn validate_cells(benchmarks: &[Benchmark], machines: &[SweepArch]) {
     let failures: Vec<String> = cells(benchmarks, machines)
         .into_par_iter()
         .map(|(bench, policy, machine, router)| {
@@ -67,7 +70,7 @@ fn validate_cells(benchmarks: &[Benchmark], machines: &[MachineKind]) {
 fn nisq_benchmark_cells_validate() {
     // The historical PR 3 matrix: both auto targets, greedy-routed
     // cells plus the lookahead cells the router axis added.
-    validate_cells(&Benchmark::NISQ, &MachineKind::BOTH);
+    validate_cells(&Benchmark::NISQ, &NISQ_AND_FT);
 }
 
 #[test]
@@ -78,7 +81,7 @@ fn new_topology_cells_validate_quick() {
     // release below).
     validate_cells(
         &[Benchmark::Rd53, Benchmark::Adder4, Benchmark::BelleS],
-        &[MachineKind::HeavyHex, MachineKind::Ring],
+        &[SweepArch::HeavyHexAuto, SweepArch::RingAuto],
     );
 }
 
@@ -87,14 +90,14 @@ fn new_topology_cells_validate_quick() {
 fn new_topology_nisq_set_validates() {
     validate_cells(
         &Benchmark::NISQ,
-        &[MachineKind::HeavyHex, MachineKind::Ring],
+        &[SweepArch::HeavyHexAuto, SweepArch::RingAuto],
     );
 }
 
 #[test]
 #[ignore = "full 204-cell matrix; run in release (CI translation-validation job)"]
 fn full_sweep_matrix_validates() {
-    validate_cells(&Benchmark::ALL, &MachineKind::BOTH);
+    validate_cells(&Benchmark::ALL, &NISQ_AND_FT);
 }
 
 #[test]
@@ -160,7 +163,7 @@ fn budget_fits_a_machine_the_existing_policies_overflow() {
 fn validation_survives_the_facade_round_trip() {
     // One cell end-to-end through the public facade, checking the
     // report really carries the new artifacts.
-    let v = validate_benchmark(Benchmark::Rd53, Policy::Square, MachineKind::Nisq).unwrap();
+    let v = validate_benchmark(Benchmark::Rd53, Policy::Square, SweepArch::NisqAuto).unwrap();
     assert!(v.report.schedule.is_some());
     assert!(v.report.placement_history.is_some());
     assert!(!v.report.decision_log.is_empty());
