@@ -1,75 +1,102 @@
-//! Graph-backed coupling store: adjacency lists plus lazily-built
-//! all-pairs BFS distance and next-hop tables.
+//! Graph-backed coupling store: adjacency lists plus per-target BFS
+//! distance rows built on demand.
 //!
-//! The hand-coded layouts (grid, full, line) derive distance and
-//! shortest paths in closed form; irregular layouts (heavy-hex, ring)
-//! cannot. [`CouplingGraph`] is the backing store for those: it owns
-//! the adjacency lists and geometric embedding, and on first distance
-//! query builds the full `n × n` BFS distance matrix together with a
-//! *next-hop* table (`next[a][b]` = the neighbour of `a` that is first
-//! on a shortest `a → b` path). Table construction is parallelized
-//! over BFS sources with rayon; afterwards every distance and next-hop
-//! lookup is O(1) and every shortest path walks the table without
-//! re-running a search — which is what lets the lookahead router score
-//! thousands of candidate swaps per gate without allocating.
+//! Heavy-hex has no closed-form distance, so [`CouplingGraph`] keeps
+//! one lazily-built row per qubit: row `b` holds every cell's hop
+//! count to `b`, filled by one BFS from `b` the first time a query
+//! targets `b`. A compile routes toward the cells its program touches,
+//! so its rows scale with that region, not with n².
+//!
+//! Next hops are read off the target's row: the first neighbour of
+//! `a`, in ascending index order, one hop closer to `b`. A BFS from
+//! `a` over index-sorted adjacency dequeues each level grouped by
+//! first hop in ascending order, so this is exactly the hop such a
+//! BFS records — routed swap chains stay deterministic.
 
 use std::sync::{Arc, OnceLock};
 
-use rayon::prelude::*;
-
 use crate::topology::PhysId;
 
-/// Sentinel in the next-hop table: no hop (self or unreachable).
-const NO_HOP: u32 = u32::MAX;
-
-/// Shared views of a graph's flat all-pairs tables: `n × n` row-major
-/// hop counts and first hops. `Arc`-backed so routing scratch state
-/// can hold the tables without borrowing the topology — the cheap,
-/// clonable handle a `RoutingCtx` keeps for incremental distance
-/// maintenance across swaps.
-#[derive(Debug, Clone)]
-pub struct FlatTables {
-    n: usize,
-    dist: Arc<[u32]>,
-    next: Arc<[u32]>,
+/// Adjacency plus the per-target distance rows it generates.
+#[derive(Debug)]
+struct Rows {
+    /// Neighbour lists, each sorted by index.
+    adj: Vec<Vec<PhysId>>,
+    /// `rows[b][a]` = hop count from `a` to `b` (`u32::MAX` when
+    /// unreachable), each row built on first use.
+    rows: Box<[OnceLock<Box<[u32]>>]>,
 }
 
+/// Shared handle to a graph's adjacency and distance rows. `Arc`-backed
+/// so routing scratch state can hold it without borrowing the
+/// topology — the cheap, clonable handle a `RoutingCtx` keeps for
+/// incremental distance maintenance across swaps. Rows are built on
+/// first use and shared by every handle (and every thread).
+#[derive(Debug, Clone)]
+pub struct FlatTables(Arc<Rows>);
+
 impl FlatTables {
-    /// Hop-count distance via one flat-array read.
-    #[inline]
-    pub fn distance(&self, a: PhysId, b: PhysId) -> u32 {
-        self.dist[a.index() * self.n + b.index()]
+    /// Row `b`, built by one BFS from `b` on first use. Concurrent
+    /// first uses block on the one build.
+    fn row(&self, b: PhysId) -> &[u32] {
+        let Rows { adj, rows } = self.0.as_ref();
+        rows[b.index()].get_or_init(|| {
+            let mut dist = vec![u32::MAX; adj.len()];
+            dist[b.index()] = 0;
+            let mut queue = vec![b];
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &nb in &adj[u.index()] {
+                    if dist[nb.index()] == u32::MAX {
+                        dist[nb.index()] = dist[u.index()] + 1;
+                        queue.push(nb);
+                    }
+                }
+            }
+            dist.into_boxed_slice()
+        })
     }
 
-    /// First hop of a shortest `a → b` path via one flat-array read
-    /// (`None` when `a == b` or unreachable).
+    /// Hop-count distance: `row(b)[a]` (`u32::MAX` between
+    /// disconnected qubits — the shipped layouts are all connected).
+    #[inline]
+    pub fn distance(&self, a: PhysId, b: PhysId) -> u32 {
+        if a == b {
+            return 0;
+        }
+        self.row(b)[a.index()]
+    }
+
+    /// First hop of a shortest `a → b` path: the lowest-indexed
+    /// neighbour of `a` one hop closer to `b` (`None` when `a == b` or
+    /// unreachable).
     #[inline]
     pub fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        match self.next[a.index() * self.n + b.index()] {
-            NO_HOP => None,
-            hop => Some(PhysId(hop)),
+        let d = self.distance(a, b);
+        if d == 0 || d == u32::MAX {
+            return None;
         }
+        let row = self.row(b);
+        self.0.adj[a.index()]
+            .iter()
+            .copied()
+            .find(|nb| row[nb.index()] == d - 1)
     }
 }
 
 /// An undirected coupling graph with a 2-D geometric embedding and
-/// cached all-pairs shortest-path tables.
+/// per-target shortest-path distance rows built on demand.
 #[derive(Debug)]
 pub struct CouplingGraph {
     coords: Vec<(i32, i32)>,
-    adj: Vec<Vec<PhysId>>,
-    /// Flattened `n × n` hop-count matrix, built on first use
-    /// (`Arc` so [`FlatTables`] handles share it without copying).
-    dist: OnceLock<Arc<[u32]>>,
-    /// Flattened `n × n` next-hop matrix (same build).
-    next: OnceLock<Arc<[u32]>>,
+    tables: FlatTables,
 }
 
 impl CouplingGraph {
     /// Builds the graph from per-qubit coordinates and undirected
-    /// edges. Neighbour lists are kept sorted by index so BFS orders —
-    /// and therefore next-hop choices and routed swap chains — are
-    /// deterministic.
+    /// edges. Neighbour lists are kept sorted by index so next-hop
+    /// choices, ring orders and routed swap chains are deterministic.
     ///
     /// # Panics
     ///
@@ -90,9 +117,10 @@ impl CouplingGraph {
         }
         CouplingGraph {
             coords,
-            adj,
-            dist: OnceLock::new(),
-            next: OnceLock::new(),
+            tables: FlatTables(Arc::new(Rows {
+                adj,
+                rows: (0..n).map(|_| OnceLock::new()).collect(),
+            })),
         }
     }
 
@@ -114,99 +142,31 @@ impl CouplingGraph {
 
     /// Neighbours of `q`, sorted by index.
     pub fn neighbors(&self, q: PhysId) -> &[PhysId] {
-        &self.adj[q.index()]
+        &self.tables.0.adj[q.index()]
     }
 
     /// True if `a` and `b` share an edge.
     pub fn are_coupled(&self, a: PhysId, b: PhysId) -> bool {
-        self.adj[a.index()].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// Builds (once) both all-pairs tables: one BFS per source, in
-    /// parallel over sources. `next[s*n + v]` is the first hop of a
-    /// shortest `s → v` path — the shortest path whose hops BFS in
-    /// ascending-neighbour order discovers first, so routing is
-    /// deterministic.
-    fn tables(&self) -> (&[u32], &[u32]) {
-        let dist = self.dist.get_or_init(|| {
-            let n = self.len();
-            let sources: Vec<usize> = (0..n).collect();
-            let rows: Vec<(Vec<u32>, Vec<u32>)> =
-                sources.into_par_iter().map(|s| self.bfs_row(s)).collect();
-            let mut dist = Vec::with_capacity(n * n);
-            let mut next = Vec::with_capacity(n * n);
-            for (d, h) in rows {
-                dist.extend_from_slice(&d);
-                next.extend_from_slice(&h);
-            }
-            // Publish the next-hop half through its own cell; both
-            // halves come from the same build so they stay consistent.
-            let _ = self.next.set(next.into());
-            dist.into()
-        });
-        let next = self.next.get().expect("set together with dist");
-        (dist, next)
-    }
-
-    /// Shared handles to the flat tables (building them on first use).
+    /// A shared handle to the distance rows.
     pub fn shared_tables(&self) -> FlatTables {
-        let _ = self.tables();
-        FlatTables {
-            n: self.len(),
-            dist: Arc::clone(self.dist.get().expect("built above")),
-            next: Arc::clone(self.next.get().expect("built above")),
-        }
+        self.tables.clone()
     }
 
-    /// One BFS row: distances and first hops from source `s`.
-    fn bfs_row(&self, s: usize) -> (Vec<u32>, Vec<u32>) {
-        let n = self.len();
-        let mut dist = vec![u32::MAX; n];
-        let mut next = vec![NO_HOP; n];
-        let mut queue = std::collections::VecDeque::with_capacity(n);
-        dist[s] = 0;
-        queue.push_back(s);
-        while let Some(u) = queue.pop_front() {
-            for &nb in &self.adj[u] {
-                let v = nb.index();
-                if dist[v] != u32::MAX {
-                    continue;
-                }
-                dist[v] = dist[u] + 1;
-                // First hop toward v: the neighbour itself when we are
-                // the source, else whatever first hop reached u.
-                next[v] = if u == s { v as u32 } else { next[u] };
-                queue.push_back(v);
-            }
-        }
-        (dist, next)
-    }
-
-    /// Hop-count distance (`u32::MAX` between disconnected qubits —
-    /// the shipped layouts are all connected).
+    /// Hop-count distance; see [`FlatTables::distance`].
     pub fn distance(&self, a: PhysId, b: PhysId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let (dist, _) = self.tables();
-        dist[a.index() * self.len() + b.index()]
+        self.tables.distance(a, b)
     }
 
-    /// The neighbour of `a` that is first on a shortest path to `b`
-    /// (`None` when `a == b` or `b` is unreachable).
+    /// First hop toward `b`; see [`FlatTables::next_hop`].
     pub fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        if a == b {
-            return None;
-        }
-        let (_, next) = self.tables();
-        match next[a.index() * self.len() + b.index()] {
-            NO_HOP => None,
-            hop => Some(PhysId(hop)),
-        }
+        self.tables.next_hop(a, b)
     }
 
     /// A shortest path from `a` to `b` inclusive of both endpoints,
-    /// reconstructed by walking the next-hop table.
+    /// walked hop by hop with [`CouplingGraph::next_hop`].
     pub fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
         let mut path = Vec::with_capacity(self.distance(a, b) as usize + 1);
         let mut cur = a;
@@ -238,14 +198,41 @@ impl CouplingGraph {
         best
     }
 
-    /// Every qubit ordered by nondecreasing *graph* distance from the
-    /// qubit nearest `center` (ties by index) — the ring order the
-    /// locality-aware allocator consumes.
-    pub fn ring_order(&self, center: (i32, i32)) -> Vec<PhysId> {
+    /// The first qubit accepted by `pred` in `(distance(anchor, q), q)`
+    /// order, where `anchor` is the qubit nearest `center` — the
+    /// locality-aware allocator's "nearest matching cell" query. A BFS
+    /// level walk from the anchor that sorts each level by index and
+    /// stops at the first hit, so its cost is proportional to the
+    /// region visited, not to the device. Cells outside the anchor's
+    /// component are never offered (every shipped layout is connected).
+    pub fn ring_find(
+        &self,
+        center: (i32, i32),
+        pred: &mut dyn FnMut(PhysId) -> bool,
+    ) -> Option<PhysId> {
         let anchor = self.nearest_to(center);
-        let mut order: Vec<PhysId> = (0..self.len() as u32).map(PhysId).collect();
-        order.sort_by_key(|&q| (self.distance(anchor, q), q.0));
-        order
+        let mut seen = vec![0u64; self.len().div_ceil(64)];
+        let mut mark = |q: PhysId| {
+            let (word, bit) = (q.index() / 64, 1u64 << (q.index() % 64));
+            let fresh = seen[word] & bit == 0;
+            seen[word] |= bit;
+            fresh
+        };
+        mark(anchor);
+        let mut level = vec![anchor];
+        let mut next = Vec::new();
+        while !level.is_empty() {
+            level.sort_unstable();
+            if let Some(&q) = level.iter().find(|&&q| pred(q)) {
+                return Some(q);
+            }
+            next.clear();
+            for &q in &level {
+                next.extend(self.neighbors(q).iter().copied().filter(|&nb| mark(nb)));
+            }
+            std::mem::swap(&mut level, &mut next);
+        }
+        None
     }
 }
 
@@ -286,13 +273,28 @@ mod tests {
     }
 
     #[test]
-    fn ring_order_is_nondecreasing_graph_distance() {
+    fn rows_build_only_for_queried_targets() {
         let g = cycle_with_tail();
-        let order = g.ring_order((0, 0));
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], PhysId(0));
-        let dists: Vec<u32> = order.iter().map(|&q| g.distance(PhysId(0), q)).collect();
-        assert!(dists.windows(2).all(|w| w[0] <= w[1]), "{dists:?}");
+        let tables = g.shared_tables();
+        assert_eq!(tables.distance(PhysId(4), PhysId(1)), 3);
+        assert_eq!(tables.next_hop(PhysId(4), PhysId(1)), Some(PhysId(3)));
+        let built: Vec<bool> = g.tables.0.rows.iter().map(|r| r.get().is_some()).collect();
+        assert_eq!(built, [false, true, false, false, false]);
+    }
+
+    #[test]
+    fn ring_find_walks_levels_in_index_order() {
+        let g = cycle_with_tail();
+        let mut order = Vec::new();
+        let hit = g.ring_find((0, 0), &mut |q| {
+            order.push(q);
+            false
+        });
+        assert_eq!(hit, None);
+        // Levels from 0: {0}, {1, 3}, {2, 4}.
+        let want: Vec<PhysId> = [0, 1, 3, 2, 4].into_iter().map(PhysId).collect();
+        assert_eq!(order, want);
+        assert_eq!(g.ring_find((0, 0), &mut |q| q.0 >= 2), Some(PhysId(3)));
     }
 
     #[test]

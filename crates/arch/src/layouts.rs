@@ -1,9 +1,11 @@
 //! Graph-backed layouts: IBM-style heavy-hex and a 1-D ring.
 //!
 //! Unlike the closed-form layouts in [`crate::topology`] (grid, full,
-//! line), these have no analytic distance formula, so they derive all
-//! geometry from a [`CouplingGraph`]: BFS all-pairs distances, cached
-//! next-hop tables, and graph-distance ring ordering.
+//! line), heavy-hex has no analytic distance formula, so it derives
+//! its geometry from a [`CouplingGraph`]: per-target BFS distance rows
+//! built on demand, next hops read off those rows, and a BFS level
+//! walk for ring queries. The ring keeps a graph for its adjacency and
+//! embedding but answers every query in closed form.
 
 use crate::coupling::{CouplingGraph, FlatTables};
 use crate::topology::{PhysId, Topology};
@@ -135,8 +137,12 @@ impl Topology for HeavyHexTopology {
         self.graph.next_hop(a, b)
     }
 
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_> {
-        Box::new(self.graph.ring_order(center).into_iter())
+    fn ring_find(
+        &self,
+        center: (i32, i32),
+        pred: &mut dyn FnMut(PhysId) -> bool,
+    ) -> Option<PhysId> {
+        self.graph.ring_find(center, pred)
     }
 }
 
@@ -228,8 +234,7 @@ impl Topology for RingTopology {
     }
 
     fn distance(&self, a: PhysId, b: PhysId) -> u32 {
-        // Closed form (cheaper than the table and always available):
-        // the shorter way around the cycle.
+        // Closed form: the shorter way around the cycle.
         let d = a.0.abs_diff(b.0);
         d.min(self.n - d)
     }
@@ -256,11 +261,9 @@ impl Topology for RingTopology {
     }
 
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        // Closed form — a ring never needs the n × n tables (which
-        // would make `ring:200000` allocate hundreds of GB): step the
+        // Closed form, so a ring never builds distance rows: step the
         // shorter way around, and on an exact tie step toward `a`'s
-        // lower-indexed neighbour, matching what the BFS table builder
-        // would have answered (it dequeues ascending neighbours).
+        // lower-indexed neighbour, matching `CouplingGraph::next_hop`.
         if a == b {
             return None;
         }
@@ -281,14 +284,24 @@ impl Topology for RingTopology {
         })
     }
 
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_> {
-        // Closed-form ring order (again avoiding the tables): sort by
-        // cycle distance from the qubit nearest the center, ties by
-        // index — the same order `CouplingGraph::ring_order` yields.
-        let anchor = self.graph.nearest_to(center);
-        let mut order: Vec<PhysId> = (0..self.n).map(PhysId).collect();
-        order.sort_by_key(|&q| (self.distance(anchor, q), q.0));
-        Box::new(order.into_iter())
+    fn ring_find(
+        &self,
+        center: (i32, i32),
+        pred: &mut dyn FnMut(PhysId) -> bool,
+    ) -> Option<PhysId> {
+        // Closed-form `(distance(anchor, q), q)` order: the qubit
+        // nearest the center, then the two cells at each cycle
+        // distance r in index order (one cell at r = n/2 on even n).
+        let (a, n) = (self.graph.nearest_to(center).0, self.n);
+        (0..=n / 2)
+            .flat_map(|r| {
+                let (fwd, bwd) = ((a + r) % n, (a + n - r) % n);
+                [fwd.min(bwd)]
+                    .into_iter()
+                    .chain((fwd != bwd).then_some(fwd.max(bwd)))
+            })
+            .map(PhysId)
+            .find(|&p| pred(p))
     }
 }
 
@@ -340,7 +353,7 @@ mod tests {
         assert_eq!(ring.distance(PhysId(0), PhysId(9)), 1);
         assert_eq!(ring.distance(PhysId(0), PhysId(5)), 5);
         assert_eq!(ring.distance(PhysId(2), PhysId(8)), 4);
-        // Graph tables agree with the closed form.
+        // Graph distance rows agree with the closed form.
         for a in 0..10u32 {
             for b in 0..10u32 {
                 assert_eq!(
@@ -353,9 +366,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_next_hop_matches_bfs_tables_including_ties() {
+    fn ring_next_hop_matches_graph_rows_including_ties() {
         // Even ring: antipodal pairs tie both ways; the closed form
-        // must pick exactly what the BFS table builder would.
+        // must pick exactly what the graph's distance rows pick.
         for n in [2u32, 4, 8, 9, 10] {
             let ring = RingTopology::new(n);
             for a in 0..n {
@@ -391,12 +404,19 @@ mod tests {
     }
 
     #[test]
-    fn ring_iter_orders_by_graph_distance() {
-        let ring = RingTopology::new(9);
-        let order: Vec<PhysId> = ring.ring_iter(ring.coord(PhysId(4))).collect();
-        assert_eq!(order.len(), 9);
-        assert_eq!(order[0], PhysId(4));
-        let dists: Vec<u32> = order.iter().map(|&q| ring.distance(PhysId(4), q)).collect();
-        assert!(dists.windows(2).all(|w| w[0] <= w[1]), "{dists:?}");
+    fn ring_find_orders_by_graph_distance_then_index() {
+        // Odd n: two cells per distance. Even n: one antipode (9).
+        for (n, want) in [
+            (9u32, &[4u32, 3, 5, 2, 6, 1, 7, 0, 8][..]),
+            (10, &[4, 3, 5, 2, 6, 1, 7, 0, 8, 9]),
+        ] {
+            let ring = RingTopology::new(n);
+            let mut order = Vec::new();
+            ring.ring_find(ring.coord(PhysId(4)), &mut |q| {
+                order.push(q.0);
+                false
+            });
+            assert_eq!(order, want, "n={n}");
+        }
     }
 }

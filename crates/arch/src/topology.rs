@@ -34,10 +34,10 @@ impl fmt::Display for PhysId {
 /// the geometric embedding used by locality scores and braid routing.
 ///
 /// `Send + Sync` is a supertrait so built topologies — including the
-/// graph-backed layouts whose BFS distance/next-hop tables build
+/// graph-backed layouts whose per-target BFS distance rows build
 /// lazily behind `OnceLock` — can be shared across threads via
-/// `Arc<dyn Topology>`: a compile server builds each machine's tables
-/// once and every concurrent request reuses them.
+/// `Arc<dyn Topology>`: a compile server builds each machine once and
+/// every concurrent request reuses (and fills) the same rows.
 pub trait Topology: Send + Sync {
     /// Short name for reports ("lattice", "full", "line").
     fn name(&self) -> &str;
@@ -80,10 +80,10 @@ pub trait Topology: Send + Sync {
         false
     }
 
-    /// Shared flat all-pairs distance/next-hop tables, when the
-    /// layout is graph-backed and bounded enough to afford them
-    /// (heavy-hex). `None` for closed-form layouts — including rings,
-    /// whose O(n²) tables would dwarf the machine itself.
+    /// A shared handle to the layout's per-target distance rows (each
+    /// built by one BFS the first time a query targets that cell),
+    /// when distances have no closed form (heavy-hex). `None` for
+    /// layouts that answer in closed form — grid, full, line and ring.
     fn flat_tables(&self) -> Option<FlatTables> {
         None
     }
@@ -104,27 +104,17 @@ pub trait Topology: Send + Sync {
         }
     }
 
-    /// Qubits ordered by nondecreasing *graph* distance from the
-    /// qubit nearest `center` — the contract the locality-aware
-    /// allocator relies on to stop at the first free cell. For the
-    /// closed-form layouts (grid, full, line) geometric and graph
-    /// distance coincide; graph-backed layouts (heavy-hex, ring)
-    /// order by hop count, which can diverge from the embedding.
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_>;
-
-    /// The first qubit in [`Topology::ring_iter`] order accepted by
-    /// `pred` — the allocator's "nearest matching cell" query. The
-    /// default walks `ring_iter`; layouts on the allocation hot path
-    /// (grid) override it with a direct loop, since the boxed
-    /// iterator's per-cell overhead dominates late-compile scans that
-    /// cross the whole used region before finding a match.
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
-        self.ring_iter(center).find(|&p| pred(p))
-    }
+    /// The first qubit accepted by `pred` when qubits are visited in
+    /// nondecreasing *graph* distance from `center` — the
+    /// locality-aware allocator's "nearest matching cell" query, which
+    /// relies on that order to stop at the first free cell. `pred`
+    /// sees each qubit at most once and nothing past the first
+    /// accepted one. For the closed-form layouts (grid, full, line)
+    /// geometric and graph distance coincide; graph-backed layouts
+    /// (heavy-hex, ring) walk hop counts from the qubit nearest
+    /// `center`, ties by index, which can diverge from the embedding.
+    fn ring_find(&self, center: (i32, i32), pred: &mut dyn FnMut(PhysId) -> bool)
+        -> Option<PhysId>;
 }
 
 /// 2-D lattice with nearest-neighbour coupling (row-major indexing),
@@ -253,36 +243,13 @@ impl Topology for GridTopology {
         }
     }
 
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_> {
-        let grid = *self;
-        let max_radius = (self.width + self.height) as i32;
-        let iter = (0..=max_radius).flat_map(move |r| {
-            // All lattice points at Manhattan radius r from center.
-            // Fixed-size option pairs, not `Vec`s: this iterator runs
-            // once per allocation decision, so a heap allocation per
-            // lattice point would dominate the allocator's cost.
-            let (cx, cy) = center;
-            (-r..=r).flat_map(move |dx| {
-                let dy = r - dx.abs();
-                let above = grid.id_at(cx + dx, cy + dy);
-                let below = if dy != 0 {
-                    grid.id_at(cx + dx, cy - dy)
-                } else {
-                    None
-                };
-                [above, below].into_iter().flatten()
-            })
-        });
-        Box::new(iter)
-    }
-
     fn ring_find(
         &self,
         center: (i32, i32),
         pred: &mut dyn FnMut(PhysId) -> bool,
     ) -> Option<PhysId> {
-        // Direct-loop twin of `ring_iter` (same enumeration order,
-        // cell for cell) without the boxed-iterator machinery.
+        // Lattice points by Manhattan radius from `center`; within a
+        // radius by ascending dx, the +dy point before the −dy one.
         let (cx, cy) = center;
         let max_radius = (self.width + self.height) as i32;
         for r in 0..=max_radius {
@@ -369,12 +336,16 @@ impl Topology for FullTopology {
         (a != b).then_some(b)
     }
 
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_> {
-        // All qubits are equally close; yield them in index order
+    fn ring_find(
+        &self,
+        center: (i32, i32),
+        pred: &mut dyn FnMut(PhysId) -> bool,
+    ) -> Option<PhysId> {
+        // All qubits are equally close; visit them in index order
         // starting from the center's embedding for determinism.
         let n = self.n;
         let start = center.0.clamp(0, n as i32 - 1) as u32;
-        Box::new((0..n).map(move |i| PhysId((start + i) % n)))
+        (0..n).map(|i| PhysId((start + i) % n)).find(|&p| pred(p))
     }
 }
 
@@ -459,27 +430,35 @@ impl Topology for LineTopology {
         }
     }
 
-    fn ring_iter(&self, center: (i32, i32)) -> Box<dyn Iterator<Item = PhysId> + '_> {
+    fn ring_find(
+        &self,
+        center: (i32, i32),
+        pred: &mut dyn FnMut(PhysId) -> bool,
+    ) -> Option<PhysId> {
+        // The center cell, then c + r before c − r for each radius.
         let n = self.n as i32;
         let c = center.0.clamp(0, n - 1);
-        let iter = (0..n).flat_map(move |r| {
-            let pair = if r == 0 {
-                [Some(PhysId(c as u32)), None]
-            } else {
-                [
-                    (c + r < n).then(|| PhysId((c + r) as u32)),
-                    (c - r >= 0).then(|| PhysId((c - r) as u32)),
-                ]
-            };
-            pair.into_iter().flatten()
-        });
-        Box::new(iter)
+        std::iter::once(c)
+            .chain((1..n).flat_map(|r| [c + r, c - r]))
+            .filter(|q| (0..n).contains(q))
+            .map(|q| PhysId(q as u32))
+            .find(|&p| pred(p))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every qubit `ring_find` offers, in visit order.
+    fn ring_order(t: &dyn Topology, center: (i32, i32)) -> Vec<PhysId> {
+        let mut order = Vec::new();
+        t.ring_find(center, &mut |q| {
+            order.push(q);
+            false
+        });
+        order
+    }
 
     #[test]
     fn grid_distance_is_manhattan() {
@@ -502,9 +481,9 @@ mod tests {
     }
 
     #[test]
-    fn grid_ring_iter_visits_all_in_distance_order() {
+    fn grid_ring_find_visits_all_in_distance_order() {
         let g = GridTopology::new(4, 3);
-        let seen: Vec<PhysId> = g.ring_iter((1, 1)).collect();
+        let seen = ring_order(&g, (1, 1));
         assert_eq!(seen.len(), 12, "every qubit visited exactly once");
         let mut sorted = seen.clone();
         sorted.sort();
@@ -529,8 +508,7 @@ mod tests {
         assert_eq!(t.distance(PhysId(0), PhysId(7)), 1);
         assert_eq!(t.distance(PhysId(3), PhysId(3)), 0);
         assert_eq!(t.shortest_path(PhysId(0), PhysId(7)).len(), 2);
-        let all: Vec<_> = t.ring_iter((0, 0)).collect();
-        assert_eq!(all.len(), 8);
+        assert_eq!(ring_order(&t, (0, 0)).len(), 8);
     }
 
     #[test]
@@ -540,7 +518,7 @@ mod tests {
         assert_eq!(p.len(), 6);
         assert_eq!(p[0], PhysId(7));
         assert_eq!(p[5], PhysId(2));
-        let ring: Vec<_> = t.ring_iter((5, 0)).collect();
+        let ring = ring_order(&t, (5, 0));
         assert_eq!(ring.len(), 10);
         assert_eq!(ring[0], PhysId(5));
     }

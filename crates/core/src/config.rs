@@ -84,7 +84,9 @@ impl std::error::Error for ArchSpecParseError {}
 /// `grid`, `heavyhex` and `ring` selecting the auto-sized variants.
 /// Case-insensitive. Dimensions must be nonzero, a grid's total qubit
 /// count must fit `u32`, heavy-hex distance is capped at 63 (its
-/// qubit count grows ~5d²/2 and the all-pairs tables are O(n²)), and
+/// qubit count grows ~5d²/2 — 9,828 qubits at 63 — and each distance
+/// row a compile routes toward costs 4 bytes per qubit, so a program
+/// spread over the whole device could still hold ~390 MB of rows), and
 /// a ring needs at least 3 qubits to be a cycle (`ring:1`/`ring:2`
 /// degenerate into self-loops or doubled edges) — all enforced here so
 /// invalid sizes surface as a typed parse error, not a panic inside a

@@ -220,8 +220,8 @@ enum DistAccel {
     /// Hop distance equals Manhattan distance on the cached embedding
     /// (grid, line).
     Manhattan,
-    /// Graph-backed layout with shared flat all-pairs tables
-    /// (heavy-hex).
+    /// Graph-backed layout with shared per-target distance rows,
+    /// built on demand (heavy-hex).
     Tables(FlatTables),
     /// Fall through to the topology's own (closed-form) answers.
     Virtual,
@@ -231,7 +231,7 @@ enum DistAccel {
 pub struct Machine {
     /// Shared so a long-running compile service can hand many
     /// concurrent machines the same topology (and its lazily-built
-    /// distance/next-hop tables) without rebuilding per compile.
+    /// distance rows) without rebuilding per compile.
     topo: Arc<dyn Topology>,
     comm: CommModel,
     config: RouterConfig,
@@ -274,8 +274,7 @@ impl Machine {
 
     /// Creates a machine over a *shared* topology: several machines
     /// (concurrent compiles) may hold the same `Arc`, reusing its
-    /// cached distance/next-hop tables. The machine never mutates the
-    /// topology.
+    /// cached distance rows. The machine never mutates the topology.
     pub fn with_shared(topo: Arc<dyn Topology>, config: MachineConfig) -> Self {
         let accel = if topo.manhattan_distance() {
             DistAccel::Manhattan

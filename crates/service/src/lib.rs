@@ -13,10 +13,9 @@
 //! * **Prepared programs** (lowered QIR +
 //!   [`ModuleCostTable`](square_core::ModuleCostTable) memos) are
 //!   cached by source content hash; a source is parsed only on a miss.
-//! * **Topologies** — including the graph-backed layouts whose
-//!   all-pairs BFS distance/next-hop tables build lazily — are cached
-//!   per `(arch, capacity)` and shared across concurrent compiles via
-//!   `Arc<dyn Topology>`.
+//! * **Topologies** — including heavy-hex, whose per-target BFS
+//!   distance rows build lazily — are cached per `(arch, capacity)`
+//!   and shared across concurrent compiles via `Arc<dyn Topology>`.
 //! * **Full reports** are cached per `(program, policy, arch, router)`
 //!   cell, and identical cells *in flight* are coalesced so a burst of
 //!   duplicate requests costs one compile.

@@ -74,6 +74,17 @@ fn distinct_cells() -> Vec<Cell> {
                 router: RouterKind::Greedy,
             });
         }
+        // Both routers on the source's auto-sized heavy-hex machine:
+        // the two cells share one cached topology, so concurrent
+        // compiles fill its lazily-built distance rows at once.
+        for router in RouterKind::ALL {
+            cells.push(Cell {
+                source: source.clone(),
+                policy: Policy::Square,
+                arch: SweepArch::HeavyHexAuto,
+                router,
+            });
+        }
         // Stagger some extra cells so archs/routers interleave too.
         if i % 2 == 0 {
             cells.push(Cell {

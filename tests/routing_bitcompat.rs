@@ -8,9 +8,15 @@
 //! same gates, same swaps, same depth, same AQV, same CER cache
 //! counters, down to the floating-point communication factor.
 //!
-//! The quick test covers the NISQ set; the full 17-benchmark matrix
-//! (136 cells, multi-million-gate schedules included) is `#[ignore]`d
-//! here and run in release by CI's `routing` job:
+//! A second golden, `tests/golden/topology_seed.json`, pins the
+//! graph-backed layouts the same way: heavy-hex and ring cells under
+//! both routers, recorded before their distance queries moved from
+//! eager all-pairs tables to per-target rows built on demand.
+//!
+//! The quick tests cover the NISQ set and three topology benchmarks;
+//! the full 17-benchmark matrix (136 cells, multi-million-gate
+//! schedules included) and the full topology set are `#[ignore]`d here
+//! and run in release by CI's `routing` job:
 //!
 //! ```sh
 //! cargo test --release --test routing_bitcompat -- --ignored
@@ -21,6 +27,14 @@ use square_repro::core::{Policy, RouterKind};
 use square_repro::workloads::Benchmark;
 
 const GOLDEN: &str = include_str!("golden/sweep_seed.json");
+
+/// Heavy-hex and ring cells under both routers, recorded before the
+/// graph layouts moved from eager all-pairs tables to per-target
+/// distance rows: the NISQ set plus ADDER32 and MODEXP × every policy
+/// × {heavyhex, ring} × {greedy, lookahead}, and MUL32/square on
+/// heavy-hex (the largest auto-sized heavy-hex machine) under both
+/// routers.
+const TOPOLOGY_GOLDEN: &str = include_str!("golden/topology_seed.json");
 
 /// The deterministic scalar fields of a report cell (everything the
 /// seed golden records except the nested counter maps).
@@ -35,26 +49,21 @@ const SCALAR_FIELDS: [&str; 8] = [
     "machine_qubits",
 ];
 
-fn check_bitcompat(benchmarks: &[Benchmark]) {
-    let golden = serde_json::from_str(GOLDEN).expect("golden parses");
+/// Runs `spec` and checks every cell field for field against its twin
+/// in `golden`, matched on benchmark, policy, arch and router (a golden
+/// cell without a `router` key is a greedy cell). Counter groups are
+/// compared where the golden records them. Returns the number of cells
+/// compared.
+fn check_against(golden: &str, spec: SweepSpec) -> usize {
+    let golden = serde_json::from_str(golden).expect("golden parses");
     let golden_cells = golden
         .get("cells")
         .and_then(|c| c.as_seq())
         .expect("golden has cells");
 
-    let spec = SweepSpec {
-        benchmarks: benchmarks.to_vec(),
-        policies: Policy::ALL.to_vec(),
-        archs: vec![SweepArch::NisqAuto, SweepArch::FtAuto],
-        // The correctness anchor: the *extracted* greedy router must
-        // reproduce the historical inlined router cell for cell.
-        routers: vec![RouterKind::Greedy],
-        budgets: vec![None],
-    };
     let matrix = run_sweep(&spec);
     assert_eq!(matrix.cells.len(), spec.len());
 
-    let mut compared = 0usize;
     for cell in &matrix.cells {
         let golden_cell = golden_cells
             .iter()
@@ -62,23 +71,29 @@ fn check_bitcompat(benchmarks: &[Benchmark]) {
                 g.get("benchmark").and_then(|v| v.as_str()) == Some(cell.benchmark.name())
                     && g.get("policy").and_then(|v| v.as_str()) == Some(cell.policy.cli_name())
                     && g.get("arch").and_then(|v| v.as_str()) == Some(&cell.arch.to_string())
+                    && g.get("router").and_then(|v| v.as_str()).unwrap_or("greedy")
+                        == cell.router.cli_name()
             })
             .unwrap_or_else(|| {
                 panic!(
-                    "golden missing {}/{}/{}",
+                    "golden missing {}/{}/{}/{}",
                     cell.benchmark,
                     cell.policy.cli_name(),
-                    cell.arch
+                    cell.arch,
+                    cell.router.cli_name()
                 )
             });
-        let report = cell.report.as_ref().unwrap_or_else(|e| {
-            panic!(
-                "{}/{}/{} failed to compile: {e}",
-                cell.benchmark,
-                cell.policy.cli_name(),
-                cell.arch
-            )
-        });
+        let name = format!(
+            "{}/{}/{}/{}",
+            cell.benchmark,
+            cell.policy.cli_name(),
+            cell.arch,
+            cell.router.cli_name()
+        );
+        let report = cell
+            .report
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         let now = report_json(report);
         let want = golden_cell.get("report").expect("golden cell has report");
         for field in SCALAR_FIELDS {
@@ -96,38 +111,52 @@ fn check_bitcompat(benchmarks: &[Benchmark]) {
             };
             assert!(
                 same,
-                "{}/{}/{}: field `{field}` drifted: seed {expect:?} vs now {got:?}",
-                cell.benchmark,
-                cell.policy.cli_name(),
-                cell.arch
+                "{name}: field `{field}` drifted: seed {expect:?} vs now {got:?}"
             );
         }
         for (group, keys) in [
             ("decisions", &["reclaimed", "garbage", "forced"][..]),
             ("cer_cache", &["hits", "misses", "invalidations"][..]),
         ] {
+            let Some(expect_group) = want.get(group) else {
+                continue;
+            };
             for key in keys {
                 let got = now
                     .get(group)
                     .and_then(|g| g.get(key))
                     .and_then(|v| v.as_u64());
-                let expect = want
-                    .get(group)
-                    .and_then(|g| g.get(key))
-                    .and_then(|v| v.as_u64());
-                assert_eq!(
-                    got,
-                    expect,
-                    "{}/{}/{}: {group}.{key} drifted",
-                    cell.benchmark,
-                    cell.policy.cli_name(),
-                    cell.arch
-                );
+                let expect = expect_group.get(key).and_then(|v| v.as_u64());
+                assert_eq!(got, expect, "{name}: {group}.{key} drifted");
             }
         }
-        compared += 1;
     }
+    matrix.cells.len()
+}
+
+fn check_bitcompat(benchmarks: &[Benchmark]) {
+    let spec = SweepSpec {
+        benchmarks: benchmarks.to_vec(),
+        policies: Policy::ALL.to_vec(),
+        archs: vec![SweepArch::NisqAuto, SweepArch::FtAuto],
+        // The correctness anchor: the *extracted* greedy router must
+        // reproduce the historical inlined router cell for cell.
+        routers: vec![RouterKind::Greedy],
+        budgets: vec![None],
+    };
+    let compared = check_against(GOLDEN, spec);
     assert_eq!(compared, benchmarks.len() * Policy::ALL.len() * 2);
+}
+
+/// Every policy × {heavyhex, ring} × both routers over `benchmarks`.
+fn topology_spec(benchmarks: &[Benchmark]) -> SweepSpec {
+    SweepSpec {
+        benchmarks: benchmarks.to_vec(),
+        policies: Policy::ALL.to_vec(),
+        archs: vec![SweepArch::HeavyHexAuto, SweepArch::RingAuto],
+        routers: RouterKind::ALL.to_vec(),
+        budgets: vec![None],
+    }
 }
 
 #[test]
@@ -139,6 +168,37 @@ fn nisq_set_is_bit_compatible_with_seed_reports() {
 #[ignore = "full 136-cell matrix; run in release (CI routing job)"]
 fn full_matrix_is_bit_compatible_with_seed_reports() {
     check_bitcompat(&Benchmark::ALL);
+}
+
+#[test]
+fn graph_topologies_are_bit_compatible_with_seed_reports() {
+    let benchmarks = [Benchmark::Rd53, Benchmark::Adder4, Benchmark::BelleS];
+    let compared = check_against(TOPOLOGY_GOLDEN, topology_spec(&benchmarks));
+    assert_eq!(compared, benchmarks.len() * Policy::ALL.len() * 2 * 2);
+}
+
+#[test]
+#[ignore = "full topology golden incl. MUL32 on heavy-hex; run in release (CI routing job)"]
+fn full_topology_set_is_bit_compatible_with_seed_reports() {
+    let mut benchmarks = Benchmark::NISQ.to_vec();
+    benchmarks.extend([Benchmark::Adder32, Benchmark::Modexp]);
+    let mut compared = check_against(TOPOLOGY_GOLDEN, topology_spec(&benchmarks));
+    compared += check_against(
+        TOPOLOGY_GOLDEN,
+        SweepSpec {
+            benchmarks: vec![Benchmark::Mul32],
+            policies: vec![Policy::Square],
+            archs: vec![SweepArch::HeavyHexAuto],
+            routers: RouterKind::ALL.to_vec(),
+            budgets: vec![None],
+        },
+    );
+    let golden = serde_json::from_str(TOPOLOGY_GOLDEN).expect("golden parses");
+    let recorded = golden
+        .get("cells")
+        .and_then(|c| c.as_seq())
+        .map_or(0, |c| c.len());
+    assert_eq!(compared, recorded, "every recorded cell is replayed");
 }
 
 /// The explicit-greedy configuration and the default configuration
