@@ -22,6 +22,12 @@ impl PhysId {
     }
 }
 
+impl From<PhysId> for usize {
+    fn from(p: PhysId) -> usize {
+        p.index()
+    }
+}
+
 impl fmt::Display for PhysId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Q{}", self.0)

@@ -1251,60 +1251,13 @@ mod tests {
         b.finish(main).unwrap()
     }
 
-    /// Replays a virtual trace on booleans (with a classical-bit side
-    /// channel for measurement feedback), panicking on any dirty free,
-    /// and returns the final values of `outputs`.
+    /// Replays a virtual trace on booleans, panicking on any hygiene
+    /// fault (double alloc, use after free, dirty free, unmeasured
+    /// guard), and returns the final values of `outputs`.
     fn replay_bits(trace: &[TraceOp], outputs: &[VirtId]) -> Vec<bool> {
-        use std::collections::HashMap;
-        fn apply_gate(g: &Gate<VirtId>, bits: &mut HashMap<VirtId, bool>) {
-            let get = |q: &VirtId| bits[q];
-            match g {
-                Gate::X { target } => *bits.get_mut(target).unwrap() ^= true,
-                Gate::Cx { control, target } => {
-                    if get(control) {
-                        *bits.get_mut(target).unwrap() ^= true;
-                    }
-                }
-                Gate::Ccx { c0, c1, target } => {
-                    if get(c0) && get(c1) {
-                        *bits.get_mut(target).unwrap() ^= true;
-                    }
-                }
-                Gate::Swap { a, b } => {
-                    let (va, vb) = (get(a), get(b));
-                    bits.insert(*a, vb);
-                    bits.insert(*b, va);
-                }
-                Gate::Mcx { controls, target } => {
-                    if controls.iter().all(get) {
-                        *bits.get_mut(target).unwrap() ^= true;
-                    }
-                }
-            }
-        }
-        let mut bits: HashMap<VirtId, bool> = HashMap::new();
-        let mut clbits: HashMap<ClbitId, bool> = HashMap::new();
-        for op in trace {
-            match op {
-                TraceOp::Alloc(v) => {
-                    bits.insert(*v, false);
-                }
-                TraceOp::Free(v) => {
-                    let val = bits.remove(v).expect("free of dead qubit");
-                    assert!(!val, "dirty ancilla freed");
-                }
-                TraceOp::Gate(g) => apply_gate(g, &mut bits),
-                TraceOp::Measure { qubit, clbit } => {
-                    clbits.insert(*clbit, bits[qubit]);
-                }
-                TraceOp::CondGate { clbit, gate } => {
-                    if clbits[clbit] {
-                        apply_gate(gate, &mut bits);
-                    }
-                }
-            }
-        }
-        outputs.iter().map(|v| bits[v]).collect()
+        square_qir::sem::replay(trace, outputs)
+            .unwrap_or_else(|fault| panic!("trace replay: {fault}"))
+            .0
     }
 
     #[test]

@@ -176,6 +176,33 @@ impl<Q> Gate<Q> {
     }
 }
 
+impl<Q: Copy> Gate<Q>
+where
+    usize: From<Q>,
+{
+    /// Applies the gate's boolean semantics to a computational-basis
+    /// state, indexing `bits` by each operand's dense id.
+    ///
+    /// This is the one gate-on-bits rule in the repository: the
+    /// reference semantics, the virtual and physical replays and the
+    /// trajectory simulator all evaluate gates through it. Their
+    /// independence as oracles comes from replaying different artifacts
+    /// (the program vs. the compiler's routed output), not from
+    /// re-implementing this rule.
+    pub fn apply_bits(&self, bits: &mut [bool]) {
+        let at = |q: &Q| usize::from(*q);
+        match self {
+            Gate::X { target } => bits[at(target)] ^= true,
+            Gate::Cx { control, target } => bits[at(target)] ^= bits[at(control)],
+            Gate::Ccx { c0, c1, target } => bits[at(target)] ^= bits[at(c0)] && bits[at(c1)],
+            Gate::Swap { a, b } => bits.swap(at(a), at(b)),
+            Gate::Mcx { controls, target } => {
+                bits[at(target)] ^= controls.iter().all(|c| bits[at(c)]);
+            }
+        }
+    }
+}
+
 impl<Q: Eq> Gate<Q> {
     /// True if any qubit appears more than once in the operand list.
     pub fn has_duplicate_operand(&self) -> bool
@@ -285,6 +312,110 @@ mod tests {
             .two_qubit_cost(),
             6 * 5
         );
+    }
+
+    /// Operand slots for the truth tables: unsorted and non-contiguous
+    /// inside a `WIDTH`-bit state.
+    const SLOTS: [u32; 5] = [11, 3, 14, 6, 0];
+    const WIDTH: usize = 16;
+    /// Values of the non-operand bits (and its complement), which every
+    /// gate must leave untouched.
+    const BACKGROUND: u32 = 0b1010_0110_1100_1011;
+
+    /// Every gate variant over the first operands in `SLOTS`, `Mcx`
+    /// with 0..=4 controls.
+    fn truth_table_gates<Q: Copy>(id: impl Fn(u32) -> Q) -> Vec<Gate<Q>> {
+        let q = |k: usize| id(SLOTS[k]);
+        let mut gates = vec![
+            Gate::X { target: q(0) },
+            Gate::Cx {
+                control: q(0),
+                target: q(1),
+            },
+            Gate::Ccx {
+                c0: q(0),
+                c1: q(1),
+                target: q(2),
+            },
+            Gate::Swap { a: q(0), b: q(1) },
+        ];
+        gates.extend((0..=4).map(|k| Gate::Mcx {
+            controls: (0..k).map(q).collect(),
+            target: q(k),
+        }));
+        gates
+    }
+
+    /// The gate's effect on the operand word `x` (bit `k` holds the
+    /// `k`-th operand in control-then-target order), as an integer
+    /// formula.
+    fn expected_word<Q>(gate: &Gate<Q>, x: u32) -> u32 {
+        match gate {
+            Gate::X { .. } => x ^ 1,
+            Gate::Cx { .. } => x ^ ((x & 1) << 1),
+            Gate::Ccx { .. } => x ^ (u32::from(x & 0b11 == 0b11) << 2),
+            Gate::Swap { .. } => (x >> 1) | ((x & 1) << 1),
+            Gate::Mcx { controls, .. } => {
+                let k = controls.len();
+                let mask = (1u32 << k) - 1;
+                x ^ (u32::from(x & mask == mask) << k)
+            }
+        }
+    }
+
+    /// Runs every gate of [`truth_table_gates`] on every assignment of
+    /// its operands, over both background patterns. Operand positions
+    /// in the state come from `usize::from`, so an id type whose dense
+    /// index differs from its raw value is checked too.
+    fn check_truth_table<Q: Copy + fmt::Debug>(id: fn(u32) -> Q)
+    where
+        usize: From<Q>,
+    {
+        let bit = |word: u32, i: usize| (word >> i) & 1 == 1;
+        for gate in truth_table_gates(id) {
+            let operands: Vec<usize> = SLOTS[..gate.arity()]
+                .iter()
+                .map(|&s| usize::from(id(s)))
+                .collect();
+            for background in [BACKGROUND, !BACKGROUND] {
+                for x in 0..1u32 << operands.len() {
+                    let mut bits: Vec<bool> = (0..WIDTH).map(|i| bit(background, i)).collect();
+                    for (k, &i) in operands.iter().enumerate() {
+                        bits[i] = bit(x, k);
+                    }
+                    gate.apply_bits(&mut bits);
+                    let word = operands
+                        .iter()
+                        .enumerate()
+                        .fold(0, |w, (k, &i)| w | (u32::from(bits[i]) << k));
+                    assert_eq!(word, expected_word(&gate, x), "{gate:?} on {x:b}");
+                    for i in (0..WIDTH).filter(|i| !operands.contains(i)) {
+                        assert_eq!(bits[i], bit(background, i), "{gate:?} wrote bit {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A test-local id whose dense index mirrors its raw value inside
+    /// the `WIDTH`-bit state.
+    #[derive(Debug, Clone, Copy)]
+    struct Mirrored(u32);
+
+    impl From<Mirrored> for usize {
+        fn from(m: Mirrored) -> usize {
+            WIDTH - 1 - m.0 as usize
+        }
+    }
+
+    #[test]
+    fn apply_bits_truth_table_on_virtual_ids() {
+        check_truth_table(crate::trace::VirtId);
+    }
+
+    #[test]
+    fn apply_bits_truth_table_indexes_through_usize_from() {
+        check_truth_table(Mirrored);
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use gate::Gate;
 pub use lower::lower_mcx;
 pub use module::{Module, ModuleId, Operand, Program, Stmt};
 pub use sem::{BitState, ReclaimOracle, RecordedDecisions};
-pub use trace::{invert_slice, invert_slice_into, ClbitId, TraceOp, VirtId};
+pub use trace::{invert_slice, invert_slice_into, ClbitId, Clbits, TraceOp, VirtId};

@@ -19,7 +19,7 @@ use std::fmt;
 
 use crate::gate::Gate;
 use crate::module::{ModuleId, Operand, Program, Stmt};
-use crate::trace::{invert_slice, ClbitId, TraceOp, VirtId};
+use crate::trace::{invert_slice, ClbitId, Clbits, TraceOp, VirtId};
 
 /// Decides, at each potential reclamation point, whether the frame
 /// should uncompute and reclaim its ancilla. Mirrors the compiler
@@ -184,7 +184,8 @@ impl fmt::Display for SemError {
 
 impl std::error::Error for SemError {}
 
-/// A computational-basis state over virtual qubits.
+/// A computational-basis state over virtual qubits, plus the classical
+/// bits written by mid-circuit measurements.
 ///
 /// Indexed by [`VirtId`]; dead qubits keep their slot (ids are never
 /// reused) but are flagged not-live.
@@ -192,6 +193,7 @@ impl std::error::Error for SemError {}
 pub struct BitState {
     bits: Vec<bool>,
     live: Vec<bool>,
+    clbits: Clbits,
 }
 
 impl BitState {
@@ -210,47 +212,155 @@ impl BitState {
         self.live.get(v.index()).copied().unwrap_or(false)
     }
 
-    /// Number of currently live qubits.
-    pub fn live_count(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+    /// Every classical bit written by a measurement so far.
+    pub fn clbits(&self) -> &Clbits {
+        &self.clbits
     }
 
-    fn activate(&mut self, v: VirtId) {
-        let i = v.index();
-        if i >= self.bits.len() {
-            self.bits.resize(i + 1, false);
-            self.live.resize(i + 1, false);
+    /// Executes one trace op at trace position `at`, checking ancilla
+    /// hygiene first; on a fault the state is left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The op's [`TraceFault`], if any.
+    pub fn step(&mut self, op: &TraceOp, at: usize) -> Result<(), TraceFault> {
+        let dead = |qubit: VirtId| Err(TraceFault::UseAfterFree { qubit, at });
+        match op {
+            TraceOp::Alloc(v) => {
+                if self.is_live(*v) {
+                    return Err(TraceFault::DoubleAlloc { qubit: *v, at });
+                }
+                let i = v.index();
+                if i >= self.bits.len() {
+                    self.bits.resize(i + 1, false);
+                    self.live.resize(i + 1, false);
+                }
+                self.bits[i] = false;
+                self.live[i] = true;
+            }
+            TraceOp::Free(v) => {
+                if !self.is_live(*v) {
+                    return dead(*v);
+                }
+                if self.get(*v) {
+                    return Err(TraceFault::DirtyFree { qubit: *v, at });
+                }
+                self.live[v.index()] = false;
+            }
+            TraceOp::Measure { qubit, clbit } => {
+                if !self.is_live(*qubit) {
+                    return dead(*qubit);
+                }
+                self.clbits.record(*clbit, self.get(*qubit));
+            }
+            TraceOp::Gate(gate) | TraceOp::CondGate { gate, .. } => {
+                let mut first_dead = None;
+                gate.for_each_qubit(|q| {
+                    if first_dead.is_none() && !self.is_live(*q) {
+                        first_dead = Some(*q);
+                    }
+                });
+                if let Some(q) = first_dead {
+                    return dead(q);
+                }
+                let fires = match op {
+                    TraceOp::CondGate { clbit, .. } => self
+                        .clbits
+                        .get(*clbit)
+                        .ok_or(TraceFault::UnmeasuredGuard { clbit: *clbit, at })?,
+                    _ => true,
+                };
+                if fires {
+                    gate.apply_bits(&mut self.bits);
+                }
+            }
         }
-        self.bits[i] = false;
-        self.live[i] = true;
+        Ok(())
     }
+}
 
-    fn deactivate(&mut self, v: VirtId) {
-        self.live[v.index()] = false;
-    }
+/// A hygiene violation found by [`BitState::step`]. `at` is the trace
+/// position of the offending op; a register read after the last op
+/// reports `trace.len()`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceFault {
+    /// A live qubit was allocated again.
+    DoubleAlloc {
+        /// The qubit.
+        qubit: VirtId,
+        /// Trace position of the second alloc.
+        at: usize,
+    },
+    /// A gate, measurement, free or register read touched a dead qubit.
+    UseAfterFree {
+        /// The qubit.
+        qubit: VirtId,
+        /// Trace position of the offending op.
+        at: usize,
+    },
+    /// A qubit was freed while holding |1⟩.
+    DirtyFree {
+        /// The qubit.
+        qubit: VirtId,
+        /// Trace position of the free.
+        at: usize,
+    },
+    /// A guarded gate read a classical bit no measurement had written.
+    UnmeasuredGuard {
+        /// The guard bit.
+        clbit: ClbitId,
+        /// Trace position of the guarded gate.
+        at: usize,
+    },
+}
 
-    /// Applies a gate to the state.
-    pub fn apply(&mut self, gate: &Gate<VirtId>) {
-        match gate {
-            Gate::X { target } => self.bits[target.index()] ^= true,
-            Gate::Cx { control, target } => {
-                if self.bits[control.index()] {
-                    self.bits[target.index()] ^= true;
-                }
+impl fmt::Display for TraceFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TraceFault::DoubleAlloc { qubit, at } => {
+                write!(f, "op #{at} allocates live qubit {qubit}")
             }
-            Gate::Ccx { c0, c1, target } => {
-                if self.bits[c0.index()] && self.bits[c1.index()] {
-                    self.bits[target.index()] ^= true;
-                }
+            TraceFault::UseAfterFree { qubit, at } => {
+                write!(f, "op #{at} touches dead qubit {qubit}")
             }
-            Gate::Swap { a, b } => self.bits.swap(a.index(), b.index()),
-            Gate::Mcx { controls, target } => {
-                if controls.iter().all(|c| self.bits[c.index()]) {
-                    self.bits[target.index()] ^= true;
-                }
+            TraceFault::DirtyFree { qubit, at } => {
+                write!(f, "op #{at} frees {qubit} holding |1⟩ (uncompute failed)")
             }
+            TraceFault::UnmeasuredGuard { clbit, at } => write!(
+                f,
+                "op #{at} is guarded by {clbit} before any measurement wrote it"
+            ),
         }
     }
+}
+
+/// Replays a trace on booleans from the empty state, checking ancilla
+/// hygiene on every op, and returns the values of `register` read
+/// after the last op, with the final state.
+///
+/// Translation validation replays the compiler's trace through this;
+/// the trace tests replay slices followed by their inverses.
+///
+/// # Errors
+///
+/// The first [`TraceFault`] in trace order.
+pub fn replay(trace: &[TraceOp], register: &[VirtId]) -> Result<(Vec<bool>, BitState), TraceFault> {
+    let mut state = BitState::new();
+    for (at, op) in trace.iter().enumerate() {
+        state.step(op, at)?;
+    }
+    let at = trace.len();
+    let values = register
+        .iter()
+        .map(|&qubit| {
+            if state.is_live(qubit) {
+                Ok(state.get(qubit))
+            } else {
+                Err(TraceFault::UseAfterFree { qubit, at })
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((values, state))
 }
 
 /// Result of a reference execution.
@@ -277,9 +387,6 @@ struct SemCtx<'p> {
     /// Next program-wide classical-bit id (fresh ids are minted per
     /// frame activation, mirroring ancilla virtual ids).
     next_clbit: u32,
-    /// Classical-bit store, indexed by [`ClbitId`]; `None` until the
-    /// first measurement writes the bit.
-    clbits: Vec<Option<bool>>,
     live: usize,
     peak: usize,
     gates: u64,
@@ -299,46 +406,29 @@ impl SemCtx<'_> {
     }
 
     fn emit(&mut self, op: TraceOp, module_name: &str) -> Result<(), SemError> {
+        let module = || module_name.to_string();
+        self.state
+            .step(&op, self.trace.len())
+            .map_err(|fault| match fault {
+                TraceFault::DirtyFree { qubit, .. } => SemError::DirtyAncilla {
+                    qubit,
+                    module: module(),
+                },
+                TraceFault::UnmeasuredGuard { clbit, .. } => SemError::UnmeasuredClbit {
+                    clbit,
+                    module: module(),
+                },
+                // Ids are minted fresh and every operand resolves to a
+                // live frame qubit, so these cannot occur.
+                fault => unreachable!("reference semantics emitted a malformed op: {fault}"),
+            })?;
         match &op {
-            TraceOp::Alloc(v) => {
-                self.state.activate(*v);
+            TraceOp::Alloc(_) => {
                 self.live += 1;
                 self.peak = self.peak.max(self.live);
             }
-            TraceOp::Free(v) => {
-                if self.state.get(*v) {
-                    return Err(SemError::DirtyAncilla {
-                        qubit: *v,
-                        module: module_name.to_string(),
-                    });
-                }
-                self.state.deactivate(*v);
-                self.live -= 1;
-            }
-            TraceOp::Gate(g) => {
-                self.state.apply(g);
-                self.gates += 1;
-            }
-            TraceOp::Measure { qubit, clbit } => {
-                let i = clbit.index();
-                if i >= self.clbits.len() {
-                    self.clbits.resize(i + 1, None);
-                }
-                self.clbits[i] = Some(self.state.get(*qubit));
-                self.gates += 1;
-            }
-            TraceOp::CondGate { clbit, gate } => {
-                let Some(Some(value)) = self.clbits.get(clbit.index()).copied() else {
-                    return Err(SemError::UnmeasuredClbit {
-                        clbit: *clbit,
-                        module: module_name.to_string(),
-                    });
-                };
-                if value {
-                    self.state.apply(gate);
-                }
-                self.gates += 1;
-            }
+            TraceOp::Free(_) => self.live -= 1,
+            _ => self.gates += 1,
         }
         self.trace.push(op);
         Ok(())
@@ -479,7 +569,6 @@ pub fn run(
         trace: Vec::new(),
         next_id: 0,
         next_clbit: 0,
-        clbits: Vec::new(),
         live: 0,
         peak: 0,
         gates: 0,

@@ -38,6 +38,12 @@ impl VirtId {
     }
 }
 
+impl From<VirtId> for usize {
+    fn from(v: VirtId) -> usize {
+        v.index()
+    }
+}
+
 impl fmt::Display for VirtId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "q{}", self.0)
@@ -63,6 +69,41 @@ impl ClbitId {
 impl fmt::Display for ClbitId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{}", self.0)
+    }
+}
+
+/// The classical side channel: the value each measured classical bit
+/// holds, dense by [`ClbitId`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Clbits(Vec<Option<bool>>);
+
+impl Clbits {
+    /// An empty side channel (no bit measured yet).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records a measurement outcome into `clbit`.
+    pub fn record(&mut self, clbit: ClbitId, value: bool) {
+        let i = clbit.index();
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(value);
+    }
+
+    /// The bit's value, or `None` if no measurement wrote it.
+    pub fn get(&self, clbit: ClbitId) -> Option<bool> {
+        self.0.get(clbit.index()).copied().flatten()
+    }
+
+    /// The lowest classical bit whose value (or absence) differs
+    /// between the two side channels.
+    pub fn first_difference(&self, other: &Clbits) -> Option<ClbitId> {
+        let bound = self.0.len().max(other.0.len()) as u32;
+        (0..bound)
+            .map(ClbitId)
+            .find(|&c| self.get(c) != other.get(c))
     }
 }
 
@@ -202,72 +243,21 @@ pub fn gate_count(slice: &[TraceOp]) -> u64 {
 mod tests {
     use super::*;
 
-    fn apply(ops: &[TraceOp], bits: &mut HashMap<VirtId, bool>) {
-        apply_with_clbits(ops, bits, &mut HashMap::new());
-    }
+    use crate::sem::{replay, BitState};
 
-    fn apply_with_clbits(
-        ops: &[TraceOp],
-        bits: &mut HashMap<VirtId, bool>,
-        clbits: &mut HashMap<ClbitId, bool>,
-    ) {
-        for op in ops {
-            match op {
-                TraceOp::Alloc(v) => {
-                    assert!(bits.insert(*v, false).is_none(), "double alloc {v}");
-                }
-                TraceOp::Free(v) => {
-                    bits.remove(v).expect("free of dead qubit");
-                }
-                TraceOp::Measure { qubit, clbit } => {
-                    clbits.insert(*clbit, bits[qubit]);
-                }
-                TraceOp::CondGate { clbit, gate } => {
-                    if clbits[clbit] {
-                        apply_with_clbits(
-                            &[TraceOp::Gate(gate.clone())],
-                            bits,
-                            &mut HashMap::new(),
-                        );
-                    }
-                }
-                TraceOp::Gate(g) => {
-                    let val = |q: &VirtId| bits[q];
-                    match g {
-                        Gate::X { target } => {
-                            let t = *target;
-                            *bits.get_mut(&t).unwrap() ^= true;
-                        }
-                        Gate::Cx { control, target } => {
-                            let c = val(control);
-                            let t = *target;
-                            if c {
-                                *bits.get_mut(&t).unwrap() ^= true;
-                            }
-                        }
-                        Gate::Ccx { c0, c1, target } => {
-                            let c = val(c0) && val(c1);
-                            let t = *target;
-                            if c {
-                                *bits.get_mut(&t).unwrap() ^= true;
-                            }
-                        }
-                        Gate::Swap { a, b } => {
-                            let (va, vb) = (val(a), val(b));
-                            *bits.get_mut(a).unwrap() = vb;
-                            *bits.get_mut(b).unwrap() = va;
-                        }
-                        Gate::Mcx { controls, target } => {
-                            let c = controls.iter().all(val);
-                            let t = *target;
-                            if c {
-                                *bits.get_mut(&t).unwrap() ^= true;
-                            }
-                        }
-                    }
-                }
-            }
+    /// Replays `parts` in order after allocating qubits
+    /// `0..values.len()` with `values`, panicking on any hygiene fault
+    /// (double alloc, use after free, dirty free, unmeasured guard).
+    fn run(values: &[bool], parts: &[&[TraceOp]]) -> BitState {
+        let ids = (0..values.len() as u32).map(VirtId);
+        let mut trace: Vec<TraceOp> = ids.clone().map(TraceOp::Alloc).collect();
+        for (target, _) in ids.zip(values).filter(|(_, &value)| value) {
+            trace.push(TraceOp::Gate(Gate::X { target }));
         }
+        trace.extend(parts.iter().flat_map(|part| part.iter().cloned()));
+        replay(&trace, &[])
+            .unwrap_or_else(|fault| panic!("trace replay: {fault}"))
+            .1
     }
 
     #[test]
@@ -304,15 +294,15 @@ mod tests {
         assert!(matches!(inv[0], TraceOp::Alloc(VirtId(3))));
         assert!(matches!(inv[4], TraceOp::Free(VirtId(3))));
 
-        let mut bits = HashMap::new();
-        bits.insert(q0, true);
-        bits.insert(q1, false);
-        apply(&slice, &mut bits);
-        assert!(bits[&q1], "CCX fired: q2 held q0's value");
-        apply(&inv, &mut bits);
-        assert!(bits[&q0]);
-        assert!(!bits[&q1], "inverse undid the compute");
-        assert_eq!(bits.len(), 2, "no leaked allocations");
+        let forward = run(&[true, false], &[&slice]);
+        assert!(forward.get(q1), "CCX fired: q2 held q0's value");
+        let state = run(&[true, false], &[&slice, &inv]);
+        assert!(state.get(q0));
+        assert!(!state.get(q1), "inverse undid the compute");
+        assert!(
+            !state.is_live(q2) && !state.is_live(VirtId(3)),
+            "no leaked allocations"
+        );
     }
 
     #[test]
@@ -339,13 +329,10 @@ mod tests {
             ]
         );
 
-        let mut bits = HashMap::new();
-        bits.insert(q0, true);
-        apply(&slice, &mut bits);
-        assert!(bits[&q1], "garbage holds a copy");
-        apply(&inv, &mut bits);
-        assert!(!bits.contains_key(&q1), "garbage swept by ancestor");
-        assert!(bits[&q0]);
+        assert!(run(&[true], &[&slice]).get(q1), "garbage holds a copy");
+        let state = run(&[true], &[&slice, &inv]);
+        assert!(!state.is_live(q1), "garbage swept by ancestor");
+        assert!(state.get(q0));
     }
 
     #[test]
@@ -415,11 +402,9 @@ mod tests {
             },
         ];
         for dirty in [false, true] {
-            let mut bits = HashMap::from([(a, dirty)]);
-            let mut clbits = HashMap::new();
-            apply_with_clbits(&slice, &mut bits, &mut clbits);
-            assert!(!bits[&a], "ancilla reset (dirty={dirty})");
-            assert_eq!(clbits[&c], dirty, "outcome recorded");
+            let end = run(&[dirty], &[&slice]);
+            assert!(!end.get(a), "ancilla reset (dirty={dirty})");
+            assert_eq!(end.clbits().get(c), Some(dirty), "outcome recorded");
         }
         let inv = invert_slice(&slice, || unreachable!("no frees"));
         assert_eq!(

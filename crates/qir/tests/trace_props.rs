@@ -4,60 +4,8 @@
 //! of the inverse has the same cost.
 
 use proptest::prelude::*;
+use square_qir::sem::replay;
 use square_qir::{invert_slice, ClbitId, Gate, TraceOp, VirtId};
-use std::collections::HashMap;
-
-/// Applies trace ops to a sparse bit state and a classical-bit side
-/// channel; panics on structural violations (double alloc, free of
-/// dead qubit).
-fn apply(ops: &[TraceOp], bits: &mut HashMap<VirtId, bool>, clbits: &mut HashMap<ClbitId, bool>) {
-    for op in ops {
-        match op {
-            TraceOp::Alloc(v) => {
-                assert!(bits.insert(*v, false).is_none(), "double alloc");
-            }
-            TraceOp::Free(v) => {
-                bits.remove(v).expect("free of dead qubit");
-            }
-            TraceOp::Gate(g) => apply_gate(g, bits),
-            TraceOp::Measure { qubit, clbit } => {
-                clbits.insert(*clbit, bits[qubit]);
-            }
-            TraceOp::CondGate { clbit, gate } => {
-                if clbits[clbit] {
-                    apply_gate(gate, bits);
-                }
-            }
-        }
-    }
-}
-
-fn apply_gate(g: &Gate<VirtId>, bits: &mut HashMap<VirtId, bool>) {
-    let get = |q: &VirtId| bits[q];
-    match g {
-        Gate::X { target } => *bits.get_mut(target).unwrap() ^= true,
-        Gate::Cx { control, target } => {
-            if get(control) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Ccx { c0, c1, target } => {
-            if get(c0) && get(c1) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Swap { a, b } => {
-            let (va, vb) = (get(a), get(b));
-            bits.insert(*a, vb);
-            bits.insert(*b, va);
-        }
-        Gate::Mcx { controls, target } => {
-            if controls.iter().all(get) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-    }
-}
 
 /// Generates a structurally valid trace over `ext` pre-existing qubits
 /// (ids 0..ext) plus nested alloc/gate/free activity, from a byte
@@ -162,21 +110,29 @@ proptest! {
             next += 1;
             v
         });
-        let mut bits: HashMap<VirtId, bool> = (0..ext)
-            .map(|i| (VirtId(i), seed_bits[i as usize % seed_bits.len()]))
+        let external: Vec<VirtId> = (0..ext).map(VirtId).collect();
+        let before: Vec<bool> = (0..ext as usize)
+            .map(|i| seed_bits[i % seed_bits.len()])
             .collect();
-        let before = bits.clone();
-        // The classical side channel persists across the inverse: the
-        // inverted CondGate replays against the outcome recorded by
-        // the forward Measure.
-        let mut clbits: HashMap<ClbitId, bool> = HashMap::new();
-        apply(&slice, &mut bits, &mut clbits);
-        apply(&inv, &mut bits, &mut clbits);
-        // Only the original external qubits remain, with original values.
-        for (v, val) in &before {
-            prop_assert_eq!(bits.get(v), Some(val), "qubit {} changed", v);
+        // Prepare the external qubits, then replay slice ⨟ inverse in
+        // one trace: the classical side channel persists across the
+        // inverse, so the inverted CondGate replays against the outcome
+        // recorded by the forward Measure.
+        let mut trace: Vec<TraceOp> = external.iter().copied().map(TraceOp::Alloc).collect();
+        for (&target, _) in external.iter().zip(&before).filter(|(_, &value)| value) {
+            trace.push(TraceOp::Gate(Gate::X { target }));
         }
-        prop_assert_eq!(bits.len(), before.len(), "leaked allocations");
+        trace.extend(slice.iter().chain(&inv).cloned());
+        // Any hygiene fault fails the case; reading the register also
+        // checks that every external qubit is still live.
+        let (after, end) = replay(&trace, &external)
+            .unwrap_or_else(|fault| panic!("trace replay: {fault}"));
+        prop_assert_eq!(after, before, "external qubits changed");
+        let leaked = slice.iter().chain(&inv).find_map(|op| match op {
+            TraceOp::Alloc(v) if end.is_live(*v) => Some(*v),
+            _ => None,
+        });
+        prop_assert_eq!(leaked, None, "leaked allocation");
     }
 
     /// Inversion preserves gate count and swaps alloc/free counts.

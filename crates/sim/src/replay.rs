@@ -20,54 +20,30 @@
 //! braid, so sorting by start cycle can illegally reorder same-qubit
 //! gates. Replay through this module stays correct for both targets.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use square_arch::PhysId;
-use square_qir::{ClbitId, Gate};
+use square_qir::Clbits;
 use square_route::ScheduledGate;
-
-/// Applies one physical gate's boolean semantics to the state.
-pub fn apply_gate(gate: &Gate<PhysId>, bits: &mut [bool]) {
-    match gate {
-        Gate::X { target } => bits[target.index()] ^= true,
-        Gate::Cx { control, target } => {
-            if bits[control.index()] {
-                bits[target.index()] ^= true;
-            }
-        }
-        Gate::Ccx { c0, c1, target } => {
-            if bits[c0.index()] && bits[c1.index()] {
-                bits[target.index()] ^= true;
-            }
-        }
-        Gate::Swap { a, b } => bits.swap(a.index(), b.index()),
-        Gate::Mcx { controls, target } => {
-            if controls.iter().all(|c| bits[c.index()]) {
-                bits[target.index()] ^= true;
-            }
-        }
-    }
-}
 
 /// Applies one scheduled event to the state and the classical-bit
 /// side channel: a measurement records its cell's bit into the
 /// destination clbit (and applies no gate — the carrier gate merely
 /// names the cell), a guarded gate fires only when its clbit was
-/// recorded 1, and everything else applies directly.
-pub fn step_gate(g: &ScheduledGate, bits: &mut [bool], clbits: &mut HashMap<ClbitId, bool>) {
+/// recorded 1, and everything else applies directly. Returns whether
+/// the gate fired.
+pub fn step_gate(g: &ScheduledGate, bits: &mut [bool], clbits: &mut Clbits) -> bool {
     if let Some(c) = g.measure {
         let mut cell = PhysId(0);
         g.gate.for_each_qubit(|p| cell = *p);
-        clbits.insert(c, bits[cell.index()]);
-        return;
+        clbits.record(c, bits[cell.index()]);
+        return false;
     }
-    if let Some(c) = g.guard {
-        if !clbits.get(&c).copied().unwrap_or(false) {
-            return;
-        }
+    if g.guard.is_some_and(|c| clbits.get(c) != Some(true)) {
+        return false;
     }
-    apply_gate(&g.gate, bits);
+    g.gate.apply_bits(bits);
+    true
 }
 
 /// Outcome of a record-order replay.
@@ -77,7 +53,7 @@ pub struct Replay {
     pub bits: Vec<bool>,
     /// Final values of every classical bit written by mid-circuit
     /// measurements (empty for fully unitary schedules).
-    pub clbits: HashMap<ClbitId, bool>,
+    pub clbits: Clbits,
     /// Program gates applied.
     pub program_gates: u64,
     /// Communication gates (routing swaps) applied.
@@ -96,7 +72,7 @@ impl Replay {
 /// physical qubits.
 pub fn replay_schedule(schedule: &[ScheduledGate], n_qubits: usize) -> Replay {
     let mut bits = vec![false; n_qubits];
-    let mut clbits = HashMap::new();
+    let mut clbits = Clbits::new();
     let mut program_gates = 0u64;
     let mut comm_gates = 0u64;
     for g in schedule {
@@ -173,6 +149,7 @@ pub fn check_swapchain_schedule(schedule: &[ScheduledGate]) -> Result<(), Schedu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use square_qir::{ClbitId, Gate};
 
     fn sg(gate: Gate<PhysId>, start: u64, dur: u64, is_comm: bool) -> ScheduledGate {
         ScheduledGate {
@@ -211,13 +188,13 @@ mod tests {
         ];
         let r = replay_schedule(&s, 1);
         assert_eq!(r.bits, vec![false], "corrected back to |0⟩");
-        assert_eq!(r.clbits.get(&ClbitId(0)), Some(&true));
+        assert_eq!(r.clbits.get(ClbitId(0)), Some(true));
         assert_eq!(r.program_gates, 3);
         // An unfired guard leaves the state alone: without the X prep,
         // the measurement reads 0 and the correction must not apply.
         let r0 = replay_schedule(&s[1..], 1);
         assert_eq!(r0.bits, vec![false]);
-        assert_eq!(r0.clbits.get(&ClbitId(0)), Some(&false));
+        assert_eq!(r0.clbits.get(ClbitId(0)), Some(false));
     }
 
     #[test]

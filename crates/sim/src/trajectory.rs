@@ -12,11 +12,11 @@ use rand::{Rng, SeedableRng};
 
 use square_arch::PhysId;
 use square_metrics::Histogram;
-use square_qir::Gate;
+use square_qir::{Clbits, Gate};
 use square_route::ScheduledGate;
 
 use crate::noise::NoiseModel;
-use crate::replay::apply_gate;
+use crate::replay::step_gate;
 
 /// Options for trajectory sampling.
 #[derive(Debug, Clone, Copy)]
@@ -97,8 +97,7 @@ pub fn run_noisy_shot(
     // start/end cycles, so cross-qubit processing order only permutes
     // the RNG draw sequence, which is statistically equivalent.
     let mut bits = vec![false; n_qubits];
-    let mut clbits: std::collections::HashMap<square_qir::ClbitId, bool> =
-        std::collections::HashMap::new();
+    let mut clbits = Clbits::new();
     let mut last_time = vec![0u64; n_qubits];
     let mut depth = 0u64;
     for g in schedule {
@@ -112,17 +111,11 @@ pub fn run_noisy_shot(
                 bits[q.index()] = false;
             }
         }
-        let fires = if let Some(c) = g.measure {
-            let outcome = bits[operands[0].index()];
-            clbits.insert(c, outcome);
-            outcomes.push(outcome);
-            false
-        } else {
-            g.guard
-                .is_none_or(|c| clbits.get(&c).copied().unwrap_or(false))
-        };
-        if fires {
-            apply_gate(&g.gate, &mut bits);
+        let fired = step_gate(g, &mut bits, &mut clbits);
+        if let Some(c) = g.measure {
+            outcomes.push(clbits.get(c) == Some(true));
+        }
+        if fired {
             // Gate-error injection in the Clifford+T decomposition.
             let (e1, e2) = error_events(&g.gate);
             for _ in 0..e1 {

@@ -16,6 +16,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use square_core::{Policy, RouterKind, SweepArch};
+use square_qir::sem::TraceFault;
 use square_qir::Program;
 use square_workloads::synthetic::{synthesize, synthesize_disciplined, SynthParams};
 
@@ -380,9 +381,12 @@ fn failure_class(e: &ValidationError) -> &'static str {
         ValidationError::RoundTrip(_) => "round-trip",
         ValidationError::BudgetExceeded { .. } => "budget",
         ValidationError::Mismatch(m) => match **m {
-            Mismatch::DoubleAlloc { .. } => "double-alloc",
-            Mismatch::UseAfterFree { .. } => "use-after-free",
-            Mismatch::DirtyFree { .. } => "dirty-free",
+            Mismatch::Hygiene(ref fault) => match fault {
+                TraceFault::DoubleAlloc { .. } => "double-alloc",
+                TraceFault::UseAfterFree { .. } => "use-after-free",
+                TraceFault::DirtyFree { .. } => "dirty-free",
+                TraceFault::UnmeasuredGuard { .. } => "unmeasured-guard",
+            },
             Mismatch::DecisionDrift { .. } => "decision-drift",
             Mismatch::OutputDiff { .. } => "output-diff",
             Mismatch::ScheduleInconsistent { .. } => "schedule",

@@ -25,7 +25,6 @@
 //! [`validate`] composes all three over a single compile, and
 //! [`validate_benchmark`] runs a catalog benchmark cell.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use square_arch::{CommModel, PhysId};
@@ -33,8 +32,8 @@ use square_core::{
     compile_with_inputs, CompileError, CompileReport, CompilerConfig, Policy, ReclaimDecision,
     RouterKind, SweepArch,
 };
-use square_qir::sem::{RecordedDecisions, SemError};
-use square_qir::{lower_mcx, ClbitId, Gate, Program, TraceOp, VirtId};
+use square_qir::sem::{replay, RecordedDecisions, SemError, TraceFault};
+use square_qir::{lower_mcx, ClbitId, Clbits, Program, TraceOp, VirtId};
 use square_route::journey_of;
 use square_sim::{check_swapchain_schedule, replay_schedule, ScheduleViolation};
 use square_workloads::{build, Benchmark};
@@ -63,25 +62,10 @@ impl fmt::Display for Stage {
 /// A detected semantics break, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Mismatch {
-    /// A virtual qubit was allocated twice without an intervening free.
-    DoubleAlloc {
-        /// The qubit.
-        qubit: VirtId,
-    },
-    /// A gate or free touched a qubit that is not live.
-    UseAfterFree {
-        /// The qubit.
-        qubit: VirtId,
-        /// Trace position of the offending op.
-        at: usize,
-    },
-    /// A qubit was freed while holding |1⟩ — its uncompute failed.
-    DirtyFree {
-        /// The qubit.
-        qubit: VirtId,
-        /// Trace position of the free.
-        at: usize,
-    },
+    /// The virtual trace itself is malformed: a double alloc, a use
+    /// after free, a dirty free (an uncompute failed) or a guard read
+    /// before its measurement.
+    Hygiene(TraceFault),
     /// The reference execution demanded a different number of
     /// reclamation decisions than the compiler recorded.
     DecisionDrift {
@@ -134,14 +118,7 @@ pub enum Mismatch {
 impl fmt::Display for Mismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Mismatch::DoubleAlloc { qubit } => write!(f, "virtual replay: double alloc of {qubit}"),
-            Mismatch::UseAfterFree { qubit, at } => {
-                write!(f, "virtual replay: op #{at} touches dead qubit {qubit}")
-            }
-            Mismatch::DirtyFree { qubit, at } => write!(
-                f,
-                "virtual replay: op #{at} frees {qubit} holding |1⟩ (uncompute failed)"
-            ),
+            Mismatch::Hygiene(fault) => write!(f, "virtual replay: {fault}"),
             Mismatch::DecisionDrift {
                 consumed,
                 recorded,
@@ -257,6 +234,12 @@ impl From<SemError> for ValidationError {
     }
 }
 
+impl From<TraceFault> for Mismatch {
+    fn from(fault: TraceFault) -> Self {
+        Mismatch::Hygiene(fault)
+    }
+}
+
 impl From<Mismatch> for ValidationError {
     fn from(m: Mismatch) -> Self {
         ValidationError::Mismatch(Box::new(m))
@@ -278,106 +261,10 @@ pub struct Validated {
 ///
 /// # Errors
 ///
-/// [`Mismatch::DoubleAlloc`] / [`Mismatch::UseAfterFree`] /
-/// [`Mismatch::DirtyFree`] on malformed traces.
+/// [`Mismatch::Hygiene`] on malformed traces, including a register
+/// qubit that is dead when the register is read after the last op.
 pub fn replay_virtual(trace: &[TraceOp], register: &[VirtId]) -> Result<Vec<bool>, Mismatch> {
-    let (bits, _clbits) = replay_virtual_state(trace)?;
-    register
-        .iter()
-        .map(|v| {
-            bits.get(v)
-                .copied()
-                .ok_or(Mismatch::UseAfterFree { qubit: *v, at: 0 })
-        })
-        .collect()
-}
-
-/// Final state of a virtual replay: live qubit values plus every
-/// classical bit recorded by mid-circuit measurements.
-pub type VirtualState = (HashMap<VirtId, bool>, HashMap<ClbitId, bool>);
-
-/// The full final state of a hygiene-checked virtual replay: live
-/// qubit values plus every classical bit recorded by mid-circuit
-/// measurements.
-///
-/// # Errors
-///
-/// Same hygiene failures as [`replay_virtual`].
-pub fn replay_virtual_state(trace: &[TraceOp]) -> Result<VirtualState, Mismatch> {
-    let mut bits: HashMap<VirtId, bool> = HashMap::new();
-    let mut clbits: HashMap<ClbitId, bool> = HashMap::new();
-    for (at, op) in trace.iter().enumerate() {
-        match op {
-            TraceOp::Alloc(v) => {
-                if bits.insert(*v, false).is_some() {
-                    return Err(Mismatch::DoubleAlloc { qubit: *v });
-                }
-            }
-            TraceOp::Free(v) => match bits.remove(v) {
-                None => return Err(Mismatch::UseAfterFree { qubit: *v, at }),
-                Some(true) => return Err(Mismatch::DirtyFree { qubit: *v, at }),
-                Some(false) => {}
-            },
-            TraceOp::Gate(g) => {
-                if let Some(qubit) = first_dead(g, &bits) {
-                    return Err(Mismatch::UseAfterFree { qubit, at });
-                }
-                apply_virtual(g, &mut bits);
-            }
-            TraceOp::Measure { qubit, clbit } => match bits.get(qubit) {
-                Some(v) => {
-                    clbits.insert(*clbit, *v);
-                }
-                None => return Err(Mismatch::UseAfterFree { qubit: *qubit, at }),
-            },
-            TraceOp::CondGate { clbit, gate } => {
-                if let Some(qubit) = first_dead(gate, &bits) {
-                    return Err(Mismatch::UseAfterFree { qubit, at });
-                }
-                if clbits.get(clbit).copied().unwrap_or(false) {
-                    apply_virtual(gate, &mut bits);
-                }
-            }
-        }
-    }
-    Ok((bits, clbits))
-}
-
-fn first_dead(g: &Gate<VirtId>, bits: &HashMap<VirtId, bool>) -> Option<VirtId> {
-    let mut dead = None;
-    g.for_each_qubit(|q| {
-        if dead.is_none() && !bits.contains_key(q) {
-            dead = Some(*q);
-        }
-    });
-    dead
-}
-
-fn apply_virtual(g: &Gate<VirtId>, bits: &mut HashMap<VirtId, bool>) {
-    let get = |bits: &HashMap<VirtId, bool>, q: &VirtId| bits[q];
-    match g {
-        Gate::X { target } => *bits.get_mut(target).unwrap() ^= true,
-        Gate::Cx { control, target } => {
-            if get(bits, control) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Ccx { c0, c1, target } => {
-            if get(bits, c0) && get(bits, c1) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Swap { a, b } => {
-            let (va, vb) = (get(bits, a), get(bits, b));
-            bits.insert(*a, vb);
-            bits.insert(*b, va);
-        }
-        Gate::Mcx { controls, target } => {
-            if controls.iter().all(|c| get(bits, c)) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-    }
+    Ok(replay(trace, register)?.0)
 }
 
 fn output_diff(
@@ -454,6 +341,17 @@ pub fn check_reference(
 /// Panics if the report carries no recorded schedule (callers go
 /// through [`validate`], which forces recording on).
 pub fn check_physical(report: &CompileReport, virt_vals: &[bool]) -> Result<(), Mismatch> {
+    let (_, virt) = replay(&report.trace, &[])?;
+    check_physical_against(report, virt_vals, virt.clbits())
+}
+
+/// [`check_physical`] against the classical bits of a virtual replay
+/// the caller already ran.
+fn check_physical_against(
+    report: &CompileReport,
+    virt_vals: &[bool],
+    virt_clbits: &Clbits,
+) -> Result<(), Mismatch> {
     let schedule = report
         .schedule
         .as_deref()
@@ -468,26 +366,14 @@ pub fn check_physical(report: &CompileReport, virt_vals: &[bool]) -> Result<(), 
     if let Some(m) = output_diff(Stage::PhysicalReplay, report, virt_vals, &phys_vals) {
         return Err(m);
     }
-    let (_, virt_clbits) = replay_virtual_state(&report.trace)?;
-    let mut all: Vec<ClbitId> = virt_clbits
-        .keys()
-        .chain(replay.clbits.keys())
-        .copied()
-        .collect();
-    all.sort_unstable();
-    all.dedup();
-    for clbit in all {
-        let virtual_value = virt_clbits.get(&clbit).copied();
-        let physical_value = replay.clbits.get(&clbit).copied();
-        if virtual_value != physical_value {
-            return Err(Mismatch::ClbitMismatch {
-                clbit,
-                virtual_value,
-                physical_value,
-            });
-        }
+    match virt_clbits.first_difference(&replay.clbits) {
+        Some(clbit) => Err(Mismatch::ClbitMismatch {
+            clbit,
+            virtual_value: virt_clbits.get(clbit),
+            physical_value: replay.clbits.get(clbit),
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Compiles `program` under `config` (with schedule recording forced
@@ -504,10 +390,11 @@ pub fn validate(
     let mut config = config.clone();
     config.record_schedule = true;
     let report = compile_with_inputs(program, inputs, &config)?;
-    let virt_vals = replay_virtual(&report.trace, &report.entry_register)?;
+    let (virt_vals, virt) =
+        replay(&report.trace, &report.entry_register).map_err(Mismatch::from)?;
     let lowered = lower_mcx(program);
     check_reference(&lowered, inputs, &report, &virt_vals)?;
-    check_physical(&report, &virt_vals)?;
+    check_physical_against(&report, &virt_vals, virt.clbits())?;
     Ok(Validated {
         outputs: virt_vals,
         report,
@@ -562,7 +449,7 @@ pub fn decision_summary(log: &[ReclaimDecision]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use square_qir::ProgramBuilder;
+    use square_qir::{Gate, ProgramBuilder};
 
     fn small_program() -> Program {
         let mut b = ProgramBuilder::new();
@@ -723,21 +610,40 @@ mod tests {
 
     #[test]
     fn dirty_trace_is_caught() {
+        use TraceFault::*;
         use TraceOp::*;
         let v = VirtId(0);
         let trace = vec![Alloc(v), Gate(square_qir::Gate::X { target: v }), Free(v)];
         assert_eq!(
             replay_virtual(&trace, &[]),
-            Err(Mismatch::DirtyFree { qubit: v, at: 2 })
+            Err(Mismatch::Hygiene(DirtyFree { qubit: v, at: 2 }))
         );
         let use_after = vec![Alloc(v), Free(v), Gate(square_qir::Gate::X { target: v })];
         assert_eq!(
             replay_virtual(&use_after, &[]),
-            Err(Mismatch::UseAfterFree { qubit: v, at: 2 })
+            Err(Mismatch::Hygiene(UseAfterFree { qubit: v, at: 2 }))
         );
         assert_eq!(
             replay_virtual(&[Alloc(v), Alloc(v)], &[]),
-            Err(Mismatch::DoubleAlloc { qubit: v })
+            Err(Mismatch::Hygiene(DoubleAlloc { qubit: v, at: 1 }))
+        );
+        // A register qubit dead at read-out is reported after the last
+        // op, not at op #0.
+        assert_eq!(
+            replay_virtual(&[Alloc(v), Free(v)], &[v]),
+            Err(Mismatch::Hygiene(UseAfterFree { qubit: v, at: 2 }))
+        );
+        let c = ClbitId(0);
+        let unmeasured = vec![
+            Alloc(v),
+            CondGate {
+                clbit: c,
+                gate: square_qir::Gate::X { target: v },
+            },
+        ];
+        assert_eq!(
+            replay_virtual(&unmeasured, &[]),
+            Err(Mismatch::Hygiene(UnmeasuredGuard { clbit: c, at: 1 }))
         );
     }
 

@@ -5,65 +5,9 @@
 //! preserve program meaning.
 
 use square_repro::core::{compile_with_inputs, CompilerConfig, Policy};
-use square_repro::qir::{ClbitId, Gate, TraceOp, VirtId};
 use square_repro::sim::run_ideal;
+use square_repro::verify::replay_virtual;
 use square_repro::workloads::{build, Benchmark};
-use std::collections::HashMap;
-
-/// Replays the compiler's virtual trace on booleans, asserting ancilla
-/// hygiene (every freed qubit is |0⟩), and returns the register values.
-fn replay_trace(trace: &[TraceOp], register: &[VirtId], label: &str) -> Vec<bool> {
-    let mut bits: HashMap<VirtId, bool> = HashMap::new();
-    let mut clbits: HashMap<ClbitId, bool> = HashMap::new();
-    for op in trace {
-        match op {
-            TraceOp::Alloc(v) => {
-                assert!(bits.insert(*v, false).is_none(), "{label}: double alloc");
-            }
-            TraceOp::Free(v) => {
-                let val = bits.remove(v).expect("free of dead qubit");
-                assert!(!val, "{label}: dirty ancilla freed");
-            }
-            TraceOp::Gate(g) => apply_gate(&mut bits, g),
-            TraceOp::Measure { qubit, clbit } => {
-                clbits.insert(*clbit, bits[qubit]);
-            }
-            TraceOp::CondGate { clbit, gate } => {
-                if clbits[clbit] {
-                    apply_gate(&mut bits, gate);
-                }
-            }
-        }
-    }
-    register.iter().map(|v| bits[v]).collect()
-}
-
-fn apply_gate(bits: &mut HashMap<VirtId, bool>, g: &Gate<VirtId>) {
-    let get = |q: &VirtId| bits[q];
-    match g {
-        Gate::X { target } => *bits.get_mut(target).unwrap() ^= true,
-        Gate::Cx { control, target } => {
-            if get(control) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Ccx { c0, c1, target } => {
-            if get(c0) && get(c1) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-        Gate::Swap { a, b } => {
-            let (va, vb) = (get(a), get(b));
-            bits.insert(*a, vb);
-            bits.insert(*b, va);
-        }
-        Gate::Mcx { controls, target } => {
-            if controls.iter().all(get) {
-                *bits.get_mut(target).unwrap() ^= true;
-            }
-        }
-    }
-}
 
 #[test]
 fn physical_schedule_matches_virtual_trace_on_all_nisq_benchmarks() {
@@ -75,8 +19,9 @@ fn physical_schedule_matches_virtual_trace_on_all_nisq_benchmarks() {
             let report =
                 compile_with_inputs(&program, &inputs, &cfg).expect("compiles on auto grid");
             let label = format!("{bench}/{policy}");
-            // Virtual trace replay (with hygiene assertions).
-            let virt_vals = replay_trace(&report.trace, &report.entry_register, &label);
+            // Virtual trace replay (with hygiene checks).
+            let virt_vals = replay_virtual(&report.trace, &report.entry_register)
+                .unwrap_or_else(|m| panic!("{label}: {m}"));
             // Physical schedule replay.
             let schedule = report.schedule.as_deref().expect("recorded");
             let phys_bits = run_ideal(schedule, report.machine_qubits);
@@ -134,11 +79,8 @@ fn policies_agree_on_program_outputs() {
         for policy in [Policy::Eager, Policy::Lazy] {
             let cfg = CompilerConfig::nisq(policy);
             let report = compile_with_inputs(&program, &inputs, &cfg).expect("compiles");
-            let vals = replay_trace(
-                &report.trace,
-                &report.entry_register,
-                &format!("{bench}/{policy}"),
-            );
+            let vals = replay_virtual(&report.trace, &report.entry_register)
+                .unwrap_or_else(|m| panic!("{bench}/{policy}: {m}"));
             match &reference {
                 None => reference = Some(vals),
                 Some(r) => assert_eq!(r, &vals, "{bench}/{policy}"),
