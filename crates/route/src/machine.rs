@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
 
@@ -34,7 +34,7 @@ use square_qir::{ClbitId, Gate, VirtId};
 
 use crate::braid::BraidField;
 use crate::config::RouterConfig;
-use crate::ctx::{RouterScratch, RoutingCtx};
+use crate::ctx::{NeighborTable, RouterScratch, RoutingCtx};
 use crate::error::RouteError;
 use crate::placement::Placement;
 use crate::router::{self, RouterKind};
@@ -218,13 +218,33 @@ pub struct RouteReport {
 #[derive(Debug, Clone)]
 enum DistAccel {
     /// Hop distance equals Manhattan distance on the cached embedding
-    /// (grid, line).
-    Manhattan,
+    /// (grid, line). `rect` is the `(width, height)` of the lattice
+    /// when the cells fill one exactly from the origin (a line is
+    /// `n × 1`).
+    Manhattan { rect: Option<(u32, u32)> },
     /// Graph-backed layout with shared per-target distance rows,
     /// built on demand (heavy-hex).
     Tables(FlatTables),
     /// Fall through to the topology's own (closed-form) answers.
     Virtual,
+}
+
+/// The `(width, height)` of the rectangle a placement's cells fill
+/// exactly, anchored at the origin; `None` otherwise. Cells of a
+/// Manhattan layout have distinct coordinates, so `n == w · h` with
+/// every coordinate inside the box means the box is full.
+fn filled_rect(placement: &Placement) -> Option<(u32, u32)> {
+    let n = placement.qubit_count();
+    let mut max = (0i32, 0i32);
+    for i in 0..n {
+        let (x, y) = placement.coord(PhysId(i as u32));
+        if x < 0 || y < 0 {
+            return None;
+        }
+        max = (max.0.max(x), max.1.max(y));
+    }
+    let (w, h) = (max.0 as u64 + 1, max.1 as u64 + 1);
+    (n > 0 && w * h == n as u64).then_some((w as u32, h as u32))
 }
 
 /// A machine being scheduled onto: topology + placement + clock.
@@ -236,6 +256,9 @@ pub struct Machine {
     comm: CommModel,
     config: RouterConfig,
     accel: DistAccel,
+    /// Flat neighbour rows for the Toffoli gather search, built on the
+    /// first gather and shared by the parallel layer planners.
+    neighbors: OnceLock<NeighborTable>,
     /// Upcoming-gate hint window for lookahead routers, filled by the
     /// executor before each gate.
     lookahead: Vec<Gate<VirtId>>,
@@ -276,8 +299,11 @@ impl Machine {
     /// (concurrent compiles) may hold the same `Arc`, reusing its
     /// cached distance rows. The machine never mutates the topology.
     pub fn with_shared(topo: Arc<dyn Topology>, config: MachineConfig) -> Self {
+        let placement = Placement::new(topo.as_ref());
         let accel = if topo.manhattan_distance() {
-            DistAccel::Manhattan
+            DistAccel::Manhattan {
+                rect: filled_rect(&placement),
+            }
         } else if let Some(tables) = topo.flat_tables() {
             DistAccel::Tables(tables)
         } else {
@@ -285,12 +311,13 @@ impl Machine {
         };
         Machine {
             clock: Clock::new(topo.qubit_count()),
-            placement: Placement::new(topo.as_ref()),
+            placement,
             sink: ScheduleSink::new(config.record_schedule),
             braid_field: BraidField::new(),
             comm: config.comm,
             config: config.router,
             accel,
+            neighbors: OnceLock::new(),
             lookahead: Vec::new(),
             scratch: Some(RouterScratch::default()),
             phys_buf: Vec::new(),
@@ -332,7 +359,7 @@ impl Machine {
     #[inline]
     pub fn distance(&self, a: PhysId, b: PhysId) -> u32 {
         match &self.accel {
-            DistAccel::Manhattan => {
+            DistAccel::Manhattan { .. } => {
                 let (ax, ay) = self.placement.coord(a);
                 let (bx, by) = self.placement.coord(b);
                 ax.abs_diff(bx) + ay.abs_diff(by)
@@ -356,6 +383,20 @@ impl Machine {
         match &self.accel {
             DistAccel::Tables(t) => t.next_hop(a, b),
             _ => self.topo.next_hop(a, b),
+        }
+    }
+
+    /// The coupling graph's flat neighbour rows (built on first use).
+    pub(crate) fn neighbor_table(&self) -> &NeighborTable {
+        self.neighbors
+            .get_or_init(|| NeighborTable::new(self.topo.as_ref()))
+    }
+
+    /// `(width, height)` when the cells fill a Manhattan lattice.
+    pub(crate) fn lattice(&self) -> Option<(u32, u32)> {
+        match self.accel {
+            DistAccel::Manhattan { rect } => rect,
+            _ => None,
         }
     }
 

@@ -231,6 +231,10 @@ fn plan_chain(
     }
 }
 
+/// Cells a Toffoli gather search may dequeue before it gives up and the
+/// gather falls back to a plain chain walk.
+pub(crate) const GATHER_VISIT_CAP: usize = 4096;
+
 /// Plans the historical Toffoli gather: bring both controls adjacent
 /// to the target, trying not to displace already-gathered operands.
 /// Returns `(retries, gave_up)` for the caller's statistics.
@@ -265,15 +269,7 @@ fn plan_gather(
             continue;
         }
         // c0 is in place; bring c1 next to t without crossing c0/t.
-        let found = bfs.bfs_to(
-            m.topo(),
-            p1,
-            &mut |cell| m.coupled(cell, pt) && cell != p0,
-            &[pt, p0],
-            4096,
-            path,
-        );
-        if found {
+        if bfs.gather_to(m, p1, pt, p0, GATHER_VISIT_CAP, path) {
             for i in 0..path.len().saturating_sub(1) {
                 let (a, b) = (path[i], path[i + 1]);
                 swaps.push((a, b));
@@ -735,22 +731,10 @@ fn la_gather(
             cur = hop;
         }
         if cur != goal {
-            let found = {
-                let RouterScratch { bfs, chain, .. } = &mut *s;
-                let mm: &Machine = m;
-                bfs.bfs_to(
-                    mm.topo(),
-                    cur,
-                    &mut |cell| mm.coupled(cell, pt) && cell != p0,
-                    &[pt, p0],
-                    4096,
-                    chain,
-                )
-            };
-            if found {
-                for i in 0..s.chain.len().saturating_sub(1) {
-                    let (x, y) = (s.chain[i], s.chain[i + 1]);
-                    m.swap_cells(x, y);
+            let RouterScratch { bfs, chain, .. } = &mut *s;
+            if bfs.gather_to(m, cur, pt, p0, GATHER_VISIT_CAP, chain) {
+                for w in chain.windows(2) {
+                    m.swap_cells(w[0], w[1]);
                 }
             } else {
                 route_adjacent_live(m, c1, t)?;

@@ -14,7 +14,9 @@ pub struct ScheduledGate {
     /// Start cycle.
     pub start: u64,
     /// Duration in cycles (1 for 1q/CNOT, 3 for SWAP, 6 for Toffoli).
-    pub dur: u64,
+    /// `u32` keeps the struct at 64 bytes; recorded MUL64 schedules
+    /// hold millions of these.
+    pub dur: u32,
     /// True for communication gates inserted by routing (swap chains /
     /// braid bookkeeping), false for program gates.
     pub is_comm: bool,
@@ -32,7 +34,7 @@ pub struct ScheduledGate {
 impl ScheduledGate {
     /// End cycle (exclusive).
     pub fn end(&self) -> u64 {
-        self.start + self.dur
+        self.start + u64::from(self.dur)
     }
 }
 
@@ -91,6 +93,12 @@ mod tests {
             }),
             6
         );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn scheduled_gate_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<ScheduledGate>(), 64);
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl ScheduleSink {
             s.push(ScheduledGate {
                 gate,
                 start,
-                dur,
+                dur: u32::try_from(dur).expect("gate duration fits in u32"),
                 is_comm,
                 guard,
                 measure,

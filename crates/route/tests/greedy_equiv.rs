@@ -6,7 +6,8 @@
 //! its own placement in hash maps, the way the pre-redesign code did.
 //! The full scheduled gate sequence, swap counts, gather statistics,
 //! and final placements must agree **exactly**, on all five topology
-//! families.
+//! families, and on a lattice large enough that the gather search hits
+//! its visit cap.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -33,6 +34,8 @@ struct HistoricalGreedy<'t> {
     swaps: u64,
     gather_retries: u64,
     gather_failures: u64,
+    /// Avoid-BFS searches that ran out of their visit budget.
+    capped_searches: u64,
 }
 
 impl<'t> HistoricalGreedy<'t> {
@@ -45,6 +48,7 @@ impl<'t> HistoricalGreedy<'t> {
             swaps: 0,
             gather_retries: 0,
             gather_failures: 0,
+            capped_searches: 0,
         }
     }
 
@@ -93,7 +97,7 @@ impl<'t> HistoricalGreedy<'t> {
     /// Historical avoid-BFS: shortest path from `from` to any cell
     /// coupled to `pt` other than `p0`, never crossing `pt` or `p0`,
     /// goal-tested at discovery, 4096-visit budget.
-    fn bfs_avoiding(&self, from: PhysId, pt: PhysId, p0: PhysId) -> Option<Vec<PhysId>> {
+    fn bfs_avoiding(&mut self, from: PhysId, pt: PhysId, p0: PhysId) -> Option<Vec<PhysId>> {
         let goal = |c: PhysId| self.coupled(c, pt) && c != p0;
         if goal(from) {
             return Some(vec![from]);
@@ -107,6 +111,7 @@ impl<'t> HistoricalGreedy<'t> {
         while let Some(cur) = queue.pop_front() {
             visits += 1;
             if visits > 4096 {
+                self.capped_searches += 1;
                 return None;
             }
             let mut found = None;
@@ -199,6 +204,9 @@ fn fabrics() -> Vec<(&'static str, Box<dyn Topology>)> {
         ("line", Box::new(LineTopology::new(10))),
         ("heavyhex", Box::new(HeavyHexTopology::new(3))),
         ("ring", Box::new(RingTopology::new(10))),
+        // Scattered operands sit ~64 hops apart here, so gathers
+        // exhaust the 4,096-visit search budget.
+        ("grid96", Box::new(GridTopology::new(96, 96))),
     ]
 }
 
@@ -231,6 +239,56 @@ fn decode_gate(op: u8, x: u8, y: u8, z: u8, k: u32) -> Option<Gate<VirtId>> {
     }
 }
 
+/// Routes `script` on a recording machine and on the historical model
+/// from the same initial placement, and checks they agree exactly.
+/// Returns the model's capped-search count.
+fn assert_matches_model(
+    name: &str,
+    topo: Arc<dyn Topology>,
+    placement: &[(VirtId, PhysId)],
+    script: &[Gate<VirtId>],
+) -> u64 {
+    let mut m = Machine::with_shared(Arc::clone(&topo), MachineConfig::nisq().with_schedule());
+    let mut model = HistoricalGreedy::new(&*topo);
+    for &(v, p) in placement {
+        m.place_at(v, p).expect("cell is free");
+        model.place(v, p);
+    }
+    for gate in script {
+        m.apply(gate).expect("routable");
+        model.route_gate(gate);
+    }
+
+    // The machine and the model must have emitted the exact same
+    // physical gate sequence...
+    let report = m.finish();
+    assert_eq!(report.stats.swaps, model.swaps, "swap count ({name})");
+    assert_eq!(
+        report.stats.gather_retries, model.gather_retries,
+        "gather retries ({name})"
+    );
+    assert_eq!(
+        report.stats.gather_failures, model.gather_failures,
+        "gather failures ({name})"
+    );
+    let schedule = report.schedule.as_ref().expect("recording enabled");
+    assert_eq!(
+        schedule.len(),
+        model.schedule.len(),
+        "schedule length ({name})"
+    );
+    for (got, want) in schedule.iter().zip(&model.schedule) {
+        assert_eq!(&got.gate, &want.0, "gate mismatch ({name})");
+        assert_eq!(got.is_comm, want.1, "comm flag mismatch ({name})");
+    }
+    // ...and agree on where every qubit ended up.
+    assert_eq!(
+        report.final_placement, model.pos,
+        "final placement diverged ({name})"
+    );
+    model.capped_searches
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -242,57 +300,45 @@ proptest! {
             0..32,
         ),
     ) {
+        let script: Vec<_> = script
+            .iter()
+            .filter_map(|&(op, x, y, z)| decode_gate(op, x, y, z, k))
+            .collect();
         for (name, topo) in fabrics() {
             let n = topo.qubit_count();
             assert!(n >= k as usize, "fabric too small for the script");
-            let topo: Arc<dyn Topology> = Arc::from(topo);
-            let mut m =
-                Machine::with_shared(Arc::clone(&topo), MachineConfig::nisq().with_schedule());
-            let mut model = HistoricalGreedy::new(&*topo);
-
             // Deterministic scattered placement: seed-probed cells,
             // linear-probing past collisions.
+            let mut placement: Vec<(VirtId, PhysId)> = Vec::new();
             for v in 0..k {
                 let mut cell = usize::from(seeds[v as usize % seeds.len()]) % n;
-                while model.occ.contains_key(&PhysId(cell as u32)) {
+                while placement.iter().any(|&(_, p)| p.index() == cell) {
                     cell = (cell + 1) % n;
                 }
-                let p = PhysId(cell as u32);
-                m.place_at(VirtId(v), p).expect("probed cell is free");
-                model.place(VirtId(v), p);
+                placement.push((VirtId(v), PhysId(cell as u32)));
             }
-
-            for &(op, x, y, z) in &script {
-                let Some(gate) = decode_gate(op, x, y, z, k) else {
-                    continue;
-                };
-                m.apply(&gate).expect("routable");
-                model.route_gate(&gate);
-            }
-
-            // The machine and the model must have emitted the exact
-            // same physical gate sequence...
-            let report = m.finish();
-            prop_assert_eq!(report.stats.swaps, model.swaps, "swap count ({name})");
-            prop_assert_eq!(
-                report.stats.gather_retries, model.gather_retries,
-                "gather retries ({name})"
-            );
-            prop_assert_eq!(
-                report.stats.gather_failures, model.gather_failures,
-                "gather failures ({name})"
-            );
-            let schedule = report.schedule.as_ref().expect("recording enabled");
-            prop_assert_eq!(schedule.len(), model.schedule.len(), "schedule length ({name})");
-            for (got, want) in schedule.iter().zip(&model.schedule) {
-                prop_assert_eq!(&got.gate, &want.0, "gate mismatch ({name})");
-                prop_assert_eq!(got.is_comm, want.1, "comm flag mismatch ({name})");
-            }
-            // ...and agree on where every qubit ended up.
-            prop_assert_eq!(
-                report.final_placement, model.pos,
-                "final placement diverged ({name})"
-            );
+            assert_matches_model(name, Arc::from(topo), &placement, &script);
         }
     }
+}
+
+/// A Toffoli whose second control starts across a 96 × 96 lattice from
+/// the target: the avoid-BFS runs out of budget, the gather falls back
+/// to a chain walk, and the machine must still agree with the model.
+#[test]
+fn capped_gather_matches_historical_greedy() {
+    let topo: Arc<dyn Topology> = Arc::new(GridTopology::new(96, 96));
+    let at = |x: u32, y: u32| PhysId(y * 96 + x);
+    let (c0, c1, t) = (VirtId(0), VirtId(1), VirtId(2));
+    let placement = [(t, at(50, 50)), (c0, at(51, 50)), (c1, at(0, 0))];
+    let script = [
+        Gate::Ccx { c0, c1, target: t },
+        Gate::Ccx {
+            c0: c1,
+            c1: c0,
+            target: t,
+        },
+    ];
+    let capped = assert_matches_model("grid96", topo, &placement, &script);
+    assert!(capped > 0, "the gather never hit its visit cap");
 }

@@ -381,7 +381,7 @@ fn schedule_json(report: &CompileReport) -> Value {
             Value::map([
                 ("gate", Value::String(g.gate.to_string())),
                 ("start", Value::UInt(g.start)),
-                ("dur", Value::UInt(g.dur)),
+                ("dur", Value::UInt(u64::from(g.dur))),
                 ("comm", Value::Bool(g.is_comm)),
             ])
         })

@@ -151,7 +151,7 @@ mod tests {
     use super::*;
     use square_qir::{ClbitId, Gate};
 
-    fn sg(gate: Gate<PhysId>, start: u64, dur: u64, is_comm: bool) -> ScheduledGate {
+    fn sg(gate: Gate<PhysId>, start: u64, dur: u32, is_comm: bool) -> ScheduledGate {
         ScheduledGate {
             gate,
             start,

@@ -139,7 +139,7 @@ pub fn run_noisy_shot(
         // Relaxation during the event itself (measurement readout and
         // skipped guards occupy the cell too).
         for q in &operands {
-            if bits[q.index()] && noise.sample_relax(g.dur, rng) {
+            if bits[q.index()] && noise.sample_relax(u64::from(g.dur), rng) {
                 bits[q.index()] = false;
             }
             last_time[q.index()] = g.end();
@@ -196,7 +196,7 @@ mod tests {
     use super::*;
     use square_arch::NoiseParams;
 
-    fn sched(gates: Vec<(Gate<PhysId>, u64, u64)>) -> Vec<ScheduledGate> {
+    fn sched(gates: Vec<(Gate<PhysId>, u64, u32)>) -> Vec<ScheduledGate> {
         gates
             .into_iter()
             .map(|(gate, start, dur)| ScheduledGate {
@@ -288,7 +288,7 @@ mod tests {
     fn deeper_circuits_are_noisier() {
         let noise = NoiseModel::new(NoiseParams::paper_simulation());
         let shallow = sched(vec![(Gate::X { target: PhysId(0) }, 0, 1)]);
-        let mut deep_gates = vec![(Gate::X { target: PhysId(0) }, 0u64, 1u64)];
+        let mut deep_gates = vec![(Gate::X { target: PhysId(0) }, 0u64, 1u32)];
         for i in 0..200u64 {
             // 100 CNOT pairs that cancel: identity circuit with depth.
             deep_gates.push((
