@@ -17,7 +17,7 @@ use square_qir::{
     analysis::ProgramStats, lower_mcx, scan_mbu_slice, trace::invert_slice_into, ClbitId, Gate,
     ModuleId, Operand, Program, Stmt, TraceOp, VirtId,
 };
-use square_route::{Machine, MachineConfig, RouterConfig, RouterKind};
+use square_route::{Machine, MachineConfig, PhysicalCheck, RouterConfig, RouterKind};
 
 use crate::budget::{scan_candidate, BudgetState};
 use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
@@ -142,6 +142,50 @@ pub fn compile_prepared_on(
     config: &CompilerConfig,
     topo: Arc<dyn Topology>,
 ) -> Result<CompileReport, CompileError> {
+    Ok(compile_on(prepared, inputs, config, topo, false)?.0)
+}
+
+/// Compiles from pre-built prefix artifacts and runs the physical
+/// check of translation validation over every routed gate.
+///
+/// With `config.record_schedule` off, the machine streams its gates
+/// through the check as it emits them: the report carries no schedule
+/// or placement history, and memory stays proportional to the machine,
+/// not the schedule. With it on, the schedule and history are recorded
+/// and the check then runs over the recorded slice. Either way it is
+/// the same [`PhysicalCheck::step`] over the same gates, in the same
+/// order.
+///
+/// # Errors
+///
+/// See [`compile`].
+pub fn compile_checked(
+    prepared: &PreparedProgram,
+    inputs: &[bool],
+    config: &CompilerConfig,
+) -> Result<(CompileReport, PhysicalCheck), CompileError> {
+    let topo: Arc<dyn Topology> = Arc::from(config.arch.build(prepared.capacity_hint));
+    let (report, streamed) = compile_on(prepared, inputs, config, topo, !config.record_schedule)?;
+    let check = match streamed {
+        Some(check) => check,
+        None => PhysicalCheck::run(
+            report.schedule.as_deref().expect("recording on"),
+            report.machine_qubits,
+            report.comm,
+        ),
+    };
+    Ok((report, check))
+}
+
+/// The executor proper; `check` streams the machine's gates through a
+/// [`PhysicalCheck`], handed back next to the report.
+fn compile_on(
+    prepared: &PreparedProgram,
+    inputs: &[bool],
+    config: &CompilerConfig,
+    topo: Arc<dyn Topology>,
+    check: bool,
+) -> Result<(CompileReport, Option<PhysicalCheck>), CompileError> {
     let lowered = &prepared.lowered;
     // Braiding never consults the swap-chain router: normalize the
     // recorded selection to greedy so reports cannot claim a lookahead
@@ -153,7 +197,7 @@ pub fn compile_prepared_on(
             ..config.router
         },
     };
-    let machine = Machine::with_shared(
+    let mut machine = Machine::with_shared(
         topo,
         MachineConfig {
             comm: config.comm,
@@ -161,6 +205,9 @@ pub fn compile_prepared_on(
             router,
         },
     );
+    if check {
+        machine.enable_physical_check();
+    }
     let heap = AncillaHeap::with_capacity(machine.qubit_count());
     let mut exec = Exec {
         program: lowered,
@@ -207,7 +254,7 @@ pub fn compile_prepared_on(
     let route_report = exec.machine.finish();
     let router = router.kind;
     let aqv_value = square_metrics::aqv(route_report.segments.iter().map(|s| (s.start, s.end)));
-    Ok(CompileReport {
+    let report = CompileReport {
         policy,
         comm,
         router,
@@ -234,7 +281,8 @@ pub fn compile_prepared_on(
         recompute,
         mbu: config.mbu,
         mbu_stats,
-    })
+    };
+    Ok((report, route_report.check))
 }
 
 /// Which block of a module [`Exec::run_block`] is executing (selects

@@ -40,6 +40,6 @@ pub use machine::{
 };
 pub use placement::{CellSet, Placement};
 pub use router::{GreedyRouter, LookaheadRouter, Router, RouterKind};
-pub use schedule::{gate_duration, ScheduledGate};
+pub use schedule::{gate_duration, step_gate, PhysicalCheck, ScheduleViolation, ScheduledGate};
 pub use sink::ScheduleSink;
 pub use timeline::Clock;

@@ -8,7 +8,8 @@
 //! * [`Clock`] — when: per-qubit ASAP availability and the makespan
 //!   (read via [`Machine::clock`]);
 //! * [`ScheduleSink`] — what came out: statistics, liveness segments,
-//!   and the optional recorded circuit and placement history.
+//!   and the physical gates — dropped, recorded with the placement
+//!   history, or streamed through a [`PhysicalCheck`].
 //!
 //! Placing a virtual qubit binds it to a physical slot; applying a
 //! gate resolves connectivity (swap chains on NISQ, braids on FT),
@@ -38,7 +39,7 @@ use crate::ctx::{NeighborTable, RouterScratch, RoutingCtx};
 use crate::error::RouteError;
 use crate::placement::Placement;
 use crate::router::{self, RouterKind};
-use crate::schedule::{gate_duration, ScheduledGate};
+use crate::schedule::{gate_duration, PhysicalCheck, ScheduledGate};
 use crate::sink::ScheduleSink;
 use crate::timeline::Clock;
 
@@ -210,6 +211,9 @@ pub struct RouteReport {
     pub placement_history: Option<Vec<PlacementEvent>>,
     /// Which swap-chain router produced this schedule.
     pub router: RouterKind,
+    /// The physical check every emitted gate was streamed through (if
+    /// [`Machine::enable_physical_check`] was called).
+    pub check: Option<PhysicalCheck>,
 }
 
 /// Distance acceleration mode, resolved once at construction: the
@@ -324,6 +328,27 @@ impl Machine {
             pending_guard: None,
             topo,
         }
+    }
+
+    /// Streams every gate the machine emits from now on through a
+    /// [`PhysicalCheck`] over all its qubits, instead of recording or
+    /// dropping it; [`Machine::finish`] hands the check back in
+    /// [`RouteReport::check`]. Translation validation this way needs
+    /// memory for the machine, not for the schedule. Replaces schedule
+    /// and history recording, if it was on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate was already emitted: the check must see the
+    /// whole stream.
+    pub fn enable_physical_check(&mut self) {
+        let stats = self.sink.stats();
+        assert!(
+            stats.program_gates == 0 && stats.swaps == 0,
+            "physical check enabled after gates were emitted"
+        );
+        self.sink
+            .check_with(PhysicalCheck::new(self.qubit_count(), self.comm));
     }
 
     /// The machine's topology.
@@ -592,7 +617,7 @@ impl Machine {
         let start = self.clock.occupy_asap(&[p], 1);
         self.sink.note_usage(v, start, start + 1);
         self.sink.stats.program_gates += 1;
-        if self.sink.records_schedule() {
+        if self.sink.emits_gates() {
             self.sink
                 .record_classical(Gate::X { target: p }, start, 1, false, None, Some(clbit));
         }
@@ -751,7 +776,7 @@ impl Machine {
             sink.stats.multi_qubit_gates += 1;
         }
         let guard = self.pending_guard;
-        if self.sink.records_schedule() {
+        if self.sink.emits_gates() {
             let phys_gate = gate.map(|v| self.phys_must(*v));
             self.sink
                 .record_classical(phys_gate, start, dur, false, guard, None);
@@ -840,7 +865,7 @@ impl Machine {
             sink.stats.multi_qubit_gates += 1;
         }
         let guard = self.pending_guard;
-        if self.sink.records_schedule() {
+        if self.sink.emits_gates() {
             let phys_gate = gate.map(|v| self.phys_must(*v));
             self.sink
                 .record_classical(phys_gate, start, dur, false, guard, None);
@@ -867,7 +892,7 @@ impl Machine {
         let final_placement = self.placement.final_placement();
         let footprint = self.placement.footprint();
         let peak_active = self.placement.peak_active();
-        let (stats, schedule, history, mut segments, open) = self.sink.into_parts();
+        let (stats, schedule, history, check, mut segments, open) = self.sink.into_parts();
         for (v, (first, last)) in open {
             // Still-live qubits (outputs, garbage never reclaimed)
             // stay exposed until program end.
@@ -889,6 +914,7 @@ impl Machine {
             final_placement,
             placement_history: history,
             router: self.config.kind,
+            check,
         }
     }
 }
@@ -1099,6 +1125,51 @@ mod tests {
         let mut m = Machine::new(Box::new(GridTopology::new(2, 2)), MachineConfig::nisq());
         m.place_at(VirtId(0), PhysId(0)).unwrap();
         assert!(m.finish().placement_history.is_none());
+    }
+
+    #[test]
+    fn streamed_check_equals_a_run_over_the_recorded_schedule() {
+        let drive = |m: &mut Machine| {
+            m.place_at(VirtId(0), PhysId(0)).unwrap();
+            m.place_at(VirtId(1), PhysId(4)).unwrap();
+            m.apply(&Gate::X { target: VirtId(0) }).unwrap();
+            m.apply(&Gate::Cx {
+                control: VirtId(0),
+                target: VirtId(1),
+            })
+            .unwrap();
+            m.measure(VirtId(1), ClbitId(0)).unwrap();
+            m.apply_guarded(&Gate::X { target: VirtId(1) }, ClbitId(0))
+                .unwrap();
+        };
+        let mut recorded = grid_machine(5, 1);
+        drive(&mut recorded);
+        let recorded = recorded.finish();
+        assert!(recorded.check.is_none());
+        let schedule = recorded.schedule.expect("recording on");
+        let mut streamed = Machine::new(Box::new(GridTopology::new(5, 1)), MachineConfig::nisq());
+        streamed.enable_physical_check();
+        drive(&mut streamed);
+        let streamed = streamed.finish();
+        assert!(streamed.schedule.is_none() && streamed.placement_history.is_none());
+        let check = streamed.check.expect("check on");
+        assert_eq!(
+            check,
+            PhysicalCheck::run(&schedule, 5, CommModel::SwapChains)
+        );
+        assert_eq!(check.gates(), schedule.len() as u64);
+        assert!(check.comm_gates() > 0, "routing swapped");
+        assert_eq!(check.clbits().get(ClbitId(0)), Some(true));
+        assert_eq!(check.violation(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "after gates were emitted")]
+    fn physical_check_must_see_the_whole_stream() {
+        let mut m = Machine::new(Box::new(GridTopology::new(2, 1)), MachineConfig::nisq());
+        m.place_at(VirtId(0), PhysId(0)).unwrap();
+        m.apply(&Gate::X { target: VirtId(0) }).unwrap();
+        m.enable_physical_check();
     }
 
     #[test]

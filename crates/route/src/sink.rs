@@ -2,8 +2,9 @@
 //!
 //! [`ScheduleSink`] is the output half of the machine's
 //! `Placement`/`Clock`/`ScheduleSink` split: communication statistics,
-//! the optional recorded physical circuit and placement history, and
-//! per-qubit liveness. Liveness intervals are a flat `Vec` indexed by
+//! the physical gates (dropped, recorded with the placement history,
+//! or streamed through a [`PhysicalCheck`]), and per-qubit liveness.
+//! Liveness intervals are a flat `Vec` indexed by
 //! `VirtId` (sentinel-tagged) instead of the old `HashMap`, so the
 //! per-gate `note_usage` on the routing hot path is two array writes.
 
@@ -11,19 +12,34 @@ use square_arch::PhysId;
 use square_qir::{ClbitId, VirtId};
 
 use crate::machine::{CommStats, LivenessSegment, PlacementEvent};
-use crate::schedule::ScheduledGate;
+use crate::schedule::{PhysicalCheck, ScheduledGate};
 
 /// Sentinel `(first, last)` for a qubit with no recorded usage.
 const UNUSED: (u64, u64) = (u64::MAX, 0);
 
-/// Collects the outputs of a machine run: stats, recorded schedule and
-/// placement history (when enabled), liveness segments, and the open
-/// per-qubit usage intervals that become segments on release/finish.
+/// Where the physical gates of a machine run go.
+#[derive(Debug, Clone)]
+enum Emit {
+    /// Nowhere: only statistics and liveness are kept.
+    Off,
+    /// Kept whole, with the placement history: O(gates) memory.
+    Record {
+        schedule: Vec<ScheduledGate>,
+        history: Vec<PlacementEvent>,
+    },
+    /// Stepped through the physical check as emitted, then dropped:
+    /// O(machine qubits) memory.
+    Check(PhysicalCheck),
+}
+
+/// Collects the outputs of a machine run: stats, the emitted physical
+/// gates (recorded with the placement history, or streamed through a
+/// [`PhysicalCheck`]), liveness segments, and the open per-qubit usage
+/// intervals that become segments on release/finish.
 #[derive(Debug, Clone)]
 pub struct ScheduleSink {
     pub(crate) stats: CommStats,
-    schedule: Option<Vec<ScheduledGate>>,
-    history: Option<Vec<PlacementEvent>>,
+    emit: Emit,
     segments: Vec<LivenessSegment>,
     /// `usage[v]` = (first cycle touched, cycle after last gate), or
     /// [`UNUSED`]; grows as higher `VirtId`s appear.
@@ -35,8 +51,14 @@ impl ScheduleSink {
     pub fn new(record: bool) -> Self {
         ScheduleSink {
             stats: CommStats::default(),
-            schedule: record.then(Vec::new),
-            history: record.then(Vec::new),
+            emit: if record {
+                Emit::Record {
+                    schedule: Vec::new(),
+                    history: Vec::new(),
+                }
+            } else {
+                Emit::Off
+            },
             segments: Vec::new(),
             usage: Vec::new(),
         }
@@ -47,11 +69,17 @@ impl ScheduleSink {
         &self.stats
     }
 
-    /// True when the sink captures the physical schedule (and the
-    /// placement history — same knob, same memory rationale).
+    /// True when emitted gates go anywhere (recorded or checked), so
+    /// callers must build their physical form.
     #[inline]
-    pub fn records_schedule(&self) -> bool {
-        self.schedule.is_some()
+    pub(crate) fn emits_gates(&self) -> bool {
+        !matches!(self.emit, Emit::Off)
+    }
+
+    /// Streams every gate emitted from now on through `check` instead
+    /// of recording or dropping it.
+    pub(crate) fn check_with(&mut self, check: PhysicalCheck) {
+        self.emit = Emit::Check(check);
     }
 
     /// Widens `v`'s liveness interval to cover `[start, end)`.
@@ -82,12 +110,12 @@ impl ScheduleSink {
     /// Records a placement event (no-op unless recording).
     #[inline]
     pub(crate) fn event(&mut self, ev: PlacementEvent) {
-        if let Some(h) = &mut self.history {
-            h.push(ev);
+        if let Emit::Record { history, .. } = &mut self.emit {
+            history.push(ev);
         }
     }
 
-    /// Records a scheduled gate (no-op unless recording).
+    /// Emits a scheduled gate (no-op when emission is off).
     #[inline]
     pub(crate) fn record(
         &mut self,
@@ -99,9 +127,10 @@ impl ScheduleSink {
         self.record_classical(gate, start, dur, is_comm, None, None);
     }
 
-    /// Records a scheduled gate carrying classical-bit annotations: a
+    /// Emits a scheduled gate carrying classical-bit annotations: a
     /// guard (classically controlled gate) or a measurement target
-    /// (no-op unless recording).
+    /// (no-op when emission is off). The gate is built once, then
+    /// recorded or stepped.
     #[inline]
     pub(crate) fn record_classical(
         &mut self,
@@ -112,21 +141,30 @@ impl ScheduleSink {
         guard: Option<ClbitId>,
         measure: Option<ClbitId>,
     ) {
-        if let Some(s) = &mut self.schedule {
-            s.push(ScheduledGate {
-                gate,
-                start,
-                dur: u32::try_from(dur).expect("gate duration fits in u32"),
-                is_comm,
-                guard,
-                measure,
-            });
+        // The hot unrecorded path builds nothing.
+        if let Emit::Off = self.emit {
+            return;
+        }
+        let g = ScheduledGate {
+            gate,
+            start,
+            dur: u32::try_from(dur).expect("gate duration fits in u32"),
+            is_comm,
+            guard,
+            measure,
+        };
+        match &mut self.emit {
+            Emit::Off => {}
+            Emit::Record { schedule, .. } => schedule.push(g),
+            Emit::Check(check) => {
+                check.step(&g);
+            }
         }
     }
 
     /// Decomposes the sink for `Machine::finish`: stats, recorded
-    /// outputs, closed segments, and the still-open usage intervals in
-    /// ascending `VirtId` order.
+    /// schedule and history, the streamed check, closed segments, and
+    /// the still-open usage intervals in ascending `VirtId` order.
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_parts(
         self,
@@ -134,6 +172,7 @@ impl ScheduleSink {
         CommStats,
         Option<Vec<ScheduledGate>>,
         Option<Vec<PlacementEvent>>,
+        Option<PhysicalCheck>,
         Vec<LivenessSegment>,
         Vec<(VirtId, (u64, u64))>,
     ) {
@@ -144,7 +183,12 @@ impl ScheduleSink {
             .filter(|&(_, e)| e.0 != u64::MAX)
             .map(|(v, e)| (VirtId(v as u32), e))
             .collect();
-        (self.stats, self.schedule, self.history, self.segments, open)
+        let (schedule, history, check) = match self.emit {
+            Emit::Off => (None, None, None),
+            Emit::Record { schedule, history } => (Some(schedule), Some(history), None),
+            Emit::Check(check) => (None, None, Some(check)),
+        };
+        (self.stats, schedule, history, check, self.segments, open)
     }
 }
 
@@ -155,7 +199,7 @@ mod tests {
     #[test]
     fn usage_merges_and_takes() {
         let mut s = ScheduleSink::new(false);
-        assert!(!s.records_schedule());
+        assert!(!s.emits_gates());
         s.note_usage(VirtId(3), 5, 8);
         s.note_usage(VirtId(3), 2, 6);
         assert_eq!(s.take_usage(VirtId(3)), Some((2, 8)));
@@ -166,11 +210,11 @@ mod tests {
     #[test]
     fn into_parts_lists_open_usage_in_virt_order() {
         let mut s = ScheduleSink::new(true);
-        assert!(s.records_schedule());
+        assert!(s.emits_gates());
         s.note_usage(VirtId(4), 1, 2);
         s.note_usage(VirtId(1), 0, 3);
-        let (_, schedule, history, segments, open) = s.into_parts();
-        assert!(schedule.is_some() && history.is_some());
+        let (_, schedule, history, check, segments, open) = s.into_parts();
+        assert!(schedule.is_some() && history.is_some() && check.is_none());
         assert!(segments.is_empty());
         assert_eq!(open, vec![(VirtId(1), (0, 3)), (VirtId(4), (1, 2))]);
     }

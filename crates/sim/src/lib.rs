@@ -27,5 +27,5 @@ pub mod replay;
 pub mod trajectory;
 
 pub use noise::NoiseModel;
-pub use replay::{check_swapchain_schedule, replay_schedule, Replay, ScheduleViolation};
+pub use replay::{check_swapchain_schedule, replay_schedule, step_gate, Replay, ScheduleViolation};
 pub use trajectory::{run_ideal, run_noisy, sample_histogram, TrajectoryConfig};

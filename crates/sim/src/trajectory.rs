@@ -13,10 +13,9 @@ use rand::{Rng, SeedableRng};
 use square_arch::PhysId;
 use square_metrics::Histogram;
 use square_qir::{Clbits, Gate};
-use square_route::ScheduledGate;
+use square_route::{step_gate, ScheduledGate};
 
 use crate::noise::NoiseModel;
-use crate::replay::step_gate;
 
 /// Options for trajectory sampling.
 #[derive(Debug, Clone, Copy)]
@@ -60,8 +59,8 @@ fn error_events(gate: &Gate<PhysId>) -> (u32, u32) {
 ///
 /// Gates are applied in record order — the machine's emission order —
 /// which is the correct data-dependency order for both swap-chain and
-/// braided schedules (see `crate::replay` for why start-cycle sorting
-/// is unsound on braided composite gates).
+/// braided schedules (see `square_route::schedule` for why start-cycle
+/// sorting is unsound on braided composite gates).
 pub fn run_ideal(schedule: &[ScheduledGate], n_qubits: usize) -> Vec<bool> {
     crate::replay::replay_schedule(schedule, n_qubits).bits
 }

@@ -13,7 +13,8 @@
 //!
 //! 1. virtual-trace replay with ancilla-hygiene checking,
 //! 2. reference semantics under the recorded decision log,
-//! 3. physical schedule replay + per-qubit ASAP consistency.
+//! 3. physical schedule replay + per-qubit ASAP consistency, streamed
+//!    from the machine as gates are emitted (no recorded schedule).
 //!
 //! On top sits the seeded **pipeline fuzzer** ([`fuzz`]): one
 //! meta-seed derives a random modular program and input pattern;

@@ -16,26 +16,33 @@
 //!    decisions.
 //! 3. **Physical replay** ([`check_physical`]): the routed, scheduled
 //!    physical gate stream — inserted SWAP chains, relocated |0⟩
-//!    cells, recycled ancilla slots and all — is replayed on a
-//!    physical basis-state vector and read back through the final
-//!    placement; the data register must again agree. Swap-chain
-//!    schedules additionally pass the per-qubit ASAP consistency
-//!    check.
+//!    cells, recycled ancilla slots and all — is stepped in record
+//!    order through a [`PhysicalCheck`] (a basis state over every
+//!    machine qubit) and read back through the final placement; the
+//!    data register must again agree. Swap-chain schedules
+//!    additionally pass the per-qubit ASAP consistency check.
 //!
 //! [`validate`] composes all three over a single compile, and
-//! [`validate_benchmark`] runs a catalog benchmark cell.
+//! [`validate_benchmark`] runs a catalog benchmark cell. Unless the
+//! caller asks for the schedule (`record_schedule`), `validate` never
+//! records it: the machine streams each gate through the physical
+//! check as it is emitted ([`compile_checked`]), so validation needs
+//! memory for the machine and the virtual trace, not for the physical
+//! schedule. The placement history exists only to explain a mismatch;
+//! compiles are deterministic, so on any physical mismatch `validate`
+//! compiles once more with recording on and reports the diagnosis of
+//! the recorded schedule, placement journey included.
 
 use std::fmt;
 
-use square_arch::{CommModel, PhysId};
+use square_arch::PhysId;
 use square_core::{
-    compile_with_inputs, CompileError, CompileReport, CompilerConfig, Policy, ReclaimDecision,
-    RouterKind, SweepArch,
+    compile_checked, compile_prepared, CompileError, CompileReport, CompilerConfig, Policy,
+    PreparedProgram, ReclaimDecision, RouterKind, SweepArch,
 };
 use square_qir::sem::{replay, RecordedDecisions, SemError, TraceFault};
-use square_qir::{lower_mcx, ClbitId, Clbits, Program, TraceOp, VirtId};
-use square_route::journey_of;
-use square_sim::{check_swapchain_schedule, replay_schedule, ScheduleViolation};
+use square_qir::{ClbitId, Clbits, Program, TraceOp, VirtId};
+use square_route::{journey_of, PhysicalCheck, ScheduleViolation};
 use square_workloads::{build, Benchmark};
 
 /// Which oracle layer detected a disagreement.
@@ -251,8 +258,10 @@ impl From<Mismatch> for ValidationError {
 pub struct Validated {
     /// Final entry-register values (agreed on by all three layers).
     pub outputs: Vec<bool>,
-    /// The full compile report (schedule and placement history
-    /// included — validation forces recording on).
+    /// The full compile report. It carries the schedule and placement
+    /// history only when the config asked for them
+    /// (`record_schedule`); otherwise validation streamed the physical
+    /// check and recorded neither.
     pub report: CompileReport,
 }
 
@@ -338,8 +347,9 @@ pub fn check_reference(
 ///
 /// # Panics
 ///
-/// Panics if the report carries no recorded schedule (callers go
-/// through [`validate`], which forces recording on).
+/// Panics if the report carries no recorded schedule: compile with
+/// `record_schedule` on. ([`validate`] needs no recording; it streams
+/// the same check from the machine.)
 pub fn check_physical(report: &CompileReport, virt_vals: &[bool]) -> Result<(), Mismatch> {
     let (_, virt) = replay(&report.trace, &[])?;
     check_physical_against(report, virt_vals, virt.clbits())
@@ -355,29 +365,64 @@ fn check_physical_against(
     let schedule = report
         .schedule
         .as_deref()
-        .expect("validation requires a recorded schedule");
-    if report.comm == CommModel::SwapChains {
-        if let Err(violation) = check_swapchain_schedule(schedule) {
-            return Err(Mismatch::ScheduleInconsistent { violation });
-        }
+        .expect("checking a report requires a recorded schedule");
+    let check = PhysicalCheck::run(schedule, report.machine_qubits, report.comm);
+    physical_verdict(report, &check, virt_vals, virt_clbits)
+}
+
+/// The physical layer's verdict on a finished [`PhysicalCheck`], in
+/// priority order: the swap-chain interval test, then the read-back
+/// register, then the classical side channel.
+fn physical_verdict(
+    report: &CompileReport,
+    check: &PhysicalCheck,
+    virt_vals: &[bool],
+    virt_clbits: &Clbits,
+) -> Result<(), Mismatch> {
+    if let Some(violation) = check.violation() {
+        return Err(Mismatch::ScheduleInconsistent { violation });
     }
-    let replay = replay_schedule(schedule, report.machine_qubits);
-    let phys_vals = replay.read(&report.measure_map());
+    let phys_vals = check.read(&report.measure_map());
     if let Some(m) = output_diff(Stage::PhysicalReplay, report, virt_vals, &phys_vals) {
         return Err(m);
     }
-    match virt_clbits.first_difference(&replay.clbits) {
+    match virt_clbits.first_difference(check.clbits()) {
         Some(clbit) => Err(Mismatch::ClbitMismatch {
             clbit,
             virtual_value: virt_clbits.get(clbit),
-            physical_value: replay.clbits.get(clbit),
+            physical_value: check.clbits().get(clbit),
         }),
         None => Ok(()),
     }
 }
 
-/// Compiles `program` under `config` (with schedule recording forced
-/// on) and validates the result through all three oracle layers.
+/// Explains a physical mismatch found on a streamed compile: compiles
+/// again with recording on (compiles are deterministic) and returns the
+/// recorded schedule's diagnosis, placement journey included. A report
+/// that was already recorded, or a recompile that somehow disagrees,
+/// keeps `streamed`.
+fn explain_physical(
+    prepared: &PreparedProgram,
+    inputs: &[bool],
+    config: &CompilerConfig,
+    report: &CompileReport,
+    virt_vals: &[bool],
+    virt_clbits: &Clbits,
+    streamed: Mismatch,
+) -> Mismatch {
+    if report.schedule.is_some() {
+        return streamed;
+    }
+    compile_prepared(prepared, inputs, &config.clone().with_schedule())
+        .ok()
+        .and_then(|recorded| check_physical_against(&recorded, virt_vals, virt_clbits).err())
+        .unwrap_or(streamed)
+}
+
+/// Compiles `program` under `config` and validates the result through
+/// all three oracle layers. The physical layer is streamed from the
+/// machine unless `config.record_schedule` asks for the schedule, in
+/// which case it runs over the recorded one (see the module docs).
 ///
 /// # Errors
 ///
@@ -387,14 +432,23 @@ pub fn validate(
     inputs: &[bool],
     config: &CompilerConfig,
 ) -> Result<Validated, ValidationError> {
-    let mut config = config.clone();
-    config.record_schedule = true;
-    let report = compile_with_inputs(program, inputs, &config)?;
+    let prepared = PreparedProgram::new(program)?;
+    let (report, check) = compile_checked(&prepared, inputs, config)?;
     let (virt_vals, virt) =
         replay(&report.trace, &report.entry_register).map_err(Mismatch::from)?;
-    let lowered = lower_mcx(program);
-    check_reference(&lowered, inputs, &report, &virt_vals)?;
-    check_physical_against(&report, &virt_vals, virt.clbits())?;
+    check_reference(prepared.lowered(), inputs, &report, &virt_vals)?;
+    if let Err(streamed) = physical_verdict(&report, &check, &virt_vals, virt.clbits()) {
+        let m = explain_physical(
+            &prepared,
+            inputs,
+            config,
+            &report,
+            &virt_vals,
+            virt.clbits(),
+            streamed,
+        );
+        return Err(m.into());
+    }
     Ok(Validated {
         outputs: virt_vals,
         report,
@@ -449,7 +503,8 @@ pub fn decision_summary(log: &[ReclaimDecision]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use square_qir::{Gate, ProgramBuilder};
+    use square_core::compile_with_inputs;
+    use square_qir::{lower_mcx, Gate, ProgramBuilder};
 
     fn small_program() -> Program {
         let mut b = ProgramBuilder::new();
@@ -479,11 +534,19 @@ mod tests {
         let p = small_program();
         for policy in Policy::ALL {
             for machine in [SweepArch::NisqAuto, SweepArch::FtAuto] {
-                let v = validate(&p, &[], &machine.config(policy))
-                    .unwrap_or_else(|e| panic!("{policy}/{machine}: {e}"));
+                let cfg = machine.config(policy);
+                let v =
+                    validate(&p, &[], &cfg).unwrap_or_else(|e| panic!("{policy}/{machine}: {e}"));
                 assert!(v.outputs[2], "{policy}/{machine}: stored output");
-                assert!(v.report.schedule.is_some());
-                assert!(v.report.placement_history.is_some());
+                // The default streams the physical check and records
+                // nothing; asking for the schedule records both.
+                assert!(v.report.schedule.is_none());
+                assert!(v.report.placement_history.is_none());
+                let recorded = validate(&p, &[], &cfg.with_schedule())
+                    .unwrap_or_else(|e| panic!("{policy}/{machine} recorded: {e}"));
+                assert_eq!(recorded.outputs, v.outputs);
+                assert!(recorded.report.schedule.is_some());
+                assert!(recorded.report.placement_history.is_some());
             }
         }
     }
@@ -645,6 +708,48 @@ mod tests {
             replay_virtual(&unmeasured, &[]),
             Err(Mismatch::Hygiene(UnmeasuredGuard { clbit: c, at: 1 }))
         );
+    }
+
+    #[test]
+    fn streamed_mismatches_are_explained_by_a_recorded_recompile() {
+        let p = small_program();
+        let cfg = CompilerConfig::nisq(Policy::Square);
+        let prepared = PreparedProgram::new(&p).unwrap();
+        let (report, check) = compile_checked(&prepared, &[], &cfg).unwrap();
+        assert!(report.placement_history.is_none(), "streamed");
+        let (virt_vals, virt) = replay(&report.trace, &report.entry_register).unwrap();
+        physical_verdict(&report, &check, &virt_vals, virt.clbits()).expect("clean compile");
+        // Flip one register bit: the streamed verdict sees the diff
+        // but has no placement history to explain it.
+        let mut flipped = virt_vals.clone();
+        flipped[0] = !flipped[0];
+        let streamed = physical_verdict(&report, &check, &flipped, virt.clbits()).unwrap_err();
+        assert!(
+            matches!(&streamed, Mismatch::OutputDiff { journey, .. } if journey.is_empty()),
+            "{streamed}"
+        );
+        let m = explain_physical(
+            &prepared,
+            &[],
+            &cfg,
+            &report,
+            &flipped,
+            virt.clbits(),
+            streamed,
+        );
+        match &m {
+            Mismatch::OutputDiff {
+                stage,
+                index,
+                journey,
+                ..
+            } => {
+                assert_eq!((*stage, *index), (Stage::PhysicalReplay, 0));
+                assert!(!journey.is_empty(), "explained from the recorded recompile");
+            }
+            other => panic!("wrong mismatch: {other}"),
+        }
+        assert!(m.to_string().contains("journey"), "{m}");
     }
 
     #[test]

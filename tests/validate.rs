@@ -162,16 +162,87 @@ fn budget_fits_a_machine_the_existing_policies_overflow() {
 #[test]
 fn validation_survives_the_facade_round_trip() {
     // One cell end-to-end through the public facade, checking the
-    // report really carries the new artifacts.
+    // report really carries the new artifacts. A default validation
+    // streams the physical check and records no schedule or history;
+    // asking for the schedule records both.
+    use square_repro::verify::{default_inputs, validate};
+    use square_repro::workloads::build;
+
     let v = validate_benchmark(Benchmark::Rd53, Policy::Square, SweepArch::NisqAuto).unwrap();
-    assert!(v.report.schedule.is_some());
-    assert!(v.report.placement_history.is_some());
+    assert!(v.report.schedule.is_none());
+    assert!(v.report.placement_history.is_none());
+    let recorded = validate(
+        &build(Benchmark::Rd53).unwrap(),
+        &default_inputs(Benchmark::Rd53),
+        &SweepArch::NisqAuto.config(Policy::Square).with_schedule(),
+    )
+    .unwrap();
+    assert!(recorded.report.schedule.is_some());
+    assert!(recorded.report.placement_history.is_some());
+    assert_eq!(recorded.outputs, v.outputs);
     assert!(!v.report.decision_log.is_empty());
     assert_eq!(
         v.report.decision_log.iter().filter(|d| d.reclaim).count() as u64,
         v.report.decisions.reclaimed
     );
     assert_eq!(v.outputs.len(), v.report.entry_register.len());
+}
+
+#[test]
+fn streamed_physical_check_equals_the_recorded_replay() {
+    // The physical check streamed from the machine must end in exactly
+    // the state a check over the recorded schedule reaches: same bits,
+    // classical bits and gate count, and no interval violation.
+    use square_repro::core::{compile_checked, compile_prepared, PreparedProgram};
+    use square_repro::qir::Clbits;
+    use square_repro::route::PhysicalCheck;
+    use square_repro::verify::default_inputs;
+    use square_repro::workloads::build;
+
+    let machines = [
+        SweepArch::NisqAuto,
+        SweepArch::FtAuto,
+        SweepArch::HeavyHexAuto,
+    ];
+    let mut cells = Vec::new();
+    for bench in Benchmark::NISQ {
+        for machine in machines {
+            for policy in Policy::ALL {
+                cells.push((bench, machine, machine.config(policy)));
+            }
+            cells.push((bench, machine, machine.config(Policy::Eager).with_mbu(true)));
+        }
+    }
+    let measured: Vec<bool> = cells
+        .into_par_iter()
+        .map(|(bench, machine, cfg)| {
+            let label = format!(
+                "{bench}/{}/{machine}/mbu={}",
+                cfg.policy.cli_name(),
+                cfg.mbu
+            );
+            let prepared = PreparedProgram::new(&build(bench).unwrap()).unwrap();
+            let inputs = default_inputs(bench);
+            let recorded =
+                compile_prepared(&prepared, &inputs, &cfg.clone().with_schedule()).unwrap();
+            let schedule = recorded.schedule.as_deref().expect("recorded");
+            let replayed = PhysicalCheck::run(schedule, recorded.machine_qubits, recorded.comm);
+            let (report, streamed) = compile_checked(&prepared, &inputs, &cfg).unwrap();
+            assert!(report.schedule.is_none(), "{label}: streamed, not recorded");
+            assert!(report.placement_history.is_none(), "{label}");
+            assert_eq!(streamed.violation(), None, "{label}");
+            assert_eq!(streamed.gates(), schedule.len() as u64, "{label}");
+            assert_eq!(streamed.gates(), report.gates + report.swaps, "{label}");
+            assert_eq!(streamed.bits(), replayed.bits(), "{label}");
+            assert_eq!(streamed.clbits(), replayed.clbits(), "{label}");
+            assert_eq!(streamed, replayed, "{label}");
+            streamed.clbits().first_difference(&Clbits::new()).is_some()
+        })
+        .collect();
+    assert!(
+        measured.contains(&true),
+        "some MBU cell measured through the side channel"
+    );
 }
 
 #[test]
