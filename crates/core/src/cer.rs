@@ -235,8 +235,8 @@ struct ModuleCosts {
 }
 
 /// Memoized static cost terms for every module of a program, built
-/// once per compile (in parallel — modules are independent) and read
-/// in O(1) on the executor's per-frame hot path.
+/// once per compile and read in O(1) on the executor's per-frame hot
+/// path.
 #[derive(Debug, Clone)]
 pub struct ModuleCostTable {
     modules: Vec<ModuleCosts>,
@@ -252,14 +252,12 @@ fn suffix_sums(stats: &ProgramStats, stmts: &[Stmt]) -> Vec<u64> {
 }
 
 impl ModuleCostTable {
-    /// Builds the table for `program`. Each module's terms depend only
-    /// on `stats` (already fixed), so modules are processed in
-    /// parallel; the result is deterministic regardless of core count.
+    /// Builds the table for `program`; each module's terms depend only
+    /// on `stats`.
     pub fn build(program: &Program, stats: &ProgramStats) -> Self {
-        use rayon::prelude::*;
         let modules = program
             .modules()
-            .par_iter()
+            .iter()
             .map(|module| {
                 let custom_suffix = module
                     .custom_uncompute()

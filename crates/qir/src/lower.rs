@@ -16,8 +16,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use crate::gate::Gate;
 use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 
@@ -32,9 +30,8 @@ use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 /// Lowering runs in two phases: a cheap sequential discovery scan
 /// assigns [`ModuleId`]s to the needed `__mcx{k}` modules in
 /// first-encounter order (identical to the historical single-pass
-/// numbering), then every module body is rewritten in parallel against
-/// the now-read-only id map — module bodies are independent, so the
-/// result is deterministic regardless of core count.
+/// numbering), then every module body is rewritten against the
+/// now-read-only id map.
 pub fn lower_mcx(program: &Program) -> Program {
     // Phase 1: discovery. Walk statements in program order and give
     // each required chain width its module id, preserving the
@@ -62,7 +59,7 @@ pub fn lower_mcx(program: &Program) -> Program {
     // Phase 2: rewrite. Each module body only reads the shared id map.
     let mut modules: Vec<Module> = program
         .modules()
-        .par_iter()
+        .iter()
         .map(|module| {
             let mut m = module.clone();
             m.compute = lower_block(m.compute, &generated);

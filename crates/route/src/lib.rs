@@ -32,7 +32,7 @@ pub mod timeline;
 mod error;
 
 pub use braid::BraidField;
-pub use config::{RouterConfig, DEFAULT_LOOKAHEAD_WINDOW, DEFAULT_PARALLEL_MIN_LAYER};
+pub use config::{RouterConfig, DEFAULT_LOOKAHEAD_WINDOW};
 pub use ctx::{BfsScratch, RouterScratch, RoutingCtx};
 pub use error::RouteError;
 pub use machine::{

@@ -20,15 +20,10 @@
 //! Routing strategy lives behind the stateless [`Router`] trait; the
 //! machine lends each `route()` call a [`RoutingCtx`](crate::RoutingCtx)
 //! carrying its scratch arenas, so the hot path allocates nothing.
-//! Wide front layers of independent gates can be routed in parallel
-//! with [`Machine::apply_layer`], which plans greedy swap chains on a
-//! snapshot across threads and merges them deterministically.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-use rayon::prelude::*;
 
 use square_arch::{CommModel, FlatTables, PhysId, Topology};
 use square_qir::{ClbitId, Gate, VirtId};
@@ -38,7 +33,7 @@ use crate::config::RouterConfig;
 use crate::ctx::{NeighborTable, RouterScratch, RoutingCtx};
 use crate::error::RouteError;
 use crate::placement::Placement;
-use crate::router::{self, RouterKind};
+use crate::router::RouterKind;
 use crate::schedule::{gate_duration, PhysicalCheck, ScheduledGate};
 use crate::sink::ScheduleSink;
 use crate::timeline::Clock;
@@ -261,7 +256,7 @@ pub struct Machine {
     config: RouterConfig,
     accel: DistAccel,
     /// Flat neighbour rows for the Toffoli gather search, built on the
-    /// first gather and shared by the parallel layer planners.
+    /// first gather.
     neighbors: OnceLock<NeighborTable>,
     /// Upcoming-gate hint window for lookahead routers, filled by the
     /// executor before each gate.
@@ -644,92 +639,10 @@ impl Machine {
         result
     }
 
-    /// Applies a *front layer* of program gates, in order. Under the
-    /// greedy swap-chain router, layers at least
-    /// [`RouterConfig::parallel_min_layer`] multi-qubit gates wide
-    /// have their swap chains planned in parallel (rayon) from a
-    /// placement snapshot, then merged deterministically: each plan is
-    /// replayed in program order if its operands still sit where the
-    /// snapshot saw them, and re-planned serially otherwise — so the
-    /// schedule is bit-identical to gate-at-a-time routing.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::UnplacedQubit`] if an operand has no placement.
+    /// Equal to [`Machine::apply`] on each gate in order; perfbench's route replay uses it.
     pub fn apply_layer(&mut self, gates: &[Gate<VirtId>]) -> Result<(), RouteError> {
-        let threshold = self.config.parallel_min_layer;
-        let eligible = self.comm == CommModel::SwapChains
-            && self.config.kind == RouterKind::Greedy
-            && threshold != usize::MAX
-            && gates.iter().filter(|g| g.arity() >= 2).count() >= threshold;
-        if !eligible {
-            for gate in gates {
-                self.apply(gate)?;
-            }
-            return Ok(());
-        }
-        // Partition the batch into contiguous *waves* of
-        // operand-disjoint gates. Gates that share a qubit are routed
-        // one after another anyway (the second plan would be stale the
-        // moment the first one moves the shared operand), so planning
-        // them on one snapshot wastes the fork-join; only genuinely
-        // independent runs are worth threads. Dependent arithmetic
-        // chains therefore degenerate to the serial path with nothing
-        // but this O(batch) partition as overhead.
-        let mut seen: Vec<VirtId> = Vec::new();
-        let mut start = 0;
-        while start < gates.len() {
-            seen.clear();
-            let mut end = start;
-            let mut wide = 0usize;
-            'grow: while end < gates.len() {
-                let gate = &gates[end];
-                let mut overlaps = false;
-                gate.for_each_qubit(|q| overlaps |= seen.contains(q));
-                if overlaps {
-                    break 'grow;
-                }
-                gate.for_each_qubit(|q| seen.push(*q));
-                wide += usize::from(gate.arity() >= 2);
-                end += 1;
-            }
-            let wave = &gates[start..end];
-            if wide >= threshold {
-                self.apply_wave(wave)?;
-            } else {
-                for gate in wave {
-                    self.apply(gate)?;
-                }
-            }
-            start = end;
-        }
-        Ok(())
-    }
-
-    /// Routes one operand-disjoint wave: greedy plans are computed on
-    /// a placement snapshot across threads, then merged in order.
-    fn apply_wave(&mut self, wave: &[Gate<VirtId>]) -> Result<(), RouteError> {
-        let snapshot: &Machine = self;
-        let plans: Vec<_> = wave
-            .par_iter()
-            .map(|gate| router::plan_layer_gate(snapshot, gate))
-            .collect();
-        for (gate, plan) in wave.iter().zip(plans) {
-            match plan {
-                Some(plan) if plan.still_valid(self) => {
-                    for &(u, v) in &plan.swaps {
-                        self.swap_cells(u, v);
-                    }
-                    self.bump_gather(plan.retries, plan.failed);
-                    self.schedule_program_gate(gate)?;
-                }
-                // Stale plan (an earlier chain in the wave crossed an
-                // operand), unplanned gate (1-qubit), or a planning
-                // error: fall back to the serial path.
-                _ => {
-                    self.apply(gate)?;
-                }
-            }
+        for gate in gates {
+            self.apply(gate)?;
         }
         Ok(())
     }
@@ -1241,10 +1154,11 @@ mod tests {
         assert_eq!(m.nearest_free((0, 0), true), Some(PhysId(1)));
     }
 
-    /// The parallel layer path must be bit-identical to gate-at-a-time
-    /// routing: same swaps, depth, liveness, history, and schedule.
+    /// `apply_layer` must be bit-identical to gate-at-a-time routing
+    /// (perfbench's route replay relies on it): same swaps, depth,
+    /// liveness, history, and schedule.
     #[test]
-    fn parallel_layer_routing_matches_serial() {
+    fn apply_layer_matches_gate_at_a_time() {
         let gates: Vec<Gate<VirtId>> = (0..12u32)
             .map(|i| Gate::Cx {
                 control: VirtId(i),
@@ -1263,13 +1177,11 @@ mod tests {
                 },
             ])
             .collect();
-        let build = |parallel_min: usize| {
+        let build = || {
             let mut m = Machine::new(
                 Box::new(GridTopology::new(8, 8)),
                 MachineConfig::nisq()
-                    .with_router(
-                        RouterConfig::new(RouterKind::Greedy).with_parallel_min_layer(parallel_min),
-                    )
+                    .with_router(RouterKind::Greedy)
                     .with_schedule(),
             );
             for i in 0..16u32 {
@@ -1278,11 +1190,11 @@ mod tests {
             }
             m
         };
-        let mut serial = build(usize::MAX);
+        let mut serial = build();
         for g in &gates {
             serial.apply(g).unwrap();
         }
-        let mut layered = build(1);
+        let mut layered = build();
         layered.apply_layer(&gates).unwrap();
         let (a, b) = (serial.finish(), layered.finish());
         assert_eq!(a.stats, b.stats);

@@ -14,9 +14,7 @@
 //!   swap order) — the correctness anchor every regression suite pins
 //!   against. Greedy decisions depend only on operand positions and
 //!   the topology, so the router first *plans* the swap chain against
-//!   tracked positions, then applies it — the same planner
-//!   ([`plan_layer_gate`]) lets [`Machine::apply_layer`] route wide
-//!   front layers on worker threads from a placement snapshot.
+//!   tracked positions, then applies it.
 //! * [`LookaheadRouter`]: a SABRE-style scorer (Li, Ding & Xie,
 //!   ASPLOS 2019). Each candidate swap on an edge incident to the
 //!   current gate's operands is scored against the *front* (the gate
@@ -137,9 +135,8 @@ pub trait Router: Send + Sync {
 // positions and the topology — never of occupancy or the clock. The
 // planner exploits that: it walks *tracked* operand positions and
 // records the swap chain, and the caller replays the chain through
-// `swap_cells`. Serially this is bit-identical to the historical
-// mutate-as-you-go code; it also makes plans computable on worker
-// threads from an immutable machine snapshot (`plan_layer_gate`).
+// `swap_cells`. This is bit-identical to the historical
+// mutate-as-you-go code.
 
 /// Tracked position of `v` (operands are distinct, so first match).
 #[inline]
@@ -335,51 +332,6 @@ fn plan_greedy(
             }
         }
     }
-}
-
-/// A greedy swap chain planned off-thread for one layer gate, plus
-/// the operand positions it assumed. [`Machine::apply_layer`] replays
-/// it only if [`LayerPlan::still_valid`] — an earlier gate in the
-/// layer may have moved an operand, in which case the gate re-routes
-/// serially and the result stays bit-identical either way.
-pub(crate) struct LayerPlan {
-    /// Operand positions the plan was computed against.
-    ops: Vec<(VirtId, PhysId)>,
-    pub(crate) swaps: Vec<(PhysId, PhysId)>,
-    pub(crate) retries: u64,
-    pub(crate) failed: bool,
-}
-
-impl LayerPlan {
-    /// True if every assumed operand position still holds.
-    pub(crate) fn still_valid(&self, m: &Machine) -> bool {
-        self.ops
-            .iter()
-            .all(|&(v, p)| m.placement().phys_of(v) == Some(p))
-    }
-}
-
-/// Plans the greedy swap chain for one gate of a front layer against
-/// an immutable machine snapshot. `None` for gates with nothing to
-/// route (arity < 2) or an unplaced operand (the serial path will
-/// surface the error in order).
-pub(crate) fn plan_layer_gate(m: &Machine, gate: &Gate<VirtId>) -> Option<LayerPlan> {
-    if gate.arity() < 2 {
-        return None;
-    }
-    let mut tracked = Vec::new();
-    resolve_operands(m, gate, &mut tracked).ok()?;
-    let ops = tracked.clone();
-    let mut swaps = Vec::new();
-    let mut bfs = BfsScratch::default();
-    let mut path = Vec::new();
-    let (retries, failed) = plan_greedy(m, gate, &mut tracked, &mut swaps, &mut bfs, &mut path);
-    Some(LayerPlan {
-        ops,
-        swaps,
-        retries,
-        failed,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -886,34 +838,5 @@ mod tests {
         .unwrap();
         assert_eq!(m.stats().swaps, 3);
         assert_eq!(m.placement().phys_of(VirtId(0)), Some(PhysId(3)));
-    }
-
-    #[test]
-    fn layer_plans_replay_and_invalidate() {
-        let m = machine(Box::new(GridTopology::new(5, 1)), RouterKind::Greedy);
-        let gate = Gate::Cx {
-            control: VirtId(0),
-            target: VirtId(1),
-        };
-        // Unplaced operands: planning declines, serial path errors.
-        assert!(plan_layer_gate(&m, &gate).is_none());
-        let mut m = machine(Box::new(GridTopology::new(5, 1)), RouterKind::Greedy);
-        m.place_at(VirtId(0), PhysId(0)).unwrap();
-        m.place_at(VirtId(1), PhysId(4)).unwrap();
-        assert!(plan_layer_gate(&m, &Gate::X { target: VirtId(0) }).is_none());
-        let plan = plan_layer_gate(&m, &gate).expect("plannable");
-        assert_eq!(
-            plan.swaps,
-            vec![
-                (PhysId(0), PhysId(1)),
-                (PhysId(1), PhysId(2)),
-                (PhysId(2), PhysId(3))
-            ]
-        );
-        assert!(plan.still_valid(&m));
-        assert!(!plan.failed);
-        // An interfering move invalidates the plan.
-        m.swap_cells(PhysId(0), PhysId(1));
-        assert!(!plan.still_valid(&m));
     }
 }
