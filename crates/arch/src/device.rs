@@ -82,7 +82,7 @@ impl NoiseParams {
     /// This noise model, uniformly scaled: error probabilities are
     /// multiplied by `factor` and coherence times divided by it.
     /// Used to calibrate simulation magnitudes to the paper's reported
-    /// figures (see EXPERIMENTS.md) while preserving orderings.
+    /// figures while preserving orderings.
     pub fn scaled(&self, factor: f64) -> Self {
         NoiseParams {
             p1: (self.p1 * factor).min(1.0),

@@ -1,4 +1,4 @@
-//! Ablation study of SQUARE's design choices (DESIGN.md §3.3).
+//! Ablation study of SQUARE's design choices.
 //!
 //! Three knobs are swept against the defaults:
 //!
@@ -184,6 +184,7 @@ pub fn budget_pareto(benchmarks: &[Benchmark], steps: usize) -> Vec<BudgetCell> 
             let cfg = CompilerConfig::nisq(Policy::Square).with_budget(Some(n));
             let r = compile(&program, &cfg)
                 .unwrap_or_else(|e| panic!("{bench}/square,budget:{n} in [floor, peak]: {e}"));
+            let recompute = r.budget.expect("budgeted").recompute;
             cells.push(BudgetCell {
                 benchmark: bench,
                 budget: Some(n),
@@ -191,8 +192,8 @@ pub fn budget_pareto(benchmarks: &[Benchmark], steps: usize) -> Vec<BudgetCell> 
                 gates: r.gates,
                 aqv: r.aqv,
                 forced: r.decisions.forced,
-                early_uncomputed: r.recompute.early_uncomputed_frames,
-                recomputed: r.recompute.recomputed_frames,
+                early_uncomputed: recompute.early_uncomputed_frames,
+                recomputed: recompute.recomputed_frames,
             });
         }
         cells.push(BudgetCell {
@@ -322,6 +323,7 @@ pub fn ablation_mbu(benchmarks: &[Benchmark]) -> Vec<MbuCell> {
             let cfg = CompilerConfig::nisq(policy).with_arch(arch);
             let off = compile(&program, &cfg.clone().with_mbu(false)).expect("mbu-off compiles");
             let on = compile(&program, &cfg.with_mbu(true)).expect("mbu-on compiles");
+            let stats = on.mbu.expect("MBU on");
             cells.push(MbuCell {
                 benchmark: bench,
                 policy,
@@ -329,10 +331,10 @@ pub fn ablation_mbu(benchmarks: &[Benchmark]) -> Vec<MbuCell> {
                 gates_on: on.gates,
                 aqv_off: off.aqv,
                 aqv_on: on.aqv,
-                mbu_frames: on.mbu_stats.mbu_frames,
-                measurements: on.mbu_stats.measurements,
-                mbu_gates: on.mbu_stats.mbu_gates,
-                unitary_gates_avoided: on.mbu_stats.unitary_gates_avoided,
+                mbu_frames: stats.mbu_frames,
+                measurements: stats.measurements,
+                mbu_gates: stats.mbu_gates,
+                unitary_gates_avoided: stats.unitary_gates_avoided,
             });
         }
     }

@@ -410,7 +410,7 @@ fn cell(
 }
 
 /// Measures every cell of `set`: `samples` timing windows per cell
-/// (see [`time_runs`]) plus the circuit fingerprint. `progress`
+/// (see `time_runs`) plus the circuit fingerprint. `progress`
 /// receives one line per completed cell (route it to stderr so stdout
 /// stays machine-readable).
 ///

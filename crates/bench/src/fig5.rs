@@ -29,7 +29,7 @@ pub struct LocalityRow {
 /// reservation spreads the footprint across the lattice — so Eager
 /// wins on the lattice and Lazy wins when communication is free.
 /// (A deeply nested Belle cannot flip: its 2^ℓ recomputation dwarfs
-/// any communication savings on either machine; see EXPERIMENTS.md.)
+/// any communication savings on either machine.)
 fn fig5_params() -> SynthParams {
     SynthParams {
         levels: 2,
@@ -93,7 +93,7 @@ pub fn render() -> String {
     out
 }
 
-/// The figure's claim as a predicate (used by tests and EXPERIMENTS.md):
+/// The figure's claim as a predicate (used by tests):
 /// Eager wins on the lattice, Lazy wins on the fully-connected machine.
 pub fn crossover_holds() -> bool {
     let rows = compute();

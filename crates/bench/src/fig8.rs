@@ -42,7 +42,7 @@ fn input_pattern(bench: Benchmark) -> Vec<bool> {
 /// circuits with hundreds of two-qubit gates) correspond to a much
 /// milder effective channel than 1% depolarizing per gate; this
 /// calibration reproduces the reported magnitudes while leaving every
-/// ordering untouched (see EXPERIMENTS.md).
+/// ordering untouched.
 pub const SIM_NOISE_SCALE: f64 = 0.05;
 
 /// Runs the full Fig. 8 pipeline. `shots = 0` skips noise simulation

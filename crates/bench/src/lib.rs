@@ -2,8 +2,8 @@
 //!
 //! One module per artifact of the paper's evaluation section; the
 //! `experiments` binary regenerates any of them (`-- all` for the full
-//! set). EXPERIMENTS.md records paper-vs-measured values. [`baseline`]
-//! is the one benchmark gate (`bench_gate`) over compile, executor and
+//! set; README.md lists the commands). [`baseline`] is the one
+//! benchmark gate (`bench_gate`) over compile, executor and
 //! compile-service cells.
 
 #![forbid(unsafe_code)]

@@ -167,11 +167,6 @@ impl SweepMatrix {
         })
     }
 
-    /// Cells that compiled successfully.
-    pub fn ok_cells(&self) -> impl Iterator<Item = &SweepCell> {
-        self.cells.iter().filter(|c| c.report.is_ok())
-    }
-
     /// Renders the matrix as an aligned text table (AQV per cell;
     /// `-` marks fit failures).
     pub fn render_table(&self) -> String {

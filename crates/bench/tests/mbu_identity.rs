@@ -47,8 +47,7 @@ proptest! {
             prop_assert_eq!(&implicit_json, &explicit_json);
             prop_assert!(!implicit_json.contains("\"mbu\""), "{}", implicit_json);
             // And no classical machinery leaks into the trace.
-            prop_assert!(!implicit.mbu);
-            prop_assert_eq!(implicit.mbu_stats.mbu_frames, 0);
+            prop_assert_eq!(implicit.mbu, None);
             prop_assert!(implicit.trace.iter().all(|op| !matches!(
                 op,
                 TraceOp::Measure { .. } | TraceOp::CondGate { .. }

@@ -32,7 +32,7 @@
 //!    frame currently in its store/decision/sweep phase, whose pending
 //!    mechanical sweep would otherwise free the same qubits twice.
 
-use square_qir::{Gate, ModuleId, TraceOp, VirtId};
+use square_qir::{ModuleId, TraceOp, VirtId};
 
 use crate::report::RecomputeStats;
 
@@ -44,9 +44,6 @@ pub const MAX_CANDIDATE_REGION: usize = 4096;
 /// A completed garbage frame eligible for early uncomputation.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    /// Module that produced the frame (for scoring fallbacks and
-    /// diagnostics).
-    pub module: ModuleId,
     /// Call depth of the frame (recompute amplification grows with
     /// depth, so deep frames score worse).
     pub level: usize,
@@ -78,6 +75,9 @@ pub struct Candidate {
 pub struct BudgetState {
     /// The hard cap N on simultaneously live qubits.
     pub cap: usize,
+    /// Eager-floor stack need of the entry module (see [`stack_need`]):
+    /// the headroom the anticipatory clamp keeps clear of garbage.
+    pub stack_need: usize,
     /// `last_write[v]` = trace position of the latest state-changing
     /// op (gate write, alloc, free) on `VirtId(v)`; grown on demand.
     last_write: Vec<usize>,
@@ -94,15 +94,17 @@ pub struct BudgetState {
     /// an ancestor sweep whose region covers the position recomputes
     /// that frame, which is how recompute work is counted.
     events: Vec<(usize, u64)>,
-    /// Counters reported in [`crate::CompileReport::recompute`].
+    /// Counters reported in [`crate::BudgetOutcome::recompute`].
     pub stats: RecomputeStats,
 }
 
 impl BudgetState {
-    /// Fresh state for a compile under cap `cap`.
-    pub fn new(cap: usize) -> Self {
+    /// Fresh state for a compile under cap `cap` whose entry module
+    /// needs `stack_need` qubits of call-stack headroom.
+    pub fn new(cap: usize, stack_need: usize) -> Self {
         BudgetState {
             cap,
+            stack_need,
             last_write: Vec::new(),
             candidates: Vec::new(),
             frozen: Vec::new(),
@@ -193,11 +195,9 @@ impl BudgetState {
 /// frame satisfies rules 1–3 at registration time (rule 4 is dynamic).
 /// `last_write` is the engine's stamp lookup; `anc` the frame's own
 /// ancillas.
-#[allow(clippy::too_many_arguments)]
 pub fn scan_candidate(
     region: &[TraceOp],
     start: usize,
-    module: ModuleId,
     level: usize,
     anc: &[VirtId],
     gates: u64,
@@ -223,12 +223,13 @@ pub fn scan_candidate(
             // Rule 1: an interior free means the inverse would
             // allocate — rejected so replay monotonically shrinks.
             TraceOp::Free(_) => return None,
-            TraceOp::Gate(g) => {
+            // Rule 2: writes must stay inside the frame. A classically
+            // controlled gate writes whatever its inner gate writes.
+            TraceOp::Gate(g) | TraceOp::CondGate { gate: g, .. } => {
                 g.for_each_qubit(|q| touch(&mut touched, *q));
-                // Rule 2: writes must stay inside the frame.
                 let mut external_write = false;
-                for_each_write(g, |w| {
-                    if !interior.contains(&w) && !anc.contains(&w) {
+                g.for_each_write(|w| {
+                    if !interior.contains(w) && !anc.contains(w) {
                         external_write = true;
                     }
                 });
@@ -239,20 +240,6 @@ pub fn scan_candidate(
             // Measurement reads only: it touches its qubit (the
             // region's inverse re-measures it) but writes nothing.
             TraceOp::Measure { qubit, .. } => touch(&mut touched, *qubit),
-            // A classically controlled gate writes whatever its inner
-            // gate writes; rule 2 applies unchanged.
-            TraceOp::CondGate { gate, .. } => {
-                gate.for_each_qubit(|q| touch(&mut touched, *q));
-                let mut external_write = false;
-                for_each_write(gate, |w| {
-                    if !interior.contains(&w) && !anc.contains(&w) {
-                        external_write = true;
-                    }
-                });
-                if external_write {
-                    return None;
-                }
-            }
         }
     }
     // Rule 3 at registration: the store block (already executed) must
@@ -262,7 +249,6 @@ pub fn scan_candidate(
     }
     let freed = anc.len() + interior.len();
     Some(Candidate {
-        module,
         level,
         start,
         end,
@@ -301,23 +287,10 @@ pub fn stack_need(program: &square_qir::Program) -> usize {
     need(program, program.entry(), &mut memo)
 }
 
-/// Calls `f` for every qubit the gate writes, without allocating.
-pub fn for_each_write(g: &Gate<VirtId>, mut f: impl FnMut(VirtId)) {
-    match g {
-        Gate::X { target }
-        | Gate::Cx { target, .. }
-        | Gate::Ccx { target, .. }
-        | Gate::Mcx { target, .. } => f(*target),
-        Gate::Swap { a, b } => {
-            f(*a);
-            f(*b);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use square_qir::Gate;
 
     fn v(n: u32) -> VirtId {
         VirtId(n)
@@ -330,8 +303,7 @@ mod tests {
             control: v(0),
             target: v(1),
         })];
-        let cand =
-            scan_candidate(&region, 10, ModuleId::from_index(0), 1, &[v(1)], 1, |_| 0).unwrap();
+        let cand = scan_candidate(&region, 10, 1, &[v(1)], 1, |_| 0).unwrap();
         assert_eq!(cand.end, 11);
         assert_eq!(cand.freed, 1);
         assert!(cand.touched.contains(&v(0)) && cand.touched.contains(&v(1)));
@@ -340,26 +312,20 @@ mod tests {
     #[test]
     fn scan_rejects_interior_frees_and_external_writes() {
         let freeing = [TraceOp::Free(v(5))];
-        assert!(
-            scan_candidate(&freeing, 0, ModuleId::from_index(0), 1, &[v(1)], 1, |_| 0).is_none()
-        );
+        assert!(scan_candidate(&freeing, 0, 1, &[v(1)], 1, |_| 0).is_none());
         // Writes arg0: inverting it would corrupt live state.
         let writing = [TraceOp::Gate(Gate::Cx {
             control: v(1),
             target: v(0),
         })];
-        assert!(
-            scan_candidate(&writing, 0, ModuleId::from_index(0), 1, &[v(1)], 1, |_| 0).is_none()
-        );
+        assert!(scan_candidate(&writing, 0, 1, &[v(1)], 1, |_| 0).is_none());
     }
 
     #[test]
     fn scan_rejects_store_clobbered_regions() {
         let region = [TraceOp::Gate(Gate::X { target: v(1) })];
         // A write to the touched qubit after the region (position ≥ 1).
-        assert!(
-            scan_candidate(&region, 0, ModuleId::from_index(0), 1, &[v(1)], 1, |_| 7).is_none()
-        );
+        assert!(scan_candidate(&region, 0, 1, &[v(1)], 1, |_| 7).is_none());
     }
 
     #[test]
@@ -371,16 +337,14 @@ mod tests {
                 target: v(3),
             }),
         ];
-        let cand =
-            scan_candidate(&region, 0, ModuleId::from_index(0), 2, &[v(1)], 1, |_| 0).unwrap();
+        let cand = scan_candidate(&region, 0, 2, &[v(1)], 1, |_| 0).unwrap();
         assert_eq!(cand.freed, 2);
     }
 
     #[test]
     fn staleness_and_freeze_gate_the_pick() {
-        let mut b = BudgetState::new(8);
+        let mut b = BudgetState::new(8, 0);
         let cand = Candidate {
-            module: ModuleId::from_index(0),
             level: 1,
             start: 4,
             end: 6,
@@ -410,7 +374,7 @@ mod tests {
 
     #[test]
     fn sweep_accounting_counts_covered_events() {
-        let mut b = BudgetState::new(8);
+        let mut b = BudgetState::new(8, 0);
         b.note_early_uncompute(10, 5);
         b.note_early_uncompute(20, 7);
         b.note_sweep(0, 15);

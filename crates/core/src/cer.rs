@@ -37,7 +37,9 @@
 //!   pressure terms actually move.
 
 use std::collections::HashMap;
+use std::ops::AddAssign;
 
+use serde::{Serialize, Value};
 use square_qir::analysis::ProgramStats;
 use square_qir::{ModuleId, Program, SliceClassCounts, Stmt};
 
@@ -150,22 +152,28 @@ pub struct CerDecision {
     pub forced: bool,
 }
 
-/// The dynamic factors of Eqs. 1–2 after parameter resolution: the
-/// floored communication factor `S` and the recursive-recomputation
-/// factor `base^ℓ` (worst case when a base is configured, else the
-/// adaptive expectation `(1+ρ)^ℓ`).
-///
-/// Shared by [`decide`] and the [`CerEngine`] memo key — the memo is
-/// sound precisely because its key captures these *resolved* values,
-/// so the resolution logic must live in exactly one place.
-fn resolved_factors(inputs: &CerInputs, params: &CerParams) -> (f64, f64) {
-    let s = inputs.comm_factor.max(params.s_floor);
+/// The recursive-recomputation factor `base^ℓ` at call depth `level`:
+/// the configured base (worst case) when one is set, else the adaptive
+/// expectation `(1+ρ)^ℓ` under the running reclaim rate `ρ`. The one
+/// place the base is resolved — [`decide`], the [`CerEngine`] memo key
+/// and [`early_reclaim_score`] all read it from here.
+fn recompute_factor(params: &CerParams, reclaim_rate: f64, level: usize) -> f64 {
     let base = if params.recompute_base > 0.0 {
         params.recompute_base
     } else {
-        1.0 + inputs.reclaim_rate.clamp(0.0, 1.0)
+        1.0 + reclaim_rate.clamp(0.0, 1.0)
     };
-    let recompute = base.powi(inputs.level.min(60) as i32);
+    base.powi(level.min(60) as i32)
+}
+
+/// The dynamic factors of Eqs. 1–2 after parameter resolution: the
+/// floored communication factor `S` and [`recompute_factor`].
+///
+/// Shared by [`decide`] and the [`CerEngine`] memo key — the memo is
+/// sound precisely because its key captures these *resolved* values.
+fn resolved_factors(inputs: &CerInputs, params: &CerParams) -> (f64, f64) {
+    let s = inputs.comm_factor.max(params.s_floor);
+    let recompute = recompute_factor(params, inputs.reclaim_rate, inputs.level);
     (s, recompute)
 }
 
@@ -199,10 +207,9 @@ pub fn decide(inputs: &CerInputs, params: &CerParams) -> CerDecision {
 
 /// Scores an early-uncompute candidate under the `budget:N` cap: the
 /// expected total cost of uncomputing the frame *now* plus recomputing
-/// it later (amplified by the recursive factor at the frame's call
-/// depth), per qubit freed. Lower is better. Mirrors the
-/// recompute-base resolution of [`decide`] so budget evictions stay
-/// consistent with the CER memo's cost model.
+/// it later (amplified by the recursive factor `base^ℓ` at the
+/// frame's call depth, resolved exactly as for [`decide`]), per qubit
+/// freed. Lower is better.
 pub fn early_reclaim_score(
     params: &CerParams,
     gates: u64,
@@ -210,12 +217,7 @@ pub fn early_reclaim_score(
     reclaim_rate: f64,
     level: usize,
 ) -> f64 {
-    let base = if params.recompute_base > 0.0 {
-        params.recompute_base
-    } else {
-        1.0 + reclaim_rate.clamp(0.0, 1.0)
-    };
-    let recompute = base.powi(level.min(60) as i32);
+    let recompute = recompute_factor(params, reclaim_rate, level);
     gates as f64 * (1.0 + recompute) / freed.max(1) as f64
 }
 
@@ -292,19 +294,6 @@ impl ModuleCostTable {
         self.modules[id.index()].custom_gates
     }
 
-    /// Static estimate of the gates one uncompute of this module
-    /// costs: the custom uncompute block when present, else the
-    /// mechanical inverse of the compute block (identical gate count
-    /// to the forward compute). The budget engine's early-reclaim
-    /// scoring falls back to this when a frame's measured region size
-    /// is unavailable.
-    pub fn uncompute_gates(&self, id: ModuleId) -> u64 {
-        let costs = &self.modules[id.index()];
-        costs
-            .custom_gates
-            .unwrap_or_else(|| costs.compute_suffix.first().copied().unwrap_or(0))
-    }
-
     /// Forward gates of the compute block strictly after statement
     /// `index`.
     pub fn compute_tail(&self, id: ModuleId, index: usize) -> u64 {
@@ -376,6 +365,24 @@ pub struct CerCacheStats {
     pub misses: u64,
     /// Eviction sweeps run at allocation events.
     pub invalidations: u64,
+}
+
+impl AddAssign for CerCacheStats {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.invalidations += other.invalidations;
+    }
+}
+
+impl Serialize for CerCacheStats {
+    fn serialize(&self) -> Value {
+        Value::map([
+            ("hits", Value::UInt(self.hits)),
+            ("misses", Value::UInt(self.misses)),
+            ("invalidations", Value::UInt(self.invalidations)),
+        ])
+    }
 }
 
 impl CerCacheStats {

@@ -362,14 +362,15 @@ pub struct CerParams {
     /// uses the worst case `2^ℓ` (every ancestor later uncomputes);
     /// `0.0` (the default) selects the adaptive estimate
     /// `(1 + ρ)^ℓ`, where ρ is the running fraction of frames that
-    /// actually chose to uncompute — see DESIGN.md §3.3.
+    /// actually chose to uncompute. `experiments ablation` compares
+    /// both bases.
     pub recompute_base: f64,
     /// Scope of Eq. 1's `N_active` factor. `true` (default) uses the
     /// frame's working set (its arguments + ancilla) — the qubits
     /// whose liveness the uncompute actually extends under ASAP
     /// scheduling. `false` uses the paper's literal machine-wide
     /// active count, which over-penalizes the micro-frames produced
-    /// by MCX lowering (see DESIGN.md §3.3 and the ablation bench).
+    /// by MCX lowering (see `experiments ablation`).
     pub c1_frame_scope: bool,
 }
 
@@ -480,9 +481,8 @@ impl CompilerConfig {
         self
     }
 
-    /// Selects the swap-chain routing options (a bare
-    /// [`RouterKind`](square_route::RouterKind) converts, keeping the
-    /// other knobs default).
+    /// Selects the swap-chain routing options (a bare [`RouterKind`]
+    /// converts, keeping the other knobs default).
     pub fn with_router(mut self, router: impl Into<RouterConfig>) -> Self {
         self.router = router.into();
         self

@@ -19,14 +19,16 @@ use square_qir::{
 };
 use square_route::{Machine, MachineConfig, PhysicalCheck, RouterConfig, RouterKind};
 
-use crate::budget::{scan_candidate, BudgetState};
+use crate::budget::{scan_candidate, stack_need, BudgetState};
 use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
 use crate::config::CompilerConfig;
 use crate::error::CompileError;
 use crate::heap::AncillaHeap;
 use crate::laa;
 use crate::policy::Policy;
-use crate::report::{CompileReport, DecisionStats, MbuStats, ReclaimDecision, ReclaimLowering};
+use crate::report::{
+    BudgetOutcome, CompileReport, DecisionStats, MbuStats, ReclaimDecision, ReclaimLowering,
+};
 
 /// Compiles `program` with all entry-register inputs |0⟩.
 ///
@@ -223,14 +225,11 @@ fn compile_on(
         gates_emitted: 0,
         decisions: DecisionStats::default(),
         decision_log: Vec::new(),
-        mbu_stats: MbuStats::default(),
+        mbu: config.mbu.then(MbuStats::default),
         lookahead: false,
-        budget: config.budget.map(BudgetState::new),
-        stack_need: if config.budget.is_some() {
-            crate::budget::stack_need(lowered)
-        } else {
-            0
-        },
+        budget: config
+            .budget
+            .map(|cap| BudgetState::new(cap, stack_need(lowered))),
         stack_width: 0,
         module_stack: Vec::new(),
     };
@@ -241,9 +240,12 @@ fn compile_on(
     let route_ns = route_start.elapsed().as_nanos() as u64;
     let decisions = exec.decisions;
     let decision_log = std::mem::take(&mut exec.decision_log);
-    let mbu_stats = exec.mbu_stats;
+    let mbu = exec.mbu;
     let cer_cache = exec.cer.stats();
-    let recompute = exec.budget.as_ref().map(|b| b.stats).unwrap_or_default();
+    let budget = exec.budget.as_ref().map(|b| BudgetOutcome {
+        cap: b.cap,
+        recompute: b.stats,
+    });
     let policy = config.policy;
     let comm = config.comm;
     let comm_factor = exec.machine.comm_factor();
@@ -275,10 +277,8 @@ fn compile_on(
         machine_qubits,
         route_ns,
         trace,
-        budget: config.budget,
-        recompute,
-        mbu: config.mbu,
-        mbu_stats,
+        budget,
+        mbu,
     };
     Ok((report, route_report.check))
 }
@@ -290,6 +290,14 @@ enum BlockKind {
     Compute,
     Store,
     CustomUncompute,
+}
+
+/// Binds a frame-relative operand to the frame's virtual qubits.
+fn resolve(args: &[VirtId], anc: &[VirtId], op: &Operand) -> VirtId {
+    match op {
+        Operand::Param(i) => args[*i],
+        Operand::Ancilla(i) => anc[*i],
+    }
 }
 
 struct Exec<'p> {
@@ -320,20 +328,18 @@ struct Exec<'p> {
     decisions: DecisionStats,
     /// Per-frame decisions in completion order (see [`ReclaimDecision`]).
     decision_log: Vec<ReclaimDecision>,
-    /// Measurement-based-uncompute activity (stays default with MBU
-    /// off).
-    mbu_stats: MbuStats,
+    /// Measurement-based-uncompute activity, present only with MBU on —
+    /// the executor's one source for whether MBU is enabled.
+    mbu: Option<MbuStats>,
     /// True when the machine's router consumes upcoming-gate windows
     /// (gates the per-gate window construction off the hot path
     /// otherwise).
     lookahead: bool,
     /// Early-uncompute engine, present only under `budget:N` — every
-    /// budget hook is behind this `Option`, keeping unbudgeted
-    /// compiles bit-identical to their pre-budget behavior.
+    /// budget hook is behind this `Option` (the executor's one source
+    /// for the cap and the stack need), keeping unbudgeted compiles
+    /// bit-identical to their pre-budget behavior.
     budget: Option<BudgetState>,
-    /// Eager-floor stack need of the entry module (see
-    /// [`crate::budget::stack_need`]); 0 when unbudgeted.
-    stack_need: usize,
     /// Ancilla qubits belonging to currently open frames (the live
     /// call stack's width); live − stack = settled garbage, the
     /// quantity the budget clamp polices.
@@ -363,8 +369,8 @@ impl Exec<'_> {
             TraceOp::Alloc(v) => {
                 // Under `budget:N`, evict (early-uncompute) garbage
                 // frames until this allocation fits under the cap.
-                if self.budget.is_some() {
-                    self.ensure_headroom()?;
+                if let Some(cap) = self.budget.as_ref().map(|b| b.cap) {
+                    self.ensure_headroom(cap)?;
                 }
                 let choice = if self.config.policy.uses_laa() {
                     laa::choose_slot(&self.machine, &mut self.heap, interact, &self.config.laa)
@@ -383,8 +389,11 @@ impl Exec<'_> {
                 self.heap.push(phys);
                 self.cer.note_allocation_event();
             }
-            TraceOp::Gate(g) => {
-                self.machine.apply(g)?;
+            TraceOp::Gate(g) | TraceOp::CondGate { gate: g, .. } => {
+                match &op {
+                    TraceOp::CondGate { clbit, .. } => self.machine.apply_guarded(g, *clbit)?,
+                    _ => self.machine.apply(g)?,
+                };
                 self.gates_emitted += 1;
                 // Routing swaps may have moved pooled |0⟩ cells.
                 for (from, to) in self.machine.drain_relocations() {
@@ -394,13 +403,6 @@ impl Exec<'_> {
             TraceOp::Measure { qubit, clbit } => {
                 self.machine.measure(*qubit, *clbit)?;
                 self.gates_emitted += 1;
-            }
-            TraceOp::CondGate { clbit, gate } => {
-                self.machine.apply_guarded(gate, *clbit)?;
-                self.gates_emitted += 1;
-                for (from, to) in self.machine.drain_relocations() {
-                    self.heap.relocate(from, to);
-                }
             }
         }
         if let Some(b) = &mut self.budget {
@@ -412,11 +414,10 @@ impl Exec<'_> {
             let pos = self.trace.len();
             match &op {
                 TraceOp::Alloc(v) | TraceOp::Free(v) => b.note_write(*v, pos),
-                TraceOp::Gate(g) => crate::budget::for_each_write(g, |w| b.note_write(w, pos)),
-                TraceOp::Measure { .. } => {}
-                TraceOp::CondGate { gate, .. } => {
-                    crate::budget::for_each_write(gate, |w| b.note_write(w, pos));
+                TraceOp::Gate(g) | TraceOp::CondGate { gate: g, .. } => {
+                    g.for_each_write(|w| b.note_write(*w, pos));
                 }
+                TraceOp::Measure { .. } => {}
             }
         }
         self.trace.push(op);
@@ -435,30 +436,42 @@ impl Exec<'_> {
             capacity: self.machine.qubit_count(),
             live: self.machine.placement().active_count(),
             policy: self.config.policy,
-            budget: self.config.budget,
+            budget: self.budget.as_ref().map(|b| b.cap),
             module,
             min_feasible,
         }
     }
 
-    /// Budget rule engine: while the next allocation would exceed the
-    /// cap, early-uncompute the cheapest evictable garbage frame
-    /// (CER-scored: uncompute-now + recompute-later per qubit freed).
+    /// Laplace-smoothed running reclaim rate ρ over the decisions so
+    /// far.
+    fn reclaim_rate(&self) -> f64 {
+        let d = &self.decisions;
+        (d.reclaimed as f64 + 1.0) / ((d.reclaimed + d.garbage) as f64 + 2.0)
+    }
+
+    /// The cheapest evictable budget candidate (CER-scored: uncompute-
+    /// now + recompute-later per qubit freed), after pruning stale
+    /// ones; `None` when nothing is evictable or the compile is
+    /// unbudgeted.
+    fn pick_eviction(&mut self) -> Option<usize> {
+        let rate = self.reclaim_rate();
+        let params = self.config.cer;
+        self.budget
+            .as_mut()?
+            .pick(|c| early_reclaim_score(&params, c.gates, c.freed, rate, c.level))
+    }
+
+    /// Budget rule engine: while the next allocation would exceed
+    /// `cap`, early-uncompute the cheapest evictable garbage frame.
     /// Errors with the minimum feasible budget when the candidate pool
     /// runs dry first.
-    fn ensure_headroom(&mut self) -> Result<(), CompileError> {
+    fn ensure_headroom(&mut self, cap: usize) -> Result<(), CompileError> {
         loop {
             let live = self.machine.placement().active_count();
-            let budget = self.budget.as_mut().expect("caller checked budget");
-            if live < budget.cap {
+            if live < cap {
                 return Ok(());
             }
-            let total = self.decisions.reclaimed + self.decisions.garbage;
-            let rate = (self.decisions.reclaimed as f64 + 1.0) / (total as f64 + 2.0);
-            let params = self.config.cer;
-            let Some(idx) =
-                budget.pick(|c| early_reclaim_score(&params, c.gates, c.freed, rate, c.level))
-            else {
+            let Some(idx) = self.pick_eviction() else {
                 // Nothing evictable: even perfect reclamation cannot
                 // fit this allocation — report the honest lower bound
                 // on a workable budget.
@@ -477,19 +490,9 @@ impl Exec<'_> {
         let budget = self.budget.as_mut().expect("caller checked budget");
         let cand = budget.candidates.swap_remove(idx);
         let u_start = self.trace.len();
-        let mut scratch = std::mem::take(&mut self.inverse_scratch);
-        let mut next = self.next_virt;
-        invert_slice_into(&self.trace[cand.start..cand.end], &mut scratch, || {
-            let v = VirtId(next);
-            next += 1;
-            v
-        });
-        self.next_virt = next;
         // Flat regions (rule 1) invert to gates + frees only, so this
         // replay never allocates and never re-enters ensure_headroom.
-        let replayed = self.replay_ops(&scratch);
-        self.inverse_scratch = scratch;
-        replayed?;
+        self.sweep(cand.start, cand.end)?;
         for a in cand.anc.iter().rev() {
             self.emit(TraceOp::Free(*a), &[])?;
         }
@@ -609,15 +612,16 @@ impl Exec<'_> {
         // both lowerings under the per-gate-class cost model. The
         // entry frame never qualifies — its "ancillas" are the
         // program's I/O register, which a reset would destroy.
-        let mbu_plan =
-            if self.config.mbu && depth > 0 && self.program.module(id).custom_uncompute().is_none()
-            {
-                scan_mbu_slice(&self.trace[compute_start..compute_end], |q| {
-                    anc.contains(&q)
-                })
-            } else {
-                None
-            };
+        let mbu_plan = if self.mbu.is_some()
+            && depth > 0
+            && self.program.module(id).custom_uncompute().is_none()
+        {
+            scan_mbu_slice(&self.trace[compute_start..compute_end], |q| {
+                anc.contains(&q)
+            })
+        } else {
+            None
+        };
         let use_mbu = match &mbu_plan {
             Some(plan) => {
                 let costs = self.costs.gate_class_costs();
@@ -672,11 +676,12 @@ impl Exec<'_> {
                 // are already |0⟩ and need no events at all.
                 let plan = mbu_plan.expect("use_mbu implies a plan");
                 let costs = self.costs.gate_class_costs();
-                self.mbu_stats.mbu_frames += 1;
-                self.mbu_stats.measurements += plan.written.len() as u64;
-                self.mbu_stats.cond_corrections += plan.written.len() as u64;
-                self.mbu_stats.mbu_gates += costs.mbu_cost(plan.written.len());
-                self.mbu_stats.unitary_gates_avoided += costs.slice_cost(&plan.counts);
+                let stats = self.mbu.as_mut().expect("a plan implies MBU on");
+                stats.mbu_frames += 1;
+                stats.measurements += plan.written.len() as u64;
+                stats.cond_corrections += plan.written.len() as u64;
+                stats.mbu_gates += costs.mbu_cost(plan.written.len());
+                stats.unitary_gates_avoided += costs.slice_cost(&plan.counts);
                 for q in plan.written {
                     let clbit = self.fresh_clbit();
                     self.emit(TraceOp::Measure { qubit: q, clbit }, &[])?;
@@ -695,23 +700,7 @@ impl Exec<'_> {
                 if let Some(b) = &mut self.budget {
                     b.note_sweep(compute_start, compute_end);
                 }
-                // Invert the recorded compute slice into the reused
-                // scratch buffer (no per-frame slice copy).
-                let mut scratch = std::mem::take(&mut self.inverse_scratch);
-                let mut next = self.next_virt;
-                invert_slice_into(
-                    &self.trace[compute_start..compute_end],
-                    &mut scratch,
-                    || {
-                        let v = VirtId(next);
-                        next += 1;
-                        v
-                    },
-                );
-                self.next_virt = next;
-                let replayed = self.replay_ops(&scratch);
-                self.inverse_scratch = scratch;
-                replayed?;
+                self.sweep(compute_start, compute_end)?;
             }
             if depth > 0 {
                 for a in anc.iter().rev() {
@@ -730,7 +719,6 @@ impl Exec<'_> {
                     let cand = scan_candidate(
                         &self.trace[compute_start..compute_end],
                         compute_start,
-                        id,
                         depth,
                         anc,
                         measured_gates,
@@ -745,28 +733,30 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// Replays a mechanically inverted slice onto the machine, with
-    /// the same lookahead-window handling as [`Exec::run_block`].
-    /// Shared by frame sweeps and budget-driven early uncomputes.
-    fn replay_ops(&mut self, ops: &[TraceOp]) -> Result<(), CompileError> {
-        for (j, op) in ops.iter().enumerate() {
+    /// Replays the recorded slice `[start..end)` inverted at the
+    /// current trace position, with the same lookahead-window handling
+    /// as [`Exec::run_block`]: the one invert-and-replay path, shared
+    /// by frame sweeps and budget-driven early uncomputes. The inverse
+    /// goes through a reused scratch buffer (no per-frame slice copy).
+    fn sweep(&mut self, start: usize, end: usize) -> Result<(), CompileError> {
+        let mut scratch = std::mem::take(&mut self.inverse_scratch);
+        let mut next = self.next_virt;
+        invert_slice_into(&self.trace[start..end], &mut scratch, || {
+            let v = VirtId(next);
+            next += 1;
+            v
+        });
+        self.next_virt = next;
+        for (j, op) in scratch.iter().enumerate() {
             if self.lookahead && matches!(op, TraceOp::Gate(g) if g.arity() >= 2) {
-                let depth = self.config.router.lookahead_window;
-                let window = self.machine.lookahead_mut();
-                window.clear();
-                for op in &ops[j + 1..] {
-                    if let TraceOp::Gate(g) = op {
-                        if g.arity() >= 2 {
-                            window.push(g.clone());
-                            if window.len() >= depth {
-                                break;
-                            }
-                        }
-                    }
-                }
+                self.fill_window(scratch[j + 1..].iter().filter_map(|op| match op {
+                    TraceOp::Gate(g) if g.arity() >= 2 => Some(g.clone()),
+                    _ => None,
+                }));
             }
             self.emit(op.clone(), &[])?;
         }
+        self.inverse_scratch = scratch;
         Ok(())
     }
 
@@ -803,46 +793,38 @@ impl Exec<'_> {
                 BlockKind::CustomUncompute => self.costs.custom_tail(id, i),
             };
             // Only multi-qubit gates route, so only they read the
-            // window — skip the O(block) rebuild for 1-qubit gates.
+            // window — skip the O(block) rebuild for 1-qubit gates. The
+            // window ends at the first call statement: callee gate
+            // streams are not statically visible at this altitude.
+            // Measurements and guarded corrections are local
+            // single-cell events: nothing for a router to score.
             if self.lookahead && matches!(stmt, Stmt::Gate(g) if g.arity() >= 2) {
-                self.fill_window(&stmts[i + 1..], args, anc);
+                self.fill_window(
+                    stmts[i + 1..]
+                        .iter()
+                        .take_while(|s| !matches!(s, Stmt::Call { .. }))
+                        .filter_map(|s| match s {
+                            Stmt::Gate(g) if g.arity() >= 2 => {
+                                Some(g.map(|op| resolve(args, anc, op)))
+                            }
+                            _ => None,
+                        }),
+                );
             }
             self.exec_stmt(stmt, id, args, anc, clbits, depth, rest, frame_g_p)?;
         }
         Ok(())
     }
 
-    /// Refills the machine's lookahead window with the next
-    /// [`RouterConfig::lookahead_window`] multi-qubit gates of the
-    /// current block, resolved to virtual qubits — the front/extended
-    /// set a SABRE-style router scores swaps against. The window ends
-    /// at the first call statement: callee gate streams are not
-    /// statically visible at this altitude.
-    fn fill_window(&mut self, upcoming: &[Stmt], args: &[VirtId], anc: &[VirtId]) {
-        let resolve = |op: &Operand| -> VirtId {
-            match op {
-                Operand::Param(i) => args[*i],
-                Operand::Ancilla(i) => anc[*i],
-            }
-        };
+    /// Refills the machine's lookahead window with the first
+    /// [`RouterConfig::lookahead_window`] (at least one) of the
+    /// `upcoming` multi-qubit gates, resolved to virtual qubits — the
+    /// front/extended set a SABRE-style router scores swaps against.
+    fn fill_window(&mut self, upcoming: impl Iterator<Item = Gate<VirtId>>) {
         let depth = self.config.router.lookahead_window;
         let window = self.machine.lookahead_mut();
         window.clear();
-        for stmt in upcoming {
-            match stmt {
-                Stmt::Gate(g) if g.arity() >= 2 => {
-                    window.push(g.map(resolve));
-                    if window.len() >= depth {
-                        break;
-                    }
-                }
-                Stmt::Gate(_) => {}
-                // Measurements and guarded corrections are local
-                // single-cell events: nothing for a router to score.
-                Stmt::Measure { .. } | Stmt::CondGate { .. } => {}
-                Stmt::Call { .. } => break,
-            }
-        }
+        window.extend(upcoming.take(depth.max(1)));
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -857,12 +839,7 @@ impl Exec<'_> {
         gates_after_stmt: u64,
         frame_g_p: u64,
     ) -> Result<(), CompileError> {
-        let resolve = |op: &Operand| -> VirtId {
-            match op {
-                Operand::Param(i) => args[*i],
-                Operand::Ancilla(i) => anc[*i],
-            }
-        };
+        let resolve = |op: &Operand| resolve(args, anc, op);
         match stmt {
             Stmt::Gate(g) => {
                 let g = g.map(resolve);
@@ -906,8 +883,7 @@ impl Exec<'_> {
                 // ρ), the sweep horizon extends toward *our* parent's:
                 // add the expected remainder (1−ρ)·g_p.
                 let own_uncomp = self.pstats.module(caller).gates_compute;
-                let total = self.decisions.reclaimed + self.decisions.garbage;
-                let rate = (self.decisions.reclaimed as f64 + 1.0) / (total as f64 + 2.0);
+                let rate = self.reclaim_rate();
                 let g_p_child =
                     gates_after_stmt + own_uncomp + ((1.0 - rate) * frame_g_p as f64) as u64;
                 self.run_body(*callee, &resolved, &child_anc, depth + 1, g_p_child)
@@ -923,15 +899,15 @@ impl Exec<'_> {
     /// fits under the cap. Returns 0 when the frame can safely go
     /// garbage.
     fn budget_excess(&self, incoming: usize) -> usize {
-        let Some(cap) = self.config.budget else {
+        let Some(b) = &self.budget else {
             return 0;
         };
-        let eff = cap.min(self.machine.qubit_count());
+        let eff = b.cap.min(self.machine.qubit_count());
         let active = self.machine.placement().active_count();
         // Open-frame qubits are stack, not garbage; everything else
         // live is garbage from settled frames.
         let garbage = active.saturating_sub(self.stack_width);
-        (garbage + incoming + self.stack_need).saturating_sub(eff)
+        (garbage + incoming + b.stack_need).saturating_sub(eff)
     }
 
     /// Tries to clear `excess` overcommitted garbage qubits by early-
@@ -943,19 +919,18 @@ impl Exec<'_> {
     /// excess still uncovered.
     fn try_evict(&mut self, mut excess: usize, g_uncomp: u64) -> Result<usize, CompileError> {
         while excess > 0 {
-            let total = self.decisions.reclaimed + self.decisions.garbage;
-            let rate = (self.decisions.reclaimed as f64 + 1.0) / (total as f64 + 2.0);
-            let params = self.config.cer;
-            let budget = self.budget.as_mut().expect("caller checked budget");
-            let Some(idx) =
-                budget.pick(|c| early_reclaim_score(&params, c.gates, c.freed, rate, c.level))
-            else {
+            let Some(idx) = self.pick_eviction() else {
                 break;
             };
-            if budget.candidates[idx].gates > g_uncomp {
+            let cand = &self
+                .budget
+                .as_ref()
+                .expect("caller checked budget")
+                .candidates[idx];
+            if cand.gates > g_uncomp {
                 break;
             }
-            let freed = budget.candidates[idx].freed;
+            let freed = cand.freed;
             self.early_uncompute(idx)?;
             excess = excess.saturating_sub(freed);
         }
@@ -975,7 +950,6 @@ impl Exec<'_> {
             Policy::Eager | Policy::SquareLaaOnly => true,
             Policy::Lazy => depth == 0,
             Policy::Square => {
-                let total = self.decisions.reclaimed + self.decisions.garbage;
                 // Under `budget:N` CER sees the capped machine: the cap
                 // is the capacity and the headroom under it the free
                 // pool, so the paper's own pressure rule engages as the
@@ -983,9 +957,9 @@ impl Exec<'_> {
                 // the memo key, so budgeted decisions memoize apart
                 // from unbudgeted ones.
                 let n_active = self.machine.placement().active_count();
-                let (capacity, free_qubits) = match self.config.budget {
-                    Some(cap) => {
-                        let eff = cap.min(self.machine.qubit_count());
+                let (capacity, free_qubits) = match &self.budget {
+                    Some(b) => {
+                        let eff = b.cap.min(self.machine.qubit_count());
                         (eff, eff.saturating_sub(n_active))
                     }
                     None => (
@@ -1002,8 +976,7 @@ impl Exec<'_> {
                     comm_factor: self.machine.comm_factor(),
                     free_qubits,
                     capacity,
-                    // Laplace-smoothed running reclaim rate.
-                    reclaim_rate: (self.decisions.reclaimed as f64 + 1.0) / (total as f64 + 2.0),
+                    reclaim_rate: self.reclaim_rate(),
                     frame_qubits,
                 };
                 let d = self.cer.decide(id, &inputs);
@@ -1019,7 +992,7 @@ impl Exec<'_> {
         // settled garbage (the Reqomp move — the base decision and the
         // decision log are untouched); only when the pool cannot cover
         // the excess is the frame force-reclaimed.
-        if !base && depth > 0 && self.config.budget.is_some() {
+        if !base && depth > 0 && self.budget.is_some() {
             let excess = self.budget_excess(n_anc);
             if excess > 0 && self.try_evict(excess, g_uncomp)? > 0 {
                 self.decisions.forced += 1;
@@ -1255,12 +1228,13 @@ mod tests {
             "cap enforced: peak {} > 4",
             capped.peak_active
         );
-        assert_eq!(capped.budget, Some(4));
-        assert!(capped.recompute.early_uncomputed_frames >= 1);
-        assert!(capped.recompute.early_uncompute_gates >= 1);
+        let outcome = capped.budget.expect("budgeted");
+        assert_eq!(outcome.cap, 4);
+        assert!(outcome.recompute.early_uncomputed_frames >= 1);
+        assert!(outcome.recompute.early_uncompute_gates >= 1);
         // The entry's final sweep covers the early uncompute, so the
         // frame is recomputed (and recounted) mechanically.
-        assert!(capped.recompute.recomputed_frames >= 1);
+        assert!(outcome.recompute.recomputed_frames >= 1);
         // Early uncomputation is externally invisible: the decision
         // log is unchanged and the trace still replays cleanly to the
         // same outputs.
@@ -1321,9 +1295,15 @@ mod tests {
                 assert_eq!(base.decisions, capped.decisions, "{policy}");
                 assert_eq!(base.decision_log, capped.decision_log, "{policy}");
                 assert_eq!(base.trace, capped.trace, "{policy}");
-                assert_eq!(capped.budget, Some(16));
-                assert_eq!(base.recompute, capped.recompute, "{policy}: all zero");
-                assert_eq!(capped.recompute.early_uncomputed_frames, 0);
+                assert!(base.budget.is_none(), "{policy}");
+                assert_eq!(
+                    capped.budget,
+                    Some(BudgetOutcome {
+                        cap: 16,
+                        recompute: Default::default(),
+                    }),
+                    "{policy}: all zero"
+                );
             }
         }
     }
@@ -1362,16 +1342,16 @@ mod tests {
         let p = toffoli_program();
         let off = compile(&p, &grid(Policy::Eager)).unwrap();
         let on = compile(&p, &grid(Policy::Eager).with_mbu(true)).unwrap();
-        assert!(!off.mbu && on.mbu);
-        assert_eq!(off.mbu_stats, MbuStats::default());
-        assert!(on.mbu_stats.mbu_frames >= 1);
-        assert_eq!(on.mbu_stats.measurements, 2, "both written ancillas");
-        assert_eq!(on.mbu_stats.cond_corrections, 2);
+        assert_eq!(off.mbu, None);
+        let stats = on.mbu.expect("MBU on");
+        assert!(stats.mbu_frames >= 1);
+        assert_eq!(stats.measurements, 2, "both written ancillas");
+        assert_eq!(stats.cond_corrections, 2);
         assert!(
-            on.mbu_stats.unitary_gates_avoided > on.mbu_stats.mbu_gates,
+            stats.unitary_gates_avoided > stats.mbu_gates,
             "MBU only chosen when strictly cheaper: {} vs {}",
-            on.mbu_stats.unitary_gates_avoided,
-            on.mbu_stats.mbu_gates
+            stats.unitary_gates_avoided,
+            stats.mbu_gates
         );
         assert!(on
             .decision_log
@@ -1415,8 +1395,8 @@ mod tests {
         assert_eq!(base.decisions, on.decisions);
         assert_eq!(base.decision_log, on.decision_log);
         assert_eq!(base.trace, on.trace);
-        assert!(!base.mbu && on.mbu);
-        assert_eq!(on.mbu_stats, MbuStats::default());
+        assert_eq!(base.mbu, None);
+        assert_eq!(on.mbu, Some(MbuStats::default()));
     }
 
     #[test]

@@ -54,7 +54,10 @@ pub use executor::{
 };
 pub use heap::{AncillaHeap, HeapError, HeapHandle};
 pub use policy::{BudgetPolicy, Policy};
-pub use report::{error_json, report_json, CompileReport, ReclaimDecision, RecomputeStats};
+pub use report::{
+    error_json, report_json, BudgetOutcome, CompileReport, MbuStats, ReclaimDecision,
+    RecomputeStats,
+};
 // Router selection is part of the compiler configuration; re-export
 // the kind so downstream crates need not depend on square-route.
 pub use square_route::RouterKind;

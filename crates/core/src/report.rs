@@ -1,8 +1,9 @@
 //! Compile reports: everything the evaluation section consumes.
 
 use std::collections::HashMap;
+use std::ops::AddAssign;
 
-use serde::Value;
+use serde::{Serialize, Value};
 use square_arch::{CommModel, PhysId};
 use square_metrics::{aqv, UsageCurve};
 use square_qir::{ModuleId, TraceOp, VirtId};
@@ -109,20 +110,25 @@ pub struct CompileReport {
     pub route_ns: u64,
     /// The executed virtual trace (alloc/gate/free events).
     pub trace: Vec<TraceOp>,
-    /// The `budget:N` hard width cap this run compiled under, if any.
-    /// `None` (no cap) leaves every other field bit-identical to an
-    /// unbudgeted compile of the same base policy.
-    pub budget: Option<usize>,
-    /// Early-uncompute/recompute activity under the budget cap (all
-    /// zeros when `budget` is `None`).
-    pub recompute: RecomputeStats,
-    /// Whether measurement-based uncomputation was enabled for this
-    /// compile. `false` leaves every other field bit-identical to a
+    /// The `budget:N` cap and its early-uncompute activity, present
+    /// only on budgeted compiles. `None` (no cap) leaves every other
+    /// field bit-identical to an unbudgeted compile of the same base
+    /// policy.
+    pub budget: Option<BudgetOutcome>,
+    /// Measurement-based-uncompute activity, present only when MBU was
+    /// enabled. `None` leaves every other field bit-identical to a
     /// pre-MBU compile.
-    pub mbu: bool,
-    /// Measurement-based-uncompute activity (all zeros when `mbu` is
-    /// off).
-    pub mbu_stats: MbuStats,
+    pub mbu: Option<MbuStats>,
+}
+
+/// What a `budget:N` compile reports: the cap it ran under and what
+/// holding it cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetOutcome {
+    /// The hard cap N on simultaneously live qubits.
+    pub cap: usize,
+    /// Early-uncompute/recompute activity under the cap.
+    pub recompute: RecomputeStats,
 }
 
 /// Counters for budget-driven early uncomputation and the recompute
@@ -138,6 +144,32 @@ pub struct RecomputeStats {
     pub recomputed_frames: u64,
     /// Gates spent recomputing those frames inside ancestor sweeps.
     pub recompute_gates: u64,
+}
+
+impl AddAssign for RecomputeStats {
+    fn add_assign(&mut self, other: Self) {
+        self.early_uncomputed_frames += other.early_uncomputed_frames;
+        self.early_uncompute_gates += other.early_uncompute_gates;
+        self.recomputed_frames += other.recomputed_frames;
+        self.recompute_gates += other.recompute_gates;
+    }
+}
+
+impl Serialize for RecomputeStats {
+    fn serialize(&self) -> Value {
+        Value::map([
+            (
+                "early_uncomputed_frames",
+                Value::UInt(self.early_uncomputed_frames),
+            ),
+            (
+                "early_uncompute_gates",
+                Value::UInt(self.early_uncompute_gates),
+            ),
+            ("recomputed_frames", Value::UInt(self.recomputed_frames)),
+            ("recompute_gates", Value::UInt(self.recompute_gates)),
+        ])
+    }
 }
 
 /// Counters for measurement-based uncomputation (ISSUE 9 tentpole).
@@ -157,6 +189,21 @@ pub struct MbuStats {
     /// skipped (the ablation's uncompute-cost delta; always larger,
     /// since MBU is only chosen when strictly cheaper).
     pub unitary_gates_avoided: u64,
+}
+
+impl Serialize for MbuStats {
+    fn serialize(&self) -> Value {
+        Value::map([
+            ("mbu_frames", Value::UInt(self.mbu_frames)),
+            ("measurements", Value::UInt(self.measurements)),
+            ("cond_corrections", Value::UInt(self.cond_corrections)),
+            ("mbu_gates", Value::UInt(self.mbu_gates)),
+            (
+                "unitary_gates_avoided",
+                Value::UInt(self.unitary_gates_avoided),
+            ),
+        ])
+    }
 }
 
 impl CompileReport {
@@ -222,59 +269,17 @@ pub fn report_json(r: &CompileReport) -> Value {
                 ("forced", Value::UInt(r.decisions.forced)),
             ]),
         ),
-        (
-            "cer_cache",
-            Value::map([
-                ("hits", Value::UInt(r.cer_cache.hits)),
-                ("misses", Value::UInt(r.cer_cache.misses)),
-                ("invalidations", Value::UInt(r.cer_cache.invalidations)),
-            ]),
-        ),
+        ("cer_cache", r.cer_cache.serialize()),
     ];
-    // Budget keys appear only on budgeted compiles: unbudgeted report
-    // JSON (and therefore every pre-budget bench fingerprint) stays
-    // byte-identical.
-    if let Some(budget) = r.budget {
-        fields.push(("budget", Value::UInt(budget as u64)));
-        fields.push((
-            "recompute",
-            Value::map([
-                (
-                    "early_uncomputed_frames",
-                    Value::UInt(r.recompute.early_uncomputed_frames),
-                ),
-                (
-                    "early_uncompute_gates",
-                    Value::UInt(r.recompute.early_uncompute_gates),
-                ),
-                (
-                    "recomputed_frames",
-                    Value::UInt(r.recompute.recomputed_frames),
-                ),
-                ("recompute_gates", Value::UInt(r.recompute.recompute_gates)),
-            ]),
-        ));
+    // Budget and MBU keys appear only on compiles that enabled them, so
+    // every other report's JSON (and therefore every pre-budget,
+    // pre-MBU bench fingerprint) stays byte-identical.
+    if let Some(b) = &r.budget {
+        fields.push(("budget", Value::UInt(b.cap as u64)));
+        fields.push(("recompute", b.recompute.serialize()));
     }
-    // MBU keys appear only on MBU-enabled compiles, so MBU-off report
-    // JSON (and therefore every pre-MBU bench fingerprint) stays
-    // byte-identical.
-    if r.mbu {
-        fields.push((
-            "mbu",
-            Value::map([
-                ("mbu_frames", Value::UInt(r.mbu_stats.mbu_frames)),
-                ("measurements", Value::UInt(r.mbu_stats.measurements)),
-                (
-                    "cond_corrections",
-                    Value::UInt(r.mbu_stats.cond_corrections),
-                ),
-                ("mbu_gates", Value::UInt(r.mbu_stats.mbu_gates)),
-                (
-                    "unitary_gates_avoided",
-                    Value::UInt(r.mbu_stats.unitary_gates_avoided),
-                ),
-            ]),
-        ));
+    if let Some(m) = &r.mbu {
+        fields.push(("mbu", m.serialize()));
     }
     Value::map(fields)
 }
@@ -351,9 +356,7 @@ mod tests {
             route_ns: 0,
             trace: vec![],
             budget: None,
-            recompute: RecomputeStats::default(),
-            mbu: false,
-            mbu_stats: MbuStats::default(),
+            mbu: None,
         };
         let row = report.table_row();
         assert!(row.contains("SQUARE"));

@@ -4,7 +4,7 @@
 //! keeps module references *by name* and attaches a [`Span`] to every
 //! construct a later pass might need to report on. Resolution (name →
 //! [`square_qir::ModuleId`], arity and bounds checks) and lowering to
-//! the builder live in [`crate::lower`].
+//! the builder live in [`mod@crate::lower`].
 
 use square_qir::{Gate, Operand};
 

@@ -27,7 +27,7 @@
 //!    happens to contain — determines the lowered [`Program`].
 //!
 //! The merged program then flows through the ordinary single-file
-//! checks and lowering ([`crate::lower`]). An import-free root file
+//! checks and lowering ([`mod@crate::lower`]). An import-free root file
 //! takes this path to the byte-identical result of
 //! [`crate::parse_program`], and the lowered program's canonical
 //! listing ([`square_qir::pretty::program_listing`]) is the flattened

@@ -47,15 +47,6 @@ impl GateTally {
             },
         }
     }
-
-    /// Tallies a whole gate sequence.
-    pub fn from_gates<'a, Q: 'a>(gates: impl IntoIterator<Item = &'a Gate<Q>>) -> Self {
-        let mut t = Self::new();
-        for g in gates {
-            t.add_gate(g);
-        }
-        t
-    }
 }
 
 /// Worst-case success probability of a program run:

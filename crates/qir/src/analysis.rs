@@ -7,7 +7,7 @@
 //! calls fully expanded, no uncomputation) provide that estimate; the
 //! paper computes the same quantity from its instrumented LLVM IR.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::gate::Gate;
 use crate::module::{ModuleId, Operand, Program, Stmt};
@@ -71,27 +71,10 @@ impl ProgramStats {
     /// multi-controlled gates and calls expand).
     pub fn stmt_forward_gates(&self, stmt: &Stmt) -> u64 {
         match stmt {
-            Stmt::Gate(g) => primitive_count(g),
+            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => primitive_count(g),
             Stmt::Call { callee, .. } => self.modules[callee.index()].gates_forward(),
             Stmt::Measure { .. } => 1,
-            Stmt::CondGate { gate, .. } => primitive_count(gate),
         }
-    }
-
-    /// Total forward gate cost of the whole program (one execution of
-    /// the entry module).
-    pub fn entry_forward_gates(&self, program: &Program) -> u64 {
-        self.module(program.entry()).gates_forward()
-    }
-
-    /// Histogram of module heights, useful for characterizing synthetic
-    /// benchmarks (the paper parameterizes them by nesting depth).
-    pub fn height_histogram(&self) -> HashMap<usize, usize> {
-        let mut h = HashMap::new();
-        for m in &self.modules {
-            *h.entry(m.height).or_insert(0) += 1;
-        }
-        h
     }
 }
 

@@ -105,18 +105,29 @@ impl<Q> Gate<Q> {
         v
     }
 
-    /// Qubits the gate *writes* (may change state). Controls are excluded.
-    pub fn written_qubits(&self) -> Vec<Q>
-    where
-        Q: Clone,
-    {
+    /// Visits every qubit the gate *writes* (may change state), without
+    /// allocating. Controls are excluded.
+    pub fn for_each_write(&self, mut f: impl FnMut(&Q)) {
         match self {
             Gate::X { target }
             | Gate::Cx { target, .. }
             | Gate::Ccx { target, .. }
-            | Gate::Mcx { target, .. } => vec![target.clone()],
-            Gate::Swap { a, b } => vec![a.clone(), b.clone()],
+            | Gate::Mcx { target, .. } => f(target),
+            Gate::Swap { a, b } => {
+                f(a);
+                f(b);
+            }
         }
+    }
+
+    /// Qubits the gate *writes*, collected (see [`Gate::for_each_write`]).
+    pub fn written_qubits(&self) -> Vec<Q>
+    where
+        Q: Clone,
+    {
+        let mut v = Vec::with_capacity(2);
+        self.for_each_write(|q| v.push(q.clone()));
+        v
     }
 
     /// Maps the qubit names through `f`, preserving the gate kind.
@@ -147,12 +158,6 @@ impl<Q> Gate<Q> {
         Q: Clone,
     {
         self.clone()
-    }
-
-    /// True if the gate acts on two or more qubits (and therefore needs
-    /// the operands to be adjacent / connected on hardware).
-    pub fn is_multi_qubit(&self) -> bool {
-        self.arity() >= 2
     }
 
     /// Number of native two-qubit interactions this gate costs after

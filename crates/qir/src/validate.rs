@@ -51,7 +51,10 @@ pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirEr
     };
     for stmt in module.all_stmts() {
         match stmt {
-            Stmt::Gate(g) => {
+            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
+                if let Stmt::CondGate { clbit, .. } = stmt {
+                    check_clbit(module, *clbit)?;
+                }
                 let mut first_err = None;
                 g.for_each_qubit(|q| {
                     if first_err.is_none() {
@@ -95,23 +98,6 @@ pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirEr
                 check_operand(qubit)?;
                 check_clbit(module, *clbit)?;
             }
-            Stmt::CondGate { clbit, gate } => {
-                check_clbit(module, *clbit)?;
-                let mut first_err = None;
-                gate.for_each_qubit(|q| {
-                    if first_err.is_none() {
-                        first_err = check_operand(q).err();
-                    }
-                });
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                if gate.has_duplicate_operand() {
-                    return Err(QirError::DuplicatedQubit {
-                        module: module.name.clone(),
-                    });
-                }
-            }
         }
     }
     Ok(())
@@ -142,10 +128,10 @@ pub fn validate_program(program: &Program) -> Result<(), QirError> {
             module: entry.name.clone(),
         });
     }
-    for (i, m) in program.modules.iter().enumerate() {
+    for m in &program.modules {
         // Re-run per-module checks treating every module as visible
         // (ids may point anywhere as long as the graph is acyclic).
-        validate_module_in(m, program, i)?;
+        validate_module(m, &program.modules)?;
     }
     check_acyclic(program)?;
     let may_write = compute_may_write_sets(program);
@@ -154,10 +140,6 @@ pub fn validate_program(program: &Program) -> Result<(), QirError> {
         check_store_discipline(m, &may_write, is_entry)?;
     }
     Ok(())
-}
-
-fn validate_module_in(module: &Module, program: &Program, _idx: usize) -> Result<(), QirError> {
-    validate_module(module, &program.modules)
 }
 
 fn check_acyclic(program: &Program) -> Result<(), QirError> {
@@ -251,7 +233,7 @@ fn stmt_written_operands(
     memo: &mut Vec<Option<HashSet<usize>>>,
 ) -> Vec<Operand> {
     match stmt {
-        Stmt::Gate(g) => g.written_qubits(),
+        Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.written_qubits(),
         Stmt::Call { callee, args } => {
             let w = may_write_of(program, callee.index(), memo);
             w.into_iter().filter_map(|p| args.get(p).copied()).collect()
@@ -259,7 +241,6 @@ fn stmt_written_operands(
         // Measurement is non-destructive in the basis-state model: it
         // reads the qubit and writes only the classical bit.
         Stmt::Measure { .. } => Vec::new(),
-        Stmt::CondGate { gate, .. } => gate.written_qubits(),
     }
 }
 
@@ -273,28 +254,24 @@ fn check_store_discipline(
     let mut touched: HashSet<Operand> = HashSet::new();
     for stmt in &module.compute {
         match stmt {
-            Stmt::Gate(g) => g.for_each_qubit(|q| {
+            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.for_each_qubit(|q| {
                 touched.insert(*q);
             }),
             Stmt::Call { args, .. } => touched.extend(args.iter().copied()),
             Stmt::Measure { qubit, .. } => {
                 touched.insert(*qubit);
             }
-            Stmt::CondGate { gate, .. } => gate.for_each_qubit(|q| {
-                touched.insert(*q);
-            }),
         }
     }
     // May-write set of each store statement.
     for stmt in &module.store {
         let written: Vec<Operand> = match stmt {
-            Stmt::Gate(g) => g.written_qubits(),
+            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.written_qubits(),
             Stmt::Call { callee, args } => may_write[callee.index()]
                 .iter()
                 .filter_map(|p| args.get(*p).copied())
                 .collect(),
             Stmt::Measure { .. } => Vec::new(),
-            Stmt::CondGate { gate, .. } => gate.written_qubits(),
         };
         for w in written {
             // The entry module's ancilla are the program I/O register

@@ -14,7 +14,7 @@
 //! endpoints. Two braids whose time windows overlap conflict iff their
 //! tile sets intersect — this captures both channel contention and
 //! perpendicular crossings, abstracting the braid-spacing rules of
-//! [37] at one-tile granularity. Both L-orientations are tried and the
+//! \[37\] at one-tile granularity. Both L-orientations are tried and the
 //! one that starts earlier (fewest conflicts on a tie) wins.
 
 use std::collections::HashSet;

@@ -17,8 +17,8 @@
 //! feed the CER heuristic's `S` factor. Releasing a qubit closes its
 //! liveness segment, from which active quantum volume is computed.
 //!
-//! Routing strategy lives behind the stateless [`Router`] trait; the
-//! machine lends each `route()` call a [`RoutingCtx`](crate::RoutingCtx)
+//! Routing strategy lives behind the stateless [`Router`](crate::Router)
+//! trait; the machine lends each `route()` call a [`RoutingCtx`]
 //! carrying its scratch arenas, so the hot path allocates nothing.
 
 use std::collections::HashMap;
@@ -510,16 +510,6 @@ impl Machine {
     /// Statistics so far.
     pub fn stats(&self) -> &CommStats {
         self.sink.stats()
-    }
-
-    /// The routing engine configuration.
-    pub fn router_config(&self) -> RouterConfig {
-        self.config
-    }
-
-    /// The routing strategy in effect.
-    pub fn router_kind(&self) -> RouterKind {
-        self.config.kind
     }
 
     /// True when the active router consumes the lookahead window —

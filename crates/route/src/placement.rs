@@ -69,24 +69,6 @@ impl CellSet {
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
-
-    /// Calls `f` for every index in `0..n` *not* in the set, ascending.
-    pub fn for_each_clear(&self, n: usize, f: &mut impl FnMut(usize)) {
-        for (wi, &w) in self.words.iter().enumerate() {
-            let base = wi * 64;
-            if base >= n {
-                break;
-            }
-            let mut inv = !w;
-            if n - base < 64 {
-                inv &= (1u64 << (n - base)) - 1;
-            }
-            while inv != 0 {
-                f(base + inv.trailing_zeros() as usize);
-                inv &= inv - 1;
-            }
-        }
-    }
 }
 
 /// The virtual→physical binding state of a machine: occupancy, the
@@ -183,12 +165,6 @@ impl Placement {
     #[inline]
     pub fn fresh_count(&self) -> usize {
         self.fresh
-    }
-
-    /// Calls `f` for every fresh (never-used) cell, ascending.
-    pub fn for_each_fresh(&self, f: &mut impl FnMut(PhysId)) {
-        self.ever_used
-            .for_each_clear(self.occupant.len(), &mut |i| f(PhysId(i as u32)));
     }
 
     /// Marks a cell used, keeping the fresh counter in sync.

@@ -147,35 +147,8 @@ impl Serialize for ServiceStats {
             ("requests", Value::UInt(self.requests)),
             ("compiles", Value::UInt(self.compiles)),
             ("coalesced", Value::UInt(self.coalesced)),
-            (
-                "cer_cache",
-                Value::map([
-                    ("hits", Value::UInt(self.cer_cache.hits)),
-                    ("misses", Value::UInt(self.cer_cache.misses)),
-                    ("invalidations", Value::UInt(self.cer_cache.invalidations)),
-                ]),
-            ),
-            (
-                "recompute",
-                Value::map([
-                    (
-                        "early_uncomputed_frames",
-                        Value::UInt(self.recompute.early_uncomputed_frames),
-                    ),
-                    (
-                        "early_uncompute_gates",
-                        Value::UInt(self.recompute.early_uncompute_gates),
-                    ),
-                    (
-                        "recomputed_frames",
-                        Value::UInt(self.recompute.recomputed_frames),
-                    ),
-                    (
-                        "recompute_gates",
-                        Value::UInt(self.recompute.recompute_gates),
-                    ),
-                ]),
-            ),
+            ("cer_cache", self.cer_cache.serialize()),
+            ("recompute", self.recompute.serialize()),
         ])
     }
 }
@@ -212,8 +185,9 @@ pub struct CompileService {
     requests: AtomicU64,
     compiles: AtomicU64,
     coalesced: AtomicU64,
-    cer_totals: Mutex<CerCacheStats>,
-    recompute_totals: Mutex<RecomputeStats>,
+    /// Cumulative CER-memo and early-uncompute counters of every
+    /// compile this service ran, behind one lock.
+    totals: Mutex<(CerCacheStats, RecomputeStats)>,
 }
 
 impl CompileService {
@@ -227,8 +201,7 @@ impl CompileService {
             requests: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            cer_totals: Mutex::new(CerCacheStats::default()),
-            recompute_totals: Mutex::new(RecomputeStats::default()),
+            totals: Mutex::default(),
         }
     }
 
@@ -400,17 +373,11 @@ impl CompileService {
             other => ServiceError::Compile(other.to_string()),
         })?;
         {
-            let mut totals = self.cer_totals.lock().unwrap();
-            totals.hits += report.cer_cache.hits;
-            totals.misses += report.cer_cache.misses;
-            totals.invalidations += report.cer_cache.invalidations;
-        }
-        {
-            let mut totals = self.recompute_totals.lock().unwrap();
-            totals.early_uncomputed_frames += report.recompute.early_uncomputed_frames;
-            totals.early_uncompute_gates += report.recompute.early_uncompute_gates;
-            totals.recomputed_frames += report.recompute.recomputed_frames;
-            totals.recompute_gates += report.recompute.recompute_gates;
+            let mut totals = self.totals.lock().unwrap();
+            totals.0 += report.cer_cache;
+            if let Some(b) = &report.budget {
+                totals.1 += b.recompute;
+            }
         }
         let compile_ms = start.elapsed().as_secs_f64() * 1e3;
         Ok((Arc::new(report_json(&report)), compile_ms))
@@ -426,6 +393,9 @@ impl CompileService {
 
     /// A snapshot of all cache and service counters.
     pub fn stats(&self) -> ServiceStats {
+        // One read of the totals lock per snapshot: taking it twice in
+        // one struct literal would deadlock on the live guard.
+        let (cer_cache, recompute) = *self.totals.lock().unwrap();
         ServiceStats {
             prepared: self.prepared.lock().unwrap().stats(),
             topologies: self.topologies.lock().unwrap().stats(),
@@ -433,8 +403,8 @@ impl CompileService {
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            cer_cache: *self.cer_totals.lock().unwrap(),
-            recompute: *self.recompute_totals.lock().unwrap(),
+            cer_cache,
+            recompute,
         }
     }
 }

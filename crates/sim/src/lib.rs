@@ -23,9 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod noise;
-pub mod replay;
 pub mod trajectory;
 
 pub use noise::NoiseModel;
-pub use replay::{check_swapchain_schedule, replay_schedule, step_gate, Replay, ScheduleViolation};
 pub use trajectory::{run_ideal, run_noisy, sample_histogram, TrajectoryConfig};

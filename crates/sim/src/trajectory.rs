@@ -10,10 +10,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use square_arch::PhysId;
+use square_arch::{CommModel, PhysId};
 use square_metrics::Histogram;
 use square_qir::{Clbits, Gate};
-use square_route::{step_gate, ScheduledGate};
+use square_route::{step_gate, PhysicalCheck, ScheduledGate};
 
 use crate::noise::NoiseModel;
 
@@ -62,7 +62,9 @@ fn error_events(gate: &Gate<PhysId>) -> (u32, u32) {
 /// braided schedules (see `square_route::schedule` for why start-cycle
 /// sorting is unsound on braided composite gates).
 pub fn run_ideal(schedule: &[ScheduledGate], n_qubits: usize) -> Vec<bool> {
-    crate::replay::replay_schedule(schedule, n_qubits).bits
+    PhysicalCheck::run(schedule, n_qubits, CommModel::Braiding)
+        .into_state()
+        .0
 }
 
 /// Runs one noisy trajectory and returns the final basis state.

@@ -9,7 +9,7 @@
 //! the reference bit-level semantics (`square_qir::sem`) running under
 //! the compiler's own recorded reclamation decisions.
 //!
-//! Three oracle layers (see [`validate`]):
+//! Three oracle layers (see [`validate()`]):
 //!
 //! 1. virtual-trace replay with ancilla-hygiene checking,
 //! 2. reference semantics under the recorded decision log,

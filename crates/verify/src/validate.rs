@@ -8,9 +8,8 @@
 //!    allocations, use-after-free, and dirty frees (a reclaimed qubit
 //!    not restored to |0⟩) are all hard failures.
 //! 2. **Reference semantics** ([`check_reference`]): `square_qir::sem`
-//!    re-executes the *lowered* program under a
-//!    [`RecordedDecisions`](square_qir::sem::RecordedDecisions) oracle
-//!    replaying the compiler's actual per-frame reclamation choices,
+//!    re-executes the *lowered* program under a [`RecordedDecisions`]
+//!    oracle replaying the compiler's actual per-frame reclamation choices,
 //!    and the entry-register values must agree bit-for-bit. This works
 //!    for every policy, including CER's machine-state-dependent
 //!    decisions.
@@ -38,7 +37,7 @@ use std::fmt;
 use square_arch::PhysId;
 use square_core::{
     compile_checked, compile_prepared, CompileError, CompileReport, CompilerConfig, Policy,
-    PreparedProgram, ReclaimDecision, RouterKind, SweepArch,
+    PreparedProgram, RouterKind, SweepArch,
 };
 use square_qir::sem::{replay, RecordedDecisions, SemError, TraceFault};
 use square_qir::{ClbitId, Clbits, Program, TraceOp, VirtId};
@@ -494,12 +493,6 @@ pub fn validate_benchmark_with(
     )
 }
 
-/// A decision summary useful in logs: how many frames reclaimed.
-pub fn decision_summary(log: &[ReclaimDecision]) -> (usize, usize) {
-    let reclaimed = log.iter().filter(|d| d.reclaim).count();
-    (reclaimed, log.len() - reclaimed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,7 +608,7 @@ mod tests {
             let cfg = machine.config(Policy::Eager).with_mbu(true);
             let v = validate(&p, &[], &cfg).unwrap_or_else(|e| panic!("{machine}: {e}"));
             assert!(
-                v.report.mbu_stats.mbu_frames > 0,
+                v.report.mbu.is_some_and(|m| m.mbu_frames > 0),
                 "{machine}: MBU actually engaged"
             );
             assert!(v.outputs[3], "{machine}: stored output survives MBU");

@@ -3,9 +3,8 @@
 //! All three are symmetric functions of their inputs, so they share a
 //! counter-network synthesis: controlled increments accumulate the
 //! input weight into a small ancilla counter, equality tests write the
-//! outputs, and the counter is mechanically uncomputed. This is the
-//! functional re-synthesis substitution documented in DESIGN.md — the
-//! I/O behaviour matches the classic RevLib functions while the
+//! outputs, and the counter is mechanically uncomputed. This is a
+//! functional re-synthesis substitution — the I/O behaviour matches the classic RevLib functions while the
 //! ancilla discipline is the paper's compute–store–uncompute form.
 //!
 //! * **RD53**: 5 inputs, 3 outputs — the binary weight of the input.

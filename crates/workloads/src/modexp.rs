@@ -8,7 +8,7 @@
 //! module — the growing-and-reclaimable scratch that produces the
 //! paper's Fig.-1 qubit-usage sawtooth.
 //!
-//! **Substitution note** (see DESIGN.md): the modulus is `2^n` rather
+//! **Substitution note**: the modulus is `2^n` rather
 //! than a general odd `N`, dropping the comparator/conditional-subtract
 //! subcircuits of a general modular adder while preserving the call
 //! depth (modexp → const-mul → controlled add → ripple adder), the

@@ -11,8 +11,8 @@
 //! *active quantum volume* of the program on NISQ and fault-tolerant
 //! machines.
 //!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md`
-//! for the paper-vs-measured record of every table and figure.
+//! See `README.md` for the workspace map, the paper → module table and
+//! the `experiments` commands that regenerate every table and figure.
 
 pub use square_arch as arch;
 pub use square_bench as bench;

@@ -124,7 +124,7 @@ fn budget_cells_validate_quick() {
                 base.cli_name(),
                 v.report.peak_active
             );
-            assert_eq!(v.report.budget, Some(floor));
+            assert_eq!(v.report.budget.map(|b| b.cap), Some(floor));
         }
     }
 }
