@@ -12,48 +12,66 @@
 //! Model: logical qubits sit on integer grid points; a braid occupies
 //! every tile (lattice point) along an L-shaped route between its
 //! endpoints. Two braids whose time windows overlap conflict iff their
-//! tile sets intersect — this captures both channel contention and
+//! routes share a tile — this captures both channel contention and
 //! perpendicular crossings, abstracting the braid-spacing rules of
 //! \[37\] at one-tile granularity. Both L-orientations are tried and the
 //! one that starts earlier (fewest conflicts on a tie) wins.
-
-use std::collections::HashSet;
+//!
+//! A route is stored as its two straight legs, each an inclusive
+//! axis-aligned tile box meeting the other at the corner. The tiles of
+//! an axis-aligned lattice segment are exactly the lattice points of
+//! its bounding box, so two legs share a tile iff their boxes overlap
+//! in both x and y: the conflict test is four comparisons per leg
+//! pair, with no tile set built.
 
 /// A tile (lattice point) on the braid routing plane.
 pub type Tile = (i32, i32);
 
-/// The tiles of an L-shaped route from `a` to `b`, inclusive.
-/// `x_first` selects the orientation (walk x then y, or y then x).
-pub fn l_path_tiles(a: Tile, b: Tile, x_first: bool) -> Vec<Tile> {
-    let mut tiles = vec![a];
-    let (mut x, mut y) = a;
-    if x_first {
-        while x != b.0 {
-            x += (b.0 - x).signum();
-            tiles.push((x, y));
-        }
-        while y != b.1 {
-            y += (b.1 - y).signum();
-            tiles.push((x, y));
-        }
-    } else {
-        while y != b.1 {
-            y += (b.1 - y).signum();
-            tiles.push((x, y));
-        }
-        while x != b.0 {
-            x += (b.0 - x).signum();
-            tiles.push((x, y));
+/// One straight leg of an L-route: the inclusive tile box
+/// `x0..=x1 × y0..=y1`, degenerate in at least one axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Leg {
+    x0: i32,
+    x1: i32,
+    y0: i32,
+    y1: i32,
+}
+
+impl Leg {
+    /// The leg between two tiles on a common row or column.
+    fn between(a: Tile, b: Tile) -> Leg {
+        Leg {
+            x0: a.0.min(b.0),
+            x1: a.0.max(b.0),
+            y0: a.1.min(b.1),
+            y1: a.1.max(b.1),
         }
     }
-    tiles
+
+    /// Whether the two legs share a tile.
+    fn meets(&self, other: &Leg) -> bool {
+        self.x0 <= other.x1 && other.x0 <= self.x1 && self.y0 <= other.y1 && other.y0 <= self.y1
+    }
+}
+
+/// The two legs of an L-shaped route from `a` to `b`. `x_first`
+/// selects the orientation: walk x then y (corner `(b.x, a.y)`), or y
+/// then x (corner `(a.x, b.y)`).
+fn l_route(a: Tile, b: Tile, x_first: bool) -> [Leg; 2] {
+    let corner = if x_first { (b.0, a.1) } else { (a.0, b.1) };
+    [Leg::between(a, corner), Leg::between(corner, b)]
+}
+
+/// Whether two L-routes share a tile.
+fn routes_cross(r: &[Leg; 2], s: &[Leg; 2]) -> bool {
+    r.iter().any(|leg| s.iter().any(|other| leg.meets(other)))
 }
 
 #[derive(Debug, Clone)]
 struct ActiveBraid {
     start: u64,
     end: u64,
-    tiles: HashSet<Tile>,
+    legs: [Leg; 2],
 }
 
 /// Tracks braids in flight and finds conflict-free start slots.
@@ -62,7 +80,6 @@ pub struct BraidField {
     active: Vec<ActiveBraid>,
     braids: u64,
     conflicts: u64,
-    length_sum: u64,
 }
 
 impl BraidField {
@@ -71,24 +88,10 @@ impl BraidField {
         Self::default()
     }
 
-    /// Number of braids committed so far.
-    pub fn braids(&self) -> u64 {
-        self.braids
-    }
-
     /// Total conflicts encountered (each ongoing braid that forced a
     /// delay counts once per attempt).
     pub fn conflicts(&self) -> u64 {
         self.conflicts
-    }
-
-    /// Average braid length in tiles traversed.
-    pub fn avg_length(&self) -> f64 {
-        if self.braids == 0 {
-            0.0
-        } else {
-            self.length_sum as f64 / self.braids as f64
-        }
     }
 
     /// Average conflicts per braid — the FT communication factor `S`.
@@ -100,17 +103,17 @@ impl BraidField {
         }
     }
 
-    /// Finds the earliest start ≥ `ready` at which a braid over
-    /// `tiles` can run for `dur` cycles without crossing any ongoing
-    /// braid, counting the conflicts that forced delays.
-    fn earliest_slot(&self, ready: u64, tiles: &HashSet<Tile>, dur: u64) -> (u64, u64) {
+    /// Finds the earliest start ≥ `ready` at which a braid over `legs`
+    /// can run for `dur` cycles without crossing any ongoing braid,
+    /// counting the conflicts that forced delays.
+    fn earliest_slot(&self, ready: u64, legs: &[Leg; 2], dur: u64) -> (u64, u64) {
         let mut start = ready;
         let mut conflicts = 0u64;
         loop {
             let window_end = start + dur;
             let mut blocker_end: Option<u64> = None;
             for b in &self.active {
-                if b.start < window_end && start < b.end && !b.tiles.is_disjoint(tiles) {
+                if b.start < window_end && start < b.end && routes_cross(&b.legs, legs) {
                     blocker_end = Some(match blocker_end {
                         None => b.end,
                         Some(e) => e.min(b.end),
@@ -128,30 +131,38 @@ impl BraidField {
     /// Routes a braid between tiles `a` and `b`, trying both
     /// L-orientations, starting no earlier than `ready`, lasting `dur`
     /// cycles. Commits the braid and returns its start time.
+    ///
+    /// Known defect: braids that ended by *this* call's `ready` are
+    /// pruned, but `ready` is the operands' ASAP time and is not
+    /// monotone across calls. A later braid with an earlier `ready`
+    /// can therefore be scheduled across a pruned braid that was still
+    /// running then. `SHA2/square/ft` commits 8,172 of its 19,712
+    /// braids across such a time-overlapping braid; without pruning its
+    /// `comm_factor` would be 2.146 instead of 0.028. ROADMAP tracks
+    /// the fix, which moves every FT fingerprint.
     pub fn route(&mut self, a: Tile, b: Tile, ready: u64, dur: u64) -> u64 {
         // Braids that ended by `ready` can never conflict again.
         self.active.retain(|br| br.end > ready);
 
-        let mut best: Option<(u64, u64, HashSet<Tile>)> = None;
+        let mut best: Option<(u64, u64, [Leg; 2])> = None;
         for x_first in [true, false] {
-            let set: HashSet<Tile> = l_path_tiles(a, b, x_first).into_iter().collect();
-            let (start, conflicts) = self.earliest_slot(ready, &set, dur);
+            let legs = l_route(a, b, x_first);
+            let (start, conflicts) = self.earliest_slot(ready, &legs, dur);
             let better = match &best {
                 None => true,
                 Some((bs, bc, _)) => start < *bs || (start == *bs && conflicts < *bc),
             };
             if better {
-                best = Some((start, conflicts, set));
+                best = Some((start, conflicts, legs));
             }
         }
-        let (start, conflicts, set) = best.expect("at least one orientation");
+        let (start, conflicts, legs) = best.expect("at least one orientation");
         self.braids += 1;
         self.conflicts += conflicts;
-        self.length_sum += set.len().saturating_sub(1) as u64;
         self.active.push(ActiveBraid {
             start,
             end: start + dur,
-            tiles: set,
+            legs,
         });
         start
     }
@@ -160,6 +171,112 @@ impl BraidField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+
+    /// The tiles of an L-shaped route from `a` to `b`, inclusive,
+    /// walked one step at a time: the reference for the leg boxes.
+    fn l_path_tiles(a: Tile, b: Tile, x_first: bool) -> Vec<Tile> {
+        let mut tiles = vec![a];
+        let (mut x, mut y) = a;
+        if x_first {
+            while x != b.0 {
+                x += (b.0 - x).signum();
+                tiles.push((x, y));
+            }
+            while y != b.1 {
+                y += (b.1 - y).signum();
+                tiles.push((x, y));
+            }
+        } else {
+            while y != b.1 {
+                y += (b.1 - y).signum();
+                tiles.push((x, y));
+            }
+            while x != b.0 {
+                x += (b.0 - x).signum();
+                tiles.push((x, y));
+            }
+        }
+        tiles
+    }
+
+    /// Reference model for [`BraidField`]: the same field with each
+    /// route held as its walked tile set and crossings tested with
+    /// `is_disjoint`.
+    #[derive(Default)]
+    struct TileSetField {
+        active: Vec<(u64, u64, HashSet<Tile>)>,
+        braids: u64,
+        conflicts: u64,
+    }
+
+    impl TileSetField {
+        fn earliest_slot(&self, ready: u64, tiles: &HashSet<Tile>, dur: u64) -> (u64, u64) {
+            let mut start = ready;
+            let mut conflicts = 0u64;
+            loop {
+                let window_end = start + dur;
+                let mut blocker_end: Option<u64> = None;
+                for (bs, be, bt) in &self.active {
+                    if *bs < window_end && start < *be && !bt.is_disjoint(tiles) {
+                        blocker_end = Some(blocker_end.map_or(*be, |e| e.min(*be)));
+                        conflicts += 1;
+                    }
+                }
+                match blocker_end {
+                    None => return (start, conflicts),
+                    Some(e) => start = e.max(start + 1),
+                }
+            }
+        }
+
+        fn route(&mut self, a: Tile, b: Tile, ready: u64, dur: u64) -> (u64, u64) {
+            self.active.retain(|(_, end, _)| *end > ready);
+            let mut best: Option<(u64, u64, HashSet<Tile>)> = None;
+            for x_first in [true, false] {
+                let set: HashSet<Tile> = l_path_tiles(a, b, x_first).into_iter().collect();
+                let (start, conflicts) = self.earliest_slot(ready, &set, dur);
+                let better = match &best {
+                    None => true,
+                    Some((bs, bc, _)) => start < *bs || (start == *bs && conflicts < *bc),
+                };
+                if better {
+                    best = Some((start, conflicts, set));
+                }
+            }
+            let (start, conflicts, set) = best.expect("at least one orientation");
+            self.braids += 1;
+            self.conflicts += conflicts;
+            self.active.push((start, start + dur, set));
+            (start, conflicts)
+        }
+
+        fn avg_conflicts(&self) -> f64 {
+            if self.braids == 0 {
+                0.0
+            } else {
+                self.conflicts as f64 / self.braids as f64
+            }
+        }
+    }
+
+    /// SplitMix64: a small deterministic stream for the differential
+    /// test.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
 
     #[test]
     fn l_path_has_manhattan_tile_count() {
@@ -177,6 +294,80 @@ mod tests {
     #[test]
     fn zero_length_braid_for_same_point() {
         assert_eq!(l_path_tiles((2, 2), (2, 2), true), vec![(2, 2)]);
+        assert_eq!(
+            l_route((2, 2), (2, 2), true),
+            [Leg::between((2, 2), (2, 2)); 2]
+        );
+    }
+
+    /// Every L-route with endpoints in a 5×5 box, both orientations,
+    /// against every other: the leg test agrees with intersecting the
+    /// walked tile sets. Covers `a == b`, shared rows and columns, and
+    /// routes that touch only at a corner.
+    #[test]
+    fn leg_test_equals_tile_set_intersection_exhaustively() {
+        const SIDE: i32 = 5;
+        let mask = |tiles: Vec<Tile>| -> u32 {
+            tiles.iter().fold(0, |m, &(x, y)| m | 1 << (y * SIDE + x))
+        };
+        let points: Vec<Tile> = (0..SIDE)
+            .flat_map(|y| (0..SIDE).map(move |x| (x, y)))
+            .collect();
+        let mut routes = Vec::new();
+        for &a in &points {
+            for &b in &points {
+                for x_first in [true, false] {
+                    routes.push((l_route(a, b, x_first), mask(l_path_tiles(a, b, x_first))));
+                }
+            }
+        }
+        assert_eq!(routes.len(), 25 * 25 * 2);
+        let mut crossing = 0u64;
+        for (legs, tiles) in &routes {
+            for (other_legs, other_tiles) in &routes {
+                let by_tiles = tiles & other_tiles != 0;
+                assert_eq!(routes_cross(legs, other_legs), by_tiles);
+                crossing += u64::from(by_tiles);
+            }
+        }
+        assert!(crossing > 0 && crossing < (routes.len() * routes.len()) as u64);
+    }
+
+    /// A seeded stream of braids with random endpoints on a 16×16
+    /// plane, non-monotone `ready` and `dur ∈ {1, 2, 3}` commits the
+    /// same `(start, conflicts)` per braid in the leg field as in the
+    /// tile-set reference.
+    #[test]
+    fn leg_field_matches_tile_set_reference_on_a_seeded_stream() {
+        let mut rng = SplitMix(0x5eed_b4a1d);
+        let mut field = BraidField::new();
+        let mut reference = TileSetField::default();
+        let mut clock = 0u64;
+        let mut delayed = 0;
+        for i in 0..20_000 {
+            let mut tile = || (rng.below(16) as i32, rng.below(16) as i32);
+            let (a, b) = (tile(), tile());
+            // Drift forward, but let a quarter of the braids be ready
+            // before braids already committed.
+            clock += rng.below(3);
+            let ready = if rng.below(4) == 0 {
+                clock.saturating_sub(rng.below(8))
+            } else {
+                clock
+            };
+            let dur = 1 + rng.below(3);
+            let before = field.conflicts();
+            let start = field.route(a, b, ready, dur);
+            let want = reference.route(a, b, ready, dur);
+            assert_eq!(
+                (start, field.conflicts() - before),
+                want,
+                "braid {i}: {a:?} -> {b:?} ready {ready} dur {dur}"
+            );
+            delayed += usize::from(start > ready);
+        }
+        assert!(delayed > 1_000, "the stream exercises queuing");
+        assert_eq!(field.avg_conflicts(), reference.avg_conflicts());
     }
 
     #[test]
@@ -220,7 +411,6 @@ mod tests {
         let s = f.route((2, 0), (2, 3), 0, 1); // crosses; queues to t=10
         assert_eq!(s, 10);
         assert!(f.avg_conflicts() > 0.0);
-        assert!(f.avg_length() > 0.0);
     }
 
     #[test]

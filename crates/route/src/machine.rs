@@ -637,16 +637,23 @@ impl Machine {
         Ok(())
     }
 
-    fn phys_operands(&self, gate: &Gate<VirtId>) -> Result<Vec<PhysId>, RouteError> {
-        let mut out = Vec::with_capacity(gate.arity());
+    /// Takes the reused operand buffer out of the machine, filled with
+    /// the gate's placements in control-then-target order; hand it back
+    /// through `self.phys_buf` when done.
+    fn take_phys_operands(&mut self, gate: &Gate<VirtId>) -> Result<Vec<PhysId>, RouteError> {
+        let mut buf = std::mem::take(&mut self.phys_buf);
+        buf.clear();
         let mut missing = None;
         gate.for_each_qubit(|v| match self.placement.phys_of(*v) {
-            Some(p) => out.push(p),
+            Some(p) => buf.push(p),
             None => missing = Some(*v),
         });
         match missing {
-            Some(v) => Err(RouteError::UnplacedQubit { virt: v }),
-            None => Ok(out),
+            Some(v) => {
+                self.phys_buf = buf;
+                Err(RouteError::UnplacedQubit { virt: v })
+            }
+            None => Ok(buf),
         }
     }
 
@@ -658,32 +665,11 @@ impl Machine {
     /// Schedules an already-routed program gate ASAP and updates
     /// statistics, liveness, and the recorded circuit.
     fn schedule_program_gate(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
-        let mut buf = std::mem::take(&mut self.phys_buf);
-        buf.clear();
-        let mut missing = None;
-        gate.for_each_qubit(|v| match self.placement.phys_of(*v) {
-            Some(p) => buf.push(p),
-            None => missing = Some(*v),
-        });
-        if let Some(v) = missing {
-            self.phys_buf = buf;
-            return Err(RouteError::UnplacedQubit { virt: v });
-        }
+        let buf = self.take_phys_operands(gate)?;
         let dur = gate_duration(gate);
         let start = self.clock.occupy_asap(&buf, dur);
         self.phys_buf = buf;
-        let sink = &mut self.sink;
-        gate.for_each_qubit(|v| sink.note_usage(*v, start, start + dur));
-        sink.stats.program_gates += 1;
-        if gate.arity() >= 2 {
-            sink.stats.multi_qubit_gates += 1;
-        }
-        let guard = self.pending_guard;
-        if self.sink.emits_gates() {
-            let phys_gate = gate.map(|v| self.phys_must(*v));
-            self.sink
-                .record_classical(phys_gate, start, dur, false, guard, None);
-        }
+        self.note_program_gate(gate, start, dur);
         Ok(start)
     }
 
@@ -708,22 +694,16 @@ impl Machine {
     }
 
     fn apply_braided(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
-        let phys = self.phys_operands(gate)?;
-        match gate {
-            Gate::X { .. } => {
-                let start = self.clock.occupy_asap(&phys, 1);
-                self.note_braided_gate(gate, start, 1);
-                Ok(start)
-            }
+        let phys = self.take_phys_operands(gate)?;
+        let (start, dur) = match gate {
+            Gate::X { .. } => (self.clock.occupy_asap(&phys, 1), 1),
             Gate::Cx { .. } | Gate::Swap { .. } => {
                 let dur = if matches!(gate, Gate::Swap { .. }) {
                     3
                 } else {
                     1
                 };
-                let start = self.braid_pair(phys[0], phys[1], dur);
-                self.note_braided_gate(gate, start, dur);
-                Ok(start)
+                (self.braid_pair(phys[0], phys[1], dur), dur)
             }
             Gate::Ccx { .. } => {
                 // Three sequential pairwise braids of two cycles each —
@@ -733,34 +713,34 @@ impl Machine {
                 let s3 = self.braid_pair(phys[0], phys[1], 2);
                 let start = s1.min(s2).min(s3);
                 let end = (s1 + 2).max(s2 + 2).max(s3 + 2);
-                self.note_braided_gate(gate, start, end - start);
-                Ok(start)
+                (start, end - start)
             }
-            Gate::Mcx { controls, target } => {
+            Gate::Mcx { .. } => {
                 // Chain of pairwise braids (for completeness; lowered
-                // programs do not produce k ≥ 3).
-                let pt = self.phys_must(*target);
-                let mut start = u64::MAX;
-                let mut end = 0u64;
-                for c in controls {
-                    let pc = self.phys_must(*c);
-                    let s = self.braid_pair(pc, pt, 2);
-                    start = start.min(s);
-                    end = end.max(s + 2);
-                }
+                // programs do not produce k ≥ 3). The buffer holds the
+                // controls, then the target.
+                let (&pt, controls) = phys.split_last().expect("mcx has a target");
                 if controls.is_empty() {
-                    let s = self.clock.occupy_asap(&phys, 1);
-                    start = s;
-                    end = s + 1;
+                    (self.clock.occupy_asap(&phys, 1), 1)
+                } else {
+                    let mut start = u64::MAX;
+                    let mut end = 0u64;
+                    for &pc in controls {
+                        let s = self.braid_pair(pc, pt, 2);
+                        start = start.min(s);
+                        end = end.max(s + 2);
+                    }
+                    (start, end - start)
                 }
-                self.note_braided_gate(gate, start, end - start);
-                Ok(start)
             }
-        }
+        };
+        self.phys_buf = phys;
+        self.note_program_gate(gate, start, dur);
+        Ok(start)
     }
 
-    /// Liveness/stats/record bookkeeping shared by the braided paths.
-    fn note_braided_gate(&mut self, gate: &Gate<VirtId>, start: u64, dur: u64) {
+    /// Liveness/stats/record bookkeeping for a scheduled program gate.
+    fn note_program_gate(&mut self, gate: &Gate<VirtId>, start: u64, dur: u64) {
         let sink = &mut self.sink;
         gate.for_each_qubit(|v| sink.note_usage(*v, start, start + dur));
         sink.stats.program_gates += 1;
@@ -778,8 +758,8 @@ impl Machine {
     /// Schedules one braid between two placed qubits; returns start.
     fn braid_pair(&mut self, a: PhysId, b: PhysId, dur: u64) -> u64 {
         let ready = self.clock.ready_at(&[a, b]);
-        let ca = self.topo.coord(a);
-        let cb = self.topo.coord(b);
+        let ca = self.placement.coord(a);
+        let cb = self.placement.coord(b);
         let before = self.braid_field.conflicts();
         let start = self.braid_field.route(ca, cb, ready, dur);
         self.sink.stats.braids += 1;

@@ -13,10 +13,11 @@
 //! both routers, recorded before their distance queries moved from
 //! eager all-pairs tables to per-target rows built on demand.
 //!
-//! The quick tests cover the NISQ set and three topology benchmarks;
-//! the full 17-benchmark matrix (136 cells, multi-million-gate
-//! schedules included) and the full topology set are `#[ignore]`d here
-//! and run in release by CI's `routing` job:
+//! The quick tests cover the NISQ set, every benchmark on the FT
+//! machine and three topology benchmarks; the full 17-benchmark matrix
+//! (136 cells, multi-million-gate schedules included) and the full
+//! topology set are `#[ignore]`d here and run in release by CI's
+//! `routing` job:
 //!
 //! ```sh
 //! cargo test --release --test routing_bitcompat -- --ignored
@@ -168,6 +169,21 @@ fn nisq_set_is_bit_compatible_with_seed_reports() {
 #[ignore = "full 136-cell matrix; run in release (CI routing job)"]
 fn full_matrix_is_bit_compatible_with_seed_reports() {
     check_bitcompat(&Benchmark::ALL);
+}
+
+/// Every benchmark × policy on the auto-sized FT machine: the braid
+/// field's conflict test, queuing and orientation choice must keep
+/// every FT schedule, depth, AQV and `comm_factor` of the seed.
+#[test]
+fn ft_matrix_is_bit_compatible_with_seed_reports() {
+    let spec = SweepSpec {
+        benchmarks: Benchmark::ALL.to_vec(),
+        policies: Policy::ALL.to_vec(),
+        archs: vec![SweepArch::FtAuto],
+        routers: vec![RouterKind::Greedy],
+        budgets: vec![None],
+    };
+    assert_eq!(check_against(GOLDEN, spec), 68);
 }
 
 #[test]
