@@ -90,7 +90,86 @@ impl FlatTables {
 #[derive(Debug)]
 pub struct CouplingGraph {
     coords: Vec<(i32, i32)>,
+    cells: CellIndex,
     tables: FlatTables,
+}
+
+/// The embedding indexed by row for [`CouplingGraph::nearest_to`]:
+/// each occupied coordinate once, with the lowest qubit placed there,
+/// sorted by `(y, x)`. Memory is linear in the qubit count however
+/// sparse the layout (a ring's perimeter leaves its bounding box
+/// mostly empty).
+#[derive(Debug)]
+struct CellIndex {
+    /// `((x, y), qubit)`, sorted by `(y, x)`.
+    cells: Vec<((i32, i32), PhysId)>,
+    /// `(y, first)`: row `y` is `cells[first..]` up to the next row's
+    /// `first`, sorted by `y`.
+    rows: Vec<(i32, usize)>,
+}
+
+impl CellIndex {
+    fn new(coords: &[(i32, i32)]) -> Self {
+        let mut cells: Vec<_> = (0..coords.len())
+            .map(|i| (coords[i], PhysId(i as u32)))
+            .collect();
+        // Stable, so the lowest qubit leads each coordinate; layouts
+        // list their cells in a few row-major runs, which the merge
+        // sort takes in near-linear time.
+        cells.sort_by_key(|&((x, y), _)| (y, x));
+        cells.dedup_by_key(|&mut (c, _)| c);
+        let mut rows: Vec<(i32, usize)> = Vec::new();
+        for (i, &((_, y), _)) in cells.iter().enumerate() {
+            if rows.last().is_none_or(|&(last, _)| last != y) {
+                rows.push((y, i));
+            }
+        }
+        CellIndex { cells, rows }
+    }
+
+    /// Row `r`'s cells.
+    fn row(&self, r: usize) -> &[((i32, i32), PhysId)] {
+        let end = self.rows.get(r + 1).map_or(self.cells.len(), |&(_, e)| e);
+        &self.cells[self.rows[r].1..end]
+    }
+
+    /// The lowest qubit at the least Manhattan distance from `(cx,
+    /// cy)`. Rows are visited outward from `cy`, nearer first, until a
+    /// row lies farther than the best hit; in each row only the
+    /// nearest cell on either side of `cx` can win.
+    fn nearest(&self, (cx, cy): (i32, i32)) -> PhysId {
+        let (cx, cy) = (i64::from(cx), i64::from(cy));
+        let mut best = (i64::MAX, PhysId(0));
+        let split = self.rows.partition_point(|&(y, _)| i64::from(y) < cy);
+        // Rows `above..` lie at or beyond `cy`, rows `..below` before it.
+        let (mut below, mut above) = (split, split);
+        loop {
+            let dy = |r: usize| (i64::from(self.rows[r].0) - cy).abs();
+            let r = match (
+                below.checked_sub(1),
+                (above < self.rows.len()).then_some(above),
+            ) {
+                (Some(b), Some(a)) if dy(b) < dy(a) => b,
+                (_, Some(a)) => a,
+                (Some(b), None) => b,
+                (None, None) => break,
+            };
+            if dy(r) > best.0 {
+                break;
+            }
+            if r == above {
+                above += 1;
+            } else {
+                below -= 1;
+            }
+            let row = self.row(r);
+            let i = row.partition_point(|&((x, _), _)| i64::from(x) < cx);
+            for &((x, _), q) in row[i.saturating_sub(1)..].iter().take(2) {
+                best = best.min((dy(r) + (i64::from(x) - cx).abs(), q));
+            }
+        }
+        best.1
+    }
 }
 
 impl CouplingGraph {
@@ -116,6 +195,7 @@ impl CouplingGraph {
             list.dedup();
         }
         CouplingGraph {
+            cells: CellIndex::new(&coords),
             coords,
             tables: FlatTables(Arc::new(Rows {
                 adj,
@@ -184,18 +264,10 @@ impl CouplingGraph {
     }
 
     /// The qubit whose embedding is geometrically nearest `center`
-    /// (Manhattan; ties broken by lowest index).
+    /// (Manhattan; ties broken by lowest index), read off the row index
+    /// built with the graph.
     pub fn nearest_to(&self, center: (i32, i32)) -> PhysId {
-        let mut best = PhysId(0);
-        let mut best_d = i64::MAX;
-        for (i, &(x, y)) in self.coords.iter().enumerate() {
-            let d = (x as i64 - center.0 as i64).abs() + (y as i64 - center.1 as i64).abs();
-            if d < best_d {
-                best_d = d;
-                best = PhysId(i as u32);
-            }
-        }
-        best
+        self.cells.nearest(center)
     }
 
     /// The first qubit accepted by `pred` in `(distance(anchor, q), q)`
@@ -295,6 +367,53 @@ mod tests {
         let want: Vec<PhysId> = [0, 1, 3, 2, 4].into_iter().map(PhysId).collect();
         assert_eq!(order, want);
         assert_eq!(g.ring_find((0, 0), &mut |q| q.0 >= 2), Some(PhysId(3)));
+    }
+
+    /// The O(n) scan `nearest_to` used before the row index, kept as
+    /// the reference.
+    fn nearest_by_scan(g: &CouplingGraph, center: (i32, i32)) -> PhysId {
+        let mut best = PhysId(0);
+        let mut best_d = i64::MAX;
+        for (i, &(x, y)) in g.coords.iter().enumerate() {
+            let d = (x as i64 - center.0 as i64).abs() + (y as i64 - center.1 as i64).abs();
+            if d < best_d {
+                best_d = d;
+                best = PhysId(i as u32);
+            }
+        }
+        best
+    }
+
+    /// Every integer center in the layout's bounding box grown by 3 on
+    /// each side, on heavy-hex `d = 1..=15` and rings of 3..=64 qubits
+    /// (a sparse perimeter with a hollow middle), plus a graph whose
+    /// qubits share coordinates.
+    #[test]
+    fn nearest_to_matches_the_linear_scan() {
+        use crate::layouts::{HeavyHexTopology, RingTopology};
+        let hexes: Vec<_> = (1..=15).map(HeavyHexTopology::new).collect();
+        let rings: Vec<_> = (3..=64).map(RingTopology::new).collect();
+        let stacked = CouplingGraph::new(vec![(2, 0), (0, 0), (2, 0), (0, 0), (1, 3)], &[]);
+        let graphs = hexes.iter().map(HeavyHexTopology::coupling);
+        let graphs = graphs.chain(rings.iter().map(RingTopology::coupling));
+        let mut centers = 0usize;
+        for g in graphs.chain([&stacked]) {
+            let xs = g.coords.iter().map(|c| c.0);
+            let ys = g.coords.iter().map(|c| c.1);
+            let (x0, x1) = (xs.clone().min().unwrap() - 3, xs.max().unwrap() + 3);
+            let (y0, y1) = (ys.clone().min().unwrap() - 3, ys.max().unwrap() + 3);
+            for y in y0..=y1 {
+                for x in x0..=x1 {
+                    assert_eq!(
+                        g.nearest_to((x, y)),
+                        nearest_by_scan(g, (x, y)),
+                        "({x}, {y})"
+                    );
+                    centers += 1;
+                }
+            }
+        }
+        assert!(centers > 20_000, "only {centers} centers checked");
     }
 
     #[test]

@@ -78,13 +78,19 @@ impl HeavyHexTopology {
     /// convention) holding at least `n` qubits.
     pub fn with_capacity(n: usize) -> Self {
         let mut d = 1;
-        loop {
-            let hex = HeavyHexTopology::new(d);
-            if hex.qubit_count() >= n {
-                return hex;
-            }
+        while Self::qubits_at(d) < n {
             d += 2;
         }
+        HeavyHexTopology::new(d)
+    }
+
+    /// Qubits in the distance-`d` lattice, counted without building
+    /// it: `d²` data qubits, `d(d − 1)` flags, and on each of the
+    /// `d − 1` bridge rows one syndrome per column of the row's parity.
+    fn qubits_at(d: u32) -> usize {
+        let d = d as usize;
+        let syndromes: usize = (0..d.saturating_sub(1)).map(|r| (d + 1 - r % 2) / 2).sum();
+        d * d + d * d.saturating_sub(1) + syndromes
     }
 
     /// The lattice distance parameter.
@@ -344,6 +350,18 @@ mod tests {
             let hex = HeavyHexTopology::with_capacity(n);
             assert!(hex.qubit_count() >= n);
             assert_eq!(hex.distance_param() % 2, 1, "odd code distance");
+        }
+        for d in 1..=25 {
+            let n = HeavyHexTopology::new(d).qubit_count();
+            assert_eq!(HeavyHexTopology::qubits_at(d), n, "d={d}");
+            // The smallest odd distance holding `n` qubits is `d` itself
+            // (for odd `d`) and holding one more is the next odd one.
+            let odd = d | 1;
+            assert_eq!(HeavyHexTopology::with_capacity(n).distance_param(), odd);
+            if d % 2 == 1 {
+                let next = HeavyHexTopology::with_capacity(n + 1).distance_param();
+                assert_eq!(next, d + 2, "d={d}");
+            }
         }
     }
 

@@ -70,7 +70,7 @@ impl std::fmt::Display for ArchSpecParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown arch `{}` (expected grid[:WxH], full:N, line:N, heavyhex[:D] or ring[:N]): {}",
+            "invalid arch `{}` (expected grid[:WxH], full:N, line:N, heavyhex[:D] or ring[:N]): {}",
             self.spec, self.reason
         )
     }
@@ -83,14 +83,15 @@ impl std::error::Error for ArchSpecParseError {}
 /// `grid:WxH`, `full:N`, `line:N`, `heavyhex:D`, `ring:N`, with bare
 /// `grid`, `heavyhex` and `ring` selecting the auto-sized variants.
 /// Case-insensitive. Dimensions must be nonzero, a grid's total qubit
-/// count must fit `u32`, heavy-hex distance is capped at 63 (its
-/// qubit count grows ~5d²/2 — 9,828 qubits at 63 — and each distance
-/// row a compile routes toward costs 4 bytes per qubit, so a program
-/// spread over the whole device could still hold ~390 MB of rows), and
-/// a ring needs at least 3 qubits to be a cycle (`ring:1`/`ring:2`
-/// degenerate into self-loops or doubled edges) — all enforced here so
-/// invalid sizes surface as a typed parse error, not a panic inside a
-/// routing worker.
+/// count must fit `u32`, `grid`, `line`, `full` and `ring` may name at
+/// most [`ArchSpec::MAX_QUBITS`] qubits, heavy-hex distance is capped
+/// at 63 (its qubit count grows ~5d²/2 — 9,828 qubits at 63 — and
+/// each distance row a compile routes toward costs 4 bytes per qubit,
+/// so a program spread over the whole device could still hold ~390 MB
+/// of rows), and a ring needs at least 3 qubits to be a cycle
+/// (`ring:1`/`ring:2` degenerate into self-loops or doubled edges) —
+/// all enforced here so invalid sizes surface as a typed parse error,
+/// not a panic inside a routing worker or an aborted allocation.
 impl std::str::FromStr for ArchSpec {
     type Err = ArchSpecParseError;
 
@@ -108,22 +109,28 @@ impl std::str::FromStr for ArchSpec {
             _ => {}
         }
         let dim = |s: &str| s.parse::<u32>().ok().filter(|&n| n > 0);
+        let fits = |n: u32| {
+            (n <= ArchSpec::MAX_QUBITS)
+                .then_some(n)
+                .ok_or_else(|| err("machine exceeds 1048576 (2^20) qubits"))
+        };
         let (kind, arg) = lower.split_once(':').ok_or_else(bad)?;
         match kind {
             "grid" => {
                 let (w, h) = arg.split_once('x').ok_or_else(bad)?;
                 let dims = dim(w).zip(dim(h));
                 let (width, height) = dims.ok_or_else(|| err("dimensions must be nonzero"))?;
-                width
+                let n = width
                     .checked_mul(height)
                     .ok_or_else(|| err("qubit count overflows u32"))?;
+                fits(n)?;
                 Ok(ArchSpec::Grid { width, height })
             }
             "full" => Ok(ArchSpec::Full {
-                n: dim(arg).ok_or_else(|| err("qubit count must be nonzero"))?,
+                n: fits(dim(arg).ok_or_else(|| err("qubit count must be nonzero"))?)?,
             }),
             "line" => Ok(ArchSpec::Line {
-                n: dim(arg).ok_or_else(|| err("qubit count must be nonzero"))?,
+                n: fits(dim(arg).ok_or_else(|| err("qubit count must be nonzero"))?)?,
             }),
             "heavyhex" => Ok(ArchSpec::HeavyHex {
                 d: dim(arg)
@@ -131,9 +138,11 @@ impl std::str::FromStr for ArchSpec {
                     .ok_or_else(|| err("distance must be in 1..=63"))?,
             }),
             "ring" => Ok(ArchSpec::Ring {
-                n: dim(arg)
-                    .filter(|&n| n >= 3)
-                    .ok_or_else(|| err("ring needs at least 3 qubits"))?,
+                n: fits(
+                    dim(arg)
+                        .filter(|&n| n >= 3)
+                        .ok_or_else(|| err("ring needs at least 3 qubits"))?,
+                )?,
             }),
             _ => Err(bad()),
         }
@@ -141,6 +150,18 @@ impl std::str::FromStr for ArchSpec {
 }
 
 impl ArchSpec {
+    /// The most qubits a `grid`, `line`, `full` or `ring` spec may
+    /// name: 2^20, a 1024 × 1024 grid. A machine allocates its
+    /// per-qubit state (placement, clock, a ring's adjacency and
+    /// distance-row slots) before it compiles anything, and an
+    /// allocation failure aborts the process rather than unwinding, so
+    /// the size is checked where the spec is parsed. A ring is the
+    /// heaviest layout per qubit: a one-gate program on `ring:1048576`
+    /// peaks near 130 MB and a one-Toffoli program near 150 MB (x86-64
+    /// Linux, release build); the same programs on `grid:1024x1024`
+    /// peak near 22 MB.
+    pub const MAX_QUBITS: u32 = 1 << 20;
+
     /// The auto-sizing slack shared by every `Auto*` variant: worst
     /// case every forward allocation is simultaneously live, plus
     /// slack for uncompute re-allocations.
@@ -563,9 +584,50 @@ mod tests {
             "grid:0x4",
             "full:0",
             "grid:70000x70000",
+            "grid:60000x60000",
+            "grid:1025x1024",
+            "line:1048577",
+            "full:1048577",
+            "ring:1048577",
         ] {
             let err = bad.parse::<ArchSpec>().unwrap_err();
             assert!(err.to_string().contains(bad), "{bad}: {err}");
+        }
+    }
+
+    /// Machines up to the qubit limit parse; one qubit more does not.
+    #[test]
+    fn explicit_machines_stop_at_the_qubit_limit() {
+        let max = ArchSpec::MAX_QUBITS;
+        for (text, arch) in [
+            (
+                "grid:1024x1024",
+                ArchSpec::Grid {
+                    width: 1024,
+                    height: 1024,
+                },
+            ),
+            (
+                "grid:1x1048576",
+                ArchSpec::Grid {
+                    width: 1,
+                    height: max,
+                },
+            ),
+            ("line:1048576", ArchSpec::Line { n: max }),
+            ("full:1048576", ArchSpec::Full { n: max }),
+            ("ring:1048576", ArchSpec::Ring { n: max }),
+        ] {
+            assert_eq!(text.parse::<ArchSpec>(), Ok(arch), "{text}");
+        }
+        for bad in [
+            "grid:60000x60000",
+            "grid:2x524289",
+            "line:1048577",
+            "ring:4294967295",
+        ] {
+            let err = bad.parse::<ArchSpec>().unwrap_err();
+            assert!(err.reason().contains("2^20"), "{bad}: {}", err.reason());
         }
     }
 
@@ -603,6 +665,8 @@ mod tests {
             "full:0",
             "line:0",
             "grid:70000x70000",
+            "grid:60000x60000",
+            "ring:1048577",
         ] {
             assert!(bad.parse::<SweepArch>().is_err(), "{bad}");
         }

@@ -171,6 +171,7 @@ impl BraidField {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitMix;
     use std::collections::HashSet;
 
     /// The tiles of an L-shaped route from `a` to `b`, inclusive,
@@ -257,24 +258,6 @@ mod tests {
             } else {
                 self.conflicts as f64 / self.braids as f64
             }
-        }
-    }
-
-    /// SplitMix64: a small deterministic stream for the differential
-    /// test.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
         }
     }
 

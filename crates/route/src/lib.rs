@@ -43,3 +43,23 @@ pub use router::{GreedyRouter, LookaheadRouter, Router, RouterKind};
 pub use schedule::{gate_duration, step_gate, PhysicalCheck, ScheduleViolation, ScheduledGate};
 pub use sink::ScheduleSink;
 pub use timeline::Clock;
+
+/// SplitMix64: a small deterministic stream for the seeded
+/// differential tests.
+#[cfg(test)]
+pub(crate) struct SplitMix(pub(crate) u64);
+
+#[cfg(test)]
+impl SplitMix {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}

@@ -218,8 +218,8 @@ pub struct RouteReport {
 enum DistAccel {
     /// Hop distance equals Manhattan distance on the cached embedding
     /// (grid, line). `rect` is the `(width, height)` of the lattice
-    /// when the cells fill one exactly from the origin (a line is
-    /// `n × 1`).
+    /// when the cells fill one exactly from the origin, row-major (a
+    /// line is `n × 1`).
     Manhattan { rect: Option<(u32, u32)> },
     /// Graph-backed layout with shared per-target distance rows,
     /// built on demand (heavy-hex).
@@ -229,21 +229,15 @@ enum DistAccel {
 }
 
 /// The `(width, height)` of the rectangle a placement's cells fill
-/// exactly, anchored at the origin; `None` otherwise. Cells of a
-/// Manhattan layout have distinct coordinates, so `n == w · h` with
-/// every coordinate inside the box means the box is full.
+/// exactly, anchored at the origin and indexed row-major (`PhysId(i)`
+/// at `(i % w, i / w)`, the indexing the lattice gather walk assumes);
+/// `None` otherwise.
 fn filled_rect(placement: &Placement) -> Option<(u32, u32)> {
     let n = placement.qubit_count();
-    let mut max = (0i32, 0i32);
-    for i in 0..n {
-        let (x, y) = placement.coord(PhysId(i as u32));
-        if x < 0 || y < 0 {
-            return None;
-        }
-        max = (max.0.max(x), max.1.max(y));
-    }
-    let (w, h) = (max.0 as u64 + 1, max.1 as u64 + 1);
-    (n > 0 && w * h == n as u64).then_some((w as u32, h as u32))
+    let coord = |i: usize| placement.coord(PhysId(i as u32));
+    let w = usize::try_from((0..n).map(|i| coord(i).0).max()?).ok()? + 1;
+    let row_major = (0..n).all(|i| coord(i) == ((i % w) as i32, (i / w) as i32));
+    (row_major && n.is_multiple_of(w)).then_some((w as u32, (n / w) as u32))
 }
 
 /// A machine being scheduled onto: topology + placement + clock.
@@ -412,7 +406,8 @@ impl Machine {
             .get_or_init(|| NeighborTable::new(self.topo.as_ref()))
     }
 
-    /// `(width, height)` when the cells fill a Manhattan lattice.
+    /// `(width, height)` when the cells fill a Manhattan lattice
+    /// row-major: cell `(x, y)` is `PhysId(y · width + x)`.
     pub(crate) fn lattice(&self) -> Option<(u32, u32)> {
         match self.accel {
             DistAccel::Manhattan { rect } => rect,
@@ -805,7 +800,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use square_arch::{FullTopology, GridTopology};
+    use square_arch::{FullTopology, GridTopology, LineTopology};
 
     fn grid_machine(w: u32, h: u32) -> Machine {
         Machine::new(
@@ -1122,6 +1117,57 @@ mod tests {
         // Slot 0 is free but used; slot 1 is fresh.
         assert_eq!(m.nearest_free((0, 0), false), Some(PhysId(0)));
         assert_eq!(m.nearest_free((0, 0), true), Some(PhysId(1)));
+    }
+
+    /// The lattice gather walk names cells `y · width + x`, so a
+    /// Manhattan layout numbered any other way gets no lattice rect.
+    #[test]
+    fn lattice_rect_requires_row_major_cells() {
+        /// A grid whose coordinates are transposed: column-major cells.
+        struct ColumnMajor(GridTopology);
+        impl Topology for ColumnMajor {
+            fn name(&self) -> &str {
+                "column-major"
+            }
+            fn qubit_count(&self) -> usize {
+                self.0.qubit_count()
+            }
+            fn coord(&self, q: PhysId) -> (i32, i32) {
+                let (x, y) = self.0.coord(q);
+                (y, x)
+            }
+            fn distance(&self, a: PhysId, b: PhysId) -> u32 {
+                self.0.distance(a, b)
+            }
+            fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
+                self.0.neighbors(q)
+            }
+            fn manhattan_distance(&self) -> bool {
+                true
+            }
+            fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
+                self.0.shortest_path(a, b)
+            }
+            fn ring_find(
+                &self,
+                center: (i32, i32),
+                pred: &mut dyn FnMut(PhysId) -> bool,
+            ) -> Option<PhysId> {
+                self.0.ring_find((center.1, center.0), pred)
+            }
+        }
+        let nisq = MachineConfig::nisq;
+        assert_eq!(grid_machine(5, 3).lattice(), Some((5, 3)));
+        let line = Machine::new(Box::new(LineTopology::new(7)), nisq());
+        assert_eq!(line.lattice(), Some((7, 1)));
+        let transposed = Machine::new(Box::new(ColumnMajor(GridTopology::new(5, 3))), nisq());
+        assert_eq!(transposed.lattice(), None);
+        let column = Machine::new(Box::new(ColumnMajor(GridTopology::new(1, 4))), nisq());
+        assert_eq!(
+            column.lattice(),
+            Some((4, 1)),
+            "a 1-wide column reads as a row"
+        );
     }
 
     /// `apply_layer` must be bit-identical to gate-at-a-time routing

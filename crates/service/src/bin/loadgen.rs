@@ -118,9 +118,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--arch" => {
                 let v = value(arg)?;
-                opts.arch = v
-                    .parse()
-                    .map_err(|_| format!("--arch: unknown arch `{v}`"))?;
+                opts.arch = v.parse().map_err(|e| format!("--arch: {e}"))?;
             }
             "--router" => {
                 let v = value(arg)?;

@@ -178,9 +178,7 @@ impl Request {
         }
         let arch = match value.get("arch").and_then(Value::as_str) {
             None => SweepArch::NisqAuto,
-            Some(spec) => spec
-                .parse()
-                .map_err(|_| malformed(format!("unknown arch `{spec}`")))?,
+            Some(spec) => spec.parse().map_err(|e| malformed(format!("{e}")))?,
         };
         let router = match value.get("router").and_then(Value::as_str) {
             None => RouterKind::Greedy,
@@ -558,6 +556,9 @@ mod tests {
         assert!(Request::parse(r#"{"cmd": "dance"}"#).is_err());
         assert!(Request::parse(r#"{"source": "x", "policy": "yolo"}"#).is_err());
         assert!(Request::parse(r#"{"source": "x", "arch": "torus:3"}"#).is_err());
+        // A machine too large to allocate is refused before any compile.
+        let huge = Request::parse(r#"{"source": "x", "arch": "grid:60000x60000"}"#);
+        assert!(matches!(huge, Err(ParseError::Malformed(m)) if m.contains("2^20")));
         assert!(Request::parse(r#"{"source": "x", "router": "bgp"}"#).is_err());
         assert!(Request::parse(r#"{}"#).is_err(), "no source, no cmd");
     }

@@ -110,6 +110,21 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A machine past `ArchSpec::MAX_QUBITS` is a usage error, reported
+/// before anything is allocated, not an allocation abort.
+#[test]
+fn oversized_machines_exit_cleanly() {
+    for arch in ["grid:60000x60000", "ring:1048577"] {
+        let out = squarec()
+            .args(["examples/sq/adder.sq", "--arch", arch])
+            .output()
+            .expect("squarec runs");
+        assert_eq!(out.status.code(), Some(2), "{arch}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("2^20"), "{arch}: {stderr}");
+    }
+}
+
 #[test]
 fn dumped_catalog_round_trips_through_the_driver() {
     let dir = std::env::temp_dir().join("squarec_test_catalog");
