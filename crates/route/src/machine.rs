@@ -1098,15 +1098,48 @@ mod tests {
         assert!(sched.last().unwrap().guard.is_none());
     }
 
+    /// Every operand is looked up before the first swap: an unplaced
+    /// operand in any slot fails the gate with nothing emitted, and
+    /// names the same qubit under both routers (with two missing, the
+    /// control of a `Cx`, the first of a `Swap`, the target of a `Ccx`).
     #[test]
     fn unplaced_operand_is_an_error() {
-        let mut m = grid_machine(2, 2);
-        m.place_at(VirtId(0), PhysId(0)).unwrap();
-        let err = m.apply(&Gate::Cx {
-            control: VirtId(0),
-            target: VirtId(9),
-        });
-        assert!(matches!(err, Err(RouteError::UnplacedQubit { .. })));
+        let (a, b, c, gone, also_gone) = (VirtId(0), VirtId(1), VirtId(2), VirtId(9), VirtId(8));
+        let cx = |control, target| Gate::Cx { control, target };
+        let swap = |a, b| Gate::Swap { a, b };
+        let ccx = |c0, c1, target| Gate::Ccx { c0, c1, target };
+        let cases = [
+            (cx(gone, b), gone),
+            (cx(a, gone), gone),
+            (cx(gone, also_gone), gone),
+            (swap(gone, b), gone),
+            (swap(a, gone), gone),
+            (swap(gone, also_gone), gone),
+            (ccx(gone, b, c), gone),
+            (ccx(a, gone, c), gone),
+            (ccx(a, b, gone), gone),
+            (ccx(also_gone, b, gone), gone),
+            (ccx(a, also_gone, gone), gone),
+        ];
+        for kind in RouterKind::ALL {
+            for (gate, named) in &cases {
+                // Placed operands sit far apart, so routing would swap.
+                let mut m = Machine::new(
+                    Box::new(GridTopology::new(5, 5)),
+                    MachineConfig::nisq().with_router(kind),
+                );
+                m.place_at(a, PhysId(0)).unwrap();
+                m.place_at(b, PhysId(24)).unwrap();
+                m.place_at(c, PhysId(4)).unwrap();
+                let err = m.apply(gate);
+                assert_eq!(
+                    err,
+                    Err(RouteError::UnplacedQubit { virt: *named }),
+                    "{kind}: {gate:?}"
+                );
+                assert_eq!(m.stats().swaps, 0, "{kind}: {gate:?} swapped");
+            }
+        }
     }
 
     #[test]

@@ -100,6 +100,7 @@ fn small_schedules_match_their_digests() {
     check(&[
         (Benchmark::Adder32, Square, "nisq", Greedy),
         (Benchmark::Adder32, Lazy, "line:272", Greedy),
+        (Benchmark::Adder32, Lazy, "line:272", Lookahead),
         (Benchmark::Modexp, Lazy, "nisq", Lookahead),
         (Benchmark::Modexp, Square, "heavyhex", Lookahead),
     ]);
@@ -115,6 +116,7 @@ fn large_schedules_match_their_digests() {
         (Benchmark::Mul64, Square, "nisq", Greedy),
         (Benchmark::Mul32, Square, "nisq", Lookahead),
         (Benchmark::Mul32, Square, "heavyhex", Lookahead),
+        (Benchmark::Mul32, Square, "ring", Lookahead),
         (Benchmark::Adder64, Lazy, "line:506", Greedy),
     ]);
 }
