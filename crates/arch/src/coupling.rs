@@ -28,10 +28,10 @@ struct Rows {
 }
 
 /// Shared handle to a graph's adjacency and distance rows. `Arc`-backed
-/// so routing scratch state can hold it without borrowing the
-/// topology — the cheap, clonable handle a `RoutingCtx` keeps for
-/// incremental distance maintenance across swaps. Rows are built on
-/// first use and shared by every handle (and every thread).
+/// so a routing machine can hold it without borrowing the topology —
+/// the cheap, clonable handle it answers distance and next-hop queries
+/// from. Rows are built on first use and shared by every handle (and
+/// every thread).
 #[derive(Debug, Clone)]
 pub struct FlatTables(Arc<Rows>);
 

@@ -169,8 +169,20 @@ impl ArchSpec {
         capacity_hint.saturating_mul(3) / 2 + 16
     }
 
+    /// The qubits an `Auto*` layout is asked to hold for a program
+    /// with `capacity_hint`; `None` for an explicit layout, whose size
+    /// [`ArchSpec::from_str`](std::str::FromStr) already checked.
+    pub(crate) fn auto_size(&self, capacity_hint: usize) -> Option<usize> {
+        matches!(
+            self,
+            ArchSpec::AutoGrid | ArchSpec::AutoHeavyHex | ArchSpec::AutoRing
+        )
+        .then(|| Self::auto_capacity(capacity_hint))
+    }
+
     /// Builds the topology; `capacity_hint` feeds the `Auto*`
-    /// variants.
+    /// variants, which this does not size-check (compiles go through
+    /// [`build_topology`](crate::build_topology), which does).
     pub fn build(&self, capacity_hint: usize) -> Box<dyn Topology> {
         match self {
             ArchSpec::Grid { width, height } => Box::new(GridTopology::new(*width, *height)),

@@ -37,6 +37,16 @@ pub enum CompileError {
         /// after exhausting every early-uncompute candidate).
         min_feasible: Option<usize>,
     },
+    /// The program would auto-size its machine past
+    /// [`ArchSpec::MAX_QUBITS`](crate::ArchSpec::MAX_QUBITS): refused
+    /// before any per-qubit state is allocated, because an allocation
+    /// failure aborts the process instead of unwinding.
+    MachineTooLarge {
+        /// Qubits the auto-sized layout would have to hold.
+        qubits: usize,
+        /// The limit, [`ArchSpec::MAX_QUBITS`](crate::ArchSpec::MAX_QUBITS).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -69,6 +79,11 @@ impl fmt::Display for CompileError {
                 }
                 Ok(())
             }
+            CompileError::MachineTooLarge { qubits, limit } => write!(
+                f,
+                "machine too large: the program needs an auto-sized machine of \
+                 {qubits} qubits, over the {limit} (2^20) qubit limit"
+            ),
         }
     }
 }
@@ -78,7 +93,7 @@ impl std::error::Error for CompileError {
         match self {
             CompileError::Qir(e) => Some(e),
             CompileError::Route(e) => Some(e),
-            CompileError::OutOfQubits { .. } => None,
+            CompileError::OutOfQubits { .. } | CompileError::MachineTooLarge { .. } => None,
         }
     }
 }

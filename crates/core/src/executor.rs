@@ -17,11 +17,11 @@ use square_qir::{
     analysis::ProgramStats, lower_mcx, scan_mbu_slice, trace::invert_slice_into, ClbitId, Gate,
     ModuleId, Operand, Program, Stmt, TraceOp, VirtId,
 };
-use square_route::{Machine, MachineConfig, PhysicalCheck, RouterConfig, RouterKind};
+use square_route::{Machine, MachineConfig, PhysicalCheck, RouterKind};
 
 use crate::budget::{scan_candidate, stack_need, BudgetState};
 use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
-use crate::config::CompilerConfig;
+use crate::config::{ArchSpec, CompilerConfig};
 use crate::error::CompileError;
 use crate::heap::AncillaHeap;
 use crate::laa;
@@ -29,6 +29,10 @@ use crate::policy::Policy;
 use crate::report::{
     BudgetOutcome, CompileReport, DecisionStats, MbuStats, ReclaimDecision, ReclaimLowering,
 };
+
+/// Upcoming multi-qubit gates the executor hands a lookahead router
+/// with each gate (SABRE's extended set).
+const LOOKAHEAD_WINDOW: usize = 16;
 
 /// Compiles `program` with all entry-register inputs |0⟩.
 ///
@@ -113,6 +117,25 @@ impl PreparedProgram {
     }
 }
 
+/// Builds the machine `config.arch` names for `prepared`, sizing an
+/// `Auto*` layout from the program's capacity hint.
+///
+/// # Errors
+///
+/// [`CompileError::MachineTooLarge`] when an auto-sized layout would
+/// hold more than [`ArchSpec::MAX_QUBITS`] qubits, checked before
+/// anything is allocated.
+pub fn build_topology(
+    config: &CompilerConfig,
+    prepared: &PreparedProgram,
+) -> Result<Arc<dyn Topology>, CompileError> {
+    let limit = ArchSpec::MAX_QUBITS as usize;
+    match config.arch.auto_size(prepared.capacity_hint) {
+        Some(qubits) if qubits > limit => Err(CompileError::MachineTooLarge { qubits, limit }),
+        _ => Ok(Arc::from(config.arch.build(prepared.capacity_hint))),
+    }
+}
+
 /// Compiles from pre-built prefix artifacts, constructing a fresh
 /// topology from `config.arch`.
 ///
@@ -124,8 +147,7 @@ pub fn compile_prepared(
     inputs: &[bool],
     config: &CompilerConfig,
 ) -> Result<CompileReport, CompileError> {
-    let topo: Arc<dyn Topology> = Arc::from(config.arch.build(prepared.capacity_hint));
-    compile_prepared_on(prepared, inputs, config, topo)
+    compile_prepared_on(prepared, inputs, config, build_topology(config, prepared)?)
 }
 
 /// Compiles from pre-built prefix artifacts onto a *shared* topology.
@@ -165,7 +187,7 @@ pub fn compile_checked(
     inputs: &[bool],
     config: &CompilerConfig,
 ) -> Result<(CompileReport, PhysicalCheck), CompileError> {
-    let topo: Arc<dyn Topology> = Arc::from(config.arch.build(prepared.capacity_hint));
+    let topo = build_topology(config, prepared)?;
     let (report, streamed) = compile_on(prepared, inputs, config, topo, !config.record_schedule)?;
     let check = match streamed {
         Some(check) => check,
@@ -193,10 +215,7 @@ fn compile_on(
     // router that never ran.
     let router = match config.comm {
         CommModel::SwapChains => config.router,
-        CommModel::Braiding => RouterConfig {
-            kind: RouterKind::Greedy,
-            ..config.router
-        },
+        CommModel::Braiding => RouterKind::Greedy.into(),
     };
     let mut machine = Machine::with_shared(
         topo,
@@ -817,14 +836,13 @@ impl Exec<'_> {
     }
 
     /// Refills the machine's lookahead window with the first
-    /// [`RouterConfig::lookahead_window`] (at least one) of the
-    /// `upcoming` multi-qubit gates, resolved to virtual qubits — the
-    /// front/extended set a SABRE-style router scores swaps against.
+    /// [`LOOKAHEAD_WINDOW`] of the `upcoming` multi-qubit gates,
+    /// resolved to virtual qubits — the front/extended set a
+    /// SABRE-style router scores swaps against.
     fn fill_window(&mut self, upcoming: impl Iterator<Item = Gate<VirtId>>) {
-        let depth = self.config.router.lookahead_window;
         let window = self.machine.lookahead_mut();
         window.clear();
-        window.extend(upcoming.take(depth.max(1)));
+        window.extend(upcoming.take(LOOKAHEAD_WINDOW));
     }
 
     #[allow(clippy::too_many_arguments)]

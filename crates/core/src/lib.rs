@@ -49,8 +49,8 @@ pub use cer::{CerCacheStats, CerEngine, ModuleCostTable};
 pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, LaaWeights, SweepArch};
 pub use error::CompileError;
 pub use executor::{
-    compile, compile_checked, compile_prepared, compile_prepared_on, compile_with_inputs,
-    PreparedProgram,
+    build_topology, compile, compile_checked, compile_prepared, compile_prepared_on,
+    compile_with_inputs, PreparedProgram,
 };
 pub use heap::{AncillaHeap, HeapError, HeapHandle};
 pub use policy::{BudgetPolicy, Policy};

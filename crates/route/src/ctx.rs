@@ -1,63 +1,16 @@
-//! Per-route context and scratch arenas.
+//! The Toffoli gather search and its scratch arrays.
 //!
-//! The router redesign makes [`Router`](crate::Router) impls stateless
-//! strategy objects: all mutable routing state lives in a
-//! [`RouterScratch`] owned by the machine and lent to the router for
-//! the duration of one `route()` call, bundled with the machine and
-//! the lookahead window into a [`RoutingCtx`]. Scratch buffers (decay
-//! table, BFS arrays, planned swap chains) are reused across gates, so
-//! the steady-state hot path performs no allocation at all.
+//! Both routers bring a Toffoli's second control next to the target
+//! along a shortest path that avoids the target's and the first
+//! control's cells: [`BfsScratch::gather_to`] answers it, in closed
+//! form on a filled lattice ([`lattice_gather`]) and by a bounded
+//! breadth-first search over a flat [`NeighborTable`] elsewhere. The
+//! search arrays live in the machine's router scratch and are reused
+//! across gates, so the steady-state hot path allocates nothing.
 
 use square_arch::{PhysId, Topology};
-use square_qir::{Gate, VirtId};
 
 use crate::machine::Machine;
-
-/// Reusable per-machine routing scratch: the arenas behind both
-/// routers. Parked in the machine and `take`n around each route call.
-#[derive(Debug, Default)]
-pub struct RouterScratch {
-    /// Lookahead: per-cell decay factors (≥ 1.0), reset between gates
-    /// via `touched` so the cost stays proportional to swaps inserted.
-    pub(crate) decay: Vec<f64>,
-    /// Lookahead: cells whose decay is currently above 1.0.
-    pub(crate) touched: Vec<PhysId>,
-    /// Lookahead: virtual operand pairs of the window gates.
-    pub(crate) pairs: Vec<(VirtId, VirtId)>,
-    /// Toffoli gather-search arrays.
-    pub(crate) bfs: BfsScratch,
-    /// Path / swap-chain cell buffer.
-    pub(crate) chain: Vec<PhysId>,
-    /// Planned swaps for the greedy plan-then-apply path.
-    pub(crate) swaps: Vec<(PhysId, PhysId)>,
-    /// Tracked operand positions while planning.
-    pub(crate) tracked: Vec<(VirtId, PhysId)>,
-}
-
-/// Everything a stateless router needs to route one gate: the machine
-/// (topology, placement, clock, sink), its scratch arenas, and the
-/// upcoming-gate hint window.
-pub struct RoutingCtx<'m> {
-    /// The machine being routed onto.
-    pub(crate) machine: &'m mut Machine,
-    /// Scratch arenas, reused across gates.
-    pub(crate) scratch: &'m mut RouterScratch,
-    /// Upcoming-gate hints (empty unless the executor knows the
-    /// router wants them).
-    pub(crate) window: &'m [Gate<VirtId>],
-}
-
-impl<'m> RoutingCtx<'m> {
-    /// The machine being routed onto.
-    pub fn machine(&mut self) -> &mut Machine {
-        self.machine
-    }
-
-    /// The upcoming-gate hint window.
-    pub fn window(&self) -> &[Gate<VirtId>] {
-        self.window
-    }
-}
 
 /// The coupling graph as a flat CSR table: each cell's neighbours in
 /// exactly [`Topology::for_each_neighbor`] order, so the gather search
@@ -93,7 +46,7 @@ impl NeighborTable {
 /// use and never cleared: a bumped epoch invalidates all stamps in
 /// O(1), so repeated gathers reuse the same memory.
 #[derive(Debug, Default)]
-pub struct BfsScratch {
+pub(crate) struct BfsScratch {
     /// Predecessor cell index, valid only where the cell is stamped
     /// visited this search.
     prev: Vec<u32>,

@@ -12,16 +12,15 @@
 //! executor emits ([`Clock`]), accumulates communication statistics
 //! (the running `S` factors the CER heuristic consumes), and records
 //! per-qubit liveness segments from which `square-metrics` computes
-//! the active quantum volume. Routing strategy is pluggable behind the
-//! stateless [`Router`] trait, configured with a [`RouterConfig`] and
-//! driven through a per-call [`RoutingCtx`].
+//! the active quantum volume. The swap-chain router is chosen by
+//! [`RouterKind`] in a [`RouterConfig`]: greedy or lookahead, two
+//! functions the machine dispatches to per gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod braid;
 pub mod config;
-pub mod ctx;
 pub mod machine;
 pub mod placement;
 pub mod router;
@@ -29,17 +28,17 @@ pub mod schedule;
 pub mod sink;
 pub mod timeline;
 
+mod ctx;
 mod error;
 
 pub use braid::BraidField;
-pub use config::{RouterConfig, DEFAULT_LOOKAHEAD_WINDOW};
-pub use ctx::{BfsScratch, RouterScratch, RoutingCtx};
+pub use config::RouterConfig;
 pub use error::RouteError;
 pub use machine::{
     journey_of, CommStats, LivenessSegment, Machine, MachineConfig, PlacementEvent, RouteReport,
 };
 pub use placement::{CellSet, Placement};
-pub use router::{GreedyRouter, LookaheadRouter, Router, RouterKind};
+pub use router::RouterKind;
 pub use schedule::{gate_duration, step_gate, PhysicalCheck, ScheduleViolation, ScheduledGate};
 pub use sink::ScheduleSink;
 pub use timeline::Clock;

@@ -17,9 +17,10 @@
 //! feed the CER heuristic's `S` factor. Releasing a qubit closes its
 //! liveness segment, from which active quantum volume is computed.
 //!
-//! Routing strategy lives behind the stateless [`Router`](crate::Router)
-//! trait; the machine lends each `route()` call a [`RoutingCtx`]
-//! carrying its scratch arenas, so the hot path allocates nothing.
+//! Swap-chain routing dispatches on the configured [`RouterKind`] to
+//! the greedy or lookahead router, which move qubits live through
+//! [`Machine::swap_cells`] and reuse the machine's scratch arenas, so
+//! the hot path allocates nothing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -30,10 +31,10 @@ use square_qir::{ClbitId, Gate, VirtId};
 
 use crate::braid::BraidField;
 use crate::config::RouterConfig;
-use crate::ctx::{NeighborTable, RouterScratch, RoutingCtx};
+use crate::ctx::NeighborTable;
 use crate::error::RouteError;
 use crate::placement::Placement;
-use crate::router::RouterKind;
+use crate::router::{self, RouterKind, RouterScratch};
 use crate::schedule::{gate_duration, PhysicalCheck, ScheduledGate};
 use crate::sink::ScheduleSink;
 use crate::timeline::Clock;
@@ -259,9 +260,9 @@ pub struct Machine {
     placement: Placement,
     sink: ScheduleSink,
     braid_field: BraidField,
-    /// Router scratch arenas; parked in an `Option` so they can be
-    /// taken out while routing borrows the machine mutably.
-    scratch: Option<RouterScratch>,
+    /// Router scratch arenas, taken out while routing borrows the
+    /// machine mutably.
+    scratch: RouterScratch,
     /// Reusable physical-operand buffer for gate scheduling.
     phys_buf: Vec<PhysId>,
     /// Classical guard for the program gate currently being applied
@@ -312,7 +313,7 @@ impl Machine {
             accel,
             neighbors: OnceLock::new(),
             lookahead: Vec::new(),
-            scratch: Some(RouterScratch::default()),
+            scratch: RouterScratch::default(),
             phys_buf: Vec::new(),
             pending_guard: None,
             topo,
@@ -530,19 +531,10 @@ impl Machine {
         self.sink.stats.gather_failures += 1;
     }
 
-    /// Folds a planned gather's bookkeeping into the statistics.
-    pub(crate) fn bump_gather(&mut self, retries: u64, failed: bool) {
-        self.sink.stats.gather_retries += retries;
-        if failed {
-            self.sink.stats.gather_failures += 1;
-        }
-    }
-
     /// Swaps the contents of two adjacent physical cells (a routing
     /// SWAP: three CNOT cycles), updating placements, liveness,
     /// free-cell relocations, and the placement history. This is the
-    /// only mutation [`Router`](crate::Router) implementations
-    /// perform.
+    /// only mutation the routers perform.
     pub fn swap_cells(&mut self, p: PhysId, q: PhysId) {
         debug_assert!(self.topo.are_coupled(p, q), "swap of non-coupled cells");
         let start = self.clock.occupy_pair_asap(p, q, 3);
@@ -653,7 +645,7 @@ impl Machine {
     }
 
     /// Placement of an operand that routing already verified.
-    fn phys_must(&self, v: VirtId) -> PhysId {
+    pub(crate) fn phys_must(&self, v: VirtId) -> PhysId {
         self.placement.phys_of(v).expect("operand placed")
     }
 
@@ -669,22 +661,21 @@ impl Machine {
     }
 
     fn apply_swapchain(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
-        // The scratch arenas and window are parked in the machine so
-        // the stateless router can borrow all three disjointly.
-        let router = self.config.kind.instance();
-        let window = std::mem::take(&mut self.lookahead);
-        let mut scratch = self.scratch.take().expect("scratch parked in place");
-        let routed = {
-            let mut ctx = RoutingCtx {
-                machine: self,
-                scratch: &mut scratch,
-                window: &window,
-            };
-            router.route(&mut ctx, gate)
-        };
-        self.scratch = Some(scratch);
-        self.lookahead = window;
-        routed?;
+        if gate.arity() >= 2 {
+            router::check_placed(self, gate)?;
+            // The scratch arenas and window leave the machine while the
+            // router moves qubits through it.
+            let mut scratch = std::mem::take(&mut self.scratch);
+            match self.config.kind {
+                RouterKind::Greedy => router::greedy(self, &mut scratch, gate),
+                RouterKind::Lookahead => {
+                    let window = std::mem::take(&mut self.lookahead);
+                    router::lookahead(self, &mut scratch, &window, gate);
+                    self.lookahead = window;
+                }
+            }
+            self.scratch = scratch;
+        }
         self.schedule_program_gate(gate)
     }
 

@@ -1,35 +1,34 @@
-//! Pluggable swap-chain routers.
+//! The two swap-chain routers.
 //!
-//! Routing — deciding which SWAP chains bring a gate's operands into
-//! coupled positions — sits behind the [`Router`] trait. Routers are
-//! *stateless strategy objects*: `route()` takes `&self` and a
-//! [`RoutingCtx`] lending the machine, the reusable scratch arenas, and
-//! the lookahead window, so one `&'static` instance per kind (from
-//! [`RouterKind::instance`]) serves every machine concurrently and the
-//! hot path allocates nothing. Two implementations:
+//! Routing decides which SWAP chains bring a gate's operands into
+//! coupled positions. [`RouterKind`] names the strategy, and
+//! `Machine::apply` dispatches on it to one of two functions here:
 //!
-//! * [`GreedyRouter`]: the original per-gate shortest-path swapper,
-//!   kept *bit-compatible* with the historical inlined code (same
-//!   shortest-path walks, same bounded-BFS operand gathering, same
-//!   swap order) — the correctness anchor every regression suite pins
-//!   against. Greedy decisions depend only on operand positions and
-//!   the topology, so the router first *plans* the swap chain against
-//!   tracked positions, then applies it.
-//! * [`LookaheadRouter`]: a SABRE-style scorer (Li, Ding & Xie,
-//!   ASPLOS 2019). Each candidate swap on an edge incident to the
-//!   current gate's operands is scored against the *front* (the gate
-//!   being routed) plus an *extended set* — a sliding window of
-//!   upcoming multi-qubit gates supplied by the compile-time executor
-//!   — with a decay factor penalizing cells swapped moments ago (the
-//!   anti-ping-pong term). Distances come from the machine's
-//!   acceleration tables and are carried *incrementally*: the winning
-//!   candidate's post-swap distance becomes the next iteration's
-//!   baseline, halving the distance queries per swap.
+//! * `greedy`: the per-gate shortest-path swapper, *bit-compatible*
+//!   with the historical code (same shortest-path walks, same
+//!   bounded-search operand gathering, same swap order) — the
+//!   correctness anchor every regression suite pins against.
+//! * `lookahead`: a SABRE-style scorer (Li, Ding & Xie, ASPLOS 2019).
+//!   Each candidate swap on an edge incident to the current gate's
+//!   operands is scored against the *front* (the gate being routed)
+//!   plus an *extended set* — a sliding window of upcoming multi-qubit
+//!   gates supplied by the compile-time executor — with a decay factor
+//!   penalizing cells swapped moments ago (the anti-ping-pong term).
+//!   Distances come from the machine's acceleration tables and are
+//!   carried *incrementally*: the winning candidate's post-swap
+//!   distance becomes the next iteration's baseline, halving the
+//!   distance queries per swap.
 //!
-//! Routers only *move* qubits (via [`Machine::swap_cells`]); gate
-//! scheduling, statistics, and liveness stay in the machine. Braided
-//! (FT) communication does not route through swap chains and is
-//! unaffected by the router choice.
+//! Both share one chain walk (`walk`: the mover hops along cached next
+//! hops until coupled to its partner) — greedy's two-qubit routing,
+//! lookahead's stall fallback and both gathers' last resort — and one
+//! bounded gather search (`BfsScratch::gather_to`). The two Toffoli
+//! gathers differ only in how they steer the second control.
+//!
+//! Routers only *move* qubits, live, through [`Machine::swap_cells`];
+//! gate scheduling, statistics, and liveness stay in the machine.
+//! Braided (FT) communication does not route through swap chains and
+//! is unaffected by the router choice.
 
 use std::fmt;
 
@@ -37,7 +36,7 @@ use square_qir::{Gate, VirtId};
 
 use square_arch::PhysId;
 
-use crate::ctx::{BfsScratch, RouterScratch, RoutingCtx};
+use crate::ctx::BfsScratch;
 use crate::error::RouteError;
 use crate::machine::Machine;
 
@@ -85,17 +84,6 @@ impl RouterKind {
     pub fn wants_lookahead(&self) -> bool {
         matches!(self, RouterKind::Lookahead)
     }
-
-    /// The shared router instance for this kind. Routers are
-    /// stateless (all mutable state lives in the machine's
-    /// [`RouterScratch`]), so every machine — across threads — uses
-    /// the same `&'static` object; nothing is boxed per compile.
-    pub fn instance(self) -> &'static dyn Router {
-        match self {
-            RouterKind::Greedy => &GreedyRouter,
-            RouterKind::Lookahead => &LookaheadRouter,
-        }
-    }
 }
 
 impl fmt::Display for RouterKind {
@@ -104,126 +92,66 @@ impl fmt::Display for RouterKind {
     }
 }
 
-/// A swap-chain routing strategy.
-///
-/// `route` must leave every multi-qubit operand pair the gate needs
-/// coupled (or give up the way the greedy gatherer does, which is
-/// recorded as a gather failure); it moves qubits exclusively through
-/// [`Machine::swap_cells`], which keeps placement, liveness,
-/// relocation, and history bookkeeping consistent. Implementations
-/// are stateless — per-route mutable state lives in the context's
-/// scratch arenas — so one instance may serve many machines at once.
-pub trait Router: Send + Sync {
-    /// Which kind this router is.
-    fn kind(&self) -> RouterKind;
-
-    /// Routes one program gate: inserts whatever swaps make the
-    /// gate's operands adjacent, using the machine, scratch, and
-    /// lookahead window in `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// [`RouteError::UnplacedQubit`] if an operand has no placement.
-    fn route(&self, ctx: &mut RoutingCtx<'_>, gate: &Gate<VirtId>) -> Result<(), RouteError>;
+/// Reusable routing scratch, owned by the machine and lent to the
+/// router for one gate, so the steady-state hot path allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct RouterScratch {
+    /// Lookahead: per-cell decay factors (≥ 1.0), reset between gates
+    /// via `touched` so the cost stays proportional to swaps inserted.
+    decay: Vec<f64>,
+    /// Lookahead: cells whose decay is currently above 1.0.
+    touched: Vec<PhysId>,
+    /// Lookahead: virtual operand pairs of the window gates.
+    pairs: Vec<(VirtId, VirtId)>,
+    /// Toffoli gather-search arrays.
+    bfs: BfsScratch,
+    /// Gather path buffer.
+    chain: Vec<PhysId>,
 }
 
-// ---------------------------------------------------------------------------
-// Greedy planning (position-pure: no machine mutation)
-// ---------------------------------------------------------------------------
-//
-// Every greedy decision is a pure function of the gate's operand
-// positions and the topology — never of occupancy or the clock. The
-// planner exploits that: it walks *tracked* operand positions and
-// records the swap chain, and the caller replays the chain through
-// `swap_cells`. This is bit-identical to the historical
-// mutate-as-you-go code.
-
-/// Tracked position of `v` (operands are distinct, so first match).
-#[inline]
-fn tpos(tracked: &[(VirtId, PhysId)], v: VirtId) -> PhysId {
-    tracked
-        .iter()
-        .find(|&&(tv, _)| tv == v)
-        .map(|&(_, p)| p)
-        .expect("operand resolved")
-}
-
-/// Mirrors a `swap_cells(u, v)` on the tracked positions.
-#[inline]
-fn tswap(tracked: &mut [(VirtId, PhysId)], u: PhysId, v: PhysId) {
-    for (_, p) in tracked.iter_mut() {
-        if *p == u {
-            *p = v;
-        } else if *p == v {
-            *p = u;
-        }
-    }
-}
-
-/// Resolves a gate's operands to `(virt, phys)` pairs, in the order
-/// the historical router read them (so single-unplaced-operand errors
-/// name the same qubit): `Ccx`/`Mcx` read the target first.
-fn resolve_operands(
-    m: &Machine,
-    gate: &Gate<VirtId>,
-    out: &mut Vec<(VirtId, PhysId)>,
-) -> Result<(), RouteError> {
-    out.clear();
-    let mut push = |v: VirtId| -> Result<(), RouteError> {
-        let p = m
-            .placement()
-            .phys_of(v)
-            .ok_or(RouteError::UnplacedQubit { virt: v })?;
-        out.push((v, p));
-        Ok(())
+/// Looks up every operand of a multi-qubit gate before either router
+/// moves anything, so an unplaced operand fails the gate with no swap
+/// emitted. The error names the first missing operand in the order the
+/// greedy router always read them: `Cx`/`Swap` in slot order,
+/// `Ccx`/`Mcx` target first.
+pub(crate) fn check_placed(m: &Machine, gate: &Gate<VirtId>) -> Result<(), RouteError> {
+    let placed = |v: &VirtId| match m.placement().phys_of(*v) {
+        Some(_) => Ok(()),
+        None => Err(RouteError::UnplacedQubit { virt: *v }),
     };
     match gate {
-        Gate::X { target } => push(*target),
-        Gate::Cx { control, target } => {
-            push(*control)?;
-            push(*target)
-        }
-        Gate::Swap { a, b } => {
-            push(*a)?;
-            push(*b)
-        }
+        Gate::X { .. } => Ok(()),
+        Gate::Cx { control, target } => placed(control).and_then(|()| placed(target)),
+        Gate::Swap { a, b } => placed(a).and_then(|()| placed(b)),
         Gate::Ccx { c0, c1, target } => {
-            push(*target)?;
-            push(*c0)?;
-            push(*c1)
+            placed(target)?;
+            placed(c0)?;
+            placed(c1)
         }
         Gate::Mcx { controls, target } => {
-            push(*target)?;
-            for c in controls {
-                push(*c)?;
-            }
-            Ok(())
+            placed(target)?;
+            controls.iter().try_for_each(placed)
         }
     }
 }
 
-/// Plans the historical greedy chain walk: `mover` hops along a
-/// shortest path until coupled to `anchor` (the last hop — onto the
-/// anchor's own cell — is never taken).
-fn plan_chain(
-    m: &Machine,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
-    mover: VirtId,
-    anchor: VirtId,
-) {
-    let mut pm = tpos(tracked, mover);
-    let pa = tpos(tracked, anchor);
+/// The chain walk: `mover` hops along cached next hops until it is
+/// coupled to `anchor`, which never moves (the last hop — onto the
+/// anchor's own cell — is never taken). Each swap shrinks the distance
+/// by one, so the walk terminates.
+fn walk(m: &mut Machine, mover: VirtId, anchor: VirtId) {
+    let mut pm = m.phys_must(mover);
+    let pa = m.phys_must(anchor);
     if pm == pa || m.coupled(pm, pa) {
         return;
     }
     loop {
         let hop = m.hop(pm, pa).expect("connected fabric");
         if hop == pa {
-            break;
+            return;
         }
-        swaps.push((pm, hop));
-        tswap(tracked, pm, hop);
+        m.swap_cells(pm, hop);
         pm = hop;
     }
 }
@@ -232,152 +160,73 @@ fn plan_chain(
 /// gather falls back to a plain chain walk.
 pub(crate) const GATHER_VISIT_CAP: usize = 4096;
 
-/// Plans the historical Toffoli gather: bring both controls adjacent
-/// to the target, trying not to displace already-gathered operands.
-/// Returns `(retries, gave_up)` for the caller's statistics.
-// Two scratch arenas and three operands are the function's whole job;
-// bundling them into a struct would only rename the argument list.
-#[allow(clippy::too_many_arguments)]
-fn plan_gather(
-    m: &Machine,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
-    bfs: &mut BfsScratch,
-    path: &mut Vec<PhysId>,
-    c0: VirtId,
-    c1: VirtId,
-    t: VirtId,
-) -> (u64, bool) {
-    let mut retries = 0u64;
+// ---------------------------------------------------------------------------
+// Greedy
+// ---------------------------------------------------------------------------
+
+/// Routes one placed gate the greedy way: every two-qubit gate walks
+/// its first operand to its second, and a Toffoli gathers both
+/// controls next to the target. Every decision reads only operand
+/// positions and the topology, never occupancy or the clock.
+pub(crate) fn greedy(m: &mut Machine, s: &mut RouterScratch, gate: &Gate<VirtId>) {
+    match gate {
+        Gate::X { .. } => {}
+        Gate::Cx { control, target } => walk(m, *control, *target),
+        Gate::Swap { a, b } => walk(m, *a, *b),
+        Gate::Ccx { c0, c1, target } => gather(m, s, *c0, *c1, *target),
+        // Lowered programs never reach here with ≥ 3 controls; handle
+        // small cases for completeness.
+        Gate::Mcx { controls, target } => match controls.as_slice() {
+            [] => {}
+            [c] => walk(m, *c, *target),
+            [c0, c1, rest @ ..] => {
+                gather(m, s, *c0, *c1, *target);
+                for c in rest {
+                    walk(m, *c, *target);
+                }
+            }
+        },
+    }
+}
+
+/// The greedy Toffoli gather: bring both controls adjacent to the
+/// target, trying not to displace already-gathered operands. Gives up
+/// after four attempts, each after the first counted as a retry.
+fn gather(m: &mut Machine, s: &mut RouterScratch, c0: VirtId, c1: VirtId, t: VirtId) {
     for attempt in 0..4 {
-        let pt = tpos(tracked, t);
-        let p0 = tpos(tracked, c0);
-        let p1 = tpos(tracked, c1);
+        let pt = m.phys_must(t);
+        let p0 = m.phys_must(c0);
+        let p1 = m.phys_must(c1);
         let ok0 = m.coupled(p0, pt);
         let ok1 = m.coupled(p1, pt);
         if ok0 && ok1 {
-            return (retries, false);
+            return;
         }
         if attempt > 0 {
-            retries += 1;
+            m.note_gather_retry();
         }
         if !ok0 {
-            plan_chain(m, tracked, swaps, c0, t);
+            walk(m, c0, t);
             continue;
         }
         // c0 is in place; bring c1 next to t without crossing c0/t.
-        if bfs.gather_to(m, p1, pt, p0, GATHER_VISIT_CAP, path) {
-            for i in 0..path.len().saturating_sub(1) {
-                let (a, b) = (path[i], path[i + 1]);
-                swaps.push((a, b));
-                tswap(tracked, a, b);
+        if s.bfs
+            .gather_to(m, p1, pt, p0, GATHER_VISIT_CAP, &mut s.chain)
+        {
+            for w in s.chain.windows(2) {
+                m.swap_cells(w[0], w[1]);
             }
         } else {
             // No avoiding route (e.g. a line topology cut); route
             // plainly and let the next attempt repair c0.
-            plan_chain(m, tracked, swaps, c1, t);
+            walk(m, c1, t);
         }
     }
-    (retries, true)
-}
-
-/// Plans the full greedy treatment of one gate. Dispatch mirrors the
-/// historical `route_gate` exactly.
-fn plan_greedy(
-    m: &Machine,
-    gate: &Gate<VirtId>,
-    tracked: &mut [(VirtId, PhysId)],
-    swaps: &mut Vec<(PhysId, PhysId)>,
-    bfs: &mut BfsScratch,
-    path: &mut Vec<PhysId>,
-) -> (u64, bool) {
-    match gate {
-        Gate::X { .. } => (0, false),
-        Gate::Cx { control, target } => {
-            plan_chain(m, tracked, swaps, *control, *target);
-            (0, false)
-        }
-        Gate::Swap { a, b } => {
-            plan_chain(m, tracked, swaps, *a, *b);
-            (0, false)
-        }
-        Gate::Ccx { c0, c1, target } => {
-            plan_gather(m, tracked, swaps, bfs, path, *c0, *c1, *target)
-        }
-        Gate::Mcx { controls, target } => {
-            // Lowered programs never reach here with ≥ 3 controls;
-            // handle small cases for completeness.
-            match controls.len() {
-                0 => (0, false),
-                1 => {
-                    plan_chain(m, tracked, swaps, controls[0], *target);
-                    (0, false)
-                }
-                _ => {
-                    let (retries, failed) = plan_gather(
-                        m,
-                        tracked,
-                        swaps,
-                        bfs,
-                        path,
-                        controls[0],
-                        controls[1],
-                        *target,
-                    );
-                    for c in &controls[2..] {
-                        plan_chain(m, tracked, swaps, *c, *target);
-                    }
-                    (retries, failed)
-                }
-            }
-        }
-    }
+    m.note_gather_failure();
 }
 
 // ---------------------------------------------------------------------------
-// GreedyRouter
-// ---------------------------------------------------------------------------
-
-/// The original per-gate shortest-path router. Stateless; swap
-/// sequences are bit-identical to the pre-trait inlined code on every
-/// topology.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GreedyRouter;
-
-impl Router for GreedyRouter {
-    fn kind(&self) -> RouterKind {
-        RouterKind::Greedy
-    }
-
-    fn route(&self, ctx: &mut RoutingCtx<'_>, gate: &Gate<VirtId>) -> Result<(), RouteError> {
-        if gate.arity() < 2 {
-            return Ok(());
-        }
-        let m = &mut *ctx.machine;
-        let s = &mut *ctx.scratch;
-        resolve_operands(m, gate, &mut s.tracked)?;
-        s.swaps.clear();
-        let (retries, failed) = {
-            let RouterScratch {
-                tracked,
-                swaps,
-                bfs,
-                chain,
-                ..
-            } = &mut *s;
-            plan_greedy(m, gate, tracked, swaps, bfs, chain)
-        };
-        for i in 0..s.swaps.len() {
-            let (u, v) = s.swaps[i];
-            m.swap_cells(u, v);
-        }
-        m.bump_gather(retries, failed);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// LookaheadRouter
+// Lookahead
 // ---------------------------------------------------------------------------
 
 /// Weight of the extended set (upcoming-gate window) relative to the
@@ -387,15 +236,36 @@ const EXT_WEIGHT: f64 = 0.5;
 /// one gate; discourages undoing a swap just made.
 const DECAY_BUMP: f64 = 0.1;
 /// Consecutive non-improving swaps tolerated before falling back to
-/// the guaranteed-terminating greedy walk.
+/// the guaranteed-terminating chain walk.
 const STALL_LIMIT: u32 = 3;
 
-/// SABRE-style lookahead router: scores candidate swaps on edges
-/// incident to the current gate's operands against the front gate and
-/// a decayed window of upcoming multi-qubit gates. Stateless — the
-/// decay table and window pairs live in the machine's scratch.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LookaheadRouter;
+/// Routes one placed gate the SABRE way: candidate swaps on edges
+/// incident to the operands are scored against the gate plus the
+/// decayed `window` of upcoming multi-qubit gates.
+pub(crate) fn lookahead(
+    m: &mut Machine,
+    s: &mut RouterScratch,
+    window: &[Gate<VirtId>],
+    gate: &Gate<VirtId>,
+) {
+    la_collect_pairs(s, window);
+    match gate {
+        Gate::X { .. } => {}
+        Gate::Cx { control, target } => la_route_pair(m, s, *control, *target, true),
+        Gate::Swap { a, b } => la_route_pair(m, s, *a, *b, true),
+        Gate::Ccx { c0, c1, target } => la_gather(m, s, *c0, *c1, *target),
+        Gate::Mcx { controls, target } => match controls.as_slice() {
+            [] => {}
+            [c] => la_route_pair(m, s, *c, *target, true),
+            [c0, c1, rest @ ..] => {
+                la_gather(m, s, *c0, *c1, *target);
+                for c in rest {
+                    la_route_pair(m, s, *c, *target, false);
+                }
+            }
+        },
+    }
+}
 
 fn la_reset_decay(s: &mut RouterScratch, n: usize) {
     if s.decay.len() != n {
@@ -477,32 +347,20 @@ fn la_score_swap(
 /// window hints are too weak to justify detours — on low-degree
 /// fabrics like heavy-hex they systematically mislead). With
 /// `move_anchor` false only `a`'s side moves, which is how Toffoli
-/// gathering keeps the target parked. Falls back to the greedy
-/// next-hop walk after [`STALL_LIMIT`] consecutive
-/// distance-preserving swaps, which guarantees termination. The front
+/// gathering keeps the target parked. Falls back to the chain walk
+/// after [`STALL_LIMIT`] consecutive distance-preserving swaps, which
+/// guarantees termination. The front
 /// distance is carried incrementally: the winning candidate's exact
 /// post-swap distance seeds the next iteration's baseline.
-fn la_route_pair(
-    m: &mut Machine,
-    s: &mut RouterScratch,
-    a: VirtId,
-    b: VirtId,
-    move_anchor: bool,
-) -> Result<(), RouteError> {
-    let mut pa = m
-        .placement()
-        .phys_of(a)
-        .ok_or(RouteError::UnplacedQubit { virt: a })?;
-    let mut pb = m
-        .placement()
-        .phys_of(b)
-        .ok_or(RouteError::UnplacedQubit { virt: b })?;
+fn la_route_pair(m: &mut Machine, s: &mut RouterScratch, a: VirtId, b: VirtId, move_anchor: bool) {
+    let mut pa = m.phys_must(a);
+    let mut pb = m.phys_must(b);
     la_reset_decay(s, m.qubit_count());
     let mut stall = 0u32;
     let mut dist = m.distance(pa, pb);
     loop {
         if pa == pb || dist == 1 {
-            return Ok(());
+            return;
         }
         let before = dist;
         // Candidate swaps: every edge incident to a movable endpoint
@@ -543,18 +401,20 @@ fn la_route_pair(
             // No distance-preserving edge at all (cannot happen on a
             // connected fabric, where the next hop qualifies) — walk
             // the guaranteed-progress chain.
-            return la_greedy_walk(m, a, b);
+            walk(m, a, b);
+            return;
         };
         m.swap_cells(u, v);
         la_bump_decay(s, u);
         la_bump_decay(s, v);
-        pa = m.placement().phys_of(a).expect("still placed");
-        pb = m.placement().phys_of(b).expect("still placed");
+        pa = m.phys_must(a);
+        pb = m.phys_must(b);
         dist = after;
         if after >= before {
             stall += 1;
             if stall >= STALL_LIMIT {
-                return la_greedy_walk(m, a, b);
+                walk(m, a, b);
+                return;
             }
         } else {
             stall = 0;
@@ -562,86 +422,24 @@ fn la_route_pair(
     }
 }
 
-/// Deterministic escape hatch: walk `a` toward `b` along cached next
-/// hops (each swap shrinks the distance by one, so this always
-/// terminates).
-fn la_greedy_walk(m: &mut Machine, a: VirtId, b: VirtId) -> Result<(), RouteError> {
-    let mut pa = m
-        .placement()
-        .phys_of(a)
-        .ok_or(RouteError::UnplacedQubit { virt: a })?;
-    let mut pb = m
-        .placement()
-        .phys_of(b)
-        .ok_or(RouteError::UnplacedQubit { virt: b })?;
-    while pa != pb && !m.coupled(pa, pb) {
-        let hop = m.hop(pa, pb).expect("connected fabric");
-        m.swap_cells(pa, hop);
-        pa = hop;
-        pb = m.placement().phys_of(b).expect("still placed");
-    }
-    Ok(())
-}
-
-/// Moves `mover` along cached next hops until coupled to `anchor` —
-/// the historical greedy chain walk, applied live (the lookahead
-/// gatherer's last-resort fallback).
-fn route_adjacent_live(m: &mut Machine, mover: VirtId, anchor: VirtId) -> Result<(), RouteError> {
-    let mut pm = m
-        .placement()
-        .phys_of(mover)
-        .ok_or(RouteError::UnplacedQubit { virt: mover })?;
-    let pa = m
-        .placement()
-        .phys_of(anchor)
-        .ok_or(RouteError::UnplacedQubit { virt: anchor })?;
-    if pm == pa || m.coupled(pm, pa) {
-        return Ok(());
-    }
-    loop {
-        let hop = m.hop(pm, pa).expect("connected fabric");
-        if hop == pa {
-            break;
-        }
-        m.swap_cells(pm, hop);
-        pm = hop;
-    }
-    Ok(())
-}
-
 /// Gathers a Toffoli: lookahead-routes `c0` to the target, then
 /// steers `c1` to the cheapest free neighbour of the target along
 /// cached next hops, side-stepping the cells holding `t`/`c0`.
-fn la_gather(
-    m: &mut Machine,
-    s: &mut RouterScratch,
-    c0: VirtId,
-    c1: VirtId,
-    t: VirtId,
-) -> Result<(), RouteError> {
+fn la_gather(m: &mut Machine, s: &mut RouterScratch, c0: VirtId, c1: VirtId, t: VirtId) {
     for attempt in 0..4 {
-        let pt = m
-            .placement()
-            .phys_of(t)
-            .ok_or(RouteError::UnplacedQubit { virt: t })?;
-        let p0 = m
-            .placement()
-            .phys_of(c0)
-            .ok_or(RouteError::UnplacedQubit { virt: c0 })?;
-        let p1 = m
-            .placement()
-            .phys_of(c1)
-            .ok_or(RouteError::UnplacedQubit { virt: c1 })?;
+        let pt = m.phys_must(t);
+        let p0 = m.phys_must(c0);
+        let p1 = m.phys_must(c1);
         let ok0 = m.coupled(p0, pt);
         let ok1 = m.coupled(p1, pt);
         if ok0 && ok1 {
-            return Ok(());
+            return;
         }
         if attempt > 0 {
             m.note_gather_retry();
         }
         if !ok0 {
-            la_route_pair(m, s, c0, t, true)?;
+            la_route_pair(m, s, c0, t, true);
             continue;
         }
         // c0 is in place: pick the goal cell for c1 — the
@@ -663,7 +461,7 @@ fn la_gather(
         let Some((_, goal)) = goal_key else {
             // Degree-1 target (line end): plain routing, and let the
             // next attempt repair whatever it displaced.
-            la_route_pair(m, s, c1, t, false)?;
+            la_route_pair(m, s, c1, t, false);
             continue;
         };
         let goal = PhysId(goal);
@@ -672,7 +470,7 @@ fn la_gather(
         // walk terminates. Detouring *around* a blocked cell hop by
         // hop loses badly on low-degree fabrics (it circles hexagon
         // faces), so the moment the path runs into t/c0 we hand the
-        // remainder to the greedy bounded BFS instead.
+        // remainder to the bounded gather search instead.
         let mut cur = p1;
         while cur != goal {
             let hop = m.hop(cur, goal).expect("connected fabric");
@@ -683,50 +481,18 @@ fn la_gather(
             cur = hop;
         }
         if cur != goal {
-            let RouterScratch { bfs, chain, .. } = &mut *s;
-            if bfs.gather_to(m, cur, pt, p0, GATHER_VISIT_CAP, chain) {
-                for w in chain.windows(2) {
+            if s.bfs
+                .gather_to(m, cur, pt, p0, GATHER_VISIT_CAP, &mut s.chain)
+            {
+                for w in s.chain.windows(2) {
                     m.swap_cells(w[0], w[1]);
                 }
             } else {
-                route_adjacent_live(m, c1, t)?;
+                walk(m, c1, t);
             }
         }
     }
     m.note_gather_failure();
-    Ok(())
-}
-
-impl Router for LookaheadRouter {
-    fn kind(&self) -> RouterKind {
-        RouterKind::Lookahead
-    }
-
-    fn route(&self, ctx: &mut RoutingCtx<'_>, gate: &Gate<VirtId>) -> Result<(), RouteError> {
-        if gate.arity() < 2 {
-            return Ok(()); // nothing to route; don't touch the window
-        }
-        let m = &mut *ctx.machine;
-        let s = &mut *ctx.scratch;
-        la_collect_pairs(s, ctx.window);
-        match gate {
-            Gate::X { .. } => Ok(()),
-            Gate::Cx { control, target } => la_route_pair(m, s, *control, *target, true),
-            Gate::Swap { a, b } => la_route_pair(m, s, *a, *b, true),
-            Gate::Ccx { c0, c1, target } => la_gather(m, s, *c0, *c1, *target),
-            Gate::Mcx { controls, target } => match controls.len() {
-                0 => Ok(()),
-                1 => la_route_pair(m, s, controls[0], *target, true),
-                _ => {
-                    la_gather(m, s, controls[0], controls[1], *target)?;
-                    for c in &controls[2..] {
-                        la_route_pair(m, s, *c, *target, false)?;
-                    }
-                    Ok(())
-                }
-            },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -747,7 +513,6 @@ mod tests {
                 RouterKind::parse(&kind.cli_name().to_uppercase()),
                 Some(kind)
             );
-            assert_eq!(kind.instance().kind(), kind, "shared instance kind");
         }
         assert_eq!(RouterKind::parse("sabre"), Some(RouterKind::Lookahead));
         assert_eq!(RouterKind::parse("nope"), None);

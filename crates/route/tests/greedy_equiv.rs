@@ -1,7 +1,8 @@
-//! Pins the routing-engine API redesign to the paper's original
-//! semantics: random programs are routed twice — once through
-//! [`Machine::apply`] (the `RoutingCtx`-based greedy router) and once
-//! through an independent reimplementation of the *historical* greedy
+//! Pins the routing engine to the paper's original semantics: random
+//! programs are routed twice — once through [`Machine::apply`] (the
+//! enum-dispatched greedy router, which applies each swap as it
+//! chooses it) and once through an independent reimplementation of
+//! the *historical* greedy
 //! algorithm (hop-walk chains, 4-attempt avoid-BFS gather) that keeps
 //! its own placement in hash maps, the way the pre-redesign code did.
 //! The full scheduled gate sequence, swap counts, gather statistics,

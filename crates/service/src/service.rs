@@ -15,8 +15,8 @@ use std::time::Instant;
 use serde::{Serialize, Value};
 use square_arch::Topology;
 use square_core::{
-    compile_prepared_on, report_json, CerCacheStats, Policy, PreparedProgram, RecomputeStats,
-    RouterKind, SweepArch,
+    build_topology, compile_prepared_on, report_json, CerCacheStats, CompileError, Policy,
+    PreparedProgram, RecomputeStats, RouterKind, SweepArch,
 };
 
 use crate::cache::{content_hash, CacheStats, LruCache};
@@ -98,7 +98,7 @@ pub enum ServiceError {
     /// structured — rather than flattened to a message — so front ends
     /// can surface the offending module, the live/capacity split and
     /// the minimum feasible budget as typed fields.
-    OutOfQubits(Box<square_core::CompileError>),
+    OutOfQubits(Box<CompileError>),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -112,6 +112,15 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// Keeps out-of-qubits failures structured; every other compile
+/// failure travels as its message.
+fn compile_error(e: CompileError) -> ServiceError {
+    match e {
+        e @ CompileError::OutOfQubits { .. } => ServiceError::OutOfQubits(Box::new(e)),
+        other => ServiceError::Compile(other.to_string()),
+    }
+}
 
 /// A snapshot of every cache plus the service-level counters,
 /// embedded in each response and served by the `stats` command.
@@ -356,8 +365,7 @@ impl CompileService {
         let topo = match cached_topo {
             Some(t) => t,
             None => {
-                let built: Arc<dyn Topology> =
-                    Arc::from(config.arch.build(prepared.capacity_hint()));
+                let built = build_topology(&config, &prepared).map_err(compile_error)?;
                 self.topologies
                     .lock()
                     .unwrap()
@@ -366,12 +374,7 @@ impl CompileService {
             }
         };
 
-        let report = compile_prepared_on(&prepared, &[], &config, topo).map_err(|e| match e {
-            e @ square_core::CompileError::OutOfQubits { .. } => {
-                ServiceError::OutOfQubits(Box::new(e))
-            }
-            other => ServiceError::Compile(other.to_string()),
-        })?;
+        let report = compile_prepared_on(&prepared, &[], &config, topo).map_err(compile_error)?;
         {
             let mut totals = self.totals.lock().unwrap();
             totals.0 += report.cer_cache;
@@ -440,6 +443,26 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.compiles, 1);
         assert_eq!(stats.reports.hits, 1);
+    }
+
+    /// A program that would auto-size its machine past the qubit limit
+    /// gets a compile error before anything is allocated, and the
+    /// service keeps compiling.
+    #[test]
+    fn oversized_auto_machine_is_an_error_not_an_abort() {
+        let svc = CompileService::new(ServiceConfig::default());
+        let huge = "entry module main(0 params, 268435456 ancilla) {\n  compute { x a0; }\n}\n";
+        for arch in SweepArch::AUTO {
+            let mut req = request(huge);
+            req.arch = arch;
+            match svc.compile_source(&req) {
+                Err(ServiceError::Compile(msg)) => assert!(msg.contains("2^20"), "{arch}: {msg}"),
+                other => panic!("{arch}: expected a compile error, got {other:?}"),
+            }
+        }
+        let next = svc.compile_source(&request(SRC)).unwrap();
+        assert!(!next.cached);
+        assert_eq!(svc.stats().compiles, 1, "failed compiles are not counted");
     }
 
     #[test]

@@ -110,16 +110,32 @@ fn usage_errors_exit_two() {
     assert_eq!(out.status.code(), Some(2));
 }
 
-/// A machine past `ArchSpec::MAX_QUBITS` is a usage error, reported
-/// before anything is allocated, not an allocation abort.
+/// A machine past `ArchSpec::MAX_QUBITS` is refused before anything is
+/// allocated, not an allocation abort: an explicit spec as a usage
+/// error, an auto-sized one (a program declaring 2^28 ancillas) as a
+/// compile error.
 #[test]
 fn oversized_machines_exit_cleanly() {
-    for arch in ["grid:60000x60000", "ring:1048577"] {
+    let dir = std::env::temp_dir().join("squarec_test_oversized");
+    std::fs::create_dir_all(&dir).unwrap();
+    let huge = dir.join("huge.sq");
+    std::fs::write(
+        &huge,
+        "entry module main(0 params, 268435456 ancilla) {\n  compute { x a0; }\n}\n",
+    )
+    .unwrap();
+    let adder = PathBuf::from("examples/sq/adder.sq");
+    for (file, arch, code) in [
+        (&adder, "grid:60000x60000", 2),
+        (&adder, "ring:1048577", 2),
+        (&huge, "nisq", 1),
+    ] {
         let out = squarec()
-            .args(["examples/sq/adder.sq", "--arch", arch])
+            .arg(file)
+            .args(["--arch", arch])
             .output()
             .expect("squarec runs");
-        assert_eq!(out.status.code(), Some(2), "{arch}");
+        assert_eq!(out.status.code(), Some(code), "{arch}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("2^20"), "{arch}: {stderr}");
     }

@@ -1,7 +1,8 @@
-//! Bit-compatibility regression gate for the router extraction.
+//! Bit-compatibility regression gate for the routing engine.
 //!
-//! The greedy router was pulled out of `route::machine` into the
-//! `Router` trait; this suite pins the refactor to the committed seed
+//! The greedy router was pulled out of `route::machine` and has been
+//! reshaped since (a trait, then enum-dispatched functions that swap
+//! live); this suite pins every such refactor to the committed seed
 //! sweep (`tests/golden/sweep_seed.json`, generated by the pre-trait
 //! compiler): every deterministic report field of the
 //! `benchmark × policy × {nisq, ft}` matrix must be *identical* —
