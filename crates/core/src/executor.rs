@@ -443,13 +443,41 @@ impl Exec<'_> {
         Ok(())
     }
 
+    /// Mints and allocates the ancillas `module` declares, placing each
+    /// near `interact`. A frame that declares more ancillas than the
+    /// machine has qubits can never be live at once, so it is refused
+    /// as out of qubits before a single id is minted: the declared
+    /// count is untrusted input and may be near `usize::MAX`.
+    fn alloc_frame(
+        &mut self,
+        module: ModuleId,
+        interact: &[VirtId],
+    ) -> Result<Vec<VirtId>, CompileError> {
+        let count = self.program.module(module).ancillas();
+        if count > self.machine.qubit_count() {
+            return Err(self.out_of_qubits_in(Some(module), count, None));
+        }
+        let anc: Vec<VirtId> = (0..count).map(|_| self.fresh()).collect();
+        for v in &anc {
+            self.emit(TraceOp::Alloc(*v), interact)?;
+        }
+        Ok(anc)
+    }
+
     /// Builds the structured capacity-exhaustion diagnostic at the
     /// failure point.
     fn out_of_qubits(&self, requested: usize, min_feasible: Option<usize>) -> CompileError {
-        let module = self
-            .module_stack
-            .last()
-            .map(|id| self.program.module(*id).name().to_string());
+        self.out_of_qubits_in(self.module_stack.last().copied(), requested, min_feasible)
+    }
+
+    /// [`Exec::out_of_qubits`], attributed to `module`.
+    fn out_of_qubits_in(
+        &self,
+        module: Option<ModuleId>,
+        requested: usize,
+        min_feasible: Option<usize>,
+    ) -> CompileError {
+        let module = module.map(|id| self.program.module(id).name().to_string());
         CompileError::OutOfQubits {
             requested,
             capacity: self.machine.qubit_count(),
@@ -525,11 +553,7 @@ impl Exec<'_> {
     fn run_entry(&mut self, inputs: &[bool]) -> Result<Vec<VirtId>, CompileError> {
         let entry_id = self.program.entry();
         self.module_stack.push(entry_id);
-        let entry = self.program.module(entry_id);
-        let anc: Vec<VirtId> = (0..entry.ancillas()).map(|_| self.fresh()).collect();
-        for v in &anc {
-            self.emit(TraceOp::Alloc(*v), &[])?;
-        }
+        let anc = self.alloc_frame(entry_id, &[])?;
         for (i, bit) in inputs.iter().enumerate() {
             if *bit && i < anc.len() {
                 self.emit(TraceOp::Gate(Gate::X { target: anc[i] }), &[])?;
@@ -885,14 +909,9 @@ impl Exec<'_> {
             }
             Stmt::Call { callee, args: a } => {
                 let resolved: Vec<VirtId> = a.iter().map(resolve).collect();
-                let callee_mod = self.program.module(*callee);
                 // Look-ahead interaction set for the child's ancilla:
                 // the qubits bound to its parameters.
-                let child_anc: Vec<VirtId> =
-                    (0..callee_mod.ancillas()).map(|_| self.fresh()).collect();
-                for v in &child_anc {
-                    self.emit(TraceOp::Alloc(*v), &resolved)?;
-                }
+                let child_anc = self.alloc_frame(*callee, &resolved)?;
                 // G_p for the child: gates left in this frame after the
                 // call, plus this frame's own uncompute estimate
                 // (static compute size) — the distance to the point

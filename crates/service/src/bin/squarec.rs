@@ -434,6 +434,15 @@ fn render_table(file: &str, opts: &Options, rows: &[(Policy, CompileReport)]) ->
 fn compile_failure(e: CompileError) -> (String, Option<Value>) {
     let detail = error_json(&e);
     let message = match &e {
+        // One frame wider than the machine: no budget can help.
+        CompileError::OutOfQubits {
+            requested,
+            capacity,
+            ..
+        } if requested > capacity => format!(
+            "{e}\n  hint: a single frame needs more qubits than the machine has — \
+             use a larger --arch"
+        ),
         CompileError::OutOfQubits {
             policy,
             min_feasible: Some(n),

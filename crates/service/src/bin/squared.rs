@@ -1,7 +1,7 @@
 //! `squared` — the standalone compile-service daemon.
 //!
 //! ```text
-//! squared [--addr HOST:PORT] [--workers N] [--queue N]
+//! squared [--addr HOST:PORT] [--workers N]
 //!         [--prepared-cap N] [--topologies-cap N] [--reports-cap N]
 //! ```
 //!
@@ -9,28 +9,31 @@
 //! OS pick — the chosen port is in the stderr `listening on` line),
 //! then serves the newline-delimited JSON protocol documented in
 //! `square_service::proto` until a client sends `{"cmd":"shutdown"}`.
+//! Each connection compiles on its own session thread; `--workers`
+//! caps how many compile at once (default: available parallelism).
 //! All logging goes to stderr; stdout is never written.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use square_service::server::{serve, ServerConfig};
+use square_service::server::serve;
 use square_service::{CompileService, ServiceConfig};
 
-const USAGE: &str = "usage: squared [--addr HOST:PORT] [--workers N] [--queue N] \
+const USAGE: &str = "usage: squared [--addr HOST:PORT] [--workers N] \
      [--prepared-cap N] [--topologies-cap N] [--reports-cap N]";
 
 struct Options {
     addr: String,
-    server: ServerConfig,
+    /// Concurrent compiles (0 ⇒ available parallelism).
+    workers: usize,
     service: ServiceConfig,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:7878".to_string(),
-        server: ServerConfig::default(),
+        workers: 0,
         service: ServiceConfig::default(),
     };
     let mut it = args.iter();
@@ -46,8 +49,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         };
         match arg.as_str() {
             "--addr" => opts.addr = value(arg)?,
-            "--workers" => opts.server.workers = number(arg, value(arg)?)?,
-            "--queue" => opts.server.queue_depth = number(arg, value(arg)?)?,
+            "--workers" => opts.workers = number(arg, value(arg)?)?,
             "--prepared-cap" => opts.service.prepared_cap = number(arg, value(arg)?)?,
             "--topologies-cap" => opts.service.topologies_cap = number(arg, value(arg)?)?,
             "--reports-cap" => opts.service.reports_cap = number(arg, value(arg)?)?,
@@ -75,7 +77,7 @@ fn main() -> ExitCode {
         }
     };
     let service = Arc::new(CompileService::new(opts.service));
-    match serve(listener, service, opts.server) {
+    match serve(listener, service, opts.workers) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("squared: {e}");

@@ -233,6 +233,9 @@ pub enum ErrorKind {
     /// structured `detail` object: `requested`, `capacity`, `live`,
     /// `policy`, `budget`, `module` and `min_feasible`.
     OutOfQubits,
+    /// The request line ran past the server's length cap without a
+    /// newline; the server closes the connection after this answer.
+    RequestTooLarge,
 }
 
 impl ErrorKind {
@@ -243,6 +246,7 @@ impl ErrorKind {
             ErrorKind::BadRequest => "bad_request",
             ErrorKind::CompileFailed => "compile_failed",
             ErrorKind::OutOfQubits => "out_of_qubits",
+            ErrorKind::RequestTooLarge => "request_too_large",
         }
     }
 }
@@ -305,16 +309,6 @@ impl Response {
             id: id.clone(),
             kind,
             message: error.to_string(),
-            detail: None,
-        }
-    }
-
-    /// Wraps a compile failure.
-    pub fn compile_error(id: &Value, message: &str) -> Response {
-        Response::Error {
-            id: id.clone(),
-            kind: ErrorKind::CompileFailed,
-            message: message.to_string(),
             detail: None,
         }
     }
@@ -654,15 +648,9 @@ mod tests {
         for resp in [
             Response::Pong { id: Value::Int(3) },
             Response::Shutdown { id: Value::Null },
-            Response::compile_error(&Value::Int(1), "boom"),
         ] {
             let v = resp.serialize();
             assert_eq!(v.get("v").and_then(Value::as_u64), Some(PROTO_VERSION));
         }
-        let err = Response::compile_error(&Value::Int(1), "boom").serialize();
-        assert_eq!(
-            err.get("error_kind").and_then(Value::as_str),
-            Some("compile_failed")
-        );
     }
 }

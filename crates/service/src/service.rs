@@ -2,14 +2,21 @@
 //!
 //! [`CompileService`] owns the three cross-request caches and the
 //! in-flight dedupe table. `squared` sessions and the `bench_gate`
-//! service cells call [`CompileService::compile_source`]; the report
-//! `Value` it returns is produced by the same [`report_json`] encoder
-//! the CLI uses, so a served response serializes byte-identically to a
-//! one-shot `squarec --json` compile of the same cell.
+//! service cells call [`CompileService::compile_source`] on their own
+//! threads; the report `Value` it returns is produced by the same
+//! [`report_json`] encoder the CLI uses, so a served response
+//! serializes byte-identically to a one-shot `squarec --json` compile
+//! of the same cell.
+//!
+//! Identical requests in flight at once share one compile. The table
+//! maps each cell to a `OnceLock`: the first caller runs its
+//! initializer and leads, the others wait on it and follow. A compile
+//! that panics leaves its cell empty, so a waiter or the next request
+//! compiles it again.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use serde::{Serialize, Value};
@@ -173,15 +180,29 @@ struct CellKey {
     mbu: bool,
 }
 
+impl CellKey {
+    fn of(req: &CompileRequest) -> CellKey {
+        // The compiler never runs the swap-chain router on braided
+        // archs; fold that into the key so `ft`+lookahead and
+        // `ft`+greedy share one cell instead of compiling twice.
+        let router = if req.arch.is_braided() {
+            RouterKind::Greedy
+        } else {
+            req.router
+        };
+        CellKey {
+            hash: content_hash(req.source.as_bytes()),
+            policy: req.policy,
+            arch: req.arch,
+            router,
+            budget: req.budget,
+            mbu: req.mbu,
+        }
+    }
+}
+
 /// A finished compile: the shared report plus the leader's compile time.
 type CellResult = Result<(Arc<Value>, f64), ServiceError>;
-
-/// A compile in progress. Followers block on the condvar until the
-/// leader publishes into `done`.
-struct Inflight {
-    done: Mutex<Option<CellResult>>,
-    cv: Condvar,
-}
 
 /// The concurrent compile service: shared caches + in-flight dedupe
 /// around the square-core compile pipeline. Cheap to share as
@@ -190,7 +211,10 @@ pub struct CompileService {
     prepared: Mutex<LruCache<String, Arc<PreparedProgram>>>,
     topologies: Mutex<LruCache<(SweepArch, usize), Arc<dyn Topology>>>,
     reports: Mutex<LruCache<CellKey, (Arc<Value>, f64)>>,
-    inflight: Mutex<HashMap<CellKey, Arc<Inflight>>>,
+    /// Compiles in progress, one flight per cell. The caller whose
+    /// `get_or_init` closure runs leads; everyone else who finds the
+    /// flight follows and reads the leader's result.
+    inflight: Mutex<HashMap<CellKey, Arc<OnceLock<CellResult>>>>,
     requests: AtomicU64,
     compiles: AtomicU64,
     coalesced: AtomicU64,
@@ -221,7 +245,7 @@ impl CompileService {
     ///    this request a follower that waits for the leader's result;
     /// 3. otherwise this request leads: prepare (parsing only on a
     ///    prepared-cache miss), build or reuse the topology, compile,
-    ///    and publish to any followers and the report cache.
+    ///    and fill the report cache and the flight its followers read.
     ///
     /// # Errors
     ///
@@ -230,23 +254,8 @@ impl CompileService {
     /// compiler rejects the program. Errors are not cached.
     pub fn compile_source(&self, req: &CompileRequest) -> Result<CompileOutcome, ServiceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        // The compiler never runs the swap-chain router on braided
-        // archs; fold that into the key so `ft`+lookahead and
-        // `ft`+greedy share one cell instead of compiling twice.
-        let router = if req.arch.is_braided() {
-            RouterKind::Greedy
-        } else {
-            req.router
-        };
-        let program_hash = content_hash(req.source.as_bytes());
-        let key = CellKey {
-            hash: program_hash.clone(),
-            policy: req.policy,
-            arch: req.arch,
-            router,
-            budget: req.budget,
-            mbu: req.mbu,
-        };
+        let key = CellKey::of(req);
+        let program_hash = key.hash.clone();
 
         if let Some((report, compile_ms)) = self.reports.lock().unwrap().get(&key) {
             return Ok(CompileOutcome {
@@ -258,60 +267,55 @@ impl CompileService {
             });
         }
 
-        let (flight, leader) = {
-            let mut inflight = self.inflight.lock().unwrap();
-            match inflight.get(&key) {
-                Some(flight) => (Arc::clone(flight), false),
-                None => {
-                    let flight = Arc::new(Inflight {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    inflight.insert(key.clone(), Arc::clone(&flight));
-                    (flight, true)
-                }
-            }
-        };
-
-        if !leader {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut done = flight.done.lock().unwrap();
-            while done.is_none() {
-                done = flight.cv.wait(done).unwrap();
-            }
-            return match done.as_ref().unwrap() {
-                Ok((report, compile_ms)) => Ok(CompileOutcome {
-                    report: Arc::clone(report),
-                    compile_ms: *compile_ms,
-                    program_hash,
-                    cached: false,
-                    coalesced: true,
-                }),
-                Err(e) => Err(e.clone()),
-            };
-        }
-
-        let result = self.compile_cell(req, &key);
-        if let Ok((report, compile_ms)) = &result {
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            self.reports
-                .lock()
-                .unwrap()
-                .insert(key.clone(), (Arc::clone(report), *compile_ms));
-        }
-        // Publish before unregistering so a follower that grabbed the
-        // flight entry just before removal still wakes with a result.
-        *flight.done.lock().unwrap() = Some(result.clone());
-        flight.cv.notify_all();
-        self.inflight.lock().unwrap().remove(&key);
-
+        let (result, leader) = self.fly(&key, || self.compile_cell(req, &key));
         result.map(|(report, compile_ms)| CompileOutcome {
             report,
             compile_ms,
             program_hash,
             cached: false,
-            coalesced: false,
+            coalesced: !leader,
         })
+    }
+
+    /// Runs `compile` for `key` unless an identical compile is already
+    /// in flight, in which case this call follows it and shares its
+    /// result. Returns the result and whether this call led.
+    ///
+    /// The leader counts the compile and fills the report cache inside
+    /// its initializer, then unregisters the flight, so an error lives
+    /// only as long as its flight; a follower counts as coalesced. A
+    /// panicking initializer leaves the cell empty and registered: a
+    /// waiting follower, or the next request for the cell, runs its
+    /// own initializer and leads.
+    fn fly(&self, key: &CellKey, compile: impl FnOnce() -> CellResult) -> (CellResult, bool) {
+        let flight = Arc::clone(
+            self.inflight
+                .lock()
+                .unwrap()
+                .entry(key.clone())
+                .or_default(),
+        );
+        let mut leader = false;
+        let result = flight
+            .get_or_init(|| {
+                leader = true;
+                let result = compile();
+                if let Ok((report, compile_ms)) = &result {
+                    self.compiles.fetch_add(1, Ordering::Relaxed);
+                    self.reports
+                        .lock()
+                        .unwrap()
+                        .insert(key.clone(), (Arc::clone(report), *compile_ms));
+                }
+                result
+            })
+            .clone();
+        if leader {
+            self.inflight.lock().unwrap().remove(key);
+        } else {
+            self.coalesced.fetch_add(1, Ordering::Relaxed);
+        }
+        (result, leader)
     }
 
     /// The leader's actual compile: every prefix stage consults its
@@ -414,6 +418,9 @@ impl CompileService {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
     use super::*;
 
     const SRC: &str = "entry module main(0 params, 3 ancilla) {\n  \
@@ -463,6 +470,101 @@ mod tests {
         let next = svc.compile_source(&request(SRC)).unwrap();
         assert!(!next.cached);
         assert_eq!(svc.stats().compiles, 1, "failed compiles are not counted");
+    }
+
+    /// A frame declaring more ancillas than an explicit machine holds
+    /// is refused as out of qubits, naming the declaring module, before
+    /// one id per ancilla is collected: 2^28 ids would be a 1 GB
+    /// allocation and 2^62 a capacity-overflow panic. The service keeps
+    /// compiling afterwards.
+    #[test]
+    fn oversized_frames_on_a_small_machine_are_out_of_qubits() {
+        let svc = CompileService::new(ServiceConfig::default());
+        for count in [1u64 << 28, 1 << 62] {
+            let entry = format!(
+                "entry module main(0 params, {count} ancilla) {{\n  compute {{ x a0; }}\n}}\n"
+            );
+            let callee = format!(
+                "module big(1 params, {count} ancilla) {{\n  compute {{ cx p0 a0; }}\n}}\n\
+                 entry module main(0 params, 1 ancilla) {{\n  compute {{ call big(a0); }}\n}}\n"
+            );
+            for (source, module, live) in [(entry, "main", 0), (callee, "big", 1)] {
+                let mut req = request(&source);
+                req.arch = SweepArch::Grid {
+                    width: 4,
+                    height: 4,
+                };
+                match svc.compile_source(&req) {
+                    Err(ServiceError::OutOfQubits(e)) => match *e {
+                        CompileError::OutOfQubits {
+                            requested,
+                            capacity,
+                            live: got_live,
+                            module: got_module,
+                            ..
+                        } => {
+                            assert_eq!(requested as u64, count);
+                            assert_eq!((capacity, got_live), (16, live));
+                            assert_eq!(got_module.as_deref(), Some(module));
+                        }
+                        other => panic!("wrong compile error: {other}"),
+                    },
+                    other => panic!("{module} with {count}: expected out of qubits, got {other:?}"),
+                }
+            }
+        }
+        let next = svc.compile_source(&request(SRC)).unwrap();
+        assert!(!next.cached && !next.coalesced);
+        assert_eq!(svc.stats().compiles, 1);
+    }
+
+    /// A follower waiting on a flight whose initializer panics is not
+    /// left parked: it runs its own initializer, leads, and unregisters
+    /// the flight.
+    #[test]
+    fn follower_of_a_panicking_flight_gets_a_result() {
+        let svc = CompileService::new(ServiceConfig::default());
+        let key = CellKey::of(&request(SRC));
+        let leading = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                svc.fly(&key, || {
+                    leading.store(true, Ordering::SeqCst);
+                    // Hold the flight until the follower has joined it
+                    // (the table, this thread and the follower).
+                    while Arc::strong_count(&svc.inflight.lock().unwrap()[&key]) < 3 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    std::thread::sleep(Duration::from_millis(50));
+                    panic!("injected compile panic");
+                })
+            });
+            while !leading.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let (result, led) = svc.fly(&key, || Ok((Arc::new(Value::Null), 1.0)));
+            assert_eq!(result.unwrap().1, 1.0);
+            assert!(led, "the follower ran its own initializer");
+            assert!(leader.join().is_err(), "the first leader panicked");
+        });
+        assert!(svc.inflight.lock().unwrap().is_empty());
+        assert_eq!((svc.stats().compiles, svc.stats().coalesced), (1, 0));
+    }
+
+    /// A cell whose leader panicked with nobody waiting compiles on the
+    /// next request instead of parking it on the dead flight.
+    #[test]
+    fn a_cell_whose_leader_panicked_compiles_on_the_next_request() {
+        let svc = CompileService::new(ServiceConfig::default());
+        let key = CellKey::of(&request(SRC));
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| svc.fly(&key, || panic!("injected compile panic")));
+            assert!(leader.join().is_err());
+        });
+        let next = svc.compile_source(&request(SRC)).unwrap();
+        assert!(!next.cached && !next.coalesced);
+        assert_eq!(svc.stats().compiles, 1);
+        assert!(svc.inflight.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -566,7 +668,7 @@ mod tests {
         req.budget = Some(1);
         match svc.compile_source(&req).unwrap_err() {
             ServiceError::OutOfQubits(e) => match *e {
-                square_core::CompileError::OutOfQubits {
+                CompileError::OutOfQubits {
                     budget,
                     min_feasible,
                     ..

@@ -12,7 +12,7 @@ use std::thread;
 
 use serde::Value;
 use square_core::{compile, report_json, Policy, RouterKind, SweepArch};
-use square_service::server::{serve, ServerConfig};
+use square_service::server::serve;
 use square_service::{CompileService, ServiceConfig};
 
 /// One test cell: a source plus its compile options.
@@ -107,15 +107,7 @@ fn boot_server() -> std::net::SocketAddr {
     let addr = listener.local_addr().expect("local addr");
     let service = Arc::new(CompileService::new(ServiceConfig::default()));
     thread::spawn(move || {
-        serve(
-            listener,
-            service,
-            ServerConfig {
-                workers: 4,
-                queue_depth: 8,
-            },
-        )
-        .expect("serve");
+        serve(listener, service, 4).expect("serve");
     });
     addr
 }

@@ -21,7 +21,7 @@ use std::thread;
 
 use serde::Value;
 use square_core::{compile, report_json, Policy, RouterKind, SweepArch};
-use square_service::server::{serve, ServerConfig};
+use square_service::server::serve;
 use square_service::{CompileService, ServiceConfig};
 
 const GREEDY: &str = concat!(
@@ -93,15 +93,7 @@ fn budget_and_mbu_blocks_are_pinned_in_reports_and_service_stats() {
     let addr = listener.local_addr().expect("local addr");
     let service = Arc::new(CompileService::new(ServiceConfig::default()));
     thread::spawn(move || {
-        serve(
-            listener,
-            service,
-            ServerConfig {
-                workers: 1,
-                queue_depth: 4,
-            },
-        )
-        .expect("serve");
+        serve(listener, service, 1).expect("serve");
     });
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));

@@ -113,7 +113,8 @@ fn usage_errors_exit_two() {
 /// A machine past `ArchSpec::MAX_QUBITS` is refused before anything is
 /// allocated, not an allocation abort: an explicit spec as a usage
 /// error, an auto-sized one (a program declaring 2^28 ancillas) as a
-/// compile error.
+/// compile error. So is a frame declaring more ancillas than an
+/// explicit machine holds, in the entry module or a callee.
 #[test]
 fn oversized_machines_exit_cleanly() {
     let dir = std::env::temp_dir().join("squarec_test_oversized");
@@ -124,20 +125,39 @@ fn oversized_machines_exit_cleanly() {
         "entry module main(0 params, 268435456 ancilla) {\n  compute { x a0; }\n}\n",
     )
     .unwrap();
+    // 2^62 ancillas: collecting one id each would overflow a `Vec`'s
+    // capacity (a panic, exit 101) instead of requesting 1 GB.
+    let huge_entry = dir.join("huge_entry.sq");
+    std::fs::write(
+        &huge_entry,
+        "entry module main(0 params, 4611686018427387904 ancilla) {\n  compute { x a0; }\n}\n",
+    )
+    .unwrap();
+    let huge_callee = dir.join("huge_callee.sq");
+    std::fs::write(
+        &huge_callee,
+        "module big(1 params, 4611686018427387904 ancilla) {\n  compute { cx p0 a0; }\n}\n\
+         entry module main(0 params, 1 ancilla) {\n  compute { call big(a0); }\n}\n",
+    )
+    .unwrap();
     let adder = PathBuf::from("examples/sq/adder.sq");
-    for (file, arch, code) in [
-        (&adder, "grid:60000x60000", 2),
-        (&adder, "ring:1048577", 2),
-        (&huge, "nisq", 1),
+    for (file, arch, code, message) in [
+        (&adder, "grid:60000x60000", 2, "2^20"),
+        (&adder, "ring:1048577", 2, "2^20"),
+        (&huge, "nisq", 1, "2^20"),
+        // An explicit machine too small for a frame: refused before
+        // one id per declared ancilla is collected.
+        (&huge_entry, "grid:4x4", 1, "out of qubits"),
+        (&huge_callee, "grid:4x4", 1, "out of qubits"),
     ] {
         let out = squarec()
             .arg(file)
             .args(["--arch", arch])
             .output()
             .expect("squarec runs");
-        assert_eq!(out.status.code(), Some(code), "{arch}");
+        assert_eq!(out.status.code(), Some(code), "{}: {arch}", file.display());
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("2^20"), "{arch}: {stderr}");
+        assert!(stderr.contains(message), "{arch}: {stderr}");
     }
 }
 
