@@ -41,73 +41,13 @@ use std::ops::AddAssign;
 
 use serde::{Serialize, Value};
 use square_qir::analysis::ProgramStats;
-use square_qir::{ModuleId, Program, SliceClassCounts, Stmt};
+use square_qir::{ModuleId, Program, Stmt};
 
 use crate::config::CerParams;
 
-/// Per-gate-class execution costs, the denominator of the unitary-vs-
-/// MBU reclaim comparison. Units are abstract "primitive effort" —
-/// what matters is the *ratio* between a Toffoli and a measurement.
-///
-/// The defaults follow the standard Clifford+T accounting the rest of
-/// the costing uses ([`square_qir::Gate::two_qubit_cost`]): a Toffoli
-/// decomposes into 6 CNOT-class interactions and a SWAP into 3, while
-/// X, CNOT, measurement and a classically controlled X are single
-/// primitive events. Under these weights, measure-and-correct (cost
-/// `2` per ancilla) beats the unitary inverse of any Toffoli-built
-/// compute slice — the MBU paper's core observation.
-///
-/// The table is deliberately **not** per-request: service compile
-/// caches key prepared programs by program hash, so the cost model
-/// must be a program-independent constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateClassCosts {
-    /// NOT.
-    pub x: u64,
-    /// CNOT.
-    pub cx: u64,
-    /// Toffoli.
-    pub ccx: u64,
-    /// SWAP.
-    pub swap: u64,
-    /// Mid-circuit measurement.
-    pub measure: u64,
-    /// Classically controlled NOT.
-    pub cond_x: u64,
-}
-
-impl Default for GateClassCosts {
-    fn default() -> Self {
-        GateClassCosts {
-            x: 1,
-            cx: 1,
-            ccx: 6,
-            swap: 3,
-            measure: 1,
-            cond_x: 1,
-        }
-    }
-}
-
-impl GateClassCosts {
-    /// Weighted cost of replaying a recorded slice (the unitary
-    /// inverse has the same class histogram as the forward slice).
-    pub fn slice_cost(&self, counts: &SliceClassCounts) -> u64 {
-        counts.x * self.x
-            + counts.cx * self.cx
-            + counts.ccx * self.ccx
-            + counts.swap * self.swap
-            + counts.measure * self.measure
-            + counts.cond * self.cond_x
-    }
-
-    /// Weighted cost of measurement-based uncompute over `written`
-    /// dirty ancillas: one measurement plus one conditional correction
-    /// each.
-    pub fn mbu_cost(&self, written: usize) -> u64 {
-        written as u64 * (self.measure + self.cond_x)
-    }
-}
+/// Lower bound on the communication factor `S`, so early decisions
+/// (before any swap history exists) are not degenerate.
+const S_FLOOR: f64 = 1.0;
 
 /// Everything the CER decision sees at one reclamation point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,7 +112,7 @@ fn recompute_factor(params: &CerParams, reclaim_rate: f64, level: usize) -> f64 
 /// Shared by [`decide`] and the [`CerEngine`] memo key — the memo is
 /// sound precisely because its key captures these *resolved* values.
 fn resolved_factors(inputs: &CerInputs, params: &CerParams) -> (f64, f64) {
-    let s = inputs.comm_factor.max(params.s_floor);
+    let s = inputs.comm_factor.max(S_FLOOR);
     let recompute = recompute_factor(params, inputs.reclaim_rate, inputs.level);
     (s, recompute)
 }
@@ -242,7 +182,6 @@ struct ModuleCosts {
 #[derive(Debug, Clone)]
 pub struct ModuleCostTable {
     modules: Vec<ModuleCosts>,
-    gate_class: GateClassCosts,
 }
 
 fn suffix_sums(stats: &ProgramStats, stmts: &[Stmt]) -> Vec<u64> {
@@ -275,16 +214,7 @@ impl ModuleCostTable {
                 }
             })
             .collect();
-        ModuleCostTable {
-            modules,
-            gate_class: GateClassCosts::default(),
-        }
-    }
-
-    /// The per-gate-class cost model used to score unitary vs. MBU
-    /// reclaim lowerings.
-    pub fn gate_class_costs(&self) -> &GateClassCosts {
-        &self.gate_class
+        ModuleCostTable { modules }
     }
 
     /// Total forward gates of the module's custom uncompute block, or
@@ -317,7 +247,7 @@ impl ModuleCostTable {
 /// multiplies, with float terms captured by their bit patterns. Two
 /// equal keys evaluate to the same [`CerDecision`] by construction:
 ///
-/// * the communication factor enters only as `max(S, s_floor)`, so
+/// * the communication factor enters only as `max(S, S_FLOOR)`, so
 ///   the key stores the floored value;
 /// * call depth and the running reclaim rate enter only through the
 ///   resolved recomputation factor `base^ℓ`, so the key stores that
@@ -578,15 +508,14 @@ mod tests {
                 ..base()
             },
             &CerParams {
-                s_floor: 2.0,
                 pressure_reserve: 0,
                 pressure_fraction: 0.0,
                 recompute_base: 2.0,
                 c1_frame_scope: false,
             },
         );
-        // With S floored at 2, C1 = 50·100·2·2 = 20000.
-        assert_eq!(d.c1, 20_000.0);
+        // With S floored at 1, C1 = 50·100·1·2 = 10000.
+        assert_eq!(d.c1, 10_000.0);
     }
 
     #[test]
@@ -659,28 +588,6 @@ mod tests {
         assert_eq!(table.custom_uncompute_gates(main), Some(2));
         assert_eq!(table.custom_tail(main, 0), 1);
         assert_eq!(table.custom_tail(main, 1), 0);
-    }
-
-    #[test]
-    fn gate_class_costs_prefer_mbu_on_toffoli_built_slices() {
-        let costs = GateClassCosts::default();
-        // A __mcx5 frame: 3 ancillas written by 3 Toffolis. Unitary
-        // inverse replays 3 Toffolis (18); MBU measures and corrects
-        // 3 ancillas (6).
-        let counts = SliceClassCounts {
-            ccx: 3,
-            ..SliceClassCounts::default()
-        };
-        assert_eq!(costs.slice_cost(&counts), 18);
-        assert_eq!(costs.mbu_cost(3), 6);
-        assert!(costs.mbu_cost(3) < costs.slice_cost(&counts));
-        // A single-CNOT slice writing one ancilla: unitary (1) beats
-        // measure-and-correct (2) — MBU is not a free lunch.
-        let tiny = SliceClassCounts {
-            cx: 1,
-            ..SliceClassCounts::default()
-        };
-        assert!(costs.slice_cost(&tiny) < costs.mbu_cost(1));
     }
 
     #[test]

@@ -351,39 +351,9 @@ impl std::fmt::Display for SweepArch {
     }
 }
 
-/// Weights of the LAA score (Section IV-C). Scores are in scheduler
-/// cycles: distance is weighted by the swap cost it implies, waiting
-/// time enters directly, and fresh allocations carry an
-/// area-expansion premium.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaaWeights {
-    /// Cost per unit distance to the interaction centroid (a swap is
-    /// 3 cycles, so ≈ 3 matches the hardware cost of one hop).
-    pub w_comm: f64,
-    /// Cost per cycle of waiting for a reused qubit to become
-    /// available (reuse adds data dependencies → serialization).
-    pub w_serial: f64,
-    /// Premium on fresh qubits, scaled by the paper's area-expansion
-    /// factor `√((N_active + 1)/N_active)` at allocation time.
-    pub w_area: f64,
-}
-
-impl Default for LaaWeights {
-    fn default() -> Self {
-        LaaWeights {
-            w_comm: 3.0,
-            w_serial: 0.05,
-            w_area: 2.0,
-        }
-    }
-}
-
 /// CER cost-model parameters (Section III-A2 / IV-D).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CerParams {
-    /// Lower bound on the communication factor `S` so early decisions
-    /// (before any swap history exists) are not degenerate.
-    pub s_floor: f64,
     /// Absolute forced-reclamation floor: when fewer free qubits
     /// remain, CER reclaims regardless of cost — this is how SQUARE
     /// "fits computations into resource-constrained machines".
@@ -410,7 +380,6 @@ pub struct CerParams {
 impl Default for CerParams {
     fn default() -> Self {
         CerParams {
-            s_floor: 1.0,
             pressure_reserve: 8,
             pressure_fraction: 0.08,
             recompute_base: 0.0,
@@ -450,8 +419,6 @@ pub struct CompilerConfig {
     /// it; the compiler normalizes the recorded selection to greedy on
     /// FT targets.
     pub router: RouterConfig,
-    /// LAA score weights.
-    pub laa: LaaWeights,
     /// CER cost-model parameters.
     pub cer: CerParams,
     /// Hard cap on simultaneously live qubits (the `budget:N` policy
@@ -480,7 +447,6 @@ impl CompilerConfig {
             comm: CommModel::SwapChains,
             record_schedule: false,
             router: RouterConfig::default(),
-            laa: LaaWeights::default(),
             cer: CerParams::default(),
             budget: None,
             mbu: false,
@@ -495,7 +461,6 @@ impl CompilerConfig {
             comm: CommModel::Braiding,
             record_schedule: false,
             router: RouterConfig::default(),
-            laa: LaaWeights::default(),
             cer: CerParams::default(),
             budget: None,
             mbu: false,

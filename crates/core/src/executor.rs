@@ -392,7 +392,7 @@ impl Exec<'_> {
                     self.ensure_headroom(cap)?;
                 }
                 let choice = if self.config.policy.uses_laa() {
-                    laa::choose_slot(&self.machine, &mut self.heap, interact, &self.config.laa)
+                    laa::choose_slot(&self.machine, &mut self.heap, interact)
                 } else {
                     laa::choose_slot_naive(&self.machine, &mut self.heap, self.next_virt as u64)
                 };
@@ -652,9 +652,9 @@ impl Exec<'_> {
         // Measurement-based uncompute: when enabled, scan the recorded
         // compute slice for eligibility (Toffoli-class writes to this
         // frame's ancillas only, interior activity balanced) and price
-        // both lowerings under the per-gate-class cost model. The
-        // entry frame never qualifies — its "ancillas" are the
-        // program's I/O register, which a reset would destroy.
+        // both lowerings in gate durations (`MbuPlan`). The entry
+        // frame never qualifies — its "ancillas" are the program's I/O
+        // register, which a reset would destroy.
         let mbu_plan = if self.mbu.is_some()
             && depth > 0
             && self.program.module(id).custom_uncompute().is_none()
@@ -665,13 +665,9 @@ impl Exec<'_> {
         } else {
             None
         };
-        let use_mbu = match &mbu_plan {
-            Some(plan) => {
-                let costs = self.costs.gate_class_costs();
-                costs.mbu_cost(plan.written.len()) < costs.slice_cost(&plan.counts)
-            }
-            None => false,
-        };
+        let use_mbu = mbu_plan
+            .as_ref()
+            .is_some_and(|plan| plan.mbu_cost() < plan.unitary_cost);
         // G_uncomp: gate events of the lowering this frame would
         // actually use — two per written ancilla under MBU, else the
         // measured size of the compute slice (running gate counter,
@@ -718,13 +714,12 @@ impl Exec<'_> {
                 // exactly when the outcome was 1. Untouched ancillas
                 // are already |0⟩ and need no events at all.
                 let plan = mbu_plan.expect("use_mbu implies a plan");
-                let costs = self.costs.gate_class_costs();
                 let stats = self.mbu.as_mut().expect("a plan implies MBU on");
                 stats.mbu_frames += 1;
                 stats.measurements += plan.written.len() as u64;
                 stats.cond_corrections += plan.written.len() as u64;
-                stats.mbu_gates += costs.mbu_cost(plan.written.len());
-                stats.unitary_gates_avoided += costs.slice_cost(&plan.counts);
+                stats.mbu_gates += plan.mbu_cost();
+                stats.unitary_gates_avoided += plan.unitary_cost;
                 for q in plan.written {
                     let clbit = self.fresh_clbit();
                     self.emit(TraceOp::Measure { qubit: q, clbit }, &[])?;

@@ -66,10 +66,9 @@ impl Cell {
 /// [`AncillaHeap::push`] and redeemed by [`AncillaHeap::take`].
 ///
 /// A handle is invalidated the moment its slot leaves the pool (by
-/// any path: [`AncillaHeap::take`], [`AncillaHeap::take_best`], or
-/// [`AncillaHeap::pop_lifo`]); redeeming it afterwards fails with
-/// [`HeapError::StaleHandle`] instead of silently aliasing whatever
-/// occupies the slot next.
+/// any path: [`AncillaHeap::take`] or [`AncillaHeap::pop_lifo`]);
+/// redeeming it afterwards fails with [`HeapError::StaleHandle`]
+/// instead of silently aliasing whatever occupies the slot next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeapHandle {
     /// The physical slot this handle refers to.
@@ -232,26 +231,10 @@ impl AncillaHeap {
         Some(self.remove_at(last as u32))
     }
 
-    /// Removes and returns the qubit minimizing `score`; `None` on an
-    /// empty heap. Ties break toward the most recently freed qubit.
-    pub fn take_best(&mut self, mut score: impl FnMut(PhysId) -> f64) -> Option<PhysId> {
-        if self.pool.is_empty() {
-            return None;
-        }
-        let mut best_i = 0;
-        let mut best_s = f64::INFINITY;
-        for (i, &p) in self.pool.iter().enumerate() {
-            let s = score(p);
-            if s <= best_s {
-                best_s = s;
-                best_i = i;
-            }
-        }
-        Some(self.remove_at(best_i as u32))
-    }
-
-    /// Peeks the best-scoring qubit without removing it, returning a
-    /// handle redeemable in O(1) via [`AncillaHeap::take`].
+    /// Peeks the qubit minimizing `score` without removing it,
+    /// returning a handle redeemable in O(1) via [`AncillaHeap::take`];
+    /// `None` on an empty heap. Ties break toward the earliest pool
+    /// position (the first minimum in [`AncillaHeap::iter`] order).
     pub fn peek_best(&self, mut score: impl FnMut(PhysId) -> f64) -> Option<(HeapHandle, f64)> {
         self.pool
             .iter()
@@ -263,7 +246,8 @@ impl AncillaHeap {
             })
     }
 
-    /// Iterates the pooled qubits (unspecified order).
+    /// Iterates the pooled qubits in pool order (the order
+    /// [`AncillaHeap::peek_best`] scans and breaks ties in).
     pub fn iter(&self) -> impl Iterator<Item = PhysId> + '_ {
         self.pool.iter().copied()
     }
@@ -308,20 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn take_best_minimizes_score() {
-        let mut h = AncillaHeap::new();
-        for i in 0..5 {
-            h.push(PhysId(i));
-        }
-        // Score = distance from 3.
-        let got = h.take_best(|p| (p.0 as f64 - 3.0).abs()).unwrap();
-        assert_eq!(got, PhysId(3));
-        assert_eq!(h.len(), 4);
-        assert!(!h.iter().any(|p| p == PhysId(3)));
-        assert!(!h.contains(PhysId(3)));
-    }
-
-    #[test]
     fn peek_does_not_remove() {
         let mut h = AncillaHeap::new();
         h.push(PhysId(7));
@@ -340,6 +310,8 @@ mod tests {
         let (handle, _) = h.peek_best(|p| (p.0 as f64 - 2.0).abs()).unwrap();
         assert_eq!(h.take(handle), Ok(PhysId(2)));
         assert_eq!(h.len(), 3);
+        assert!(!h.iter().any(|p| p == PhysId(2)));
+        assert!(!h.contains(PhysId(2)));
         // Second redemption of the same handle is stale.
         assert_eq!(h.take(handle), Err(HeapError::StaleHandle(PhysId(2))));
     }
@@ -398,7 +370,6 @@ mod tests {
     fn empty_heap_yields_none() {
         let mut h = AncillaHeap::new();
         assert!(h.pop_lifo().is_none());
-        assert!(h.take_best(|_| 0.0).is_none());
         assert!(h.peek_best(|_| 0.0).is_none());
         assert!(h.is_empty());
     }
@@ -413,13 +384,14 @@ mod tests {
             h.push(PhysId(i));
         }
         // Remove PhysId(1): historical swap_remove puts 4 at index 1.
-        let got = h.take_best(|p| if p.0 == 1 { 0.0 } else { 1.0 }).unwrap();
-        assert_eq!(got, PhysId(1));
+        let (best, _) = h.peek_best(|p| if p.0 == 1 { 0.0 } else { 1.0 }).unwrap();
+        assert_eq!(h.take(best), Ok(PhysId(1)));
         let order: Vec<u32> = h.iter().map(|p| p.0).collect();
         assert_eq!(order, vec![0, 4, 2, 3]);
-        // Ties break toward the later scan position.
-        let tied = h.take_best(|_| 7.0).unwrap();
-        assert_eq!(tied, PhysId(3));
+        // Ties break toward the earlier scan position: 4 now sits
+        // ahead of 2 and 3.
+        let (tied, _) = h.peek_best(|p| if p.0 == 0 { 9.0 } else { 7.0 }).unwrap();
+        assert_eq!(tied.phys, PhysId(4));
     }
 
     #[test]

@@ -19,8 +19,22 @@ use square_arch::PhysId;
 use square_qir::VirtId;
 use square_route::Machine;
 
-use crate::config::LaaWeights;
 use crate::heap::AncillaHeap;
+
+// Weights of the LAA score (Section IV-C). Scores are in scheduler
+// cycles: distance is weighted by the swap cost it implies, waiting
+// time enters directly, and fresh allocations carry an area-expansion
+// premium.
+
+/// Cost per unit distance to the interaction centroid (one hop is one
+/// SWAP, three cycles).
+const W_COMM: f64 = 3.0;
+/// Cost per cycle of waiting for a reused qubit to become available
+/// (reuse adds data dependencies → serialization).
+const W_SERIAL: f64 = 0.05;
+/// Premium on fresh qubits, scaled by the paper's area-expansion
+/// factor `√((N_active + 1)/N_active)` at allocation time.
+const W_AREA: f64 = 2.0;
 
 /// Outcome of one allocation decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +56,6 @@ pub fn choose_slot(
     machine: &Machine,
     heap: &mut AncillaHeap,
     interact: &[VirtId],
-    weights: &LaaWeights,
 ) -> Option<AllocChoice> {
     let center = machine
         .placement()
@@ -68,7 +81,7 @@ pub fn choose_slot(
     let heap_candidate = heap.peek_best(|p| {
         let dist = dist_to(machine, p, center);
         let wait = machine.clock().avail(p).saturating_sub(ready_ref) as f64;
-        weights.w_comm * dist + weights.w_serial * wait
+        W_COMM * dist + W_SERIAL * wait
     });
 
     // Candidate 2: nearest never-used qubit (communication + area).
@@ -76,7 +89,7 @@ pub fn choose_slot(
         let dist = dist_to(machine, p, center);
         let n_active = machine.placement().active_count().max(1) as f64;
         let expansion = ((n_active + 1.0) / n_active).sqrt();
-        let score = weights.w_comm * dist + weights.w_area * expansion;
+        let score = W_COMM * dist + W_AREA * expansion;
         (p, score)
     });
 
@@ -191,7 +204,7 @@ mod tests {
         // Heap holds a neighbor and a far corner.
         heap.push(PhysId(24)); // (4,4), dist 4
         heap.push(PhysId(13)); // (3,2), dist 1
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)], &LaaWeights::default()).unwrap();
+        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
         assert_eq!(choice.phys, PhysId(13));
         assert!(choice.reused);
         assert_eq!(heap.len(), 1);
@@ -203,7 +216,7 @@ mod tests {
         let mut heap = AncillaHeap::new();
         m.place_at(VirtId(0), PhysId(12)).unwrap();
         heap.push(PhysId(24)); // far corner (4,4): dist 4 → score 12
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)], &LaaWeights::default()).unwrap();
+        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
         // Fresh neighbor at dist 1: 3·1 + 2·√(2/1) ≈ 5.8 < 12.
         assert!(!choice.reused);
         assert_eq!(heap.len(), 1, "far heap qubit left pooled");
@@ -224,7 +237,7 @@ mod tests {
         }
         m.release(VirtId(1)).unwrap();
         heap.push(PhysId(13));
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)], &LaaWeights::default()).unwrap();
+        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
         // Busy neighbor scores 3·1 + 0.05·10000 = 503; fresh ≈ 5.8.
         assert!(!choice.reused, "busy heap qubit rejected");
     }
@@ -254,7 +267,7 @@ mod tests {
         m.place_at(VirtId(0), PhysId(0)).unwrap();
         m.place_at(VirtId(1), PhysId(1)).unwrap();
         let mut heap = AncillaHeap::new();
-        assert!(choose_slot(&m, &mut heap, &[], &LaaWeights::default()).is_none());
+        assert!(choose_slot(&m, &mut heap, &[]).is_none());
         assert!(choose_slot_naive(&m, &mut heap, 7).is_none());
     }
 }

@@ -46,7 +46,7 @@ pub mod report;
 mod error;
 
 pub use cer::{CerCacheStats, CerEngine, ModuleCostTable};
-pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, LaaWeights, SweepArch};
+pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, SweepArch};
 pub use error::CompileError;
 pub use executor::{
     build_topology, compile, compile_checked, compile_prepared, compile_prepared_on,

@@ -182,10 +182,10 @@ pub struct MbuStats {
     pub measurements: u64,
     /// Classically controlled corrections emitted.
     pub cond_corrections: u64,
-    /// Cost-model-weighted price of the chosen MBU lowerings
-    /// (`GateClassCosts::mbu_cost` summed over MBU frames), against…
+    /// Price of the chosen MBU lowerings (`MbuPlan::mbu_cost` summed
+    /// over MBU frames), against…
     pub mbu_gates: u64,
-    /// …the weighted price of the unitary inverse slices those frames
+    /// …the price of the unitary inverse slices those frames
     /// skipped (the ablation's uncompute-cost delta; always larger,
     /// since MBU is only chosen when strictly cheaper).
     pub unitary_gates_avoided: u64,

@@ -34,20 +34,17 @@ impl ModelPool {
         self.slots.pop()
     }
 
+    /// Removes the first slot with the minimum score, the way LAA
+    /// picks (`peek_best` + `take`).
     fn take_best(&mut self, mut score: impl FnMut(PhysId) -> f64) -> Option<PhysId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut best_i = 0;
-        let mut best_s = f64::INFINITY;
+        let mut best: Option<(usize, f64)> = None;
         for (i, &p) in self.slots.iter().enumerate() {
             let s = score(p);
-            if s <= best_s {
-                best_s = s;
-                best_i = i;
+            if best.is_none_or(|(_, b)| s < b) {
+                best = Some((i, s));
             }
         }
-        Some(self.slots.swap_remove(best_i))
+        best.map(|(i, _)| self.slots.swap_remove(i))
     }
 
     fn relocate(&mut self, from: PhysId, to: PhysId) {
@@ -100,13 +97,16 @@ proptest! {
                         round_trips += 1;
                     }
                 }
-                // Scored removal (a pseudo-random but deterministic
-                // metric; exercises tie-breaking when m is small).
+                // Scored removal through LAA's path, `peek_best` then
+                // `take` (a pseudo-random but deterministic metric;
+                // exercises tie-breaking when m is small).
                 2 => {
                     let a = u64::from(x) | 1;
                     let m = u64::from(y % 4) + 1;
                     let score = |p: PhysId| ((u64::from(p.0) * a) % m) as f64;
-                    let got = heap.take_best(score);
+                    let got = heap
+                        .peek_best(score)
+                        .map(|(handle, _)| heap.take(handle).expect("a fresh handle redeems"));
                     prop_assert_eq!(got, model.take_best(score));
                     if got.is_some() {
                         round_trips += 1;

@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 
-use square_qir::{ModuleId, Operand, Program, ProgramBuilder, QirError};
+use square_qir::{Gate, ModuleId, Operand, Program, ProgramBuilder, QirError};
 
 use crate::ast::{SourceModule, SourceProgram, SourceStmt};
 use crate::diag::{suggest, Diagnostic, Span};
@@ -225,6 +225,29 @@ fn check_module(
                         *span,
                         format!("gate uses the same qubit twice in module `{}`", m.name),
                     ));
+                }
+                if let SourceStmt::CondGate {
+                    gate: Gate::Mcx { controls, .. },
+                    ..
+                } = stmt
+                {
+                    if controls.len() >= 3 {
+                        diags.push(
+                            Diagnostic::new(
+                                *span,
+                                format!(
+                                    "guarded `mcx` has {} controls in module `{}`; a guarded \
+                                     gate takes at most 2",
+                                    controls.len(),
+                                    m.name
+                                ),
+                            )
+                            .with_help(
+                                "AND the controls into an ancilla with `mcx`, then guard a `cx` \
+                                 on that ancilla",
+                            ),
+                        );
+                    }
                 }
             }
             SourceStmt::Measure { qubit, .. } => check_operand(qubit, diags),

@@ -355,6 +355,37 @@ error: classical bit `c3` is out of range: module `main` declares 1 clbit
 }
 
 #[test]
+fn golden_guarded_wide_mcx() {
+    // A guarded MCX cannot lower to a call (clbits are module-local),
+    // so three or more guarded controls are refused at the statement.
+    let src = "\
+module f(4 params, 1 ancilla, 1 clbits) {
+  compute {
+    cx p0 a0;
+    measure a0 c0;
+    cond c0 mcx p0 p1 p2 p3;
+  }
+}
+entry module main(0 params, 4 ancilla) {
+  compute {
+    call f(a0, a1, a2, a3);
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: guarded `mcx` has 3 controls in module `f`; a guarded gate takes at most 2
+  --> prog.sq:5:5
+   |
+ 5 |     cond c0 mcx p0 p1 p2 p3;
+   |     ^^^^^^^^^^^^^^^^^^^^^^^^ AND the controls into an ancilla with `mcx`, then guard \
+         a `cx` on that ancilla
+"
+    );
+}
+
+#[test]
 fn golden_caret_alignment_with_tabs_and_wide_characters() {
     // Tab-indented source keeps its tabs in the caret pad (so the
     // carets line up in any tab rendering), and CJK identifiers count

@@ -7,7 +7,8 @@
 //! a reclaimed qubit rests in |0⟩ and is not exposed to decoherence.
 //!
 //! Also provides the worst-case analytical success-rate model used in
-//! Fig. 8b (product of gate success probabilities and qubit coherence)
+//! Fig. 8b (product of scheduled-gate success probabilities and qubit
+//! coherence over the circuit depth)
 //! and the total-variation distance used to score noisy-simulation
 //! outcomes in Fig. 8c.
 
@@ -19,5 +20,5 @@ pub mod success;
 pub mod tvd;
 
 pub use aqv::{aqv, UsageCurve};
-pub use success::{success_rate, worst_case_success, GateTally};
+pub use success::worst_case_success;
 pub use tvd::{total_variation_distance, Histogram};

@@ -21,18 +21,11 @@ pub struct ModuleStats {
     pub gates_compute: u64,
     /// Primitive gates in the store block, calls fully expanded.
     pub gates_store: u64,
-    /// Two-qubit interaction cost (Clifford+T decomposition) of the
-    /// forward execution, for noise-oriented costing.
-    pub two_qubit_cost: u64,
-    /// Ancilla the module allocates itself.
-    pub ancilla_own: usize,
     /// Total ancilla allocations across a full forward execution
     /// (own + every callee's, counted per call site).
     pub ancilla_transitive: u64,
     /// Maximum call-nesting depth below this module (leaf = 0).
     pub height: usize,
-    /// Number of call sites in the module body.
-    pub call_sites: usize,
 }
 
 impl ModuleStats {
@@ -87,25 +80,6 @@ pub fn primitive_count(gate: &Gate<Operand>) -> u64 {
     }
 }
 
-/// Gate events of a recorded compute slice, bucketed by the gate
-/// classes the measurement-based-uncompute cost model distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SliceClassCounts {
-    /// NOT gates (including zero-control MCX).
-    pub x: u64,
-    /// CNOT gates (including one-control MCX).
-    pub cx: u64,
-    /// Toffoli gates (two-control MCX counts here; a k ≥ 3 MCX counts
-    /// as its `2k − 3` Toffoli V-chain).
-    pub ccx: u64,
-    /// SWAP gates.
-    pub swap: u64,
-    /// Mid-circuit measurements (from already-lowered child frames).
-    pub measure: u64,
-    /// Classically controlled gates (likewise).
-    pub cond: u64,
-}
-
 /// Measurement-based-uncompute eligibility report for one frame's
 /// compute slice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,10 +88,21 @@ pub struct MbuPlan {
     /// Each needs one measurement plus one conditional correction; any
     /// remaining frame ancillas are still |0⟩ and are simply freed.
     pub written: Vec<VirtId>,
-    /// Class histogram of every gate event in the slice — the raw
-    /// input to the per-gate-class cost comparison against unitary
-    /// inversion.
-    pub counts: SliceClassCounts,
+    /// Price of the unitary inverse: the [`Gate::duration`] sum of the
+    /// slice's gates (the inverse replays the same gates), plus 1 per
+    /// `Measure` and per `CondGate` event from already-lowered child
+    /// frames.
+    pub unitary_cost: u64,
+}
+
+impl MbuPlan {
+    /// Price of measure-and-correct: one measurement plus one guarded X
+    /// per written ancilla, each costing 1 like the events counted in
+    /// [`MbuPlan::unitary_cost`]. MBU pays off when this is strictly
+    /// smaller.
+    pub fn mbu_cost(&self) -> u64 {
+        2 * self.written.len() as u64
+    }
 }
 
 /// Scans a frame's recorded compute slice for measurement-based
@@ -143,8 +128,9 @@ pub struct MbuPlan {
 /// tree).
 ///
 /// Returns `None` when ineligible. The caller decides *whether* to use
-/// the plan by costing `counts` against `written` with its gate-class
-/// cost table; this scan only answers whether MBU would be correct.
+/// the plan by comparing [`MbuPlan::mbu_cost`] with
+/// [`MbuPlan::unitary_cost`]; this scan only answers whether MBU would
+/// be correct.
 pub fn scan_mbu_slice(
     slice: &[TraceOp],
     mut is_frame_ancilla: impl FnMut(VirtId) -> bool,
@@ -152,7 +138,7 @@ pub fn scan_mbu_slice(
     let mut interior: HashSet<VirtId> = HashSet::new();
     let mut open: HashSet<VirtId> = HashSet::new();
     let mut written: Vec<VirtId> = Vec::new();
-    let mut counts = SliceClassCounts::default();
+    let mut unitary_cost = 0u64;
     let mut note_writes =
         |gate: &Gate<VirtId>, interior: &HashSet<VirtId>, written: &mut Vec<VirtId>| -> bool {
             for w in gate.written_qubits() {
@@ -182,14 +168,14 @@ pub fn scan_mbu_slice(
                 }
             }
             TraceOp::Gate(g) => {
-                count_gate_class(g, &mut counts);
+                unitary_cost += g.duration();
                 if !note_writes(g, &interior, &mut written) {
                     return None;
                 }
             }
-            TraceOp::Measure { .. } => counts.measure += 1,
+            TraceOp::Measure { .. } => unitary_cost += 1,
             TraceOp::CondGate { gate, .. } => {
-                counts.cond += 1;
+                unitary_cost += 1;
                 if !note_writes(gate, &interior, &mut written) {
                     return None;
                 }
@@ -201,7 +187,10 @@ pub fn scan_mbu_slice(
         // sweep it.
         return None;
     }
-    Some(MbuPlan { written, counts })
+    Some(MbuPlan {
+        written,
+        unitary_cost,
+    })
 }
 
 /// True for gates whose action is classical logic with a classically
@@ -212,21 +201,6 @@ fn toffoli_class(gate: &Gate<VirtId>) -> bool {
         Gate::X { .. } | Gate::Cx { .. } | Gate::Ccx { .. } => true,
         Gate::Swap { .. } => false,
         Gate::Mcx { controls, .. } => controls.len() <= 2,
-    }
-}
-
-fn count_gate_class(gate: &Gate<VirtId>, counts: &mut SliceClassCounts) {
-    match gate {
-        Gate::X { .. } => counts.x += 1,
-        Gate::Cx { .. } => counts.cx += 1,
-        Gate::Ccx { .. } => counts.ccx += 1,
-        Gate::Swap { .. } => counts.swap += 1,
-        Gate::Mcx { controls, .. } => match controls.len() {
-            0 => counts.x += 1,
-            1 => counts.cx += 1,
-            2 => counts.ccx += 1,
-            k => counts.ccx += 2 * k as u64 - 3,
-        },
     }
 }
 
@@ -243,7 +217,6 @@ fn analyze_module(
     memo[idx] = Some(ModuleStats::default());
     let module = &program.modules()[idx];
     let mut stats = ModuleStats {
-        ancilla_own: module.ancillas(),
         ancilla_transitive: module.ancillas() as u64,
         ..ModuleStats::default()
     };
@@ -252,23 +225,14 @@ fn analyze_module(
             let mut gates = 0u64;
             for stmt in stmts {
                 match stmt {
-                    Stmt::Gate(g) => {
-                        gates += primitive_count(g);
-                        stats.two_qubit_cost += g.two_qubit_cost();
-                    }
+                    Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => gates += primitive_count(g),
                     Stmt::Call { callee, .. } => {
                         let sub = analyze_module(program, callee.index(), memo);
                         gates += sub.gates_forward();
-                        stats.two_qubit_cost += sub.two_qubit_cost;
                         stats.ancilla_transitive += sub.ancilla_transitive;
                         stats.height = stats.height.max(sub.height + 1);
-                        stats.call_sites += 1;
                     }
                     Stmt::Measure { .. } => gates += 1,
-                    Stmt::CondGate { gate, .. } => {
-                        gates += primitive_count(gate);
-                        stats.two_qubit_cost += gate.two_qubit_cost();
-                    }
                 }
             }
             gates
@@ -314,7 +278,6 @@ mod tests {
         assert_eq!(stats.module(main).gates_forward(), 5);
         assert_eq!(stats.module(main).ancilla_transitive, 2 + 2);
         assert_eq!(stats.module(main).height, 1);
-        assert_eq!(stats.module(main).call_sites, 2);
         assert_eq!(stats.module(leaf).height, 0);
     }
 
@@ -363,10 +326,9 @@ mod tests {
         ];
         let plan = scan_mbu_slice(&slice, anc).expect("eligible");
         assert_eq!(plan.written, vec![VirtId(4), VirtId(5)]);
-        assert_eq!(plan.counts.cx, 1);
-        assert_eq!(plan.counts.ccx, 2);
-        assert_eq!(plan.counts.measure, 1);
-        assert_eq!(plan.counts.cond, 1);
+        // CX 1 + CCX 6 + measure 1 + guarded X 1 + CCX 6.
+        assert_eq!(plan.unitary_cost, 1 + 6 + 1 + 1 + 6);
+        assert_eq!(plan.mbu_cost(), 4);
     }
 
     #[test]
@@ -398,7 +360,10 @@ mod tests {
         let silent = vec![TraceOp::Gate(Gate::X { target: VirtId(4) })];
         let plan = scan_mbu_slice(&silent, anc).expect("eligible");
         assert_eq!(plan.written, vec![VirtId(4)]);
-        assert_eq!(plan.counts.x, 1);
+        assert_eq!(plan.unitary_cost, 1);
+        // A one-gate inverse beats measure-and-correct: MBU is not a
+        // free lunch.
+        assert!(plan.unitary_cost < plan.mbu_cost());
     }
 
     #[test]

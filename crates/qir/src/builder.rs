@@ -408,4 +408,28 @@ mod tests {
         assert_eq!(p.module(main).clbits(), 2);
         assert_eq!(p.module(main).compute().len(), 4);
     }
+
+    #[test]
+    fn rejects_guarded_mcx_with_three_controls() {
+        let mut b = ProgramBuilder::new();
+        let err = b.module("wide", 4, 0, |m| {
+            let controls = vec![m.param(0), m.param(1), m.param(2)];
+            let target = m.param(3);
+            m.cond_gate(0, Gate::Mcx { controls, target });
+        });
+        assert_eq!(
+            err,
+            Err(QirError::GuardedWideMcx {
+                module: "wide".into(),
+                controls: 3,
+            })
+        );
+        // Two guarded controls stay legal: lowering makes them a CCX.
+        let two = b.module("narrow", 3, 0, |m| {
+            let controls = vec![m.param(0), m.param(1)];
+            let target = m.param(2);
+            m.cond_gate(0, Gate::Mcx { controls, target });
+        });
+        assert!(two.is_ok());
+    }
 }

@@ -69,6 +69,16 @@ pub enum QirError {
         /// How many classical bits the module declares.
         declared: usize,
     },
+    /// A classically controlled MCX had 3 or more controls. Lowering
+    /// turns a wide MCX into a call, and a call cannot be guarded
+    /// (classical bits are module-local), so the guarded form is
+    /// limited to the X/CX/CCX widths.
+    GuardedWideMcx {
+        /// Module in which the gate appeared.
+        module: String,
+        /// Number of controls the guarded gate has.
+        controls: usize,
+    },
 }
 
 impl fmt::Display for QirError {
@@ -116,6 +126,11 @@ impl fmt::Display for QirError {
                     "classical bit c{clbit} out of range in module `{module}` ({declared} declared)"
                 )
             }
+            QirError::GuardedWideMcx { module, controls } => write!(
+                f,
+                "guarded mcx with {controls} controls in module `{module}`: a guarded gate takes \
+                 at most 2 controls (AND the controls into an ancilla with `mcx`, then guard a `cx`)"
+            ),
         }
     }
 }

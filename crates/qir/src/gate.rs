@@ -47,9 +47,10 @@ pub enum Gate<Q> {
     /// Multi-controlled NOT: flips `target` iff every control is 1.
     ///
     /// `Mcx` with zero controls is `X`; with one, `Cx`; with two, `Ccx`.
-    /// Higher control counts are used by logic-synthesis workloads and
-    /// are decomposed into Toffolis (with ancilla) before costing, see
-    /// `square-workloads`.
+    /// Higher control counts are used by logic-synthesis workloads.
+    /// `lower_mcx` rewrites every `Mcx` into that lowered set (a k ≥ 3
+    /// chain becomes a call) before the back end runs, and the router
+    /// rejects any `Mcx` it is handed.
     Mcx {
         /// Control qubits (read-only).
         controls: Vec<Q>,
@@ -160,21 +161,22 @@ impl<Q> Gate<Q> {
         self.clone()
     }
 
-    /// Number of native two-qubit interactions this gate costs after
-    /// decomposition to Clifford+T: CNOT and SWAP count as written
-    /// (SWAP = 3 CNOTs), a Toffoli costs 6 CNOTs in the standard
-    /// Clifford+T decomposition, and an `Mcx` with `k ≥ 3` controls
-    /// costs `(2k - 3)` Toffolis worth when a clean-ancilla V-chain is
-    /// used. Used only for *costing*; scheduling works on whole gates.
-    pub fn two_qubit_cost(&self) -> u64 {
+    /// Standard duration in scheduler cycles: X and CNOT take one,
+    /// SWAP is three back-to-back CNOTs, and a Toffoli is its depth in
+    /// the standard Clifford+T decomposition. A k ≥ 3 control MCX costs
+    /// its `2k − 3` Toffoli V-chain. The one per-gate cost table: the
+    /// scheduler, routing swaps and the MBU price all read it, and it
+    /// depends only on the gate shape, so virtual and physical gates
+    /// agree.
+    pub fn duration(&self) -> u64 {
         match self {
-            Gate::X { .. } => 0,
+            Gate::X { .. } => 1,
             Gate::Cx { .. } => 1,
             Gate::Swap { .. } => 3,
             Gate::Ccx { .. } => 6,
             Gate::Mcx { controls, .. } => match controls.len() {
-                0 => 0,
-                1 => 1,
+                0 | 1 => 1,
+                2 => 6,
                 n => 6 * (2 * n as u64 - 3),
             },
         }
@@ -307,15 +309,17 @@ mod tests {
     }
 
     #[test]
-    fn two_qubit_costs() {
-        assert_eq!(Gate::X { target: 0u32 }.two_qubit_cost(), 0);
+    fn durations() {
+        assert_eq!(Gate::X { target: 0u32 }.duration(), 1);
+        assert_eq!(Gate::Swap { a: 0u32, b: 1 }.duration(), 3);
         assert_eq!(
-            Gate::Mcx {
-                controls: vec![0u32, 1, 2, 3],
-                target: 4
+            Gate::Ccx {
+                c0: 0u32,
+                c1: 1,
+                target: 2
             }
-            .two_qubit_cost(),
-            6 * 5
+            .duration(),
+            6
         );
     }
 

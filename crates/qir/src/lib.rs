@@ -53,7 +53,7 @@ pub mod validate;
 
 mod error;
 
-pub use analysis::{scan_mbu_slice, MbuPlan, ModuleStats, ProgramStats, SliceClassCounts};
+pub use analysis::{scan_mbu_slice, MbuPlan, ModuleStats, ProgramStats};
 pub use builder::{ModuleBuilder, ProgramBuilder};
 pub use error::QirError;
 pub use gate::Gate;

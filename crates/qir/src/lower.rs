@@ -19,9 +19,14 @@ use std::collections::HashMap;
 use crate::gate::Gate;
 use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 
-/// Rewrites every `Mcx` with 3+ controls into a call to a generated
-/// `__mcx{k}` module. Gates with ≤ 2 controls are normalized to
-/// `X`/`Cx`/`Ccx`. Returns a new program; the input is unchanged.
+/// Rewrites every MCX, guarded or not, into the lowered gate set: an
+/// MCX with ≤ 2 controls is normalized to `X`/`Cx`/`Ccx`, and an
+/// unguarded one with 3+ controls becomes a call to a generated
+/// `__mcx{k}` module. A guarded MCX with 3+ controls cannot become a
+/// call (classical bits are module-local); validation rejects it
+/// ([`crate::QirError::GuardedWideMcx`]), and lowering leaves it as is
+/// for the router to refuse. Returns a new program; the input is
+/// unchanged.
 ///
 /// The generated modules are shared across call sites (one per control
 /// count) and appended after the existing modules, so existing
@@ -42,14 +47,21 @@ pub fn lower_mcx(program: &Program) -> Program {
     let mut any_mcx = false;
     for module in program.modules() {
         for stmt in module.all_stmts() {
-            if let Stmt::Gate(Gate::Mcx { controls, .. }) = stmt {
-                any_mcx = true;
-                let k = controls.len();
-                if k >= 3 && !generated.contains_key(&k) {
-                    let id = ModuleId::from_index(n + tail.len());
-                    tail.push(build_mcx_module(k));
-                    generated.insert(k, id);
+            match stmt {
+                Stmt::Gate(Gate::Mcx { controls, .. }) => {
+                    any_mcx = true;
+                    let k = controls.len();
+                    if k >= 3 && !generated.contains_key(&k) {
+                        let id = ModuleId::from_index(n + tail.len());
+                        tail.push(build_mcx_module(k));
+                        generated.insert(k, id);
+                    }
                 }
+                Stmt::CondGate {
+                    gate: Gate::Mcx { .. },
+                    ..
+                } => any_mcx = true,
+                _ => {}
             }
         }
     }
@@ -79,27 +91,35 @@ fn lower_block(stmts: Vec<Stmt>, generated: &HashMap<usize, ModuleId>) -> Vec<St
     stmts
         .into_iter()
         .map(|stmt| match stmt {
-            Stmt::Gate(Gate::Mcx { controls, target }) => match controls.len() {
-                0 => Stmt::Gate(Gate::X { target }),
-                1 => Stmt::Gate(Gate::Cx {
-                    control: controls[0],
-                    target,
-                }),
-                2 => Stmt::Gate(Gate::Ccx {
-                    c0: controls[0],
-                    c1: controls[1],
-                    target,
-                }),
-                k => {
-                    let id = generated[&k];
+            Stmt::Gate(Gate::Mcx { controls, target }) => match narrow(&controls, target) {
+                Some(gate) => Stmt::Gate(gate),
+                None => {
+                    let callee = generated[&controls.len()];
                     let mut args = controls;
                     args.push(target);
-                    Stmt::Call { callee: id, args }
+                    Stmt::Call { callee, args }
                 }
+            },
+            Stmt::CondGate {
+                clbit,
+                gate: Gate::Mcx { controls, target },
+            } => Stmt::CondGate {
+                clbit,
+                gate: narrow(&controls, target).unwrap_or(Gate::Mcx { controls, target }),
             },
             other => other,
         })
         .collect()
+}
+
+/// The `X`/`Cx`/`Ccx` equal to an MCX with at most two controls.
+fn narrow(controls: &[Operand], target: Operand) -> Option<Gate<Operand>> {
+    match *controls {
+        [] => Some(Gate::X { target }),
+        [control] => Some(Gate::Cx { control, target }),
+        [c0, c1] => Some(Gate::Ccx { c0, c1, target }),
+        _ => None,
+    }
 }
 
 /// Builds `__mcx{k}`: params = k controls then the target; k − 2
@@ -209,6 +229,13 @@ mod tests {
                 m.mcx(&[q[0]], q[1]);
                 m.store();
                 m.mcx(&[q[0], q[1]], q[2]);
+                let guarded = |controls: Vec<Operand>| Gate::Mcx {
+                    controls,
+                    target: q[2],
+                };
+                m.cond_gate(0, guarded(vec![]));
+                m.cond_gate(0, guarded(vec![q[0]]));
+                m.cond_gate(0, guarded(vec![q[0], q[1]]));
             })
             .unwrap();
         let p = b.finish(main).unwrap();
@@ -218,5 +245,19 @@ mod tests {
         assert!(matches!(m.compute()[0], Stmt::Gate(Gate::X { .. })));
         assert!(matches!(m.compute()[1], Stmt::Gate(Gate::Cx { .. })));
         assert!(matches!(m.store()[0], Stmt::Gate(Gate::Ccx { .. })));
+        let guarded: Vec<&Gate<Operand>> = m.store()[1..]
+            .iter()
+            .map(|s| match s {
+                Stmt::CondGate { clbit: 0, gate } => gate,
+                other => panic!("expected a guarded gate, got {other:?}"),
+            })
+            .collect();
+        assert!(
+            matches!(
+                guarded[..],
+                [Gate::X { .. }, Gate::Cx { .. }, Gate::Ccx { .. }]
+            ),
+            "{guarded:?}"
+        );
     }
 }

@@ -25,15 +25,16 @@
 use std::collections::HashSet;
 
 use crate::error::QirError;
+use crate::gate::Gate;
 use crate::module::{Module, Operand, Program, Stmt};
 
 /// Validates a single module against the modules registered before it.
 ///
 /// # Errors
 ///
-/// Returns operand-range, arity, duplicate-operand, or unknown-callee
-/// errors. Call-graph and store-discipline checks happen in
-/// [`validate_program`].
+/// Returns operand-range, arity, duplicate-operand, guarded-wide-MCX
+/// or unknown-callee errors. Call-graph and store-discipline checks
+/// happen in [`validate_program`].
 pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirError> {
     let check_operand = |op: &Operand| -> Result<(), QirError> {
         let ok = match op {
@@ -54,6 +55,14 @@ pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirEr
             Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
                 if let Stmt::CondGate { clbit, .. } = stmt {
                     check_clbit(module, *clbit)?;
+                    if let Gate::Mcx { controls, .. } = g {
+                        if controls.len() >= 3 {
+                            return Err(QirError::GuardedWideMcx {
+                                module: module.name.clone(),
+                                controls: controls.len(),
+                            });
+                        }
+                    }
                 }
                 let mut first_err = None;
                 g.for_each_qubit(|q| {

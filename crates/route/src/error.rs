@@ -24,6 +24,13 @@ pub enum RouteError {
     },
     /// The machine has no free physical qubit left.
     MachineFull,
+    /// A multi-controlled X reached the machine. The back end takes
+    /// only the lowered gate set (X, CX, CCX, SWAP, guarded or not);
+    /// `square_qir::lower_mcx` rewrites every MCX into it.
+    UnloweredMcx {
+        /// Number of controls the gate had.
+        controls: usize,
+    },
 }
 
 impl fmt::Display for RouteError {
@@ -37,6 +44,11 @@ impl fmt::Display for RouteError {
                 write!(f, "virtual qubit {virt} is already placed")
             }
             RouteError::MachineFull => write!(f, "no free physical qubits"),
+            RouteError::UnloweredMcx { controls } => write!(
+                f,
+                "mcx with {controls} controls reached the router; only lowered X/CX/CCX/SWAP gates \
+                 can be routed"
+            ),
         }
     }
 }

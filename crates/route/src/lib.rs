@@ -39,7 +39,7 @@ pub use machine::{
 };
 pub use placement::{CellSet, Placement};
 pub use router::RouterKind;
-pub use schedule::{gate_duration, step_gate, PhysicalCheck, ScheduleViolation, ScheduledGate};
+pub use schedule::{step_gate, PhysicalCheck, ScheduleViolation, ScheduledGate};
 pub use sink::ScheduleSink;
 pub use timeline::Clock;
 

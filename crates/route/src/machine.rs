@@ -35,7 +35,7 @@ use crate::ctx::NeighborTable;
 use crate::error::RouteError;
 use crate::placement::Placement;
 use crate::router::{self, RouterKind, RouterScratch};
-use crate::schedule::{gate_duration, PhysicalCheck, ScheduledGate};
+use crate::schedule::{PhysicalCheck, ScheduledGate};
 use crate::sink::ScheduleSink;
 use crate::timeline::Clock;
 
@@ -532,15 +532,17 @@ impl Machine {
     }
 
     /// Swaps the contents of two adjacent physical cells (a routing
-    /// SWAP: three CNOT cycles), updating placements, liveness,
+    /// SWAP, [`Gate::duration`] cycles), updating placements, liveness,
     /// free-cell relocations, and the placement history. This is the
     /// only mutation the routers perform.
     pub fn swap_cells(&mut self, p: PhysId, q: PhysId) {
         debug_assert!(self.topo.are_coupled(p, q), "swap of non-coupled cells");
-        let start = self.clock.occupy_pair_asap(p, q, 3);
+        let swap = Gate::Swap { a: p, b: q };
+        let dur = swap.duration();
+        let start = self.clock.occupy_pair_asap(p, q, dur);
         let (vp, vq) = self.placement.swap_occupants(p, q);
         if let Some(v) = vp {
-            self.sink.note_usage(v, start, start + 3);
+            self.sink.note_usage(v, start, start + dur);
             self.sink.event(PlacementEvent::Move {
                 virt: v,
                 from: p,
@@ -548,7 +550,7 @@ impl Machine {
             });
         }
         if let Some(v) = vq {
-            self.sink.note_usage(v, start, start + 3);
+            self.sink.note_usage(v, start, start + dur);
             self.sink.event(PlacementEvent::Move {
                 virt: v,
                 from: q,
@@ -556,7 +558,7 @@ impl Machine {
             });
         }
         self.sink.stats.swaps += 1;
-        self.sink.record(Gate::Swap { a: p, b: q }, start, 3, true);
+        self.sink.record(swap, start, dur, true);
     }
 
     /// Applies a program gate: resolves connectivity, schedules ASAP,
@@ -564,8 +566,15 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// [`RouteError::UnplacedQubit`] if an operand has no placement.
+    /// [`RouteError::UnloweredMcx`] for any `Mcx`, before anything
+    /// moves; [`RouteError::UnplacedQubit`] if an operand has no
+    /// placement.
     pub fn apply(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
+        if let Gate::Mcx { controls, .. } = gate {
+            return Err(RouteError::UnloweredMcx {
+                controls: controls.len(),
+            });
+        }
         match self.comm {
             CommModel::SwapChains => self.apply_swapchain(gate),
             CommModel::Braiding => self.apply_braided(gate),
@@ -653,7 +662,7 @@ impl Machine {
     /// statistics, liveness, and the recorded circuit.
     fn schedule_program_gate(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
         let buf = self.take_phys_operands(gate)?;
-        let dur = gate_duration(gate);
+        let dur = gate.duration();
         let start = self.clock.occupy_asap(&buf, dur);
         self.phys_buf = buf;
         self.note_program_gate(gate, start, dur);
@@ -682,13 +691,13 @@ impl Machine {
     fn apply_braided(&mut self, gate: &Gate<VirtId>) -> Result<u64, RouteError> {
         let phys = self.take_phys_operands(gate)?;
         let (start, dur) = match gate {
-            Gate::X { .. } => (self.clock.occupy_asap(&phys, 1), 1),
+            // `apply` refuses `Mcx` before it gets here.
+            Gate::X { .. } | Gate::Mcx { .. } => {
+                let dur = gate.duration();
+                (self.clock.occupy_asap(&phys, dur), dur)
+            }
             Gate::Cx { .. } | Gate::Swap { .. } => {
-                let dur = if matches!(gate, Gate::Swap { .. }) {
-                    3
-                } else {
-                    1
-                };
+                let dur = gate.duration();
                 (self.braid_pair(phys[0], phys[1], dur), dur)
             }
             Gate::Ccx { .. } => {
@@ -700,24 +709,6 @@ impl Machine {
                 let start = s1.min(s2).min(s3);
                 let end = (s1 + 2).max(s2 + 2).max(s3 + 2);
                 (start, end - start)
-            }
-            Gate::Mcx { .. } => {
-                // Chain of pairwise braids (for completeness; lowered
-                // programs do not produce k ≥ 3). The buffer holds the
-                // controls, then the target.
-                let (&pt, controls) = phys.split_last().expect("mcx has a target");
-                if controls.is_empty() {
-                    (self.clock.occupy_asap(&phys, 1), 1)
-                } else {
-                    let mut start = u64::MAX;
-                    let mut end = 0u64;
-                    for &pc in controls {
-                        let s = self.braid_pair(pc, pt, 2);
-                        start = start.min(s);
-                        end = end.max(s + 2);
-                    }
-                    (start, end - start)
-                }
             }
         };
         self.phys_buf = phys;
@@ -1129,6 +1120,37 @@ mod tests {
                     "{kind}: {gate:?}"
                 );
                 assert_eq!(m.stats().swaps, 0, "{kind}: {gate:?} swapped");
+            }
+        }
+    }
+
+    #[test]
+    fn mcx_is_refused_before_routing() {
+        let configs = [
+            MachineConfig::nisq().with_router(RouterKind::Greedy),
+            MachineConfig::nisq().with_router(RouterKind::Lookahead),
+            MachineConfig::ft(),
+        ];
+        // Operands on the corners and the centre: any routing or
+        // braiding would have to move or braid something.
+        let cells = [0, 24, 4, 20, 12];
+        for config in configs {
+            for k in 0..cells.len() {
+                let mut m = Machine::new(Box::new(GridTopology::new(5, 5)), config.with_schedule());
+                for (v, &p) in cells.iter().enumerate() {
+                    m.place_at(VirtId(v as u32), PhysId(p)).unwrap();
+                }
+                let gate = Gate::Mcx {
+                    controls: (0..k as u32).map(VirtId).collect(),
+                    target: VirtId(k as u32),
+                };
+                let want = Err(RouteError::UnloweredMcx { controls: k });
+                assert_eq!(m.apply(&gate), want, "{config:?}: {k} controls");
+                assert_eq!(m.apply_guarded(&gate, ClbitId(0)), want);
+                let stats = *m.stats();
+                assert_eq!(stats, CommStats::default(), "{config:?}: {k} controls");
+                let report = m.finish();
+                assert_eq!(report.schedule.map(|s| s.len()), Some(0));
             }
         }
     }

@@ -113,25 +113,22 @@ pub(crate) struct RouterScratch {
 /// Looks up every operand of a multi-qubit gate before either router
 /// moves anything, so an unplaced operand fails the gate with no swap
 /// emitted. The error names the first missing operand in the order the
-/// greedy router always read them: `Cx`/`Swap` in slot order,
-/// `Ccx`/`Mcx` target first.
+/// greedy router always read them: `Cx`/`Swap` in slot order, `Ccx`
+/// target first. `Machine::apply` refuses `Mcx` before routing, so
+/// neither this check nor the routers see one.
 pub(crate) fn check_placed(m: &Machine, gate: &Gate<VirtId>) -> Result<(), RouteError> {
     let placed = |v: &VirtId| match m.placement().phys_of(*v) {
         Some(_) => Ok(()),
         None => Err(RouteError::UnplacedQubit { virt: *v }),
     };
     match gate {
-        Gate::X { .. } => Ok(()),
+        Gate::X { .. } | Gate::Mcx { .. } => Ok(()),
         Gate::Cx { control, target } => placed(control).and_then(|()| placed(target)),
         Gate::Swap { a, b } => placed(a).and_then(|()| placed(b)),
         Gate::Ccx { c0, c1, target } => {
             placed(target)?;
             placed(c0)?;
             placed(c1)
-        }
-        Gate::Mcx { controls, target } => {
-            placed(target)?;
-            controls.iter().try_for_each(placed)
         }
     }
 }
@@ -170,22 +167,10 @@ pub(crate) const GATHER_VISIT_CAP: usize = 4096;
 /// positions and the topology, never occupancy or the clock.
 pub(crate) fn greedy(m: &mut Machine, s: &mut RouterScratch, gate: &Gate<VirtId>) {
     match gate {
-        Gate::X { .. } => {}
+        Gate::X { .. } | Gate::Mcx { .. } => {}
         Gate::Cx { control, target } => walk(m, *control, *target),
         Gate::Swap { a, b } => walk(m, *a, *b),
         Gate::Ccx { c0, c1, target } => gather(m, s, *c0, *c1, *target),
-        // Lowered programs never reach here with ≥ 3 controls; handle
-        // small cases for completeness.
-        Gate::Mcx { controls, target } => match controls.as_slice() {
-            [] => {}
-            [c] => walk(m, *c, *target),
-            [c0, c1, rest @ ..] => {
-                gather(m, s, *c0, *c1, *target);
-                for c in rest {
-                    walk(m, *c, *target);
-                }
-            }
-        },
     }
 }
 
@@ -250,20 +235,10 @@ pub(crate) fn lookahead(
 ) {
     la_collect_pairs(s, window);
     match gate {
-        Gate::X { .. } => {}
+        Gate::X { .. } | Gate::Mcx { .. } => {}
         Gate::Cx { control, target } => la_route_pair(m, s, *control, *target, true),
         Gate::Swap { a, b } => la_route_pair(m, s, *a, *b, true),
         Gate::Ccx { c0, c1, target } => la_gather(m, s, *c0, *c1, *target),
-        Gate::Mcx { controls, target } => match controls.as_slice() {
-            [] => {}
-            [c] => la_route_pair(m, s, *c, *target, true),
-            [c0, c1, rest @ ..] => {
-                la_gather(m, s, *c0, *c1, *target);
-                for c in rest {
-                    la_route_pair(m, s, *c, *target, false);
-                }
-            }
-        },
     }
 }
 
@@ -289,17 +264,12 @@ fn la_collect_pairs(s: &mut RouterScratch, window: &[Gate<VirtId>]) {
     s.pairs.clear();
     for g in window {
         match g {
-            Gate::X { .. } => {}
+            Gate::X { .. } | Gate::Mcx { .. } => {}
             Gate::Cx { control, target } => s.pairs.push((*control, *target)),
             Gate::Swap { a, b } => s.pairs.push((*a, *b)),
             Gate::Ccx { c0, c1, target } => {
                 s.pairs.push((*c0, *target));
                 s.pairs.push((*c1, *target));
-            }
-            Gate::Mcx { controls, target } => {
-                for c in controls {
-                    s.pairs.push((*c, *target));
-                }
             }
         }
     }

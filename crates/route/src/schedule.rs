@@ -234,47 +234,9 @@ impl PhysicalCheck {
     }
 }
 
-/// Standard durations, in scheduler cycles, of each gate kind. SWAP is
-/// three back-to-back CNOTs; Toffoli is its depth in the standard
-/// Clifford+T decomposition. Generic over the qubit naming: durations
-/// depend only on the gate shape, so virtual and physical gates agree.
-pub fn gate_duration<T>(gate: &Gate<T>) -> u64 {
-    match gate {
-        Gate::X { .. } => 1,
-        Gate::Cx { .. } => 1,
-        Gate::Swap { .. } => 3,
-        Gate::Ccx { .. } => 6,
-        Gate::Mcx { controls, .. } => match controls.len() {
-            0 | 1 => 1,
-            2 => 6,
-            n => 6 * (2 * n as u64 - 3),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn durations() {
-        assert_eq!(gate_duration(&Gate::X { target: PhysId(0) }), 1);
-        assert_eq!(
-            gate_duration(&Gate::Swap {
-                a: PhysId(0),
-                b: PhysId(1)
-            }),
-            3
-        );
-        assert_eq!(
-            gate_duration(&Gate::Ccx {
-                c0: PhysId(0),
-                c1: PhysId(1),
-                target: PhysId(2)
-            }),
-            6
-        );
-    }
 
     #[test]
     #[cfg(target_pointer_width = "64")]

@@ -178,16 +178,7 @@ impl<'t> HistoricalGreedy<'t> {
             Gate::Cx { control, target } => self.chain(*control, *target),
             Gate::Swap { a, b } => self.chain(*a, *b),
             Gate::Ccx { c0, c1, target } => self.gather(*c0, *c1, *target),
-            Gate::Mcx { controls, target } => match controls.len() {
-                0 => {}
-                1 => self.chain(controls[0], *target),
-                _ => {
-                    self.gather(controls[0], controls[1], *target);
-                    for c in &controls[2..] {
-                        self.chain(*c, *target);
-                    }
-                }
-            },
+            Gate::Mcx { .. } => unreachable!("the machine refuses Mcx; scripts hold none"),
         }
         self.schedule.push((gate.map(|v| self.pos[v]), false));
     }
@@ -228,12 +219,15 @@ fn decode_gate(op: u8, x: u8, y: u8, z: u8, k: u32) -> Option<Gate<VirtId>> {
             c1: b,
             target: c,
         }),
-        4 if a != b => Some(Gate::Mcx {
-            controls: vec![a],
+        // Ops 4 and 5 repeat ops 1 and 3, keeping the script's mix of
+        // chain walks and gathers.
+        4 if a != b => Some(Gate::Cx {
+            control: a,
             target: b,
         }),
-        5 if a != b && a != c && b != c => Some(Gate::Mcx {
-            controls: vec![a, b],
+        5 if a != b && a != c && b != c => Some(Gate::Ccx {
+            c0: a,
+            c1: b,
             target: c,
         }),
         _ => None,

@@ -35,8 +35,11 @@ impl Default for TrajectoryConfig {
     }
 }
 
-/// Numbers of (1q, 2q) elementary error-injection events for a gate,
-/// mirroring `square_metrics::GateTally`.
+/// Numbers of (1q, 2q) elementary error-injection events for a gate:
+/// its standard Clifford+T decomposition (SWAP = 3 CNOTs, Toffoli = 6
+/// CNOTs + 9 one-qubit gates, a k ≥ 3 MCX its `2k − 3` Toffolis). This
+/// is the one table of elementary operations; scheduling costs come
+/// from `Gate::duration`.
 fn error_events(gate: &Gate<PhysId>) -> (u32, u32) {
     match gate {
         Gate::X { .. } => (1, 0),

@@ -4,9 +4,14 @@
 //! routing, placement relocation, and mechanical uncomputation all
 //! preserve program meaning.
 
+use std::path::{Path, PathBuf};
+
 use square_repro::core::{compile_with_inputs, CompilerConfig, Policy};
+use square_repro::lang::{parse_files, SearchPathLoader};
+use square_repro::qir::{lower_mcx, Gate, Program, Stmt};
 use square_repro::sim::run_ideal;
-use square_repro::verify::replay_virtual;
+use square_repro::verify::{replay_virtual, FuzzCase};
+use square_repro::workloads::synthetic::{synthesize, synthesize_disciplined};
 use square_repro::workloads::{build, Benchmark};
 
 #[test]
@@ -85,6 +90,55 @@ fn policies_agree_on_program_outputs() {
                 None => reference = Some(vals),
                 Some(r) => assert_eq!(r, &vals, "{bench}/{policy}"),
             }
+        }
+    }
+}
+
+/// The back end routes only the lowered gate set: after `lower_mcx`, no
+/// `Gate` or `CondGate` statement of any module holds an `Mcx`.
+#[test]
+fn lowering_leaves_no_mcx_for_the_router() {
+    let assert_lowered = |label: &str, program: &Program| {
+        let lowered = lower_mcx(program);
+        for module in lowered.modules() {
+            for stmt in module.all_stmts() {
+                if let Stmt::Gate(g @ Gate::Mcx { .. })
+                | Stmt::CondGate {
+                    gate: g @ Gate::Mcx { .. },
+                    ..
+                } = stmt
+                {
+                    panic!("{label}: `{}` keeps {g}", module.name());
+                }
+            }
+        }
+    };
+    for bench in Benchmark::ALL {
+        assert_lowered(&bench.to_string(), &build(bench).expect("benchmark builds"));
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let loader = SearchPathLoader::new(vec![root.join("lib")]);
+    let mut examples: Vec<PathBuf> = std::fs::read_dir(root.join("examples/sq"))
+        .expect("examples/sq exists")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sq"))
+        .collect();
+    examples.sort();
+    assert!(!examples.is_empty());
+    for path in &examples {
+        let label = path.display().to_string();
+        let source = std::fs::read_to_string(path).expect("example reads");
+        let (map, parsed) = parse_files(&label, &source, &loader);
+        let program = parsed.unwrap_or_else(|d| panic!("{}", map.render(&d)));
+        assert_lowered(&label, &program);
+    }
+    for seed in 0..200 {
+        let case = FuzzCase::from_seed(seed);
+        for program in [
+            synthesize(&case.params),
+            synthesize_disciplined(&case.params),
+        ] {
+            assert_lowered(&case.spec(), &program.expect("fuzz program builds"));
         }
     }
 }
