@@ -245,24 +245,6 @@ impl CouplingGraph {
         self.tables.next_hop(a, b)
     }
 
-    /// A shortest path from `a` to `b` inclusive of both endpoints,
-    /// walked hop by hop with [`CouplingGraph::next_hop`].
-    pub fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        let mut path = Vec::with_capacity(self.distance(a, b) as usize + 1);
-        let mut cur = a;
-        path.push(cur);
-        while cur != b {
-            match self.next_hop(cur, b) {
-                Some(hop) => {
-                    cur = hop;
-                    path.push(cur);
-                }
-                None => break, // disconnected; return the partial walk
-            }
-        }
-        path
-    }
-
     /// The qubit whose embedding is geometrically nearest `center`
     /// (Manhattan; ties broken by lowest index), read off the row index
     /// built with the graph.
@@ -332,9 +314,11 @@ mod tests {
     #[test]
     fn next_hop_walks_a_shortest_path() {
         let g = cycle_with_tail();
-        let path = g.shortest_path(PhysId(1), PhysId(4));
+        let mut path = vec![PhysId(1)];
+        while let Some(hop) = g.next_hop(*path.last().unwrap(), PhysId(4)) {
+            path.push(hop);
+        }
         assert_eq!(path.len() as u32, g.distance(PhysId(1), PhysId(4)) + 1);
-        assert_eq!(path.first(), Some(&PhysId(1)));
         assert_eq!(path.last(), Some(&PhysId(4)));
         for w in path.windows(2) {
             assert!(g.are_coupled(w[0], w[1]));

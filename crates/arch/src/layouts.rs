@@ -135,10 +135,6 @@ impl Topology for HeavyHexTopology {
         Some(self.graph.shared_tables())
     }
 
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        self.graph.shortest_path(a, b)
-    }
-
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
         self.graph.next_hop(a, b)
     }
@@ -253,17 +249,6 @@ impl Topology for RingTopology {
         for &nb in self.graph.neighbors(q) {
             f(nb);
         }
-    }
-
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        let mut path = Vec::with_capacity(self.distance(a, b) as usize + 1);
-        let mut cur = a;
-        path.push(cur);
-        while cur != b {
-            cur = self.next_hop(cur, b).expect("cycle is connected");
-            path.push(cur);
-        }
-        path
     }
 
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
@@ -404,10 +389,13 @@ mod tests {
     #[test]
     fn ring_paths_may_wrap_around() {
         let ring = RingTopology::new(8);
-        let p = ring.shortest_path(PhysId(1), PhysId(7));
-        assert_eq!(p.len(), 3, "wraps through 0: {p:?}");
-        assert_eq!(p.first(), Some(&PhysId(1)));
-        assert_eq!(p.last(), Some(&PhysId(7)));
+        assert_eq!(ring.distance(PhysId(1), PhysId(7)), 2);
+        assert_eq!(
+            ring.next_hop(PhysId(1), PhysId(7)),
+            Some(PhysId(0)),
+            "wraps through 0"
+        );
+        assert_eq!(ring.next_hop(PhysId(0), PhysId(7)), Some(PhysId(7)));
     }
 
     #[test]

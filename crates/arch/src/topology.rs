@@ -1,8 +1,8 @@
 //! Qubit topologies: coupling graphs with geometric locality.
 //!
 //! The allocation heuristics need three things from a machine layout:
-//! pairwise distance (communication cost), shortest paths (swap-chain
-//! routing), and "qubits near a point, nearest first" (locality-aware
+//! pairwise distance (communication cost), the next hop on a shortest
+//! path (swap-chain routing), and "qubits near a point, nearest first" (locality-aware
 //! allocation). [`Topology`] provides all three; the concrete layouts
 //! are [`GridTopology`] (2-D lattice), [`FullTopology`] (all-to-all)
 //! and [`LineTopology`] (1-D chain).
@@ -94,21 +94,12 @@ pub trait Topology: Send + Sync {
         None
     }
 
-    /// A shortest path from `a` to `b`, inclusive of both endpoints.
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId>;
-
     /// The neighbour of `a` that is first on a shortest path toward
-    /// `b` (`None` when `a == b`). The closed-form layouts answer in
+    /// `b` (`None` when `a == b`); walking it from `a` reaches `b` in
+    /// exactly `distance(a, b)` hops. The closed-form layouts answer in
     /// O(1); graph-backed layouts read their cached next-hop table.
-    /// Routers use this to walk swap chains without materializing
-    /// whole path `Vec`s.
-    fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        if a == b {
-            None
-        } else {
-            self.shortest_path(a, b).get(1).copied()
-        }
-    }
+    /// Routers walk swap chains with it, one hop at a time.
+    fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId>;
 
     /// The first qubit accepted by `pred` when qubits are visited in
     /// nondecreasing *graph* distance from `center` — the
@@ -216,27 +207,8 @@ impl Topology for GridTopology {
         ax.abs_diff(bx) + ay.abs_diff(by)
     }
 
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        // L-shaped route: walk x first, then y.
-        let (ax, ay) = self.xy(a);
-        let (bx, by) = self.xy(b);
-        let mut path = Vec::with_capacity(self.distance(a, b) as usize + 1);
-        let (mut x, mut y) = (ax, ay);
-        path.push(a);
-        while x != bx {
-            x += (bx - x).signum();
-            path.push(self.id_at(x, y).expect("in bounds"));
-        }
-        while y != by {
-            y += (by - y).signum();
-            path.push(self.id_at(x, y).expect("in bounds"));
-        }
-        path
-    }
-
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        // First step of the L-shaped route: x first, then y (must
-        // match [`GridTopology::shortest_path`] hop for hop).
+        // First step of the L-shaped route: x first, then y.
         if a == b {
             return None;
         }
@@ -330,14 +302,6 @@ impl Topology for FullTopology {
         u32::from(a != b)
     }
 
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        if a == b {
-            vec![a]
-        } else {
-            vec![a, b]
-        }
-    }
-
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
         (a != b).then_some(b)
     }
@@ -416,18 +380,6 @@ impl Topology for LineTopology {
         a.0.abs_diff(b.0)
     }
 
-    fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-        let step = if b.0 >= a.0 { 1i64 } else { -1 };
-        let mut path = Vec::with_capacity(self.distance(a, b) as usize + 1);
-        let mut x = a.0 as i64;
-        path.push(a);
-        while x != b.0 as i64 {
-            x += step;
-            path.push(PhysId(x as u32));
-        }
-        path
-    }
-
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
         match b.0.cmp(&a.0) {
             std::cmp::Ordering::Equal => None,
@@ -466,6 +418,16 @@ mod tests {
         order
     }
 
+    /// The cells visited walking `next_hop` from `a` to `b`, both ends
+    /// included.
+    fn walk(t: &dyn Topology, a: PhysId, b: PhysId) -> Vec<PhysId> {
+        let mut path = vec![a];
+        while let Some(hop) = t.next_hop(*path.last().unwrap(), b) {
+            path.push(hop);
+        }
+        path
+    }
+
     #[test]
     fn grid_distance_is_manhattan() {
         let g = GridTopology::new(4, 4);
@@ -477,7 +439,7 @@ mod tests {
     #[test]
     fn grid_path_endpoints_and_adjacency() {
         let g = GridTopology::new(5, 5);
-        let path = g.shortest_path(PhysId(0), PhysId(24));
+        let path = walk(&g, PhysId(0), PhysId(24));
         assert_eq!(path.first(), Some(&PhysId(0)));
         assert_eq!(path.last(), Some(&PhysId(24)));
         assert_eq!(path.len() as u32, g.distance(PhysId(0), PhysId(24)) + 1);
@@ -513,14 +475,14 @@ mod tests {
         let t = FullTopology::new(8);
         assert_eq!(t.distance(PhysId(0), PhysId(7)), 1);
         assert_eq!(t.distance(PhysId(3), PhysId(3)), 0);
-        assert_eq!(t.shortest_path(PhysId(0), PhysId(7)).len(), 2);
+        assert_eq!(walk(&t, PhysId(0), PhysId(7)).len(), 2);
         assert_eq!(ring_order(&t, (0, 0)).len(), 8);
     }
 
     #[test]
     fn line_paths_walk_the_chain() {
         let t = LineTopology::new(10);
-        let p = t.shortest_path(PhysId(7), PhysId(2));
+        let p = walk(&t, PhysId(7), PhysId(2));
         assert_eq!(p.len(), 6);
         assert_eq!(p[0], PhysId(7));
         assert_eq!(p[5], PhysId(2));

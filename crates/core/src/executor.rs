@@ -23,7 +23,6 @@ use crate::budget::{scan_candidate, stack_need, BudgetState};
 use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
 use crate::config::{ArchSpec, CompilerConfig};
 use crate::error::CompileError;
-use crate::heap::AncillaHeap;
 use crate::laa;
 use crate::policy::Policy;
 use crate::report::{
@@ -228,7 +227,6 @@ fn compile_on(
     if check {
         machine.enable_physical_check();
     }
-    let heap = AncillaHeap::with_capacity(machine.qubit_count());
     let mut exec = Exec {
         program: lowered,
         pstats: &prepared.pstats,
@@ -236,7 +234,6 @@ fn compile_on(
         cer: CerEngine::new(config.cer),
         config,
         machine,
-        heap,
         trace: Vec::new(),
         inverse_scratch: Vec::new(),
         next_virt: 0,
@@ -330,7 +327,6 @@ struct Exec<'p> {
     cer: CerEngine,
     config: &'p CompilerConfig,
     machine: Machine,
-    heap: AncillaHeap,
     trace: Vec<TraceOp>,
     /// Reused buffer for mechanical uncompute slices (avoids two Vec
     /// allocations per reclaimed frame).
@@ -392,9 +388,9 @@ impl Exec<'_> {
                     self.ensure_headroom(cap)?;
                 }
                 let choice = if self.config.policy.uses_laa() {
-                    laa::choose_slot(&self.machine, &mut self.heap, interact)
+                    laa::choose_slot(&self.machine, interact)
                 } else {
-                    laa::choose_slot_naive(&self.machine, &mut self.heap, self.next_virt as u64)
+                    laa::choose_slot_naive(&self.machine, self.next_virt as u64)
                 };
                 let choice = match choice {
                     Some(c) => c,
@@ -404,8 +400,7 @@ impl Exec<'_> {
                 self.cer.note_allocation_event();
             }
             TraceOp::Free(v) => {
-                let phys = self.machine.release(*v)?;
-                self.heap.push(phys);
+                self.machine.release(*v)?;
                 self.cer.note_allocation_event();
             }
             TraceOp::Gate(g) | TraceOp::CondGate { gate: g, .. } => {
@@ -414,10 +409,6 @@ impl Exec<'_> {
                     _ => self.machine.apply(g)?,
                 };
                 self.gates_emitted += 1;
-                // Routing swaps may have moved pooled |0⟩ cells.
-                for (from, to) in self.machine.drain_relocations() {
-                    self.heap.relocate(from, to);
-                }
             }
             TraceOp::Measure { qubit, clbit } => {
                 self.machine.measure(*qubit, *clbit)?;
@@ -1105,8 +1096,8 @@ mod tests {
             eager.gates,
             lazy.gates
         );
-        // On this tiny program routing relocations can scatter the
-        // heap, so compare concurrency (peak) rather than footprint;
+        // On this tiny program routing swaps can scatter the reuse
+        // pool, so compare concurrency (peak) rather than footprint;
         // the footprint contrast shows on the real benchmarks.
         assert!(
             eager.peak_active <= lazy.peak_active,
@@ -1455,9 +1446,27 @@ mod tests {
     #[test]
     fn inputs_prepend_x_gates() {
         let p = nested_program();
-        let r0 = compile(&p, &grid(Policy::Eager)).unwrap();
-        let r1 = compile_with_inputs(&p, &[true, true], &grid(Policy::Eager)).unwrap();
-        assert_eq!(r1.gates, r0.gates + 2);
+        for policy in Policy::ALL {
+            let r0 = compile(&p, &grid(policy)).unwrap();
+            let r1 = compile_with_inputs(&p, &[true, true], &grid(policy)).unwrap();
+            assert_eq!(r1.gates, r0.gates + 2);
+            // The X gates follow the entry frame's allocations, and
+            // nothing after them changes: the executor never reads bit
+            // values, so one input-free compile serves every input.
+            let allocs = r0.entry_register.len();
+            let (head, rest) = r1.trace.split_at(allocs);
+            let (prefix, tail) = rest.split_at(2);
+            assert_eq!(head, &r0.trace[..allocs], "{policy}");
+            assert!(
+                prefix
+                    .iter()
+                    .all(|op| matches!(op, TraceOp::Gate(Gate::X { .. }))),
+                "{policy}: {prefix:?}"
+            );
+            assert_eq!(tail, &r0.trace[allocs..], "{policy}");
+            assert_eq!(r1.decision_log, r0.decision_log, "{policy}");
+            assert_eq!(r1.swaps, r0.swaps, "{policy}");
+        }
     }
 
     #[test]

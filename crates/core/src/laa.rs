@@ -1,9 +1,10 @@
 //! Locality-Aware Allocation (Algorithm 1 of the paper).
 //!
 //! For each requested ancilla, two candidates are scored — the best
-//! qubit in the reclaimed-ancilla heap and the nearest brand-new qubit
-//! — and the cheaper one wins. Scores balance the paper's three
-//! considerations (Section III-A1):
+//! reclaimed qubit in the machine's reuse pool
+//! ([`Placement::pooled`](square_route::Placement::pooled)) and the
+//! nearest brand-new qubit — and the cheaper one wins. Scores balance
+//! the paper's three considerations (Section III-A1):
 //!
 //! * **communication** — distance to the centroid of the qubits the
 //!   new ancilla will interact with (obtained by look-ahead: the
@@ -14,12 +15,13 @@
 //! * **area expansion** — a fresh qubit grows the active region,
 //!   lengthening future swap chains / braids; the premium scales with
 //!   the paper's `√((N_active + 1)/N_active)` factor.
+//!
+//! Choosing removes nothing: the caller's `Machine::place_at` takes a
+//! pooled cell out of the pool when it binds it.
 
 use square_arch::PhysId;
 use square_qir::VirtId;
 use square_route::Machine;
-
-use crate::heap::AncillaHeap;
 
 // Weights of the LAA score (Section IV-C). Scores are in scheduler
 // cycles: distance is weighted by the swap cost it implies, waiting
@@ -41,7 +43,7 @@ const W_AREA: f64 = 2.0;
 pub struct AllocChoice {
     /// The chosen slot.
     pub phys: PhysId,
-    /// Whether it came from the heap (reuse) or is brand new.
+    /// Whether it came from the reuse pool or is brand new.
     pub reused: bool,
     /// The winning score (cycles-equivalent; for diagnostics).
     pub score: f64,
@@ -49,14 +51,10 @@ pub struct AllocChoice {
 
 /// Picks the physical slot for one new ancilla under LAA.
 ///
-/// Returns `None` when the machine is completely full (no heap qubits
-/// and no free fresh slot) — the caller then reports capacity
+/// Returns `None` when the machine is completely full (no pooled
+/// qubits and no free fresh slot) — the caller then reports capacity
 /// exhaustion or forces reclamation.
-pub fn choose_slot(
-    machine: &Machine,
-    heap: &mut AncillaHeap,
-    interact: &[VirtId],
-) -> Option<AllocChoice> {
+pub fn choose_slot(machine: &Machine, interact: &[VirtId]) -> Option<AllocChoice> {
     let center = machine
         .placement()
         .centroid_of(interact)
@@ -77,12 +75,18 @@ pub fn choose_slot(
         machine.ready_time(interact).max(1) - 1
     };
 
-    // Candidate 1: best heap qubit (communication + serialization).
-    let heap_candidate = heap.peek_best(|p| {
-        let dist = dist_to(machine, p, center);
-        let wait = machine.clock().avail(p).saturating_sub(ready_ref) as f64;
-        W_COMM * dist + W_SERIAL * wait
-    });
+    // Candidate 1: best pooled qubit (communication + serialization);
+    // ties keep the first in pool order.
+    let reuse_candidate = machine
+        .placement()
+        .pooled()
+        .iter()
+        .map(|&p| {
+            let dist = dist_to(machine, p, center);
+            let wait = machine.clock().avail(p).saturating_sub(ready_ref) as f64;
+            (p, W_COMM * dist + W_SERIAL * wait)
+        })
+        .min_by(|a, b| a.1.total_cmp(&b.1));
 
     // Candidate 2: nearest never-used qubit (communication + area).
     let fresh_candidate = machine.nearest_free(center, true).map(|p| {
@@ -93,63 +97,34 @@ pub fn choose_slot(
         (p, score)
     });
 
-    match (heap_candidate, fresh_candidate) {
-        (Some((handle, hs)), Some((fp, fs))) => {
-            if hs <= fs {
-                let phys = heap.take(handle).expect("handle minted this decision");
-                Some(AllocChoice {
-                    phys,
-                    reused: true,
-                    score: hs,
-                })
-            } else {
-                Some(AllocChoice {
-                    phys: fp,
-                    reused: false,
-                    score: fs,
-                })
-            }
-        }
-        (Some((handle, hs)), None) => {
-            let phys = heap.take(handle).expect("handle minted this decision");
-            Some(AllocChoice {
-                phys,
-                reused: true,
-                score: hs,
-            })
-        }
-        (None, Some((fp, fs))) => Some(AllocChoice {
-            phys: fp,
-            reused: false,
-            score: fs,
-        }),
-        // Heap empty and no fresh qubit: fall back to *any* free slot
-        // (a previously used, freed one outside the heap cannot exist —
-        // every freed slot enters the heap — so this is full capacity).
-        (None, None) => machine.nearest_free(center, false).map(|p| AllocChoice {
-            phys: p,
-            reused: false,
-            score: f64::INFINITY,
-        }),
-    }
+    let (phys, reused, score) = match (reuse_candidate, fresh_candidate) {
+        (Some((p, rs)), Some((_, fs))) if rs <= fs => (p, true, rs),
+        (Some((p, rs)), None) => (p, true, rs),
+        (_, Some((p, fs))) => (p, false, fs),
+        // Pool empty and no fresh qubit: fall back to *any* free slot
+        // (one a swap chain carried a |0⟩ into, neither fresh nor
+        // pooled); none left means full capacity.
+        (None, None) => (machine.nearest_free(center, false)?, false, f64::INFINITY),
+    };
+    Some(AllocChoice {
+        phys,
+        reused,
+        score,
+    })
 }
 
-/// Locality-blind allocation of the Eager/Lazy baselines: LIFO heap
-/// pop, else a pseudo-random free cell.
+/// Locality-blind allocation of the Eager/Lazy baselines: the most
+/// recently pooled qubit (LIFO), else a pseudo-random free cell.
 ///
 /// Prior work's "global pool of identical qubits" carries no geometry
 /// (Section III-A): when it maps onto a real lattice, fresh qubits
 /// land wherever the pool hands them out. We model that with a
 /// deterministic pseudo-random draw (`salt` advances per allocation),
 /// which is precisely the locality blindness LAA was designed to fix.
-pub fn choose_slot_naive(
-    machine: &Machine,
-    heap: &mut AncillaHeap,
-    salt: u64,
-) -> Option<AllocChoice> {
-    if let Some(p) = heap.pop_lifo() {
+pub fn choose_slot_naive(machine: &Machine, salt: u64) -> Option<AllocChoice> {
+    if let Some(&phys) = machine.placement().pooled().last() {
         return Some(AllocChoice {
-            phys: p,
+            phys,
             reused: true,
             score: 0.0,
         });
@@ -195,70 +170,99 @@ mod tests {
         Machine::new(Box::new(GridTopology::new(5, 5)), MachineConfig::nisq())
     }
 
-    #[test]
-    fn prefers_nearby_heap_qubit() {
-        let mut m = machine_5x5();
-        let mut heap = AncillaHeap::new();
-        // Interacting qubit at (2,2) = PhysId 12.
-        m.place_at(VirtId(0), PhysId(12)).unwrap();
-        // Heap holds a neighbor and a far corner.
-        heap.push(PhysId(24)); // (4,4), dist 4
-        heap.push(PhysId(13)); // (3,2), dist 1
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
-        assert_eq!(choice.phys, PhysId(13));
-        assert!(choice.reused);
-        assert_eq!(heap.len(), 1);
+    /// Places `v_i` on each cell in turn, then releases them in the
+    /// same order: the reuse pool is exactly `cells`.
+    fn pool_cells(m: &mut Machine, first_virt: u32, cells: &[u32]) {
+        for (i, &p) in cells.iter().enumerate() {
+            m.place_at(VirtId(first_virt + i as u32), PhysId(p))
+                .unwrap();
+        }
+        for i in 0..cells.len() as u32 {
+            m.release(VirtId(first_virt + i)).unwrap();
+        }
+        let pooled: Vec<u32> = m.placement().pooled().iter().map(|p| p.0).collect();
+        assert_eq!(pooled, cells);
     }
 
     #[test]
-    fn prefers_fresh_when_heap_is_far() {
+    fn prefers_nearby_pooled_qubit() {
         let mut m = machine_5x5();
-        let mut heap = AncillaHeap::new();
+        // Interacting qubit at (2,2) = PhysId 12.
         m.place_at(VirtId(0), PhysId(12)).unwrap();
-        heap.push(PhysId(24)); // far corner (4,4): dist 4 → score 12
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
+        // The pool holds a far corner and a neighbor.
+        pool_cells(&mut m, 1, &[24, 13]); // (4,4) dist 4, (3,2) dist 1
+        let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
+        assert_eq!(choice.phys, PhysId(13));
+        assert!(choice.reused);
+        // Binding the choice takes it out of the pool.
+        m.place_at(VirtId(9), choice.phys).unwrap();
+        assert_eq!(m.placement().pooled(), &[PhysId(24)]);
+    }
+
+    #[test]
+    fn prefers_fresh_when_pool_is_far() {
+        let mut m = machine_5x5();
+        m.place_at(VirtId(0), PhysId(12)).unwrap();
+        pool_cells(&mut m, 1, &[24]); // far corner (4,4): dist 4 → score 12
+        let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
         // Fresh neighbor at dist 1: 3·1 + 2·√(2/1) ≈ 5.8 < 12.
         assert!(!choice.reused);
-        assert_eq!(heap.len(), 1, "far heap qubit left pooled");
         let d = dist_to(&m, choice.phys, (2, 2));
         assert!(d <= 1.0);
+        m.place_at(VirtId(9), choice.phys).unwrap();
+        assert_eq!(
+            m.placement().pooled(),
+            &[PhysId(24)],
+            "far pooled qubit left pooled"
+        );
     }
 
     #[test]
     fn serialization_penalty_disfavors_busy_reuse() {
         let mut m = machine_5x5();
-        let mut heap = AncillaHeap::new();
         m.place_at(VirtId(0), PhysId(12)).unwrap();
         // Make the neighbor slot busy until t=10000 by scheduling work
-        // on a qubit placed there, then releasing it into the heap.
+        // on a qubit placed there, then releasing it into the pool.
         m.place_at(VirtId(1), PhysId(13)).unwrap();
         for _ in 0..10_000 {
             m.apply(&square_qir::Gate::X { target: VirtId(1) }).unwrap();
         }
         m.release(VirtId(1)).unwrap();
-        heap.push(PhysId(13));
-        let choice = choose_slot(&m, &mut heap, &[VirtId(0)]).unwrap();
+        assert_eq!(m.placement().pooled(), &[PhysId(13)]);
+        let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
         // Busy neighbor scores 3·1 + 0.05·10000 = 503; fresh ≈ 5.8.
-        assert!(!choice.reused, "busy heap qubit rejected");
+        assert!(!choice.reused, "busy pooled qubit rejected");
+    }
+
+    #[test]
+    fn ties_keep_the_first_pooled_qubit() {
+        let mut m = machine_5x5();
+        m.place_at(VirtId(0), PhysId(12)).unwrap();
+        // (2,1) and (1,2) are both one hop from the centroid (2,2), and
+        // the pool order is the release order.
+        pool_cells(&mut m, 1, &[7, 11]);
+        assert_eq!(choose_slot(&m, &[VirtId(0)]).unwrap().phys, PhysId(7));
+        let mut m = machine_5x5();
+        m.place_at(VirtId(0), PhysId(12)).unwrap();
+        pool_cells(&mut m, 1, &[11, 7]);
+        assert_eq!(choose_slot(&m, &[VirtId(0)]).unwrap().phys, PhysId(11));
     }
 
     #[test]
     fn naive_is_lifo_then_pool_random() {
+        // Empty pool: a pseudo-random free cell, deterministic per salt.
+        let m = machine_5x5();
+        let c = choose_slot_naive(&m, 1).unwrap();
+        assert!(!c.reused && m.placement().is_free(c.phys));
+        assert_eq!(choose_slot_naive(&machine_5x5(), 1).unwrap().phys, c.phys);
+        // Pooled qubits first, newest first.
         let mut m = machine_5x5();
-        let mut heap = AncillaHeap::new();
-        let c = choose_slot_naive(&m, &mut heap, 1).unwrap();
-        assert!(m.placement().is_free(c.phys));
-        m.place_at(VirtId(0), c.phys).unwrap();
-        heap.push(PhysId(20));
-        let c2 = choose_slot_naive(&m, &mut heap, 2).unwrap();
-        assert_eq!(c2.phys, PhysId(20), "heap first");
+        pool_cells(&mut m, 0, &[20, 3]);
+        let c2 = choose_slot_naive(&m, 2).unwrap();
+        assert_eq!(c2.phys, PhysId(3), "newest pooled qubit first");
         assert!(c2.reused);
-        // Deterministic per salt.
-        let mut m2 = machine_5x5();
-        let mut h2 = AncillaHeap::new();
-        let c3 = choose_slot_naive(&m2, &mut h2, 1).unwrap();
-        assert_eq!(c3.phys, c.phys);
-        let _ = &mut m2;
+        m.place_at(VirtId(9), c2.phys).unwrap();
+        assert_eq!(choose_slot_naive(&m, 3).unwrap().phys, PhysId(20));
     }
 
     #[test]
@@ -266,8 +270,7 @@ mod tests {
         let mut m = Machine::new(Box::new(GridTopology::new(2, 1)), MachineConfig::nisq());
         m.place_at(VirtId(0), PhysId(0)).unwrap();
         m.place_at(VirtId(1), PhysId(1)).unwrap();
-        let mut heap = AncillaHeap::new();
-        assert!(choose_slot(&m, &mut heap, &[]).is_none());
-        assert!(choose_slot_naive(&m, &mut heap, 7).is_none());
+        assert!(choose_slot(&m, &[]).is_none());
+        assert!(choose_slot_naive(&m, 7).is_none());
     }
 }

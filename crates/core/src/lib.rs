@@ -38,7 +38,6 @@ pub mod budget;
 pub mod cer;
 pub mod config;
 pub mod executor;
-pub mod heap;
 pub mod laa;
 pub mod policy;
 pub mod report;
@@ -52,7 +51,6 @@ pub use executor::{
     build_topology, compile, compile_checked, compile_prepared, compile_prepared_on,
     compile_with_inputs, PreparedProgram,
 };
-pub use heap::{AncillaHeap, HeapError, HeapHandle};
 pub use policy::{BudgetPolicy, Policy};
 pub use report::{
     error_json, report_json, BudgetOutcome, CompileReport, MbuStats, ReclaimDecision,

@@ -8,7 +8,7 @@ pub enum Policy {
     /// Reclaim qubits whenever possible: every frame uncomputes. Pays
     /// *recursive recomputation* — an ℓ-deep call tree re-executes its
     /// leaves up to 2^ℓ times (Section III, Baseline 1). Allocation is
-    /// the locality-blind LIFO heap of prior work.
+    /// the locality-blind LIFO pool of prior work.
     Eager,
     /// Reclaim only at the top level of the call graph: children leave
     /// garbage that the entry's single uncompute sweeps. Pays *qubit

@@ -3,8 +3,9 @@
 //! [`Machine`] is the stateful target the compile-time executor
 //! drives, split into three cohesive parts it orchestrates:
 //!
-//! * [`Placement`] — who sits where: flat occupancy arrays and
-//!   free / ever-used cell bitsets (read via [`Machine::placement`]);
+//! * [`Placement`] — who sits where: flat occupancy arrays, free /
+//!   ever-used cell bitsets, and the reuse pool of released cells the
+//!   allocator draws from (read via [`Machine::placement`]);
 //! * [`Clock`] — when: per-qubit ASAP availability and the makespan
 //!   (read via [`Machine::clock`]);
 //! * [`ScheduleSink`] — what came out: statistics, liveness segments,
@@ -426,12 +427,13 @@ impl Machine {
             .unwrap_or(0)
     }
 
-    /// Drains the free-slot relocations caused by routing swaps since
-    /// the last call: a swap through a free cell moves that cell's |0⟩
-    /// to the cell the data qubit vacated. Callers holding pools of
-    /// free slots (the ancilla heap) must apply these renames.
+    /// Always empty: the placement renames its own reuse pool when a
+    /// swap moves a free cell's |0⟩ (see [`Placement::pooled`]), so
+    /// there is nothing to hand off. Kept only because the benchmark's
+    /// route replay (`perfbench/src/replay.rs`) still calls it; delete
+    /// it with those calls.
     pub fn drain_relocations(&mut self) -> Vec<(PhysId, PhysId)> {
-        self.placement.drain_relocations()
+        Vec::new()
     }
 
     /// The free slot nearest `center`. With `require_fresh`, only
@@ -454,7 +456,8 @@ impl Machine {
             .ring_find(center, &mut |p| self.placement.is_free(p))
     }
 
-    /// Places virtual qubit `v` on slot `p`.
+    /// Places virtual qubit `v` on slot `p`, taking `p` out of the
+    /// reuse pool if it was pooled.
     ///
     /// # Errors
     ///
@@ -466,7 +469,8 @@ impl Machine {
     }
 
     /// Releases virtual qubit `v`, closing its liveness segment, and
-    /// returns the physical slot it held (now free for reuse).
+    /// returns the physical slot it held, which joins the end of the
+    /// reuse pool ([`Placement::pooled`]).
     ///
     /// # Errors
     ///
@@ -533,7 +537,7 @@ impl Machine {
 
     /// Swaps the contents of two adjacent physical cells (a routing
     /// SWAP, [`Gate::duration`] cycles), updating placements, liveness,
-    /// free-cell relocations, and the placement history. This is the
+    /// the reuse pool, and the placement history. This is the
     /// only mutation the routers perform.
     pub fn swap_cells(&mut self, p: PhysId, q: PhysId) {
         debug_assert!(self.topo.are_coupled(p, q), "swap of non-coupled cells");
@@ -1191,8 +1195,8 @@ mod tests {
             fn manhattan_distance(&self) -> bool {
                 true
             }
-            fn shortest_path(&self, a: PhysId, b: PhysId) -> Vec<PhysId> {
-                self.0.shortest_path(a, b)
+            fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
+                self.0.next_hop(a, b)
             }
             fn ring_find(
                 &self,

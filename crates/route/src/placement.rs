@@ -8,6 +8,17 @@
 //! sets are `u64`-word bitsets indexed by `PhysId`. The routing hot
 //! loop touches nothing but these arrays, so a swap costs a handful of
 //! indexed reads and writes — no hashing, no per-gate allocation.
+//!
+//! The placement also owns the reuse pool the allocator draws from
+//! (the paper's reclaimed-ancilla "heap", Algorithm 1): released cells
+//! in pool order, kept by three rules — a release appends its cell, a
+//! bind of a pooled cell swap-removes it, and a routing swap that
+//! carries a data qubit into a pooled free cell renames that entry in
+//! place to the cell the data qubit left (the |0⟩ moved there). The
+//! order is what LAA scans and breaks ties in, so it is part of the
+//! compiled output. A cell can only be released while occupied, and
+//! binding it drops it from the pool, so a pooled cell is always free
+//! and pooled at most once.
 
 use std::collections::HashMap;
 
@@ -72,8 +83,8 @@ impl CellSet {
 }
 
 /// The virtual→physical binding state of a machine: occupancy, the
-/// free pool, reuse tracking, and the incremental centroid — all as
-/// flat arrays and bitsets.
+/// free set, the reuse pool, reuse tracking, and the incremental
+/// centroid — all as flat arrays and bitsets.
 ///
 /// Obtained read-only from [`Machine::placement`](crate::Machine::placement);
 /// mutation goes through the machine so liveness and history stay
@@ -101,7 +112,12 @@ pub struct Placement {
     /// (which is most of a large compile).
     fresh: usize,
     coord_sum: (i64, i64),
-    relocations: Vec<(PhysId, PhysId)>,
+    /// Released cells awaiting reuse, in pool order (see the module
+    /// docs for the three rules that maintain it).
+    pool: Vec<PhysId>,
+    /// `pool_pos[p]` = index of cell `p` in `pool` (`NONE` if not
+    /// pooled), so a bind or a rename finds its entry in O(1).
+    pool_pos: Vec<u32>,
 }
 
 impl Placement {
@@ -120,7 +136,8 @@ impl Placement {
             peak_active: 0,
             fresh: n,
             coord_sum: (0, 0),
-            relocations: Vec::new(),
+            pool: Vec::new(),
+            pool_pos: vec![NONE; n],
         }
     }
 
@@ -165,6 +182,15 @@ impl Placement {
     #[inline]
     pub fn fresh_count(&self) -> usize {
         self.fresh
+    }
+
+    /// The reuse pool: released cells awaiting reuse, in pool order.
+    /// Every pooled cell is free and appears once. LAA scores them in
+    /// this order and keeps the first minimum; the locality-blind
+    /// baselines take the last (most recently released) one.
+    #[inline]
+    pub fn pooled(&self) -> &[PhysId] {
+        &self.pool
     }
 
     /// Marks a cell used, keeping the fresh counter in sync.
@@ -230,7 +256,8 @@ impl Placement {
         Some(((self.coord_sum.0 / n) as i32, (self.coord_sum.1 / n) as i32))
     }
 
-    /// Binds `v` to cell `p`.
+    /// Binds `v` to cell `p`, taking `p` out of the reuse pool if it
+    /// was pooled.
     pub(crate) fn bind(&mut self, v: VirtId, p: PhysId) -> Result<(), RouteError> {
         if self.phys_of(v).is_some() {
             return Err(RouteError::AlreadyPlaced { virt: v });
@@ -243,6 +270,14 @@ impl Placement {
         }
         self.place[v.index()] = p.0;
         let pi = p.index();
+        let pos = self.pool_pos[pi];
+        if pos != NONE {
+            self.pool.swap_remove(pos as usize);
+            if let Some(&moved) = self.pool.get(pos as usize) {
+                self.pool_pos[moved.index()] = pos;
+            }
+            self.pool_pos[pi] = NONE;
+        }
         self.occupant[pi] = v.0;
         self.free.remove(pi);
         self.mark_used(pi);
@@ -255,7 +290,8 @@ impl Placement {
         Ok(())
     }
 
-    /// Unbinds `v`, returning the cell it held.
+    /// Unbinds `v`, returning the cell it held, which joins the end of
+    /// the reuse pool.
     pub(crate) fn unbind(&mut self, v: VirtId) -> Result<PhysId, RouteError> {
         let p = self
             .phys_of(v)
@@ -264,6 +300,8 @@ impl Placement {
         let pi = p.index();
         self.occupant[pi] = NONE;
         self.free.insert(pi);
+        self.pool_pos[pi] = self.pool.len() as u32;
+        self.pool.push(p);
         self.active -= 1;
         let (x, y) = self.coords[pi];
         self.coord_sum.0 -= x as i64;
@@ -273,7 +311,7 @@ impl Placement {
 
     /// Exchanges the occupants of two cells (a routing SWAP's effect
     /// on placement state), maintaining the free set, reuse tracking,
-    /// incremental centroid, and free-cell relocations. Returns the
+    /// incremental centroid, and the reuse pool. Returns the
     /// previous occupants `(of p, of q)` so the machine can update
     /// liveness and history.
     pub(crate) fn swap_occupants(
@@ -289,21 +327,20 @@ impl Placement {
         self.occupant[qi] = vp;
         if (vp == NONE) != (vq == NONE) {
             // one occupant moved between the cells: shift the centroid
-            // sum, and report that the free cell's |0⟩ relocated so
-            // pooled-qubit bookkeeping (the ancilla heap) can follow.
+            // sum, and follow the free cell's |0⟩ to the cell the data
+            // qubit left (renaming its pool entry, if pooled).
             let (px, py) = self.coords[pi];
             let (qx, qy) = self.coords[qi];
             let sign = if vp != NONE { 1 } else { -1 };
             self.coord_sum.0 += sign * (qx as i64 - px as i64);
             self.coord_sum.1 += sign * (qy as i64 - py as i64);
-            if vp != NONE {
-                self.relocations.push((q, p));
-                self.free.remove(qi);
-                self.free.insert(pi);
-            } else {
-                self.relocations.push((p, q));
-                self.free.remove(pi);
-                self.free.insert(qi);
+            let (was_free, now_free) = if vp != NONE { (qi, pi) } else { (pi, qi) };
+            self.free.remove(was_free);
+            self.free.insert(now_free);
+            let pos = std::mem::replace(&mut self.pool_pos[was_free], NONE);
+            if pos != NONE {
+                self.pool_pos[now_free] = pos;
+                self.pool[pos as usize] = PhysId(now_free as u32);
             }
         }
         if vp != NONE {
@@ -318,11 +355,6 @@ impl Placement {
             (vp != NONE).then_some(VirtId(vp)),
             (vq != NONE).then_some(VirtId(vq)),
         )
-    }
-
-    /// Drains the free-cell relocations recorded since the last call.
-    pub(crate) fn drain_relocations(&mut self) -> Vec<(PhysId, PhysId)> {
-        std::mem::take(&mut self.relocations)
     }
 
     /// Number of cells that ever held a program qubit.
@@ -373,15 +405,16 @@ mod tests {
         assert_eq!(pl.active_count(), 1);
         assert_eq!(pl.free_count(), 2);
         assert!(!pl.is_free(PhysId(0)));
-        // Swap into the free middle cell: relocation (1 → 0) reported.
+        // Swap into the free, never-pooled middle cell: no pool entry.
         let (vp, vq) = pl.swap_occupants(PhysId(0), PhysId(1));
         assert_eq!((vp, vq), (Some(VirtId(7)), None));
         assert_eq!(pl.phys_of(VirtId(7)), Some(PhysId(1)));
         assert!(pl.is_free(PhysId(0)) && !pl.is_free(PhysId(1)));
-        assert_eq!(pl.drain_relocations(), vec![(PhysId(1), PhysId(0))]);
+        assert!(pl.pooled().is_empty());
         assert!(pl.was_ever_used(PhysId(0)) && pl.was_ever_used(PhysId(1)));
         let p = pl.unbind(VirtId(7)).unwrap();
         assert_eq!(p, PhysId(1));
+        assert_eq!(pl.pooled(), &[PhysId(1)]);
         assert_eq!(pl.active_count(), 0);
         assert_eq!(pl.footprint(), 1, "only cell 0 ever *held* a qubit");
         assert_eq!(pl.peak_active(), 1);
@@ -417,5 +450,90 @@ mod tests {
             pl.unbind(VirtId(9)),
             Err(RouteError::UnplacedQubit { .. })
         ));
+    }
+
+    /// A line of `n` cells with `v_i` bound to cell `i`, then released
+    /// in the order given: the pool starts as exactly that order.
+    fn pooled_line(n: u32, released: &[u32]) -> Placement {
+        let topo = GridTopology::new(n, 1);
+        let mut pl = Placement::new(&topo);
+        for i in 0..n {
+            pl.bind(VirtId(i), PhysId(i)).unwrap();
+        }
+        for &i in released {
+            assert_eq!(pl.unbind(VirtId(i)).unwrap(), PhysId(i));
+        }
+        pl
+    }
+
+    fn pool_ids(pl: &Placement) -> Vec<u32> {
+        pl.pooled().iter().map(|p| p.0).collect()
+    }
+
+    #[test]
+    fn releases_append_and_the_last_is_the_newest() {
+        let mut pl = pooled_line(4, &[1, 2, 3]);
+        assert_eq!(pool_ids(&pl), vec![1, 2, 3]);
+        assert_eq!(pl.pooled().last(), Some(&PhysId(3)));
+        // Taking the newest (the baselines' LIFO discipline) exposes
+        // the one released before it.
+        pl.bind(VirtId(10), PhysId(3)).unwrap();
+        assert_eq!(pl.pooled().last(), Some(&PhysId(2)));
+        pl.bind(VirtId(11), PhysId(2)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![1]);
+    }
+
+    #[test]
+    fn binding_a_pooled_cell_swap_removes_it() {
+        let mut pl = pooled_line(5, &[0, 1, 2, 3, 4]);
+        assert_eq!(pool_ids(&pl), vec![0, 1, 2, 3, 4]);
+        // The last entry takes the vacated position: LAA's first-minimum
+        // tie-break now reaches 4 before 2 and 3.
+        pl.bind(VirtId(10), PhysId(1)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![0, 4, 2, 3]);
+        pl.bind(VirtId(11), PhysId(3)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![0, 4, 2]);
+        pl.bind(VirtId(12), PhysId(0)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![2, 4]);
+        // Re-releasing appends again, once.
+        pl.unbind(VirtId(10)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![2, 4, 1]);
+    }
+
+    #[test]
+    fn swaps_rename_pooled_cells_in_place() {
+        // Cells 0..4 hold v0..v3; 0 and 3 released, so the pool is [0, 3].
+        let mut pl = pooled_line(4, &[0, 3]);
+        // v1 moves into pooled cell 0: its |0⟩ moves to cell 1, and the
+        // entry keeps its position.
+        assert_eq!(
+            pl.swap_occupants(PhysId(1), PhysId(0)),
+            (Some(VirtId(1)), None)
+        );
+        assert_eq!(pool_ids(&pl), vec![1, 3]);
+        // Same rename with the free cell as the first operand.
+        pl.swap_occupants(PhysId(3), PhysId(2));
+        assert_eq!(pool_ids(&pl), vec![1, 2]);
+        assert!(pl.pooled().iter().all(|&p| pl.is_free(p)));
+        // Two occupied cells, or two free ones: the pool is untouched.
+        pl.swap_occupants(PhysId(0), PhysId(3));
+        pl.swap_occupants(PhysId(1), PhysId(2));
+        assert_eq!(pool_ids(&pl), vec![1, 2]);
+    }
+
+    #[test]
+    fn unpooled_free_cells_never_join_the_pool() {
+        // Cell 1 is fresh; a swap through it leaves cell 0 free but
+        // unpooled, and binding either leaves the pool alone.
+        let topo = GridTopology::new(3, 1);
+        let mut pl = Placement::new(&topo);
+        pl.bind(VirtId(0), PhysId(0)).unwrap();
+        pl.bind(VirtId(1), PhysId(2)).unwrap();
+        pl.unbind(VirtId(1)).unwrap();
+        pl.swap_occupants(PhysId(0), PhysId(1));
+        assert!(pl.is_free(PhysId(0)));
+        assert_eq!(pool_ids(&pl), vec![2]);
+        pl.bind(VirtId(2), PhysId(0)).unwrap();
+        assert_eq!(pool_ids(&pl), vec![2]);
     }
 }

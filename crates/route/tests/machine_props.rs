@@ -8,16 +8,60 @@
 //!   stays mutually consistent;
 //! * `clock().avail` is monotone per qubit — the ASAP timeline never
 //!   travels backwards;
-//! * `drain_relocations` round-trips placement: a mirrored pool of
-//!   released cells, updated only by the reported relocations, always
-//!   names genuinely free cells — so pool-driven re-placement (what
-//!   the compiler's ancilla heap does) can never collide with a live
-//!   qubit.
+//! * the reuse pool ([`Placement::pooled`]) holds each cell at most
+//!   once, only free cells, and exactly as many as were released minus
+//!   those bound again — so placing from the pool (what the compiler's
+//!   allocator does) can never collide with a live qubit;
+//!
+//! and at the end that the pool is a function of the placement
+//! history: replaying its events with the pool's three rules (a release
+//! appends, a bind of a pooled cell swap-removes it, a move into a
+//! pooled cell renames that entry to the cell left) rebuilds the last
+//! pool, order included.
 
 use proptest::prelude::*;
 use square_arch::{GridTopology, PhysId};
 use square_qir::{Gate, VirtId};
-use square_route::{Machine, MachineConfig};
+use square_route::{Machine, MachineConfig, Placement, PlacementEvent};
+
+/// Rebuilds the reuse pool from a placement history.
+fn pool_from_history(history: &[PlacementEvent]) -> Vec<PhysId> {
+    let mut pool: Vec<PhysId> = Vec::new();
+    for ev in history {
+        match *ev {
+            PlacementEvent::Place { phys, .. } => {
+                if let Some(i) = pool.iter().position(|&p| p == phys) {
+                    pool.swap_remove(i);
+                }
+            }
+            PlacementEvent::Release { phys, .. } => pool.push(phys),
+            PlacementEvent::Move { from, to, .. } => {
+                if let Some(entry) = pool.iter_mut().find(|p| **p == to) {
+                    *entry = from;
+                }
+            }
+        }
+    }
+    pool
+}
+
+/// Asserts the pool invariants after one step of the script.
+fn check_pool(pl: &Placement, releases: usize, pooled_binds: usize) {
+    let pool = pl.pooled();
+    let mut sorted = pool.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    prop_assert_eq!(
+        sorted.len(),
+        pool.len(),
+        "a cell is pooled twice: {:?}",
+        pool
+    );
+    for p in pool {
+        prop_assert!(pl.is_free(*p), "pooled cell {} is occupied", p);
+    }
+    prop_assert_eq!(pool.len(), releases - pooled_binds);
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -37,23 +81,26 @@ proptest! {
         );
         // Naive model state.
         let mut live: Vec<VirtId> = Vec::new();
-        let mut pool: Vec<PhysId> = Vec::new(); // released cells, relocation-tracked
+        let mut releases = 0usize;
+        let mut pooled_binds = 0usize;
         let mut next_virt = 0u32;
         let mut avail_before: Vec<u64> = (0..n).map(|i| m.clock().avail(PhysId(i as u32))).collect();
 
         for (op, x, y) in script {
             match op % 4 {
                 // Place a fresh virtual qubit: alternately from the
-                // mirrored pool (the heap path) and from a fresh scan
-                // (the expansion path).
+                // reuse pool (the allocator's reuse path) and from a
+                // scan of any free cell (the expansion path, which may
+                // also land on a pooled cell).
                 0 => {
                     if live.len() == n {
                         continue;
                     }
                     let v = VirtId(next_virt);
                     next_virt += 1;
+                    let pool = m.placement().pooled();
                     let slot = if !pool.is_empty() && x % 2 == 0 {
-                        pool.remove(usize::from(y) % pool.len())
+                        pool[usize::from(y) % pool.len()]
                     } else {
                         let center = (i32::from(x % 8), i32::from(y % 8));
                         match m.nearest_free(center, false) {
@@ -61,24 +108,27 @@ proptest! {
                             None => continue,
                         }
                     };
-                    // If relocations were mis-reported, a pooled slot
-                    // could be occupied and this would error.
+                    if pool.contains(&slot) {
+                        pooled_binds += 1;
+                    }
+                    // A pool that lost track of a swap could name an
+                    // occupied slot, and this would error.
                     m.place_at(v, slot).expect("pool/scan slots are free");
-                    pool.retain(|p| *p != slot);
+                    prop_assert!(!m.placement().pooled().contains(&slot), "bound cell still pooled");
                     live.push(v);
                 }
-                // Release a live qubit into the mirrored pool.
+                // Release a live qubit into the reuse pool.
                 1 => {
                     if live.is_empty() {
                         continue;
                     }
                     let v = live.remove(usize::from(x) % live.len());
                     let p = m.release(v).expect("live qubits release");
-                    prop_assert!(!pool.contains(&p), "released cell already pooled");
-                    pool.push(p);
+                    releases += 1;
+                    prop_assert_eq!(m.placement().pooled().last(), Some(&p), "release appends");
                 }
                 // Apply a CNOT between two live qubits (drives swap
-                // chains, which is what relocates pooled cells).
+                // chains, which is what renames pooled cells).
                 2 => {
                     if live.len() < 2 {
                         continue;
@@ -102,17 +152,6 @@ proptest! {
                         continue;
                     }
                     m.apply(&Gate::Ccx { c0, c1, target: t }).expect("routable");
-                }
-            }
-
-            // Routing swaps move pooled |0⟩ cells: apply the reported
-            // renames to the mirror *in order*, exactly as the
-            // compiler's heap does. (Within one swap chain a cell can
-            // receive a |0⟩ and hand it on again, so only the final
-            // pool state — invariant 3 below — is checkable.)
-            for (from, to) in m.drain_relocations() {
-                if let Some(slot) = pool.iter_mut().find(|p| **p == from) {
-                    *slot = to;
                 }
             }
 
@@ -140,22 +179,20 @@ proptest! {
                 *before = now;
             }
 
-            // 3. Relocation round-trip: every pooled cell is free on
-            //    the machine (pooled cells are exactly the released,
-            //    relocation-tracked |0⟩ slots).
-            for p in &pool {
-                prop_assert!(
-                    m.placement().is_free(*p),
-                    "pooled cell {p} is occupied — relocations lost track"
-                );
-            }
+            // 3. The reuse pool: distinct free cells, one per release
+            //    not yet bound again.
+            check_pool(m.placement(), releases, pooled_binds);
         }
+        let last_pool = m.placement().pooled().to_vec();
 
         // Liveness closure: the final report closes one segment per
         // virtual qubit that ever carried a gate or release.
         let report = m.finish();
         prop_assert_eq!(report.stats.program_gates + report.stats.swaps,
             report.schedule.as_ref().expect("recorded").len() as u64);
+        // The pool follows from the placement history alone.
+        let history = report.placement_history.as_deref().expect("recorded");
+        prop_assert_eq!(pool_from_history(history), last_pool);
         for seg in &report.segments {
             prop_assert!(seg.end >= seg.start, "segment runs backwards");
             prop_assert!(seg.end <= report.depth, "segment outlives the circuit");

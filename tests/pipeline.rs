@@ -6,11 +6,11 @@
 
 use std::path::{Path, PathBuf};
 
-use square_repro::core::{compile_with_inputs, CompilerConfig, Policy};
+use square_repro::core::{compile, compile_with_inputs, CompilerConfig, Policy};
 use square_repro::lang::{parse_files, SearchPathLoader};
-use square_repro::qir::{lower_mcx, Gate, Program, Stmt};
+use square_repro::qir::{lower_mcx, Gate, Program, Stmt, TraceOp};
 use square_repro::sim::run_ideal;
-use square_repro::verify::{replay_virtual, FuzzCase};
+use square_repro::verify::{default_inputs, replay_virtual, FuzzCase};
 use square_repro::workloads::synthetic::{synthesize, synthesize_disciplined};
 use square_repro::workloads::{build, Benchmark};
 
@@ -91,6 +91,61 @@ fn policies_agree_on_program_outputs() {
                 Some(r) => assert_eq!(r, &vals, "{bench}/{policy}"),
             }
         }
+    }
+}
+
+/// Compiles `bench` under every policy on nisq and ft, once with
+/// `default_inputs` and once with no inputs, and checks that the inputs
+/// only prepend X gates after the entry frame's allocations: the rest
+/// of the virtual trace, the decision log and the swap count agree.
+/// The executor never reads bit values, so one input-free compile
+/// yields the gate stream for every input.
+fn assert_inputs_only_prepend_x(bench: Benchmark) {
+    let program = build(bench).expect("benchmark builds");
+    let inputs = default_inputs(bench);
+    let ones = inputs.iter().filter(|&&b| b).count();
+    for policy in Policy::ALL {
+        for (arch, cfg) in [
+            ("nisq", CompilerConfig::nisq(policy)),
+            ("ft", CompilerConfig::ft(policy)),
+        ] {
+            let label = format!("{bench}/{policy}/{arch}");
+            let bare = compile(&program, &cfg).expect("compiles");
+            let with = compile_with_inputs(&program, &inputs, &cfg).expect("compiles");
+            let allocs = bare.entry_register.len();
+            let (head, rest) = with.trace.split_at(allocs);
+            let (prefix, tail) = rest.split_at(ones);
+            assert_eq!(head, &bare.trace[..allocs], "{label}: entry allocations");
+            assert!(
+                prefix
+                    .iter()
+                    .all(|op| matches!(op, TraceOp::Gate(Gate::X { .. }))),
+                "{label}: the input prefix is {ones} X gates"
+            );
+            assert!(
+                tail == &bare.trace[allocs..],
+                "{label}: trace after the prefix"
+            );
+            assert_eq!(with.decision_log, bare.decision_log, "{label}: decisions");
+            assert_eq!(with.swaps, bare.swaps, "{label}: swaps");
+        }
+    }
+}
+
+#[test]
+fn inputs_only_prepend_x_gates_on_nisq_benchmarks() {
+    for bench in Benchmark::NISQ {
+        assert_inputs_only_prepend_x(bench);
+    }
+}
+
+/// The whole catalog (MUL64 included); run in release with
+/// `cargo test --release --test pipeline -- --ignored`.
+#[test]
+#[ignore = "full catalog; run in release"]
+fn inputs_only_prepend_x_gates_on_the_catalog() {
+    for bench in Benchmark::ALL {
+        assert_inputs_only_prepend_x(bench);
     }
 }
 
