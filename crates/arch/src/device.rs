@@ -1,4 +1,4 @@
-//! Device descriptions: communication model + noise parameters.
+//! Device parameters: communication model and noise figures.
 //!
 //! Noise figures follow Table IV of the paper: our simulation point is
 //! 0.1% single-qubit error, 1% two-qubit error, T1 = 50 µs,
@@ -118,35 +118,6 @@ impl NoiseParams {
     /// cycles (used by the Monte-Carlo trajectory simulator).
     pub fn relax_prob(&self, cycles: u64) -> f64 {
         1.0 - self.coherence_prob(cycles)
-    }
-}
-
-/// A complete target: communication model, machine size, noise.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Device {
-    /// Communication model (swap chains vs braiding).
-    pub comm: CommModel,
-    /// Noise parameters for fidelity estimation and simulation.
-    pub noise: NoiseParams,
-}
-
-impl Device {
-    /// NISQ device at the paper's simulation noise point.
-    pub fn nisq() -> Self {
-        Device {
-            comm: CommModel::SwapChains,
-            noise: NoiseParams::paper_simulation(),
-        }
-    }
-
-    /// FT device: braiding communication; logical gate/measurement
-    /// overheads are uniform, so the NISQ noise figures are reused
-    /// only where a report asks for them.
-    pub fn ft() -> Self {
-        Device {
-            comm: CommModel::Braiding,
-            noise: NoiseParams::paper_simulation(),
-        }
     }
 }
 

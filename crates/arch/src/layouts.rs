@@ -121,10 +121,6 @@ impl Topology for HeavyHexTopology {
         self.graph.distance(a, b)
     }
 
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-        self.graph.neighbors(q).to_vec()
-    }
-
     fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
         for &nb in self.graph.neighbors(q) {
             f(nb);
@@ -241,10 +237,6 @@ impl Topology for RingTopology {
         d.min(self.n - d)
     }
 
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-        self.graph.neighbors(q).to_vec()
-    }
-
     fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
         for &nb in self.graph.neighbors(q) {
             f(nb);
@@ -308,7 +300,7 @@ mod tests {
             // data d², flags d(d−1), syndromes per alternating column.
             assert!(n >= (d * d) as usize, "d={d}");
             for q in 0..n as u32 {
-                let deg = hex.neighbors(PhysId(q)).len();
+                let deg = hex.graph.neighbors(PhysId(q)).len();
                 assert!(deg <= 3, "d={d}: {q} has degree {deg}");
                 if n > 1 {
                     assert!(deg >= 1, "d={d}: {q} disconnected");

@@ -24,6 +24,6 @@ pub mod layouts;
 pub mod topology;
 
 pub use coupling::{CouplingGraph, FlatTables};
-pub use device::{CommModel, Device, NoiseParams};
+pub use device::{CommModel, NoiseParams};
 pub use layouts::{HeavyHexTopology, RingTopology};
 pub use topology::{FullTopology, GridTopology, LineTopology, PhysId, Topology};

@@ -64,19 +64,10 @@ pub trait Topology: Send + Sync {
         self.distance(a, b) == 1
     }
 
-    /// Qubits directly coupled to `q`.
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId>;
-
-    /// Calls `f` for every neighbour of `q`, in exactly the order
-    /// [`Topology::neighbors`] lists them — the allocation-free form
-    /// the routing hot path iterates with. The default delegates to
-    /// `neighbors`; every shipped layout overrides it to avoid the
-    /// per-call `Vec`.
-    fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
-        for nb in self.neighbors(q) {
-            f(nb);
-        }
-    }
+    /// Calls `f` for every qubit directly coupled to `q`, in the
+    /// layout's fixed neighbour order (routing tie-breaks depend on
+    /// it).
+    fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId));
 
     /// True when [`Topology::distance`] equals the Manhattan distance
     /// between [`Topology::coord`] embeddings (grid, line). Routing
@@ -179,16 +170,8 @@ impl Topology for GridTopology {
         self.xy(q)
     }
 
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-        let (x, y) = self.xy(q);
-        [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)]
-            .into_iter()
-            .filter_map(|(nx, ny)| self.id_at(nx, ny))
-            .collect()
-    }
-
     fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
-        // Same order as `neighbors`: +x, −x, +y, −y.
+        // Order: +x, −x, +y, −y.
         let (x, y) = self.xy(q);
         for (nx, ny) in [(x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)] {
             if let Some(nb) = self.id_at(nx, ny) {
@@ -286,10 +269,6 @@ impl Topology for FullTopology {
         (q.0 as i32, 0)
     }
 
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-        (0..self.n).map(PhysId).filter(|&p| p != q).collect()
-    }
-
     fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
         for p in (0..self.n).map(PhysId) {
             if p != q {
@@ -351,19 +330,8 @@ impl Topology for LineTopology {
         (q.0 as i32, 0)
     }
 
-    fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-        let mut v = Vec::with_capacity(2);
-        if q.0 + 1 < self.n {
-            v.push(PhysId(q.0 + 1));
-        }
-        if q.0 > 0 {
-            v.push(PhysId(q.0 - 1));
-        }
-        v
-    }
-
     fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
-        // Same order as `neighbors`: +1 then −1.
+        // Order: +1 then −1.
         if q.0 + 1 < self.n {
             f(PhysId(q.0 + 1));
         }

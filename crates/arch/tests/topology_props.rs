@@ -25,6 +25,13 @@ fn build_topology(kind: u8, a: u32, b: u32) -> Box<dyn Topology> {
     }
 }
 
+/// The neighbours of `q`, in [`Topology::for_each_neighbor`] order.
+fn neighbors(topo: &dyn Topology, q: PhysId) -> Vec<PhysId> {
+    let mut out = Vec::new();
+    topo.for_each_neighbor(q, &mut |nb| out.push(nb));
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -76,7 +83,7 @@ proptest! {
         }
     }
 
-    /// `neighbors` and `are_coupled` agree exactly, coupling is
+    /// `for_each_neighbor` and `are_coupled` agree exactly, coupling is
     /// symmetric and irreflexive, and every neighbour is at distance 1.
     #[test]
     fn neighbors_agree_with_coupling(kind in 0u8..5, a in 0u32..100, b in 0u32..100) {
@@ -84,7 +91,7 @@ proptest! {
         let n = topo.qubit_count() as u32;
         for x in 0..n {
             let x = PhysId(x);
-            let nbs = topo.neighbors(x);
+            let nbs = neighbors(topo.as_ref(), x);
             for &nb in &nbs {
                 prop_assert!(topo.are_coupled(x, nb), "{}", topo.name());
                 prop_assert!(topo.are_coupled(nb, x), "{}: coupling asymmetric", topo.name());
@@ -96,7 +103,7 @@ proptest! {
                 prop_assert_eq!(
                     topo.are_coupled(x, y),
                     nbs.contains(&y),
-                    "{}: neighbors/are_coupled disagree on ({x}, {y})",
+                    "{}: for_each_neighbor/are_coupled disagree on ({x}, {y})",
                     topo.name()
                 );
             }
@@ -185,7 +192,7 @@ fn eager_next_hops(topo: &dyn Topology, s: PhysId) -> Vec<Option<PhysId>> {
     let mut queue = VecDeque::from([s]);
     dist[s.index()] = 0;
     while let Some(u) = queue.pop_front() {
-        let mut nbs = topo.neighbors(u);
+        let mut nbs = neighbors(topo, u);
         nbs.sort_unstable();
         for nb in nbs {
             if dist[nb.index()] != u32::MAX {

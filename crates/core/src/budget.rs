@@ -83,13 +83,6 @@ pub struct BudgetState {
     last_write: Vec<usize>,
     /// Registered early-uncompute candidates (pruned lazily on pick).
     pub candidates: Vec<Candidate>,
-    /// Recorded `[compute_start, compute_end)` regions of frames in
-    /// their store/decision/sweep phase (rule 4). A candidate inside
-    /// any such region may be freed by that frame's pending mechanical
-    /// sweep, so it must not be evicted concurrently; candidates
-    /// *outside* every region (e.g. frames completed during a frozen
-    /// frame's store block) stay evictable.
-    pub frozen: Vec<(usize, usize)>,
     /// `(trace position, gates)` of every early uncompute emitted —
     /// an ancestor sweep whose region covers the position recomputes
     /// that frame, which is how recompute work is counted.
@@ -107,7 +100,6 @@ impl BudgetState {
             stack_need,
             last_write: Vec::new(),
             candidates: Vec::new(),
-            frozen: Vec::new(),
             events: Vec::new(),
             stats: RecomputeStats::default(),
         }
@@ -127,12 +119,6 @@ impl BudgetState {
         self.last_write.get(v.0 as usize).copied().unwrap_or(0)
     }
 
-    /// True while `start` lies inside some frozen frame's region
-    /// (rule 4).
-    pub fn is_frozen(&self, start: usize) -> bool {
-        self.frozen.iter().any(|&(s, e)| s <= start && start < e)
-    }
-
     /// True if every qubit `cand` touches is unwritten since its
     /// compute ended (rule 3).
     pub fn is_fresh(&self, cand: &Candidate) -> bool {
@@ -142,9 +128,20 @@ impl BudgetState {
     /// Drops candidates that can no longer be uncomputed (stale), then
     /// returns the index of the best evictable candidate — lowest
     /// `score` among the unfrozen — or `None` when nothing is
-    /// evictable. Frozen candidates are kept: they thaw when the
-    /// covering frame's sweep completes without touching them.
-    pub fn pick(&mut self, mut score: impl FnMut(&Candidate) -> f64) -> Option<usize> {
+    /// evictable.
+    ///
+    /// `settling` yields the recorded `[start, end)` compute regions of
+    /// the frames in their store/decision/sweep phase (rule 4). A
+    /// candidate inside any such region may be freed by that frame's
+    /// pending mechanical sweep, so it is frozen: kept, but not picked
+    /// until the covering frame's sweep completes without touching it.
+    /// Candidates *outside* every region (e.g. frames completed during
+    /// a settling frame's store block) stay evictable.
+    pub fn pick(
+        &mut self,
+        settling: impl Iterator<Item = (usize, usize)> + Clone,
+        mut score: impl FnMut(&Candidate) -> f64,
+    ) -> Option<usize> {
         let mut i = 0;
         while i < self.candidates.len() {
             if self.is_fresh(&self.candidates[i]) {
@@ -155,7 +152,8 @@ impl BudgetState {
         }
         let mut best: Option<(usize, f64)> = None;
         for (i, cand) in self.candidates.iter().enumerate() {
-            if self.is_frozen(cand.start) {
+            let start = cand.start;
+            if settling.clone().any(|(s, e)| s <= start && start < e) {
                 continue;
             }
             let s = score(cand);
@@ -354,21 +352,18 @@ mod tests {
             gates: 3,
         };
         b.candidates.push(cand.clone());
-        assert_eq!(b.pick(|c| c.gates as f64), Some(0));
+        let gates = |c: &Candidate| c.gates as f64;
+        assert_eq!(b.pick([].into_iter(), gates), Some(0));
         // Frozen: a frame whose recorded region covers ours is in its
         // sweep phase.
-        b.frozen.push((2, 8));
-        assert_eq!(b.pick(|c| c.gates as f64), None);
+        assert_eq!(b.pick([(2, 8)].into_iter(), gates), None);
         assert_eq!(b.candidates.len(), 1, "frozen candidates are kept");
-        // A frozen region that *ends* before our frame began (we
+        // A settling region that *ends* before our frame began (we
         // completed during its store phase) does not block eviction.
-        b.frozen.clear();
-        b.frozen.push((0, 3));
-        assert_eq!(b.pick(|c| c.gates as f64), Some(0));
-        b.frozen.clear();
+        assert_eq!(b.pick([(0, 3)].into_iter(), gates), Some(0));
         // Stale: a later write to a touched qubit drops it.
         b.note_write(v(1), 9);
-        assert_eq!(b.pick(|c| c.gates as f64), None);
+        assert_eq!(b.pick([].into_iter(), gates), None);
         assert!(b.candidates.is_empty());
     }
 

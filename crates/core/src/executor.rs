@@ -37,8 +37,8 @@ const LOOKAHEAD_WINDOW: usize = 16;
 ///
 /// # Errors
 ///
-/// Program validation errors, routing failures, or capacity
-/// exhaustion ([`CompileError::OutOfQubits`]).
+/// Routing failures or capacity exhaustion
+/// ([`CompileError::OutOfQubits`]).
 pub fn compile(program: &Program, config: &CompilerConfig) -> Result<CompileReport, CompileError> {
     compile_with_inputs(program, &[], config)
 }
@@ -59,8 +59,8 @@ pub fn compile_with_inputs(
     compile_prepared(&prepared, inputs, config)
 }
 
-/// The reusable compile prefix of one program: validated, MCX-lowered,
-/// analyzed, and cost-tabled.
+/// The reusable compile prefix of one program: MCX-lowered, analyzed,
+/// and cost-tabled.
 ///
 /// Every field is a pure, deterministic function of the input program,
 /// so the artifacts can be computed once and shared across any number
@@ -77,13 +77,13 @@ pub struct PreparedProgram {
 }
 
 impl PreparedProgram {
-    /// Validates `program` and builds every compile-prefix artifact.
+    /// Builds every compile-prefix artifact of `program`, which is
+    /// valid by construction (see [`Program`]).
     ///
     /// # Errors
     ///
-    /// Program validation errors ([`CompileError::Qir`]).
+    /// None today; the `Result` is kept for existing callers.
     pub fn new(program: &Program) -> Result<Self, CompileError> {
-        square_qir::validate::validate_program(program)?;
         let lowered = lower_mcx(program);
         let pstats = ProgramStats::analyze(&lowered);
         // Per-module cost terms (custom-uncompute totals, block suffix
@@ -246,13 +246,12 @@ fn compile_on(
         budget: config
             .budget
             .map(|cap| BudgetState::new(cap, stack_need(lowered))),
-        stack_width: 0,
-        module_stack: Vec::new(),
+        stack: Vec::new(),
     };
     let lookahead = exec.machine.wants_lookahead();
     exec.lookahead = lookahead;
     let route_start = std::time::Instant::now();
-    let entry_register = exec.run_entry(inputs)?;
+    let entry_register = exec.run_frame(lowered.entry(), &[], 0, 0, inputs)?;
     let route_ns = route_start.elapsed().as_nanos() as u64;
     let decisions = exec.decisions;
     let decision_log = std::mem::take(&mut exec.decision_log);
@@ -308,14 +307,6 @@ enum BlockKind {
     CustomUncompute,
 }
 
-/// Binds a frame-relative operand to the frame's virtual qubits.
-fn resolve(args: &[VirtId], anc: &[VirtId], op: &Operand) -> VirtId {
-    match op {
-        Operand::Param(i) => args[*i],
-        Operand::Ancilla(i) => anc[*i],
-    }
-}
-
 struct Exec<'p> {
     program: &'p Program,
     pstats: &'p ProgramStats,
@@ -355,13 +346,45 @@ struct Exec<'p> {
     /// for the cap and the stack need), keeping unbudgeted compiles
     /// bit-identical to their pre-budget behavior.
     budget: Option<BudgetState>,
-    /// Ancilla qubits belonging to currently open frames (the live
-    /// call stack's width); live − stack = settled garbage, the
-    /// quantity the budget clamp polices.
-    stack_width: usize,
-    /// Call stack of module ids, for attributing [`CompileError::
-    /// OutOfQubits`] to the module whose allocation failed.
-    module_stack: Vec<ModuleId>,
+    /// The open call stack, innermost frame last.
+    stack: Vec<OpenFrame>,
+}
+
+/// One open call frame: pushed before its ancillas are allocated,
+/// popped once it settles.
+struct OpenFrame {
+    /// Names the frame in [`CompileError::OutOfQubits`].
+    module: ModuleId,
+    /// Declared ancilla count. Open-frame qubits are call stack, not
+    /// garbage: live − Σ ancillas = settled garbage, the quantity the
+    /// budget clamp polices.
+    ancillas: usize,
+    /// The recorded compute region `[start, end)` once the frame is in
+    /// its store/decision/sweep phase (budget rule 4).
+    settling: Option<(usize, usize)>,
+}
+
+/// The facts of one running frame, borrowed by every step that runs
+/// its statements or settles it.
+struct Frame<'a> {
+    id: ModuleId,
+    args: &'a [VirtId],
+    anc: &'a [VirtId],
+    clbits: &'a [ClbitId],
+    depth: usize,
+    /// Estimated gates remaining between this frame's end and its
+    /// parent's uncompute block.
+    g_p: u64,
+}
+
+impl Frame<'_> {
+    /// Binds a frame-relative operand to the frame's virtual qubits.
+    fn resolve(&self, op: &Operand) -> VirtId {
+        match op {
+            Operand::Param(i) => self.args[*i],
+            Operand::Ancilla(i) => self.anc[*i],
+        }
+    }
 }
 
 impl Exec<'_> {
@@ -387,16 +410,15 @@ impl Exec<'_> {
                 if let Some(cap) = self.budget.as_ref().map(|b| b.cap) {
                     self.ensure_headroom(cap)?;
                 }
-                let choice = if self.config.policy.uses_laa() {
+                let slot = if self.config.policy.uses_laa() {
                     laa::choose_slot(&self.machine, interact)
                 } else {
                     laa::choose_slot_naive(&self.machine, self.next_virt as u64)
                 };
-                let choice = match choice {
-                    Some(c) => c,
-                    None => return Err(self.out_of_qubits(1, None)),
+                let Some(slot) = slot else {
+                    return Err(self.out_of_qubits(1, None));
                 };
-                self.machine.place_at(*v, choice.phys)?;
+                self.machine.place_at(*v, slot)?;
                 self.cer.note_allocation_event();
             }
             TraceOp::Free(v) => {
@@ -434,48 +456,17 @@ impl Exec<'_> {
         Ok(())
     }
 
-    /// Mints and allocates the ancillas `module` declares, placing each
-    /// near `interact`. A frame that declares more ancillas than the
-    /// machine has qubits can never be live at once, so it is refused
-    /// as out of qubits before a single id is minted: the declared
-    /// count is untrusted input and may be near `usize::MAX`.
-    fn alloc_frame(
-        &mut self,
-        module: ModuleId,
-        interact: &[VirtId],
-    ) -> Result<Vec<VirtId>, CompileError> {
-        let count = self.program.module(module).ancillas();
-        if count > self.machine.qubit_count() {
-            return Err(self.out_of_qubits_in(Some(module), count, None));
-        }
-        let anc: Vec<VirtId> = (0..count).map(|_| self.fresh()).collect();
-        for v in &anc {
-            self.emit(TraceOp::Alloc(*v), interact)?;
-        }
-        Ok(anc)
-    }
-
     /// Builds the structured capacity-exhaustion diagnostic at the
-    /// failure point.
+    /// failure point, attributed to the innermost open frame.
     fn out_of_qubits(&self, requested: usize, min_feasible: Option<usize>) -> CompileError {
-        self.out_of_qubits_in(self.module_stack.last().copied(), requested, min_feasible)
-    }
-
-    /// [`Exec::out_of_qubits`], attributed to `module`.
-    fn out_of_qubits_in(
-        &self,
-        module: Option<ModuleId>,
-        requested: usize,
-        min_feasible: Option<usize>,
-    ) -> CompileError {
-        let module = module.map(|id| self.program.module(id).name().to_string());
+        let module = self.stack.last();
         CompileError::OutOfQubits {
             requested,
             capacity: self.machine.qubit_count(),
             live: self.machine.placement().active_count(),
             policy: self.config.policy,
             budget: self.budget.as_ref().map(|b| b.cap),
-            module,
+            module: module.map(|f| self.program.module(f.module).name().to_owned()),
             min_feasible,
         }
     }
@@ -494,9 +485,10 @@ impl Exec<'_> {
     fn pick_eviction(&mut self) -> Option<usize> {
         let rate = self.reclaim_rate();
         let params = self.config.cer;
-        self.budget
-            .as_mut()?
-            .pick(|c| early_reclaim_score(&params, c.gates, c.freed, rate, c.level))
+        let settling = self.stack.iter().filter_map(|f| f.settling);
+        self.budget.as_mut()?.pick(settling, |c| {
+            early_reclaim_score(&params, c.gates, c.freed, rate, c.level)
+        })
     }
 
     /// Budget rule engine: while the next allocation would exceed
@@ -541,222 +533,171 @@ impl Exec<'_> {
         Ok(())
     }
 
-    fn run_entry(&mut self, inputs: &[bool]) -> Result<Vec<VirtId>, CompileError> {
-        let entry_id = self.program.entry();
-        self.module_stack.push(entry_id);
-        let anc = self.alloc_frame(entry_id, &[])?;
-        for (i, bit) in inputs.iter().enumerate() {
-            if *bit && i < anc.len() {
-                self.emit(TraceOp::Gate(Gate::X { target: anc[i] }), &[])?;
-            }
+    /// Runs one call frame from push to pop: allocates the ancillas
+    /// `id` declares near the qubits bound to `args` (Algorithm 1),
+    /// prepares the first `inputs.len()` of them with X gates (the
+    /// entry frame's computational-basis input), runs the compute and
+    /// store blocks, and settles the frame. Returns its ancillas — for
+    /// the entry frame, the program's register.
+    fn run_frame(
+        &mut self,
+        id: ModuleId,
+        args: &[VirtId],
+        depth: usize,
+        g_p: u64,
+        inputs: &[bool],
+    ) -> Result<Vec<VirtId>, CompileError> {
+        let module = self.program.module(id);
+        let (count, clbit_count) = (module.ancillas(), module.clbits());
+        // Pushed before anything is allocated, so running out of qubits
+        // names this frame, not its caller.
+        self.stack.push(OpenFrame {
+            module: id,
+            ancillas: count,
+            settling: None,
+        });
+        // A frame that declares more ancillas than the machine has
+        // qubits can never be live at once, so it is refused before a
+        // single id is minted: the declared count is untrusted input
+        // and may be near `usize::MAX`.
+        if count > self.machine.qubit_count() {
+            return Err(self.out_of_qubits(count, None));
         }
-        self.run_body(entry_id, &[], &anc, 0, 0)?;
-        Ok(anc)
-    }
-
-    /// Executes a frame's compute + store blocks and applies the
-    /// reclamation decision. `g_p` is the estimated gates remaining
-    /// between this frame's end and its parent's uncompute block.
-    fn run_body(
-        &mut self,
-        id: ModuleId,
-        args: &[VirtId],
-        anc: &[VirtId],
-        depth: usize,
-        g_p: u64,
-    ) -> Result<(), CompileError> {
-        self.module_stack.push(id);
-        self.stack_width += anc.len();
-        let result = self.run_body_inner(id, args, anc, depth, g_p);
-        self.stack_width -= anc.len();
-        self.module_stack.pop();
-        result
-    }
-
-    fn run_body_inner(
-        &mut self,
-        id: ModuleId,
-        args: &[VirtId],
-        anc: &[VirtId],
-        depth: usize,
-        g_p: u64,
-    ) -> Result<(), CompileError> {
+        let anc: Vec<VirtId> = (0..count).map(|_| self.fresh()).collect();
+        for v in &anc {
+            self.emit(TraceOp::Alloc(*v), args)?;
+        }
+        for (v, _) in anc.iter().zip(inputs).filter(|(_, bit)| **bit) {
+            self.emit(TraceOp::Gate(Gate::X { target: *v }), &[])?;
+        }
         // Fresh classical bits for this activation's declared clbits
         // (mirrors the reference semantics: each call measures into
         // its own bits, never a sibling's).
-        let clbits: Vec<ClbitId> = (0..self.program.module(id).clbits())
-            .map(|_| self.fresh_clbit())
-            .collect();
-        let compute_start = self.trace.len();
-        let gates_before_compute = self.gates_emitted;
-        self.run_block(BlockKind::Compute, id, args, anc, &clbits, depth, g_p)?;
-        let compute_end = self.trace.len();
-        let gates_after_compute = self.gates_emitted;
-        // Budget rule 4: from here until this frame's fate is settled,
-        // a mechanical sweep of `[compute_start..compute_end)` may be
-        // pending — freeze every candidate inside it so an eviction
-        // cannot free qubits the sweep will free again.
-        if let Some(b) = &mut self.budget {
-            b.frozen.push((compute_start, compute_end));
-        }
-        let result = self.run_settle(
+        let clbits: Vec<ClbitId> = (0..clbit_count).map(|_| self.fresh_clbit()).collect();
+        let frame = Frame {
             id,
             args,
-            anc,
-            &clbits,
+            anc: &anc,
+            clbits: &clbits,
             depth,
             g_p,
-            compute_start,
-            compute_end,
-            gates_after_compute - gates_before_compute,
-        );
-        if let Some(b) = &mut self.budget {
-            b.frozen.pop();
-        }
-        result
-    }
-
-    /// The post-compute tail of a frame: store block, reclamation
-    /// decision, and the uncompute or garbage bookkeeping. Split from
-    /// [`Exec::run_body_inner`] so the budget freeze bracket covers
-    /// every exit path.
-    #[allow(clippy::too_many_arguments)]
-    fn run_settle(
-        &mut self,
-        id: ModuleId,
-        args: &[VirtId],
-        anc: &[VirtId],
-        clbits: &[ClbitId],
-        depth: usize,
-        g_p: u64,
-        compute_start: usize,
-        compute_end: usize,
-        measured_gates: u64,
-    ) -> Result<(), CompileError> {
-        self.run_block(BlockKind::Store, id, args, anc, clbits, depth, g_p)?;
-
+        };
+        let (start, gates_before) = (self.trace.len(), self.gates_emitted);
+        self.run_block(BlockKind::Compute, &frame)?;
+        let compute = (start, self.trace.len());
+        let measured_gates = self.gates_emitted - gates_before;
+        // Budget rule 4: from here until this frame's fate is settled,
+        // a mechanical sweep of the compute region may be pending —
+        // freeze every candidate inside it so an eviction cannot free
+        // qubits the sweep will free again.
+        self.stack.last_mut().expect("pushed above").settling = Some(compute);
+        self.run_block(BlockKind::Store, &frame)?;
         // Frames without ancilla have nothing to reclaim: skip the
         // decision (and the pointless uncompute) entirely.
-        if depth > 0 && anc.is_empty() {
-            return Ok(());
+        if depth == 0 || !anc.is_empty() {
+            self.settle(&frame, compute, measured_gates)?;
         }
+        self.stack.pop();
+        Ok(anc)
+    }
+
+    /// The settle step (Algorithm 2 at the frame's `Free`): prices the
+    /// frame's uncompute, decides, and then either uncomputes it or
+    /// keeps it as garbage. `(start, end)` is the recorded compute
+    /// region and `measured_gates` the gate events inside it.
+    fn settle(
+        &mut self,
+        frame: &Frame,
+        (start, end): (usize, usize),
+        measured_gates: u64,
+    ) -> Result<(), CompileError> {
+        let custom_uncompute = self.program.module(frame.id).custom_uncompute().is_some();
         // Measurement-based uncompute: when enabled, scan the recorded
         // compute slice for eligibility (Toffoli-class writes to this
         // frame's ancillas only, interior activity balanced) and price
         // both lowerings in gate durations (`MbuPlan`). The entry
         // frame never qualifies — its "ancillas" are the program's I/O
         // register, which a reset would destroy.
-        let mbu_plan = if self.mbu.is_some()
-            && depth > 0
-            && self.program.module(id).custom_uncompute().is_none()
-        {
-            scan_mbu_slice(&self.trace[compute_start..compute_end], |q| {
-                anc.contains(&q)
-            })
+        let mbu_plan = if self.mbu.is_some() && frame.depth > 0 && !custom_uncompute {
+            scan_mbu_slice(&self.trace[start..end], |q| frame.anc.contains(&q))
+                .filter(|plan| plan.mbu_cost() < plan.unitary_cost)
         } else {
             None
         };
-        let use_mbu = mbu_plan
-            .as_ref()
-            .is_some_and(|plan| plan.mbu_cost() < plan.unitary_cost);
         // G_uncomp: gate events of the lowering this frame would
         // actually use — two per written ancilla under MBU, else the
         // measured size of the compute slice (running gate counter,
         // O(1)), or the memoized static size of an explicit uncompute
         // block when the author supplied one (e.g. operand unloading
         // for in-place adders).
-        let g_uncomp = if use_mbu {
-            2 * mbu_plan.as_ref().map_or(0, |p| p.written.len()) as u64
-        } else {
-            match self.costs.custom_uncompute_gates(id) {
-                Some(gates) => gates,
-                None => measured_gates,
-            }
+        let g_uncomp = match &mbu_plan {
+            Some(plan) => 2 * plan.written.len() as u64,
+            None => self
+                .costs
+                .custom_uncompute_gates(frame.id)
+                .unwrap_or(measured_gates),
         };
-        let n_anc = anc.len();
-        let frame_qubits = args.len() + anc.len();
-        let reclaim = self.decide(id, depth, g_uncomp, n_anc, g_p, frame_qubits)?;
-        let lowering = if reclaim && use_mbu {
-            ReclaimLowering::Mbu
-        } else {
-            ReclaimLowering::Unitary
-        };
+        let reclaim = self.decide(frame, g_uncomp)?;
         self.decision_log.push(ReclaimDecision {
-            module: id,
-            depth: depth as u32,
+            module: frame.id,
+            depth: frame.depth as u32,
             reclaim,
-            lowering,
+            lowering: match mbu_plan {
+                Some(_) if reclaim => ReclaimLowering::Mbu,
+                _ => ReclaimLowering::Unitary,
+            },
         });
-        if reclaim {
-            self.decisions.reclaimed += 1;
-            if self.program.module(id).custom_uncompute().is_some() {
-                self.run_block(
-                    BlockKind::CustomUncompute,
-                    id,
-                    args,
-                    anc,
-                    clbits,
-                    depth,
-                    g_p,
-                )?;
-            } else if use_mbu {
-                // Measure-and-correct: each written ancilla is read
-                // into a fresh classical bit and flipped back to |0⟩
-                // exactly when the outcome was 1. Untouched ancillas
-                // are already |0⟩ and need no events at all.
-                let plan = mbu_plan.expect("use_mbu implies a plan");
-                let stats = self.mbu.as_mut().expect("a plan implies MBU on");
-                stats.mbu_frames += 1;
-                stats.measurements += plan.written.len() as u64;
-                stats.cond_corrections += plan.written.len() as u64;
-                stats.mbu_gates += plan.mbu_cost();
-                stats.unitary_gates_avoided += plan.unitary_cost;
-                for q in plan.written {
-                    let clbit = self.fresh_clbit();
-                    self.emit(TraceOp::Measure { qubit: q, clbit }, &[])?;
-                    self.emit(
-                        TraceOp::CondGate {
-                            clbit,
-                            gate: Gate::X { target: q },
-                        },
-                        &[],
-                    )?;
-                }
-            } else {
-                // An early uncompute emitted inside this region is
-                // replayed forward by the inversion below — count it
-                // as recompute work before sweeping.
-                if let Some(b) = &mut self.budget {
-                    b.note_sweep(compute_start, compute_end);
-                }
-                self.sweep(compute_start, compute_end)?;
-            }
-            if depth > 0 {
-                for a in anc.iter().rev() {
-                    self.emit(TraceOp::Free(*a), &[])?;
-                }
-            }
-        } else {
+        if !reclaim {
             self.decisions.garbage += 1;
             // Budget engine: a garbage frame is exactly what early
             // uncomputation evicts later — register it if its region
             // satisfies the static eligibility rules. The entry frame
             // (depth 0) is excluded: its "ancillas" are the program's
             // I/O register.
-            if depth > 0 {
-                if let Some(b) = &mut self.budget {
-                    let cand = scan_candidate(
-                        &self.trace[compute_start..compute_end],
-                        compute_start,
-                        depth,
-                        anc,
-                        measured_gates,
-                        |q| b.last_write(q),
-                    );
-                    if let Some(cand) = cand {
-                        b.candidates.push(cand);
-                    }
-                }
+            if let Some(b) = self.budget.as_mut().filter(|_| frame.depth > 0) {
+                b.candidates.extend(scan_candidate(
+                    &self.trace[start..end],
+                    start,
+                    frame.depth,
+                    frame.anc,
+                    measured_gates,
+                    |q| b.last_write(q),
+                ));
+            }
+            return Ok(());
+        }
+        self.decisions.reclaimed += 1;
+        if custom_uncompute {
+            self.run_block(BlockKind::CustomUncompute, frame)?;
+        } else if let Some(plan) = mbu_plan {
+            // Measure-and-correct: each written ancilla is read into a
+            // fresh classical bit and flipped back to |0⟩ exactly when
+            // the outcome was 1. Untouched ancillas are already |0⟩
+            // and need no events at all.
+            let stats = self.mbu.as_mut().expect("a plan implies MBU on");
+            stats.mbu_frames += 1;
+            stats.measurements += plan.written.len() as u64;
+            stats.cond_corrections += plan.written.len() as u64;
+            stats.mbu_gates += plan.mbu_cost();
+            stats.unitary_gates_avoided += plan.unitary_cost;
+            for q in plan.written {
+                let clbit = self.fresh_clbit();
+                self.emit(TraceOp::Measure { qubit: q, clbit }, &[])?;
+                let gate = Gate::X { target: q };
+                self.emit(TraceOp::CondGate { clbit, gate }, &[])?;
+            }
+        } else {
+            // An early uncompute emitted inside this region is replayed
+            // forward by the inversion below — count it as recompute
+            // work before sweeping.
+            if let Some(b) = &mut self.budget {
+                b.note_sweep(start, end);
+            }
+            self.sweep(start, end)?;
+        }
+        if frame.depth > 0 {
+            for a in frame.anc.iter().rev() {
+                self.emit(TraceOp::Free(*a), &[])?;
             }
         }
         Ok(())
@@ -789,23 +730,13 @@ impl Exec<'_> {
         Ok(())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_block(
-        &mut self,
-        block: BlockKind,
-        id: ModuleId,
-        args: &[VirtId],
-        anc: &[VirtId],
-        clbits: &[ClbitId],
-        depth: usize,
-        frame_g_p: u64,
-    ) -> Result<(), CompileError> {
+    fn run_block(&mut self, block: BlockKind, frame: &Frame) -> Result<(), CompileError> {
         // Copy the shared program reference out of `self` so the
         // statement slice borrows the program's lifetime, not `self`
         // (the historical code cloned every block to satisfy the
         // borrow checker).
         let program = self.program;
-        let module = program.module(id);
+        let module = program.module(frame.id);
         let stmts = match block {
             BlockKind::Compute => module.compute(),
             BlockKind::Store => module.store(),
@@ -817,9 +748,9 @@ impl Exec<'_> {
             // O(1) memoized look-ahead: gates left in this block after
             // the current statement.
             let rest = match block {
-                BlockKind::Compute => self.costs.compute_tail(id, i),
-                BlockKind::Store => self.costs.store_tail(id, i),
-                BlockKind::CustomUncompute => self.costs.custom_tail(id, i),
+                BlockKind::Compute => self.costs.compute_tail(frame.id, i),
+                BlockKind::Store => self.costs.store_tail(frame.id, i),
+                BlockKind::CustomUncompute => self.costs.custom_tail(frame.id, i),
             };
             // Only multi-qubit gates route, so only they read the
             // window — skip the O(block) rebuild for 1-qubit gates. The
@@ -833,14 +764,12 @@ impl Exec<'_> {
                         .iter()
                         .take_while(|s| !matches!(s, Stmt::Call { .. }))
                         .filter_map(|s| match s {
-                            Stmt::Gate(g) if g.arity() >= 2 => {
-                                Some(g.map(|op| resolve(args, anc, op)))
-                            }
+                            Stmt::Gate(g) if g.arity() >= 2 => Some(g.map(|op| frame.resolve(op))),
                             _ => None,
                         }),
                 );
             }
-            self.exec_stmt(stmt, id, args, anc, clbits, depth, rest, frame_g_p)?;
+            self.exec_stmt(stmt, frame, rest)?;
         }
         Ok(())
     }
@@ -855,49 +784,29 @@ impl Exec<'_> {
         window.extend(upcoming.take(LOOKAHEAD_WINDOW));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one statement of `frame`; `gates_after_stmt` is the
+    /// statically known gate count left in its block after it.
     fn exec_stmt(
         &mut self,
         stmt: &Stmt,
-        caller: ModuleId,
-        args: &[VirtId],
-        anc: &[VirtId],
-        clbits: &[ClbitId],
-        depth: usize,
+        frame: &Frame,
         gates_after_stmt: u64,
-        frame_g_p: u64,
     ) -> Result<(), CompileError> {
-        let resolve = |op: &Operand| resolve(args, anc, op);
+        let resolve = |op: &Operand| frame.resolve(op);
         match stmt {
-            Stmt::Gate(g) => {
-                let g = g.map(resolve);
-                self.emit(TraceOp::Gate(g), &[])
-            }
+            Stmt::Gate(g) => self.emit(TraceOp::Gate(g.map(resolve)), &[]),
             Stmt::Measure { qubit, clbit } => {
                 let qubit = resolve(qubit);
-                self.emit(
-                    TraceOp::Measure {
-                        qubit,
-                        clbit: clbits[*clbit],
-                    },
-                    &[],
-                )
+                let clbit = frame.clbits[*clbit];
+                self.emit(TraceOp::Measure { qubit, clbit }, &[])
             }
             Stmt::CondGate { clbit, gate } => {
                 let gate = gate.map(resolve);
-                self.emit(
-                    TraceOp::CondGate {
-                        clbit: clbits[*clbit],
-                        gate,
-                    },
-                    &[],
-                )
+                let clbit = frame.clbits[*clbit];
+                self.emit(TraceOp::CondGate { clbit, gate }, &[])
             }
-            Stmt::Call { callee, args: a } => {
-                let resolved: Vec<VirtId> = a.iter().map(resolve).collect();
-                // Look-ahead interaction set for the child's ancilla:
-                // the qubits bound to its parameters.
-                let child_anc = self.alloc_frame(*callee, &resolved)?;
+            Stmt::Call { callee, args } => {
+                let args: Vec<VirtId> = args.iter().map(resolve).collect();
                 // G_p for the child: gates left in this frame after the
                 // call, plus this frame's own uncompute estimate
                 // (static compute size) — the distance to the point
@@ -905,11 +814,11 @@ impl Exec<'_> {
                 // frame itself is unlikely to uncompute (running rate
                 // ρ), the sweep horizon extends toward *our* parent's:
                 // add the expected remainder (1−ρ)·g_p.
-                let own_uncomp = self.pstats.module(caller).gates_compute;
+                let own_uncomp = self.pstats.module(frame.id).gates_compute;
                 let rate = self.reclaim_rate();
-                let g_p_child =
-                    gates_after_stmt + own_uncomp + ((1.0 - rate) * frame_g_p as f64) as u64;
-                self.run_body(*callee, &resolved, &child_anc, depth + 1, g_p_child)
+                let g_p = gates_after_stmt + own_uncomp + ((1.0 - rate) * frame.g_p as f64) as u64;
+                self.run_frame(*callee, &args, frame.depth + 1, g_p, &[])?;
+                Ok(())
             }
         }
     }
@@ -929,7 +838,8 @@ impl Exec<'_> {
         let active = self.machine.placement().active_count();
         // Open-frame qubits are stack, not garbage; everything else
         // live is garbage from settled frames.
-        let garbage = active.saturating_sub(self.stack_width);
+        let stack: usize = self.stack.iter().map(|f| f.ancillas).sum();
+        let garbage = active.saturating_sub(stack);
         (garbage + incoming + b.stack_need).saturating_sub(eff)
     }
 
@@ -960,18 +870,13 @@ impl Exec<'_> {
         Ok(excess)
     }
 
-    fn decide(
-        &mut self,
-        id: ModuleId,
-        depth: usize,
-        g_uncomp: u64,
-        n_anc: usize,
-        g_p: u64,
-        frame_qubits: usize,
-    ) -> Result<bool, CompileError> {
+    /// Reclaim `frame` (true) or leave it as garbage, given the gate
+    /// events its uncompute would cost.
+    fn decide(&mut self, frame: &Frame, g_uncomp: u64) -> Result<bool, CompileError> {
+        let n_anc = frame.anc.len();
         let base = match self.config.policy {
             Policy::Eager | Policy::SquareLaaOnly => true,
-            Policy::Lazy => depth == 0,
+            Policy::Lazy => frame.depth == 0,
             Policy::Square => {
                 // Under `budget:N` CER sees the capped machine: the cap
                 // is the capacity and the headroom under it the free
@@ -994,15 +899,15 @@ impl Exec<'_> {
                     n_active,
                     n_anc,
                     g_uncomp,
-                    g_p,
-                    level: depth,
+                    g_p: frame.g_p,
+                    level: frame.depth,
                     comm_factor: self.machine.comm_factor(),
                     free_qubits,
                     capacity,
                     reclaim_rate: self.reclaim_rate(),
-                    frame_qubits,
+                    frame_qubits: frame.args.len() + n_anc,
                 };
-                let d = self.cer.decide(id, &inputs);
+                let d = self.cer.decide(frame.id, &inputs);
                 if d.forced {
                     self.decisions.forced += 1;
                 }
@@ -1015,7 +920,7 @@ impl Exec<'_> {
         // settled garbage (the Reqomp move — the base decision and the
         // decision log are untouched); only when the pool cannot cover
         // the excess is the frame force-reclaimed.
-        if !base && depth > 0 && self.budget.is_some() {
+        if !base && frame.depth > 0 && self.budget.is_some() {
             let excess = self.budget_excess(n_anc);
             if excess > 0 && self.try_evict(excess, g_uncomp)? > 0 {
                 self.decisions.forced += 1;
@@ -1191,6 +1096,51 @@ mod tests {
                 assert_eq!(min_feasible, None, "unbudgeted failures have no min-N");
             }
             other => panic!("expected OutOfQubits, got {other}"),
+        }
+    }
+
+    /// `main` holds three ancillas and calls `child`, which declares
+    /// two: on four qubits (or under `budget:3`) the child's second
+    /// allocation is the one that fails.
+    fn callee_overflow_program() -> Program {
+        let mut b = ProgramBuilder::new();
+        let child = b
+            .module("child", 1, 2, |m| {
+                let (p, a0, a1) = (m.param(0), m.ancilla(0), m.ancilla(1));
+                m.cx(p, a0);
+                m.cx(a0, a1);
+            })
+            .unwrap();
+        let main = b
+            .module("main", 0, 3, |m| {
+                let a0 = m.ancilla(0);
+                m.x(a0);
+                m.call(child, &[a0]);
+            })
+            .unwrap();
+        b.finish(main).unwrap()
+    }
+
+    #[test]
+    fn out_of_qubits_names_the_callee_whose_allocation_failed() {
+        let p = callee_overflow_program();
+        let plain = CompilerConfig::nisq(Policy::Lazy).with_arch(ArchSpec::Grid {
+            width: 2,
+            height: 2,
+        });
+        let budgeted = grid(Policy::Lazy).with_budget(Some(3));
+        for (cfg, min) in [(plain, None), (budgeted, Some(4))] {
+            match compile(&p, &cfg).unwrap_err() {
+                CompileError::OutOfQubits {
+                    module,
+                    min_feasible,
+                    ..
+                } => {
+                    assert_eq!(module.as_deref(), Some("child"));
+                    assert_eq!(min_feasible, min);
+                }
+                other => panic!("expected OutOfQubits, got {other}"),
+            }
         }
     }
 

@@ -38,23 +38,12 @@ const W_SERIAL: f64 = 0.05;
 /// factor `√((N_active + 1)/N_active)` at allocation time.
 const W_AREA: f64 = 2.0;
 
-/// Outcome of one allocation decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AllocChoice {
-    /// The chosen slot.
-    pub phys: PhysId,
-    /// Whether it came from the reuse pool or is brand new.
-    pub reused: bool,
-    /// The winning score (cycles-equivalent; for diagnostics).
-    pub score: f64,
-}
-
 /// Picks the physical slot for one new ancilla under LAA.
 ///
 /// Returns `None` when the machine is completely full (no pooled
 /// qubits and no free fresh slot) — the caller then reports capacity
 /// exhaustion or forces reclamation.
-pub fn choose_slot(machine: &Machine, interact: &[VirtId]) -> Option<AllocChoice> {
+pub fn choose_slot(machine: &Machine, interact: &[VirtId]) -> Option<PhysId> {
     let center = machine
         .placement()
         .centroid_of(interact)
@@ -97,20 +86,14 @@ pub fn choose_slot(machine: &Machine, interact: &[VirtId]) -> Option<AllocChoice
         (p, score)
     });
 
-    let (phys, reused, score) = match (reuse_candidate, fresh_candidate) {
-        (Some((p, rs)), Some((_, fs))) if rs <= fs => (p, true, rs),
-        (Some((p, rs)), None) => (p, true, rs),
-        (_, Some((p, fs))) => (p, false, fs),
+    match (reuse_candidate, fresh_candidate) {
+        (Some((p, rs)), Some((_, fs))) if rs <= fs => Some(p),
+        (Some((p, _)), None) | (_, Some((p, _))) => Some(p),
         // Pool empty and no fresh qubit: fall back to *any* free slot
         // (one a swap chain carried a |0⟩ into, neither fresh nor
         // pooled); none left means full capacity.
-        (None, None) => (machine.nearest_free(center, false)?, false, f64::INFINITY),
-    };
-    Some(AllocChoice {
-        phys,
-        reused,
-        score,
-    })
+        (None, None) => machine.nearest_free(center, false),
+    }
 }
 
 /// Locality-blind allocation of the Eager/Lazy baselines: the most
@@ -121,13 +104,9 @@ pub fn choose_slot(machine: &Machine, interact: &[VirtId]) -> Option<AllocChoice
 /// land wherever the pool hands them out. We model that with a
 /// deterministic pseudo-random draw (`salt` advances per allocation),
 /// which is precisely the locality blindness LAA was designed to fix.
-pub fn choose_slot_naive(machine: &Machine, salt: u64) -> Option<AllocChoice> {
+pub fn choose_slot_naive(machine: &Machine, salt: u64) -> Option<PhysId> {
     if let Some(&phys) = machine.placement().pooled().last() {
-        return Some(AllocChoice {
-            phys,
-            reused: true,
-            score: 0.0,
-        });
+        return Some(phys);
     }
     let n = machine.qubit_count() as u64;
     let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -137,22 +116,13 @@ pub fn choose_slot_naive(machine: &Machine, salt: u64) -> Option<AllocChoice> {
             .wrapping_add(1442695040888963407);
         let candidate = PhysId(((state >> 33) % n) as u32);
         if machine.placement().is_free(candidate) {
-            return Some(AllocChoice {
-                phys: candidate,
-                reused: false,
-                score: 0.0,
-            });
+            return Some(candidate);
         }
     }
     // Dense machine: rejection sampling gave up; linear fallback.
     (0..machine.qubit_count() as u32)
         .map(PhysId)
         .find(|&p| machine.placement().is_free(p))
-        .map(|p| AllocChoice {
-            phys: p,
-            reused: false,
-            score: 0.0,
-        })
 }
 
 fn dist_to(machine: &Machine, p: PhysId, center: (i32, i32)) -> f64 {
@@ -192,10 +162,9 @@ mod tests {
         // The pool holds a far corner and a neighbor.
         pool_cells(&mut m, 1, &[24, 13]); // (4,4) dist 4, (3,2) dist 1
         let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
-        assert_eq!(choice.phys, PhysId(13));
-        assert!(choice.reused);
+        assert_eq!(choice, PhysId(13));
         // Binding the choice takes it out of the pool.
-        m.place_at(VirtId(9), choice.phys).unwrap();
+        m.place_at(VirtId(9), choice).unwrap();
         assert_eq!(m.placement().pooled(), &[PhysId(24)]);
     }
 
@@ -206,10 +175,10 @@ mod tests {
         pool_cells(&mut m, 1, &[24]); // far corner (4,4): dist 4 → score 12
         let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
         // Fresh neighbor at dist 1: 3·1 + 2·√(2/1) ≈ 5.8 < 12.
-        assert!(!choice.reused);
-        let d = dist_to(&m, choice.phys, (2, 2));
+        assert!(!m.placement().pooled().contains(&choice));
+        let d = dist_to(&m, choice, (2, 2));
         assert!(d <= 1.0);
-        m.place_at(VirtId(9), choice.phys).unwrap();
+        m.place_at(VirtId(9), choice).unwrap();
         assert_eq!(
             m.placement().pooled(),
             &[PhysId(24)],
@@ -231,7 +200,10 @@ mod tests {
         assert_eq!(m.placement().pooled(), &[PhysId(13)]);
         let choice = choose_slot(&m, &[VirtId(0)]).unwrap();
         // Busy neighbor scores 3·1 + 0.05·10000 = 503; fresh ≈ 5.8.
-        assert!(!choice.reused, "busy pooled qubit rejected");
+        assert!(
+            !m.placement().pooled().contains(&choice),
+            "busy pooled qubit rejected"
+        );
     }
 
     #[test]
@@ -241,11 +213,11 @@ mod tests {
         // (2,1) and (1,2) are both one hop from the centroid (2,2), and
         // the pool order is the release order.
         pool_cells(&mut m, 1, &[7, 11]);
-        assert_eq!(choose_slot(&m, &[VirtId(0)]).unwrap().phys, PhysId(7));
+        assert_eq!(choose_slot(&m, &[VirtId(0)]), Some(PhysId(7)));
         let mut m = machine_5x5();
         m.place_at(VirtId(0), PhysId(12)).unwrap();
         pool_cells(&mut m, 1, &[11, 7]);
-        assert_eq!(choose_slot(&m, &[VirtId(0)]).unwrap().phys, PhysId(11));
+        assert_eq!(choose_slot(&m, &[VirtId(0)]), Some(PhysId(11)));
     }
 
     #[test]
@@ -253,16 +225,15 @@ mod tests {
         // Empty pool: a pseudo-random free cell, deterministic per salt.
         let m = machine_5x5();
         let c = choose_slot_naive(&m, 1).unwrap();
-        assert!(!c.reused && m.placement().is_free(c.phys));
-        assert_eq!(choose_slot_naive(&machine_5x5(), 1).unwrap().phys, c.phys);
+        assert!(m.placement().is_free(c));
+        assert_eq!(choose_slot_naive(&machine_5x5(), 1), Some(c));
         // Pooled qubits first, newest first.
         let mut m = machine_5x5();
         pool_cells(&mut m, 0, &[20, 3]);
         let c2 = choose_slot_naive(&m, 2).unwrap();
-        assert_eq!(c2.phys, PhysId(3), "newest pooled qubit first");
-        assert!(c2.reused);
-        m.place_at(VirtId(9), c2.phys).unwrap();
-        assert_eq!(choose_slot_naive(&m, 3).unwrap().phys, PhysId(20));
+        assert_eq!(c2, PhysId(3), "newest pooled qubit first");
+        m.place_at(VirtId(9), c2).unwrap();
+        assert_eq!(choose_slot_naive(&m, 3), Some(PhysId(20)));
     }
 
     #[test]

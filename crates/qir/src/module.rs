@@ -153,6 +153,12 @@ impl Module {
 
 /// A complete modular reversible program.
 ///
+/// A `Program` is valid by construction: its fields are crate-private,
+/// and the only ways to build one are [`crate::ProgramBuilder::finish`],
+/// which runs [`crate::validate::validate_program`], and
+/// [`crate::lower_mcx`], which maps a valid program to a valid one.
+/// Consumers need not validate it again.
+///
 /// Equality is structural (same modules in the same order, same entry),
 /// which is what the `.sq` round-trip guarantee in `square-lang` is
 /// stated in terms of: `parse(pretty(p)) == p`.

@@ -353,13 +353,20 @@ mod tests {
     /// Caps small enough that the lattice bound fires on 11 × 11 grids.
     const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
+    /// The neighbours of `q`, in [`Topology::for_each_neighbor`] order.
+    fn neighbors(topo: &dyn Topology, q: PhysId) -> Vec<PhysId> {
+        let mut out = Vec::new();
+        topo.for_each_neighbor(q, &mut |nb| out.push(nb));
+        out
+    }
+
     /// Every `(from, pt, p0)` gather query on `topo`, `p0` a neighbour
     /// of `pt` (the gather only searches once `c0` sits next to `t`).
     fn queries(topo: &dyn Topology) -> Vec<(PhysId, PhysId, PhysId)> {
         let n = topo.qubit_count() as u32;
         let mut out = Vec::new();
         for pt in (0..n).map(PhysId) {
-            for p0 in topo.neighbors(pt) {
+            for p0 in neighbors(topo, pt) {
                 for from in (0..n).map(PhysId) {
                     out.push((from, pt, p0));
                 }
@@ -407,8 +414,7 @@ mod tests {
                 let topo = GridTopology::new(w, h);
                 let xy = |p: PhysId| topo.coord(p);
                 for (from, pt, p0) in queries(&topo) {
-                    let Some(dm) = topo
-                        .neighbors(pt)
+                    let Some(dm) = neighbors(&topo, pt)
                         .into_iter()
                         .filter(|&g| g != p0)
                         .map(|g| topo.distance(from, g))
@@ -527,7 +533,7 @@ mod tests {
             let n = topo.qubit_count() as u64;
             for _ in 0..50_000 {
                 let pt = PhysId(rng.below(n) as u32);
-                let nbrs = topo.neighbors(pt);
+                let nbrs = neighbors(topo, pt);
                 let p0 = nbrs[rng.below(nbrs.len() as u64) as usize];
                 let from = loop {
                     if rng.below(8) == 0 {

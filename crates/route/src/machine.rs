@@ -1189,8 +1189,8 @@ mod tests {
             fn distance(&self, a: PhysId, b: PhysId) -> u32 {
                 self.0.distance(a, b)
             }
-            fn neighbors(&self, q: PhysId) -> Vec<PhysId> {
-                self.0.neighbors(q)
+            fn for_each_neighbor(&self, q: PhysId, f: &mut dyn FnMut(PhysId)) {
+                self.0.for_each_neighbor(q, f)
             }
             fn manhattan_distance(&self) -> bool {
                 true
