@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::topology::PhysId;
+use crate::topology::{has, PhysId};
 
 /// Adjacency plus the per-target distance rows it generates.
 #[derive(Debug)]
@@ -252,18 +252,15 @@ impl CouplingGraph {
         self.cells.nearest(center)
     }
 
-    /// The first qubit accepted by `pred` in `(distance(anchor, q), q)`
-    /// order, where `anchor` is the qubit nearest `center` — the
-    /// locality-aware allocator's "nearest matching cell" query. A BFS
+    /// The first cell of the bitset `cells` in `(distance(anchor, q),
+    /// q)` order, where `anchor` is the qubit nearest `center` — the
+    /// locality-aware allocator's "nearest free cell" query (see
+    /// [`Topology::nearest_in`](crate::Topology::nearest_in)). A BFS
     /// level walk from the anchor that sorts each level by index and
     /// stops at the first hit, so its cost is proportional to the
     /// region visited, not to the device. Cells outside the anchor's
     /// component are never offered (every shipped layout is connected).
-    pub fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
+    pub fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
         let anchor = self.nearest_to(center);
         let mut seen = vec![0u64; self.len().div_ceil(64)];
         let mut mark = |q: PhysId| {
@@ -277,7 +274,7 @@ impl CouplingGraph {
         let mut next = Vec::new();
         while !level.is_empty() {
             level.sort_unstable();
-            if let Some(&q) = level.iter().find(|&&q| pred(q)) {
+            if let Some(&q) = level.iter().find(|&&q| has(cells, q)) {
                 return Some(q);
             }
             next.clear();
@@ -339,18 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_find_walks_levels_in_index_order() {
+    fn nearest_in_walks_levels_in_index_order() {
         let g = cycle_with_tail();
-        let mut order = Vec::new();
-        let hit = g.ring_find((0, 0), &mut |q| {
-            order.push(q);
-            false
-        });
-        assert_eq!(hit, None);
         // Levels from 0: {0}, {1, 3}, {2, 4}.
-        let want: Vec<PhysId> = [0, 1, 3, 2, 4].into_iter().map(PhysId).collect();
-        assert_eq!(order, want);
-        assert_eq!(g.ring_find((0, 0), &mut |q| q.0 >= 2), Some(PhysId(3)));
+        let want = [0, 1, 3, 2, 4];
+        let mut cells = 0b11111u64;
+        for q in want {
+            assert_eq!(g.nearest_in((0, 0), &[cells]), Some(PhysId(q)));
+            cells &= !(1 << q);
+        }
+        assert_eq!(g.nearest_in((0, 0), &[cells]), None);
+        assert_eq!(g.nearest_in((0, 0), &[0b11100]), Some(PhysId(3)));
     }
 
     /// The O(n) scan `nearest_to` used before the row index, kept as

@@ -8,7 +8,7 @@
 //! embedding but answers every query in closed form.
 
 use crate::coupling::{CouplingGraph, FlatTables};
-use crate::topology::{PhysId, Topology};
+use crate::topology::{has, PhysId, Topology};
 
 /// IBM-style heavy-hex lattice of distance `d`.
 ///
@@ -135,12 +135,8 @@ impl Topology for HeavyHexTopology {
         self.graph.next_hop(a, b)
     }
 
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
-        self.graph.ring_find(center, pred)
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
+        self.graph.nearest_in(center, cells)
     }
 }
 
@@ -267,11 +263,7 @@ impl Topology for RingTopology {
         })
     }
 
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
         // Closed-form `(distance(anchor, q), q)` order: the qubit
         // nearest the center, then the two cells at each cycle
         // distance r in index order (one cell at r = n/2 on even n).
@@ -284,13 +276,14 @@ impl Topology for RingTopology {
                     .chain((fwd != bwd).then_some(fwd.max(bwd)))
             })
             .map(PhysId)
-            .find(|&p| pred(p))
+            .find(|&p| has(cells, p))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::tests::ring_order;
 
     #[test]
     fn heavy_hex_counts_and_degree() {
@@ -402,18 +395,17 @@ mod tests {
     }
 
     #[test]
-    fn ring_find_orders_by_graph_distance_then_index() {
+    fn ring_order_is_graph_distance_then_index() {
         // Odd n: two cells per distance. Even n: one antipode (9).
         for (n, want) in [
             (9u32, &[4u32, 3, 5, 2, 6, 1, 7, 0, 8][..]),
             (10, &[4, 3, 5, 2, 6, 1, 7, 0, 8, 9]),
         ] {
             let ring = RingTopology::new(n);
-            let mut order = Vec::new();
-            ring.ring_find(ring.coord(PhysId(4)), &mut |q| {
-                order.push(q.0);
-                false
-            });
+            let order: Vec<u32> = ring_order(&ring, ring.coord(PhysId(4)))
+                .into_iter()
+                .map(|q| q.0)
+                .collect();
             assert_eq!(order, want, "n={n}");
         }
     }

@@ -34,6 +34,47 @@ impl fmt::Display for PhysId {
     }
 }
 
+/// True when `q`'s bit is set in the cell bitset `cells` (see
+/// [`Topology::nearest_in`]).
+#[inline]
+pub(crate) fn has(cells: &[u64], q: PhysId) -> bool {
+    (cells[q.index() / 64] >> (q.index() % 64)) & 1 != 0
+}
+
+/// The highest set bit of `cells` in `lo..=hi`.
+fn last_set(cells: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    let mut w = hi / 64;
+    let mut word = cells[w] & (u64::MAX >> (63 - hi % 64));
+    loop {
+        if word != 0 {
+            let i = w * 64 + 63 - word.leading_zeros() as usize;
+            return (i >= lo).then_some(i);
+        }
+        if w == lo / 64 {
+            return None;
+        }
+        w -= 1;
+        word = cells[w];
+    }
+}
+
+/// The lowest set bit of `cells` in `lo..=hi`.
+fn first_set(cells: &[u64], lo: usize, hi: usize) -> Option<usize> {
+    let mut w = lo / 64;
+    let mut word = cells[w] & (u64::MAX << (lo % 64));
+    loop {
+        if word != 0 {
+            let i = w * 64 + word.trailing_zeros() as usize;
+            return (i <= hi).then_some(i);
+        }
+        if w == hi / 64 {
+            return None;
+        }
+        w += 1;
+        word = cells[w];
+    }
+}
+
 /// A coupling graph with 2-D geometry.
 ///
 /// Distances are hop counts on the coupling graph; coordinates give
@@ -92,17 +133,20 @@ pub trait Topology: Send + Sync {
     /// Routers walk swap chains with it, one hop at a time.
     fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId>;
 
-    /// The first qubit accepted by `pred` when qubits are visited in
-    /// nondecreasing *graph* distance from `center` — the
-    /// locality-aware allocator's "nearest matching cell" query, which
-    /// relies on that order to stop at the first free cell. `pred`
-    /// sees each qubit at most once and nothing past the first
-    /// accepted one. For the closed-form layouts (grid, full, line)
+    /// The first cell of `cells`, in this layout's ring order around
+    /// `center` — the locality-aware allocator's "nearest free cell"
+    /// query. `cells` is a bitset indexed by [`PhysId`] (bit `q % 64`
+    /// of word `q / 64` holds `PhysId(q)`) covering at least
+    /// [`Topology::qubit_count`] bits; bits past the last cell are
+    /// ignored. Ring order visits cells in nondecreasing *graph*
+    /// distance from `center`, and each layout fixes its own ties: the
+    /// grid by ascending dx, the +dy cell before the −dy one; the line
+    /// `c + r` before `c − r`; the full machine by index, rotated to
+    /// start at the centre's column. For those closed-form layouts
     /// geometric and graph distance coincide; graph-backed layouts
-    /// (heavy-hex, ring) walk hop counts from the qubit nearest
+    /// (heavy-hex, ring) order by hop count from the qubit nearest
     /// `center`, ties by index, which can diverge from the embedding.
-    fn ring_find(&self, center: (i32, i32), pred: &mut dyn FnMut(PhysId) -> bool)
-        -> Option<PhysId>;
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId>;
 }
 
 /// 2-D lattice with nearest-neighbour coupling (row-major indexing),
@@ -204,33 +248,47 @@ impl Topology for GridTopology {
         }
     }
 
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
-        // Lattice points by Manhattan radius from `center`; within a
-        // radius by ascending dx, the +dy point before the −dy one.
-        let (cx, cy) = center;
-        let max_radius = (self.width + self.height) as i32;
-        for r in 0..=max_radius {
-            for dx in -r..=r {
-                let dy = r - dx.abs();
-                if let Some(q) = self.id_at(cx + dx, cy + dy) {
-                    if pred(q) {
-                        return Some(q);
-                    }
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
+        // Ring order is the least key (Manhattan radius, dx, cell below
+        // the centre row). Rows are scanned outward from the centre
+        // row: a row `k` rows away holds nothing nearer than radius
+        // `k`, so the scan stops once `k` passes the best radius, and
+        // each row is searched only as far as that radius reaches. In
+        // a row only the nearest set cell on either side of the centre
+        // column can win.
+        let (w, h) = (i64::from(self.width), i64::from(self.height));
+        let (cx, cy) = (i64::from(center.0), i64::from(center.1));
+        let mut best: Option<((i64, i64, bool), i64)> = None;
+        let mut k = (-cy).max(cy - (h - 1)).max(0);
+        while cy - k >= 0 || cy + k < h {
+            let reach = match best {
+                Some(((r, _, _), _)) if k > r => break,
+                Some(((r, _, _), _)) => r - k,
+                None => i64::MAX,
+            };
+            let (lo, hi) = (
+                cx.saturating_sub(reach).max(0),
+                cx.saturating_add(reach).min(w - 1),
+            );
+            for y in std::iter::once(cy + k).chain((k > 0).then_some(cy - k)) {
+                if !(0..h).contains(&y) {
+                    continue;
                 }
-                if dy != 0 {
-                    if let Some(q) = self.id_at(cx + dx, cy - dy) {
-                        if pred(q) {
-                            return Some(q);
-                        }
+                let row = y * w;
+                let bit = |x: i64| (row + x) as usize;
+                let left = (lo <= cx.min(hi)).then(|| last_set(cells, bit(lo), bit(cx.min(hi))));
+                let right = (cx.max(lo) <= hi).then(|| first_set(cells, bit(cx.max(lo)), bit(hi)));
+                for i in [left, right].into_iter().flatten().flatten() {
+                    let dx = i as i64 - row - cx;
+                    let key = (k + dx.abs(), dx, y < cy);
+                    if best.is_none_or(|(b, _)| key < b) {
+                        best = Some((key, i as i64));
                     }
                 }
             }
+            k += 1;
         }
-        None
+        best.map(|(_, i)| PhysId(i as u32))
     }
 }
 
@@ -285,16 +343,14 @@ impl Topology for FullTopology {
         (a != b).then_some(b)
     }
 
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
         // All qubits are equally close; visit them in index order
         // starting from the center's embedding for determinism.
         let n = self.n;
         let start = center.0.clamp(0, n as i32 - 1) as u32;
-        (0..n).map(|i| PhysId((start + i) % n)).find(|&p| pred(p))
+        (0..n)
+            .map(|i| PhysId((start + i) % n))
+            .find(|&p| has(cells, p))
     }
 }
 
@@ -356,11 +412,7 @@ impl Topology for LineTopology {
         }
     }
 
-    fn ring_find(
-        &self,
-        center: (i32, i32),
-        pred: &mut dyn FnMut(PhysId) -> bool,
-    ) -> Option<PhysId> {
+    fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
         // The center cell, then c + r before c − r for each radius.
         let n = self.n as i32;
         let c = center.0.clamp(0, n - 1);
@@ -368,21 +420,27 @@ impl Topology for LineTopology {
             .chain((1..n).flat_map(|r| [c + r, c - r]))
             .filter(|q| (0..n).contains(q))
             .map(|q| PhysId(q as u32))
-            .find(|&p| pred(p))
+            .find(|&p| has(cells, p))
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Every qubit `ring_find` offers, in visit order.
-    fn ring_order(t: &dyn Topology, center: (i32, i32)) -> Vec<PhysId> {
+    /// Every qubit in ring order from `center`: `nearest_in` over all
+    /// cells, then over the cells not yet offered, until none is left.
+    pub(crate) fn ring_order(t: &dyn Topology, center: (i32, i32)) -> Vec<PhysId> {
+        let n = t.qubit_count();
+        let mut cells = vec![0u64; n.div_ceil(64)];
+        for i in 0..n {
+            cells[i / 64] |= 1 << (i % 64);
+        }
         let mut order = Vec::new();
-        t.ring_find(center, &mut |q| {
+        while let Some(q) = t.nearest_in(center, &cells) {
+            cells[q.index() / 64] &= !(1 << (q.index() % 64));
             order.push(q);
-            false
-        });
+        }
         order
     }
 
@@ -417,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn grid_ring_find_visits_all_in_distance_order() {
+    fn grid_ring_order_visits_all_in_distance_order() {
         let g = GridTopology::new(4, 3);
         let seen = ring_order(&g, (1, 1));
         assert_eq!(seen.len(), 12, "every qubit visited exactly once");

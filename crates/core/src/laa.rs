@@ -119,14 +119,13 @@ pub fn choose_slot_naive(machine: &Machine, salt: u64) -> Option<PhysId> {
             return Some(candidate);
         }
     }
-    // Dense machine: rejection sampling gave up; linear fallback.
-    (0..machine.qubit_count() as u32)
-        .map(PhysId)
-        .find(|&p| machine.placement().is_free(p))
+    // Dense machine: rejection sampling gave up; the lowest free cell.
+    let first = machine.placement().free_cells().first()?;
+    Some(PhysId(first as u32))
 }
 
 fn dist_to(machine: &Machine, p: PhysId, center: (i32, i32)) -> f64 {
-    let (x, y) = machine.topo().coord(p);
+    let (x, y) = machine.placement().coord(p);
     ((x - center.0).abs() + (y - center.1).abs()) as f64
 }
 

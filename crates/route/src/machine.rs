@@ -4,7 +4,7 @@
 //! drives, split into three cohesive parts it orchestrates:
 //!
 //! * [`Placement`] — who sits where: flat occupancy arrays, free /
-//!   ever-used cell bitsets, and the reuse pool of released cells the
+//!   fresh cell bitsets, and the reuse pool of released cells the
 //!   allocator draws from (read via [`Machine::placement`]);
 //! * [`Clock`] — when: per-qubit ASAP availability and the makespan
 //!   (read via [`Machine::clock`]);
@@ -440,20 +440,19 @@ impl Machine {
     /// never-used slots qualify (a "brand new" qubit in the paper's
     /// allocation algorithm).
     pub fn nearest_free(&self, center: (i32, i32), require_fresh: bool) -> Option<PhysId> {
-        if require_fresh {
-            // Once every cell has been touched, a fresh-only scan can
-            // only fail — skip the ring walk outright.
+        let cells = if require_fresh {
+            // Once every cell has been touched, a fresh-only query can
+            // only fail — skip it outright. Never-used cells are
+            // necessarily free, so the fresh set needs no occupancy
+            // check.
             if self.placement.fresh_count() == 0 {
                 return None;
             }
-            // Never-used cells are necessarily free, so the occupancy
-            // check can be dropped from the fresh predicate.
-            return self
-                .topo
-                .ring_find(center, &mut |p| !self.placement.was_ever_used(p));
-        }
-        self.topo
-            .ring_find(center, &mut |p| self.placement.is_free(p))
+            self.placement.fresh_cells()
+        } else {
+            self.placement.free_cells()
+        };
+        self.topo.nearest_in(center, cells.words())
     }
 
     /// Places virtual qubit `v` on slot `p`, taking `p` out of the
@@ -1198,12 +1197,8 @@ mod tests {
             fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
                 self.0.next_hop(a, b)
             }
-            fn ring_find(
-                &self,
-                center: (i32, i32),
-                pred: &mut dyn FnMut(PhysId) -> bool,
-            ) -> Option<PhysId> {
-                self.0.ring_find((center.1, center.0), pred)
+            fn nearest_in(&self, center: (i32, i32), cells: &[u64]) -> Option<PhysId> {
+                self.0.nearest_in((center.1, center.0), cells)
             }
         }
         let nisq = MachineConfig::nisq;

@@ -4,7 +4,7 @@
 //! `Placement`/`Clock`/`ScheduleSink` split. Every map the old machine
 //! kept in `HashMap`s or `Vec<Option<_>>`s is a dense array here:
 //! occupancy and the virtual→physical binding are `u32` arrays with a
-//! `u32::MAX` sentinel, and the free / ever-used / ever-placed cell
+//! `u32::MAX` sentinel, and the free / fresh / ever-placed cell
 //! sets are `u64`-word bitsets indexed by `PhysId`. The routing hot
 //! loop touches nothing but these arrays, so a swap costs a handful of
 //! indexed reads and writes — no hashing, no per-gate allocation.
@@ -80,6 +80,18 @@ impl CellSet {
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
+
+    /// The lowest cell in the set.
+    pub fn first(&self) -> Option<usize> {
+        let (i, w) = self.words.iter().enumerate().find(|(_, &w)| w != 0)?;
+        Some(i * 64 + w.trailing_zeros() as usize)
+    }
+
+    /// The set's words: bit `i % 64` of word `i / 64` holds cell `i`
+    /// (the layout [`Topology::nearest_in`] reads).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
 }
 
 /// The virtual→physical binding state of a machine: occupancy, the
@@ -98,19 +110,19 @@ pub struct Placement {
     place: Vec<u32>,
     /// Free cells (cells with `occupant == NONE`), as a bitset.
     free: CellSet,
-    /// Cells that ever held *or were traversed by* a program qubit.
-    ever_used: CellSet,
+    /// Cells that never held *nor were traversed by* a program qubit —
+    /// the allocator's "fresh" candidates (always free).
+    fresh: CellSet,
     /// Cells that ever held a program qubit (the footprint).
     ever_placed: CellSet,
     /// Cached geometric embedding (`topo.coord` per cell).
     coords: Vec<(i32, i32)>,
     active: usize,
     peak_active: usize,
-    /// Cells not in `ever_used` — the allocator's remaining "fresh"
-    /// candidates. Maintained so `nearest_free(_, fresh)` can skip the
-    /// ring scan entirely once the fabric's fresh supply is exhausted
-    /// (which is most of a large compile).
-    fresh: usize,
+    /// Cells in `fresh`. Maintained so `nearest_free(_, fresh)` can
+    /// skip the query entirely once the fabric's fresh supply is
+    /// exhausted (which is most of a large compile).
+    fresh_count: usize,
     coord_sum: (i64, i64),
     /// Released cells awaiting reuse, in pool order (see the module
     /// docs for the three rules that maintain it).
@@ -129,12 +141,12 @@ impl Placement {
             occupant: vec![NONE; n],
             place: Vec::new(),
             free: CellSet::full(n),
-            ever_used: CellSet::empty(n),
+            fresh: CellSet::full(n),
             ever_placed: CellSet::empty(n),
             coords,
             active: 0,
             peak_active: 0,
-            fresh: n,
+            fresh_count: n,
             coord_sum: (0, 0),
             pool: Vec::new(),
             pool_pos: vec![NONE; n],
@@ -174,14 +186,26 @@ impl Placement {
     /// rather than "fresh" from the allocator's perspective).
     #[inline]
     pub fn was_ever_used(&self, p: PhysId) -> bool {
-        self.ever_used.contains(p.index())
+        !self.fresh.contains(p.index())
     }
 
     /// Number of cells never used by any qubit (never held one and
     /// never traversed by a swap). O(1).
     #[inline]
     pub fn fresh_count(&self) -> usize {
-        self.fresh
+        self.fresh_count
+    }
+
+    /// The free cells.
+    #[inline]
+    pub fn free_cells(&self) -> &CellSet {
+        &self.free
+    }
+
+    /// The fresh cells: never held or traversed by a qubit.
+    #[inline]
+    pub(crate) fn fresh_cells(&self) -> &CellSet {
+        &self.fresh
     }
 
     /// The reuse pool: released cells awaiting reuse, in pool order.
@@ -196,9 +220,9 @@ impl Placement {
     /// Marks a cell used, keeping the fresh counter in sync.
     #[inline]
     fn mark_used(&mut self, pi: usize) {
-        if !self.ever_used.contains(pi) {
-            self.ever_used.insert(pi);
-            self.fresh -= 1;
+        if self.fresh.contains(pi) {
+            self.fresh.remove(pi);
+            self.fresh_count -= 1;
         }
     }
 
@@ -393,6 +417,10 @@ mod tests {
         assert!(!s.contains(64));
         assert_eq!(s.len(), 2);
         assert_eq!(CellSet::full(130).len(), 130);
+        assert_eq!(s.first(), Some(0));
+        s.remove(0);
+        assert_eq!(s.first(), Some(129));
+        assert_eq!(CellSet::empty(130).first(), None);
     }
 
     #[test]
