@@ -1,4 +1,4 @@
-//! Budget-driven early uncomputation (`budget:N`, ROADMAP item 3).
+//! Budget-driven early uncomputation (`budget:N`).
 //!
 //! Grounded in *Reqomp: Space-constrained Uncomputation* — width as a
 //! hard constraint rather than an outcome. When an allocation would
@@ -32,7 +32,7 @@
 //!    frame currently in its store/decision/sweep phase, whose pending
 //!    mechanical sweep would otherwise free the same qubits twice.
 
-use square_qir::{ModuleId, TraceOp, VirtId};
+use square_qir::{TraceOp, VirtId};
 
 use crate::report::RecomputeStats;
 
@@ -75,8 +75,9 @@ pub struct Candidate {
 pub struct BudgetState {
     /// The hard cap N on simultaneously live qubits.
     pub cap: usize,
-    /// Eager-floor stack need of the entry module (see [`stack_need`]):
-    /// the headroom the anticipatory clamp keeps clear of garbage.
+    /// Eager-floor stack need of the entry module (see
+    /// [`square_qir::ModuleStats::stack_need`]): the headroom the
+    /// anticipatory clamp keeps clear of garbage.
     pub stack_need: usize,
     /// `last_write[v]` = trace position of the latest state-changing
     /// op (gate write, alloc, free) on `VirtId(v)`; grown on demand.
@@ -255,34 +256,6 @@ pub fn scan_candidate(
         freed,
         gates,
     })
-}
-
-/// Worst-case simultaneous open-frame ancilla width of a call to the
-/// entry module: its own ancillas plus the deepest single call chain
-/// below it (each frame's ancillas stack only along one path at a
-/// time). This is the eager-reclamation width floor, and under
-/// `budget:N` it is the stack headroom the anticipatory pressure clamp
-/// keeps clear of garbage. Note the contrast with `ancilla_transitive`
-/// (the machine-sizing hint), which counts *total* forward allocations
-/// and overshoots the simultaneous need by orders of magnitude.
-pub fn stack_need(program: &square_qir::Program) -> usize {
-    fn need(program: &square_qir::Program, id: ModuleId, memo: &mut [Option<usize>]) -> usize {
-        if let Some(n) = memo[id.index()] {
-            return n;
-        }
-        let module = program.module(id);
-        let mut deepest = 0usize;
-        for stmt in module.all_stmts() {
-            if let square_qir::Stmt::Call { callee, .. } = stmt {
-                deepest = deepest.max(need(program, *callee, memo));
-            }
-        }
-        let n = module.ancillas() + deepest;
-        memo[id.index()] = Some(n);
-        n
-    }
-    let mut memo = vec![None; program.modules().len()];
-    need(program, program.entry(), &mut memo)
 }
 
 #[cfg(test)]

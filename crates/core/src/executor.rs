@@ -19,7 +19,7 @@ use square_qir::{
 };
 use square_route::{Machine, MachineConfig, PhysicalCheck, RouterKind};
 
-use crate::budget::{scan_candidate, stack_need, BudgetState};
+use crate::budget::{scan_candidate, BudgetState};
 use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
 use crate::config::{ArchSpec, CompilerConfig};
 use crate::error::CompileError;
@@ -245,7 +245,7 @@ fn compile_on(
         lookahead: false,
         budget: config
             .budget
-            .map(|cap| BudgetState::new(cap, stack_need(lowered))),
+            .map(|cap| BudgetState::new(cap, prepared.pstats.module(lowered.entry()).stack_need)),
         stack: Vec::new(),
     };
     let lookahead = exec.machine.wants_lookahead();

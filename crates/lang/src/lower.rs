@@ -6,11 +6,12 @@
 //! a pretty-printed program preserves module ids exactly — the
 //! round-trip guarantee), and re-states every `square_qir::validate`
 //! per-module rule *with source spans*: operand bounds, call arity,
-//! aliased arguments, duplicated gate operands, and the entry
-//! signature. Whole-program rules that need the finished call graph
-//! (store discipline, acyclicity) run inside
-//! [`square_qir::ProgramBuilder::finish`] and are mapped back onto the
-//! offending module's span.
+//! aliased arguments, duplicated gate operands, the entry signature,
+//! and call cycles (reported by the dependency sort). The dependency
+//! sort also hands the builder callees before callers, as
+//! [`square_qir::Program`] requires. The one whole-program rule, the
+//! store discipline, runs inside [`square_qir::ProgramBuilder::finish`]
+//! and is mapped back onto the offending module's span.
 
 use std::collections::HashMap;
 
@@ -383,7 +384,6 @@ fn qir_error_diag(e: &QirError, ast: &SourceProgram) -> Diagnostic {
     };
     let span = match e {
         QirError::OperandOutOfRange { module, .. }
-        | QirError::RecursiveCall { module }
         | QirError::DuplicatedQubit { module }
         | QirError::StoreDiscipline { module, .. }
         | QirError::EntryHasParams { module } => named(module),

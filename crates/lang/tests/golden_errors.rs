@@ -386,6 +386,76 @@ error: guarded `mcx` has 3 controls in module `f`; a guarded gate takes at most 
 }
 
 #[test]
+fn golden_store_discipline_violation() {
+    // The store discipline needs every callee's may-write set, so it
+    // is the one rule checked on the whole program; its diagnostic
+    // anchors on the offending module's name.
+    let src = "\
+module bad(2 params, 1 ancilla) {
+  compute {
+    cx p0 a0;
+    cx p0 p1;
+  }
+  store {
+    cx a0 p1;
+  }
+}
+entry module main(0 params, 2 ancilla) {
+  compute {
+    call bad(a0, a1);
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: store discipline violated in module `bad`: store block writes p1, which the compute block touches
+  --> prog.sq:1:8
+   |
+ 1 | module bad(2 params, 1 ancilla) {
+   |        ^^^
+"
+    );
+}
+
+#[test]
+fn golden_store_discipline_violation_through_a_call() {
+    // `copy` writes only its second parameter; `bad`'s store block
+    // binds that parameter to `p1`, which its compute block touched.
+    let src = "\
+module copy(2 params, 0 ancilla) {
+  store {
+    cx p0 p1;
+  }
+}
+module bad(2 params, 1 ancilla) {
+  compute {
+    cx p0 a0;
+    cx p0 p1;
+  }
+  store {
+    call copy(a0, p1);
+  }
+}
+entry module main(0 params, 2 ancilla) {
+  compute {
+    call bad(a0, a1);
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: store discipline violated in module `bad`: store block writes p1, which the compute block touches
+  --> prog.sq:6:8
+   |
+ 6 | module bad(2 params, 1 ancilla) {
+   |        ^^^
+"
+    );
+}
+
+#[test]
 fn golden_caret_alignment_with_tabs_and_wide_characters() {
     // Tab-indented source keeps its tabs in the caret pad (so the
     // carets line up in any tab rendering), and CJK identifiers count

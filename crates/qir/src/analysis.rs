@@ -6,6 +6,10 @@
 //! uncompute block. These per-module *forward* costs (compute + store,
 //! calls fully expanded, no uncomputation) provide that estimate; the
 //! paper computes the same quantity from its instrumented LLVM IR.
+//!
+//! Every figure composes bottom-up over the call DAG, and a
+//! [`Program`] lists callees before callers, so one forward pass over
+//! the modules computes them all.
 
 use std::collections::HashSet;
 
@@ -26,6 +30,15 @@ pub struct ModuleStats {
     pub ancilla_transitive: u64,
     /// Maximum call-nesting depth below this module (leaf = 0).
     pub height: usize,
+    /// Worst-case simultaneous open-frame ancilla width of one call:
+    /// the module's own ancillas plus the deepest single call chain
+    /// below it, over every block (frames stack along one path at a
+    /// time). This is the eager-reclamation width floor, and under
+    /// `budget:N` the entry's value is the stack headroom the
+    /// anticipatory pressure clamp keeps clear of garbage. Unlike
+    /// `ancilla_transitive` (the machine-sizing hint, which counts
+    /// *total* forward allocations), it does not grow with call count.
+    pub stack_need: usize,
 }
 
 impl ModuleStats {
@@ -42,17 +55,43 @@ pub struct ProgramStats {
 }
 
 impl ProgramStats {
-    /// Analyzes `program` (linear in program size thanks to
-    /// memoization over the call DAG).
+    /// Analyzes `program` in one forward pass over its modules (linear
+    /// in program size): each callee's stats are final before any
+    /// caller reads them.
     pub fn analyze(program: &Program) -> Self {
-        let n = program.modules().len();
-        let mut memo: Vec<Option<ModuleStats>> = vec![None; n];
-        for i in 0..n {
-            analyze_module(program, i, &mut memo);
+        let mut this = ProgramStats {
+            modules: Vec::with_capacity(program.len()),
+        };
+        for module in program.modules() {
+            let mut stats = ModuleStats {
+                ancilla_transitive: module.ancillas() as u64,
+                ..ModuleStats::default()
+            };
+            let block_cost = |stmts: &[Stmt], stats: &mut ModuleStats| -> u64 {
+                let mut gates = 0;
+                for stmt in stmts {
+                    if let Stmt::Call { callee, .. } = stmt {
+                        let sub = &this.modules[callee.index()];
+                        stats.ancilla_transitive += sub.ancilla_transitive;
+                        stats.height = stats.height.max(sub.height + 1);
+                    }
+                    gates += this.stmt_forward_gates(stmt);
+                }
+                gates
+            };
+            stats.gates_compute = block_cost(module.compute(), &mut stats);
+            stats.gates_store = block_cost(module.store(), &mut stats);
+            let deepest = module
+                .all_stmts()
+                .filter_map(|stmt| match stmt {
+                    Stmt::Call { callee, .. } => Some(this.modules[callee.index()].stack_need),
+                    _ => None,
+                })
+                .max();
+            stats.stack_need = module.ancillas().saturating_add(deepest.unwrap_or(0));
+            this.modules.push(stats);
         }
-        ProgramStats {
-            modules: memo.into_iter().map(|m| m.unwrap_or_default()).collect(),
-        }
+        this
     }
 
     /// Stats for one module.
@@ -202,45 +241,6 @@ fn toffoli_class(gate: &Gate<VirtId>) -> bool {
         Gate::Swap { .. } => false,
         Gate::Mcx { controls, .. } => controls.len() <= 2,
     }
-}
-
-fn analyze_module(
-    program: &Program,
-    idx: usize,
-    memo: &mut Vec<Option<ModuleStats>>,
-) -> ModuleStats {
-    if let Some(s) = memo[idx] {
-        return s;
-    }
-    // Guard against (invalid) cyclic programs: report zero rather than
-    // recursing forever; `validate_program` rejects cycles separately.
-    memo[idx] = Some(ModuleStats::default());
-    let module = &program.modules()[idx];
-    let mut stats = ModuleStats {
-        ancilla_transitive: module.ancillas() as u64,
-        ..ModuleStats::default()
-    };
-    let block_cost =
-        |stmts: &[Stmt], memo: &mut Vec<Option<ModuleStats>>, stats: &mut ModuleStats| -> u64 {
-            let mut gates = 0u64;
-            for stmt in stmts {
-                match stmt {
-                    Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => gates += primitive_count(g),
-                    Stmt::Call { callee, .. } => {
-                        let sub = analyze_module(program, callee.index(), memo);
-                        gates += sub.gates_forward();
-                        stats.ancilla_transitive += sub.ancilla_transitive;
-                        stats.height = stats.height.max(sub.height + 1);
-                    }
-                    Stmt::Measure { .. } => gates += 1,
-                }
-            }
-            gates
-        };
-    stats.gates_compute = block_cost(module.compute(), memo, &mut stats);
-    stats.gates_store = block_cost(module.store(), memo, &mut stats);
-    memo[idx] = Some(stats);
-    stats
 }
 
 #[cfg(test)]

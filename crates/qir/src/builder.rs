@@ -2,9 +2,12 @@
 //! `Compute { … } Store { … } Uncompute { … }` construct.
 //!
 //! Modules are registered in dependency order: a call site may only
-//! reference a module that has already been built, which makes the
-//! call graph a DAG by construction (the paper requires modular,
-//! non-recursive reversible programs).
+//! reference a module that has already been built, so every call
+//! targets a module with a smaller id and the call graph is a DAG by
+//! construction (the paper requires modular, non-recursive reversible
+//! programs). Each module is checked as it is registered;
+//! [`ProgramBuilder::finish`] adds only the checks that need the whole
+//! program (see [`crate::validate`]).
 
 use crate::error::QirError;
 use crate::gate::Gate;
@@ -102,8 +105,10 @@ impl ProgramBuilder {
         Ok(id)
     }
 
-    /// Finalizes the program with `entry` as the top-level module and
-    /// runs whole-program validation.
+    /// Finalizes the program with `entry` as the top-level module,
+    /// checking the entry signature and the store discipline (every
+    /// module already passed its own checks in
+    /// [`ProgramBuilder::module`]).
     ///
     /// The entry module must declare zero parameters: its inputs are
     /// modeled as entry-level ancilla, matching the paper's `main`
@@ -111,15 +116,15 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Returns any whole-program validation failure, e.g. a store-block
-    /// discipline violation (see [`crate::validate`]).
+    /// Returns [`QirError::EntryHasParams`], a store-block discipline
+    /// violation (see [`crate::validate`]), or
+    /// [`QirError::UnknownModule`] when `entry` is not a registered id.
     pub fn finish(self, entry: ModuleId) -> Result<Program, QirError> {
-        let program = Program {
+        validate::validate_finish(&self.modules, entry)?;
+        Ok(Program {
             modules: self.modules,
             entry,
-        };
-        validate::validate_program(&program)?;
-        Ok(program)
+        })
     }
 }
 

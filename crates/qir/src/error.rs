@@ -13,7 +13,9 @@ pub enum QirError {
         /// Human-readable description of the offending operand.
         operand: String,
     },
-    /// A call referenced a module id that does not exist in the program.
+    /// A call referenced a module id that is not listed before the
+    /// caller (callees precede their callers, so this also rejects a
+    /// recursive call), or the entry id is not in the program.
     UnknownModule(ModuleId),
     /// A call passed the wrong number of arguments to its callee.
     ArityMismatch {
@@ -32,11 +34,6 @@ pub enum QirError {
         caller: String,
         /// Called module name.
         callee: String,
-    },
-    /// The call graph contains a cycle (reversible programs must form a DAG).
-    RecursiveCall {
-        /// Name of a module on the cycle.
-        module: String,
     },
     /// A gate used the same qubit twice (e.g. CNOT with control == target).
     DuplicatedQubit {
@@ -101,9 +98,6 @@ impl fmt::Display for QirError {
                 f,
                 "call from `{caller}` to `{callee}` passes the same qubit twice"
             ),
-            QirError::RecursiveCall { module } => {
-                write!(f, "recursive call involving module `{module}`")
-            }
             QirError::DuplicatedQubit { module } => {
                 write!(f, "gate uses the same qubit twice in module `{module}`")
             }

@@ -2,12 +2,13 @@
 //!
 //! The IR for modular reversible quantum programs used by the SQUARE
 //! compiler (Ding et al., ISCA 2020). A [`Program`] is a collection of
-//! [`Module`]s forming a call DAG; each module follows the paper's
-//! *Compute–Store–Uncompute* construct (Fig. 6 of the paper): ancilla
-//! qubits are allocated on entry, a `compute` block builds intermediate
-//! results on them, a `store` block copies results out, and an
-//! (implicit, mechanically derived) `uncompute` block can undo the
-//! compute block so the ancilla return to |0⟩ and may be reclaimed.
+//! [`Module`]s forming a call DAG, listed callees before callers; each
+//! module follows the paper's *Compute–Store–Uncompute* construct
+//! (Fig. 6 of the paper): ancilla qubits are allocated on entry, a
+//! `compute` block builds intermediate results on them, a `store` block
+//! copies results out, and an (implicit, mechanically derived)
+//! `uncompute` block can undo the compute block so the ancilla return
+//! to |0⟩ and may be reclaimed.
 //!
 //! Only classical reversible gates appear here (X, CNOT, Toffoli, SWAP
 //! and multi-controlled X): the paper's optimization targets the

@@ -29,65 +29,55 @@ use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 /// unchanged.
 ///
 /// The generated modules are shared across call sites (one per control
-/// count) and appended after the existing modules, so existing
-/// [`ModuleId`]s stay valid.
-///
-/// Lowering runs in two phases: a cheap sequential discovery scan
-/// assigns [`ModuleId`]s to the needed `__mcx{k}` modules in
-/// first-encounter order (identical to the historical single-pass
-/// numbering), then every module body is rewritten against the
-/// now-read-only id map.
+/// count, numbered in first-encounter order) and placed *first*, since
+/// every caller must come after its callees (see [`Program`]); every
+/// existing [`ModuleId`], the entry's included, shifts up by their
+/// count.
 pub fn lower_mcx(program: &Program) -> Program {
     // Phase 1: discovery. Walk statements in program order and give
-    // each required chain width its module id, preserving the
-    // historical first-encounter numbering.
-    let n = program.modules().len();
+    // each required chain width its module id.
     let mut generated: HashMap<usize, ModuleId> = HashMap::new();
-    let mut tail: Vec<Module> = Vec::new();
+    let mut modules: Vec<Module> = Vec::new();
     let mut any_mcx = false;
-    for module in program.modules() {
-        for stmt in module.all_stmts() {
-            match stmt {
-                Stmt::Gate(Gate::Mcx { controls, .. }) => {
-                    any_mcx = true;
-                    let k = controls.len();
-                    if k >= 3 && !generated.contains_key(&k) {
-                        let id = ModuleId::from_index(n + tail.len());
-                        tail.push(build_mcx_module(k));
-                        generated.insert(k, id);
-                    }
+    for stmt in program.modules().iter().flat_map(Module::all_stmts) {
+        match stmt {
+            Stmt::Gate(Gate::Mcx { controls, .. }) => {
+                any_mcx = true;
+                let k = controls.len();
+                if k >= 3 && !generated.contains_key(&k) {
+                    generated.insert(k, ModuleId::from_index(modules.len()));
+                    modules.push(build_mcx_module(k));
                 }
-                Stmt::CondGate {
-                    gate: Gate::Mcx { .. },
-                    ..
-                } => any_mcx = true,
-                _ => {}
             }
+            Stmt::CondGate {
+                gate: Gate::Mcx { .. },
+                ..
+            } => any_mcx = true,
+            _ => {}
         }
     }
     if !any_mcx {
         return program.clone();
     }
-    // Phase 2: rewrite. Each module body only reads the shared id map.
-    let mut modules: Vec<Module> = program
-        .modules()
-        .iter()
-        .map(|module| {
-            let mut m = module.clone();
-            m.compute = lower_block(m.compute, &generated);
-            m.store = lower_block(m.store, &generated);
-            m.custom_uncompute = m.custom_uncompute.map(|b| lower_block(b, &generated));
-            m
-        })
-        .collect();
-    modules.extend(tail);
+    // Phase 2: rewrite every body after the generated modules, against
+    // the now-read-only id map.
+    let shift = modules.len();
+    modules.extend(program.modules().iter().map(|module| {
+        let mut m = module.clone();
+        m.compute = lower_block(m.compute, &generated, shift);
+        m.store = lower_block(m.store, &generated, shift);
+        m.custom_uncompute = m
+            .custom_uncompute
+            .map(|b| lower_block(b, &generated, shift));
+        m
+    }));
     Program {
         modules,
-        entry: program.entry(),
+        entry: ModuleId::from_index(program.entry().index() + shift),
     }
 }
 
-fn lower_block(stmts: Vec<Stmt>, generated: &HashMap<usize, ModuleId>) -> Vec<Stmt> {
+fn lower_block(stmts: Vec<Stmt>, generated: &HashMap<usize, ModuleId>, shift: usize) -> Vec<Stmt> {
     stmts
         .into_iter()
         .map(|stmt| match stmt {
@@ -106,6 +96,10 @@ fn lower_block(stmts: Vec<Stmt>, generated: &HashMap<usize, ModuleId>) -> Vec<St
             } => Stmt::CondGate {
                 clbit,
                 gate: narrow(&controls, target).unwrap_or(Gate::Mcx { controls, target }),
+            },
+            Stmt::Call { callee, args } => Stmt::Call {
+                callee: ModuleId::from_index(callee.index() + shift),
+                args,
             },
             other => other,
         })

@@ -2,7 +2,8 @@
 //!
 //! A [`Program`] owns a set of [`Module`]s and designates one as the
 //! entry point. Modules reference each other through [`Stmt::Call`],
-//! forming a call DAG (validated by [`crate::validate`]). Each module
+//! always calling a module listed earlier, so the call graph is a DAG
+//! whose topological order is the module order. Each module
 //! follows the paper's compute–store–uncompute structure: the compute
 //! block may scribble on parameters and ancilla, the store block copies
 //! results onto fresh output qubits, and the uncompute block — derived
@@ -154,10 +155,16 @@ impl Module {
 /// A complete modular reversible program.
 ///
 /// A `Program` is valid by construction: its fields are crate-private,
-/// and the only ways to build one are [`crate::ProgramBuilder::finish`],
-/// which runs [`crate::validate::validate_program`], and
+/// and the only ways to build one are [`crate::ProgramBuilder`], whose
+/// checks [`crate::validate::validate_program`] replays, and
 /// [`crate::lower_mcx`], which maps a valid program to a valid one.
 /// Consumers need not validate it again.
+///
+/// **Callees before callers:** every [`Stmt::Call`] in a module targets
+/// a module with a smaller id. The call graph is therefore acyclic, and
+/// any fact that composes bottom-up over it (gate counts, ancilla
+/// footprints, may-write sets) is one forward pass over
+/// [`Program::modules`].
 ///
 /// Equality is structural (same modules in the same order, same entry),
 /// which is what the `.sq` round-trip guarantee in `square-lang` is

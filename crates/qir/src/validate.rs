@@ -1,8 +1,15 @@
 //! Program well-formedness checks.
 //!
-//! Two layers: per-module checks (operand ranges, gate well-formedness,
-//! call arity — run at build time) and whole-program checks (call-graph
-//! acyclicity, entry signature, and the Bennett *store discipline*).
+//! A [`Program`] lists callees before callers: a call may only target a
+//! module with a smaller id, which makes the call graph a DAG without a
+//! cycle search (the paper requires modular, non-recursive reversible
+//! programs), and every check composes in one forward pass over the
+//! modules. [`validate_module`] checks one module against the modules
+//! before it (operand ranges, gate well-formedness, call targets and
+//! arity) as [`crate::ProgramBuilder::module`] registers it;
+//! [`crate::ProgramBuilder::finish`] then checks the entry signature and
+//! the Bennett *store discipline*. [`validate_program`] replays both on
+//! a finished program.
 //!
 //! ## Store discipline
 //!
@@ -26,15 +33,17 @@ use std::collections::HashSet;
 
 use crate::error::QirError;
 use crate::gate::Gate;
-use crate::module::{Module, Operand, Program, Stmt};
+use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 
 /// Validates a single module against the modules registered before it.
 ///
 /// # Errors
 ///
 /// Returns operand-range, arity, duplicate-operand, guarded-wide-MCX
-/// or unknown-callee errors. Call-graph and store-discipline checks
-/// happen in [`validate_program`].
+/// or unknown-callee errors; a call to a module outside `existing`
+/// (itself or one registered later) is an unknown callee. The entry
+/// signature and the store discipline are checked once the program is
+/// complete (see [`validate_program`]).
 pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirError> {
     let check_operand = |op: &Operand| -> Result<(), QirError> {
         let ok = match op {
@@ -124,138 +133,71 @@ fn check_clbit(module: &Module, clbit: usize) -> Result<(), QirError> {
     }
 }
 
-/// Validates the whole program: entry signature, call-graph acyclicity,
-/// per-module checks, and the store discipline.
+/// Validates a finished program: the per-module checks, each module
+/// against the modules before it, then the entry signature and the
+/// store discipline, exactly as [`crate::ProgramBuilder`] ran them.
 ///
 /// # Errors
 ///
 /// Returns the first violation found; see [`QirError`].
 pub fn validate_program(program: &Program) -> Result<(), QirError> {
-    let entry = program.module(program.entry());
-    if entry.params != 0 {
+    for (i, m) in program.modules.iter().enumerate() {
+        validate_module(m, &program.modules[..i])?;
+    }
+    validate_finish(&program.modules, program.entry)
+}
+
+/// The whole-program checks of [`crate::ProgramBuilder::finish`] on
+/// modules that each passed [`validate_module`]: the entry signature,
+/// then the store discipline in one forward pass. Every callee precedes
+/// its caller, so its may-write set is complete when a call reads it.
+pub(crate) fn validate_finish(modules: &[Module], entry: ModuleId) -> Result<(), QirError> {
+    let entry_module = modules
+        .get(entry.index())
+        .ok_or(QirError::UnknownModule(entry))?;
+    if entry_module.params != 0 {
         return Err(QirError::EntryHasParams {
-            module: entry.name.clone(),
+            module: entry_module.name.clone(),
         });
     }
-    for m in &program.modules {
-        // Re-run per-module checks treating every module as visible
-        // (ids may point anywhere as long as the graph is acyclic).
-        validate_module(m, &program.modules)?;
-    }
-    check_acyclic(program)?;
-    let may_write = compute_may_write_sets(program);
-    for (i, m) in program.modules.iter().enumerate() {
-        let is_entry = i == program.entry().index();
-        check_store_discipline(m, &may_write, is_entry)?;
-    }
-    Ok(())
-}
-
-fn check_acyclic(program: &Program) -> Result<(), QirError> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Grey,
-        Black,
-    }
-    let n = program.modules.len();
-    let mut color = vec![Color::White; n];
-    // Iterative DFS to avoid stack overflow on deep call graphs.
-    for start in 0..n {
-        if color[start] != Color::White {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = Color::Grey;
-        while let Some(&mut (node, ref mut edge)) = stack.last_mut() {
-            let callees: Vec<usize> = program.modules[node]
-                .all_stmts()
-                .filter_map(|s| match s {
-                    Stmt::Call { callee, .. } => Some(callee.index()),
-                    _ => None,
-                })
-                .collect();
-            if *edge < callees.len() {
-                let next = callees[*edge];
-                *edge += 1;
-                match color[next] {
-                    Color::Grey => {
-                        return Err(QirError::RecursiveCall {
-                            module: program.modules[next].name.clone(),
-                        });
-                    }
-                    Color::White => {
-                        color[next] = Color::Grey;
-                        stack.push((next, 0));
-                    }
-                    Color::Black => {}
+    // `may_write[i]`: the parameters module `i` may write, directly or
+    // through calls, in any of its blocks (sorted, without repeats).
+    let mut may_write: Vec<Vec<usize>> = Vec::with_capacity(modules.len());
+    for (i, module) in modules.iter().enumerate() {
+        check_store_discipline(module, &may_write, i == entry.index())?;
+        let mut writes = Vec::new();
+        for stmt in module.all_stmts() {
+            for_each_write(stmt, &may_write, |w| {
+                if let Operand::Param(p) = w {
+                    writes.push(p);
                 }
-            } else {
-                color[node] = Color::Black;
-                stack.pop();
-            }
+            });
         }
+        writes.sort_unstable();
+        writes.dedup();
+        may_write.push(writes);
     }
     Ok(())
 }
 
-/// For each module, the set of *parameter indices* it may write
-/// (directly or through calls), considering compute and store blocks.
-fn compute_may_write_sets(program: &Program) -> Vec<HashSet<usize>> {
-    let n = program.modules.len();
-    let mut sets: Vec<Option<HashSet<usize>>> = vec![None; n];
-    for i in 0..n {
-        may_write_of(program, i, &mut sets);
-    }
-    sets.into_iter().map(|s| s.unwrap_or_default()).collect()
-}
-
-fn may_write_of(
-    program: &Program,
-    idx: usize,
-    memo: &mut Vec<Option<HashSet<usize>>>,
-) -> HashSet<usize> {
-    if let Some(s) = &memo[idx] {
-        return s.clone();
-    }
-    // Mark in-progress with an empty set; cycles are rejected separately
-    // by `check_acyclic`, so this is only a guard against runaway
-    // recursion on malformed inputs.
-    memo[idx] = Some(HashSet::new());
-    let module = &program.modules[idx];
-    let mut out = HashSet::new();
-    for stmt in module.all_stmts() {
-        for op in stmt_written_operands(program, stmt, memo) {
-            if let Operand::Param(p) = op {
-                out.insert(p);
+/// Visits the caller-frame operands `stmt` may write: a gate's targets,
+/// and for a call the arguments bound to parameters the callee may
+/// write. A measurement writes only its classical bit.
+fn for_each_write(stmt: &Stmt, may_write: &[Vec<usize>], mut f: impl FnMut(Operand)) {
+    match stmt {
+        Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.for_each_write(|q| f(*q)),
+        Stmt::Call { callee, args } => {
+            for &p in &may_write[callee.index()] {
+                f(args[p]);
             }
         }
-    }
-    memo[idx] = Some(out.clone());
-    out
-}
-
-/// Operands (caller frame) that a statement may write.
-fn stmt_written_operands(
-    program: &Program,
-    stmt: &Stmt,
-    memo: &mut Vec<Option<HashSet<usize>>>,
-) -> Vec<Operand> {
-    match stmt {
-        Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.written_qubits(),
-        Stmt::Call { callee, args } => {
-            let w = may_write_of(program, callee.index(), memo);
-            w.into_iter().filter_map(|p| args.get(p).copied()).collect()
-        }
-        // Measurement is non-destructive in the basis-state model: it
-        // reads the qubit and writes only the classical bit.
-        Stmt::Measure { .. } => Vec::new(),
+        Stmt::Measure { .. } => {}
     }
 }
 
 fn check_store_discipline(
     module: &Module,
-    may_write: &[HashSet<usize>],
+    may_write: &[Vec<usize>],
     is_entry: bool,
 ) -> Result<(), QirError> {
     // Touch set of the compute block (everything any compute statement
@@ -272,37 +214,31 @@ fn check_store_discipline(
             }
         }
     }
-    // May-write set of each store statement.
+    let mut detail = None;
     for stmt in &module.store {
-        let written: Vec<Operand> = match stmt {
-            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.written_qubits(),
-            Stmt::Call { callee, args } => may_write[callee.index()]
-                .iter()
-                .filter_map(|p| args.get(*p).copied())
-                .collect(),
-            Stmt::Measure { .. } => Vec::new(),
-        };
-        for w in written {
+        for_each_write(stmt, may_write, |w| {
+            if detail.is_some() {
+                return;
+            }
             // The entry module's ancilla are the program I/O register
             // (never freed), so storing into its own compute-untouched
             // ancilla is the normal way to produce final outputs.
-            if let Operand::Ancilla(i) = w {
-                if !is_entry {
-                    return Err(QirError::StoreDiscipline {
-                        module: module.name.clone(),
-                        detail: format!("store block writes own ancilla a{i}"),
-                    });
-                }
+            if let (Operand::Ancilla(i), false) = (w, is_entry) {
+                detail = Some(format!("store block writes own ancilla a{i}"));
+            } else if touched.contains(&w) {
+                detail = Some(format!(
+                    "store block writes {w}, which the compute block touches"
+                ));
             }
-            if touched.contains(&w) {
-                return Err(QirError::StoreDiscipline {
-                    module: module.name.clone(),
-                    detail: format!("store block writes {w}, which the compute block touches"),
-                });
-            }
-        }
+        });
     }
-    Ok(())
+    match detail {
+        Some(detail) => Err(QirError::StoreDiscipline {
+            module: module.name.clone(),
+            detail,
+        }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -334,38 +270,25 @@ mod tests {
     #[test]
     fn rejects_store_writing_computed_qubit() {
         let mut b = ProgramBuilder::new();
-        let r = b.module("bad", 2, 1, |m| {
-            let (x, out) = (m.param(0), m.param(1));
-            let a = m.ancilla(0);
-            m.cx(x, a);
-            m.cx(x, out); // compute touches `out`
-            m.store();
-            m.cx(a, out); // store writes `out` => diverging inverse
-        });
-        let id = r.unwrap(); // per-module checks pass
-        let err = {
-            let mut b2 = ProgramBuilder::new();
-            // rebuild under a main that wraps it
-            let bad = b2
-                .module("bad", 2, 1, |m| {
-                    let (x, out) = (m.param(0), m.param(1));
-                    let a = m.ancilla(0);
-                    m.cx(x, a);
-                    m.cx(x, out);
-                    m.store();
-                    m.cx(a, out);
-                })
-                .unwrap();
-            let main = b2
-                .module("main", 0, 2, |m| {
-                    let (x, out) = (m.ancilla(0), m.ancilla(1));
-                    m.call(bad, &[x, out]);
-                })
-                .unwrap();
-            b2.finish(main).unwrap_err()
-        };
+        // Per-module checks pass; the violation needs the store check.
+        let bad = b
+            .module("bad", 2, 1, |m| {
+                let (x, out) = (m.param(0), m.param(1));
+                let a = m.ancilla(0);
+                m.cx(x, a);
+                m.cx(x, out); // compute touches `out`
+                m.store();
+                m.cx(a, out); // store writes `out` => diverging inverse
+            })
+            .unwrap();
+        let main = b
+            .module("main", 0, 2, |m| {
+                let (x, out) = (m.ancilla(0), m.ancilla(1));
+                m.call(bad, &[x, out]);
+            })
+            .unwrap();
+        let err = b.finish(main).unwrap_err();
         assert!(matches!(err, QirError::StoreDiscipline { .. }));
-        let _ = id;
     }
 
     #[test]
@@ -449,6 +372,42 @@ mod tests {
     }
 
     #[test]
+    fn store_violation_names_the_lowest_written_parameter() {
+        // `w2` writes both of its targets; the error must not depend on
+        // set iteration order.
+        let mut b = ProgramBuilder::new();
+        let w2 = b
+            .module("w2", 3, 0, |m| {
+                let (c, t0, t1) = (m.param(0), m.param(1), m.param(2));
+                m.cx(c, t1);
+                m.cx(c, t0);
+            })
+            .unwrap();
+        let bad = b
+            .module("bad", 3, 0, |m| {
+                let q = [m.param(0), m.param(1), m.param(2)];
+                m.x(q[2]);
+                m.x(q[1]);
+                m.store();
+                m.call(w2, &q);
+            })
+            .unwrap();
+        let main = b
+            .module("main", 0, 3, |m| {
+                let q = [m.ancilla(0), m.ancilla(1), m.ancilla(2)];
+                m.call(bad, &q);
+            })
+            .unwrap();
+        assert_eq!(
+            b.finish(main).unwrap_err(),
+            QirError::StoreDiscipline {
+                module: "bad".into(),
+                detail: "store block writes p1, which the compute block touches".into(),
+            }
+        );
+    }
+
+    #[test]
     fn rejects_out_of_range_clbit() {
         use crate::module::{Module, Operand, Stmt};
         let module = Module {
@@ -472,6 +431,43 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn rejects_calls_that_do_not_target_an_earlier_module() {
+        use crate::module::{Module, ModuleId, Operand, Program, Stmt};
+        let module = |name: &str, params: usize, callee: usize| Module {
+            name: name.into(),
+            params,
+            ancillas: 1,
+            clbits: 0,
+            compute: vec![Stmt::Call {
+                callee: ModuleId::from_index(callee),
+                args: vec![Operand::Ancilla(0)],
+            }],
+            store: vec![],
+            custom_uncompute: None,
+        };
+        let leaf = Module {
+            compute: vec![],
+            ..module("leaf", 1, 0)
+        };
+        // A self-call, and a call to a module listed after the caller:
+        // both would be cycles or forward edges in the call graph.
+        let recursive = Program {
+            modules: vec![leaf.clone(), module("main", 0, 1)],
+            entry: ModuleId::from_index(1),
+        };
+        let forward = Program {
+            modules: vec![module("main", 0, 1), leaf],
+            entry: ModuleId::from_index(0),
+        };
+        for program in [recursive, forward] {
+            assert_eq!(
+                super::validate_program(&program),
+                Err(QirError::UnknownModule(ModuleId::from_index(1)))
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use std::path::{Path, PathBuf};
 
 use square_repro::core::{compile, compile_with_inputs, CompilerConfig, Policy};
 use square_repro::lang::{parse_files, SearchPathLoader};
+use square_repro::qir::validate::validate_program;
 use square_repro::qir::{lower_mcx, Gate, Program, Stmt, TraceOp};
 use square_repro::sim::run_ideal;
 use square_repro::verify::{default_inputs, replay_virtual, FuzzCase};
@@ -150,23 +151,33 @@ fn inputs_only_prepend_x_gates_on_the_catalog() {
 }
 
 /// The back end routes only the lowered gate set: after `lower_mcx`, no
-/// `Gate` or `CondGate` statement of any module holds an `Mcx`.
+/// `Gate` or `CondGate` statement of any module holds an `Mcx`. The
+/// lowered program is still a valid `Program`: every call targets a
+/// module with a smaller id (the generated `__mcx{k}` modules come
+/// first), and it passes `validate_program`.
 #[test]
 fn lowering_leaves_no_mcx_for_the_router() {
     let assert_lowered = |label: &str, program: &Program| {
         let lowered = lower_mcx(program);
-        for module in lowered.modules() {
+        for (i, module) in lowered.modules().iter().enumerate() {
             for stmt in module.all_stmts() {
-                if let Stmt::Gate(g @ Gate::Mcx { .. })
-                | Stmt::CondGate {
-                    gate: g @ Gate::Mcx { .. },
-                    ..
-                } = stmt
-                {
-                    panic!("{label}: `{}` keeps {g}", module.name());
+                match stmt {
+                    Stmt::Gate(g @ Gate::Mcx { .. })
+                    | Stmt::CondGate {
+                        gate: g @ Gate::Mcx { .. },
+                        ..
+                    } => panic!("{label}: `{}` keeps {g}", module.name()),
+                    Stmt::Call { callee, .. } => assert!(
+                        callee.index() < i,
+                        "{label}: `{}` (id {i}) calls id {}",
+                        module.name(),
+                        callee.index()
+                    ),
+                    _ => {}
                 }
             }
         }
+        validate_program(&lowered).unwrap_or_else(|e| panic!("{label}: {e}"));
     };
     for bench in Benchmark::ALL {
         assert_lowered(&bench.to_string(), &build(bench).expect("benchmark builds"));
