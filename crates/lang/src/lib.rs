@@ -8,7 +8,7 @@
 //! the path by which *arbitrary external programs* enter the SQUARE
 //! pipeline: `parse_program` takes source text to a validated
 //! [`square_qir::Program`], and the `squarec` driver (in
-//! `square-bench`) takes a `.sq` file end-to-end through compile,
+//! `square-service`) takes a `.sq` file end-to-end through compile,
 //! route, and the `square-verify` oracle stack.
 //!
 //! ## Grammar (EBNF)

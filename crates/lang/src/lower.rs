@@ -1,23 +1,28 @@
 //! Resolution and lowering: spanned surface AST → [`square_qir::Program`].
 //!
 //! Resolution binds callee names to module indices (with "did you
-//! mean" hints), orders modules topologically when the source uses
+//! mean" hints) and orders modules topologically when the source uses
 //! forward references (the canonical listing never does, so lowering
 //! a pretty-printed program preserves module ids exactly — the
-//! round-trip guarantee), and re-states every `square_qir::validate`
-//! per-module rule *with source spans*: operand bounds, call arity,
-//! aliased arguments, duplicated gate operands, the entry signature,
-//! and call cycles (reported by the dependency sort). The dependency
-//! sort also hands the builder callees before callers, as
-//! [`square_qir::Program`] requires. The one whole-program rule, the
-//! store discipline, runs inside [`square_qir::ProgramBuilder::finish`]
-//! and is mapped back onto the offending module's span.
+//! round-trip guarantee); the dependency sort reports call cycles and
+//! hands the builder callees before callers, as
+//! [`square_qir::Program`] requires. The per-module rules (operand
+//! bounds, duplicated gate operands, guarded wide MCX, clbit bounds,
+//! call arity, aliased arguments, the entry signature) are
+//! `square_qir::validate`'s own: each statement is lowered with its
+//! callee's source index and handed to
+//! [`square_qir::validate::check_stmt`], and every violation is
+//! anchored on the operand, clbit or statement span it names, in
+//! source order. The one whole-program rule, the store discipline,
+//! runs inside [`square_qir::ProgramBuilder::finish`] and is mapped
+//! back onto the offending module's span.
 
 use std::collections::HashMap;
 
-use square_qir::{Gate, ModuleId, Operand, Program, ProgramBuilder, QirError};
+use square_qir::validate::{self, Shape, Site};
+use square_qir::{Gate, ModuleId, Program, ProgramBuilder, QirError, Stmt};
 
-use crate::ast::{SourceModule, SourceProgram, SourceStmt};
+use crate::ast::{SourceModule, SourceOperand, SourceProgram, SourceStmt};
 use crate::diag::{suggest, Diagnostic, Span};
 
 /// Resolves and lowers a parsed program onto the IR builder.
@@ -115,21 +120,11 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
         let m = &ast.modules[idx];
         let built = b.module(m.name.clone(), m.params, m.ancillas, |mb| {
             mb.declare_clbits(m.clbits);
-            let emit = |mb: &mut square_qir::ModuleBuilder<'_>, stmts: &[SourceStmt]| {
+            let emit = |mb: &mut square_qir::ModuleBuilder, stmts: &[SourceStmt]| {
                 for stmt in stmts {
-                    match stmt {
-                        SourceStmt::Gate { gate, .. } => mb.gate(gate.map(|so| so.op)),
-                        SourceStmt::Call { callee, args, .. } => {
-                            let callee_id = ids[by_name[callee.as_str()]]
-                                .expect("callees lower before callers");
-                            let args: Vec<Operand> = args.iter().map(|a| a.op).collect();
-                            mb.call(callee_id, &args);
-                        }
-                        SourceStmt::Measure { qubit, clbit, .. } => mb.measure(qubit.op, *clbit),
-                        SourceStmt::CondGate { clbit, gate, .. } => {
-                            mb.cond_gate(*clbit, gate.map(|so| so.op));
-                        }
-                    }
+                    mb.stmt(to_stmt(stmt, |name| {
+                        ids[by_name[name]].expect("callees lower before callers")
+                    }));
                 }
             };
             emit(mb, &m.compute);
@@ -142,19 +137,28 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
                 emit(mb, unc);
             }
         });
-        match built {
-            Ok(id) => ids[idx] = Some(id),
-            // Defensive: the spanned pre-checks mirror the builder's
-            // rules, so this only fires if the two drift.
-            Err(e) => return Err(vec![qir_error_diag(&e, ast)]),
-        }
+        // `check_module` ran the builder's own per-statement checker on
+        // every statement, against the same shape and callee signatures.
+        ids[idx] = Some(built.expect("every statement passed the shared checker"));
     }
     let entry_id = ids[entries[0]].expect("entry was lowered");
-    b.finish(entry_id)
-        .map_err(|e| vec![qir_error_diag(&e, ast)])
+    // The store discipline, which needs every callee's may-write set,
+    // is the one rule left to `finish`; it anchors on the module's name.
+    b.finish(entry_id).map_err(|e| {
+        let span = match &e {
+            QirError::StoreDiscipline { module, .. } => {
+                ast.modules[by_name[module.as_str()]].name_span
+            }
+            _ => Span::default(),
+        };
+        vec![Diagnostic::new(span, e.to_string())]
+    })
 }
 
-/// Spanned re-statement of `square_qir::validate`'s per-module rules.
+/// Resolves `m`'s callees, pushing the dependency-sort edges onto
+/// `callees`, and checks its entry signature and every statement with
+/// the shared `square_qir::validate` rules, anchoring each violation on
+/// the operand, clbit or statement span it names.
 fn check_module(
     m: &SourceModule,
     by_name: &HashMap<&str, usize>,
@@ -162,55 +166,29 @@ fn check_module(
     diags: &mut Vec<Diagnostic>,
     callees: &mut Vec<usize>,
 ) {
-    if m.is_entry() && m.params != 0 {
-        diags.push(
-            Diagnostic::new(
-                m.name_span,
-                format!(
-                    "entry module `{}` declares {} params; the entry takes no caller qubits",
-                    m.name, m.params
-                ),
-            )
-            .with_help("model program inputs as entry ancilla"),
-        );
-    }
-    // A written `N clbits` clause is a declared bound: statements may
-    // not reach past it. An absent clause keeps on-demand growth.
-    let check_clbit = |clbit: usize, clbit_span: Span, diags: &mut Vec<Diagnostic>| {
-        if m.clbits_span.is_some() && clbit >= m.clbits {
+    let shape = Shape {
+        name: &m.name,
+        params: m.params,
+        ancillas: m.ancillas,
+        // A written `N clbits` clause is a declared bound: statements
+        // may not reach past it. An absent clause keeps on-demand
+        // growth, which covers every index but the last.
+        clbits: m.clbits_span.map_or(usize::MAX, |_| m.clbits),
+    };
+    if m.is_entry() {
+        if let Err(e) = validate::check_entry(&shape) {
             diags.push(
-                Diagnostic::new(
-                    clbit_span,
-                    format!(
-                        "classical bit `c{clbit}` is out of range: module `{}` declares {} clbit{}",
-                        m.name,
-                        m.clbits,
-                        if m.clbits == 1 { "" } else { "s" }
-                    ),
-                )
-                .with_help(
-                    "the `clbits` header is a declared bound; raise it, or drop the \
-                     clause to size classical storage on demand",
-                ),
+                Diagnostic::new(m.name_span, e.to_string())
+                    .with_help("model program inputs as entry ancilla"),
             );
         }
-    };
-    let check_operand = |so: &crate::ast::SourceOperand, diags: &mut Vec<Diagnostic>| {
-        let (ok, what, declared) = match so.op {
-            Operand::Param(i) => (i < m.params, "param", m.params),
-            Operand::Ancilla(i) => (i < m.ancillas, "ancilla", m.ancillas),
-        };
-        if !ok {
-            diags.push(Diagnostic::new(
-                so.span,
-                format!(
-                    "operand `{}` is out of range: module `{}` declares {declared} {what}{}",
-                    so.op,
-                    m.name,
-                    if declared == 1 { "" } else { "s" }
-                ),
-            ));
-        }
+    }
+    // A callee is named by its AST index; an unresolved name gets one
+    // past the last, which the lookup reports as unknown.
+    let signature = |id: ModuleId| {
+        ast.modules
+            .get(id.index())
+            .map(|t| (t.name.as_str(), t.params))
     };
     for stmt in m
         .compute
@@ -218,128 +196,108 @@ fn check_module(
         .chain(&m.store)
         .chain(m.uncompute.iter().flatten())
     {
-        match stmt {
-            SourceStmt::Gate { gate, span } | SourceStmt::CondGate { gate, span, .. } => {
-                gate.for_each_qubit(|so| check_operand(so, diags));
-                if gate.map(|so| so.op).has_duplicate_operand() {
-                    diags.push(Diagnostic::new(
-                        *span,
-                        format!("gate uses the same qubit twice in module `{}`", m.name),
-                    ));
-                }
-                if let SourceStmt::CondGate {
-                    gate: Gate::Mcx { controls, .. },
-                    ..
-                } = stmt
-                {
-                    if controls.len() >= 3 {
-                        diags.push(
-                            Diagnostic::new(
-                                *span,
-                                format!(
-                                    "guarded `mcx` has {} controls in module `{}`; a guarded \
-                                     gate takes at most 2",
-                                    controls.len(),
-                                    m.name
-                                ),
-                            )
-                            .with_help(
-                                "AND the controls into an ancilla with `mcx`, then guard a `cx` \
-                                 on that ancilla",
-                            ),
-                        );
-                    }
-                }
-            }
-            SourceStmt::Measure { qubit, .. } => check_operand(qubit, diags),
-            SourceStmt::Call {
-                callee,
-                callee_span,
-                args,
-                span,
-            } => {
-                for a in args {
-                    check_operand(a, diags);
-                }
-                let Some(&target_idx) = by_name.get(callee.as_str()) else {
-                    let mut d =
-                        Diagnostic::new(*callee_span, format!("call to unknown module `{callee}`"));
-                    if let Some(s) = suggest(callee, by_name.keys().copied()) {
-                        d = d.with_help(format!("did you mean `{s}`?"));
-                    }
-                    diags.push(d);
-                    continue;
-                };
-                callees.push(target_idx);
-                let target = &ast.modules[target_idx];
-                if target.params != args.len() {
-                    diags.push(Diagnostic::new(
-                        *span,
-                        format!(
-                            "call to `{callee}` passes {} argument{}, but it declares {} param{}",
-                            args.len(),
-                            if args.len() == 1 { "" } else { "s" },
-                            target.params,
-                            if target.params == 1 { "" } else { "s" },
-                        ),
-                    ));
-                }
-                for (i, a) in args.iter().enumerate() {
-                    if args[i + 1..].iter().any(|b| b.op == a.op) {
-                        diags.push(Diagnostic::new(
-                            *span,
-                            format!(
-                                "call to `{callee}` passes `{}` for two different parameters",
-                                a.op
-                            ),
-                        ));
-                        break;
-                    }
-                }
-            }
-        }
-        match stmt {
-            SourceStmt::Measure {
-                clbit, clbit_span, ..
-            }
-            | SourceStmt::CondGate {
-                clbit, clbit_span, ..
-            } => check_clbit(*clbit, *clbit_span, diags),
-            _ => {}
-        }
+        let lowered = to_stmt(stmt, |name| {
+            let index = by_name.get(name).copied();
+            callees.extend(index);
+            ModuleId::from_index(index.unwrap_or(ast.modules.len()))
+        });
+        validate::check_stmt(&shape, &lowered, signature, |site, e| {
+            diags.push(anchor(stmt, site, &e, by_name));
+        });
     }
 }
 
-/// Source order when it is already dependency-ordered; otherwise a
-/// stable topological sort (smallest source index first). `Err` names
-/// a module on a cycle.
+/// `stmt` as an IR statement; a call's callee is `callee(name)`.
+fn to_stmt(stmt: &SourceStmt, callee: impl FnOnce(&str) -> ModuleId) -> Stmt {
+    let ops = |gate: &Gate<SourceOperand>| gate.map(|so| so.op);
+    match stmt {
+        SourceStmt::Gate { gate, .. } => Stmt::Gate(ops(gate)),
+        SourceStmt::CondGate { clbit, gate, .. } => Stmt::CondGate {
+            clbit: *clbit,
+            gate: ops(gate),
+        },
+        SourceStmt::Measure { qubit, clbit, .. } => Stmt::Measure {
+            qubit: qubit.op,
+            clbit: *clbit,
+        },
+        SourceStmt::Call {
+            callee: name, args, ..
+        } => Stmt::Call {
+            callee: callee(name),
+            args: args.iter().map(|a| a.op).collect(),
+        },
+    }
+}
+
+/// The diagnostic for a violation `check_stmt` reported at `site` of
+/// `stmt`: anchored on the qubit, clbit or statement span, with the
+/// frontend's help line for the rule, and an unknown callee resolved
+/// by name with a "did you mean" hint.
+fn anchor(
+    stmt: &SourceStmt,
+    site: Site,
+    e: &QirError,
+    by_name: &HashMap<&str, usize>,
+) -> Diagnostic {
+    if let (
+        QirError::UnknownModule(_),
+        SourceStmt::Call {
+            callee,
+            callee_span,
+            ..
+        },
+    ) = (e, stmt)
+    {
+        let d = Diagnostic::new(*callee_span, format!("call to unknown module `{callee}`"));
+        return match suggest(callee, by_name.keys().copied()) {
+            Some(s) => d.with_help(format!("did you mean `{s}`?")),
+            None => d,
+        };
+    }
+    let span = match (site, stmt) {
+        (Site::Qubit(k), SourceStmt::Gate { gate, .. } | SourceStmt::CondGate { gate, .. }) => {
+            gate.qubits()[k].span
+        }
+        (Site::Qubit(k), SourceStmt::Call { args, .. }) => args[k].span,
+        (Site::Qubit(_), SourceStmt::Measure { qubit, .. }) => qubit.span,
+        (
+            Site::Clbit,
+            SourceStmt::Measure { clbit_span, .. } | SourceStmt::CondGate { clbit_span, .. },
+        ) => *clbit_span,
+        _ => stmt.span(),
+    };
+    let d = Diagnostic::new(span, e.to_string());
+    match e {
+        QirError::GuardedWideMcx { .. } => d.with_help(
+            "AND the controls into an ancilla with `mcx`, then guard a `cx` on that ancilla",
+        ),
+        // Without a `clbits` clause only the last index is out of range.
+        QirError::ClbitOutOfRange { declared, .. } if *declared < usize::MAX => d.with_help(
+            "the `clbits` header is a declared bound; raise it, or drop the clause to size \
+             classical storage on demand",
+        ),
+        _ => d,
+    }
+}
+
+/// A stable topological sort, callees first: Kahn's algorithm always
+/// takes the smallest ready source index, so a source that is already
+/// dependency-ordered (every canonical listing) keeps its order. `Err`
+/// names a module on a cycle.
 fn dependency_order(ast: &SourceProgram, edges: &[Vec<usize>]) -> Result<Vec<usize>, usize> {
     let n = ast.modules.len();
-    if edges
-        .iter()
-        .enumerate()
-        .all(|(i, callees)| callees.iter().all(|&c| c < i))
-    {
-        return Ok((0..n).collect());
-    }
-    // Kahn's algorithm over caller→callee edges reversed (callees
-    // first), always picking the smallest ready source index.
-    let mut indegree = vec![0usize; n]; // number of unlowered callees
+    // A module is ready once every call edge out of it is lowered.
+    let mut indegree: Vec<usize> = edges.iter().map(Vec::len).collect();
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (caller, callees) in edges.iter().enumerate() {
-        let mut uniq = callees.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        for &callee in &uniq {
-            indegree[caller] += 1;
+        for &callee in callees {
             callers[callee].push(caller);
         }
     }
     let mut ready: std::collections::BTreeSet<usize> =
         (0..n).filter(|&i| indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
-    while let Some(&next) = ready.iter().next() {
-        ready.remove(&next);
+    while let Some(next) = ready.pop_first() {
         order.push(next);
         for &caller in &callers[next] {
             indegree[caller] -= 1;
@@ -355,7 +313,10 @@ fn dependency_order(ast: &SourceProgram, edges: &[Vec<usize>]) -> Result<Vec<usi
         // edges within the unordered set (every unordered module has
         // at least one unordered callee); the first revisited module
         // is on a cycle.
-        let unordered: Vec<bool> = (0..n).map(|i| !order.contains(&i)).collect();
+        let mut unordered = vec![true; n];
+        for &i in &order {
+            unordered[i] = false;
+        }
         let start = unordered.iter().position(|&u| u).unwrap_or(0);
         let mut seen = vec![false; n];
         let mut cur = start;
@@ -369,30 +330,6 @@ fn dependency_order(ast: &SourceProgram, edges: &[Vec<usize>]) -> Result<Vec<usi
         return Err(cur);
     }
     Ok(order)
-}
-
-/// Maps a residual builder/validator error onto the offending module's
-/// name span (the spanned pre-checks make this a rare fallback, e.g.
-/// store-discipline violations that need the whole call graph).
-fn qir_error_diag(e: &QirError, ast: &SourceProgram) -> Diagnostic {
-    let named = |name: &str| {
-        ast.modules
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.name_span)
-            .unwrap_or_default()
-    };
-    let span = match e {
-        QirError::OperandOutOfRange { module, .. }
-        | QirError::DuplicatedQubit { module }
-        | QirError::StoreDiscipline { module, .. }
-        | QirError::EntryHasParams { module } => named(module),
-        QirError::ArityMismatch { caller, .. } | QirError::AliasedArguments { caller, .. } => {
-            named(caller)
-        }
-        _ => Span::default(),
-    };
-    Diagnostic::new(span, e.to_string())
 }
 
 #[cfg(test)]
@@ -491,6 +428,25 @@ mod tests {
         assert!(all.contains("out of range"), "{all}");
         assert!(all.contains("passes 1 argument"), "{all}");
         assert!(all.contains("for two different parameters"), "{all}");
+    }
+
+    #[test]
+    fn the_last_clbit_index_is_out_of_range_without_a_clause() {
+        // On-demand growth cannot cover `c{usize::MAX}`: the shared
+        // checker reports it at the clbit token (no header help, as no
+        // header was written) instead of the builder overflowing.
+        let src = format!(
+            "entry module main(0 params, 1 ancilla) {{ compute {{ measure a0 c{}; }} }}",
+            usize::MAX
+        );
+        let err = lower_src(&src).unwrap_err();
+        assert_eq!(err.len(), 1, "{err:?}");
+        assert!(err[0].message.contains("out of range"), "{err:?}");
+        assert_eq!(
+            &src[err[0].span.start..err[0].span.end],
+            format!("c{}", usize::MAX)
+        );
+        assert_eq!(err[0].help, None);
     }
 
     #[test]

@@ -526,3 +526,151 @@ fn line_columns_survive_crlf_free_sources() {
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].line_col(src), (3, 5));
 }
+
+#[test]
+fn golden_duplicated_gate_operand() {
+    let src = "\
+entry module main(0 params, 2 ancilla) {
+  compute {
+    cx a0 a0;
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: gate uses the same qubit twice in module `main`
+  --> prog.sq:3:5
+   |
+ 3 |     cx a0 a0;
+   |     ^^^^^^^^^
+"
+    );
+}
+
+#[test]
+fn golden_aliased_call_arguments() {
+    let src = "\
+module f(2 params, 0 ancilla) {
+  compute {
+    cx p0 p1;
+  }
+}
+entry module main(0 params, 2 ancilla) {
+  compute {
+    call f(a0, a0);
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: call to `f` passes `a0` for two different parameters
+  --> prog.sq:8:5
+   |
+ 8 |     call f(a0, a0);
+   |     ^^^^^^^^^^^^^^^
+"
+    );
+}
+
+#[test]
+fn golden_entry_declares_params() {
+    let src = "\
+entry module main(1 params, 1 ancilla) {
+  compute {
+    cx p0 a0;
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: entry module `main` declares 1 params; the entry takes no caller qubits
+  --> prog.sq:1:14
+   |
+ 1 | entry module main(1 params, 1 ancilla) {
+   |              ^^^^ model program inputs as entry ancilla
+"
+    );
+}
+
+#[test]
+fn golden_callers_first_violations_in_source_order() {
+    // The caller precedes its callee in the source, so the dependency
+    // sort would lower `f` first; diagnostics still follow the source,
+    // module by module, and within a statement operand by operand.
+    let src = "\
+entry module main(0 params, 2 ancilla) {
+  compute {
+    call f(a9, a9, a0);
+    x a5;
+  }
+}
+module f(2 params, 0 ancilla, 1 clbits) {
+  compute {
+    cond c2 mcx p0 p0 p1 p3;
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: operand `a9` is out of range: module `main` declares 2 ancillas
+  --> prog.sq:3:12
+   |
+ 3 |     call f(a9, a9, a0);
+   |            ^^
+
+error: operand `a9` is out of range: module `main` declares 2 ancillas
+  --> prog.sq:3:16
+   |
+ 3 |     call f(a9, a9, a0);
+   |                ^^
+
+error: call to `f` passes 3 arguments, but it declares 2 params
+  --> prog.sq:3:5
+   |
+ 3 |     call f(a9, a9, a0);
+   |     ^^^^^^^^^^^^^^^^^^^
+
+error: call to `f` passes `a9` for two different parameters
+  --> prog.sq:3:5
+   |
+ 3 |     call f(a9, a9, a0);
+   |     ^^^^^^^^^^^^^^^^^^^
+
+error: operand `a5` is out of range: module `main` declares 2 ancillas
+  --> prog.sq:4:7
+   |
+ 4 |     x a5;
+   |       ^^
+
+error: operand `p3` is out of range: module `f` declares 2 params
+  --> prog.sq:9:26
+   |
+ 9 |     cond c2 mcx p0 p0 p1 p3;
+   |                          ^^
+
+error: gate uses the same qubit twice in module `f`
+  --> prog.sq:9:5
+   |
+ 9 |     cond c2 mcx p0 p0 p1 p3;
+   |     ^^^^^^^^^^^^^^^^^^^^^^^^
+
+error: guarded `mcx` has 3 controls in module `f`; a guarded gate takes at most 2
+  --> prog.sq:9:5
+   |
+ 9 |     cond c2 mcx p0 p0 p1 p3;
+   |     ^^^^^^^^^^^^^^^^^^^^^^^^ AND the controls into an ancilla with `mcx`, then guard \
+         a `cx` on that ancilla
+
+error: classical bit `c2` is out of range: module `f` declares 1 clbit
+  --> prog.sq:9:10
+   |
+ 9 |     cond c2 mcx p0 p0 p1 p3;
+   |          ^^ the `clbits` header is a declared bound; raise it, or drop the clause \
+         to size classical storage on demand
+"
+    );
+}

@@ -72,7 +72,9 @@ impl ProgramStats {
                 for stmt in stmts {
                     if let Stmt::Call { callee, .. } = stmt {
                         let sub = &this.modules[callee.index()];
-                        stats.ancilla_transitive += sub.ancilla_transitive;
+                        stats.ancilla_transitive = stats
+                            .ancilla_transitive
+                            .saturating_add(sub.ancilla_transitive);
                         stats.height = stats.height.max(sub.height + 1);
                     }
                     gates += this.stmt_forward_gates(stmt);
@@ -279,6 +281,29 @@ mod tests {
         assert_eq!(stats.module(main).ancilla_transitive, 2 + 2);
         assert_eq!(stats.module(main).height, 1);
         assert_eq!(stats.module(leaf).height, 0);
+    }
+
+    #[test]
+    fn ancilla_transitive_saturates() {
+        // Four calls to a 2^62-ancilla callee sum past `u64::MAX`; a
+        // wrapped sum would size a tiny machine for a huge program.
+        let mut b = ProgramBuilder::new();
+        let big = b
+            .module("big", 1, 1 << 62, |m| {
+                let (p, a) = (m.param(0), m.ancilla(0));
+                m.cx(p, a);
+            })
+            .unwrap();
+        let main = b
+            .module("main", 0, 1, |m| {
+                let x = m.ancilla(0);
+                for _ in 0..4 {
+                    m.call(big, &[x]);
+                }
+            })
+            .unwrap();
+        let stats = ProgramStats::analyze(&b.finish(main).unwrap());
+        assert_eq!(stats.module(main).ancilla_transitive, u64::MAX);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! reference a module that has already been built, so every call
 //! targets a module with a smaller id and the call graph is a DAG by
 //! construction (the paper requires modular, non-recursive reversible
-//! programs). Each module is checked as it is registered;
+//! programs). A [`ModuleBuilder`] only records statements; the
+//! finished module is checked once, by
+//! [`crate::validate::validate_module`], as it is registered, and
 //! [`ProgramBuilder::finish`] adds only the checks that need the whole
 //! program (see [`crate::validate`]).
 
@@ -64,44 +66,34 @@ impl ProgramBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the module body references out-of-range
-    /// operands, calls unknown/not-yet-registered modules, or violates
-    /// gate well-formedness (duplicate operands).
+    /// Returns the first violation [`crate::validate::validate_module`]
+    /// finds in the module body, in statement order: an out-of-range
+    /// operand or clbit, a call to an unknown or not-yet-registered
+    /// module, a call arity mismatch or aliased arguments, or a gate
+    /// well-formedness error (duplicate operands, a guarded wide MCX).
     pub fn module(
         &mut self,
         name: impl Into<String>,
         params: usize,
         ancillas: usize,
-        f: impl FnOnce(&mut ModuleBuilder<'_>),
+        f: impl FnOnce(&mut ModuleBuilder),
     ) -> Result<ModuleId, QirError> {
         let mut mb = ModuleBuilder {
-            existing: &self.modules,
-            name: name.into(),
-            params,
-            ancillas,
-            clbits: 0,
+            module: Module {
+                name: name.into(),
+                params,
+                ancillas,
+                clbits: 0,
+                compute: Vec::new(),
+                store: Vec::new(),
+                custom_uncompute: None,
+            },
             section: Section::Compute,
-            compute: Vec::new(),
-            store: Vec::new(),
-            custom_uncompute: None,
-            error: None,
         };
         f(&mut mb);
-        if let Some(e) = mb.error {
-            return Err(e);
-        }
-        let module = Module {
-            name: mb.name,
-            params,
-            ancillas,
-            clbits: mb.clbits,
-            compute: mb.compute,
-            store: mb.store,
-            custom_uncompute: mb.custom_uncompute,
-        };
-        validate::validate_module(&module, &self.modules)?;
+        validate::validate_module(&mb.module, &self.modules)?;
         let id = ModuleId(self.modules.len() as u32);
-        self.modules.push(module);
+        self.modules.push(mb.module);
         Ok(id)
     }
 
@@ -138,42 +130,24 @@ enum Section {
 /// Builder for a single module body. Obtained through
 /// [`ProgramBuilder::module`].
 #[derive(Debug)]
-pub struct ModuleBuilder<'a> {
-    existing: &'a [Module],
-    name: String,
-    params: usize,
-    ancillas: usize,
-    clbits: usize,
+pub struct ModuleBuilder {
+    module: Module,
     section: Section,
-    compute: Vec<Stmt>,
-    store: Vec<Stmt>,
-    custom_uncompute: Option<Vec<Stmt>>,
-    error: Option<QirError>,
 }
 
-impl ModuleBuilder<'_> {
+impl ModuleBuilder {
     /// The i-th caller-provided qubit.
     ///
-    /// Range errors are deferred: they surface from
-    /// [`ProgramBuilder::module`] rather than panicking here.
-    pub fn param(&mut self, i: usize) -> Operand {
-        if i >= self.params && self.error.is_none() {
-            self.error = Some(QirError::OperandOutOfRange {
-                module: self.name.clone(),
-                operand: format!("p{i}"),
-            });
-        }
+    /// A handle is not checked here: an out-of-range operand that a
+    /// statement uses surfaces from [`ProgramBuilder::module`], and one
+    /// that no statement uses is harmless.
+    pub fn param(&self, i: usize) -> Operand {
         Operand::Param(i)
     }
 
-    /// The i-th local ancilla qubit.
-    pub fn ancilla(&mut self, i: usize) -> Operand {
-        if i >= self.ancillas && self.error.is_none() {
-            self.error = Some(QirError::OperandOutOfRange {
-                module: self.name.clone(),
-                operand: format!("a{i}"),
-            });
-        }
+    /// The i-th local ancilla qubit (checked like
+    /// [`ModuleBuilder::param`]).
+    pub fn ancilla(&self, i: usize) -> Operand {
         Operand::Ancilla(i)
     }
 
@@ -187,16 +161,20 @@ impl ModuleBuilder<'_> {
     /// paper's example writes it out for illustration only.
     pub fn uncompute(&mut self) {
         self.section = Section::Uncompute;
-        if self.custom_uncompute.is_none() {
-            self.custom_uncompute = Some(Vec::new());
-        }
+        self.module.custom_uncompute.get_or_insert_with(Vec::new);
     }
 
-    fn push(&mut self, stmt: Stmt) {
+    /// Emits a statement into the current block; a measurement or a
+    /// guarded gate grows the module's clbit count to cover its bit.
+    pub fn stmt(&mut self, stmt: Stmt) {
+        if let Stmt::Measure { clbit, .. } | Stmt::CondGate { clbit, .. } = stmt {
+            self.module.clbits = self.module.clbits.max(clbit.saturating_add(1));
+        }
         match self.section {
-            Section::Compute => self.compute.push(stmt),
-            Section::Store => self.store.push(stmt),
+            Section::Compute => self.module.compute.push(stmt),
+            Section::Store => self.module.store.push(stmt),
             Section::Uncompute => self
+                .module
                 .custom_uncompute
                 .get_or_insert_with(Vec::new)
                 .push(stmt),
@@ -205,27 +183,27 @@ impl ModuleBuilder<'_> {
 
     /// Emits a NOT gate.
     pub fn x(&mut self, target: Operand) {
-        self.push(Stmt::Gate(Gate::X { target }));
+        self.stmt(Stmt::Gate(Gate::X { target }));
     }
 
     /// Emits a CNOT gate.
     pub fn cx(&mut self, control: Operand, target: Operand) {
-        self.push(Stmt::Gate(Gate::Cx { control, target }));
+        self.stmt(Stmt::Gate(Gate::Cx { control, target }));
     }
 
     /// Emits a Toffoli gate.
     pub fn ccx(&mut self, c0: Operand, c1: Operand, target: Operand) {
-        self.push(Stmt::Gate(Gate::Ccx { c0, c1, target }));
+        self.stmt(Stmt::Gate(Gate::Ccx { c0, c1, target }));
     }
 
     /// Emits a SWAP gate.
     pub fn swap(&mut self, a: Operand, b: Operand) {
-        self.push(Stmt::Gate(Gate::Swap { a, b }));
+        self.stmt(Stmt::Gate(Gate::Swap { a, b }));
     }
 
     /// Emits a multi-controlled NOT gate.
     pub fn mcx(&mut self, controls: &[Operand], target: Operand) {
-        self.push(Stmt::Gate(Gate::Mcx {
+        self.stmt(Stmt::Gate(Gate::Mcx {
             controls: controls.to_vec(),
             target,
         }));
@@ -233,21 +211,20 @@ impl ModuleBuilder<'_> {
 
     /// Emits an arbitrary gate.
     pub fn gate(&mut self, gate: Gate<Operand>) {
-        self.push(Stmt::Gate(gate));
+        self.stmt(Stmt::Gate(gate));
     }
 
     /// Declares (at least) `n` module-local classical bits. Optional:
     /// [`ModuleBuilder::measure`] and [`ModuleBuilder::cond_x`] grow
     /// the count on demand; use this to reserve bits up front.
     pub fn declare_clbits(&mut self, n: usize) {
-        self.clbits = self.clbits.max(n);
+        self.module.clbits = self.module.clbits.max(n);
     }
 
     /// Emits a mid-circuit measurement of `qubit` into classical bit
     /// `clbit`, growing the module's clbit count to cover it.
     pub fn measure(&mut self, qubit: Operand, clbit: usize) {
-        self.clbits = self.clbits.max(clbit + 1);
-        self.push(Stmt::Measure { qubit, clbit });
+        self.stmt(Stmt::Measure { qubit, clbit });
     }
 
     /// Emits an X gate on `target` guarded by classical bit `clbit`
@@ -259,38 +236,13 @@ impl ModuleBuilder<'_> {
 
     /// Emits an arbitrary gate guarded by classical bit `clbit`.
     pub fn cond_gate(&mut self, clbit: usize, gate: Gate<Operand>) {
-        self.clbits = self.clbits.max(clbit + 1);
-        self.push(Stmt::CondGate { clbit, gate });
+        self.stmt(Stmt::CondGate { clbit, gate });
     }
 
     /// Emits a call to a previously registered module, binding `args`
     /// positionally to the callee's parameters.
     pub fn call(&mut self, callee: ModuleId, args: &[Operand]) {
-        if self.error.is_none() {
-            match self.existing.get(callee.index()) {
-                None => self.error = Some(QirError::UnknownModule(callee)),
-                Some(m) if m.params != args.len() => {
-                    self.error = Some(QirError::ArityMismatch {
-                        caller: self.name.clone(),
-                        callee: m.name.clone(),
-                        expected: m.params,
-                        found: args.len(),
-                    });
-                }
-                Some(m) => {
-                    for (i, a) in args.iter().enumerate() {
-                        if args[i + 1..].contains(a) {
-                            self.error = Some(QirError::AliasedArguments {
-                                caller: self.name.clone(),
-                                callee: m.name.clone(),
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        self.push(Stmt::Call {
+        self.stmt(Stmt::Call {
             callee,
             args: args.to_vec(),
         });
@@ -366,7 +318,14 @@ mod tests {
             let a = m.param(0);
             m.call(leaf, &[a, a]);
         });
-        assert!(matches!(err, Err(QirError::AliasedArguments { .. })));
+        assert_eq!(
+            err,
+            Err(QirError::AliasedArguments {
+                caller: "caller".into(),
+                callee: "leaf".into(),
+                operand: Operand::Param(0),
+            })
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::module::ModuleId;
+use crate::module::{ModuleId, Operand};
 
 /// Errors produced while building or validating a [`crate::Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -10,8 +10,10 @@ pub enum QirError {
     OperandOutOfRange {
         /// Module in which the bad operand appeared.
         module: String,
-        /// Human-readable description of the offending operand.
-        operand: String,
+        /// The offending operand.
+        operand: Operand,
+        /// How many qubits of the operand's kind the module declares.
+        declared: usize,
     },
     /// A call referenced a module id that is not listed before the
     /// caller (callees precede their callers, so this also rejects a
@@ -34,6 +36,8 @@ pub enum QirError {
         caller: String,
         /// Called module name.
         callee: String,
+        /// The earliest argument that is passed again later.
+        operand: Operand,
     },
     /// A gate used the same qubit twice (e.g. CNOT with control == target).
     DuplicatedQubit {
@@ -55,6 +59,8 @@ pub enum QirError {
     EntryHasParams {
         /// Name of the entry module.
         module: String,
+        /// Number of parameters it declares.
+        params: usize,
     },
     /// A measurement or classically controlled gate referenced a
     /// classical bit the module does not declare.
@@ -80,23 +86,41 @@ pub enum QirError {
 
 impl fmt::Display for QirError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let plural = |n: usize| if n == 1 { "" } else { "s" };
         match self {
-            QirError::OperandOutOfRange { module, operand } => {
-                write!(f, "operand {operand} out of range in module `{module}`")
+            QirError::OperandOutOfRange {
+                module,
+                operand,
+                declared,
+            } => {
+                let kind = match operand {
+                    Operand::Param(_) => "param",
+                    Operand::Ancilla(_) => "ancilla",
+                };
+                write!(
+                    f,
+                    "operand `{operand}` is out of range: module `{module}` declares {declared} \
+                     {kind}{}",
+                    plural(*declared)
+                )
             }
             QirError::UnknownModule(id) => write!(f, "unknown module id {id:?}"),
             QirError::ArityMismatch {
-                caller,
                 callee,
                 expected,
                 found,
+                ..
             } => write!(
                 f,
-                "call from `{caller}` to `{callee}` passes {found} arguments, expected {expected}"
+                "call to `{callee}` passes {found} argument{}, but it declares {expected} param{}",
+                plural(*found),
+                plural(*expected)
             ),
-            QirError::AliasedArguments { caller, callee } => write!(
+            QirError::AliasedArguments {
+                callee, operand, ..
+            } => write!(
                 f,
-                "call from `{caller}` to `{callee}` passes the same qubit twice"
+                "call to `{callee}` passes `{operand}` for two different parameters"
             ),
             QirError::DuplicatedQubit { module } => {
                 write!(f, "gate uses the same qubit twice in module `{module}`")
@@ -107,23 +131,24 @@ impl fmt::Display for QirError {
                     "store discipline violated in module `{module}`: {detail}"
                 )
             }
-            QirError::EntryHasParams { module } => {
-                write!(f, "entry module `{module}` must not declare parameters")
-            }
+            QirError::EntryHasParams { module, params } => write!(
+                f,
+                "entry module `{module}` declares {params} params; the entry takes no caller qubits"
+            ),
             QirError::ClbitOutOfRange {
                 module,
                 clbit,
                 declared,
-            } => {
-                write!(
-                    f,
-                    "classical bit c{clbit} out of range in module `{module}` ({declared} declared)"
-                )
-            }
+            } => write!(
+                f,
+                "classical bit `c{clbit}` is out of range: module `{module}` declares {declared} \
+                 clbit{}",
+                plural(*declared)
+            ),
             QirError::GuardedWideMcx { module, controls } => write!(
                 f,
-                "guarded mcx with {controls} controls in module `{module}`: a guarded gate takes \
-                 at most 2 controls (AND the controls into an ancilla with `mcx`, then guard a `cx`)"
+                "guarded `mcx` has {controls} controls in module `{module}`; a guarded gate takes \
+                 at most 2"
             ),
         }
     }

@@ -210,24 +210,6 @@ where
     }
 }
 
-impl<Q: Eq> Gate<Q> {
-    /// True if any qubit appears more than once in the operand list.
-    pub fn has_duplicate_operand(&self) -> bool
-    where
-        Q: Clone,
-    {
-        let qs = self.qubits();
-        for (i, a) in qs.iter().enumerate() {
-            for b in &qs[i + 1..] {
-                if a == b {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
 impl<Q: fmt::Display> fmt::Display for Gate<Q> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -292,20 +274,6 @@ mod tests {
     fn self_inverse() {
         let g: Gate<u32> = Gate::Swap { a: 5, b: 6 };
         assert_eq!(g.inverse(), g);
-    }
-
-    #[test]
-    fn duplicate_detection() {
-        let bad: Gate<u32> = Gate::Cx {
-            control: 3,
-            target: 3,
-        };
-        assert!(bad.has_duplicate_operand());
-        let ok: Gate<u32> = Gate::Cx {
-            control: 3,
-            target: 4,
-        };
-        assert!(!ok.has_duplicate_operand());
     }
 
     #[test]

@@ -4,12 +4,17 @@
 //! module with a smaller id, which makes the call graph a DAG without a
 //! cycle search (the paper requires modular, non-recursive reversible
 //! programs), and every check composes in one forward pass over the
-//! modules. [`validate_module`] checks one module against the modules
-//! before it (operand ranges, gate well-formedness, call targets and
-//! arity) as [`crate::ProgramBuilder::module`] registers it;
-//! [`crate::ProgramBuilder::finish`] then checks the entry signature and
-//! the Bennett *store discipline*. [`validate_program`] replays both on
-//! a finished program.
+//! modules.
+//!
+//! Every per-statement rule lives in [`check_stmt`], which walks a
+//! statement against its module's [`Shape`] and a callee-params lookup
+//! and reports each violation with its [`Site`]; [`check_entry`] is the
+//! entry-signature rule. [`validate_module`] runs the checker over one
+//! module as [`crate::ProgramBuilder::module`] registers it (the `.sq`
+//! frontend runs it over source statements, anchoring each site on a
+//! span); [`crate::ProgramBuilder::finish`] then checks the entry
+//! signature and the Bennett *store discipline*. [`validate_program`]
+//! replays both on a finished program.
 //!
 //! ## Store discipline
 //!
@@ -35,102 +40,197 @@ use crate::error::QirError;
 use crate::gate::Gate;
 use crate::module::{Module, ModuleId, Operand, Program, Stmt};
 
-/// Validates a single module against the modules registered before it.
+/// What a statement is checked against: its module's name and declared
+/// sizes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape<'a> {
+    /// Module name, for the error text.
+    pub name: &'a str,
+    /// Declared parameters (`p0 …`).
+    pub params: usize,
+    /// Declared ancillas (`a0 …`).
+    pub ancillas: usize,
+    /// Declared classical bits (`c0 …`).
+    pub clbits: usize,
+}
+
+impl<'a> From<&'a Module> for Shape<'a> {
+    fn from(m: &'a Module) -> Self {
+        Shape {
+            name: &m.name,
+            params: m.params,
+            ancillas: m.ancillas,
+            clbits: m.clbits,
+        }
+    }
+}
+
+/// Where in a statement a violation reported by [`check_stmt`] sits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// The statement as a whole.
+    Stmt,
+    /// Its k-th qubit: a gate's k-th operand in
+    /// [`Gate::for_each_qubit`] order, a call's k-th argument, or a
+    /// measurement's qubit (k = 0).
+    Qubit(usize),
+    /// Its classical bit (a measurement's or a guard's).
+    Clbit,
+}
+
+/// Checks one statement of the module shaped `shape`, reporting every
+/// violation with its site, in order: each out-of-range qubit, then a
+/// gate's duplicated operand and a guarded gate's width, or a call's
+/// callee, arity and aliased arguments, then the clbit. `callee` maps a
+/// call target to its name and declared parameter count, or `None`
+/// when the target is unknown; an unknown callee ends the statement's
+/// checks.
+pub fn check_stmt<'c>(
+    shape: &Shape<'_>,
+    stmt: &Stmt,
+    callee: impl Fn(ModuleId) -> Option<(&'c str, usize)>,
+    mut report: impl FnMut(Site, QirError),
+) {
+    let module = || shape.name.to_string();
+    let mut check_qubit = |k: usize, &operand: &Operand| {
+        let (i, declared) = match operand {
+            Operand::Param(i) => (i, shape.params),
+            Operand::Ancilla(i) => (i, shape.ancillas),
+        };
+        if i >= declared {
+            let e = QirError::OperandOutOfRange {
+                module: module(),
+                operand,
+                declared,
+            };
+            report(Site::Qubit(k), e);
+        }
+    };
+    let clbit = match stmt {
+        Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
+            let mut k = 0;
+            g.for_each_qubit(|q| {
+                check_qubit(k, q);
+                k += 1;
+            });
+            if first_repeat(&g.qubits()).is_some() {
+                report(Site::Stmt, QirError::DuplicatedQubit { module: module() });
+            }
+            let Stmt::CondGate { clbit, .. } = stmt else {
+                return;
+            };
+            if let Gate::Mcx { controls, .. } = g {
+                if controls.len() >= 3 {
+                    let controls = controls.len();
+                    let module = module();
+                    report(Site::Stmt, QirError::GuardedWideMcx { module, controls });
+                }
+            }
+            *clbit
+        }
+        Stmt::Measure { qubit, clbit } => {
+            check_qubit(0, qubit);
+            *clbit
+        }
+        Stmt::Call { callee: id, args } => {
+            for (k, a) in args.iter().enumerate() {
+                check_qubit(k, a);
+            }
+            let Some((name, params)) = callee(*id) else {
+                return report(Site::Stmt, QirError::UnknownModule(*id));
+            };
+            if params != args.len() {
+                let e = QirError::ArityMismatch {
+                    caller: module(),
+                    callee: name.to_string(),
+                    expected: params,
+                    found: args.len(),
+                };
+                report(Site::Stmt, e);
+            }
+            if let Some(operand) = first_repeat(args) {
+                let e = QirError::AliasedArguments {
+                    caller: module(),
+                    callee: name.to_string(),
+                    operand,
+                };
+                report(Site::Stmt, e);
+            }
+            return;
+        }
+    };
+    if clbit >= shape.clbits {
+        let e = QirError::ClbitOutOfRange {
+            module: module(),
+            clbit,
+            declared: shape.clbits,
+        };
+        report(Site::Clbit, e);
+    }
+}
+
+/// The entry-signature rule: the entry module takes no caller qubits.
 ///
 /// # Errors
 ///
-/// Returns operand-range, arity, duplicate-operand, guarded-wide-MCX
-/// or unknown-callee errors; a call to a module outside `existing`
-/// (itself or one registered later) is an unknown callee. The entry
-/// signature and the store discipline are checked once the program is
-/// complete (see [`validate_program`]).
+/// [`QirError::EntryHasParams`] when `entry` declares parameters.
+pub fn check_entry(entry: &Shape<'_>) -> Result<(), QirError> {
+    match entry.params {
+        0 => Ok(()),
+        params => Err(QirError::EntryHasParams {
+            module: entry.name.to_string(),
+            params,
+        }),
+    }
+}
+
+/// The earliest item of `items` that occurs again later in it (a
+/// gate's duplicated operand, a call's aliased argument), in time
+/// linear in `items.len()` (pairwise only for short lists).
+fn first_repeat(items: &[Operand]) -> Option<Operand> {
+    if items.len() <= 16 {
+        let mut rest = items.iter().enumerate();
+        return rest
+            .find(|&(i, a)| items[i + 1..].contains(a))
+            .map(|(_, &a)| a);
+    }
+    // Scanning from the end, the last item already seen is the earliest
+    // one that repeats.
+    let mut later = HashSet::with_capacity(items.len());
+    items
+        .iter()
+        .rev()
+        .filter(|&&a| !later.insert(a))
+        .last()
+        .copied()
+}
+
+/// Validates a single module against the modules registered before it:
+/// [`check_stmt`] over every statement, in block order.
+///
+/// # Errors
+///
+/// The first violation [`check_stmt`] reports; a call to a module
+/// outside `existing` (itself or one registered later) is an unknown
+/// callee. The entry signature and the store discipline are checked
+/// once the program is complete (see [`validate_program`]).
 pub fn validate_module(module: &Module, existing: &[Module]) -> Result<(), QirError> {
-    let check_operand = |op: &Operand| -> Result<(), QirError> {
-        let ok = match op {
-            Operand::Param(i) => *i < module.params,
-            Operand::Ancilla(i) => *i < module.ancillas,
-        };
-        if ok {
-            Ok(())
-        } else {
-            Err(QirError::OperandOutOfRange {
-                module: module.name.clone(),
-                operand: op.to_string(),
-            })
-        }
+    let shape = Shape::from(module);
+    let callee = |id: ModuleId| {
+        existing
+            .get(id.index())
+            .map(|m| (m.name.as_str(), m.params))
     };
     for stmt in module.all_stmts() {
-        match stmt {
-            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
-                if let Stmt::CondGate { clbit, .. } = stmt {
-                    check_clbit(module, *clbit)?;
-                    if let Gate::Mcx { controls, .. } = g {
-                        if controls.len() >= 3 {
-                            return Err(QirError::GuardedWideMcx {
-                                module: module.name.clone(),
-                                controls: controls.len(),
-                            });
-                        }
-                    }
-                }
-                let mut first_err = None;
-                g.for_each_qubit(|q| {
-                    if first_err.is_none() {
-                        first_err = check_operand(q).err();
-                    }
-                });
-                if let Some(e) = first_err {
-                    return Err(e);
-                }
-                if g.has_duplicate_operand() {
-                    return Err(QirError::DuplicatedQubit {
-                        module: module.name.clone(),
-                    });
-                }
-            }
-            Stmt::Call { callee, args } => {
-                for a in args {
-                    check_operand(a)?;
-                }
-                let target = existing
-                    .get(callee.index())
-                    .ok_or(QirError::UnknownModule(*callee))?;
-                if target.params != args.len() {
-                    return Err(QirError::ArityMismatch {
-                        caller: module.name.clone(),
-                        callee: target.name.clone(),
-                        expected: target.params,
-                        found: args.len(),
-                    });
-                }
-                for (i, a) in args.iter().enumerate() {
-                    if args[i + 1..].contains(a) {
-                        return Err(QirError::AliasedArguments {
-                            caller: module.name.clone(),
-                            callee: target.name.clone(),
-                        });
-                    }
-                }
-            }
-            Stmt::Measure { qubit, clbit } => {
-                check_operand(qubit)?;
-                check_clbit(module, *clbit)?;
-            }
+        let mut first = None;
+        check_stmt(&shape, stmt, callee, |_, e| {
+            first.get_or_insert(e);
+        });
+        if let Some(e) = first {
+            return Err(e);
         }
     }
     Ok(())
-}
-
-fn check_clbit(module: &Module, clbit: usize) -> Result<(), QirError> {
-    if clbit < module.clbits {
-        Ok(())
-    } else {
-        Err(QirError::ClbitOutOfRange {
-            module: module.name.clone(),
-            clbit,
-            declared: module.clbits,
-        })
-    }
 }
 
 /// Validates a finished program: the per-module checks, each module
@@ -155,11 +255,7 @@ pub(crate) fn validate_finish(modules: &[Module], entry: ModuleId) -> Result<(),
     let entry_module = modules
         .get(entry.index())
         .ok_or(QirError::UnknownModule(entry))?;
-    if entry_module.params != 0 {
-        return Err(QirError::EntryHasParams {
-            module: entry_module.name.clone(),
-        });
-    }
+    check_entry(&Shape::from(entry_module))?;
     // `may_write[i]`: the parameters module `i` may write, directly or
     // through calls, in any of its blocks (sorted, without repeats).
     let mut may_write: Vec<Vec<usize>> = Vec::with_capacity(modules.len());
@@ -468,6 +564,98 @@ mod tests {
                 Err(QirError::UnknownModule(ModuleId::from_index(1)))
             );
         }
+    }
+
+    #[test]
+    fn check_stmt_reports_every_violation_at_its_site() {
+        use super::{check_stmt, Shape, Site};
+        use crate::gate::Gate;
+        use crate::module::{ModuleId, Operand, Stmt};
+        use Operand::{Ancilla as A, Param as P};
+        let shape = Shape {
+            name: "m",
+            params: 2,
+            ancillas: 1,
+            clbits: 1,
+        };
+        let sites = |stmt: Stmt| {
+            let mut out = Vec::new();
+            let signature = |id: ModuleId| (id.index() == 0).then_some(("f", 2));
+            check_stmt(&shape, &stmt, signature, |site, e| out.push((site, e)));
+            out.into_iter().map(|(site, _)| site).collect::<Vec<_>>()
+        };
+        let guarded = Stmt::CondGate {
+            clbit: 2,
+            gate: Gate::Mcx {
+                controls: vec![P(0), P(0), P(1)],
+                target: P(3),
+            },
+        };
+        assert_eq!(
+            sites(guarded),
+            [Site::Qubit(3), Site::Stmt, Site::Stmt, Site::Clbit]
+        );
+        let call = |callee| Stmt::Call {
+            callee: ModuleId::from_index(callee),
+            args: vec![A(9), A(9), A(0)],
+        };
+        // Both out-of-range arguments, the arity, then the alias.
+        assert_eq!(
+            sites(call(0)),
+            [Site::Qubit(0), Site::Qubit(1), Site::Stmt, Site::Stmt]
+        );
+        // An unknown callee ends the statement's checks.
+        assert_eq!(sites(call(1)), [Site::Qubit(0), Site::Qubit(1), Site::Stmt]);
+        let measure = Stmt::Measure {
+            qubit: A(0),
+            clbit: 0,
+        };
+        assert_eq!(sites(measure), []);
+    }
+
+    #[test]
+    fn repeat_scan_names_the_earliest_repeated_operand_at_any_length() {
+        use super::first_repeat;
+        use crate::module::Operand;
+        for n in [4, 40, 100_000] {
+            let mut args: Vec<Operand> = (0..n).map(Operand::Ancilla).collect();
+            assert_eq!(first_repeat(&args), None, "{n}");
+            // `a2` repeats before `a1` does, but `a1` comes first.
+            args[n - 2] = args[2];
+            args[n - 1] = args[1];
+            assert_eq!(first_repeat(&args), Some(Operand::Ancilla(1)), "{n}");
+        }
+        let (p3, a3) = (Operand::Param(3), Operand::Ancilla(3));
+        assert_eq!(first_repeat(&[p3, p3]), Some(p3));
+        assert_eq!(first_repeat(&[p3, a3]), None);
+    }
+
+    #[test]
+    fn a_module_reports_its_first_violation_in_statement_order() {
+        let mut b = ProgramBuilder::new();
+        let leaf = b
+            .module("leaf", 2, 0, |m| {
+                let (p, q) = (m.param(0), m.param(1));
+                m.cx(p, q);
+            })
+            .unwrap();
+        // A handle no statement uses is harmless.
+        let unused = b.module("unused", 1, 1, |m| {
+            let _ = m.param(7);
+            let _ = m.ancilla(7);
+        });
+        assert!(unused.is_ok());
+        let err = b.module("caller", 0, 2, |m| {
+            let (x, y) = (m.ancilla(0), m.ancilla(1));
+            m.cx(x, x);
+            m.call(leaf, &[y, y, y]);
+        });
+        assert_eq!(
+            err,
+            Err(QirError::DuplicatedQubit {
+                module: "caller".into()
+            })
+        );
     }
 
     #[test]

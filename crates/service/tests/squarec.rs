@@ -113,8 +113,9 @@ fn usage_errors_exit_two() {
 /// A machine past `ArchSpec::MAX_QUBITS` is refused before anything is
 /// allocated, not an allocation abort: an explicit spec as a usage
 /// error, an auto-sized one (a program declaring 2^28 ancillas) as a
-/// compile error. So is a frame declaring more ancillas than an
-/// explicit machine holds, in the entry module or a callee.
+/// compile error, also when the callee footprints summed over call
+/// sites pass `u64::MAX`. So is a frame declaring more ancillas than
+/// an explicit machine holds, in the entry module or a callee.
 #[test]
 fn oversized_machines_exit_cleanly() {
     let dir = std::env::temp_dir().join("squarec_test_oversized");
@@ -140,11 +141,22 @@ fn oversized_machines_exit_cleanly() {
          entry module main(0 params, 1 ancilla) {\n  compute { call big(a0); }\n}\n",
     )
     .unwrap();
+    // Four calls to a 2^62-ancilla callee: the machine-sizing hint
+    // saturates instead of wrapping to a small machine.
+    let four_calls = dir.join("four_calls.sq");
+    std::fs::write(
+        &four_calls,
+        "module big(1 params, 4611686018427387904 ancilla) {\n  compute { cx p0 a0; }\n}\n\
+         entry module main(0 params, 1 ancilla) {\n  compute { call big(a0); call big(a0); \
+         call big(a0); call big(a0); }\n}\n",
+    )
+    .unwrap();
     let adder = PathBuf::from("examples/sq/adder.sq");
     for (file, arch, code, message) in [
         (&adder, "grid:60000x60000", 2, "2^20"),
         (&adder, "ring:1048577", 2, "2^20"),
         (&huge, "nisq", 1, "2^20"),
+        (&four_calls, "nisq", 1, "machine too large"),
         // An explicit machine too small for a frame: refused before
         // one id per declared ancilla is collected.
         (&huge_entry, "grid:4x4", 1, "out of qubits"),
