@@ -256,7 +256,12 @@ fn anchor(
     }
     let span = match (site, stmt) {
         (Site::Qubit(k), SourceStmt::Gate { gate, .. } | SourceStmt::CondGate { gate, .. }) => {
-            gate.qubits()[k].span
+            match gate {
+                // Indexed in place: `qubits()` would copy a wide MCX's
+                // operands once per violation.
+                Gate::Mcx { controls, target } => controls.get(k).unwrap_or(target).span,
+                _ => gate.qubits()[k].span,
+            }
         }
         (Site::Qubit(k), SourceStmt::Call { args, .. }) => args[k].span,
         (Site::Qubit(_), SourceStmt::Measure { qubit, .. }) => qubit.span,
@@ -441,7 +446,15 @@ mod tests {
         );
         let err = lower_src(&src).unwrap_err();
         assert_eq!(err.len(), 1, "{err:?}");
-        assert!(err[0].message.contains("out of range"), "{err:?}");
+        assert_eq!(
+            err[0].message,
+            format!(
+                "classical bit `c{}` is out of range: module `main` has no `clbits` clause, \
+                 and on-demand sizing stops at `c{}`",
+                usize::MAX,
+                usize::MAX - 1
+            )
+        );
         assert_eq!(
             &src[err[0].span.start..err[0].span.end],
             format!("c{}", usize::MAX)

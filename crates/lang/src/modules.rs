@@ -386,11 +386,9 @@ fn parse_files_inner(
         total += unit.ast.modules.len();
     }
     let mut gid_of: HashMap<&str, usize> = HashMap::new();
-    let mut name_of: Vec<&str> = Vec::with_capacity(total);
     for (ui, unit) in units.iter().enumerate() {
         for (mi, m) in unit.ast.modules.iter().enumerate() {
             gid_of.insert(m.name.as_str(), offset[ui] + mi);
-            name_of.push(m.name.as_str());
         }
     }
     let owner_of =
@@ -401,11 +399,15 @@ fn parse_files_inner(
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
     for (ui, unit) in units.iter().enumerate() {
         let file = &map.file(unit.file).name;
-        let visible: Vec<std::ops::Range<usize>> = std::iter::once(ui)
-            .chain(unit.deps.iter().flatten().copied())
-            .map(|u| offset[u]..offset[u] + units[u].ast.modules.len())
-            .collect();
-        let visible_names = || visible.iter().flat_map(|r| r.clone()).map(|g| name_of[g]);
+        let mut visible: Vec<usize> = (offset[ui]..offset[ui] + unit.ast.modules.len()).collect();
+        for &dep in unit.deps.iter().flatten() {
+            visible.extend(offset[dep]..offset[dep] + units[dep].ast.modules.len());
+        }
+        let visible_names = || {
+            visible
+                .iter()
+                .map(|&g| *gid_of.iter().find(|&(_, &v)| v == g).expect("gid").0)
+        };
         for (mi, m) in unit.ast.modules.iter().enumerate() {
             let g = offset[ui] + mi;
             for stmt in m
@@ -423,9 +425,7 @@ fn parse_files_inner(
                     continue;
                 };
                 match gid_of.get(callee.as_str()) {
-                    Some(&target) if visible.iter().any(|r| r.contains(&target)) => {
-                        edges[g].push(target)
-                    }
+                    Some(&target) if visible.contains(&target) => edges[g].push(target),
                     Some(&target) => {
                         let du = owner_of(target);
                         diags.push(

@@ -69,7 +69,8 @@ pub enum QirError {
         module: String,
         /// The referenced classical-bit index.
         clbit: usize,
-        /// How many classical bits the module declares.
+        /// How many classical bits the module declares; `usize::MAX`
+        /// when it sizes them on demand.
         declared: usize,
     },
     /// A classically controlled MCX had 3 or more controls. Lowering
@@ -139,12 +140,21 @@ impl fmt::Display for QirError {
                 module,
                 clbit,
                 declared,
-            } => write!(
-                f,
-                "classical bit `c{clbit}` is out of range: module `{module}` declares {declared} \
-                 clbit{}",
-                plural(*declared)
-            ),
+            } => {
+                write!(
+                    f,
+                    "classical bit `c{clbit}` is out of range: module `{module}` "
+                )?;
+                match *declared {
+                    // On-demand sizing covers every index but the last.
+                    usize::MAX => write!(
+                        f,
+                        "has no `clbits` clause, and on-demand sizing stops at `c{}`",
+                        usize::MAX - 1
+                    ),
+                    n => write!(f, "declares {n} clbit{}", plural(n)),
+                }
+            }
             QirError::GuardedWideMcx { module, controls } => write!(
                 f,
                 "guarded `mcx` has {controls} controls in module `{module}`; a guarded gate takes \

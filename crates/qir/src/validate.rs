@@ -70,8 +70,8 @@ impl<'a> From<&'a Module> for Shape<'a> {
 pub enum Site {
     /// The statement as a whole.
     Stmt,
-    /// Its k-th qubit: a gate's k-th operand in
-    /// [`Gate::for_each_qubit`] order, a call's k-th argument, or a
+    /// Its k-th qubit: a gate's k-th operand in [`Gate::qubits`]
+    /// order, a call's k-th argument, or a
     /// measurement's qubit (k = 0).
     Qubit(usize),
     /// Its classical bit (a measurement's or a guard's).
@@ -108,12 +108,11 @@ pub fn check_stmt<'c>(
     };
     let clbit = match stmt {
         Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
-            let mut k = 0;
-            g.for_each_qubit(|q| {
+            let qubits = g.qubits();
+            for (k, q) in qubits.iter().enumerate() {
                 check_qubit(k, q);
-                k += 1;
-            });
-            if first_repeat(&g.qubits()).is_some() {
+            }
+            if first_repeat(&qubits).is_some() {
                 report(Site::Stmt, QirError::DuplicatedQubit { module: module() });
             }
             let Stmt::CondGate { clbit, .. } = stmt else {
@@ -186,14 +185,8 @@ pub fn check_entry(entry: &Shape<'_>) -> Result<(), QirError> {
 
 /// The earliest item of `items` that occurs again later in it (a
 /// gate's duplicated operand, a call's aliased argument), in time
-/// linear in `items.len()` (pairwise only for short lists).
+/// linear in `items.len()`.
 fn first_repeat(items: &[Operand]) -> Option<Operand> {
-    if items.len() <= 16 {
-        let mut rest = items.iter().enumerate();
-        return rest
-            .find(|&(i, a)| items[i + 1..].contains(a))
-            .map(|(_, &a)| a);
-    }
     // Scanning from the end, the last item already seen is the earliest
     // one that repeats.
     let mut later = HashSet::with_capacity(items.len());
