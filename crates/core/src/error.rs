@@ -47,6 +47,18 @@ pub enum CompileError {
         /// The limit, [`ArchSpec::MAX_QUBITS`](crate::ArchSpec::MAX_QUBITS).
         limit: usize,
     },
+    /// The entry nests calls deeper than
+    /// [`MAX_CALL_DEPTH`](crate::executor::MAX_CALL_DEPTH): refused
+    /// before the first frame, because the executor (and the reference
+    /// semantics that validation runs) recurse once per call level, and
+    /// a native stack overflow aborts the process.
+    CallsTooDeep {
+        /// Call levels below the entry
+        /// ([`ModuleStats::height`](square_qir::analysis::ModuleStats::height)).
+        depth: usize,
+        /// The limit, [`MAX_CALL_DEPTH`](crate::executor::MAX_CALL_DEPTH).
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -84,6 +96,11 @@ impl fmt::Display for CompileError {
                 "machine too large: the program needs an auto-sized machine of \
                  {qubits} qubits, over the {limit} (2^20) qubit limit"
             ),
+            CompileError::CallsTooDeep { depth, limit } => write!(
+                f,
+                "calls too deep: the entry module nests calls {depth} levels deep, \
+                 over the limit of {limit}"
+            ),
         }
     }
 }
@@ -93,7 +110,9 @@ impl std::error::Error for CompileError {
         match self {
             CompileError::Qir(e) => Some(e),
             CompileError::Route(e) => Some(e),
-            CompileError::OutOfQubits { .. } | CompileError::MachineTooLarge { .. } => None,
+            CompileError::OutOfQubits { .. }
+            | CompileError::MachineTooLarge { .. }
+            | CompileError::CallsTooDeep { .. } => None,
         }
     }
 }

@@ -29,6 +29,15 @@ use crate::report::{
     BudgetOutcome, CompileReport, DecisionStats, MbuStats, ReclaimDecision, ReclaimLowering,
 };
 
+/// Deepest call nesting below the entry that a compile accepts
+/// ([`CompileError::CallsTooDeep`] past it). The executor and the
+/// reference semantics recurse once per level, so a deeper chain would
+/// overflow the native stack: a debug-build thread with a 2 MiB stack
+/// compiles and validates a 424-level chain under every policy, with
+/// and without MBU, and overflows at 425. This bound leaves 4× of that
+/// headroom; the deepest catalog program nests 8 levels.
+pub const MAX_CALL_DEPTH: usize = 100;
+
 /// Upcoming multi-qubit gates the executor hands a lookahead router
 /// with each gate (SABRE's extended set).
 const LOOKAHEAD_WINDOW: usize = 16;
@@ -209,6 +218,13 @@ fn compile_on(
     check: bool,
 ) -> Result<(CompileReport, Option<PhysicalCheck>), CompileError> {
     let lowered = &prepared.lowered;
+    let depth = prepared.pstats.module(lowered.entry()).height;
+    if depth > MAX_CALL_DEPTH {
+        return Err(CompileError::CallsTooDeep {
+            depth,
+            limit: MAX_CALL_DEPTH,
+        });
+    }
     // Braiding never consults the swap-chain router: normalize the
     // recorded selection to greedy so reports cannot claim a lookahead
     // router that never ran.

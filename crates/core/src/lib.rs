@@ -49,7 +49,7 @@ pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, SweepA
 pub use error::CompileError;
 pub use executor::{
     build_topology, compile, compile_checked, compile_prepared, compile_prepared_on,
-    compile_with_inputs, PreparedProgram,
+    compile_with_inputs, PreparedProgram, MAX_CALL_DEPTH,
 };
 pub use policy::{BudgetPolicy, Policy};
 pub use report::{

@@ -68,6 +68,12 @@ impl Token {
 /// an [`TokenKind::Eof`] token) and any lexical diagnostics (unknown
 /// characters, which are skipped).
 pub fn lex(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
+    lex_at(source, 0)
+}
+
+/// [`lex`] with every span offset by `base`: the source's byte 0 sits
+/// at global offset `base` (see [`crate::modules::SourceMap`]).
+pub(crate) fn lex_at(source: &str, base: usize) -> (Vec<Token>, Vec<Diagnostic>) {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut diags = Vec::new();
@@ -89,7 +95,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
                 };
                 tokens.push(Token {
                     kind,
-                    span: Span::new(i, i + 1),
+                    span: Span::new(base + i, base + i + 1),
                 });
                 i += 1;
             }
@@ -100,7 +106,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
                 }
                 tokens.push(Token {
                     kind: TokenKind::Word,
-                    span: Span::new(start, i),
+                    span: Span::new(base + start, base + i),
                 });
             }
             _ => {
@@ -109,7 +115,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
                 let ch = source[i..].chars().next().unwrap_or('\u{fffd}');
                 let end = i + ch.len_utf8();
                 diags.push(Diagnostic::new(
-                    Span::new(i, end),
+                    Span::new(base + i, base + end),
                     format!("unexpected character `{ch}`"),
                 ));
                 i = end;
@@ -118,7 +124,7 @@ pub fn lex(source: &str) -> (Vec<Token>, Vec<Diagnostic>) {
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
-        span: Span::new(source.len(), source.len()),
+        span: Span::new(base + source.len(), base + source.len()),
     });
     (tokens, diags)
 }

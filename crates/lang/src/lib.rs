@@ -52,9 +52,10 @@
 //! ## Imports
 //!
 //! `import name;` items (which must precede the first module) bring
-//! every module of another file into scope — see [`modules`] for the
-//! resolution pass, the [`modules::ModuleLoader`] abstraction, and
-//! the search-path rules. [`parse_program`] itself is single-file (it
+//! every module of another file into scope — see [`modules`] for
+//! loading, the [`modules::ModuleLoader`] abstraction and the
+//! search-path rules, and [`mod@lower`] for the one resolver both entry
+//! points share. [`parse_program`] itself is single-file (it
 //! has no file context) and rejects imports with a pointer at
 //! [`modules::parse_files`]; the `squarec` driver resolves them
 //! against the importing file's directory, `--search-path`

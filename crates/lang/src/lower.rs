@@ -1,22 +1,34 @@
 //! Resolution and lowering: spanned surface AST → [`square_qir::Program`].
 //!
-//! Resolution binds callee names to module indices (with "did you
-//! mean" hints) and orders modules topologically when the source uses
-//! forward references (the canonical listing never does, so lowering
-//! a pretty-printed program preserves module ids exactly — the
-//! round-trip guarantee); the dependency sort reports call cycles and
-//! hands the builder callees before callers, as
-//! [`square_qir::Program`] requires. The per-module rules (operand
-//! bounds, duplicated gate operands, guarded wide MCX, clbit bounds,
-//! call arity, aliased arguments, the entry signature) are
-//! `square_qir::validate`'s own: each statement is lowered with its
-//! callee's source index and handed to
-//! [`square_qir::validate::check_stmt`], and every violation is
+//! This is the one resolver for `.sq` programs, for one file
+//! ([`lower`], behind [`crate::parse_program`]) and for many
+//! ([`crate::parse_files`], which only loads). It takes the loaded
+//! units, the root first, each with its file name, the name it is
+//! imported as, and its direct imports, and numbers their modules
+//! globally. Module names are unique across the units, and the entry
+//! module lives in the root. A unit sees its own modules and those of
+//! the units it imports directly: a call to a module that exists but
+//! is not visible gets an "add `import …;`" hint, and an unknown name a
+//! "did you mean" chosen from the visible names in module order. Every
+//! root module is kept and an imported one only when a kept module
+//! calls it; the rest are pruned unchecked.
+//!
+//! The per-module rules (operand bounds, duplicated gate operands,
+//! guarded wide MCX, clbit bounds, call arity, aliased arguments, the
+//! entry signature) are `square_qir::validate`'s own: each statement of
+//! a kept module is lowered with its callee's global index and handed
+//! to [`square_qir::validate::check_stmt`], and every violation is
 //! anchored on the operand, clbit or statement span it names, in
-//! source order. The one whole-program rule, the store discipline,
-//! runs inside [`square_qir::ProgramBuilder::finish`] and is mapped
-//! back onto the offending module's span.
+//! source order. The dependency sort then reports call cycles and
+//! hands the builder callees before callers, as [`square_qir::Program`]
+//! requires; it keeps source order when the source is already
+//! dependency-ordered (the canonical listing always is), so lowering a
+//! pretty-printed program preserves module ids exactly — the round-trip
+//! guarantee. The one whole-program rule, the store discipline, runs
+//! inside [`square_qir::ProgramBuilder::finish`] and is mapped back
+//! onto the offending module's span.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use square_qir::validate::{self, Shape, Site};
@@ -25,40 +37,186 @@ use square_qir::{Gate, ModuleId, Program, ProgramBuilder, QirError, Stmt};
 use crate::ast::{SourceModule, SourceOperand, SourceProgram, SourceStmt};
 use crate::diag::{suggest, Diagnostic, Span};
 
-/// Resolves and lowers a parsed program onto the IR builder.
+/// One parsed file of a program, as the resolver sees it.
+pub(crate) struct Unit<'a> {
+    /// Display name of the file, for cross-file diagnostics.
+    pub file: &'a str,
+    /// The name the unit is imported as (`std` for `lib/std.sq`), for
+    /// "add `import …;`" hints.
+    pub name: &'a str,
+    /// The file's modules; their spans are global.
+    pub ast: &'a SourceProgram,
+    /// Indices (into the resolver's unit slice) of the units this one
+    /// imports directly.
+    pub imports: &'a [usize],
+}
+
+/// Resolves and lowers a parsed single-file program onto the IR
+/// builder: the one-unit case of the resolver.
 ///
 /// # Errors
 ///
 /// Every resolution failure found, each with a source span; the vector
 /// is non-empty on failure.
 pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
+    resolve(&[Unit {
+        file: "",
+        name: "",
+        ast,
+        imports: &[],
+    }])
+}
+
+/// Resolves and lowers loaded units, the root first. Modules are
+/// numbered globally, the root's first and then each unit's in order;
+/// diagnostics come in stages, and a stage that finds any stops the
+/// pass: an imported entry and duplicate names, then callees, then the
+/// root's entry and the per-statement rules on the kept modules, then
+/// call cycles, then the store discipline.
+pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
+    let modules: Vec<&SourceModule> = units.iter().flat_map(|u| &u.ast.modules).collect();
+    let unit_of: Vec<usize> = units
+        .iter()
+        .enumerate()
+        .flat_map(|(u, unit)| std::iter::repeat_n(u, unit.ast.modules.len()))
+        .collect();
+    let n = modules.len();
+    let nroot = units[0].ast.modules.len();
     let mut diags = Vec::new();
 
-    if ast.modules.is_empty() {
-        diags.push(Diagnostic::new(
-            Span::default(),
-            "empty program: expected at least one `entry module`",
-        ));
+    // The entry module must live in the root file.
+    for g in nroot..n {
+        let m = modules[g];
+        if let Some(es) = m.entry_span {
+            diags.push(
+                Diagnostic::new(
+                    es,
+                    format!(
+                        "imported file {} declares `entry module {}`",
+                        units[unit_of[g]].file, m.name
+                    ),
+                )
+                .with_help("the entry module must live in the root file"),
+            );
+        }
+    }
+    // Module names are global across the units. Imported units
+    // register first so a root-vs-import conflict anchors on the root
+    // file, the one the user is editing.
+    let mut by_name: HashMap<&str, usize> = HashMap::with_capacity(n);
+    for g in (nroot..n).chain(0..nroot) {
+        let m = modules[g];
+        match by_name.entry(m.name.as_str()) {
+            Entry::Vacant(e) => {
+                e.insert(g);
+            }
+            Entry::Occupied(e) if unit_of[*e.get()] == unit_of[g] => diags.push(Diagnostic::new(
+                m.name_span,
+                format!("duplicate module name `{}`", m.name),
+            )),
+            Entry::Occupied(e) => diags.push(
+                Diagnostic::new(
+                    m.name_span,
+                    format!(
+                        "module `{}` is already defined in {}",
+                        m.name,
+                        units[unit_of[*e.get()]].file
+                    ),
+                )
+                .with_help("module names are global across imported files"),
+            ),
+        }
+    }
+    if !diags.is_empty() {
         return Err(diags);
     }
 
+    // A unit sees its own modules plus those of the units it imports
+    // directly; `edges` are the resolved calls, in statement order.
+    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut visible = vec![false; units.len()];
+    let mut first = 0;
+    for (u, unit) in units.iter().enumerate() {
+        let scope = || std::iter::once(u).chain(unit.imports.iter().copied());
+        scope().for_each(|v| visible[v] = true);
+        for (g, m) in (first..).zip(&unit.ast.modules) {
+            for (callee, callee_span) in calls(m) {
+                match by_name.get(callee) {
+                    Some(&t) if visible[unit_of[t]] => edges[g].push(t),
+                    Some(&t) => diags.push(
+                        Diagnostic::new(
+                            callee_span,
+                            format!(
+                                "module `{callee}` is defined in {}, which {} does not import",
+                                units[unit_of[t]].file, unit.file
+                            ),
+                        )
+                        .with_help(format!(
+                            "add `import {};` at the top of {}",
+                            units[unit_of[t]].name, unit.file
+                        )),
+                    ),
+                    None => {
+                        let d = Diagnostic::new(
+                            callee_span,
+                            format!("call to unknown module `{callee}`"),
+                        );
+                        let names = scope()
+                            .flat_map(|v| &units[v].ast.modules)
+                            .map(|m| m.name.as_str());
+                        diags.push(match suggest(callee, names) {
+                            Some(s) => d.with_help(format!("did you mean `{s}`?")),
+                            None => d,
+                        });
+                    }
+                }
+            }
+        }
+        scope().for_each(|v| visible[v] = false);
+        first += unit.ast.modules.len();
+    }
+    if !diags.is_empty() {
+        return Err(diags);
+    }
+
+    // Every root module is kept (the canonical listing keeps them
+    // all); an imported module is kept only when a kept module calls
+    // it, so what a program imports, not what the library happens to
+    // contain, determines the lowered program.
+    let mut keep = vec![false; n];
+    let mut queue: Vec<usize> = (0..nroot).collect();
+    keep[..nroot].fill(true);
+    while let Some(g) = queue.pop() {
+        for &t in &edges[g] {
+            if !keep[t] {
+                keep[t] = true;
+                queue.push(t);
+            }
+        }
+    }
+    let kept: Vec<usize> = (0..n).filter(|&g| keep[g]).collect();
+
+    let Some(&first_kept) = kept.first() else {
+        return Err(vec![Diagnostic::new(
+            Span::default(),
+            "empty program: expected at least one `entry module`",
+        )]);
+    };
     // Exactly one entry module.
-    let entries: Vec<usize> = ast
-        .modules
+    let entries: Vec<usize> = kept
         .iter()
-        .enumerate()
-        .filter(|(_, m)| m.is_entry())
-        .map(|(i, _)| i)
+        .copied()
+        .filter(|&g| modules[g].is_entry())
         .collect();
     match entries.as_slice() {
         [] => diags.push(
-            Diagnostic::new(ast.modules[0].name_span, "no module is marked `entry`")
+            Diagnostic::new(modules[first_kept].name_span, "no module is marked `entry`")
                 .with_help("mark the top-level module: `entry module …`"),
         ),
         [_one] => {}
-        [_first, rest @ ..] => {
-            for &i in rest {
-                let m = &ast.modules[i];
+        [first, rest @ ..] => {
+            for &g in rest {
+                let m = modules[g];
                 diags.push(
                     Diagnostic::new(
                         m.entry_span.unwrap_or(m.name_span),
@@ -66,42 +224,26 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
                     )
                     .with_help(format!(
                         "module `{}` is already the entry",
-                        ast.modules[entries[0]].name
+                        modules[*first].name
                     )),
                 );
             }
         }
     }
-
-    // Unique names; build the name → index map.
-    let mut by_name: HashMap<&str, usize> = HashMap::new();
-    for (i, m) in ast.modules.iter().enumerate() {
-        if let Some(&first) = by_name.get(m.name.as_str()) {
-            diags.push(
-                Diagnostic::new(m.name_span, format!("duplicate module name `{}`", m.name))
-                    .with_help(format!("first defined as module #{}", first + 1)),
-            );
-        } else {
-            by_name.insert(m.name.as_str(), i);
-        }
-    }
-
-    // Resolve call targets and run the spanned per-module checks.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); ast.modules.len()];
-    for (i, m) in ast.modules.iter().enumerate() {
-        check_module(m, &by_name, ast, &mut diags, &mut edges[i]);
+    // The shared per-statement rules, on the kept modules.
+    for &g in &kept {
+        check_module(modules[g], &modules, &by_name, &mut diags);
     }
     if !diags.is_empty() {
         return Err(diags);
     }
 
-    // Dependency order: keep source order when it is already
-    // topological (it always is for canonical listings); otherwise
-    // sort stably, and report cycles on a participating module.
-    let order = match dependency_order(ast, &edges) {
+    // Dependency order, callees first; report cycles on a participating
+    // module.
+    let order = match dependency_order(&edges, &keep) {
         Ok(order) => order,
-        Err(cycle_idx) => {
-            let m = &ast.modules[cycle_idx];
+        Err(g) => {
+            let m = modules[g];
             return Err(vec![Diagnostic::new(
                 m.name_span,
                 format!(
@@ -115,9 +257,9 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
 
     // Lower in dependency order.
     let mut b = ProgramBuilder::new();
-    let mut ids: Vec<Option<ModuleId>> = vec![None; ast.modules.len()];
-    for &idx in &order {
-        let m = &ast.modules[idx];
+    let mut ids: Vec<Option<ModuleId>> = vec![None; n];
+    for &g in &order {
+        let m = modules[g];
         let built = b.module(m.name.clone(), m.params, m.ancillas, |mb| {
             mb.declare_clbits(m.clbits);
             let emit = |mb: &mut square_qir::ModuleBuilder, stmts: &[SourceStmt]| {
@@ -139,32 +281,49 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
         });
         // `check_module` ran the builder's own per-statement checker on
         // every statement, against the same shape and callee signatures.
-        ids[idx] = Some(built.expect("every statement passed the shared checker"));
+        ids[g] = Some(built.expect("every statement passed the shared checker"));
     }
     let entry_id = ids[entries[0]].expect("entry was lowered");
     // The store discipline, which needs every callee's may-write set,
     // is the one rule left to `finish`; it anchors on the module's name.
     b.finish(entry_id).map_err(|e| {
         let span = match &e {
-            QirError::StoreDiscipline { module, .. } => {
-                ast.modules[by_name[module.as_str()]].name_span
-            }
+            QirError::StoreDiscipline { module, .. } => modules[by_name[module.as_str()]].name_span,
             _ => Span::default(),
         };
         vec![Diagnostic::new(span, e.to_string())]
     })
 }
 
-/// Resolves `m`'s callees, pushing the dependency-sort edges onto
-/// `callees`, and checks its entry signature and every statement with
-/// the shared `square_qir::validate` rules, anchoring each violation on
-/// the operand, clbit or statement span it names.
+/// `m`'s statements, block by block.
+fn stmts(m: &SourceModule) -> impl Iterator<Item = &SourceStmt> {
+    m.compute
+        .iter()
+        .chain(&m.store)
+        .chain(m.uncompute.iter().flatten())
+}
+
+/// The calls of `m`, callee name and span, in statement order.
+fn calls(m: &SourceModule) -> impl Iterator<Item = (&str, Span)> {
+    stmts(m).filter_map(|stmt| match stmt {
+        SourceStmt::Call {
+            callee,
+            callee_span,
+            ..
+        } => Some((callee.as_str(), *callee_span)),
+        _ => None,
+    })
+}
+
+/// Checks `m`'s entry signature and every statement with the shared
+/// `square_qir::validate` rules, anchoring each violation on the
+/// operand, clbit or statement span it names. Every callee resolves:
+/// the caller checked them first.
 fn check_module(
     m: &SourceModule,
+    modules: &[&SourceModule],
     by_name: &HashMap<&str, usize>,
-    ast: &SourceProgram,
     diags: &mut Vec<Diagnostic>,
-    callees: &mut Vec<usize>,
 ) {
     let shape = Shape {
         name: &m.name,
@@ -183,26 +342,15 @@ fn check_module(
             );
         }
     }
-    // A callee is named by its AST index; an unresolved name gets one
-    // past the last, which the lookup reports as unknown.
+    // A callee is named by its global module index.
     let signature = |id: ModuleId| {
-        ast.modules
-            .get(id.index())
-            .map(|t| (t.name.as_str(), t.params))
+        let t = modules[id.index()];
+        Some((t.name.as_str(), t.params))
     };
-    for stmt in m
-        .compute
-        .iter()
-        .chain(&m.store)
-        .chain(m.uncompute.iter().flatten())
-    {
-        let lowered = to_stmt(stmt, |name| {
-            let index = by_name.get(name).copied();
-            callees.extend(index);
-            ModuleId::from_index(index.unwrap_or(ast.modules.len()))
-        });
+    for stmt in stmts(m) {
+        let lowered = to_stmt(stmt, |name| ModuleId::from_index(by_name[name]));
         validate::check_stmt(&shape, &lowered, signature, |site, e| {
-            diags.push(anchor(stmt, site, &e, by_name));
+            diags.push(anchor(stmt, site, &e));
         });
     }
 }
@@ -231,29 +379,8 @@ fn to_stmt(stmt: &SourceStmt, callee: impl FnOnce(&str) -> ModuleId) -> Stmt {
 
 /// The diagnostic for a violation `check_stmt` reported at `site` of
 /// `stmt`: anchored on the qubit, clbit or statement span, with the
-/// frontend's help line for the rule, and an unknown callee resolved
-/// by name with a "did you mean" hint.
-fn anchor(
-    stmt: &SourceStmt,
-    site: Site,
-    e: &QirError,
-    by_name: &HashMap<&str, usize>,
-) -> Diagnostic {
-    if let (
-        QirError::UnknownModule(_),
-        SourceStmt::Call {
-            callee,
-            callee_span,
-            ..
-        },
-    ) = (e, stmt)
-    {
-        let d = Diagnostic::new(*callee_span, format!("call to unknown module `{callee}`"));
-        return match suggest(callee, by_name.keys().copied()) {
-            Some(s) => d.with_help(format!("did you mean `{s}`?")),
-            None => d,
-        };
-    }
+/// frontend's help line for the rule.
+fn anchor(stmt: &SourceStmt, site: Site, e: &QirError) -> Diagnostic {
     let span = match (site, stmt) {
         (Site::Qubit(k), SourceStmt::Gate { gate, .. } | SourceStmt::CondGate { gate, .. }) => {
             match gate {
@@ -285,22 +412,25 @@ fn anchor(
     }
 }
 
-/// A stable topological sort, callees first: Kahn's algorithm always
-/// takes the smallest ready source index, so a source that is already
-/// dependency-ordered (every canonical listing) keeps its order. `Err`
-/// names a module on a cycle.
-fn dependency_order(ast: &SourceProgram, edges: &[Vec<usize>]) -> Result<Vec<usize>, usize> {
-    let n = ast.modules.len();
+/// A stable topological sort of the kept modules, callees first:
+/// Kahn's algorithm always takes the smallest ready index, so a source
+/// that is already dependency-ordered (every canonical listing) keeps
+/// its order. A kept module only calls kept modules. `Err` names a
+/// module on a cycle.
+fn dependency_order(edges: &[Vec<usize>], keep: &[bool]) -> Result<Vec<usize>, usize> {
+    let n = edges.len();
     // A module is ready once every call edge out of it is lowered.
     let mut indegree: Vec<usize> = edges.iter().map(Vec::len).collect();
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (caller, callees) in edges.iter().enumerate() {
-        for &callee in callees {
-            callers[callee].push(caller);
+        if keep[caller] {
+            for &callee in callees {
+                callers[callee].push(caller);
+            }
         }
     }
     let mut ready: std::collections::BTreeSet<usize> =
-        (0..n).filter(|&i| indegree[i] == 0).collect();
+        (0..n).filter(|&i| keep[i] && indegree[i] == 0).collect();
     let mut order = Vec::with_capacity(n);
     while let Some(next) = ready.pop_first() {
         order.push(next);
@@ -311,18 +441,17 @@ fn dependency_order(ast: &SourceProgram, edges: &[Vec<usize>]) -> Result<Vec<usi
             }
         }
     }
-    if order.len() < n {
+    let mut unordered = keep.to_vec();
+    for &i in &order {
+        unordered[i] = false;
+    }
+    if let Some(start) = unordered.iter().position(|&u| u) {
         // Unordered modules are those whose callee-subtree contains a
         // cycle — which includes innocent callers upstream of one. To
         // anchor the diagnostic on an actual participant, walk callee
         // edges within the unordered set (every unordered module has
         // at least one unordered callee); the first revisited module
         // is on a cycle.
-        let mut unordered = vec![true; n];
-        for &i in &order {
-            unordered[i] = false;
-        }
-        let start = unordered.iter().position(|&u| u).unwrap_or(0);
         let mut seen = vec![false; n];
         let mut cur = start;
         while !seen[cur] {

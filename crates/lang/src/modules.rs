@@ -1,36 +1,31 @@
-//! Multi-file module resolution: `import` items, file loading, and
-//! cross-file name resolution with file-attributed diagnostics.
+//! Multi-file loading: `import` items, the loaders, and the
+//! [`SourceMap`] that attributes diagnostics to files.
 //!
 //! A `.sq` file may begin with `import name;` items. Each one brings
 //! every module of the unit `name` (for the filesystem loader, the
 //! file `name.sq` resolved against the importing file's directory,
 //! then the search path, then `lib/`) into the importing file's
-//! scope. Resolution is a three-stage pass modeled on Q#'s
-//! `qsc_frontend`:
+//! scope. This module only loads, modeled on Q#'s `qsc_frontend`:
 //!
-//! 1. **per-file parse** — each file parses independently with
-//!    [`crate::parser::parse_source`]; its spans are then shifted onto
-//!    a global offset axis owned by the [`SourceMap`], so one
-//!    [`Diagnostic`] type serves every file and
+//! 1. **per-file parse** — each file is added to the [`SourceMap`],
+//!    which gives it a global offset, and parses straight onto that
+//!    offset, so one [`Diagnostic`] type serves every file and
 //!    [`SourceMap::render`] attributes each error to its file.
 //! 2. **import-graph build** — imports load depth-first in
 //!    declaration order. A unit is identified by the loader's
 //!    canonical key, so diamond imports load once, and a key already
 //!    on the DFS stack is an import cycle, reported with the chain.
-//! 3. **cross-file name resolution** — module names are global and
-//!    must be unique across the loaded set; a file only *sees* its
-//!    own modules plus those of units it directly imports (calling a
-//!    module from a transitive import is an error with an "add
-//!    `import …;`" hint); the `entry` module must live in the root
-//!    file. Imported modules not reachable from any root-file module
-//!    are pruned, so what a program imports — not what the stdlib
-//!    happens to contain — determines the lowered [`Program`].
 //!
-//! The merged program then flows through the ordinary single-file
-//! checks and lowering ([`mod@crate::lower`]). An import-free root file
-//! takes this path to the byte-identical result of
-//! [`crate::parse_program`], and the lowered program's canonical
-//! listing ([`square_qir::pretty::program_listing`]) is the flattened
+//! The loaded units (the root first, each with its file name, unit
+//! name and direct imports) then go to the one resolver in
+//! [`mod@crate::lower`], which [`crate::parse_program`] also runs on
+//! its single file: module names are global across the units, a file
+//! sees only its own modules and those of units it imports directly,
+//! the `entry` module must live in the root file, and imported modules
+//! that nothing in the root reaches are pruned. An import-free root
+//! file therefore gives exactly the result of [`crate::parse_program`],
+//! and the lowered program's canonical listing
+//! ([`square_qir::pretty::program_listing`]) is the flattened
 //! single-file form — the lossless multi-file round trip.
 
 use std::collections::{BTreeMap, HashMap};
@@ -38,10 +33,10 @@ use std::path::{Path, PathBuf};
 
 use square_qir::Program;
 
-use crate::ast::{SourceOperand, SourceProgram, SourceStmt};
-use crate::diag::{render, suggest, Diagnostic, Span};
-use crate::lower::lower;
-use crate::parser::parse_source;
+use crate::ast::SourceProgram;
+use crate::diag::{line_starts, render_one, Diagnostic, Span};
+use crate::lower::{resolve, Unit};
+use crate::parser::parse_at;
 
 /// Identifies one loaded file within a [`SourceMap`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,6 +106,7 @@ impl SourceMap {
     /// located and rendered against its own file's source and name
     /// (the multi-file counterpart of [`crate::render`]).
     pub fn render(&self, diags: &[Diagnostic]) -> String {
+        let mut lines: Vec<Option<Vec<usize>>> = vec![None; self.files.len()];
         let mut out = String::new();
         for (i, d) in diags.iter().enumerate() {
             if i > 0 {
@@ -122,13 +118,8 @@ impl SourceMap {
             }
             let (fid, local) = self.locate(d.span);
             let f = self.file(fid);
-            let mut localized = d.clone();
-            localized.span = local;
-            out.push_str(&render(
-                &f.source,
-                &f.name,
-                std::slice::from_ref(&localized),
-            ));
+            let index = lines[fid.0].get_or_insert_with(|| line_starts(&f.source));
+            render_one(&mut out, &f.source, index, &f.name, d, local);
         }
         out
     }
@@ -252,17 +243,17 @@ impl ModuleLoader for MapLoader {
     }
 }
 
-/// One loaded unit: a parsed file (spans already global) plus its
-/// resolved direct imports.
-struct Unit {
+/// One loaded file: its parse (spans already global) and its direct
+/// imports.
+struct Loaded {
     file: FileId,
     key: String,
     /// The name this unit is imported as (`std` for `lib/std.sq`);
     /// used in "add `import …;`" hints.
     unit_name: String,
     ast: SourceProgram,
-    /// Unit index per `import` item, `None` where loading failed.
-    deps: Vec<Option<usize>>,
+    /// Unit index per loaded `import` item.
+    deps: Vec<usize>,
 }
 
 /// Parses, resolves, and lowers a multi-file `.sq` program rooted at
@@ -284,32 +275,20 @@ pub fn parse_files(
     loader: &dyn ModuleLoader,
 ) -> (SourceMap, Result<Program, Vec<Diagnostic>>) {
     let mut map = SourceMap::default();
-    let result = parse_files_inner(root_name, root_source, loader, &mut map);
-    (map, result)
-}
-
-fn parse_files_inner(
-    root_name: &str,
-    root_source: &str,
-    loader: &dyn ModuleLoader,
-    map: &mut SourceMap,
-) -> Result<Program, Vec<Diagnostic>> {
     let mut diags = Vec::new();
-
-    // Stage 1+2: per-file parse and depth-first import loading.
     let root_id = map.add(root_name.to_string(), root_source.to_string());
-    let (root_ast, parse_diags) = parse_source(root_source);
-    diags.extend(parse_diags); // root base is 0: spans are already global
+    let (root_ast, parse_diags) = parse_at(root_source, 0);
+    diags.extend(parse_diags);
     let root_stem = Path::new(root_name)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| root_name.to_string());
-    let mut units = vec![Unit {
+    let mut units = vec![Loaded {
         file: root_id,
         key: root_name.to_string(),
         unit_name: root_stem,
-        deps: vec![None; root_ast.imports.len()],
         ast: root_ast,
+        deps: Vec::new(),
     }];
     let mut by_key: HashMap<String, usize> = HashMap::new();
     by_key.insert(root_name.to_string(), 0);
@@ -317,180 +296,27 @@ fn parse_files_inner(
     load_imports(
         0,
         loader,
-        map,
+        &mut map,
         &mut units,
         &mut by_key,
         &mut stack,
         &mut diags,
     );
     if !diags.is_empty() {
-        return Err(diags);
+        return (map, Err(diags));
     }
-
-    // Stage 3: cross-file structural checks.
-    // The entry module must live in the root file.
-    for unit in &units[1..] {
-        let file = &map.file(unit.file).name;
-        for m in &unit.ast.modules {
-            if let Some(es) = m.entry_span {
-                diags.push(
-                    Diagnostic::new(
-                        es,
-                        format!("imported file {file} declares `entry module {}`", m.name),
-                    )
-                    .with_help("the entry module must live in the root file"),
-                );
-            }
-        }
-    }
-    // Module names are global across the loaded set. Imported units
-    // register first so a root-vs-import conflict anchors on the root
-    // file — the one the user is editing.
-    let mut first_def: HashMap<&str, usize> = HashMap::new();
-    for ui in (1..units.len()).chain([0]) {
-        let unit = &units[ui];
-        for m in &unit.ast.modules {
-            match first_def.get(m.name.as_str()) {
-                Some(&fu) => {
-                    let d = if fu == ui {
-                        Diagnostic::new(m.name_span, format!("duplicate module name `{}`", m.name))
-                    } else {
-                        Diagnostic::new(
-                            m.name_span,
-                            format!(
-                                "module `{}` is already defined in {}",
-                                m.name,
-                                map.file(units[fu].file).name
-                            ),
-                        )
-                        .with_help("module names are global across imported files")
-                    };
-                    diags.push(d);
-                }
-                None => {
-                    first_def.insert(m.name.as_str(), ui);
-                }
-            }
-        }
-    }
-    if !diags.is_empty() {
-        return Err(diags);
-    }
-
-    // Global module index: root-file modules first, then imported
-    // units in depth-first load order.
-    let mut offset = Vec::with_capacity(units.len());
-    let mut total = 0usize;
-    for unit in &units {
-        offset.push(total);
-        total += unit.ast.modules.len();
-    }
-    let mut gid_of: HashMap<&str, usize> = HashMap::new();
-    for (ui, unit) in units.iter().enumerate() {
-        for (mi, m) in unit.ast.modules.iter().enumerate() {
-            gid_of.insert(m.name.as_str(), offset[ui] + mi);
-        }
-    }
-    let owner_of =
-        |gid: usize| -> usize { offset.partition_point(|&o| o <= gid).saturating_sub(1) };
-
-    // A file sees its own modules plus those of units it directly
-    // imports — calls elsewhere diagnose with an `import` hint.
-    let mut edges: Vec<Vec<usize>> = vec![Vec::new(); total];
-    for (ui, unit) in units.iter().enumerate() {
-        let file = &map.file(unit.file).name;
-        let mut visible: Vec<usize> = (offset[ui]..offset[ui] + unit.ast.modules.len()).collect();
-        for &dep in unit.deps.iter().flatten() {
-            visible.extend(offset[dep]..offset[dep] + units[dep].ast.modules.len());
-        }
-        let visible_names = || {
-            visible
-                .iter()
-                .map(|&g| *gid_of.iter().find(|&(_, &v)| v == g).expect("gid").0)
-        };
-        for (mi, m) in unit.ast.modules.iter().enumerate() {
-            let g = offset[ui] + mi;
-            for stmt in m
-                .compute
-                .iter()
-                .chain(&m.store)
-                .chain(m.uncompute.iter().flatten())
-            {
-                let SourceStmt::Call {
-                    callee,
-                    callee_span,
-                    ..
-                } = stmt
-                else {
-                    continue;
-                };
-                match gid_of.get(callee.as_str()) {
-                    Some(&target) if visible.contains(&target) => edges[g].push(target),
-                    Some(&target) => {
-                        let du = owner_of(target);
-                        diags.push(
-                            Diagnostic::new(
-                                *callee_span,
-                                format!(
-                                    "module `{callee}` is defined in {}, which {file} does \
-                                     not import",
-                                    map.file(units[du].file).name
-                                ),
-                            )
-                            .with_help(format!(
-                                "add `import {};` at the top of {file}",
-                                units[du].unit_name
-                            )),
-                        );
-                    }
-                    None => {
-                        let mut d = Diagnostic::new(
-                            *callee_span,
-                            format!("call to unknown module `{callee}`"),
-                        );
-                        if let Some(s) = suggest(callee, visible_names()) {
-                            d = d.with_help(format!("did you mean `{s}`?"));
-                        }
-                        diags.push(d);
-                    }
-                }
-            }
-        }
-    }
-    if !diags.is_empty() {
-        return Err(diags);
-    }
-
-    // Prune imported modules unreachable from the root file: every
-    // root-file module is a root (the canonical listing keeps them
-    // all), imported modules survive only if some kept module calls
-    // them.
-    let nroot = units[0].ast.modules.len();
-    let mut keep = vec![false; total];
-    let mut queue: Vec<usize> = (0..nroot).collect();
-    for &g in &queue {
-        keep[g] = true;
-    }
-    while let Some(g) = queue.pop() {
-        for &t in &edges[g] {
-            if !keep[t] {
-                keep[t] = true;
-                queue.push(t);
-            }
-        }
-    }
-
-    // Merge (kept modules in global-index order) and reuse the
-    // single-file resolution + lowering pass unchanged.
-    let mut merged = SourceProgram::default();
-    for (ui, unit) in units.iter().enumerate() {
-        for (mi, m) in unit.ast.modules.iter().enumerate() {
-            if keep[offset[ui] + mi] {
-                merged.modules.push(m.clone());
-            }
-        }
-    }
-    lower(&merged)
+    let resolved = resolve(
+        &units
+            .iter()
+            .map(|u| Unit {
+                file: &map.file(u.file).name,
+                name: &u.unit_name,
+                ast: &u.ast,
+                imports: &u.deps,
+            })
+            .collect::<Vec<_>>(),
+    );
+    (map, resolved)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -498,14 +324,14 @@ fn load_imports(
     u: usize,
     loader: &dyn ModuleLoader,
     map: &mut SourceMap,
-    units: &mut Vec<Unit>,
+    units: &mut Vec<Loaded>,
     by_key: &mut HashMap<String, usize>,
     stack: &mut Vec<(String, String)>, // (canonical key, display name)
     diags: &mut Vec<Diagnostic>,
 ) {
     let imports = units[u].ast.imports.clone();
     let importer_key = units[u].key.clone();
-    for (i, imp) in imports.iter().enumerate() {
+    for imp in &imports {
         let loaded = match loader.load(&imp.name, &importer_key) {
             Ok(lf) => lf,
             Err(reason) => {
@@ -526,98 +352,26 @@ fn load_imports(
             continue;
         }
         if let Some(&idx) = by_key.get(&loaded.key) {
-            units[u].deps[i] = Some(idx); // diamond: already loaded once
+            units[u].deps.push(idx); // diamond: already loaded once
             continue;
         }
         let fid = map.add(loaded.name.clone(), loaded.source);
-        let base = map.file(fid).base;
-        let (mut ast, parse_diags) = parse_source(&map.file(fid).source);
-        shift_program(&mut ast, base);
-        diags.extend(parse_diags.into_iter().map(|mut d| {
-            d.span = Span::new(d.span.start + base, d.span.end + base);
-            d
-        }));
+        let file = map.file(fid);
+        let (ast, parse_diags) = parse_at(&file.source, file.base);
+        diags.extend(parse_diags);
         let idx = units.len();
         by_key.insert(loaded.key.clone(), idx);
-        units.push(Unit {
+        units.push(Loaded {
             file: fid,
             key: loaded.key.clone(),
             unit_name: imp.name.clone(),
-            deps: vec![None; ast.imports.len()],
             ast,
+            deps: Vec::new(),
         });
-        units[u].deps[i] = Some(idx);
+        units[u].deps.push(idx);
         stack.push((loaded.key, loaded.name));
         load_imports(idx, loader, map, units, by_key, stack, diags);
         stack.pop();
-    }
-}
-
-/// Shifts every span in a freshly parsed file onto the global axis.
-fn shift_program(ast: &mut SourceProgram, base: usize) {
-    if base == 0 {
-        return;
-    }
-    let sh = |s: Span| Span::new(s.start + base, s.end + base);
-    for imp in &mut ast.imports {
-        imp.name_span = sh(imp.name_span);
-        imp.span = sh(imp.span);
-    }
-    for m in &mut ast.modules {
-        m.name_span = sh(m.name_span);
-        m.entry_span = m.entry_span.map(sh);
-        m.clbits_span = m.clbits_span.map(sh);
-        for stmt in m
-            .compute
-            .iter_mut()
-            .chain(m.store.iter_mut())
-            .chain(m.uncompute.iter_mut().flatten())
-        {
-            match stmt {
-                SourceStmt::Gate { gate, span } => {
-                    *gate = gate.map(|so| SourceOperand {
-                        op: so.op,
-                        span: sh(so.span),
-                    });
-                    *span = sh(*span);
-                }
-                SourceStmt::Call {
-                    callee_span,
-                    args,
-                    span,
-                    ..
-                } => {
-                    *callee_span = sh(*callee_span);
-                    for a in args {
-                        a.span = sh(a.span);
-                    }
-                    *span = sh(*span);
-                }
-                SourceStmt::Measure {
-                    qubit,
-                    clbit_span,
-                    span,
-                    ..
-                } => {
-                    qubit.span = sh(qubit.span);
-                    *clbit_span = sh(*clbit_span);
-                    *span = sh(*span);
-                }
-                SourceStmt::CondGate {
-                    clbit_span,
-                    gate,
-                    span,
-                    ..
-                } => {
-                    *clbit_span = sh(*clbit_span);
-                    *gate = gate.map(|so| SourceOperand {
-                        op: so.op,
-                        span: sh(so.span),
-                    });
-                    *span = sh(*span);
-                }
-            }
-        }
     }
 }
 

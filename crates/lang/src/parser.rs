@@ -11,7 +11,7 @@ use square_qir::{Gate, Operand};
 
 use crate::ast::{SourceImport, SourceModule, SourceOperand, SourceProgram, SourceStmt};
 use crate::diag::{suggest, Diagnostic, Span};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex_at, Token, TokenKind};
 
 /// Canonical gate mnemonics, in suggestion order.
 pub const GATE_MNEMONICS: [&str; 5] = ["x", "cx", "ccx", "swap", "mcx"];
@@ -26,9 +26,17 @@ pub const GATE_ALIASES: [&str; 3] = ["not", "cnot", "toffoli"];
 /// need a valid program must check the diagnostics are empty — or use
 /// [`crate::parse_program`], which also resolves and lowers.
 pub fn parse_source(source: &str) -> (SourceProgram, Vec<Diagnostic>) {
-    let (tokens, mut diags) = lex(source);
+    parse_at(source, 0)
+}
+
+/// [`parse_source`] with every span offset by `base`, so a file of a
+/// multi-file program parses straight onto its global offset in the
+/// [`crate::modules::SourceMap`].
+pub(crate) fn parse_at(source: &str, base: usize) -> (SourceProgram, Vec<Diagnostic>) {
+    let (tokens, mut diags) = lex_at(source, base);
     let mut parser = Parser {
         source,
+        base,
         tokens,
         pos: 0,
         diags: Vec::new(),
@@ -52,6 +60,8 @@ fn dedupe_by_span(diags: &mut Vec<Diagnostic>) {
 
 struct Parser<'s> {
     source: &'s str,
+    /// Global offset of `source`'s byte 0; token spans include it.
+    base: usize,
     tokens: Vec<Token>,
     pos: usize,
     diags: Vec<Diagnostic>,
@@ -63,7 +73,12 @@ impl<'s> Parser<'s> {
     }
 
     fn peek_text(&self) -> &'s str {
-        self.peek().text(self.source)
+        self.text(self.peek())
+    }
+
+    /// A token's text (its span is global; the source is this file's).
+    fn text(&self, t: Token) -> &'s str {
+        &self.source[t.span.start - self.base..t.span.end - self.base]
     }
 
     fn bump(&mut self) -> Token {
@@ -85,7 +100,7 @@ impl<'s> Parser<'s> {
     /// How the current token reads in a "found X" message.
     fn describe_found(&self, t: Token) -> String {
         match t.kind {
-            TokenKind::Word => format!("`{}`", t.text(self.source)),
+            TokenKind::Word => format!("`{}`", self.text(t)),
             other => other.describe().to_string(),
         }
     }
@@ -146,8 +161,7 @@ impl<'s> Parser<'s> {
                         format!("expected `import`, `module`, or `entry module`, found {found}"),
                     );
                     if t.kind == TokenKind::Word {
-                        if let Some(s) = suggest(t.text(self.source), ["import", "module", "entry"])
-                        {
+                        if let Some(s) = suggest(self.text(t), ["import", "module", "entry"]) {
                             d = d.with_help(format!("did you mean `{s}`?"));
                         }
                     }
@@ -173,7 +187,7 @@ impl<'s> Parser<'s> {
         let name_tok = self.expect(TokenKind::Word, "as the imported unit name")?;
         let end = self.expect(TokenKind::Semi, "to end the import")?.span;
         Some(SourceImport {
-            name: name_tok.text(self.source).to_string(),
+            name: self.text(name_tok).to_string(),
             name_span: name_tok.span,
             span: head.span.to(end),
         })
@@ -192,7 +206,7 @@ impl<'s> Parser<'s> {
             return None;
         }
         let name_tok = self.expect(TokenKind::Word, "as the module name")?;
-        let name = name_tok.text(self.source).to_string();
+        let name = self.text(name_tok).to_string();
         self.expect(TokenKind::LParen, "after the module name")?;
         let params = self.number("as the parameter count")?;
         self.expect_keyword("params", "after the parameter count");
@@ -336,7 +350,7 @@ impl<'s> Parser<'s> {
             );
             return None;
         }
-        let word = head.text(self.source);
+        let word = self.text(head);
         let lower = word.to_ascii_lowercase();
         // Statement heads are case-insensitive throughout — `CALL`
         // reads as `call`, like `CNOT` reads as `cnot`.
@@ -415,7 +429,7 @@ impl<'s> Parser<'s> {
             );
             return None;
         }
-        let word = gate_tok.text(self.source);
+        let word = self.text(gate_tok);
         let mnemonic = word.to_ascii_lowercase();
         let Some(kind) = gate_kind(&mnemonic) else {
             let mut d = Diagnostic::new(gate_tok.span, format!("unknown gate `{word}`"));
@@ -452,7 +466,7 @@ impl<'s> Parser<'s> {
         if t.kind != TokenKind::Word {
             return bad(self);
         }
-        let text = t.text(self.source);
+        let text = self.text(t);
         let parsed = text
             .strip_prefix('c')
             .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
@@ -531,7 +545,7 @@ impl<'s> Parser<'s> {
         self.expect(TokenKind::RParen, "to close the argument list")?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
         Some(SourceStmt::Call {
-            callee: name_tok.text(self.source).to_string(),
+            callee: self.text(name_tok).to_string(),
             callee_span: name_tok.span,
             args,
             span: call_tok.span.to(end),
@@ -551,7 +565,7 @@ impl<'s> Parser<'s> {
             );
             return None;
         }
-        let text = t.text(self.source);
+        let text = self.text(t);
         let parsed = text
             .strip_prefix('p')
             .map(|d| (true, d))
@@ -583,7 +597,7 @@ impl<'s> Parser<'s> {
     /// A word of digits, as usize.
     fn number(&mut self, context: &str) -> Option<usize> {
         let t = self.expect(TokenKind::Word, context)?;
-        let text = t.text(self.source);
+        let text = self.text(t);
         match text.parse::<usize>() {
             Ok(n) => Some(n),
             Err(_) => {

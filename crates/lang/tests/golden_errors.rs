@@ -8,9 +8,16 @@
 
 use square_lang::{parse_files, parse_program, render, MapLoader};
 
+/// Renders `source`'s diagnostics through `parse_program`, and checks
+/// that the multi-file entry point renders an import-free source the
+/// same way, byte for byte.
 fn report(source: &str) -> String {
     let diags = parse_program(source).expect_err("source must not parse");
-    render(source, "prog.sq", &diags)
+    let single = render(source, "prog.sq", &diags);
+    let (map, parsed) = parse_files("prog.sq", source, &MapLoader::new());
+    let multi = map.render(&parsed.expect_err("source must not resolve"));
+    assert_eq!(single, multi, "parse_program and parse_files disagree");
+    single
 }
 
 /// Multi-file variant: `root.sq` resolved against in-memory units,
@@ -671,6 +678,92 @@ error: classical bit `c2` is out of range: module `f` declares 1 clbit
  9 |     cond c2 mcx p0 p0 p1 p3;
    |          ^^ the `clbits` header is a declared bound; raise it, or drop the clause \
          to size classical storage on demand
+"
+    );
+}
+
+#[test]
+fn golden_module_defined_twice_in_one_file() {
+    // A repeated name stops resolution before the statement checks,
+    // and names only the later definition.
+    let src = "\
+module f(1 params, 0 ancilla) {
+  compute {
+    x p0;
+  }
+}
+module f(1 params, 0 ancilla) {
+  compute {
+    x p0;
+  }
+}
+entry module main(0 params, 1 ancilla) {
+  compute {
+    call f(a0);
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: duplicate module name `f`
+  --> prog.sq:6:8
+   |
+ 6 | module f(1 params, 0 ancilla) {
+   |        ^
+"
+    );
+}
+
+#[test]
+fn golden_two_entry_modules_with_one_name() {
+    // The duplicate name is reported; the duplicate `entry` marker on
+    // the same module is not reached.
+    let src = "\
+entry module f(0 params, 1 ancilla) {
+  compute {
+    x a0;
+  }
+}
+entry module f(0 params, 1 ancilla) {
+  compute {
+    x a0;
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: duplicate module name `f`
+  --> prog.sq:6:14
+   |
+ 6 | entry module f(0 params, 1 ancilla) {
+   |              ^
+"
+    );
+}
+
+#[test]
+fn golden_suggestion_ties_go_to_the_first_module() {
+    // `fa` … `fh` are all one edit from `f`: the first in module order
+    // is suggested, every time.
+    let mut src = String::new();
+    for s in ["a", "b", "c", "d", "e", "f", "g", "h"] {
+        src.push_str(&format!(
+            "module f{s}(1 params, 0 ancilla) {{\n  compute {{\n    x p0;\n  }}\n}}\n"
+        ));
+    }
+    src.push_str(
+        "entry module main(0 params, 1 ancilla) {\n  compute {\n    call f(a0);\n  }\n}\n",
+    );
+    assert_eq!(
+        report(&src),
+        "\
+error: call to unknown module `f`
+  --> prog.sq:43:10
+    |
+ 43 |     call f(a0);
+    |          ^ did you mean `fa`?
 "
     );
 }

@@ -28,7 +28,9 @@ pub struct ModuleStats {
     /// Total ancilla allocations across a full forward execution
     /// (own + every callee's, counted per call site).
     pub ancilla_transitive: u64,
-    /// Maximum call-nesting depth below this module (leaf = 0).
+    /// Maximum call-nesting depth below this module (leaf = 0), over
+    /// every block: the call frames one execution of the module nests
+    /// below its own.
     pub height: usize,
     /// Worst-case simultaneous open-frame ancilla width of one call:
     /// the module's own ancillas plus the deepest single call chain
@@ -75,7 +77,6 @@ impl ProgramStats {
                         stats.ancilla_transitive = stats
                             .ancilla_transitive
                             .saturating_add(sub.ancilla_transitive);
-                        stats.height = stats.height.max(sub.height + 1);
                     }
                     gates += this.stmt_forward_gates(stmt);
                 }
@@ -83,14 +84,15 @@ impl ProgramStats {
             };
             stats.gates_compute = block_cost(module.compute(), &mut stats);
             stats.gates_store = block_cost(module.store(), &mut stats);
-            let deepest = module
-                .all_stmts()
-                .filter_map(|stmt| match stmt {
-                    Stmt::Call { callee, .. } => Some(this.modules[callee.index()].stack_need),
-                    _ => None,
-                })
-                .max();
-            stats.stack_need = module.ancillas().saturating_add(deepest.unwrap_or(0));
+            let mut deepest = 0;
+            for stmt in module.all_stmts() {
+                if let Stmt::Call { callee, .. } = stmt {
+                    let sub = &this.modules[callee.index()];
+                    deepest = deepest.max(sub.stack_need);
+                    stats.height = stats.height.max(sub.height + 1);
+                }
+            }
+            stats.stack_need = module.ancillas().saturating_add(deepest);
             this.modules.push(stats);
         }
         this

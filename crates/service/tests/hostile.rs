@@ -103,3 +103,65 @@ fn over_cap_line_is_refused_and_the_server_keeps_answering() {
     let pong = roundtrip(addr, "{\"cmd\": \"ping\"}\n");
     assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
 }
+
+/// The source of a request line: `source` as a JSON string.
+fn compile_line(id: u64, source: &str) -> String {
+    format!(
+        "{{\"id\": {id}, \"source\": {}, \"arch\": \"nisq\"}}\n",
+        serde_json::to_string(&Value::String(source.to_string())).expect("encodes")
+    )
+}
+
+/// Equally close "did you mean" candidates resolve to the first module
+/// in source order, so the answer is the same on every request.
+#[test]
+fn suggestion_ties_name_the_first_module() {
+    let addr = boot_server(1);
+    let mut src = String::new();
+    for s in ["a", "b", "c", "d", "e", "f", "g", "h"] {
+        src.push_str(&format!(
+            "module f{s}(1 params, 0 ancilla) {{ compute {{ x p0; }} }}\n"
+        ));
+    }
+    src.push_str("entry module main(0 params, 1 ancilla) { compute { call f(a0); } }\n");
+    let resp = roundtrip(addr, &compile_line(1, &src));
+    assert_eq!(error_kind(&resp), Some("compile_failed"), "{resp:?}");
+    let error = resp.get("error").and_then(Value::as_str).expect("message");
+    assert!(error.contains("^ did you mean `fa`?"), "{error}");
+}
+
+/// A call chain one level past the depth bound is refused before the
+/// executor recurses into it, and the session keeps serving.
+#[test]
+fn a_call_chain_past_the_depth_bound_is_refused() {
+    let addr = boot_server(1);
+    let levels = square_core::MAX_CALL_DEPTH + 1;
+    let mut src = String::from("module m0(1 params, 0 ancilla) { compute { x p0; } }\n");
+    for k in 1..levels {
+        src.push_str(&format!(
+            "module m{k}(1 params, 0 ancilla) {{ compute {{ call m{}(p0); }} }}\n",
+            k - 1
+        ));
+    }
+    src.push_str(&format!(
+        "entry module main(0 params, 1 ancilla) {{ compute {{ call m{}(a0); }} }}\n",
+        levels - 1
+    ));
+    let deep = roundtrip(addr, &compile_line(1, &src));
+    assert_eq!(error_kind(&deep), Some("compile_failed"), "{deep:?}");
+    let error = deep.get("error").and_then(Value::as_str).expect("message");
+    assert!(error.contains("calls too deep"), "{error}");
+
+    let good = roundtrip(
+        addr,
+        &compile_line(
+            2,
+            "entry module main(0 params, 2 ancilla) { compute { x a0; cx a0 a1; } }",
+        ),
+    );
+    assert_eq!(
+        good.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{good:?}"
+    );
+}

@@ -173,6 +173,55 @@ fn oversized_machines_exit_cleanly() {
     }
 }
 
+/// A chain of modules whose entry nests `levels` calls: `m0` is the
+/// leaf, each `m{k}` calls `m{k-1}`, and `main` calls the last.
+fn call_chain(levels: usize) -> String {
+    let mut src = String::from("module m0(1 params, 0 ancilla) {\n  compute { x p0; }\n}\n");
+    for k in 1..levels {
+        src.push_str(&format!(
+            "module m{k}(1 params, 0 ancilla) {{\n  compute {{ call m{}(p0); }}\n}}\n",
+            k - 1
+        ));
+    }
+    src.push_str(&format!(
+        "entry module main(0 params, 1 ancilla) {{\n  compute {{ call m{}(a0); }}\n}}\n",
+        levels - 1
+    ));
+    src
+}
+
+/// A call chain one level past the depth bound is a compile error
+/// (exit 1), not a stack overflow; one at the bound compiles.
+#[test]
+fn call_chains_past_the_depth_bound_exit_cleanly() {
+    let dir = std::env::temp_dir().join("squarec_test_depth");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (levels, code) in [
+        (square_core::MAX_CALL_DEPTH, 0),
+        (square_core::MAX_CALL_DEPTH + 1, 1),
+    ] {
+        let file = dir.join(format!("chain{levels}.sq"));
+        std::fs::write(&file, call_chain(levels)).unwrap();
+        let out = squarec()
+            .arg(&file)
+            .args(["--all-policies", "--validate"])
+            .output()
+            .expect("squarec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{levels} levels: {stderr}");
+        if code == 1 {
+            assert!(
+                stderr.contains(&format!(
+                    "calls too deep: the entry module nests calls {levels} levels deep, \
+                     over the limit of {}",
+                    square_core::MAX_CALL_DEPTH
+                )),
+                "{stderr}"
+            );
+        }
+    }
+}
+
 #[test]
 fn dumped_catalog_round_trips_through_the_driver() {
     let dir = std::env::temp_dir().join("squarec_test_catalog");

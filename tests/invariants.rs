@@ -102,7 +102,6 @@ fn recursive_stats(program: &Program) -> Vec<ModuleStats> {
                     let sub = analyze(program, callee.index(), memo);
                     gates += sub.gates_forward();
                     stats.ancilla_transitive += sub.ancilla_transitive;
-                    stats.height = stats.height.max(sub.height + 1);
                 }
                 Stmt::Measure { .. } => gates += 1,
             }
@@ -120,16 +119,17 @@ fn recursive_stats(program: &Program) -> Vec<ModuleStats> {
         };
         stats.gates_compute = block_cost(program, module.compute(), &mut stats, memo);
         stats.gates_store = block_cost(program, module.store(), &mut stats, memo);
-        stats.stack_need = module.ancillas()
-            + module
-                .all_stmts()
-                .filter_map(|stmt| match stmt {
-                    Stmt::Call { callee, .. } => Some(analyze(program, callee.index(), memo)),
-                    _ => None,
-                })
-                .map(|sub| sub.stack_need)
-                .max()
-                .unwrap_or(0);
+        // Every block nests frames, custom uncompute included.
+        let subs: Vec<ModuleStats> = module
+            .all_stmts()
+            .filter_map(|stmt| match stmt {
+                Stmt::Call { callee, .. } => Some(analyze(program, callee.index(), memo)),
+                _ => None,
+            })
+            .collect();
+        stats.height = subs.iter().map(|sub| sub.height + 1).max().unwrap_or(0);
+        stats.stack_need =
+            module.ancillas() + subs.iter().map(|sub| sub.stack_need).max().unwrap_or(0);
         memo[idx] = Some(stats);
         stats
     }
