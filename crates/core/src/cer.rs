@@ -187,7 +187,7 @@ pub struct ModuleCostTable {
 fn suffix_sums(stats: &ProgramStats, stmts: &[Stmt]) -> Vec<u64> {
     let mut suffix = vec![0u64; stmts.len() + 1];
     for (i, stmt) in stmts.iter().enumerate().rev() {
-        suffix[i] = suffix[i + 1] + stats.stmt_forward_gates(stmt);
+        suffix[i] = suffix[i + 1].saturating_add(stats.stmt_forward_gates(stmt));
     }
     suffix
 }

@@ -254,7 +254,6 @@ fn compile_on(
         inverse_scratch: Vec::new(),
         next_virt: 0,
         next_clbit: 0,
-        gates_emitted: 0,
         decisions: DecisionStats::default(),
         decision_log: Vec::new(),
         mbu: config.mbu.then(MbuStats::default),
@@ -342,11 +341,6 @@ struct Exec<'p> {
     /// Classical-bit id supply: fresh per measurement event, never
     /// reused (MBU lowerings and module-declared clbits alike).
     next_clbit: u32,
-    /// Running count of gate events emitted (unitary gates,
-    /// measurements, and classically controlled corrections),
-    /// snapshotted around compute blocks so `G_uncomp` is O(1) instead
-    /// of a re-walk of the recorded slice.
-    gates_emitted: u64,
     decisions: DecisionStats,
     /// Per-frame decisions in completion order (see [`ReclaimDecision`]).
     decision_log: Vec<ReclaimDecision>,
@@ -441,16 +435,14 @@ impl Exec<'_> {
                 self.machine.release(*v)?;
                 self.cer.note_allocation_event();
             }
-            TraceOp::Gate(g) | TraceOp::CondGate { gate: g, .. } => {
-                match &op {
-                    TraceOp::CondGate { clbit, .. } => self.machine.apply_guarded(g, *clbit)?,
-                    _ => self.machine.apply(g)?,
-                };
-                self.gates_emitted += 1;
+            TraceOp::Gate(g) => {
+                self.machine.apply(g)?;
+            }
+            TraceOp::CondGate { clbit, gate } => {
+                self.machine.apply_guarded(gate, *clbit)?;
             }
             TraceOp::Measure { qubit, clbit } => {
                 self.machine.measure(*qubit, *clbit)?;
-                self.gates_emitted += 1;
             }
         }
         if let Some(b) = &mut self.budget {
@@ -598,10 +590,15 @@ impl Exec<'_> {
             depth,
             g_p,
         };
-        let (start, gates_before) = (self.trace.len(), self.gates_emitted);
+        // The machine counts every gate event (unitary gates,
+        // measurements and guarded corrections) as a program gate, so
+        // `G_uncomp` is a difference of two reads, not a re-walk of
+        // the recorded slice.
+        let gates_before = self.machine.stats().program_gates;
+        let start = self.trace.len();
         self.run_block(BlockKind::Compute, &frame)?;
         let compute = (start, self.trace.len());
-        let measured_gates = self.gates_emitted - gates_before;
+        let measured_gates = self.machine.stats().program_gates - gates_before;
         // Budget rule 4: from here until this frame's fate is settled,
         // a mechanical sweep of the compute region may be pending —
         // freeze every candidate inside it so an eviction cannot free
@@ -832,7 +829,9 @@ impl Exec<'_> {
                 // add the expected remainder (1−ρ)·g_p.
                 let own_uncomp = self.pstats.module(frame.id).gates_compute;
                 let rate = self.reclaim_rate();
-                let g_p = gates_after_stmt + own_uncomp + ((1.0 - rate) * frame.g_p as f64) as u64;
+                let g_p = gates_after_stmt
+                    .saturating_add(own_uncomp)
+                    .saturating_add(((1.0 - rate) * frame.g_p as f64) as u64);
                 self.run_frame(*callee, &args, frame.depth + 1, g_p, &[])?;
                 Ok(())
             }
@@ -1457,5 +1456,33 @@ mod tests {
         let r = compile(&p, &cfg).unwrap();
         assert_eq!(r.swaps, 0);
         assert!(r.stats.braids > 0);
+    }
+
+    /// A 70-level tree in which each module calls the one below it
+    /// twice has 2^70 forward gates: its static gate sums saturate at
+    /// `u64::MAX` instead of wrapping (or panicking on overflow in a
+    /// debug build). Preparing it is cheap; compiling it is not.
+    #[test]
+    fn gate_sums_of_a_doubling_tree_saturate() {
+        let mut b = ProgramBuilder::new();
+        let mut below = b.module("m0", 1, 0, |m| m.x(m.param(0))).unwrap();
+        for level in 1..70 {
+            below = b
+                .module(format!("m{level}"), 1, 0, |m| {
+                    m.call(below, &[m.param(0)]);
+                    m.call(below, &[m.param(0)]);
+                })
+                .unwrap();
+        }
+        let main = b
+            .module("main", 0, 1, |m| {
+                m.call(below, &[m.ancilla(0)]);
+                m.call(below, &[m.ancilla(0)]);
+            })
+            .unwrap();
+        let prepared = PreparedProgram::new(&b.finish(main).unwrap()).unwrap();
+        let entry = prepared.lowered.entry();
+        assert_eq!(prepared.pstats.module(entry).gates_compute, u64::MAX);
+        assert_eq!(prepared.costs.compute_tail(entry, 0), u64::MAX);
     }
 }

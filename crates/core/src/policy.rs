@@ -41,12 +41,6 @@ impl Policy {
         matches!(self, Policy::Square | Policy::SquareLaaOnly)
     }
 
-    /// True if reclamation uses the CER cost model (otherwise the
-    /// decision is fixed by the policy).
-    pub fn uses_cer(&self) -> bool {
-        matches!(self, Policy::Square)
-    }
-
     /// Parses a CLI-style policy name, case-insensitively: `lazy`,
     /// `eager`, `square`, and `laa` / `square-laa` for
     /// [`Policy::SquareLaaOnly`].
@@ -170,8 +164,6 @@ mod tests {
         assert!(!Policy::Lazy.uses_laa());
         assert!(Policy::Square.uses_laa());
         assert!(Policy::SquareLaaOnly.uses_laa());
-        assert!(Policy::Square.uses_cer());
-        assert!(!Policy::SquareLaaOnly.uses_cer());
     }
 
     #[test]

@@ -233,18 +233,6 @@ impl CompileReport {
             .filter_map(|v| self.final_placement.get(v).copied())
             .collect()
     }
-
-    /// One row of Table III: gates, qubits, depth, swaps.
-    pub fn table_row(&self) -> String {
-        format!(
-            "{:<18} {:>8} {:>8} {:>8} {:>8}",
-            self.policy.label(),
-            self.gates,
-            self.qubits,
-            self.depth,
-            self.swaps
-        )
-    }
 }
 
 /// The JSON encoding of a [`CompileReport`], shared by the sweep
@@ -323,44 +311,5 @@ pub fn error_json(e: &CompileError) -> Value {
             ("kind", Value::String("compile_error".to_string())),
             ("message", Value::String(other.to_string())),
         ]),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_row_lists_policy_and_counts() {
-        let report = CompileReport {
-            policy: Policy::Square,
-            comm: CommModel::SwapChains,
-            router: RouterKind::Greedy,
-            gates: 932,
-            swaps: 370,
-            depth: 635,
-            qubits: 11,
-            peak_active: 11,
-            aqv: 1234,
-            comm_factor: 0.5,
-            stats: CommStats::default(),
-            segments: vec![],
-            schedule: None,
-            entry_register: vec![],
-            final_placement: HashMap::new(),
-            decisions: DecisionStats::default(),
-            decision_log: vec![],
-            placement_history: None,
-            cer_cache: CerCacheStats::default(),
-            machine_qubits: 20,
-            route_ns: 0,
-            trace: vec![],
-            budget: None,
-            mbu: None,
-        };
-        let row = report.table_row();
-        assert!(row.contains("SQUARE"));
-        assert!(row.contains("932"));
-        assert!(row.contains("370"));
     }
 }

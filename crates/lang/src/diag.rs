@@ -231,7 +231,7 @@ fn display_width(c: char) -> usize {
 /// heuristic; of equally close candidates, the first. The
 /// edit-distance budget scales with the name's length so short
 /// mnemonics don't suggest wildly, and it bounds the search (see
-/// [`bounded_distance`]).
+/// `bounded_distance`).
 pub fn suggest<'a>(name: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
     let lower: Vec<char> = name.chars().map(|c| c.to_ascii_lowercase()).collect();
     let budget = 1 + lower.len() / 4;

@@ -143,7 +143,7 @@ pub struct LoadedFile {
 pub trait ModuleLoader {
     /// Resolves the unit `name` as imported from the file identified
     /// by `importer_key` (the [`LoadedFile::key`] of the importing
-    /// file; the root file's key is its path as given).
+    /// file; for the root file, its name as given).
     ///
     /// # Errors
     ///
@@ -177,23 +177,31 @@ impl SearchPathLoader {
     }
 }
 
+/// The filesystem loader's key for the file at `path`: its canonical
+/// path, or `path` as given when it cannot be canonicalized.
+fn fs_key(path: &Path) -> String {
+    std::fs::canonicalize(path)
+        .unwrap_or_else(|_| path.to_path_buf())
+        .display()
+        .to_string()
+}
+
 impl ModuleLoader for SearchPathLoader {
     fn load(&self, name: &str, importer_key: &str) -> Result<LoadedFile, String> {
         let file_name = format!("{name}.sq");
-        let importer_dir = Path::new(importer_key)
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map(Path::to_path_buf);
+        // A bare file name (`prog.sq`) has an empty parent: the file
+        // sits in the working directory, so that is searched.
+        let importer_dir = match Path::new(importer_key).parent() {
+            Some(dir) if dir.as_os_str().is_empty() => Some(PathBuf::from(".")),
+            dir => dir.map(Path::to_path_buf),
+        };
         let mut tried = Vec::new();
         for dir in importer_dir.into_iter().chain(self.search.iter().cloned()) {
             let path = dir.join(&file_name);
             match std::fs::read_to_string(&path) {
                 Ok(source) => {
-                    let key = std::fs::canonicalize(&path)
-                        .map(|p| p.display().to_string())
-                        .unwrap_or_else(|_| path.display().to_string());
                     return Ok(LoadedFile {
-                        key,
+                        key: fs_key(&path),
                         name: path.display().to_string(),
                         source,
                     });
@@ -247,7 +255,10 @@ impl ModuleLoader for MapLoader {
 /// imports.
 struct Loaded {
     file: FileId,
-    key: String,
+    /// What the loader resolves this file's imports against: the
+    /// loader's key for an imported file, the name as given for the
+    /// root.
+    importer: String,
     /// The name this unit is imported as (`std` for `lib/std.sq`);
     /// used in "add `import …;`" hints.
     unit_name: String,
@@ -285,14 +296,19 @@ pub fn parse_files(
         .unwrap_or_else(|| root_name.to_string());
     let mut units = vec![Loaded {
         file: root_id,
-        key: root_name.to_string(),
+        importer: root_name.to_string(),
         unit_name: root_stem,
         ast: root_ast,
         deps: Vec::new(),
     }];
+    // The root is identified the way the filesystem loader identifies
+    // a file, so a unit that imports the root back meets it as a cycle
+    // instead of loading it a second time; an in-memory root, which
+    // is no file on disk, keeps its name.
+    let root_key = fs_key(Path::new(root_name));
     let mut by_key: HashMap<String, usize> = HashMap::new();
-    by_key.insert(root_name.to_string(), 0);
-    let mut stack = vec![(root_name.to_string(), root_name.to_string())];
+    by_key.insert(root_key.clone(), 0);
+    let mut stack = vec![(root_key, root_name.to_string())];
     load_imports(
         0,
         loader,
@@ -330,9 +346,9 @@ fn load_imports(
     diags: &mut Vec<Diagnostic>,
 ) {
     let imports = units[u].ast.imports.clone();
-    let importer_key = units[u].key.clone();
+    let importer = units[u].importer.clone();
     for imp in &imports {
-        let loaded = match loader.load(&imp.name, &importer_key) {
+        let loaded = match loader.load(&imp.name, &importer) {
             Ok(lf) => lf,
             Err(reason) => {
                 diags.push(Diagnostic::new(
@@ -343,8 +359,10 @@ fn load_imports(
             }
         };
         if let Some(pos) = stack.iter().position(|(k, _)| *k == loaded.key) {
+            // The cycle closes on the name its first file was loaded
+            // under, so each file reads the same way in the chain.
             let mut chain: Vec<&str> = stack[pos..].iter().map(|(_, n)| n.as_str()).collect();
-            chain.push(&loaded.name);
+            chain.push(&stack[pos].1);
             diags.push(
                 Diagnostic::new(imp.span, format!("import cycle: {}", chain.join(" → ")))
                     .with_help("imports must form a DAG"),
@@ -363,7 +381,7 @@ fn load_imports(
         by_key.insert(loaded.key.clone(), idx);
         units.push(Loaded {
             file: fid,
-            key: loaded.key.clone(),
+            importer: loaded.key.clone(),
             unit_name: imp.name.clone(),
             ast,
             deps: Vec::new(),

@@ -9,7 +9,10 @@
 //!
 //! Every figure composes bottom-up over the call DAG, and a
 //! [`Program`] lists callees before callers, so one forward pass over
-//! the modules computes them all.
+//! the modules computes them all. The sums saturate at their type's
+//! maximum: a module that calls the one below it twice per level
+//! doubles its gate count per level, so 64 levels already pass
+//! `u64::MAX`.
 
 use std::collections::HashSet;
 
@@ -44,9 +47,10 @@ pub struct ModuleStats {
 }
 
 impl ModuleStats {
-    /// Forward gate cost of one full execution of the module.
+    /// Forward gate cost of one full execution of the module,
+    /// saturating at `u64::MAX` like every static gate sum.
     pub fn gates_forward(&self) -> u64 {
-        self.gates_compute + self.gates_store
+        self.gates_compute.saturating_add(self.gates_store)
     }
 }
 
@@ -70,7 +74,7 @@ impl ProgramStats {
                 ..ModuleStats::default()
             };
             let block_cost = |stmts: &[Stmt], stats: &mut ModuleStats| -> u64 {
-                let mut gates = 0;
+                let mut gates = 0u64;
                 for stmt in stmts {
                     if let Stmt::Call { callee, .. } = stmt {
                         let sub = &this.modules[callee.index()];
@@ -78,7 +82,7 @@ impl ProgramStats {
                             .ancilla_transitive
                             .saturating_add(sub.ancilla_transitive);
                     }
-                    gates += this.stmt_forward_gates(stmt);
+                    gates = gates.saturating_add(this.stmt_forward_gates(stmt));
                 }
                 gates
             };

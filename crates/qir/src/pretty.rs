@@ -1,4 +1,4 @@
-//! Human-readable rendering of programs and traces.
+//! Human-readable rendering of programs.
 //!
 //! [`program_listing`] emits the canonical `.sq` surface syntax of the
 //! `square-lang` frontend — the Fig. 6-style module listings of the
@@ -15,10 +15,8 @@
 
 use std::fmt::Write as _;
 
-use crate::analysis::ProgramStats;
 use crate::gate::Gate;
 use crate::module::{ModuleId, Operand, Program, Stmt};
-use crate::trace::TraceOp;
 
 /// The canonical lowercase `.sq` mnemonic for a gate kind.
 pub fn gate_mnemonic<Q>(gate: &Gate<Q>) -> &'static str {
@@ -118,34 +116,6 @@ pub fn program_listing(program: &Program) -> String {
     out
 }
 
-/// One-line-per-event rendering of a trace (for debugging and the
-/// `quickstart` example).
-pub fn trace_listing(trace: &[TraceOp], limit: usize) -> String {
-    let mut out = String::new();
-    for (i, op) in trace.iter().take(limit).enumerate() {
-        let _ = writeln!(out, "{i:>6}  {op}");
-    }
-    if trace.len() > limit {
-        let _ = writeln!(out, "  … {} more events", trace.len() - limit);
-    }
-    out
-}
-
-/// Summarizes static program shape: module count, flattened gates,
-/// nesting height — the knobs the paper's synthetic benchmarks sweep.
-pub fn program_summary(program: &Program) -> String {
-    let stats = ProgramStats::analyze(program);
-    let entry = stats.module(program.entry());
-    format!(
-        "{} modules; entry `{}`: {} forward gates, {} transitive ancilla, height {}",
-        program.len(),
-        program.module(program.entry()).name(),
-        entry.gates_forward(),
-        entry.ancilla_transitive,
-        entry.height
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,8 +142,6 @@ mod tests {
         assert!(listing.contains("module f(1 params, 1 ancilla) {"));
         assert!(listing.contains("call f(a0);"));
         assert!(listing.contains("entry module main(0 params, 1 ancilla) {"));
-        let summary = program_summary(&p);
-        assert!(summary.contains("2 modules"));
     }
 
     #[test]
@@ -227,16 +195,5 @@ mod tests {
             }),
             "mcx"
         );
-    }
-
-    #[test]
-    fn trace_listing_truncates() {
-        use crate::gate::Gate;
-        use crate::trace::VirtId;
-        let trace: Vec<TraceOp> = (0..10)
-            .map(|_| TraceOp::Gate(Gate::X { target: VirtId(0) }))
-            .collect();
-        let s = trace_listing(&trace, 3);
-        assert!(s.contains("… 7 more events"));
     }
 }

@@ -13,8 +13,8 @@ use std::hash::Hash;
 
 use serde::{Serialize, Value};
 
-/// A point-in-time snapshot of one cache's counters, returned inside
-/// every service response so clients can watch hit rates live.
+/// A point-in-time snapshot of one cache's counters, served by the
+/// `stats` command.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found a live entry.
@@ -27,18 +27,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Configured capacity.
     pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Hit rate in `[0, 1]` (0 when no lookups have happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 impl Serialize for CacheStats {
@@ -140,18 +128,18 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// 64-bit FNV-1a over the input bytes, hex-encoded. The service's
-/// content-address for request sources: deterministic, dependency-free
-/// and fast; collisions would only cause a wrong *cache* answer for
-/// adversarial twins, which the committed corpus and loadgen never
-/// produce (and callers can always vary whitespace to split a cell).
-pub fn content_hash(bytes: &[u8]) -> String {
+/// 64-bit FNV-1a over the input bytes. The service's content-address
+/// for request sources: deterministic, dependency-free and fast;
+/// collisions would only cause a wrong *cache* answer for adversarial
+/// twins, which the committed corpus and loadgen never produce (and
+/// callers can always vary whitespace to split a cell).
+pub fn content_hash(bytes: &[u8]) -> u64 {
     let mut state: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         state ^= u64::from(b);
         state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    format!("{state:016x}")
+    state
 }
 
 #[cfg(test)]
@@ -216,18 +204,8 @@ mod tests {
         let a = content_hash(b"module main { }");
         assert_eq!(a, content_hash(b"module main { }"));
         assert_ne!(a, content_hash(b"module main {  }"));
-        assert_eq!(a.len(), 16);
-        // The well-known FNV-1a test vector.
-        assert_eq!(content_hash(b""), "cbf29ce484222325");
-    }
-
-    #[test]
-    fn hit_rate_rounds_sanely() {
-        let mut cache: LruCache<u32, u32> = LruCache::new(2);
-        assert_eq!(cache.stats().hit_rate(), 0.0);
-        cache.insert(1, 1);
-        let _ = cache.get(&1);
-        let _ = cache.get(&2);
-        assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
+        // The well-known FNV-1a test vectors.
+        assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(content_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

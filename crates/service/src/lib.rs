@@ -4,7 +4,7 @@
 //! over TCP, send newline-delimited JSON requests naming a source
 //! program plus a `(policy, arch, router)` cell, and receive the same
 //! report JSON that `squarec --json` prints — the two front ends share
-//! one compile path ([`CompileService`]), so a served response is
+//! one compile path ([`CompileService`]), so a served `report` is
 //! byte-identical to a one-shot CLI compile of the same cell.
 //!
 //! What makes the service worth running over a fleet of one-shot
@@ -20,9 +20,11 @@
 //!   cell, and identical cells *in flight* are coalesced so a burst of
 //!   duplicate requests costs one compile.
 //!
-//! Every response carries hit/miss/eviction counters for all three
-//! caches. The crate also ships the `squared` server bin, the
-//! `loadgen` traffic generator, and the `squarec` CLI.
+//! A compile response carries the cell and its report only; the
+//! hit/miss/eviction counters of all three caches and the request,
+//! compile and coalesce counts are served by `{"cmd":"stats"}`. The
+//! crate also ships the `squared` server bin, the `loadgen` traffic
+//! generator, and the `squarec` CLI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

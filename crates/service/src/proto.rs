@@ -28,11 +28,14 @@
 //! the server answers by serializing a [`Response`] — there is no
 //! ad-hoc field assembly outside this module. Responses are
 //! `{"v", "id", "ok": true, …}` or
-//! `{"v", "id", "ok": false, "error_kind": "…", "error": "…"}`; a
-//! successful compile carries the cell echo, `program_hash`,
-//! `cached`/`coalesced` flags, `compile_ms`, the `report` object
+//! `{"v", "id", "ok": false, "error_kind": "…", "error": "…"}`. A
+//! successful compile carries the cell echo (`policy`, `arch`,
+//! `router`, plus `budget` and `mbu` when set), the `cached` and
+//! `coalesced` flags, `compile_ms` and the `report` object
 //! (byte-identical to `squarec --json`'s `report` field for the same
-//! cell) and a `cache` block with the live [`ServiceStats`].
+//! cell), and nothing else. Service counters are served only by
+//! `{"cmd":"stats"}`, whose `cache` block is the live
+//! [`ServiceStats`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -263,8 +266,6 @@ pub enum Response {
         req: CompileRequest,
         /// The served result.
         outcome: CompileOutcome,
-        /// Live cache/counter snapshot.
-        stats: ServiceStats,
     },
     /// Any failure: version mismatch, parse error, compile error.
     Error {
@@ -340,15 +341,9 @@ impl Response {
             ]
         };
         match self {
-            Response::Compile {
-                id,
-                req,
-                outcome,
-                stats,
-            } => {
+            Response::Compile { id, req, outcome } => {
                 let mut fields = envelope(id, true);
                 fields.extend([
-                    ("program_hash", Value::String(outcome.program_hash.clone())),
                     ("policy", Value::String(req.policy.cli_name().to_string())),
                     ("arch", Value::String(req.arch.to_string())),
                     ("router", Value::String(req.router.cli_name().to_string())),
@@ -367,7 +362,6 @@ impl Response {
                     ("coalesced", Value::Bool(outcome.coalesced)),
                     ("compile_ms", Value::Float(outcome.compile_ms)),
                     ("report", (*outcome.report).clone()),
-                    ("cache", stats.serialize()),
                 ]);
                 Value::map(fields)
             }

@@ -174,12 +174,7 @@ fn session(
                     service.compile_source(&req)
                 };
                 match outcome {
-                    Ok(outcome) => Response::Compile {
-                        id,
-                        req,
-                        outcome,
-                        stats: service.stats(),
-                    },
+                    Ok(outcome) => Response::Compile { id, req, outcome },
                     Err(e) => Response::service_error(&id, &e),
                 }
             }

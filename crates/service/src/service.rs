@@ -22,8 +22,8 @@ use std::time::Instant;
 use serde::{Serialize, Value};
 use square_arch::Topology;
 use square_core::{
-    build_topology, compile_prepared_on, report_json, CerCacheStats, CompileError, Policy,
-    PreparedProgram, RecomputeStats, RouterKind, SweepArch,
+    build_topology, compile_prepared_on, report_json, CompileError, Policy, PreparedProgram,
+    RouterKind, SweepArch,
 };
 
 use crate::cache::{content_hash, CacheStats, LruCache};
@@ -81,8 +81,6 @@ pub struct CompileOutcome {
     /// Wall-clock milliseconds this cell took to produce when it was
     /// actually compiled (a cache hit reports the original cost).
     pub compile_ms: f64,
-    /// FNV-1a content hash of the request source.
-    pub program_hash: String,
     /// True when the report came straight from the finished-report
     /// cache.
     pub cached: bool,
@@ -129,8 +127,8 @@ fn compile_error(e: CompileError) -> ServiceError {
     }
 }
 
-/// A snapshot of every cache plus the service-level counters,
-/// embedded in each response and served by the `stats` command.
+/// A snapshot of every cache plus the service-level counters, served
+/// by the `stats` command.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceStats {
     /// Prepared-program cache.
@@ -145,13 +143,6 @@ pub struct ServiceStats {
     pub compiles: u64,
     /// Requests coalesced onto an identical in-flight compile.
     pub coalesced: u64,
-    /// Cumulative CER decision-memo counters summed over every compile
-    /// this service actually ran (cache hits and coalesced followers
-    /// add nothing — they did no CER work).
-    pub cer_cache: CerCacheStats,
-    /// Cumulative budget-driven early-uncompute/recompute counters,
-    /// summed the same way.
-    pub recompute: RecomputeStats,
 }
 
 impl Serialize for ServiceStats {
@@ -163,8 +154,6 @@ impl Serialize for ServiceStats {
             ("requests", Value::UInt(self.requests)),
             ("compiles", Value::UInt(self.compiles)),
             ("coalesced", Value::UInt(self.coalesced)),
-            ("cer_cache", self.cer_cache.serialize()),
-            ("recompute", self.recompute.serialize()),
         ])
     }
 }
@@ -172,7 +161,7 @@ impl Serialize for ServiceStats {
 /// The full identity of a compile: same key ⇒ byte-identical report.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CellKey {
-    hash: String,
+    hash: u64,
     policy: Policy,
     arch: SweepArch,
     router: RouterKind,
@@ -208,7 +197,7 @@ type CellResult = Result<(Arc<Value>, f64), ServiceError>;
 /// around the square-core compile pipeline. Cheap to share as
 /// `Arc<CompileService>`; every method takes `&self`.
 pub struct CompileService {
-    prepared: Mutex<LruCache<String, Arc<PreparedProgram>>>,
+    prepared: Mutex<LruCache<u64, Arc<PreparedProgram>>>,
     topologies: Mutex<LruCache<(SweepArch, usize), Arc<dyn Topology>>>,
     reports: Mutex<LruCache<CellKey, (Arc<Value>, f64)>>,
     /// Compiles in progress, one flight per cell. The caller whose
@@ -218,9 +207,6 @@ pub struct CompileService {
     requests: AtomicU64,
     compiles: AtomicU64,
     coalesced: AtomicU64,
-    /// Cumulative CER-memo and early-uncompute counters of every
-    /// compile this service ran, behind one lock.
-    totals: Mutex<(CerCacheStats, RecomputeStats)>,
 }
 
 impl CompileService {
@@ -234,7 +220,6 @@ impl CompileService {
             requests: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            totals: Mutex::default(),
         }
     }
 
@@ -255,13 +240,11 @@ impl CompileService {
     pub fn compile_source(&self, req: &CompileRequest) -> Result<CompileOutcome, ServiceError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let key = CellKey::of(req);
-        let program_hash = key.hash.clone();
 
         if let Some((report, compile_ms)) = self.reports.lock().unwrap().get(&key) {
             return Ok(CompileOutcome {
                 report,
                 compile_ms,
-                program_hash,
                 cached: true,
                 coalesced: false,
             });
@@ -271,7 +254,6 @@ impl CompileService {
         result.map(|(report, compile_ms)| CompileOutcome {
             report,
             compile_ms,
-            program_hash,
             cached: false,
             coalesced: !leader,
         })
@@ -335,7 +317,7 @@ impl CompileService {
         let prepared = match cached_prepared {
             Some(p) => p,
             None => {
-                let display = format!("sq:{}", key.hash);
+                let display = format!("sq:{:016x}", key.hash);
                 let program = square_lang::parse_program(&req.source).map_err(|diags| {
                     ServiceError::Parse(square_lang::render(&req.source, &display, &diags))
                 })?;
@@ -345,7 +327,7 @@ impl CompileService {
                 self.prepared
                     .lock()
                     .unwrap()
-                    .insert(key.hash.clone(), Arc::clone(&built));
+                    .insert(key.hash, Arc::clone(&built));
                 built
             }
         };
@@ -379,13 +361,6 @@ impl CompileService {
         };
 
         let report = compile_prepared_on(&prepared, &[], &config, topo).map_err(compile_error)?;
-        {
-            let mut totals = self.totals.lock().unwrap();
-            totals.0 += report.cer_cache;
-            if let Some(b) = &report.budget {
-                totals.1 += b.recompute;
-            }
-        }
         let compile_ms = start.elapsed().as_secs_f64() * 1e3;
         Ok((Arc::new(report_json(&report)), compile_ms))
     }
@@ -400,9 +375,6 @@ impl CompileService {
 
     /// A snapshot of all cache and service counters.
     pub fn stats(&self) -> ServiceStats {
-        // One read of the totals lock per snapshot: taking it twice in
-        // one struct literal would deadlock on the live guard.
-        let (cer_cache, recompute) = *self.totals.lock().unwrap();
         ServiceStats {
             prepared: self.prepared.lock().unwrap().stats(),
             topologies: self.topologies.lock().unwrap().stats(),
@@ -410,8 +382,6 @@ impl CompileService {
             requests: self.requests.load(Ordering::Relaxed),
             compiles: self.compiles.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
-            cer_cache,
-            recompute,
         }
     }
 }
@@ -445,7 +415,6 @@ mod tests {
         let second = svc.compile_source(&request(SRC)).unwrap();
         assert!(second.cached);
         assert_eq!(first.report, second.report);
-        assert_eq!(first.program_hash, second.program_hash);
         let stats = svc.stats();
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.compiles, 1);
@@ -636,29 +605,6 @@ mod tests {
         // And the MBU cell caches under its own key.
         let again = svc.compile_source(&req).unwrap();
         assert!(again.cached);
-    }
-
-    #[test]
-    fn stats_accumulate_cer_work_across_compiles() {
-        let svc = CompileService::new(ServiceConfig::default());
-        // A child-frame program under SQUARE consults CER at frame
-        // completion, so the cumulative memo counters move.
-        svc.compile_source(&request(CHILD_SRC)).unwrap();
-        let first = svc.stats();
-        assert!(
-            first.cer_cache.hits + first.cer_cache.misses > 0,
-            "{:?}",
-            first.cer_cache
-        );
-        // A report-cache hit does no CER work and adds nothing.
-        svc.compile_source(&request(CHILD_SRC)).unwrap();
-        let second = svc.stats();
-        assert_eq!(first.cer_cache, second.cer_cache);
-        assert_eq!(first.recompute, second.recompute);
-        // Both cumulative blocks ride along in the serialized snapshot.
-        let wire = serde_json::to_string(&second.serialize()).unwrap();
-        assert!(wire.contains("\"cer_cache\""), "{wire}");
-        assert!(wire.contains("\"recompute\""), "{wire}");
     }
 
     #[test]

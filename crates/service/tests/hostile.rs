@@ -1,5 +1,6 @@
 //! Hostile-input tests for a live `squared`: a request that used to
-//! panic a compile, and a request line past the length cap. Each
+//! panic a compile, a request line past the length cap, and a line
+//! nested too deep to parse. Each
 //! checks that the bad request gets a typed answer and that a fresh
 //! connection is still served afterwards. Every read has a 10 s
 //! timeout, so a wedged server fails the test instead of hanging it.
@@ -102,6 +103,38 @@ fn over_cap_line_is_refused_and_the_server_keeps_answering() {
 
     let pong = roundtrip(addr, "{\"cmd\": \"ping\"}\n");
     assert_eq!(pong.get("pong").and_then(Value::as_bool), Some(true));
+}
+
+/// A megabyte of `[` once overflowed the session thread's stack in the
+/// JSON parser, which aborts the whole process. It is now refused as a
+/// bad request, and the server still compiles.
+#[test]
+fn deeply_nested_line_is_a_bad_request() {
+    let addr = boot_server(1);
+    let mut line = vec![b'['; 1 << 20];
+    line.push(b'\n');
+    let (mut reader, mut writer) = connect(addr);
+    writer.write_all(&line).expect("send");
+    let refusal = read_response(&mut reader).expect("server answered");
+    assert_eq!(error_kind(&refusal), Some("bad_request"), "{refusal:?}");
+    let error = refusal
+        .get("error")
+        .and_then(Value::as_str)
+        .expect("message");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    let good = roundtrip(
+        addr,
+        &compile_line(
+            2,
+            "entry module main(0 params, 2 ancilla) { compute { x a0; cx a0 a1; } }",
+        ),
+    );
+    assert_eq!(
+        good.get("ok").and_then(Value::as_bool),
+        Some(true),
+        "{good:?}"
+    );
 }
 
 /// The source of a request line: `source` as a JSON string.

@@ -10,8 +10,10 @@
 //!
 //! * the exact `report_json` text of each compile;
 //! * that `squared` serves the same report for each cell;
-//! * the exact `cer_cache` and `recompute` blocks of the `stats`
-//!   response afterwards (the service-wide sums of both compiles).
+//! * the exact key lists of a compile response, with and without the
+//!   optional `budget`/`mbu` echoes, and of the `stats` response's
+//!   `cache` block: a compile answers with its cell and its report
+//!   only, and counters live in `stats` alone.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -70,16 +72,19 @@ fn roundtrip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &s
     serde_json::from_str(&response).expect("valid response JSON")
 }
 
-fn block_text(response: &Value, key: &str) -> String {
-    let block = response
-        .get("cache")
-        .and_then(|c| c.get(key))
-        .unwrap_or_else(|| panic!("stats response lacks cache.{key}"));
-    serde_json::to_string(block).expect("serializes")
+/// The keys of a JSON object, in wire order.
+fn keys(object: &Value) -> Vec<&str> {
+    match object {
+        Value::Map(pairs) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected an object, got {other:?}"),
+    }
 }
 
+const CELL_KEYS: [&str; 6] = ["v", "id", "ok", "policy", "arch", "router"];
+const RESULT_KEYS: [&str; 4] = ["cached", "coalesced", "compile_ms", "report"];
+
 #[test]
-fn budget_and_mbu_blocks_are_pinned_in_reports_and_service_stats() {
+fn budget_and_mbu_blocks_and_the_response_shapes_are_pinned() {
     let source = cmp_demo_source();
     let cells = [
         (RouterKind::Greedy, GREEDY),
@@ -110,23 +115,37 @@ fn budget_and_mbu_blocks_are_pinned_in_reports_and_service_stats() {
         assert_eq!(response.get("ok"), Some(&Value::Bool(true)), "{response:?}");
         let served = serde_json::to_string(response.get("report").expect("report")).unwrap();
         assert_eq!(served, expected, "{router:?}");
+        let budgeted: Vec<&str> = [&CELL_KEYS[..], &["budget", "mbu"], &RESULT_KEYS[..]].concat();
+        assert_eq!(keys(&response), budgeted);
     }
+
+    // The same cell without the budget and MBU echoes.
+    let plain = roundtrip(
+        &mut reader,
+        &mut writer,
+        &format!("{{\"id\": 3, \"source\": {escaped}, \"policy\": \"lazy\"}}\n"),
+    );
+    assert_eq!(plain.get("ok"), Some(&Value::Bool(true)), "{plain:?}");
+    assert_eq!(keys(&plain), [&CELL_KEYS[..], &RESULT_KEYS[..]].concat());
 
     let stats = roundtrip(
         &mut reader,
         &mut writer,
         "{\"id\": 2, \"cmd\": \"stats\"}\n",
     );
+    assert_eq!(keys(&stats), ["v", "id", "ok", "cache"]);
+    let cache = stats.get("cache").expect("stats carries cache");
     assert_eq!(
-        block_text(&stats, "cer_cache"),
-        r#"{"hits":0,"misses":0,"invalidations":0}"#
+        keys(cache),
+        [
+            "prepared",
+            "topologies",
+            "reports",
+            "requests",
+            "compiles",
+            "coalesced"
+        ]
     );
-    assert_eq!(
-        block_text(&stats, "recompute"),
-        concat!(
-            r#"{"early_uncomputed_frames":2,"early_uncompute_gates":4,"#,
-            r#""recomputed_frames":2,"recompute_gates":4}"#
-        )
-    );
+    assert_eq!(cache.get("requests").and_then(Value::as_u64), Some(3));
     roundtrip(&mut reader, &mut writer, "{\"cmd\": \"shutdown\"}\n");
 }

@@ -222,6 +222,82 @@ fn call_chains_past_the_depth_bound_exit_cleanly() {
     }
 }
 
+/// A fresh temporary directory holding `files` as `(name, source)`.
+fn temp_tree(name: &str, files: &[(&str, &str)]) -> PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (file, source) in files {
+        std::fs::write(dir.join(file), source).unwrap();
+    }
+    dir
+}
+
+/// A root named without a directory (`squarec prog.sq`) searches the
+/// working directory for its imports, as `squarec ./prog.sq` does.
+#[test]
+fn a_bare_root_name_imports_from_its_own_directory() {
+    let dir = temp_tree(
+        "squarec_test_bare_root",
+        &[
+            (
+                "prog.sq",
+                "import helper;\n\
+                 entry module main(0 params, 1 ancilla) {\n  compute { call flip(a0); }\n}\n",
+            ),
+            (
+                "helper.sq",
+                "module flip(1 params, 0 ancilla) {\n  compute { x p0; }\n}\n",
+            ),
+        ],
+    );
+    for root in ["prog.sq", "./prog.sq"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_squarec"))
+            .current_dir(&dir)
+            .args([root, "--emit", "listing"])
+            .output()
+            .expect("squarec runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{root}: {stderr}");
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("module flip("),
+            "{root}"
+        );
+    }
+}
+
+/// A library that imports the root meets the root itself, already
+/// loaded, and the cycle names each file once, under one spelling.
+#[test]
+fn a_library_importing_the_root_is_one_cycle() {
+    let dir = temp_tree(
+        "squarec_test_root_cycle",
+        &[
+            (
+                "prog.sq",
+                "import lib2;\n\
+                 entry module main(0 params, 1 ancilla) {\n  compute { call flip(a0); }\n}\n",
+            ),
+            (
+                "lib2.sq",
+                "import prog;\nmodule flip(1 params, 0 ancilla) {\n  compute { x p0; }\n}\n",
+            ),
+        ],
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_squarec"))
+        .current_dir(&dir)
+        .arg("./prog.sq")
+        .output()
+        .expect("squarec runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("import cycle: ./prog.sq → ./lib2.sq → ./prog.sq"),
+        "{stderr}"
+    );
+    assert_eq!(stderr.matches("error:").count(), 1, "{stderr}");
+}
+
 #[test]
 fn dumped_catalog_round_trips_through_the_driver() {
     let dir = std::env::temp_dir().join("squarec_test_catalog");

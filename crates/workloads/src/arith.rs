@@ -258,39 +258,6 @@ pub fn const_add_inplace(
     })
 }
 
-/// Controlled in-place constant adder: params `[ctl, b(n)]`,
-/// `b += ctl·k (mod 2^n)`.
-pub fn ctrl_const_add_inplace(
-    b: &mut ProgramBuilder,
-    cache: &mut ModuleCache,
-    n: usize,
-    k: u64,
-) -> Result<ModuleId, QirError> {
-    let k = k & mask(n);
-    let adder = cuccaro_add(b, cache, n)?;
-    cache.get_or_insert(("ctrl_const_inplace", n, k), || {
-        b.module(format!("ckadd{n}_{k:x}"), n + 1, n, |m| {
-            let ctl = m.param(0);
-            let s: Vec<Operand> = (0..n).map(|i| m.param(1 + i)).collect();
-            let t: Vec<Operand> = (0..n).map(|i| m.ancilla(i)).collect();
-            for (i, ti) in t.iter().enumerate() {
-                if k >> i & 1 == 1 {
-                    m.cx(ctl, *ti);
-                }
-            }
-            let mut args = t.clone();
-            args.extend_from_slice(&s);
-            m.call(adder, &args);
-            m.uncompute();
-            for (i, ti) in t.iter().enumerate() {
-                if k >> i & 1 == 1 {
-                    m.cx(ctl, *ti);
-                }
-            }
-        })
-    })
-}
-
 /// In-place controlled adder with widening: params
 /// `[ctl, a(na), b(nb)]` with `nb ≥ na`, `b += ctl · a (mod 2^nb)`.
 /// The operand register is zero-extended inside the temp load, so
@@ -548,16 +515,6 @@ mod tests {
                 let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
                 assert_eq!(from_bits(&r.outputs[..n]), (x + k) & mask(n), "k={k} x={x}");
             }
-        }
-        // Controlled constant adds.
-        let k = 11u64;
-        let p = wrap(|b, c| ctrl_const_add_inplace(b, c, n, k), n + 1);
-        for ctl in [false, true] {
-            let mut inputs = vec![ctl];
-            inputs.extend(to_bits(3, n));
-            let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
-            let want = if ctl { (3 + k) & mask(n) } else { 3 };
-            assert_eq!(from_bits(&r.outputs[1..1 + n]), want, "ctl={ctl}");
         }
     }
 
