@@ -113,7 +113,12 @@ pub trait Topology: Send + Sync {
     /// True when [`Topology::distance`] equals the Manhattan distance
     /// between [`Topology::coord`] embeddings (grid, line). Routing
     /// caches the coordinate array and answers such distances with
-    /// two array reads instead of a virtual call.
+    /// two array reads instead of a virtual call. Such a layout's
+    /// [`Topology::next_hop`] steps along x first, then along y, and
+    /// routing relies on that order: on cells that fill a lattice
+    /// row-major it lays out swap-chain paths from the cached
+    /// coordinates in that order, as its lattice gather walk tries x
+    /// steps before y steps.
     fn manhattan_distance(&self) -> bool {
         false
     }

@@ -40,6 +40,7 @@ pub(crate) fn parse_at(source: &str, base: usize) -> (SourceProgram, Vec<Diagnos
         tokens,
         pos: 0,
         diags: Vec::new(),
+        operands: Vec::new(),
     };
     let program = parser.program();
     diags.append(&mut parser.diags);
@@ -65,6 +66,8 @@ struct Parser<'s> {
     tokens: Vec<Token>,
     pos: usize,
     diags: Vec<Diagnostic>,
+    /// Reused operand buffer for gate statements (see `gate_tail`).
+    operands: Vec<SourceOperand>,
 }
 
 impl<'s> Parser<'s> {
@@ -351,19 +354,18 @@ impl<'s> Parser<'s> {
             return None;
         }
         let word = self.text(head);
-        let lower = word.to_ascii_lowercase();
         // Statement heads are case-insensitive throughout — `CALL`
         // reads as `call`, like `CNOT` reads as `cnot`.
-        if lower == "call" {
+        if word.eq_ignore_ascii_case("call") {
             return self.call_stmt();
         }
-        if lower == "measure" {
+        if word.eq_ignore_ascii_case("measure") {
             return self.measure_stmt();
         }
-        if lower == "cond" {
+        if word.eq_ignore_ascii_case("cond") {
             return self.cond_stmt();
         }
-        let Some(kind) = gate_kind(&lower) else {
+        let Some(kind) = gate_kind(word) else {
             let mut d = Diagnostic::new(head.span, format!("unknown gate `{word}`"));
             let mut candidates: Vec<&str> = GATE_MNEMONICS.to_vec();
             candidates.extend(GATE_ALIASES);
@@ -375,7 +377,7 @@ impl<'s> Parser<'s> {
             return None;
         };
         self.bump();
-        let gate = self.gate_tail(kind, lower.as_str(), head.span)?;
+        let gate = self.gate_tail(kind, word, head.span)?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
         Some(SourceStmt::Gate {
             gate,
@@ -383,21 +385,31 @@ impl<'s> Parser<'s> {
         })
     }
 
-    /// Operands of a gate whose mnemonic was just consumed, built into
-    /// the gate with arity checking. The `;` is left for the caller —
-    /// an arity failure keeps the terminator for recovery to sync on
-    /// (otherwise the next statement would be swallowed).
+    /// Operands of a gate whose mnemonic (`word`, as written) was just
+    /// consumed, built into the gate with arity checking. The `;` is
+    /// left for the caller — an arity failure keeps the terminator for
+    /// recovery to sync on (otherwise the next statement would be
+    /// swallowed). The operands are gathered in the parser's reused
+    /// buffer, so a gate of fixed arity allocates nothing.
     fn gate_tail(
         &mut self,
         kind: GateKind,
-        mnemonic: &str,
+        word: &str,
         head_span: Span,
     ) -> Option<Gate<SourceOperand>> {
-        let mut operands = Vec::new();
-        while self.peek().kind == TokenKind::Word {
-            operands.push(self.operand()?);
-        }
-        self.build_gate(kind, mnemonic, head_span, operands)
+        let mut operands = std::mem::take(&mut self.operands);
+        operands.clear();
+        let gate = loop {
+            if self.peek().kind != TokenKind::Word {
+                break self.build_gate(kind, word, head_span, &operands);
+            }
+            match self.operand() {
+                Some(operand) => operands.push(operand),
+                None => break None,
+            }
+        };
+        self.operands = operands;
+        gate
     }
 
     /// `"measure" operand clbit ";"`
@@ -430,8 +442,7 @@ impl<'s> Parser<'s> {
             return None;
         }
         let word = self.text(gate_tok);
-        let mnemonic = word.to_ascii_lowercase();
-        let Some(kind) = gate_kind(&mnemonic) else {
+        let Some(kind) = gate_kind(word) else {
             let mut d = Diagnostic::new(gate_tok.span, format!("unknown gate `{word}`"));
             let mut candidates: Vec<&str> = GATE_MNEMONICS.to_vec();
             candidates.extend(GATE_ALIASES);
@@ -442,7 +453,7 @@ impl<'s> Parser<'s> {
             return None;
         };
         self.bump();
-        let gate = self.gate_tail(kind, mnemonic.as_str(), gate_tok.span)?;
+        let gate = self.gate_tail(kind, word, gate_tok.span)?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
         Some(SourceStmt::CondGate {
             clbit,
@@ -483,12 +494,14 @@ impl<'s> Parser<'s> {
     fn build_gate(
         &mut self,
         kind: GateKind,
-        mnemonic: &str,
+        word: &str,
         span: Span,
-        ops: Vec<SourceOperand>,
+        ops: &[SourceOperand],
     ) -> Option<Gate<SourceOperand>> {
-        let found = ops_len_phrase(ops.len());
+        let n = ops.len();
+        // The message's parts are built only when the arity is wrong.
         let arity_err = |p: &mut Self, expected: &str| {
+            let (mnemonic, found) = (word.to_ascii_lowercase(), ops_len_phrase(n));
             p.error(
                 span,
                 format!("`{mnemonic}` takes {expected}, found {found}"),
@@ -496,32 +509,29 @@ impl<'s> Parser<'s> {
             None
         };
         match kind {
-            GateKind::X => match <[SourceOperand; 1]>::try_from(ops.as_slice()) {
+            GateKind::X => match <[SourceOperand; 1]>::try_from(ops) {
                 Ok([target]) => Some(Gate::X { target }),
                 Err(_) => arity_err(self, "1 operand"),
             },
-            GateKind::Cx => match <[SourceOperand; 2]>::try_from(ops.as_slice()) {
+            GateKind::Cx => match <[SourceOperand; 2]>::try_from(ops) {
                 Ok([control, target]) => Some(Gate::Cx { control, target }),
                 Err(_) => arity_err(self, "2 operands (control, target)"),
             },
-            GateKind::Ccx => match <[SourceOperand; 3]>::try_from(ops.as_slice()) {
+            GateKind::Ccx => match <[SourceOperand; 3]>::try_from(ops) {
                 Ok([c0, c1, target]) => Some(Gate::Ccx { c0, c1, target }),
                 Err(_) => arity_err(self, "3 operands (two controls, target)"),
             },
-            GateKind::Swap => match <[SourceOperand; 2]>::try_from(ops.as_slice()) {
+            GateKind::Swap => match <[SourceOperand; 2]>::try_from(ops) {
                 Ok([a, b]) => Some(Gate::Swap { a, b }),
                 Err(_) => arity_err(self, "2 operands"),
             },
-            GateKind::Mcx => {
-                let mut ops = ops;
-                match ops.pop() {
-                    Some(target) => Some(Gate::Mcx {
-                        controls: ops,
-                        target,
-                    }),
-                    None => arity_err(self, "at least 1 operand (controls…, target)"),
-                }
-            }
+            GateKind::Mcx => match ops.split_last() {
+                Some((&target, controls)) => Some(Gate::Mcx {
+                    controls: controls.to_vec(),
+                    target,
+                }),
+                None => arity_err(self, "at least 1 operand (controls…, target)"),
+            },
         }
     }
 
@@ -691,17 +701,23 @@ enum GateKind {
     Mcx,
 }
 
-/// Maps an already-lowercased statement head to its gate kind, if it
-/// is one (aliases included).
-fn gate_kind(lower: &str) -> Option<GateKind> {
-    match lower {
-        "x" | "not" => Some(GateKind::X),
-        "cx" | "cnot" => Some(GateKind::Cx),
-        "ccx" | "toffoli" => Some(GateKind::Ccx),
-        "swap" => Some(GateKind::Swap),
-        "mcx" => Some(GateKind::Mcx),
-        _ => None,
-    }
+/// Maps a statement head, in any case, to its gate kind, if it is one
+/// (aliases included).
+fn gate_kind(word: &str) -> Option<GateKind> {
+    const KINDS: [(&str, GateKind); 8] = [
+        ("x", GateKind::X),
+        ("not", GateKind::X),
+        ("cx", GateKind::Cx),
+        ("cnot", GateKind::Cx),
+        ("ccx", GateKind::Ccx),
+        ("toffoli", GateKind::Ccx),
+        ("swap", GateKind::Swap),
+        ("mcx", GateKind::Mcx),
+    ];
+    KINDS
+        .iter()
+        .find(|(name, _)| word.eq_ignore_ascii_case(name))
+        .map(|&(_, kind)| kind)
 }
 
 fn ops_len_phrase(n: usize) -> String {

@@ -108,11 +108,24 @@ pub fn check_stmt<'c>(
     };
     let clbit = match stmt {
         Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => {
-            let qubits = g.qubits();
+            // A gate of up to `FEW` qubits collects them on the stack.
+            let mut few = [Operand::Param(0); FEW];
+            let many;
+            let qubits: &[Operand] = if g.arity() <= few.len() {
+                let mut n = 0;
+                g.for_each_qubit(|&q| {
+                    few[n] = q;
+                    n += 1;
+                });
+                &few[..n]
+            } else {
+                many = g.qubits();
+                &many
+            };
             for (k, q) in qubits.iter().enumerate() {
                 check_qubit(k, q);
             }
-            if first_repeat(&qubits).is_some() {
+            if first_repeat(qubits).is_some() {
                 report(Site::Stmt, QirError::DuplicatedQubit { module: module() });
             }
             let Stmt::CondGate { clbit, .. } = stmt else {
@@ -183,10 +196,21 @@ pub fn check_entry(entry: &Shape<'_>) -> Result<(), QirError> {
     }
 }
 
+/// Operand lists up to this long (every gate but a wide `mcx`, most
+/// calls) are scanned pairwise, on the stack.
+const FEW: usize = 8;
+
 /// The earliest item of `items` that occurs again later in it (a
 /// gate's duplicated operand, a call's aliased argument), in time
 /// linear in `items.len()`.
 fn first_repeat(items: &[Operand]) -> Option<Operand> {
+    // For a few items, comparing each with the ones after it is
+    // quicker than hashing and allocates nothing.
+    if items.len() <= FEW {
+        return (0..items.len())
+            .find(|&i| items[i + 1..].contains(&items[i]))
+            .map(|i| items[i]);
+    }
     // Scanning from the end, the last item already seen is the earliest
     // one that repeats.
     let mut later = HashSet::with_capacity(items.len());
@@ -289,38 +313,45 @@ fn check_store_discipline(
     may_write: &[Vec<usize>],
     is_entry: bool,
 ) -> Result<(), QirError> {
-    // Touch set of the compute block (everything any compute statement
-    // can read or write).
-    let mut touched: HashSet<Operand> = HashSet::new();
+    // The store block's writes, in order; most modules have none.
+    let mut writes = Vec::new();
+    for stmt in &module.store {
+        for_each_write(stmt, may_write, |w| writes.push(w));
+    }
+    if writes.is_empty() {
+        return Ok(());
+    }
+    // Which of them the compute block touches (reads or writes).
+    let mut written = writes.clone();
+    written.sort_unstable();
+    written.dedup();
+    let mut touched = vec![false; written.len()];
+    let mut touch = |q: &Operand| {
+        if let Ok(i) = written.binary_search(q) {
+            touched[i] = true;
+        }
+    };
     for stmt in &module.compute {
         match stmt {
-            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.for_each_qubit(|q| {
-                touched.insert(*q);
-            }),
-            Stmt::Call { args, .. } => touched.extend(args.iter().copied()),
-            Stmt::Measure { qubit, .. } => {
-                touched.insert(*qubit);
-            }
+            Stmt::Gate(g) | Stmt::CondGate { gate: g, .. } => g.for_each_qubit(&mut touch),
+            Stmt::Call { args, .. } => args.iter().for_each(&mut touch),
+            Stmt::Measure { qubit, .. } => touch(qubit),
         }
     }
-    let mut detail = None;
-    for stmt in &module.store {
-        for_each_write(stmt, may_write, |w| {
-            if detail.is_some() {
-                return;
-            }
-            // The entry module's ancilla are the program I/O register
-            // (never freed), so storing into its own compute-untouched
-            // ancilla is the normal way to produce final outputs.
-            if let (Operand::Ancilla(i), false) = (w, is_entry) {
-                detail = Some(format!("store block writes own ancilla a{i}"));
-            } else if touched.contains(&w) {
-                detail = Some(format!(
-                    "store block writes {w}, which the compute block touches"
-                ));
-            }
-        });
-    }
+    let detail = writes.iter().find_map(|&w| {
+        // The entry module's ancilla are the program I/O register
+        // (never freed), so storing into its own compute-untouched
+        // ancilla is the normal way to produce final outputs.
+        if let (Operand::Ancilla(i), false) = (w, is_entry) {
+            Some(format!("store block writes own ancilla a{i}"))
+        } else if written.binary_search(&w).is_ok_and(|i| touched[i]) {
+            Some(format!(
+                "store block writes {w}, which the compute block touches"
+            ))
+        } else {
+            None
+        }
+    });
     match detail {
         Some(detail) => Err(QirError::StoreDiscipline {
             module: module.name.clone(),
@@ -496,6 +527,59 @@ mod tests {
         );
     }
 
+    /// The store check sees every way a compute statement touches a
+    /// qubit (gate operand, call argument, measured qubit) and reports
+    /// the first store write, in block order, that it touched.
+    #[test]
+    fn store_check_reports_the_first_touched_write() {
+        use crate::module::{Module, ModuleId, Operand, Stmt};
+        use crate::Gate;
+        let p = Operand::Param;
+        let x = |q| Stmt::Gate(Gate::X { target: q });
+        let empty = |name: &str, params| Module {
+            name: name.into(),
+            params,
+            ancillas: 0,
+            clbits: 0,
+            compute: vec![],
+            store: vec![],
+            custom_uncompute: None,
+        };
+        let module = |store: Vec<Stmt>| Module {
+            name: "m".into(),
+            params: 5,
+            ancillas: 0,
+            clbits: 1,
+            compute: vec![
+                Stmt::Measure {
+                    qubit: p(0),
+                    clbit: 0,
+                },
+                Stmt::Call {
+                    callee: ModuleId::from_index(0),
+                    args: vec![p(1)],
+                },
+                x(p(2)),
+            ],
+            store,
+            custom_uncompute: None,
+        };
+        let detail = |store| {
+            let modules = [empty("leaf", 1), module(store), empty("main", 0)];
+            match super::validate_finish(&modules, ModuleId::from_index(2)) {
+                Err(QirError::StoreDiscipline { detail, .. }) => Some(detail),
+                Ok(()) => None,
+                Err(e) => panic!("{e}"),
+            }
+        };
+        assert_eq!(detail(vec![x(p(3)), x(p(4))]), None);
+        for (touched, name) in [(0, "p0"), (1, "p1"), (2, "p2")] {
+            let got = detail(vec![x(p(3)), x(p(touched)), x(p(2))]);
+            let want = format!("store block writes {name}, which the compute block touches");
+            assert_eq!(got, Some(want));
+        }
+    }
+
     #[test]
     fn rejects_out_of_range_clbit() {
         use crate::module::{Module, Operand, Stmt};
@@ -610,7 +694,8 @@ mod tests {
     fn repeat_scan_names_the_earliest_repeated_operand_at_any_length() {
         use super::first_repeat;
         use crate::module::Operand;
-        for n in [4, 40, 100_000] {
+        // `FEW` and `FEW + 1` straddle the pairwise scan's limit.
+        for n in [4, super::FEW, super::FEW + 1, 40, 100_000] {
             let mut args: Vec<Operand> = (0..n).map(Operand::Ancilla).collect();
             assert_eq!(first_repeat(&args), None, "{n}");
             // `a2` repeats before `a1` does, but `a1` comes first.

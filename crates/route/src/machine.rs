@@ -19,9 +19,15 @@
 //! liveness segment, from which active quantum volume is computed.
 //!
 //! Swap-chain routing dispatches on the configured [`RouterKind`] to
-//! the greedy or lookahead router, which move qubits live through
-//! [`Machine::swap_cells`] and reuse the machine's scratch arenas, so
-//! the hot path allocates nothing.
+//! the greedy or lookahead router, which reuse the machine's scratch
+//! arenas, so the hot path allocates nothing. A router decides a swap
+//! chain's cells (a shortest path comes from `Machine::path_to`,
+//! closed form on a lattice) and hands them to one chain mover,
+//! `Machine::shift_along`, which walks the mover down the chain in one
+//! pass: per swap it picks the ASAP slot, steps the displaced qubit (or
+//! free cell) back and emits the swap, and it writes the mover's own
+//! binding, liveness and clock once at the end. It is the only code
+//! that moves a qubit during routing.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -392,13 +398,41 @@ impl Machine {
         self.distance(a, b) == 1
     }
 
-    /// First hop of a shortest `a → b` path (equivalent to
-    /// `topo().next_hop`, table-accelerated where available).
-    #[inline]
-    pub fn hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        match &self.accel {
-            DistAccel::Tables(t) => t.next_hop(a, b),
-            _ => self.topo.next_hop(a, b),
+    /// Lays out in `path` the shortest `a → b` path a swap chain
+    /// walks, `a` first and `b` last, each cell the next hop
+    /// (`topo().next_hop`) from the one before toward `b`. On a filled
+    /// lattice the path is closed form, read from the cached
+    /// coordinates: the x run, then the y run, the step order of every
+    /// Manhattan layout (see [`Topology::manhattan_distance`]).
+    /// Elsewhere each hop comes from the flat tables where built, else
+    /// from the topology.
+    pub(crate) fn path_to(&self, a: PhysId, b: PhysId, path: &mut Vec<PhysId>) {
+        path.clear();
+        path.push(a);
+        if let Some((w, _)) = self.lattice() {
+            let ((ax, ay), (bx, by)) = (self.placement.coord(a), self.placement.coord(b));
+            let run = |path: &mut Vec<PhysId>, steps: u32, forward: bool, stride: u32| {
+                let from = path.last().expect("path starts at a").0;
+                path.extend((1..=steps).map(|k| {
+                    PhysId(if forward {
+                        from + k * stride
+                    } else {
+                        from - k * stride
+                    })
+                }));
+            };
+            run(path, ax.abs_diff(bx), bx > ax, 1);
+            run(path, ay.abs_diff(by), by > ay, w);
+            return;
+        }
+        let mut cur = a;
+        while cur != b {
+            let hop = match &self.accel {
+                DistAccel::Tables(t) => t.next_hop(cur, b),
+                _ => self.topo.next_hop(cur, b),
+            };
+            cur = hop.expect("connected fabric");
+            path.push(cur);
         }
     }
 
@@ -534,34 +568,63 @@ impl Machine {
         self.sink.stats.gather_failures += 1;
     }
 
-    /// Swaps the contents of two adjacent physical cells (a routing
-    /// SWAP, [`Gate::duration`] cycles), updating placements, liveness,
-    /// the reuse pool, and the placement history. This is the
-    /// only mutation the routers perform.
-    pub fn swap_cells(&mut self, p: PhysId, q: PhysId) {
-        debug_assert!(self.topo.are_coupled(p, q), "swap of non-coupled cells");
-        let swap = Gate::Swap { a: p, b: q };
-        let dur = swap.duration();
-        let start = self.clock.occupy_pair_asap(p, q, dur);
-        let (vp, vq) = self.placement.swap_occupants(p, q);
-        if let Some(v) = vp {
-            self.sink.note_usage(v, start, start + dur);
-            self.sink.event(PlacementEvent::Move {
-                virt: v,
-                from: p,
-                to: q,
-            });
+    /// Moves the qubit on `path[0]` along `path`, one routing SWAP
+    /// ([`Gate::duration`] cycles) per pair of consecutive, coupled
+    /// cells. Each swap starts once both its cells are free; the qubit
+    /// it meets (or a free cell's |0⟩, with its reuse-pool entry) steps
+    /// back into the cell the mover left, and its liveness widens over
+    /// the swap. When the sink records or checks, each swap is emitted
+    /// with its two [`PlacementEvent::Move`]s, the mover's first. The
+    /// mover's own binding, liveness and final-cell clock are written
+    /// once, after the last swap. This is the only code that moves a
+    /// qubit during routing.
+    pub(crate) fn shift_along(&mut self, path: &[PhysId]) {
+        debug_assert!(
+            path.windows(2).all(|w| self.coupled(w[0], w[1])),
+            "swap chain over non-coupled cells"
+        );
+        let (&[first, second, ..], Some(&last)) = (path, path.last()) else {
+            return;
+        };
+        let mover = self
+            .placement
+            .occupant_of(first)
+            .expect("a swap chain moves a placed qubit");
+        let dur = Gate::Swap {
+            a: first,
+            b: second,
         }
-        if let Some(v) = vq {
-            self.sink.note_usage(v, start, start + dur);
-            self.sink.event(PlacementEvent::Move {
-                virt: v,
-                from: q,
-                to: p,
-            });
-        }
-        self.sink.stats.swaps += 1;
-        self.sink.record(swap, start, dur, true);
+        .duration();
+        let emit = self.sink.emits_gates();
+        let (clock, sink) = (&mut self.clock, &mut self.sink);
+        let began = clock.avail(first).max(clock.avail(second));
+        let mut ready = began;
+        self.placement.shift_along(path, |from, to, displaced| {
+            let start = ready.max(clock.avail(to));
+            ready = start + dur;
+            clock.hold(from, ready);
+            if let Some(v) = displaced {
+                sink.note_usage(v, start, ready);
+            }
+            if emit {
+                sink.event(PlacementEvent::Move {
+                    virt: mover,
+                    from,
+                    to,
+                });
+                if let Some(v) = displaced {
+                    sink.event(PlacementEvent::Move {
+                        virt: v,
+                        from: to,
+                        to: from,
+                    });
+                }
+                sink.record(Gate::Swap { a: from, b: to }, start, dur, true);
+            }
+        });
+        clock.hold(last, ready);
+        sink.note_usage(mover, began, ready);
+        sink.stats.swaps += path.len() as u64 - 1;
     }
 
     /// Applies a program gate: resolves connectivity, schedules ASAP,
@@ -785,7 +848,8 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use square_arch::{FullTopology, GridTopology, LineTopology};
+    use crate::SplitMix;
+    use square_arch::{FullTopology, GridTopology, HeavyHexTopology, LineTopology, RingTopology};
 
     fn grid_machine(w: u32, h: u32) -> Machine {
         Machine::new(
@@ -1265,5 +1329,252 @@ mod tests {
         assert_eq!(a.final_placement, b.final_placement);
         assert_eq!(a.schedule, b.schedule);
         assert_eq!(a.placement_history, b.placement_history);
+    }
+
+    /// Chain paths, closed form on a lattice, step exactly as the
+    /// layout's own `next_hop`, for every ordered pair of cells: on
+    /// every grid up to 9 × 9, every line up to 40, and rings and
+    /// heavy-hex lattices, which take the per-hop path.
+    #[test]
+    fn chain_paths_follow_the_topology_next_hops() {
+        let grids = (1..=9).flat_map(|w| (1..=9).map(move |h| (w, h)));
+        let nisq = MachineConfig::nisq;
+        let machines = grids
+            .map(|(w, h)| grid_machine(w, h))
+            .chain((1..=40).map(|n| Machine::new(Box::new(LineTopology::new(n)), nisq())))
+            .chain((3..=12).map(|n| Machine::new(Box::new(RingTopology::new(n)), nisq())))
+            .chain((1..=3).map(|d| Machine::new(Box::new(HeavyHexTopology::new(d)), nisq())));
+        let mut path = Vec::new();
+        for m in machines {
+            let n = m.qubit_count() as u32;
+            for a in (0..n).map(PhysId) {
+                for b in (0..n).map(PhysId) {
+                    let mut want = vec![a];
+                    while let Some(hop) = m.topo().next_hop(*want.last().unwrap(), b) {
+                        want.push(hop);
+                    }
+                    m.path_to(a, b, &mut path);
+                    assert_eq!(path, want, "{m:?}: {a} → {b}");
+                }
+            }
+        }
+    }
+
+    /// Where the gates of a lockstep run go.
+    #[derive(Debug, Clone, Copy)]
+    enum Emission {
+        Off,
+        Record,
+        Check,
+    }
+
+    fn emitting(topo: &Arc<dyn Topology>, emission: Emission) -> Machine {
+        let config = MachineConfig::nisq();
+        let config = match emission {
+            Emission::Record => config.with_schedule(),
+            Emission::Off | Emission::Check => config,
+        };
+        let mut m = Machine::with_shared(Arc::clone(topo), config);
+        if let Emission::Check = emission {
+            m.enable_physical_check();
+        }
+        m
+    }
+
+    /// One routing SWAP as the machine applied it before chains moved
+    /// in one pass (`swap_cells`): an ASAP slot for both cells, the
+    /// occupants exchanged, both movers' liveness widened and their
+    /// moves logged, the swap counted and emitted.
+    fn reference_swap(m: &mut Machine, p: PhysId, q: PhysId) {
+        let swap = Gate::Swap { a: p, b: q };
+        let dur = swap.duration();
+        let start = m.clock.ready_at(&[p, q]);
+        m.clock.occupy(&[p, q], start, dur);
+        let (vp, vq) = m.placement.swap_occupants_reference(p, q);
+        for (v, from, to) in [(vp, p, q), (vq, q, p)] {
+            if let Some(virt) = v {
+                m.sink.note_usage(virt, start, start + dur);
+                m.sink.event(PlacementEvent::Move { virt, from, to });
+            }
+        }
+        m.sink.stats.swaps += 1;
+        m.sink.record(swap, start, dur, true);
+    }
+
+    /// What the cells a chain enters held before it ran.
+    #[derive(Debug, Default)]
+    struct Entered {
+        occupied: usize,
+        pooled: usize,
+        fresh: usize,
+        /// Free, used and not pooled: left behind by an earlier chain.
+        spent: usize,
+    }
+
+    /// Drives a machine that moves chains with [`Machine::shift_along`]
+    /// and one that applies [`reference_swap`] per hop through the same
+    /// seeded script: `seated` qubits placed and half of them released
+    /// (filling the reuse pool), then `chains` chains — random walks
+    /// and next-hop walks of up to `max_len` cells from a placed qubit
+    /// — mixed with placements, releases and one-qubit gates. Checks
+    /// the chain's cells after every chain and the whole placement,
+    /// clock and sink every `full_every` chains and at the end.
+    fn lockstep(
+        topo: Arc<dyn Topology>,
+        emission: Emission,
+        seed: u64,
+        (seated, chains, max_len, full_every): (usize, usize, u64, usize),
+    ) -> Entered {
+        let mut rng = SplitMix(seed);
+        let (mut a, mut b) = (emitting(&topo, emission), emitting(&topo, emission));
+        let n = topo.qubit_count() as u64;
+        let mut live: Vec<VirtId> = Vec::new();
+        let mut next_virt = 0u32;
+        let mut entered = Entered::default();
+        let mut path = Vec::new();
+        let same = |a: &Machine, b: &Machine, at: usize| {
+            assert!(
+                a.placement == b.placement,
+                "placement diverged at chain {at}"
+            );
+            assert!(a.clock == b.clock, "clock diverged at chain {at}");
+            assert!(a.sink == b.sink, "sink diverged at chain {at}");
+        };
+        let mut place =
+            |a: &mut Machine, b: &mut Machine, rng: &mut SplitMix, live: &mut Vec<VirtId>| {
+                let start = rng.below(n);
+                let Some(p) = (0..n)
+                    .map(|i| PhysId(((start + i) % n) as u32))
+                    .find(|&p| a.placement.is_free(p))
+                else {
+                    return;
+                };
+                let v = VirtId(next_virt);
+                next_virt += 1;
+                a.place_at(v, p).unwrap();
+                b.place_at(v, p).unwrap();
+                live.push(v);
+            };
+        let release =
+            |a: &mut Machine, b: &mut Machine, rng: &mut SplitMix, live: &mut Vec<VirtId>| {
+                if !live.is_empty() {
+                    let v = live.swap_remove(rng.below(live.len() as u64) as usize);
+                    assert_eq!(a.release(v).unwrap(), b.release(v).unwrap());
+                }
+            };
+        for _ in 0..seated {
+            place(&mut a, &mut b, &mut rng, &mut live);
+        }
+        for _ in 0..seated / 2 {
+            release(&mut a, &mut b, &mut rng, &mut live);
+        }
+        let mut done = 0;
+        while done < chains {
+            match rng.below(10) {
+                0..=2 => place(&mut a, &mut b, &mut rng, &mut live),
+                3 | 4 => release(&mut a, &mut b, &mut rng, &mut live),
+                5 if !live.is_empty() => {
+                    let v = live[rng.below(live.len() as u64) as usize];
+                    let gate = Gate::X { target: v };
+                    assert_eq!(a.apply(&gate), b.apply(&gate));
+                }
+                _ if !live.is_empty() => {
+                    let v = live[rng.below(live.len() as u64) as usize];
+                    let len = 1 + rng.below(max_len) as usize;
+                    if rng.below(2) == 0 {
+                        let goal = PhysId(rng.below(n) as u32);
+                        a.path_to(a.phys_must(v), goal, &mut path);
+                        path.truncate(len);
+                    } else {
+                        path.clear();
+                        path.push(a.phys_must(v));
+                        let mut nbrs = Vec::new();
+                        while path.len() < len {
+                            nbrs.clear();
+                            topo.for_each_neighbor(*path.last().unwrap(), &mut |q| nbrs.push(q));
+                            path.push(nbrs[rng.below(nbrs.len() as u64) as usize]);
+                        }
+                    }
+                    for &p in &path[1..] {
+                        let pl = &a.placement;
+                        if !pl.is_free(p) {
+                            entered.occupied += 1;
+                        } else if pl.pooled().contains(&p) {
+                            entered.pooled += 1;
+                        } else if !pl.was_ever_used(p) {
+                            entered.fresh += 1;
+                        } else {
+                            entered.spent += 1;
+                        }
+                    }
+                    a.shift_along(&path);
+                    for w in path.windows(2) {
+                        reference_swap(&mut b, w[0], w[1]);
+                    }
+                    for &p in &path {
+                        assert_eq!(a.placement.occupant_of(p), b.placement.occupant_of(p));
+                        assert_eq!(a.clock.avail(p), b.clock.avail(p), "chain {done}");
+                    }
+                    done += 1;
+                    if done % full_every == 0 {
+                        same(&a, &b, done);
+                    }
+                }
+                _ => {}
+            }
+        }
+        same(&a, &b, done);
+        assert!(a.stats().swaps > 0);
+        entered
+    }
+
+    /// The chain mover against the per-swap reference on every
+    /// swap-routed layout, with gates dropped, recorded (schedule and
+    /// history) and streamed through the physical check, over chains
+    /// that enter occupied, pooled, fresh and spent free cells.
+    #[test]
+    fn chain_mover_matches_the_per_swap_reference() {
+        let fabrics: [Arc<dyn Topology>; 4] = [
+            Arc::new(GridTopology::new(9, 7)),
+            Arc::new(LineTopology::new(40)),
+            Arc::new(RingTopology::new(30)),
+            Arc::new(HeavyHexTopology::new(3)),
+        ];
+        for (i, topo) in fabrics.iter().enumerate() {
+            for emission in [Emission::Off, Emission::Record, Emission::Check] {
+                let seated = topo.qubit_count() * 2 / 3;
+                let e = lockstep(
+                    Arc::clone(topo),
+                    emission,
+                    0x5eed + i as u64,
+                    (seated, 400, 24, 1),
+                );
+                let name = topo.name();
+                assert!(
+                    e.occupied > 0 && e.pooled > 0 && e.fresh > 0 && e.spent > 0,
+                    "{name} {emission:?}: {e:?}"
+                );
+            }
+        }
+    }
+
+    /// 200,000 seeded chains of up to 128 cells on a 127 × 127 lattice
+    /// whose reuse pool starts with 3,000 released cells, with the
+    /// physical check on. Release builds only (CI's `routing` job runs
+    /// it).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "200k chains; run in release")]
+    fn chain_mover_matches_the_reference_on_a_large_lattice() {
+        let topo: Arc<dyn Topology> = Arc::new(GridTopology::new(127, 127));
+        let e = lockstep(
+            topo,
+            Emission::Check,
+            0xc4a1_2500,
+            (6_000, 200_000, 128, 1_000),
+        );
+        assert!(
+            e.occupied > 0 && e.pooled > 0 && e.fresh > 0 && e.spent > 0,
+            "{e:?}"
+        );
     }
 }

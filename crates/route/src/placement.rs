@@ -32,6 +32,7 @@ const NONE: u32 = u32::MAX;
 
 /// A dense bitset over physical cell indices.
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct CellSet {
     words: Vec<u64>,
 }
@@ -102,6 +103,7 @@ impl CellSet {
 /// mutation goes through the machine so liveness and history stay
 /// consistent.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Placement {
     /// `occupant[p]` = virtual qubit held by cell `p` (`NONE` if free).
     occupant: Vec<u32>,
@@ -333,12 +335,76 @@ impl Placement {
         Ok(p)
     }
 
-    /// Exchanges the occupants of two cells (a routing SWAP's effect
-    /// on placement state), maintaining the free set, reuse tracking,
-    /// incremental centroid, and the reuse pool. Returns the
-    /// previous occupants `(of p, of q)` so the machine can update
-    /// liveness and history.
-    pub(crate) fn swap_occupants(
+    /// Moves the qubit on `path[0]` along `path` (a routing swap chain's
+    /// effect on placement state): at each step `from → to` the
+    /// occupant of `to` — or, for a free cell, its |0⟩ with its pool
+    /// entry — moves back into `from`, and `step(from, to, displaced)`
+    /// runs. The free set, reuse marks and centroid sum follow every
+    /// step; the mover's own binding is written once, at the end.
+    pub(crate) fn shift_along(
+        &mut self,
+        path: &[PhysId],
+        mut step: impl FnMut(PhysId, PhysId, Option<VirtId>),
+    ) {
+        let Some((&first, rest)) = path.split_first() else {
+            return;
+        };
+        let mover = self.occupant[first.index()];
+        debug_assert!(mover != NONE, "a swap chain starts at a placed qubit");
+        // An occupied cell is never fresh, and every `to` is marked as
+        // the chain reaches it, so each `from` is already used.
+        debug_assert!(!self.fresh.contains(first.index()));
+        let mut from = first;
+        for &to in rest {
+            let (fi, ti) = (from.index(), to.index());
+            let displaced = self.occupant[ti];
+            self.occupant[fi] = displaced;
+            if displaced != NONE {
+                self.place[displaced as usize] = from.0;
+            } else {
+                self.free.remove(ti);
+                self.free.insert(fi);
+                let pos = std::mem::replace(&mut self.pool_pos[ti], NONE);
+                if pos != NONE {
+                    self.pool_pos[fi] = pos;
+                    self.pool[pos as usize] = from;
+                }
+                let ((fx, fy), (tx, ty)) = (self.coords[fi], self.coords[ti]);
+                self.coord_sum.0 += tx as i64 - fx as i64;
+                self.coord_sum.1 += ty as i64 - fy as i64;
+            }
+            self.mark_used(ti);
+            step(from, to, (displaced != NONE).then_some(VirtId(displaced)));
+            from = to;
+        }
+        self.occupant[from.index()] = mover;
+        self.place[mover as usize] = from.0;
+    }
+
+    /// Number of cells that ever held a program qubit.
+    pub(crate) fn footprint(&self) -> usize {
+        self.ever_placed.len()
+    }
+
+    /// The current binding as a map (ascending `VirtId` insertion).
+    pub(crate) fn final_placement(&self) -> HashMap<VirtId, PhysId> {
+        let mut map = HashMap::new();
+        for (v, &p) in self.place.iter().enumerate() {
+            if p != NONE {
+                map.insert(VirtId(v as u32), PhysId(p));
+            }
+        }
+        map
+    }
+}
+
+/// The one-swap placement update routing ran per hop before swap
+/// chains moved in one pass, kept as the reference
+/// [`Placement::shift_along`] is tested against: exchanges the
+/// occupants of two cells and returns them, `(of p, of q)`.
+#[cfg(test)]
+impl Placement {
+    pub(crate) fn swap_occupants_reference(
         &mut self,
         p: PhysId,
         q: PhysId,
@@ -350,9 +416,6 @@ impl Placement {
         self.occupant[pi] = vq;
         self.occupant[qi] = vp;
         if (vp == NONE) != (vq == NONE) {
-            // one occupant moved between the cells: shift the centroid
-            // sum, and follow the free cell's |0⟩ to the cell the data
-            // qubit left (renaming its pool entry, if pooled).
             let (px, py) = self.coords[pi];
             let (qx, qy) = self.coords[qi];
             let sign = if vp != NONE { 1 } else { -1 };
@@ -379,22 +442,6 @@ impl Placement {
             (vp != NONE).then_some(VirtId(vp)),
             (vq != NONE).then_some(VirtId(vq)),
         )
-    }
-
-    /// Number of cells that ever held a program qubit.
-    pub(crate) fn footprint(&self) -> usize {
-        self.ever_placed.len()
-    }
-
-    /// The current binding as a map (ascending `VirtId` insertion).
-    pub(crate) fn final_placement(&self) -> HashMap<VirtId, PhysId> {
-        let mut map = HashMap::new();
-        for (v, &p) in self.place.iter().enumerate() {
-            if p != NONE {
-                map.insert(VirtId(v as u32), PhysId(p));
-            }
-        }
-        map
     }
 }
 
@@ -433,9 +480,12 @@ mod tests {
         assert_eq!(pl.active_count(), 1);
         assert_eq!(pl.free_count(), 2);
         assert!(!pl.is_free(PhysId(0)));
-        // Swap into the free, never-pooled middle cell: no pool entry.
-        let (vp, vq) = pl.swap_occupants(PhysId(0), PhysId(1));
-        assert_eq!((vp, vq), (Some(VirtId(7)), None));
+        // Shift into the free, never-pooled middle cell: no pool entry.
+        let mut steps = Vec::new();
+        pl.shift_along(&[PhysId(0), PhysId(1)], |from, to, displaced| {
+            steps.push((from, to, displaced))
+        });
+        assert_eq!(steps, [(PhysId(0), PhysId(1), None)]);
         assert_eq!(pl.phys_of(VirtId(7)), Some(PhysId(1)));
         assert!(pl.is_free(PhysId(0)) && !pl.is_free(PhysId(1)));
         assert!(pl.pooled().is_empty());
@@ -529,24 +579,26 @@ mod tests {
     }
 
     #[test]
-    fn swaps_rename_pooled_cells_in_place() {
-        // Cells 0..4 hold v0..v3; 0 and 3 released, so the pool is [0, 3].
-        let mut pl = pooled_line(4, &[0, 3]);
-        // v1 moves into pooled cell 0: its |0⟩ moves to cell 1, and the
-        // entry keeps its position.
-        assert_eq!(
-            pl.swap_occupants(PhysId(1), PhysId(0)),
-            (Some(VirtId(1)), None)
-        );
-        assert_eq!(pool_ids(&pl), vec![1, 3]);
-        // Same rename with the free cell as the first operand.
-        pl.swap_occupants(PhysId(3), PhysId(2));
-        assert_eq!(pool_ids(&pl), vec![1, 2]);
+    fn chains_rename_pooled_cells_in_place() {
+        // Cells 0..5 hold v0..v4; 1 and 3 released, so the pool is [1, 3].
+        let mut pl = pooled_line(5, &[1, 3]);
+        // v0 walks to cell 3: each pooled cell's |0⟩ steps back one
+        // cell and its entry keeps its position; v2 steps back too.
+        let mut displaced = Vec::new();
+        let path = [PhysId(0), PhysId(1), PhysId(2), PhysId(3)];
+        pl.shift_along(&path, |_, _, d| displaced.push(d));
+        assert_eq!(displaced, [None, Some(VirtId(2)), None]);
+        assert_eq!(pool_ids(&pl), vec![0, 2]);
         assert!(pl.pooled().iter().all(|&p| pl.is_free(p)));
-        // Two occupied cells, or two free ones: the pool is untouched.
-        pl.swap_occupants(PhysId(0), PhysId(3));
-        pl.swap_occupants(PhysId(1), PhysId(2));
-        assert_eq!(pool_ids(&pl), vec![1, 2]);
+        assert_eq!(pl.phys_of(VirtId(0)), Some(PhysId(3)));
+        assert_eq!(pl.phys_of(VirtId(2)), Some(PhysId(1)));
+        assert_eq!(pl.occupant_of(PhysId(3)), Some(VirtId(0)));
+        assert_eq!(pl.active_centroid(), Some((2, 0)), "(1 + 3 + 4) / 3");
+        // A chain over occupied cells only leaves the pool alone.
+        pl.shift_along(&[PhysId(4), PhysId(3)], |_, _, _| {});
+        assert_eq!(pool_ids(&pl), vec![0, 2]);
+        assert_eq!(pl.phys_of(VirtId(0)), Some(PhysId(4)));
+        assert_eq!(pl.phys_of(VirtId(4)), Some(PhysId(3)));
     }
 
     #[test]
@@ -558,7 +610,7 @@ mod tests {
         pl.bind(VirtId(0), PhysId(0)).unwrap();
         pl.bind(VirtId(1), PhysId(2)).unwrap();
         pl.unbind(VirtId(1)).unwrap();
-        pl.swap_occupants(PhysId(0), PhysId(1));
+        pl.shift_along(&[PhysId(0), PhysId(1)], |_, _, _| {});
         assert!(pl.is_free(PhysId(0)));
         assert_eq!(pool_ids(&pl), vec![2]);
         pl.bind(VirtId(2), PhysId(0)).unwrap();

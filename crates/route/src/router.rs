@@ -25,8 +25,11 @@
 //! bounded gather search (`BfsScratch::gather_to`). The two Toffoli
 //! gathers differ only in how they steer the second control.
 //!
-//! Routers only *move* qubits, live, through [`Machine::swap_cells`];
-//! gate scheduling, statistics, and liveness stay in the machine.
+//! A router only chooses cells: each swap chain (a walk, a gather path,
+//! lookahead's one scored swap) is a path of coupled cells starting at
+//! the qubit that moves, which the routers hand to the machine's one
+//! chain mover (`Machine::shift_along`) to move live in one pass. Gate
+//! scheduling, statistics, and liveness stay in the machine.
 //! Braided (FT) communication does not route through swap chains and
 //! is unaffected by the router choice.
 
@@ -135,22 +138,14 @@ pub(crate) fn check_placed(m: &Machine, gate: &Gate<VirtId>) -> Result<(), Route
 
 /// The chain walk: `mover` hops along cached next hops until it is
 /// coupled to `anchor`, which never moves (the last hop — onto the
-/// anchor's own cell — is never taken). Each swap shrinks the distance
-/// by one, so the walk terminates.
-fn walk(m: &mut Machine, mover: VirtId, anchor: VirtId) {
-    let mut pm = m.phys_must(mover);
-    let pa = m.phys_must(anchor);
-    if pm == pa || m.coupled(pm, pa) {
-        return;
-    }
-    loop {
-        let hop = m.hop(pm, pa).expect("connected fabric");
-        if hop == pa {
-            return;
-        }
-        m.swap_cells(pm, hop);
-        pm = hop;
-    }
+/// anchor's own cell — is never taken). Next hops read only the
+/// topology, so the whole chain is laid out in `path` before the mover
+/// runs it.
+fn walk(m: &mut Machine, path: &mut Vec<PhysId>, mover: VirtId, anchor: VirtId) {
+    m.path_to(m.phys_must(mover), m.phys_must(anchor), path);
+    // Drop the anchor's own cell.
+    path.pop();
+    m.shift_along(path);
 }
 
 /// Cells a Toffoli gather search may dequeue before it gives up and the
@@ -168,8 +163,8 @@ pub(crate) const GATHER_VISIT_CAP: usize = 4096;
 pub(crate) fn greedy(m: &mut Machine, s: &mut RouterScratch, gate: &Gate<VirtId>) {
     match gate {
         Gate::X { .. } | Gate::Mcx { .. } => {}
-        Gate::Cx { control, target } => walk(m, *control, *target),
-        Gate::Swap { a, b } => walk(m, *a, *b),
+        Gate::Cx { control, target } => walk(m, &mut s.chain, *control, *target),
+        Gate::Swap { a, b } => walk(m, &mut s.chain, *a, *b),
         Gate::Ccx { c0, c1, target } => gather(m, s, *c0, *c1, *target),
     }
 }
@@ -191,20 +186,18 @@ fn gather(m: &mut Machine, s: &mut RouterScratch, c0: VirtId, c1: VirtId, t: Vir
             m.note_gather_retry();
         }
         if !ok0 {
-            walk(m, c0, t);
+            walk(m, &mut s.chain, c0, t);
             continue;
         }
         // c0 is in place; bring c1 next to t without crossing c0/t.
         if s.bfs
             .gather_to(m, p1, pt, p0, GATHER_VISIT_CAP, &mut s.chain)
         {
-            for w in s.chain.windows(2) {
-                m.swap_cells(w[0], w[1]);
-            }
+            m.shift_along(&s.chain);
         } else {
             // No avoiding route (e.g. a line topology cut); route
             // plainly and let the next attempt repair c0.
-            walk(m, c1, t);
+            walk(m, &mut s.chain, c1, t);
         }
     }
     m.note_gather_failure();
@@ -371,10 +364,11 @@ fn la_route_pair(m: &mut Machine, s: &mut RouterScratch, a: VirtId, b: VirtId, m
             // No distance-preserving edge at all (cannot happen on a
             // connected fabric, where the next hop qualifies) — walk
             // the guaranteed-progress chain.
-            walk(m, a, b);
+            walk(m, &mut s.chain, a, b);
             return;
         };
-        m.swap_cells(u, v);
+        // `u` is an operand's cell: a one-swap chain.
+        m.shift_along(&[u, v]);
         la_bump_decay(s, u);
         la_bump_decay(s, v);
         pa = m.phys_must(a);
@@ -383,7 +377,7 @@ fn la_route_pair(m: &mut Machine, s: &mut RouterScratch, a: VirtId, b: VirtId, m
         if after >= before {
             stall += 1;
             if stall >= STALL_LIMIT {
-                walk(m, a, b);
+                walk(m, &mut s.chain, a, b);
                 return;
             }
         } else {
@@ -441,24 +435,19 @@ fn la_gather(m: &mut Machine, s: &mut RouterScratch, c0: VirtId, c1: VirtId, t: 
         // hop loses badly on low-degree fabrics (it circles hexagon
         // faces), so the moment the path runs into t/c0 we hand the
         // remainder to the bounded gather search instead.
-        let mut cur = p1;
-        while cur != goal {
-            let hop = m.hop(cur, goal).expect("connected fabric");
-            if hop == pt || hop == p0 {
-                break;
-            }
-            m.swap_cells(cur, hop);
-            cur = hop;
+        m.path_to(p1, goal, &mut s.chain);
+        if let Some(blocked) = s.chain.iter().position(|&c| c == pt || c == p0) {
+            s.chain.truncate(blocked);
         }
+        m.shift_along(&s.chain);
+        let cur = *s.chain.last().expect("the chain starts at c1");
         if cur != goal {
             if s.bfs
                 .gather_to(m, cur, pt, p0, GATHER_VISIT_CAP, &mut s.chain)
             {
-                for w in s.chain.windows(2) {
-                    m.swap_cells(w[0], w[1]);
-                }
+                m.shift_along(&s.chain);
             } else {
-                walk(m, c1, t);
+                walk(m, &mut s.chain, c1, t);
             }
         }
     }

@@ -19,6 +19,7 @@ const UNUSED: (u64, u64) = (u64::MAX, 0);
 
 /// Where the physical gates of a machine run go.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 enum Emit {
     /// Nowhere: only statistics and liveness are kept.
     Off,
@@ -37,6 +38,7 @@ enum Emit {
 /// [`PhysicalCheck`]), liveness segments, and the open per-qubit usage
 /// intervals that become segments on release/finish.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct ScheduleSink {
     pub(crate) stats: CommStats,
     emit: Emit,

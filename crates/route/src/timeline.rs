@@ -12,6 +12,7 @@ use square_arch::PhysId;
 /// the time half of the machine's `Placement`/`Clock`/`ScheduleSink`
 /// split. Read it through [`Machine::clock`](crate::Machine::clock).
 #[derive(Debug, Clone, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Clock {
     avail: Vec<u64>,
     depth: u64,
@@ -57,18 +58,12 @@ impl Clock {
         self.occupy(qs, start, dur)
     }
 
-    /// Schedules a two-qubit operation ASAP without the slice round
-    /// trip — the routing swap fast path.
+    /// Marks `q` busy until `end`, the routing swap chain's per-cell
+    /// write (`Machine::shift_along` picks each swap's slot itself).
     #[inline]
-    pub(crate) fn occupy_pair_asap(&mut self, a: PhysId, b: PhysId, dur: u64) -> u64 {
-        let ai = a.index();
-        let bi = b.index();
-        let start = self.avail[ai].max(self.avail[bi]);
-        let end = start + dur;
-        self.avail[ai] = end;
-        self.avail[bi] = end;
+    pub(crate) fn hold(&mut self, q: PhysId, end: u64) {
+        self.avail[q.index()] = end;
         self.depth = self.depth.max(end);
-        start
     }
 
     /// Overall makespan (circuit depth in cycles).
@@ -112,17 +107,13 @@ mod tests {
     }
 
     #[test]
-    fn pair_fast_path_matches_slice_path() {
-        let mut a = Clock::new(4);
-        let mut b = Clock::new(4);
-        a.occupy_asap(&[PhysId(1), PhysId(2)], 3);
-        b.occupy_pair_asap(PhysId(1), PhysId(2), 3);
-        let sa = a.occupy_asap(&[PhysId(2), PhysId(3)], 3);
-        let sb = b.occupy_pair_asap(PhysId(2), PhysId(3), 3);
-        assert_eq!(sa, sb);
-        assert_eq!(a.depth(), b.depth());
-        for q in 0..4 {
-            assert_eq!(a.avail(PhysId(q)), b.avail(PhysId(q)));
-        }
+    fn hold_sets_one_cell_and_the_makespan() {
+        let mut t = Clock::new(3);
+        t.occupy_asap(&[PhysId(0), PhysId(1)], 3);
+        t.hold(PhysId(2), 2);
+        assert_eq!((t.avail(PhysId(2)), t.depth()), (2, 3));
+        t.hold(PhysId(0), 6);
+        assert_eq!((t.avail(PhysId(0)), t.avail(PhysId(1))), (6, 3));
+        assert_eq!(t.depth(), 6);
     }
 }

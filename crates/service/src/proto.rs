@@ -121,15 +121,22 @@ impl Request {
     /// protocol version other than [`PROTO_VERSION`];
     /// [`ParseError::Malformed`] when it is not valid JSON, is not an
     /// object, or names an unknown command / policy / arch / router.
-    /// The caller wraps either in an error [`Response`] carrying the
-    /// request id when one could be extracted.
-    pub fn parse(line: &str) -> Result<Request, ParseError> {
-        let malformed = ParseError::Malformed;
+    /// Either comes with the id to echo in the error [`Response`]: the
+    /// line's `id` when the line is a JSON object, else `null`.
+    pub fn parse(line: &str) -> Result<Request, (Value, ParseError)> {
+        let malformed = |message| (Value::Null, ParseError::Malformed(message));
         let value: Value =
             serde_json::from_str(line).map_err(|e| malformed(format!("invalid JSON: {e}")))?;
         if !matches!(value, Value::Map(_)) {
             return Err(malformed("request must be a JSON object".to_string()));
         }
+        let id = value.get("id").cloned().unwrap_or(Value::Null);
+        Self::from_object(&value, id.clone()).map_err(|e| (id, e))
+    }
+
+    /// The request a JSON object line carrying `id` spells.
+    fn from_object(value: &Value, id: Value) -> Result<Request, ParseError> {
+        let malformed = ParseError::Malformed;
         // Version gate first: a client speaking a different protocol
         // revision should learn *that*, not trip over a field change.
         if let Some(v) = value.get("v") {
@@ -138,7 +145,6 @@ impl Request {
                 return Err(ParseError::UnsupportedVersion { got });
             }
         }
-        let id = value.get("id").cloned().unwrap_or(Value::Null);
         if let Some(cmd) = value.get("cmd") {
             let cmd = cmd
                 .as_str()
@@ -546,9 +552,29 @@ mod tests {
         assert!(Request::parse(r#"{"source": "x", "arch": "torus:3"}"#).is_err());
         // A machine too large to allocate is refused before any compile.
         let huge = Request::parse(r#"{"source": "x", "arch": "grid:60000x60000"}"#);
-        assert!(matches!(huge, Err(ParseError::Malformed(m)) if m.contains("2^20")));
+        assert!(matches!(huge, Err((_, ParseError::Malformed(m))) if m.contains("2^20")));
         assert!(Request::parse(r#"{"source": "x", "router": "bgp"}"#).is_err());
         assert!(Request::parse(r#"{}"#).is_err(), "no source, no cmd");
+    }
+
+    #[test]
+    fn parse_errors_carry_the_id_of_an_object_line() {
+        let id_of = |line: &str| Request::parse(line).unwrap_err().0;
+        assert_eq!(
+            id_of(r#"{"id": 1, "source": "x", "policy": "yolo"}"#),
+            Value::UInt(1)
+        );
+        // The version gate answers with the id too.
+        let (id, err) = Request::parse(r#"{"id": "a", "v": 2, "cmd": "ping"}"#).unwrap_err();
+        assert_eq!(id, Value::String("a".to_string()));
+        assert_eq!(err, ParseError::UnsupportedVersion { got: Some(2) });
+        for line in [
+            "not json",
+            "[1, 2]",
+            r#"{"source": "x", "arch": "torus:3"}"#,
+        ] {
+            assert_eq!(id_of(line), Value::Null, "{line}");
+        }
     }
 
     #[test]
@@ -622,9 +648,9 @@ mod tests {
 
     #[test]
     fn version_gate_rejects_other_versions() {
-        let err = Request::parse(r#"{"v": 2, "cmd": "ping"}"#).unwrap_err();
+        let (_, err) = Request::parse(r#"{"v": 2, "cmd": "ping"}"#).unwrap_err();
         assert_eq!(err, ParseError::UnsupportedVersion { got: Some(2) });
-        let err = Request::parse(r#"{"v": "one", "cmd": "ping"}"#).unwrap_err();
+        let (_, err) = Request::parse(r#"{"v": "one", "cmd": "ping"}"#).unwrap_err();
         assert_eq!(err, ParseError::UnsupportedVersion { got: None });
         // Version-less lines speak the current protocol.
         assert!(Request::parse(r#"{"cmd": "ping"}"#).is_ok());

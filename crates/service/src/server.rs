@@ -154,7 +154,7 @@ fn session(
             continue;
         }
         let response = match Request::parse(line) {
-            Err(e) => Response::parse_error(&Value::Null, &e),
+            Err((id, e)) => Response::parse_error(&id, &e),
             Ok(Request::Ping { id }) => Response::Pong { id },
             Ok(Request::Stats { id }) => Response::Stats {
                 id,

@@ -1,6 +1,6 @@
 //! Hostile-input tests for a live `squared`: a request that used to
-//! panic a compile, a request line past the length cap, and a line
-//! nested too deep to parse. Each
+//! panic a compile, a request line past the length cap, a line nested
+//! too deep to parse, and lines naming cells that do not parse. Each
 //! checks that the bad request gets a typed answer and that a fresh
 //! connection is still served afterwards. Every read has a 10 s
 //! timeout, so a wedged server fails the test instead of hanging it.
@@ -135,6 +135,42 @@ fn deeply_nested_line_is_a_bad_request() {
         Some(true),
         "{good:?}"
     );
+}
+
+/// A well-formed line whose cell cannot be parsed (an unknown policy
+/// or arch, an ill-typed budget) is a bad request answered with the
+/// line's own id, so a pipelining client can tell which request
+/// failed; the connection keeps serving.
+#[test]
+fn request_errors_echo_the_request_id() {
+    let addr = boot_server(1);
+    let (mut reader, mut writer) = connect(addr);
+    let lines = [
+        (7, r#""policy": "yolo""#, "unknown policy `yolo`"),
+        (8, r#""arch": "torus:3""#, "invalid arch"),
+        (
+            9,
+            r#""budget": "lots""#,
+            "`budget` must be a non-negative integer",
+        ),
+    ];
+    for (id, field, message) in lines {
+        let line = format!("{{\"id\": {id}, \"source\": \"x\", {field}}}\n");
+        writer.write_all(line.as_bytes()).expect("send");
+        let refusal = read_response(&mut reader).expect("server answered");
+        assert_eq!(error_kind(&refusal), Some("bad_request"), "{refusal:?}");
+        assert_eq!(refusal.get("id").and_then(Value::as_u64), Some(id));
+        let error = refusal
+            .get("error")
+            .and_then(Value::as_str)
+            .expect("message");
+        assert!(error.contains(message), "{error}");
+    }
+    writer
+        .write_all(b"{\"id\": 10, \"cmd\": \"ping\"}\n")
+        .expect("send");
+    let pong = read_response(&mut reader).expect("server answered");
+    assert_eq!(pong.get("id").and_then(Value::as_u64), Some(10));
 }
 
 /// The source of a request line: `source` as a JSON string.
