@@ -4,8 +4,10 @@
 //! Heavy-hex has no closed-form distance, so [`CouplingGraph`] keeps
 //! one lazily-built row per qubit: row `b` holds every cell's hop
 //! count to `b`, filled by one BFS from `b` the first time a query
-//! targets `b`. A compile routes toward the cells its program touches,
-//! so its rows scale with that region, not with n².
+//! targets `b` while the other cell has no row (distances are
+//! symmetric, so either row answers). A compile routes toward the
+//! cells its program touches, so its rows scale with that region, not
+//! with n².
 //!
 //! Next hops are read off the target's row: the first neighbour of
 //! `a`, in ascending index order, one hop closer to `b`. A BFS from
@@ -58,26 +60,31 @@ impl FlatTables {
         })
     }
 
-    /// Hop-count distance: `row(b)[a]` (`u32::MAX` between
-    /// disconnected qubits — the shipped layouts are all connected).
+    /// Hop-count distance (`u32::MAX` between disconnected qubits — the
+    /// shipped layouts are all connected). Distances are symmetric, so
+    /// this reads `row(a)[b]` when row `a` is already built and builds
+    /// only row `b` otherwise.
     #[inline]
     pub fn distance(&self, a: PhysId, b: PhysId) -> u32 {
         if a == b {
             return 0;
         }
-        self.row(b)[a.index()]
+        match self.0.rows[a.index()].get() {
+            Some(row) => row[b.index()],
+            None => self.row(b)[a.index()],
+        }
     }
 
     /// First hop of a shortest `a → b` path: the lowest-indexed
     /// neighbour of `a` one hop closer to `b` (`None` when `a == b` or
-    /// unreachable).
+    /// unreachable), read off row `b`.
     #[inline]
     pub fn next_hop(&self, a: PhysId, b: PhysId) -> Option<PhysId> {
-        let d = self.distance(a, b);
+        let row = self.row(b);
+        let d = row[a.index()];
         if d == 0 || d == u32::MAX {
             return None;
         }
-        let row = self.row(b);
         self.0.adj[a.index()]
             .iter()
             .copied()
@@ -331,8 +338,11 @@ mod tests {
         let tables = g.shared_tables();
         assert_eq!(tables.distance(PhysId(4), PhysId(1)), 3);
         assert_eq!(tables.next_hop(PhysId(4), PhysId(1)), Some(PhysId(3)));
-        let built: Vec<bool> = g.tables.0.rows.iter().map(|r| r.get().is_some()).collect();
-        assert_eq!(built, [false, true, false, false, false]);
+        let built = || -> Vec<bool> { g.tables.0.rows.iter().map(|r| r.get().is_some()).collect() };
+        assert_eq!(built(), [false, true, false, false, false]);
+        // A built row answers queries from its cell too.
+        assert_eq!(tables.distance(PhysId(1), PhysId(4)), 3);
+        assert_eq!(built(), [false, true, false, false, false]);
     }
 
     #[test]

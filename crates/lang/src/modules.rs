@@ -143,13 +143,20 @@ pub struct LoadedFile {
 pub trait ModuleLoader {
     /// Resolves the unit `name` as imported from the file identified
     /// by `importer_key` (the [`LoadedFile::key`] of the importing
-    /// file; for the root file, its name as given).
+    /// file; for the root file, its name as given) and displayed as
+    /// `importer_name` (its [`LoadedFile::name`]; for the root, again
+    /// its name as given).
     ///
     /// # Errors
     ///
     /// A human-readable reason (e.g. the candidate paths tried); it is
     /// appended to the "cannot resolve import" diagnostic.
-    fn load(&self, name: &str, importer_key: &str) -> Result<LoadedFile, String>;
+    fn load(
+        &self,
+        name: &str,
+        importer_key: &str,
+        importer_name: &str,
+    ) -> Result<LoadedFile, String>;
 }
 
 /// Filesystem loader: `import name;` resolves to `name.sq` in the
@@ -157,6 +164,11 @@ pub trait ModuleLoader {
 /// directory in order. [`SearchPathLoader::with_default_lib`] appends
 /// the conventional `lib/` directory, which is where the shipped
 /// standard library (`lib/std.sq`) lives.
+///
+/// An imported file's directory is its canonical one, so a symlinked
+/// library finds its siblings where it really lives. A file found
+/// there is still shown beside its importer's display name (`nest/c.sq`
+/// imported from `nest/b.sq`) when that path names the same file.
 #[derive(Debug, Clone, Default)]
 pub struct SearchPathLoader {
     search: Vec<PathBuf>,
@@ -187,7 +199,12 @@ fn fs_key(path: &Path) -> String {
 }
 
 impl ModuleLoader for SearchPathLoader {
-    fn load(&self, name: &str, importer_key: &str) -> Result<LoadedFile, String> {
+    fn load(
+        &self,
+        name: &str,
+        importer_key: &str,
+        importer_name: &str,
+    ) -> Result<LoadedFile, String> {
         let file_name = format!("{name}.sq");
         // A bare file name (`prog.sq`) has an empty parent: the file
         // sits in the working directory, so that is searched.
@@ -200,9 +217,18 @@ impl ModuleLoader for SearchPathLoader {
             let path = dir.join(&file_name);
             match std::fs::read_to_string(&path) {
                 Ok(source) => {
+                    let key = fs_key(&path);
+                    // The root resolves against its name as given, so
+                    // only an imported importer can be shown elsewhere.
+                    let beside = Path::new(importer_name).with_file_name(&file_name);
+                    let shown = if importer_name != importer_key && fs_key(&beside) == key {
+                        beside
+                    } else {
+                        path
+                    };
                     return Ok(LoadedFile {
-                        key: fs_key(&path),
-                        name: path.display().to_string(),
+                        key,
+                        name: shown.display().to_string(),
                         source,
                     });
                 }
@@ -239,7 +265,12 @@ impl MapLoader {
 }
 
 impl ModuleLoader for MapLoader {
-    fn load(&self, name: &str, _importer_key: &str) -> Result<LoadedFile, String> {
+    fn load(
+        &self,
+        name: &str,
+        _importer_key: &str,
+        _importer_name: &str,
+    ) -> Result<LoadedFile, String> {
         match self.files.get(name) {
             Some(source) => Ok(LoadedFile {
                 key: name.to_string(),
@@ -347,8 +378,9 @@ fn load_imports(
 ) {
     let imports = units[u].ast.imports.clone();
     let importer = units[u].importer.clone();
+    let importer_name = map.file(units[u].file).name.clone();
     for imp in &imports {
-        let loaded = match loader.load(&imp.name, &importer) {
+        let loaded = match loader.load(&imp.name, &importer, &importer_name) {
             Ok(lf) => lf,
             Err(reason) => {
                 diags.push(Diagnostic::new(

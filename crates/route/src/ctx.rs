@@ -2,11 +2,13 @@
 //!
 //! Both routers bring a Toffoli's second control next to the target
 //! along a shortest path that avoids the target's and the first
-//! control's cells: [`BfsScratch::gather_to`] answers it, in closed
-//! form on a filled lattice ([`lattice_gather`]) and by a bounded
-//! breadth-first search over a flat [`NeighborTable`] elsewhere. The
-//! search arrays live in the machine's router scratch and are reused
-//! across gates, so the steady-state hot path allocates nothing.
+//! control's cells: [`BfsScratch::gather_to`] answers it, from
+//! geometry on a filled lattice ([`lattice_gather`], which reproduces
+//! the bounded search's answer, give-ups included, without running it)
+//! and by a bounded breadth-first search over a flat [`NeighborTable`]
+//! elsewhere. The search arrays live in the machine's router scratch
+//! and are reused across gates, so the steady-state hot path allocates
+//! nothing.
 
 use square_arch::{PhysId, Topology};
 
@@ -79,8 +81,12 @@ impl BfsScratch {
     /// path — inclusive of both ends — into `path` and returns true.
     ///
     /// On a machine whose cells fill a `W × H` lattice the answer is
-    /// first sought in closed form ([`lattice_gather`]); only the
-    /// queries it leaves open run the bounded search.
+    /// decided from geometry ([`lattice_gather`]): the cap there is the
+    /// point at which the search *would* give up, which the rule
+    /// reproduces, and no search runs. Only coupling-graph fabrics
+    /// (heavy-hex, ring) and degenerate queries (`from` blocked, or
+    /// `p0` not next to `pt`, which the routers never issue) run the
+    /// bounded search.
     pub(crate) fn gather_to(
         &mut self,
         m: &Machine,
@@ -159,11 +165,11 @@ impl BfsScratch {
 const STEPS: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 
 /// The gather query on a `w × h` lattice whose cell `(x, y)` is
-/// `PhysId(y · w + x)`, answered from geometry: `Some(found)` when the
-/// answer (and, if found, the path) is exact without a search, `None`
-/// when the bounded search must run — for a degenerate query (`from`
-/// blocked, or `p0` not next to `pt`) or when neither bound below
-/// decides it.
+/// `PhysId(y · w + x)`, decided from geometry: `Some(found)` is the
+/// bounded search's exact answer (and, if found, its path), `None`
+/// means the query is degenerate (`from` blocked, or `p0` not next to
+/// `pt`) and the search must run. Every query the routers issue is
+/// decided here, so on a lattice the search never runs.
 ///
 /// **What the search returns.** A FIFO search that reads neighbours in
 /// the fixed order `+x, −x, +y, −y` dequeues each level in
@@ -185,18 +191,30 @@ const STEPS: [(i32, i32); 4] = [(1, 0), (-1, 0), (0, 1), (0, -1)];
 /// lattice is at least 2 cells wide across `e`; in a 1-wide strip no
 /// path passes `p0` and the goals are unreachable.
 ///
-/// **When to walk.** A search that finds its goal at depth `D` has
-/// dequeued only cells at depth ≤ `D − 1`, all inside the Manhattan
-/// diamond of radius `D − 1` around `from`. When that diamond, clipped
-/// to the lattice, holds at most `cap` cells the search cannot hit its
-/// cap, so the walk's answer is the search's. When instead the cells
-/// within radius `D − 6`, less the two blocked ones, outnumber `cap`
-/// the search must give up first: routing round the two adjacent
-/// blocked cells costs at most 4 extra hops, so each such cell lies at
-/// depth ≤ `D − 2` and is dequeued before any goal is discovered. Such
-/// queries are skipped. (`D` is also the Manhattan distance to the
-/// nearest goal, the radius the skip was first proved for.) The band
-/// between the two bounds runs the search.
+/// **Whether the cap stops it.** Let `m = |from − pt|₁` and `D =
+/// dist(from)`. Off the ray, `D = m − 1`, `pt` is `D + 1` away from
+/// `from` and `p0` at least `D`. On the ray, `D = m + 1`, `p0` is
+/// `D − 2` away and `pt` is `D − 1`. A Manhattan-shortest path to a
+/// cell passes only cells strictly nearer `from`, and in a rectangle it
+/// stays inside the lattice, so:
+///
+/// 1. The cells at search depth ≤ `D − 2` are exactly the clipped
+///    Manhattan diamond of radius `D − 2` round `from`, less `p0` on
+///    the ray: `N` cells, all dequeued before any cell of depth `D − 1`.
+/// 2. Depth `D − 1` is the clipped ring at Manhattan distance `D − 1`,
+///    less `pt`, dequeued in lexicographic order of each cell's x run
+///    then y run. The one exception is a ray along x: the two cells
+///    beside `p0` are reached by stepping aside one move before it,
+///    `s^(D−3) (±y) s` with `s` the x step toward `p0`, and so sort
+///    just before the cell 2 rows away on the same side in the column
+///    one step nearer `from`.
+/// 3. No goal lies nearer than `D`, so the goal is discovered while
+///    the search expands `q*`, the first cell of depth `D − 1` next to
+///    a goal: dequeue number `N + rank(q*)`.
+///
+/// So the search finds its goal exactly when `N + rank(q*) ≤ cap`, and
+/// then its path is the walk. (`D = 0` means `from` is itself a goal,
+/// found before any dequeue.)
 fn lattice_gather(
     (w, h): (u32, u32),
     from: (i32, i32),
@@ -224,58 +242,115 @@ fn lattice_gather(
     let Some(d) = dist(from) else {
         return Some(false);
     };
-    let (wi, hi) = (w as i32, h as i32);
-    if diamond_cells((w, h), from, i64::from(d) - 1, cap) <= cap {
-        let id = |(x, y): (i32, i32)| PhysId((y * wi + x) as u32);
-        path.push(id(from));
-        let mut cur = from;
-        for k in (0..d).rev() {
-            cur = STEPS
-                .iter()
-                .map(|&(sx, sy)| (cur.0 + sx, cur.1 + sy))
-                .find(|&c| {
-                    (0..wi).contains(&c.0)
-                        && (0..hi).contains(&c.1)
-                        && c != pt
-                        && c != p0
-                        && dist(c) == Some(k)
-                })
-                .expect("a cell at distance k + 1 has a neighbour at k");
-            path.push(id(cur));
-        }
-        return Some(true);
+    if d > 0 && !lattice_found_within((w, h), from, pt, e, d, cap) {
+        return Some(false);
     }
-    lattice_search_capped((w, h), from, d, cap).then_some(false)
+    let (wi, hi) = (w as i32, h as i32);
+    let id = |(x, y): (i32, i32)| PhysId((y * wi + x) as u32);
+    path.push(id(from));
+    let mut cur = from;
+    for k in (0..d).rev() {
+        cur = STEPS
+            .iter()
+            .map(|&(sx, sy)| (cur.0 + sx, cur.1 + sy))
+            .find(|&c| {
+                (0..wi).contains(&c.0)
+                    && (0..hi).contains(&c.1)
+                    && c != pt
+                    && c != p0
+                    && dist(c) == Some(k)
+            })
+            .expect("a cell at distance k + 1 has a neighbour at k");
+        path.push(id(cur));
+    }
+    Some(true)
+}
+
+/// True when the gather search from `from`, whose nearest goal lies
+/// `d ≥ 1` hops away, discovers it within `cap` dequeues: facts 1–3 of
+/// [`lattice_gather`], with the ring walked in dequeue order until its
+/// first cell next to a goal, or until the count passes `cap`.
+fn lattice_found_within(
+    (w, h): (u32, u32),
+    from: (i32, i32),
+    pt: (i32, i32),
+    e: (i32, i32),
+    d: u32,
+    cap: usize,
+) -> bool {
+    let r = d as i32 - 1;
+    // The rule implies this shortcut: `N + rank(q*)` is at most the
+    // diamond of radius `D − 1`, so a diamond within the cap is found.
+    // Most gathers are short, and it spares them the ring walk.
+    if diamond_cells((w, h), from, i64::from(r)) <= cap as u64 {
+        return true;
+    }
+    // Off the ray `D = m − 1`, on it `D = m + 1`.
+    let on_ray = r >= (from.0 - pt.0).abs() + (from.1 - pt.1).abs();
+    let shallower = diamond_cells((w, h), from, i64::from(r) - 1) - u64::from(on_ray);
+    let Some(mut budget) = (cap as u64).checked_sub(shallower) else {
+        return false;
+    };
+    // Each ring cell counts one dequeue; `Some(found)` ends the walk.
+    let mut visit = |(dx, dy): (i32, i32)| {
+        let c = (from.0 + dx, from.1 + dy);
+        let inside = (0..w as i32).contains(&c.0) && (0..h as i32).contains(&c.1);
+        if !inside || c == pt {
+            return None;
+        }
+        if budget == 0 {
+            return Some(false);
+        }
+        budget -= 1;
+        let (a, b) = (c.0 - pt.0, c.1 - pt.1);
+        // Next to a goal: two steps from `pt`, other than through `p0`.
+        (a.abs() + b.abs() == 2 && (a, b) != (2 * e.0, 2 * e.1)).then_some(true)
+    };
+    // On a ray along x, the cells beside `p0` move from the column
+    // `(r − 1)·s` to just before the 2-row cells of column `(r − 2)·s`.
+    let s = if on_ray && e.1 == 0 { -e.0 } else { 0 };
+    for g in 0..=2 * r {
+        let dx = if g < r { r - g } else { g - 2 * r };
+        let k = r - dx.abs();
+        let moved = s != 0 && dx == (r - 1) * s;
+        let takes_moved = s != 0 && dx == (r - 2) * s;
+        let cells = [
+            (takes_moved, ((r - 1) * s, 1)),
+            (!moved, (dx, k)),
+            (takes_moved, ((r - 1) * s, -1)),
+            (!moved && k > 0, (dx, -k)),
+        ];
+        for (present, c) in cells {
+            if let Some(found) = present.then(|| visit(c)).flatten() {
+                return found;
+            }
+        }
+    }
+    unreachable!("a cell of depth d − 1 lies next to a goal at depth d")
 }
 
 /// The cells of the `w × h` lattice within Manhattan radius `r` of
-/// `(x, y)`, counted row by row until the count passes `limit`.
-fn diamond_cells((w, h): (u32, u32), (x, y): (i32, i32), r: i64, limit: usize) -> usize {
-    let (x, y, w, h) = (x as i64, y as i64, w as i64, h as i64);
-    let mut cells = 0usize;
-    for yy in (y - r).max(0)..=(y + r).min(h - 1) {
-        let k = r - (yy - y).abs();
-        cells += ((x + k).min(w - 1) - (x - k).max(0) + 1) as usize;
-        if cells > limit {
-            break;
-        }
+/// `(x, y)`, in closed form: the full diamond, less the part beyond
+/// each side (a cut `t` cells out holds `(r − t + 1)²` cells), plus the
+/// part beyond two adjacent sides, counted twice (a triangle).
+fn diamond_cells((w, h): (u32, u32), (x, y): (i32, i32), r: i64) -> u64 {
+    if r < 0 {
+        return 0;
     }
-    cells
-}
-
-/// True when the cells of the `w × h` lattice within Manhattan radius
-/// `dm − 6` of `from`, less the two blocked cells, outnumber `cap`: a
-/// gather search whose nearest goal lies `dm` away must then exhaust
-/// its visit cap first (see [`lattice_gather`]).
-pub(crate) fn lattice_search_capped(
-    rect: (u32, u32),
-    from: (i32, i32),
-    dm: u32,
-    cap: usize,
-) -> bool {
-    dm.checked_sub(6).is_some_and(|r| {
-        diamond_cells(rect, from, i64::from(r), cap.saturating_add(2)).saturating_sub(2) > cap
-    })
+    let beyond = |t: i64| (r - t + 1).max(0).pow(2);
+    let corner = |t: i64, u: i64| {
+        let s = (r - t - u).max(-1);
+        (s + 1) * (s + 2) / 2
+    };
+    let (x, y) = (i64::from(x), i64::from(y));
+    let (left, right, below, above) = (x + 1, i64::from(w) - x, y + 1, i64::from(h) - y);
+    let cells =
+        2 * r * r + 2 * r + 1 - beyond(left) - beyond(right) - beyond(below) - beyond(above)
+            + corner(left, below)
+            + corner(left, above)
+            + corner(right, below)
+            + corner(right, above);
+    cells as u64
 }
 
 #[cfg(test)]
@@ -301,8 +376,20 @@ mod tests {
         blocked: &[PhysId],
         max_visits: usize,
     ) -> Option<Vec<PhysId>> {
+        reference_search(topo, from, goal, blocked, max_visits).map(|(path, _)| path)
+    }
+
+    /// [`reference_bfs`], also returning how many cells it dequeued
+    /// before it discovered the goal.
+    fn reference_search(
+        topo: &dyn Topology,
+        from: PhysId,
+        goal: &dyn Fn(PhysId) -> bool,
+        blocked: &[PhysId],
+        max_visits: usize,
+    ) -> Option<(Vec<PhysId>, usize)> {
         if goal(from) {
-            return Some(vec![from]);
+            return Some((vec![from], 0));
         }
         let mut prev: Vec<Option<PhysId>> = vec![None; topo.qubit_count()];
         prev[from.index()] = Some(from);
@@ -332,7 +419,7 @@ mod tests {
                     path.push(prev[path.last().unwrap().index()].unwrap());
                 }
                 path.reverse();
-                return Some(path);
+                return Some((path, head));
             }
         }
         None
@@ -350,7 +437,7 @@ mod tests {
         reference_bfs(topo, from, &goal, &[pt, p0], cap)
     }
 
-    /// Caps small enough that the lattice bound fires on 11 × 11 grids.
+    /// Caps small enough that the search gives up on 11 × 11 grids.
     const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
     /// The neighbours of `q`, in [`Topology::for_each_neighbor`] order.
@@ -404,38 +491,6 @@ mod tests {
         assert!(!bfs.gather_to(&m, from, pt, p0, 3, &mut path));
         assert!(bfs.gather_to(&m, from, pt, p0, GATHER_VISIT_CAP, &mut path));
         assert_eq!(path.len(), 18, "(0,0) to (9,8) is 17 hops");
-    }
-
-    #[test]
-    fn lattice_bound_fires_only_on_capped_searches() {
-        let mut fired = 0usize;
-        for w in 1..=11u32 {
-            for h in 1..=11u32 {
-                let topo = GridTopology::new(w, h);
-                let xy = |p: PhysId| topo.coord(p);
-                for (from, pt, p0) in queries(&topo) {
-                    let Some(dm) = neighbors(&topo, pt)
-                        .into_iter()
-                        .filter(|&g| g != p0)
-                        .map(|g| topo.distance(from, g))
-                        .min()
-                    else {
-                        continue;
-                    };
-                    for cap in CAPS {
-                        if lattice_search_capped((w, h), xy(from), dm, cap) {
-                            fired += 1;
-                            assert_eq!(
-                                reference_gather(&topo, from, pt, p0, cap),
-                                None,
-                                "{w}x{h} from {from} pt {pt} p0 {p0} cap {cap}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        assert!(fired > 1_000_000, "the bound fired only {fired} times");
     }
 
     #[test]
@@ -505,13 +560,12 @@ mod tests {
     }
 
     /// 200,000 seeded queries at the production cap on lattices large
-    /// enough that all three outcomes of [`lattice_gather`] occur:
-    /// walked, decided without a search (skipped or unreachable), and
-    /// left to the bounded search. Starts cluster within Manhattan
-    /// radius 64 of the target, where the walk/search/skip boundaries
-    /// of a 4,096-cell cap lie. The reference search dequeues up to
-    /// 4,096 cells per query, so this runs in release builds only (CI's
-    /// `routing` job runs it).
+    /// enough that the search both finds its goal and gives up. Starts
+    /// cluster within Manhattan radius 64 of the target, where a
+    /// 4,096-cell cap starts to bind. Every query whose `from` is not
+    /// blocked is decided by [`lattice_gather`], without a search. The
+    /// reference search dequeues up to 4,096 cells per query, so this
+    /// runs in release builds only (CI's `routing` job runs it).
     #[test]
     #[cfg_attr(debug_assertions, ignore = "200k capped searches; run in release")]
     fn gather_matches_the_reference_search_at_the_production_cap() {
@@ -524,7 +578,7 @@ mod tests {
         ];
         let mut bfs = BfsScratch::default();
         let mut path = Vec::new();
-        let mut outcomes = [0usize; 3];
+        let (mut found, mut gave_up) = (0usize, 0usize);
         for topo in fabrics {
             let m = machine(topo);
             let topo = m.topo();
@@ -547,12 +601,6 @@ mod tests {
                     }
                 };
                 let cap = GATHER_VISIT_CAP;
-                let outcome = lattice_gather((w, h), xy(from), xy(pt), xy(p0), cap, &mut path);
-                outcomes[match outcome {
-                    Some(true) => 0,
-                    Some(false) => 1,
-                    None => 2,
-                }] += 1;
                 let want = reference_gather(topo, from, pt, p0, cap);
                 let got = bfs.gather_to(&m, from, pt, p0, cap, &mut path);
                 assert_eq!(
@@ -560,12 +608,128 @@ mod tests {
                     want,
                     "{w}x{h} from {from} pt {pt} p0 {p0}"
                 );
+                if from == pt || from == p0 {
+                    continue;
+                }
+                path.clear();
+                let decided = lattice_gather((w, h), xy(from), xy(pt), xy(p0), cap, &mut path);
+                assert_eq!(decided, Some(got), "{w}x{h} from {from} pt {pt} p0 {p0}");
+                *if got { &mut found } else { &mut gave_up } += 1;
             }
         }
-        let [walked, decided, searched] = outcomes;
         assert!(
-            walked > 100_000 && decided > 1_000 && searched > 1_000,
-            "walked {walked}, decided {decided}, searched {searched}"
+            found > 100_000 && gave_up > 1_000,
+            "found {found}, gave up {gave_up}"
         );
+    }
+
+    /// The rule of [`lattice_gather`] against the reference search on
+    /// every grid up to 9 × 9, every `1 × n`, `2 × n`, `n × 1` and
+    /// `n × 2` strip up to 16, and every line up to 40: every query with
+    /// `from` unblocked and `p0` next to `pt`, at every cap from 1 to
+    /// `w · h + 1`. A capped search is a prefix of the uncapped one, so
+    /// the reference runs once per query, uncapped, and is checked
+    /// capped on both sides of the dequeue count at which it finds its
+    /// goal. That is 15.8 M gathers over 329,504 queries, so this runs
+    /// in release builds only (about 1 s; 18 s in the dev profile).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "15.8 M gathers; run in release")]
+    fn lattice_rule_matches_the_reference_search_at_every_cap() {
+        let mut fabrics: Vec<Box<dyn Topology>> = Vec::new();
+        for w in 1..=9 {
+            for h in 1..=9 {
+                fabrics.push(Box::new(GridTopology::new(w, h)));
+            }
+        }
+        for n in 10..=16 {
+            for k in 1..=2 {
+                fabrics.push(Box::new(GridTopology::new(k, n)));
+                fabrics.push(Box::new(GridTopology::new(n, k)));
+            }
+        }
+        for n in 1..=40 {
+            fabrics.push(Box::new(LineTopology::new(n)));
+        }
+        let mut path = Vec::new();
+        for topo in fabrics {
+            let m = machine(topo);
+            let topo = m.topo();
+            let (w, h) = m.lattice().expect("a filled lattice");
+            let xy = |p: PhysId| m.placement().coord(p);
+            for (from, pt, p0) in queries(topo) {
+                if from == pt || from == p0 {
+                    continue;
+                }
+                let goal = |c: PhysId| topo.are_coupled(c, pt) && c != p0;
+                let blocked = [pt, p0];
+                let want = reference_search(topo, from, &goal, &blocked, usize::MAX);
+                let at = |cap| reference_bfs(topo, from, &goal, &blocked, cap);
+                if let Some((found, need)) = &want {
+                    assert_eq!(at(*need).as_ref(), Some(found));
+                    assert!(*need == 0 || at(need - 1).is_none());
+                }
+                for cap in 1..=topo.qubit_count() + 1 {
+                    let want = want.as_ref().filter(|&&(_, need)| need <= cap);
+                    path.clear();
+                    let got = lattice_gather((w, h), xy(from), xy(pt), xy(p0), cap, &mut path);
+                    assert_eq!(
+                        got,
+                        Some(want.is_some()),
+                        "{w}x{h} from {from} pt {pt} p0 {p0} cap {cap}"
+                    );
+                    if let Some((found, _)) = want {
+                        assert_eq!(&path, found, "{w}x{h} from {from} pt {pt} p0 {p0}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The row-by-row count [`diamond_cells`] replaced, kept as its
+    /// reference.
+    fn diamond_rows((w, h): (u32, u32), (x, y): (i32, i32), r: i64) -> u64 {
+        let (x, y, w, h) = (x as i64, y as i64, w as i64, h as i64);
+        let mut cells = 0;
+        for yy in (y - r).max(0)..=(y + r).min(h - 1) {
+            let k = r - (yy - y).abs();
+            cells += ((x + k).min(w - 1) - (x - k).max(0) + 1) as u64;
+        }
+        cells
+    }
+
+    #[test]
+    fn diamond_count_matches_the_row_loop() {
+        for w in 1..=13u32 {
+            for h in 1..=13u32 {
+                for (x, y) in (0..w as i32).flat_map(|x| (0..h as i32).map(move |y| (x, y))) {
+                    for r in -1..=i64::from(w + h) {
+                        assert_eq!(
+                            diamond_cells((w, h), (x, y), r),
+                            diamond_rows((w, h), (x, y), r),
+                            "{w}x{h} centre ({x}, {y}) radius {r}"
+                        );
+                    }
+                }
+            }
+        }
+        // The largest lattices a machine may have (`ArchSpec::MAX_QUBITS`
+        // in `square-core`, 2^20 cells): no intermediate overflows.
+        let n = 1u32 << 20;
+        for (w, h) in [(n, 1), (1, n), (1024, 1024)] {
+            let (wi, hi) = (w as i32, h as i32);
+            for centre in [(0, 0), (wi - 1, hi - 1), (wi / 2, hi / 3), (wi - 1, 0)] {
+                for r in [0, 1, 1023, 1024, 4096, i64::from(n) - 1, i64::from(w + h)] {
+                    assert_eq!(
+                        diamond_cells((w, h), centre, r),
+                        diamond_rows((w, h), centre, r),
+                        "{w}x{h} centre {centre:?} radius {r}"
+                    );
+                }
+            }
+            assert_eq!(
+                diamond_cells((w, h), (0, 0), i64::from(w + h)),
+                u64::from(n)
+            );
+        }
     }
 }

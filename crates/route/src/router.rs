@@ -17,7 +17,8 @@
 //!   Distances come from the machine's acceleration tables and are
 //!   carried *incrementally*: the winning candidate's post-swap
 //!   distance becomes the next iteration's baseline, halving the
-//!   distance queries per swap.
+//!   distance queries per swap, and the window pairs are measured once
+//!   per swap, each candidate re-measuring only the pairs it moves.
 //!
 //! Both share one chain walk (`walk`: the mover hops along cached next
 //! hops until coupled to its partner) — greedy's two-qubit routing,
@@ -107,6 +108,9 @@ pub(crate) struct RouterScratch {
     touched: Vec<PhysId>,
     /// Lookahead: virtual operand pairs of the window gates.
     pairs: Vec<(VirtId, VirtId)>,
+    /// Lookahead: the cells and distance of each placed window pair,
+    /// taken once per scored swap.
+    placed: Vec<(PhysId, PhysId, u32)>,
     /// Toffoli gather-search arrays.
     bfs: BfsScratch,
     /// Gather path buffer.
@@ -149,7 +153,9 @@ fn walk(m: &mut Machine, path: &mut Vec<PhysId>, mover: VirtId, anchor: VirtId) 
 }
 
 /// Cells a Toffoli gather search may dequeue before it gives up and the
-/// gather falls back to a plain chain walk.
+/// gather falls back to a plain chain walk. On a filled lattice no
+/// search runs: the cap is the point at which it would give up, which
+/// the geometric rule (`lattice_gather`) reproduces exactly.
 pub(crate) const GATHER_VISIT_CAP: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -268,12 +274,31 @@ fn la_collect_pairs(s: &mut RouterScratch, window: &[Gate<VirtId>]) {
     }
 }
 
+/// Takes the placed window pairs' cells and distances into
+/// `s.placed`, once per scored swap, and returns their summed distance.
+fn la_place_pairs(m: &Machine, s: &mut RouterScratch) -> u64 {
+    s.placed.clear();
+    let mut sum = 0;
+    for &(a, b) in &s.pairs {
+        if let (Some(pa), Some(pb)) = (m.placement().phys_of(a), m.placement().phys_of(b)) {
+            let d = m.distance(pa, pb);
+            sum += u64::from(d);
+            s.placed.push((pa, pb, d));
+        }
+    }
+    sum
+}
+
 /// Scores swapping cells `u`/`v`: front-pair distance after the
 /// hypothetical swap, plus the decayed average over the window pairs.
-/// Lower is better.
+/// Lower is better. `ext_sum` is the placed pairs' summed distance
+/// before the swap ([`la_place_pairs`]); only the pairs with a cell on
+/// `u` or `v` are measured again. The sum stays an integer, so the
+/// score is bit-identical to summing every pair's distance as `f64`.
 fn la_score_swap(
     m: &Machine,
     s: &RouterScratch,
+    ext_sum: u64,
     u: PhysId,
     v: PhysId,
     front: (PhysId, PhysId),
@@ -288,19 +313,17 @@ fn la_score_swap(
         }
     };
     let d_front = m.distance(adj(front.0), adj(front.1)) as f64;
-    let mut ext = 0.0;
-    let mut ext_n = 0usize;
-    for &(a, b) in &s.pairs {
-        if let (Some(pa), Some(pb)) = (m.placement().phys_of(a), m.placement().phys_of(b)) {
-            ext += m.distance(adj(pa), adj(pb)) as f64;
-            ext_n += 1;
+    let mut ext = ext_sum;
+    for &(pa, pb, d) in &s.placed {
+        if pa == u || pa == v || pb == u || pb == v {
+            ext = ext - u64::from(d) + u64::from(m.distance(adj(pa), adj(pb)));
         }
     }
     let base = d_front
-        + if ext_n > 0 {
-            EXT_WEIGHT * ext / ext_n as f64
-        } else {
+        + if s.placed.is_empty() {
             0.0
+        } else {
+            EXT_WEIGHT * ext as f64 / s.placed.len() as f64
         };
     base * s.decay[u.index()].max(s.decay[v.index()])
 }
@@ -335,6 +358,7 @@ fn la_route_pair(m: &mut Machine, s: &mut RouterScratch, a: VirtId, b: VirtId, m
             &ends_buf[..1]
         };
         let mut best: Option<(f64, PhysId, PhysId, u32)> = None;
+        let ext_sum = la_place_pairs(m, s);
         {
             let mm: &Machine = m;
             let sc: &RouterScratch = s;
@@ -353,7 +377,7 @@ fn la_route_pair(m: &mut Machine, s: &mut RouterScratch, a: VirtId, b: VirtId, m
                     if after > before {
                         return;
                     }
-                    let score = la_score_swap(mm, sc, end, nb, (pa, pb));
+                    let score = la_score_swap(mm, sc, ext_sum, end, nb, (pa, pb));
                     if best.is_none_or(|(bs, be, bn, _)| (score, end.0, nb.0) < (bs, be.0, bn.0)) {
                         best = Some((score, end, nb, after));
                     }
@@ -458,7 +482,8 @@ fn la_gather(m: &mut Machine, s: &mut RouterScratch, c0: VirtId, c1: VirtId, t: 
 mod tests {
     use super::*;
     use crate::machine::MachineConfig;
-    use square_arch::{GridTopology, LineTopology, RingTopology};
+    use crate::SplitMix;
+    use square_arch::{GridTopology, HeavyHexTopology, LineTopology, RingTopology, Topology};
 
     fn machine(topo: Box<dyn square_arch::Topology>, router: RouterKind) -> Machine {
         Machine::new(topo, MachineConfig::nisq().with_router(router))
@@ -546,6 +571,109 @@ mod tests {
             p0 > PhysId(0),
             "qubit 0 moved toward the window's future partner"
         );
+    }
+
+    /// The score that measured every window pair for every candidate,
+    /// kept as the reference for [`la_score_swap`].
+    fn la_score_swap_reference(
+        m: &Machine,
+        s: &RouterScratch,
+        u: PhysId,
+        v: PhysId,
+        front: (PhysId, PhysId),
+    ) -> f64 {
+        let adj = |p: PhysId| {
+            if p == u {
+                v
+            } else if p == v {
+                u
+            } else {
+                p
+            }
+        };
+        let d_front = m.distance(adj(front.0), adj(front.1)) as f64;
+        let mut ext = 0.0;
+        let mut ext_n = 0usize;
+        for &(a, b) in &s.pairs {
+            if let (Some(pa), Some(pb)) = (m.placement().phys_of(a), m.placement().phys_of(b)) {
+                ext += m.distance(adj(pa), adj(pb)) as f64;
+                ext_n += 1;
+            }
+        }
+        let base = d_front
+            + if ext_n > 0 {
+                EXT_WEIGHT * ext / ext_n as f64
+            } else {
+                0.0
+            };
+        base * s.decay[u.index()].max(s.decay[v.index()])
+    }
+
+    /// Seeded windows (some operands unplaced, some decayed cells) on
+    /// grid, heavy-hex and ring machines: every candidate swap incident
+    /// to either front cell scores bit-identically to the reference.
+    #[test]
+    fn swap_scores_match_the_full_window_reference() {
+        let mut rng = SplitMix(0x5c0_4e5);
+        let fabrics: [fn() -> Box<dyn Topology>; 3] = [
+            || Box::new(GridTopology::new(9, 7)),
+            || Box::new(HeavyHexTopology::new(3)),
+            || Box::new(RingTopology::new(40)),
+        ];
+        let mut scored = 0usize;
+        for fabric in fabrics {
+            for _ in 0..200 {
+                let mut m = machine(fabric(), RouterKind::Lookahead);
+                let n = m.qubit_count() as u64;
+                let virts = 2 + rng.below(12) as u32;
+                for v in 0..virts {
+                    // Leave about one virtual in five unplaced.
+                    if v < 2 || rng.below(5) > 0 {
+                        let free = loop {
+                            let p = PhysId(rng.below(n) as u32);
+                            if m.placement().occupant_of(p).is_none() {
+                                break p;
+                            }
+                        };
+                        m.place_at(VirtId(v), free).unwrap();
+                    }
+                }
+                let pick = |rng: &mut SplitMix| VirtId(rng.below(u64::from(virts)) as u32);
+                let window: Vec<Gate<VirtId>> = (0..rng.below(10))
+                    .map(|_| match rng.below(3) {
+                        0 => Gate::Cx {
+                            control: pick(&mut rng),
+                            target: pick(&mut rng),
+                        },
+                        1 => Gate::Ccx {
+                            c0: pick(&mut rng),
+                            c1: pick(&mut rng),
+                            target: pick(&mut rng),
+                        },
+                        _ => Gate::X {
+                            target: pick(&mut rng),
+                        },
+                    })
+                    .collect();
+                let mut s = RouterScratch::default();
+                la_collect_pairs(&mut s, &window);
+                la_reset_decay(&mut s, m.qubit_count());
+                for _ in 0..rng.below(6) {
+                    la_bump_decay(&mut s, PhysId(rng.below(n) as u32));
+                }
+                let front = (m.phys_must(VirtId(0)), m.phys_must(VirtId(1)));
+                let ext_sum = la_place_pairs(&m, &mut s);
+                for end in [front.0, front.1] {
+                    m.topo().for_each_neighbor(end, &mut |nb| {
+                        let got = la_score_swap(&m, &s, ext_sum, end, nb, front);
+                        let want = la_score_swap_reference(&m, &s, end, nb, front);
+                        assert_eq!(got.to_bits(), want.to_bits(), "swap {end}-{nb}");
+                        scored += 1;
+                    });
+                }
+            }
+        }
+        assert!(scored > 1_000, "scored {scored}");
     }
 
     #[test]

@@ -266,6 +266,122 @@ fn a_bare_root_name_imports_from_its_own_directory() {
     }
 }
 
+/// A file imported by an imported file is shown beside its importer,
+/// as the root's own imports are, not under its canonical path.
+#[test]
+fn second_level_imports_keep_the_relative_path() {
+    let dir = temp_tree("squarec_test_nested_names", &[]);
+    let nest = dir.join("nest");
+    std::fs::create_dir(&nest).unwrap();
+    let files = [
+        (
+            "a.sq",
+            "import b;
+entry module main(0 params, 1 ancilla) {
+  compute { call f(a0); }
+}
+",
+        ),
+        (
+            "b.sq",
+            "import c;
+module f(1 params, 0 ancilla) {
+  compute { call g(p0); }
+}
+",
+        ),
+        (
+            "c.sq",
+            "module g(1 params, 0 ancilla) {
+  compute { x p7; }
+}
+",
+        ),
+    ];
+    for (file, source) in files {
+        std::fs::write(nest.join(file), source).unwrap();
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_squarec"))
+        .current_dir(&dir)
+        .arg("nest/a.sq")
+        .output()
+        .expect("squarec runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--> nest/c.sq:2:"), "{stderr}");
+    assert!(!stderr.contains(&*dir.to_string_lossy()), "{stderr}");
+}
+
+/// A symlinked library resolves its own imports in the directory it
+/// really lives in, not beside the link, and a sibling found there is
+/// shown under its real path.
+#[cfg(unix)]
+#[test]
+fn a_symlinked_library_imports_its_real_sibling() {
+    let dir = temp_tree("squarec_test_symlinked_lib", &[]);
+    let (app, real) = (dir.join("app"), dir.join("real"));
+    std::fs::create_dir(&app).unwrap();
+    std::fs::create_dir(&real).unwrap();
+    let prog = "import lib2;
+entry module main(0 params, 1 ancilla) {
+  compute { call f(a0); }
+}
+";
+    std::fs::write(app.join("prog.sq"), prog).unwrap();
+    std::fs::write(
+        real.join("lib2.sq"),
+        "import sib;
+module f(1 params, 0 ancilla) {
+  compute { call g(p0); }
+}
+",
+    )
+    .unwrap();
+    std::os::unix::fs::symlink(real.join("lib2.sq"), app.join("lib2.sq")).unwrap();
+    // A different `sib.sq` beside the link: not the library's sibling.
+    std::fs::write(
+        app.join("sib.sq"),
+        "this does not parse
+",
+    )
+    .unwrap();
+    let run = || {
+        Command::new(env!("CARGO_BIN_EXE_squarec"))
+            .current_dir(&dir)
+            .args(["app/prog.sq", "--emit", "listing"])
+            .output()
+            .expect("squarec runs")
+    };
+    std::fs::write(
+        real.join("sib.sq"),
+        "module g(1 params, 0 ancilla) {
+  compute { x p0; }
+}
+",
+    )
+    .unwrap();
+    let out = run();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("module g("));
+    std::fs::write(
+        real.join("sib.sq"),
+        "module g(1 params, 0 ancilla) {
+  compute { x p7; }
+}
+",
+    )
+    .unwrap();
+    let out = run();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let real_sib = std::fs::canonicalize(real.join("sib.sq")).unwrap();
+    assert!(
+        stderr.contains(&format!("--> {}:2:", real_sib.display())),
+        "{stderr}"
+    );
+}
+
 /// A library that imports the root meets the root itself, already
 /// loaded, and the cycle names each file once, under one spelling.
 #[test]
