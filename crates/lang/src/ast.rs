@@ -1,23 +1,45 @@
-//! Spanned surface AST for `.sq` programs.
+//! Surface AST for `.sq` programs, its statements already in IR form.
 //!
-//! The surface tree mirrors [`square_qir::Module`] one-to-one but
-//! keeps module references *by name* and attaches a [`Span`] to every
-//! construct a later pass might need to report on. Resolution (name →
-//! [`square_qir::ModuleId`], arity and bounds checks) and lowering to
-//! the builder live in [`mod@crate::lower`].
+//! A module's blocks hold the [`square_qir::Stmt`]s lowering hands to
+//! the builder, each with one span (head word through `;`): the parser
+//! reads each statement once and stores it once. The tree differs from
+//! [`square_qir::Module`] in two ways. Module references are by name:
+//! a [`Stmt::Call`]'s `callee` is an index into its module's
+//! [`SourceModule::callees`] table of callee-name spans, which
+//! resolution in [`mod@crate::lower`] maps to the real
+//! [`square_qir::ModuleId`]. And an operand or classical bit has no
+//! span of its own: when a diagnostic needs one, lowering re-lexes its
+//! statement's span from the file's text, which the
+//! [`SourceProgram`] keeps (shared with the
+//! [`crate::modules::SourceMap`]).
 
-use square_qir::{Gate, Operand};
+use std::sync::Arc;
+
+use square_qir::Stmt;
 
 use crate::diag::Span;
 
 /// A parsed `.sq` compilation unit: imports and modules in source
-/// order.
+/// order, and the text they were parsed from.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SourceProgram {
     /// `import name;` items, in the order they appear in the file.
     pub imports: Vec<SourceImport>,
     /// Modules in the order they appear in the file.
     pub modules: Vec<SourceModule>,
+    /// The file's text: the names of callees, and the operands of a
+    /// statement a diagnostic anchors on, are read back from it.
+    pub source: Arc<str>,
+    /// Global offset of the text's byte 0; every span above includes
+    /// it.
+    pub base: usize,
+}
+
+impl SourceProgram {
+    /// The text under the global `span` (which must lie in this file).
+    pub fn text(&self, span: Span) -> &str {
+        &self.source[span.start - self.base..span.end - self.base]
+    }
 }
 
 /// One `import name;` item: a request to bring every module of the
@@ -56,14 +78,18 @@ pub struct SourceModule {
     /// the historical on-demand growth.
     pub clbits_span: Option<Span>,
     /// Statements of the `compute { … }` block (empty when absent).
-    pub compute: Vec<SourceStmt>,
+    pub compute: Block,
     /// Statements of the `store { … }` block (empty when absent).
-    pub store: Vec<SourceStmt>,
+    pub store: Block,
     /// The explicit `uncompute { … }` block. `None` means the block is
-    /// absent (mechanical inversion); `Some(vec![])` means an explicit
-    /// empty block (uncomputation is a no-op) — the distinction the
-    /// lossless listing preserves.
-    pub uncompute: Option<Vec<SourceStmt>>,
+    /// absent (mechanical inversion); `Some` of an empty block means an
+    /// explicit empty block (uncomputation is a no-op) — the
+    /// distinction the lossless listing preserves.
+    pub uncompute: Option<Block>,
+    /// The span of each `call` statement's callee name, in parse order:
+    /// the `callee` of a [`Stmt::Call`] in this module's blocks is an
+    /// index into this table, and the name is the span's text.
+    pub callees: Vec<Span>,
 }
 
 impl SourceModule {
@@ -71,70 +97,41 @@ impl SourceModule {
     pub fn is_entry(&self) -> bool {
         self.entry_span.is_some()
     }
-}
 
-/// One statement inside a block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SourceStmt {
-    /// A gate over spanned operands, e.g. `ccx p0 p1 a0;`.
-    Gate {
-        /// The gate, operands carrying their individual spans.
-        gate: Gate<SourceOperand>,
-        /// Span of the whole statement (mnemonic through last operand).
-        span: Span,
-    },
-    /// A call by module name, e.g. `call fun1(a0, p1);`.
-    Call {
-        /// Callee name as written.
-        callee: String,
-        /// Span of the callee name token.
-        callee_span: Span,
-        /// Arguments with their spans.
-        args: Vec<SourceOperand>,
-        /// Span of the whole statement.
-        span: Span,
-    },
-    /// A mid-circuit measurement, e.g. `measure a0 c0;`.
-    Measure {
-        /// The measured qubit.
-        qubit: SourceOperand,
-        /// Destination classical bit (module-local index).
-        clbit: usize,
-        /// Span of the destination clbit token.
-        clbit_span: Span,
-        /// Span of the whole statement.
-        span: Span,
-    },
-    /// A classically guarded gate, e.g. `cond c0 x a0;`.
-    CondGate {
-        /// Guarding classical bit (module-local index).
-        clbit: usize,
-        /// Span of the guard clbit token.
-        clbit_span: Span,
-        /// The guarded gate.
-        gate: Gate<SourceOperand>,
-        /// Span of the whole statement.
-        span: Span,
-    },
-}
-
-impl SourceStmt {
-    /// The statement's full span.
-    pub fn span(&self) -> Span {
-        match self {
-            SourceStmt::Gate { span, .. }
-            | SourceStmt::Call { span, .. }
-            | SourceStmt::Measure { span, .. }
-            | SourceStmt::CondGate { span, .. } => *span,
-        }
+    /// The module's blocks in canonical order: compute, store, then
+    /// an explicit uncompute.
+    pub fn blocks(&self) -> impl Iterator<Item = &Block> {
+        [&self.compute, &self.store]
+            .into_iter()
+            .chain(self.uncompute.as_ref())
     }
 }
 
-/// A module-frame qubit reference (`p3` / `a0`) with its span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceOperand {
-    /// The operand.
-    pub op: Operand,
-    /// Span of the operand token.
-    pub span: Span,
+/// The statements of one block, in IR form, and the span of each.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Block {
+    /// The statements; a call's callee indexes its module's
+    /// [`SourceModule::callees`].
+    pub stmts: Vec<Stmt>,
+    /// `spans[i]` covers `stmts[i]` from its first word through its
+    /// `;`.
+    pub spans: Vec<Span>,
+}
+
+impl Block {
+    /// Appends `stmt`, spanning `span`.
+    pub fn push(&mut self, stmt: Stmt, span: Span) {
+        self.stmts.push(stmt);
+        self.spans.push(span);
+    }
+
+    /// True when the block has no statement.
+    pub fn is_empty(&self) -> bool {
+        self.stmts.is_empty()
+    }
+
+    /// Each statement with its span.
+    pub fn iter(&self) -> impl Iterator<Item = (&Stmt, Span)> {
+        self.stmts.iter().zip(self.spans.iter().copied())
+    }
 }

@@ -1,4 +1,4 @@
-//! Resolution and lowering: spanned surface AST → [`square_qir::Program`].
+//! Resolution and lowering: surface AST → [`square_qir::Program`].
 //!
 //! This is the one resolver for `.sq` programs, for one file
 //! ([`lower`], behind [`crate::parse_program`]) and for many
@@ -13,29 +13,39 @@
 //! root module is kept and an imported one only when a kept module
 //! calls it; the rest are pruned unchecked.
 //!
+//! The parser already stored each statement in IR form; the one thing
+//! left to map is a call's callee, an index into its module's callee
+//! table, which resolution turns into a global module index here.
+//!
 //! The per-module rules (operand bounds, duplicated gate operands,
 //! guarded wide MCX, clbit bounds, call arity, aliased arguments, the
 //! entry signature) are `square_qir::validate`'s own: each statement of
-//! a kept module is lowered with its callee's global index and handed
-//! to [`square_qir::validate::check_stmt`], and every violation is
-//! anchored on the operand, clbit or statement span it names, in
-//! source order. The dependency sort then reports call cycles and
-//! hands the builder callees before callers, as [`square_qir::Program`]
-//! requires; it keeps source order when the source is already
-//! dependency-ordered (the canonical listing always is), so lowering a
-//! pretty-printed program preserves module ids exactly — the round-trip
-//! guarantee. The one whole-program rule, the store discipline, runs
-//! inside [`square_qir::ProgramBuilder::finish`] and is mapped back
-//! onto the offending module's span.
+//! a kept module goes as parsed to
+//! [`square_qir::validate::check_stmt`], whose signature lookup maps
+//! the callee index, and every violation is anchored on the operand,
+//! clbit or statement span it names, in source order. Operands keep no
+//! span of their own: a statement's first violation re-lexes the
+//! statement's span from the file's text, once, and the grammar fixes
+//! which word each operand is.
+//!
+//! The dependency sort then reports call cycles and hands the builder
+//! callees before callers, as [`square_qir::Program`] requires; it
+//! keeps source order when the source is already dependency-ordered
+//! (the canonical listing always is), so lowering a pretty-printed
+//! program preserves module ids exactly — the round-trip guarantee.
+//! The one whole-program rule, the store discipline, runs inside
+//! [`square_qir::ProgramBuilder::finish`] and is mapped back onto the
+//! offending module's span.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use square_qir::validate::{self, Shape, Site};
-use square_qir::{Gate, ModuleId, Program, ProgramBuilder, QirError, Stmt};
+use square_qir::{ModuleId, Program, ProgramBuilder, QirError, Stmt};
 
-use crate::ast::{SourceModule, SourceOperand, SourceProgram, SourceStmt};
+use crate::ast::{Block, SourceModule, SourceProgram};
 use crate::diag::{suggest, Diagnostic, Span};
+use crate::lexer::words;
 
 /// One parsed file of a program, as the resolver sees it.
 pub(crate) struct Unit<'a> {
@@ -132,7 +142,9 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
     }
 
     // A unit sees its own modules plus those of the units it imports
-    // directly; `edges` are the resolved calls, in statement order.
+    // directly. `edges[g][c]` is the global index of the callee in row
+    // `c` of module `g`'s callee table, so `edges[g]` is `g`'s resolved
+    // calls in parse order.
     let mut edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut visible = vec![false; units.len()];
     let mut first = 0;
@@ -140,7 +152,8 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
         let scope = || std::iter::once(u).chain(unit.imports.iter().copied());
         scope().for_each(|v| visible[v] = true);
         for (g, m) in (first..).zip(&unit.ast.modules) {
-            for (callee, callee_span) in calls(m) {
+            for &callee_span in &m.callees {
+                let callee = unit.ast.text(callee_span);
                 match by_name.get(callee) {
                     Some(&t) if visible[unit_of[t]] => edges[g].push(t),
                     Some(&t) => diags.push(
@@ -232,7 +245,8 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
     }
     // The shared per-statement rules, on the kept modules.
     for &g in &kept {
-        check_module(modules[g], &modules, &by_name, &mut diags);
+        let ast = units[unit_of[g]].ast;
+        check_module(ast, modules[g], &edges[g], &modules, &mut diags);
     }
     if !diags.is_empty() {
         return Err(diags);
@@ -262,11 +276,16 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
         let m = modules[g];
         let built = b.module(m.name.clone(), m.params, m.ancillas, |mb| {
             mb.declare_clbits(m.clbits);
-            let emit = |mb: &mut square_qir::ModuleBuilder, stmts: &[SourceStmt]| {
-                for stmt in stmts {
-                    mb.stmt(to_stmt(stmt, |name| {
-                        ids[by_name[name]].expect("callees lower before callers")
-                    }));
+            let emit = |mb: &mut square_qir::ModuleBuilder, block: &Block| {
+                for stmt in &block.stmts {
+                    mb.stmt(match stmt {
+                        Stmt::Call { callee, args } => Stmt::Call {
+                            callee: ids[edges[g][callee.index()]]
+                                .expect("callees lower before callers"),
+                            args: args.clone(),
+                        },
+                        other => other.clone(),
+                    });
                 }
             };
             emit(mb, &m.compute);
@@ -295,34 +314,16 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
     })
 }
 
-/// `m`'s statements, block by block.
-fn stmts(m: &SourceModule) -> impl Iterator<Item = &SourceStmt> {
-    m.compute
-        .iter()
-        .chain(&m.store)
-        .chain(m.uncompute.iter().flatten())
-}
-
-/// The calls of `m`, callee name and span, in statement order.
-fn calls(m: &SourceModule) -> impl Iterator<Item = (&str, Span)> {
-    stmts(m).filter_map(|stmt| match stmt {
-        SourceStmt::Call {
-            callee,
-            callee_span,
-            ..
-        } => Some((callee.as_str(), *callee_span)),
-        _ => None,
-    })
-}
-
 /// Checks `m`'s entry signature and every statement with the shared
 /// `square_qir::validate` rules, anchoring each violation on the
-/// operand, clbit or statement span it names. Every callee resolves:
-/// the caller checked them first.
+/// operand, clbit or statement span it names. `callees[c]` is the
+/// global index of row `c` of `m`'s callee table (every callee
+/// resolves: the caller checked them first); `ast` is `m`'s file.
 fn check_module(
+    ast: &SourceProgram,
     m: &SourceModule,
+    callees: &[usize],
     modules: &[&SourceModule],
-    by_name: &HashMap<&str, usize>,
     diags: &mut Vec<Diagnostic>,
 ) {
     let shape = Shape {
@@ -342,62 +343,37 @@ fn check_module(
             );
         }
     }
-    // A callee is named by its global module index.
     let signature = |id: ModuleId| {
-        let t = modules[id.index()];
+        let t = modules[callees[id.index()]];
         Some((t.name.as_str(), t.params))
     };
-    for stmt in stmts(m) {
-        let lowered = to_stmt(stmt, |name| ModuleId::from_index(by_name[name]));
-        validate::check_stmt(&shape, &lowered, signature, |site, e| {
-            diags.push(anchor(stmt, site, &e));
+    for (stmt, span) in m.blocks().flat_map(|b| b.iter()) {
+        // The statement's words, lexed again at its first violation.
+        let mut words_of = None;
+        validate::check_stmt(&shape, stmt, signature, |site, e| {
+            let words = words_of.get_or_insert_with(|| words(ast.text(span), span.start));
+            diags.push(anchor(stmt, span, words, site, &e));
         });
     }
 }
 
-/// `stmt` as an IR statement; a call's callee is `callee(name)`.
-fn to_stmt(stmt: &SourceStmt, callee: impl FnOnce(&str) -> ModuleId) -> Stmt {
-    let ops = |gate: &Gate<SourceOperand>| gate.map(|so| so.op);
-    match stmt {
-        SourceStmt::Gate { gate, .. } => Stmt::Gate(ops(gate)),
-        SourceStmt::CondGate { clbit, gate, .. } => Stmt::CondGate {
-            clbit: *clbit,
-            gate: ops(gate),
-        },
-        SourceStmt::Measure { qubit, clbit, .. } => Stmt::Measure {
-            qubit: qubit.op,
-            clbit: *clbit,
-        },
-        SourceStmt::Call {
-            callee: name, args, ..
-        } => Stmt::Call {
-            callee: callee(name),
-            args: args.iter().map(|a| a.op).collect(),
-        },
-    }
-}
-
 /// The diagnostic for a violation `check_stmt` reported at `site` of
-/// `stmt`: anchored on the qubit, clbit or statement span, with the
-/// frontend's help line for the rule.
-fn anchor(stmt: &SourceStmt, site: Site, e: &QirError) -> Diagnostic {
-    let span = match (site, stmt) {
-        (Site::Qubit(k), SourceStmt::Gate { gate, .. } | SourceStmt::CondGate { gate, .. }) => {
-            match gate {
-                // Indexed in place: `qubits()` would copy a wide MCX's
-                // operands once per violation.
-                Gate::Mcx { controls, target } => controls.get(k).unwrap_or(target).span,
-                _ => gate.qubits()[k].span,
-            }
-        }
-        (Site::Qubit(k), SourceStmt::Call { args, .. }) => args[k].span,
-        (Site::Qubit(_), SourceStmt::Measure { qubit, .. }) => qubit.span,
-        (
-            Site::Clbit,
-            SourceStmt::Measure { clbit_span, .. } | SourceStmt::CondGate { clbit_span, .. },
-        ) => *clbit_span,
-        _ => stmt.span(),
+/// `stmt`, which spans `span` and whose words span `words`: anchored on
+/// the qubit, clbit or statement span, with the frontend's help line
+/// for the rule.
+fn anchor(stmt: &Stmt, span: Span, words: &[Span], site: Site, e: &QirError) -> Diagnostic {
+    // Which word a site is, as the grammar fixes it: `mnemonic ops…`,
+    // `cond cK mnemonic ops…`, `measure q cK`, `call name args…`.
+    let word = match (site, stmt) {
+        (Site::Qubit(k), Stmt::Gate(_)) => Some(1 + k),
+        (Site::Qubit(k), Stmt::CondGate { .. }) => Some(3 + k),
+        (Site::Qubit(k), Stmt::Call { .. }) => Some(2 + k),
+        (Site::Qubit(_), Stmt::Measure { .. }) => Some(1),
+        (Site::Clbit, Stmt::Measure { .. }) => Some(2),
+        (Site::Clbit, Stmt::CondGate { .. }) => Some(1),
+        _ => None,
     };
+    let span = word.and_then(|w| words.get(w)).copied().unwrap_or(span);
     let d = Diagnostic::new(span, e.to_string());
     match e {
         QirError::GuardedWideMcx { .. } => d.with_help(
@@ -589,6 +565,30 @@ mod tests {
             format!("c{}", usize::MAX)
         );
         assert_eq!(err[0].help, None);
+    }
+
+    #[test]
+    fn violations_anchor_on_the_words_the_grammar_places_them() {
+        // Each statement's span is lexed again for its operands; a
+        // comment inside the statement is no word.
+        let src = "module f(2 params, 0 ancilla) { compute { cx p0 p1; } }
+             entry module main(0 params, 2 ancilla, 1 clbits) {
+               compute {
+                 cx a0 a9;
+                 cond c0 ccx a0 a1 a8;
+                 measure a7 c3;
+                 call f(a0, // second argument:
+                   a6);
+                 CNOT a1 a1;
+               }
+             }";
+        let err = lower_src(src).unwrap_err();
+        let anchored: Vec<&str> = err.iter().map(|d| &src[d.span.start..d.span.end]).collect();
+        assert_eq!(
+            anchored,
+            ["a9", "a8", "a7", "c3", "a6", "CNOT a1 a1;"],
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -30,6 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use square_qir::Program;
 
@@ -48,8 +49,9 @@ pub struct FileId(usize);
 pub struct SourceFile {
     /// Display name used in diagnostics (the path as resolved).
     pub name: String,
-    /// Full source text.
-    pub source: String,
+    /// Full source text, shared with the file's parsed
+    /// [`SourceProgram`].
+    pub source: Arc<str>,
     /// Global offset of this file's byte 0 (files occupy disjoint,
     /// ascending ranges separated by a one-byte gap).
     base: usize,
@@ -65,7 +67,7 @@ pub struct SourceMap {
 }
 
 impl SourceMap {
-    fn add(&mut self, name: String, source: String) -> FileId {
+    fn add(&mut self, name: String, source: Arc<str>) -> FileId {
         let base = self
             .files
             .last()
@@ -100,6 +102,16 @@ impl SourceMap {
         let f = &self.files[idx];
         let local = |o: usize| o.saturating_sub(f.base).min(f.source.len());
         (FileId(idx), Span::new(local(span.start), local(span.end)))
+    }
+
+    /// True when `span` lies within one loaded file (it may end at the
+    /// file's last byte, as an end-of-input span does).
+    pub fn contains(&self, span: Span) -> bool {
+        if self.files.is_empty() {
+            return false;
+        }
+        let f = &self.files[self.locate(span).0 .0];
+        f.base <= span.start && span.start <= span.end && span.end <= f.base + f.source.len()
     }
 
     /// Renders diagnostics with per-file attribution: each one is
@@ -318,7 +330,8 @@ pub fn parse_files(
 ) -> (SourceMap, Result<Program, Vec<Diagnostic>>) {
     let mut map = SourceMap::default();
     let mut diags = Vec::new();
-    let root_id = map.add(root_name.to_string(), root_source.to_string());
+    let root_source: Arc<str> = Arc::from(root_source);
+    let root_id = map.add(root_name.to_string(), root_source.clone());
     let (root_ast, parse_diags) = parse_at(root_source, 0);
     diags.extend(parse_diags);
     let root_stem = Path::new(root_name)
@@ -405,9 +418,9 @@ fn load_imports(
             units[u].deps.push(idx); // diamond: already loaded once
             continue;
         }
-        let fid = map.add(loaded.name.clone(), loaded.source);
-        let file = map.file(fid);
-        let (ast, parse_diags) = parse_at(&file.source, file.base);
+        let source: Arc<str> = Arc::from(loaded.source);
+        let fid = map.add(loaded.name.clone(), source.clone());
+        let (ast, parse_diags) = parse_at(source, map.file(fid).base);
         diags.extend(parse_diags);
         let idx = units.len();
         by_key.insert(loaded.key.clone(), idx);

@@ -6,12 +6,17 @@
 //! item. Every diagnostic carries a byte span (line/column via
 //! [`crate::diag::line_col`]) and, where a misspelling is plausible, a
 //! "did you mean" hint.
+//!
+//! It pulls tokens from a [`Lexer`] cursor, one at a time, and builds
+//! each statement straight into its IR form (see [`crate::ast`]).
 
-use square_qir::{Gate, Operand};
+use std::sync::Arc;
 
-use crate::ast::{SourceImport, SourceModule, SourceOperand, SourceProgram, SourceStmt};
+use square_qir::{Gate, ModuleId, Operand, Stmt};
+
+use crate::ast::{Block, SourceImport, SourceModule, SourceProgram};
 use crate::diag::{suggest, Diagnostic, Span};
-use crate::lexer::{lex_at, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 
 /// Canonical gate mnemonics, in suggestion order.
 pub const GATE_MNEMONICS: [&str; 5] = ["x", "cx", "ccx", "swap", "mcx"];
@@ -20,31 +25,45 @@ pub const GATE_MNEMONICS: [&str; 5] = ["x", "cx", "ccx", "swap", "mcx"];
 /// since the parser accepts them).
 pub const GATE_ALIASES: [&str; 3] = ["not", "cnot", "toffoli"];
 
-/// Parses `.sq` source into the spanned surface AST, collecting every
+/// Parses `.sq` source into the surface AST, collecting every
 /// diagnostic instead of stopping at the first. The returned AST
 /// contains whatever parsed cleanly (useful for tooling); callers that
 /// need a valid program must check the diagnostics are empty — or use
 /// [`crate::parse_program`], which also resolves and lowers.
 pub fn parse_source(source: &str) -> (SourceProgram, Vec<Diagnostic>) {
-    parse_at(source, 0)
+    parse_at(Arc::from(source), 0)
 }
 
 /// [`parse_source`] with every span offset by `base`, so a file of a
 /// multi-file program parses straight onto its global offset in the
-/// [`crate::modules::SourceMap`].
-pub(crate) fn parse_at(source: &str, base: usize) -> (SourceProgram, Vec<Diagnostic>) {
-    let (tokens, mut diags) = lex_at(source, base);
+/// [`crate::modules::SourceMap`], whose copy of the text the AST
+/// shares.
+pub(crate) fn parse_at(source: Arc<str>, base: usize) -> (SourceProgram, Vec<Diagnostic>) {
+    let mut lexer = Lexer::new(&source, base);
+    let cur = lexer.next_token();
     let mut parser = Parser {
-        source,
+        source: &source,
         base,
-        tokens,
-        pos: 0,
+        lexer,
+        cur,
         diags: Vec::new(),
         operands: Vec::new(),
+        callees: Vec::new(),
     };
-    let program = parser.program();
+    let (imports, modules) = parser.program();
+    // `program` returns only at end of input: the cursor is drained,
+    // so no lexical error is left unread.
+    debug_assert_eq!(parser.peek().kind, TokenKind::Eof);
+    // Every lexical diagnostic comes before every parser diagnostic.
+    let mut diags = parser.lexer.into_diags();
     diags.append(&mut parser.diags);
     dedupe_by_span(&mut diags);
+    let program = SourceProgram {
+        imports,
+        modules,
+        source,
+        base,
+    };
     (program, diags)
 }
 
@@ -63,16 +82,20 @@ struct Parser<'s> {
     source: &'s str,
     /// Global offset of `source`'s byte 0; token spans include it.
     base: usize,
-    tokens: Vec<Token>,
-    pos: usize,
+    lexer: Lexer<'s>,
+    /// The current token: the only one the grammar ever looks at.
+    cur: Token,
     diags: Vec<Diagnostic>,
     /// Reused operand buffer for gate statements (see `gate_tail`).
-    operands: Vec<SourceOperand>,
+    operands: Vec<Operand>,
+    /// The current module's callee table (see
+    /// [`SourceModule::callees`]).
+    callees: Vec<Span>,
 }
 
 impl<'s> Parser<'s> {
     fn peek(&self) -> Token {
-        self.tokens[self.pos.min(self.tokens.len() - 1)]
+        self.cur
     }
 
     fn peek_text(&self) -> &'s str {
@@ -85,11 +108,7 @@ impl<'s> Parser<'s> {
     }
 
     fn bump(&mut self) -> Token {
-        let t = self.peek();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
-        }
-        t
+        std::mem::replace(&mut self.cur, self.lexer.next_token())
     }
 
     fn at_word(&self, text: &str) -> bool {
@@ -139,7 +158,7 @@ impl<'s> Parser<'s> {
 
     // -- grammar ----------------------------------------------------------
 
-    fn program(&mut self) -> SourceProgram {
+    fn program(&mut self) -> (Vec<SourceImport>, Vec<SourceModule>) {
         let mut imports = Vec::new();
         let mut modules = Vec::new();
         loop {
@@ -173,7 +192,7 @@ impl<'s> Parser<'s> {
                 }
             }
         }
-        SourceProgram { imports, modules }
+        (imports, modules)
     }
 
     /// `"import" name ";"` — canonical position is before the first
@@ -244,9 +263,10 @@ impl<'s> Parser<'s> {
             ancillas,
             clbits,
             clbits_span,
-            compute: Vec::new(),
-            store: Vec::new(),
+            compute: Block::default(),
+            store: Block::default(),
             uncompute: None,
+            callees: Vec::new(),
         };
         // Blocks in canonical order, each at most once. Out-of-order
         // or repeated blocks parse (so their statements still get
@@ -300,25 +320,27 @@ impl<'s> Parser<'s> {
                 );
             }
             seen.push((label, label_tok.span));
-            let stmts = self.block();
-            match label {
-                "compute" => module.compute.extend(stmts),
-                "store" => module.store.extend(stmts),
-                _ => module.uncompute.get_or_insert_with(Vec::new).extend(stmts),
-            }
+            // Statements land in the module's block as they parse.
+            let block = match label {
+                "compute" => &mut module.compute,
+                "store" => &mut module.store,
+                _ => module.uncompute.get_or_insert_with(Block::default),
+            };
+            self.block(block);
         }
         self.expect(TokenKind::RBrace, "to close the module body");
+        module.callees = std::mem::take(&mut self.callees);
         Some(module)
     }
 
-    /// `"{" stmt* "}"` — the label has already been consumed.
-    fn block(&mut self) -> Vec<SourceStmt> {
-        let mut stmts = Vec::new();
+    /// `"{" stmt* "}"`, appended to `block` — the label has already
+    /// been consumed.
+    fn block(&mut self, block: &mut Block) {
         if self
             .expect(TokenKind::LBrace, "to open the block")
             .is_none()
         {
-            return stmts;
+            return;
         }
         loop {
             match self.peek().kind {
@@ -332,16 +354,16 @@ impl<'s> Parser<'s> {
                     break;
                 }
                 _ => match self.stmt() {
-                    Some(s) => stmts.push(s),
+                    Some((stmt, span)) => block.push(stmt, span),
                     None => self.recover_stmt(),
                 },
             }
         }
-        stmts
     }
 
-    /// One `gate …;` or `call name(…);` statement.
-    fn stmt(&mut self) -> Option<SourceStmt> {
+    /// One `gate …;`, `call name(…);`, `measure …;` or `cond …;`
+    /// statement, with its span.
+    fn stmt(&mut self) -> Option<(Stmt, Span)> {
         let head = self.peek();
         if head.kind != TokenKind::Word {
             self.error(
@@ -379,10 +401,7 @@ impl<'s> Parser<'s> {
         self.bump();
         let gate = self.gate_tail(kind, word, head.span)?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
-        Some(SourceStmt::Gate {
-            gate,
-            span: head.span.to(end),
-        })
+        Some((Stmt::Gate(gate), head.span.to(end)))
     }
 
     /// Operands of a gate whose mnemonic (`word`, as written) was just
@@ -391,12 +410,7 @@ impl<'s> Parser<'s> {
     /// recovery to sync on (otherwise the next statement would be
     /// swallowed). The operands are gathered in the parser's reused
     /// buffer, so a gate of fixed arity allocates nothing.
-    fn gate_tail(
-        &mut self,
-        kind: GateKind,
-        word: &str,
-        head_span: Span,
-    ) -> Option<Gate<SourceOperand>> {
+    fn gate_tail(&mut self, kind: GateKind, word: &str, head_span: Span) -> Option<Gate<Operand>> {
         let mut operands = std::mem::take(&mut self.operands);
         operands.clear();
         let gate = loop {
@@ -413,23 +427,18 @@ impl<'s> Parser<'s> {
     }
 
     /// `"measure" operand clbit ";"`
-    fn measure_stmt(&mut self) -> Option<SourceStmt> {
+    fn measure_stmt(&mut self) -> Option<(Stmt, Span)> {
         let head = self.bump(); // `measure`
         let qubit = self.operand()?;
-        let (clbit, clbit_span) = self.clbit("as the measurement destination")?;
+        let clbit = self.clbit("as the measurement destination")?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
-        Some(SourceStmt::Measure {
-            qubit,
-            clbit,
-            clbit_span,
-            span: head.span.to(end),
-        })
+        Some((Stmt::Measure { qubit, clbit }, head.span.to(end)))
     }
 
     /// `"cond" clbit gate ";"`
-    fn cond_stmt(&mut self) -> Option<SourceStmt> {
+    fn cond_stmt(&mut self) -> Option<(Stmt, Span)> {
         let head = self.bump(); // `cond`
-        let (clbit, clbit_span) = self.clbit("as the guard")?;
+        let clbit = self.clbit("as the guard")?;
         let gate_tok = self.peek();
         if gate_tok.kind != TokenKind::Word {
             self.error(
@@ -455,16 +464,11 @@ impl<'s> Parser<'s> {
         self.bump();
         let gate = self.gate_tail(kind, word, gate_tok.span)?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
-        Some(SourceStmt::CondGate {
-            clbit,
-            clbit_span,
-            gate,
-            span: head.span.to(end),
-        })
+        Some((Stmt::CondGate { clbit, gate }, head.span.to(end)))
     }
 
     /// `c<digits>` — a module-local classical bit reference.
-    fn clbit(&mut self, context: &str) -> Option<(usize, Span)> {
+    fn clbit(&mut self, context: &str) -> Option<usize> {
         let t = self.peek();
         let bad = |p: &mut Self| {
             let found = p.describe_found(t);
@@ -485,7 +489,7 @@ impl<'s> Parser<'s> {
         match parsed {
             Some(i) => {
                 self.bump();
-                Some((i, t.span))
+                Some(i)
             }
             None => bad(self),
         }
@@ -496,8 +500,8 @@ impl<'s> Parser<'s> {
         kind: GateKind,
         word: &str,
         span: Span,
-        ops: &[SourceOperand],
-    ) -> Option<Gate<SourceOperand>> {
+        ops: &[Operand],
+    ) -> Option<Gate<Operand>> {
         let n = ops.len();
         // The message's parts are built only when the arity is wrong.
         let arity_err = |p: &mut Self, expected: &str| {
@@ -509,19 +513,19 @@ impl<'s> Parser<'s> {
             None
         };
         match kind {
-            GateKind::X => match <[SourceOperand; 1]>::try_from(ops) {
+            GateKind::X => match <[Operand; 1]>::try_from(ops) {
                 Ok([target]) => Some(Gate::X { target }),
                 Err(_) => arity_err(self, "1 operand"),
             },
-            GateKind::Cx => match <[SourceOperand; 2]>::try_from(ops) {
+            GateKind::Cx => match <[Operand; 2]>::try_from(ops) {
                 Ok([control, target]) => Some(Gate::Cx { control, target }),
                 Err(_) => arity_err(self, "2 operands (control, target)"),
             },
-            GateKind::Ccx => match <[SourceOperand; 3]>::try_from(ops) {
+            GateKind::Ccx => match <[Operand; 3]>::try_from(ops) {
                 Ok([c0, c1, target]) => Some(Gate::Ccx { c0, c1, target }),
                 Err(_) => arity_err(self, "3 operands (two controls, target)"),
             },
-            GateKind::Swap => match <[SourceOperand; 2]>::try_from(ops) {
+            GateKind::Swap => match <[Operand; 2]>::try_from(ops) {
                 Ok([a, b]) => Some(Gate::Swap { a, b }),
                 Err(_) => arity_err(self, "2 operands"),
             },
@@ -536,7 +540,7 @@ impl<'s> Parser<'s> {
     }
 
     /// `"call" name "(" [operand ("," operand)*] ")" ";"`
-    fn call_stmt(&mut self) -> Option<SourceStmt> {
+    fn call_stmt(&mut self) -> Option<(Stmt, Span)> {
         let call_tok = self.bump(); // `call`
         let name_tok = self.expect(TokenKind::Word, "as the callee name")?;
         self.expect(TokenKind::LParen, "after the callee name")?;
@@ -554,16 +558,14 @@ impl<'s> Parser<'s> {
         }
         self.expect(TokenKind::RParen, "to close the argument list")?;
         let end = self.expect(TokenKind::Semi, "to end the statement")?.span;
-        Some(SourceStmt::Call {
-            callee: self.text(name_tok).to_string(),
-            callee_span: name_tok.span,
-            args,
-            span: call_tok.span.to(end),
-        })
+        // The callee is named by its row in the module's callee table.
+        let callee = ModuleId::from_index(self.callees.len());
+        self.callees.push(name_tok.span);
+        Some((Stmt::Call { callee, args }, call_tok.span.to(end)))
     }
 
     /// `p<digits>` or `a<digits>`.
-    fn operand(&mut self) -> Option<SourceOperand> {
+    fn operand(&mut self) -> Option<Operand> {
         let t = self.peek();
         if t.kind != TokenKind::Word {
             self.error(
@@ -585,13 +587,10 @@ impl<'s> Parser<'s> {
         match parsed {
             Some((is_param, i)) => {
                 self.bump();
-                Some(SourceOperand {
-                    op: if is_param {
-                        Operand::Param(i)
-                    } else {
-                        Operand::Ancilla(i)
-                    },
-                    span: t.span,
+                Some(if is_param {
+                    Operand::Param(i)
+                } else {
+                    Operand::Ancilla(i)
                 })
             }
             None => {
@@ -756,19 +755,24 @@ entry module main(0 params, 4 ancilla) {
         let fun1 = &program.modules[0];
         assert_eq!(fun1.name, "fun1");
         assert_eq!((fun1.params, fun1.ancillas), (4, 1));
-        assert_eq!(fun1.compute.len(), 2);
-        assert_eq!(fun1.store.len(), 1);
+        assert_eq!(fun1.compute.stmts.len(), 2);
+        assert_eq!(fun1.store.stmts.len(), 1);
         assert!(fun1.uncompute.is_none());
         assert!(!fun1.is_entry());
         assert!(program.modules[1].is_entry());
-        match &program.modules[1].compute[0] {
-            SourceStmt::Call { callee, args, .. } => {
-                assert_eq!(callee, "fun1");
+        let main = &program.modules[1];
+        match &main.compute.stmts[0] {
+            Stmt::Call { callee, args } => {
+                assert_eq!(program.text(main.callees[callee.index()]), "fun1");
                 assert_eq!(args.len(), 4);
-                assert_eq!(args[0].op, Operand::Ancilla(0));
+                assert_eq!(args[0], Operand::Ancilla(0));
             }
             other => panic!("expected call, got {other:?}"),
         }
+        assert_eq!(
+            program.text(main.compute.spans[0]),
+            "call fun1(a0, a1, a2, a3);"
+        );
     }
 
     #[test]
@@ -776,7 +780,7 @@ entry module main(0 params, 4 ancilla) {
         let src = "module m(1 params, 1 ancilla) { compute { cx p0 a0; } uncompute {} }";
         let (program, diags) = parse_source(src);
         assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(program.modules[0].uncompute, Some(vec![]));
+        assert_eq!(program.modules[0].uncompute, Some(Block::default()));
     }
 
     #[test]
@@ -785,7 +789,7 @@ entry module main(0 params, 4 ancilla) {
             "module m(3 params, 0 ancilla) { compute { NOT p0; CNOT p0 p1; Toffoli p0 p1 p2; } }";
         let (program, diags) = parse_source(src);
         assert!(diags.is_empty(), "{diags:?}");
-        assert_eq!(program.modules[0].compute.len(), 3);
+        assert_eq!(program.modules[0].compute.stmts.len(), 3);
     }
 
     #[test]
@@ -848,16 +852,16 @@ entry module mbu(0 params, 1 ancilla, 2 clbits) {
         assert!(diags.is_empty(), "{diags:?}");
         let m = &program.modules[0];
         assert_eq!(m.clbits, 2);
-        assert_eq!(m.compute.len(), 3);
-        match &m.compute[1] {
-            SourceStmt::Measure { qubit, clbit, .. } => {
-                assert_eq!(qubit.op, Operand::Ancilla(0));
-                assert_eq!(*clbit, 1);
+        assert_eq!(m.compute.stmts.len(), 3);
+        assert_eq!(
+            m.compute.stmts[1],
+            Stmt::Measure {
+                qubit: Operand::Ancilla(0),
+                clbit: 1
             }
-            other => panic!("expected measure, got {other:?}"),
-        }
-        match &m.compute[2] {
-            SourceStmt::CondGate { clbit, gate, .. } => {
+        );
+        match &m.compute.stmts[2] {
+            Stmt::CondGate { clbit, gate } => {
                 assert_eq!(*clbit, 1);
                 assert!(matches!(gate, Gate::X { .. }));
             }
@@ -883,13 +887,10 @@ entry module mbu(0 params, 1 ancilla, 2 clbits) {
         let src = "module m(5 params, 0 ancilla) { compute { mcx p0 p1 p2 p3 p4; } }";
         let (program, diags) = parse_source(src);
         assert!(diags.is_empty(), "{diags:?}");
-        match &program.modules[0].compute[0] {
-            SourceStmt::Gate {
-                gate: Gate::Mcx { controls, target },
-                ..
-            } => {
+        match &program.modules[0].compute.stmts[0] {
+            Stmt::Gate(Gate::Mcx { controls, target }) => {
                 assert_eq!(controls.len(), 4);
-                assert_eq!(target.op, Operand::Param(4));
+                assert_eq!(*target, Operand::Param(4));
             }
             other => panic!("expected mcx, got {other:?}"),
         }

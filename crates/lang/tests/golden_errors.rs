@@ -767,3 +767,71 @@ error: call to unknown module `f`
 "
     );
 }
+
+#[test]
+fn golden_lexical_errors_come_before_earlier_syntax_errors() {
+    // The unknown gate on line 3 precedes the stray character on line
+    // 4, yet every lexical diagnostic renders before every syntax one.
+    let src = "\
+entry module main(0 params, 1 ancilla) {
+  compute {
+    zz a0;
+    x a0 €;
+  }
+}
+";
+    assert_eq!(
+        report(src),
+        "\
+error: unexpected character `€`
+  --> prog.sq:4:10
+   |
+ 4 |     x a0 €;
+   |          ^
+
+error: unknown gate `zz`
+  --> prog.sq:3:5
+   |
+ 3 |     zz a0;
+   |     ^^
+"
+    );
+}
+
+#[test]
+fn golden_lexical_error_after_recovery_near_the_end() {
+    // Parsing recovers past a stray `}` to the next module; the stray
+    // character after that module, just before the end of input, is
+    // still reported.
+    let src = "\
+entry module main(0 params, 1 ancilla) {
+  compute {
+    x a0
+  }
+}
+}
+module m(1 params, 0 ancilla) { compute { x p0; } } @
+";
+    assert_eq!(
+        report(src),
+        "\
+error: unexpected character `@`
+  --> prog.sq:7:53
+   |
+ 7 | module m(1 params, 0 ancilla) { compute { x p0; } } @
+   |                                                     ^
+
+error: expected `;` to end the statement, found `}`
+  --> prog.sq:4:3
+   |
+ 4 |   }
+   |   ^
+
+error: expected `import`, `module`, or `entry module`, found `}`
+  --> prog.sq:6:1
+   |
+ 6 | }
+   | ^
+"
+    );
+}
