@@ -271,11 +271,11 @@ pub struct MbuCell {
     /// Mid-circuit measurements emitted.
     pub measurements: u64,
     /// Cost-model-weighted price of the chosen MBU lowerings.
-    pub mbu_gates: u64,
+    pub mbu_cost: u64,
     /// Weighted price of the unitary inverse slices those frames
-    /// skipped (always ≥ `mbu_gates`: MBU is only chosen when
+    /// skipped (always ≥ `mbu_cost`: MBU is only chosen when
     /// strictly cheaper).
-    pub unitary_gates_avoided: u64,
+    pub unitary_cost: u64,
 }
 
 impl MbuCell {
@@ -300,11 +300,8 @@ impl Serialize for MbuCell {
             ("aqv_on", Value::UInt(self.aqv_on)),
             ("mbu_frames", Value::UInt(self.mbu_frames)),
             ("measurements", Value::UInt(self.measurements)),
-            ("mbu_gates", Value::UInt(self.mbu_gates)),
-            (
-                "unitary_gates_avoided",
-                Value::UInt(self.unitary_gates_avoided),
-            ),
+            ("mbu_cost", Value::UInt(self.mbu_cost)),
+            ("unitary_cost", Value::UInt(self.unitary_cost)),
         ])
     }
 }
@@ -333,8 +330,8 @@ pub fn ablation_mbu(benchmarks: &[Benchmark]) -> Vec<MbuCell> {
                 aqv_on: on.aqv,
                 mbu_frames: stats.mbu_frames,
                 measurements: stats.measurements,
-                mbu_gates: stats.mbu_gates,
-                unitary_gates_avoided: stats.unitary_gates_avoided,
+                mbu_cost: stats.mbu_cost,
+                unitary_cost: stats.unitary_cost,
             });
         }
     }
@@ -611,7 +608,7 @@ mod tests {
         assert!(eager.mbu_frames > 0, "{eager:?}");
         assert!(eager.measurements > 0, "{eager:?}");
         assert!(
-            eager.unitary_gates_avoided > eager.mbu_gates,
+            eager.unitary_cost > eager.mbu_cost,
             "MBU only fires when strictly cheaper: {eager:?}"
         );
         assert!(
@@ -619,7 +616,7 @@ mod tests {
             "measured uncompute-gate reduction: {eager:?}"
         );
         let json = serde_json::to_string(&Value::seq(&cells)).unwrap();
-        assert!(json.contains("\"unitary_gates_avoided\""), "{json}");
+        assert!(json.contains("\"unitary_cost\""), "{json}");
         let table = render_mbu_table(&cells);
         assert!(table.contains("MBU ablation"), "{table}");
         assert!(table.contains("routed gates removed"), "{table}");

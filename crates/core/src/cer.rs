@@ -20,26 +20,16 @@
 //!
 //! The executor reaches a reclamation point once per frame, and a
 //! large program executes the same module as millions of frames (MCX
-//! lowering alone turns every wide gate into a micro-frame). Two
-//! structures make the per-decision work O(1):
-//!
-//! * [`ModuleCostTable`] memoizes every *static* cost term per module
-//!   — custom-uncompute gate totals and per-block suffix gate sums —
-//!   so neither `G_uncomp` nor the `G_p` look-ahead ever re-walks
-//!   statement lists at decision time (the historical executor
-//!   re-summed the tail of every block per statement, O(n²) per
-//!   block, and re-summed custom uncompute blocks per frame).
-//! * [`CerEngine`] memoizes full decisions keyed by the *exact*
-//!   dynamic inputs (heap pressure, costs, depth, communication
-//!   state). Exact keys make the memo unconditionally sound — a hit
-//!   is bit-identical to re-evaluating — and the entry pool is only
-//!   invalidated (evicted) on allocation events, the moments the
-//!   pressure terms actually move.
+//! lowering alone turns every wide gate into a micro-frame), so the
+//! per-decision work must be O(1). [`ModuleCostTable`] memoizes every
+//! *static* cost term per module — custom-uncompute gate totals and
+//! per-block suffix gate sums — so neither `G_uncomp` nor the `G_p`
+//! look-ahead ever re-walks statement lists at decision time (the
+//! historical executor re-summed the tail of every block per
+//! statement, O(n²) per block, and re-summed custom uncompute blocks
+//! per frame). What is left per decision is the handful of multiplies
+//! of Eqs. 1–2, which [`decide`] evaluates fresh every time.
 
-use std::collections::HashMap;
-use std::ops::AddAssign;
-
-use serde::{Serialize, Value};
 use square_qir::analysis::ProgramStats;
 use square_qir::{ModuleId, Program, Stmt};
 
@@ -95,8 +85,8 @@ pub struct CerDecision {
 /// The recursive-recomputation factor `base^ℓ` at call depth `level`:
 /// the configured base (worst case) when one is set, else the adaptive
 /// expectation `(1+ρ)^ℓ` under the running reclaim rate `ρ`. The one
-/// place the base is resolved — [`decide`], the [`CerEngine`] memo key
-/// and [`early_reclaim_score`] all read it from here.
+/// place the base is resolved — [`decide`] and [`early_reclaim_score`]
+/// both read it from here.
 fn recompute_factor(params: &CerParams, reclaim_rate: f64, level: usize) -> f64 {
     let base = if params.recompute_base > 0.0 {
         params.recompute_base
@@ -106,20 +96,10 @@ fn recompute_factor(params: &CerParams, reclaim_rate: f64, level: usize) -> f64 
     base.powi(level.min(60) as i32)
 }
 
-/// The dynamic factors of Eqs. 1–2 after parameter resolution: the
-/// floored communication factor `S` and [`recompute_factor`].
-///
-/// Shared by [`decide`] and the [`CerEngine`] memo key — the memo is
-/// sound precisely because its key captures these *resolved* values.
-fn resolved_factors(inputs: &CerInputs, params: &CerParams) -> (f64, f64) {
-    let s = inputs.comm_factor.max(S_FLOOR);
-    let recompute = recompute_factor(params, inputs.reclaim_rate, inputs.level);
-    (s, recompute)
-}
-
 /// Evaluates Eqs. 1–2 and decides.
 pub fn decide(inputs: &CerInputs, params: &CerParams) -> CerDecision {
-    let (s, recompute) = resolved_factors(inputs, params);
+    let s = inputs.comm_factor.max(S_FLOOR);
+    let recompute = recompute_factor(params, inputs.reclaim_rate, inputs.level);
     let n_active = inputs.n_active.max(1) as f64;
     let n_anc = inputs.n_anc as f64;
     let c1_qubits = if params.c1_frame_scope {
@@ -240,164 +220,6 @@ impl ModuleCostTable {
     /// statement `index`.
     pub fn custom_tail(&self, id: ModuleId, index: usize) -> u64 {
         self.modules[id.index()].custom_suffix[index + 1]
-    }
-}
-
-/// Canonicalized memo key: the *resolved* terms [`decide`] actually
-/// multiplies, with float terms captured by their bit patterns. Two
-/// equal keys evaluate to the same [`CerDecision`] by construction:
-///
-/// * the communication factor enters only as `max(S, S_FLOOR)`, so
-///   the key stores the floored value;
-/// * call depth and the running reclaim rate enter only through the
-///   resolved recomputation factor `base^ℓ`, so the key stores that
-///   product — frames whose factors coincide (every entry-level
-///   frame, and the steady state of repeated micro-frames) share an
-///   entry even while the raw rate drifts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CerKey {
-    module: u32,
-    n_active: u32,
-    n_anc: u32,
-    g_uncomp: u64,
-    g_p: u64,
-    free_qubits: u32,
-    capacity: u32,
-    frame_qubits: u32,
-    s_bits: u64,
-    recompute_bits: u64,
-}
-
-impl CerKey {
-    fn new(module: ModuleId, inputs: &CerInputs, params: &CerParams) -> Self {
-        let (s, recompute) = resolved_factors(inputs, params);
-        CerKey {
-            module: module.index() as u32,
-            n_active: inputs.n_active as u32,
-            n_anc: inputs.n_anc as u32,
-            g_uncomp: inputs.g_uncomp,
-            g_p: inputs.g_p,
-            free_qubits: inputs.free_qubits as u32,
-            capacity: inputs.capacity as u32,
-            frame_qubits: inputs.frame_qubits as u32,
-            s_bits: s.to_bits(),
-            recompute_bits: recompute.to_bits(),
-        }
-    }
-}
-
-/// Decision-memo effectiveness counters, surfaced in compile reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CerCacheStats {
-    /// Decisions answered from the memo.
-    pub hits: u64,
-    /// Decisions evaluated fresh.
-    pub misses: u64,
-    /// Eviction sweeps run at allocation events.
-    pub invalidations: u64,
-}
-
-impl AddAssign for CerCacheStats {
-    fn add_assign(&mut self, other: Self) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.invalidations += other.invalidations;
-    }
-}
-
-impl Serialize for CerCacheStats {
-    fn serialize(&self) -> Value {
-        Value::map([
-            ("hits", Value::UInt(self.hits)),
-            ("misses", Value::UInt(self.misses)),
-            ("invalidations", Value::UInt(self.invalidations)),
-        ])
-    }
-}
-
-impl CerCacheStats {
-    /// Fraction of decisions answered from the memo (0 when none).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Entries kept across allocation events before an eviction sweep
-/// clears the memo (bounds memory on programs with millions of
-/// frames; pressure cycles shorter than this keep their hits).
-const CER_CACHE_EVICT_LEN: usize = 8192;
-
-/// The incremental CER evaluator: a decision memo over canonicalized
-/// exact inputs, invalidated only at allocation events.
-///
-/// The engine owns its [`CerParams`] — memo entries are only valid
-/// under the parameters they were evaluated with, and fixing them at
-/// construction makes that unconditional.
-///
-/// Allocation events (every `Alloc`/`Free` the executor performs) are
-/// the only points where the pressure terms (`N_active`,
-/// `free_qubits`) move, so they are the only points where cached
-/// entries can go stale-but-rehittable; [`CerEngine::note_allocation_event`]
-/// runs the (size-bounded) eviction there and nowhere else.
-///
-/// Hit rates are workload- and configuration-dependent and are
-/// reported per compile (`CompileReport::cer_cache`). Under the
-/// default *adaptive* recomputation base the running reclaim rate
-/// legitimately perturbs the resolved `base^ℓ` of every depth > 0
-/// decision, so hits concentrate in entry-level frames and in
-/// fixed-base (`recompute_base > 0`) configurations; exactness is
-/// never traded for hit rate, because a hit must be bit-identical to
-/// re-evaluating.
-#[derive(Debug)]
-pub struct CerEngine {
-    params: CerParams,
-    cache: HashMap<CerKey, CerDecision>,
-    stats: CerCacheStats,
-}
-
-impl CerEngine {
-    /// A fresh engine with an empty memo, evaluating under `params`.
-    pub fn new(params: CerParams) -> Self {
-        CerEngine {
-            params,
-            cache: HashMap::new(),
-            stats: CerCacheStats::default(),
-        }
-    }
-
-    /// Records an allocation event (`Alloc` or `Free`): the only
-    /// moment the memo is invalidated. Eviction is size-bounded so
-    /// recurring pressure states keep their entries.
-    pub fn note_allocation_event(&mut self) {
-        if self.cache.len() > CER_CACHE_EVICT_LEN {
-            self.cache.clear();
-            self.stats.invalidations += 1;
-        }
-    }
-
-    /// Evaluates (or recalls) the decision for `module` at `inputs`.
-    /// Bit-identical to calling [`decide`] directly with the engine's
-    /// parameters.
-    pub fn decide(&mut self, module: ModuleId, inputs: &CerInputs) -> CerDecision {
-        let key = CerKey::new(module, inputs, &self.params);
-        if let Some(d) = self.cache.get(&key) {
-            self.stats.hits += 1;
-            return *d;
-        }
-        let d = decide(inputs, &self.params);
-        self.stats.misses += 1;
-        self.cache.insert(key, d);
-        d
-    }
-
-    /// Memo effectiveness counters.
-    pub fn stats(&self) -> CerCacheStats {
-        self.stats
     }
 }
 
@@ -588,95 +410,5 @@ mod tests {
         assert_eq!(table.custom_uncompute_gates(main), Some(2));
         assert_eq!(table.custom_tail(main, 0), 1);
         assert_eq!(table.custom_tail(main, 1), 0);
-    }
-
-    #[test]
-    fn engine_memo_is_bit_identical_and_counts_hits() {
-        let params = CerParams::default();
-        let mut engine = CerEngine::new(params);
-        let module = ModuleId::from_index(0);
-        let inputs = base();
-        let fresh = engine.decide(module, &inputs);
-        assert_eq!(fresh, decide(&inputs, &params));
-        let recalled = engine.decide(module, &inputs);
-        assert_eq!(recalled, fresh);
-        assert_eq!(engine.stats().hits, 1);
-        assert_eq!(engine.stats().misses, 1);
-        // A different pressure state is a different key.
-        let shifted = CerInputs {
-            free_qubits: inputs.free_qubits - 1,
-            ..inputs
-        };
-        let d2 = engine.decide(module, &shifted);
-        assert_eq!(d2, decide(&shifted, &params));
-        assert_eq!(engine.stats().misses, 2);
-        assert!((engine.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn engine_key_canonicalizes_resolved_factors() {
-        let params = CerParams::default();
-        let mut engine = CerEngine::new(params);
-        let module = ModuleId::from_index(0);
-        // Entry-level frames: the reclaim rate only enters through
-        // base^0 = 1, so a drifted rate must still hit.
-        let a = CerInputs {
-            level: 0,
-            reclaim_rate: 0.3,
-            ..base()
-        };
-        let b = CerInputs {
-            level: 0,
-            reclaim_rate: 0.9,
-            ..base()
-        };
-        let da = engine.decide(module, &a);
-        let db = engine.decide(module, &b);
-        assert_eq!(engine.stats().hits, 1, "resolved factor shared");
-        assert_eq!(da, db);
-        assert_eq!(db, decide(&b, &params), "hit is bit-identical");
-        // Sub-floor communication factors resolve to the floor.
-        let lo = CerInputs {
-            comm_factor: 0.2,
-            ..base()
-        };
-        let hi = CerInputs {
-            comm_factor: 0.7,
-            ..base()
-        };
-        engine.decide(module, &lo);
-        engine.decide(module, &hi);
-        assert_eq!(engine.stats().hits, 2, "floored S shared");
-        // But a drifted rate at depth > 0 changes base^ℓ: a miss.
-        let deep = CerInputs {
-            reclaim_rate: 0.35,
-            ..base()
-        };
-        let d = engine.decide(module, &deep);
-        assert_eq!(d, decide(&deep, &params));
-        assert_eq!(engine.stats().hits, 2);
-    }
-
-    #[test]
-    fn engine_eviction_only_at_allocation_events() {
-        let mut engine = CerEngine::new(CerParams::default());
-        // Fill past the eviction bound with distinct keys.
-        for g in 0..(CER_CACHE_EVICT_LEN as u64 + 2) {
-            let inputs = CerInputs {
-                g_uncomp: g,
-                ..base()
-            };
-            engine.decide(ModuleId::from_index(0), &inputs);
-        }
-        assert_eq!(engine.stats().invalidations, 0, "no event, no eviction");
-        engine.note_allocation_event();
-        assert_eq!(engine.stats().invalidations, 1);
-        // Below the bound, events leave the memo alone.
-        engine.decide(ModuleId::from_index(0), &base());
-        engine.note_allocation_event();
-        assert_eq!(engine.stats().invalidations, 1);
-        let recalled = engine.decide(ModuleId::from_index(0), &base());
-        assert_eq!(engine.stats().hits, 1);
-        assert_eq!(recalled, decide(&base(), &CerParams::default()));
     }
 }

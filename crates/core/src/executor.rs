@@ -20,7 +20,7 @@ use square_qir::{
 use square_route::{Machine, MachineConfig, PhysicalCheck, RouterKind};
 
 use crate::budget::{scan_candidate, BudgetState};
-use crate::cer::{early_reclaim_score, CerEngine, CerInputs, ModuleCostTable};
+use crate::cer::{self, early_reclaim_score, CerInputs, ModuleCostTable};
 use crate::config::{ArchSpec, CompilerConfig};
 use crate::error::CompileError;
 use crate::laa;
@@ -247,7 +247,6 @@ fn compile_on(
         program: lowered,
         pstats: &prepared.pstats,
         costs: &prepared.costs,
-        cer: CerEngine::new(config.cer),
         config,
         machine,
         trace: Vec::new(),
@@ -271,7 +270,6 @@ fn compile_on(
     let decisions = exec.decisions;
     let decision_log = std::mem::take(&mut exec.decision_log);
     let mbu = exec.mbu;
-    let cer_cache = exec.cer.stats();
     let budget = exec.budget.as_ref().map(|b| BudgetOutcome {
         cap: b.cap,
         recompute: b.stats,
@@ -303,7 +301,7 @@ fn compile_on(
         decisions,
         decision_log,
         placement_history: route_report.placement_history,
-        cer_cache,
+        cer_cache: Default::default(),
         machine_qubits,
         route_ns,
         trace,
@@ -328,9 +326,6 @@ struct Exec<'p> {
     /// Memoized per-module static cost terms (see [`ModuleCostTable`]),
     /// borrowed so a service can share one table across requests.
     costs: &'p ModuleCostTable,
-    /// Incremental CER evaluator (decision memo, invalidated only at
-    /// allocation events).
-    cer: CerEngine,
     config: &'p CompilerConfig,
     machine: Machine,
     trace: Vec<TraceOp>,
@@ -429,11 +424,9 @@ impl Exec<'_> {
                     return Err(self.out_of_qubits(1, None));
                 };
                 self.machine.place_at(*v, slot)?;
-                self.cer.note_allocation_event();
             }
             TraceOp::Free(v) => {
                 self.machine.release(*v)?;
-                self.cer.note_allocation_event();
             }
             TraceOp::Gate(g) => {
                 self.machine.apply(g)?;
@@ -691,8 +684,8 @@ impl Exec<'_> {
             stats.mbu_frames += 1;
             stats.measurements += plan.written.len() as u64;
             stats.cond_corrections += plan.written.len() as u64;
-            stats.mbu_gates += plan.mbu_cost();
-            stats.unitary_gates_avoided += plan.unitary_cost;
+            stats.mbu_cost += plan.mbu_cost();
+            stats.unitary_cost += plan.unitary_cost;
             for q in plan.written {
                 let clbit = self.fresh_clbit();
                 self.emit(TraceOp::Measure { qubit: q, clbit }, &[])?;
@@ -896,9 +889,7 @@ impl Exec<'_> {
                 // Under `budget:N` CER sees the capped machine: the cap
                 // is the capacity and the headroom under it the free
                 // pool, so the paper's own pressure rule engages as the
-                // live width nears the budget. Both values are part of
-                // the memo key, so budgeted decisions memoize apart
-                // from unbudgeted ones.
+                // live width nears the budget.
                 let n_active = self.machine.placement().active_count();
                 let (capacity, free_qubits) = match &self.budget {
                     Some(b) => {
@@ -922,7 +913,7 @@ impl Exec<'_> {
                     reclaim_rate: self.reclaim_rate(),
                     frame_qubits: frame.args.len() + n_anc,
                 };
-                let d = self.cer.decide(frame.id, &inputs);
+                let d = cer::decide(&inputs, &self.config.cer);
                 if d.forced {
                     self.decisions.forced += 1;
                 }
@@ -1336,10 +1327,10 @@ mod tests {
         assert_eq!(stats.measurements, 2, "both written ancillas");
         assert_eq!(stats.cond_corrections, 2);
         assert!(
-            stats.unitary_gates_avoided > stats.mbu_gates,
+            stats.unitary_cost > stats.mbu_cost,
             "MBU only chosen when strictly cheaper: {} vs {}",
-            stats.unitary_gates_avoided,
-            stats.mbu_gates
+            stats.unitary_cost,
+            stats.mbu_cost
         );
         assert!(on
             .decision_log

@@ -44,7 +44,7 @@ pub mod report;
 
 mod error;
 
-pub use cer::{CerCacheStats, CerEngine, ModuleCostTable};
+pub use cer::ModuleCostTable;
 pub use config::{ArchSpec, ArchSpecParseError, CerParams, CompilerConfig, SweepArch};
 pub use error::CompileError;
 pub use executor::{
@@ -53,8 +53,8 @@ pub use executor::{
 };
 pub use policy::{BudgetPolicy, Policy};
 pub use report::{
-    error_json, report_json, BudgetOutcome, CompileReport, MbuStats, ReclaimDecision,
-    RecomputeStats,
+    error_json, report_json, BudgetOutcome, CerCacheStats, CompileReport, MbuStats,
+    ReclaimDecision, RecomputeStats,
 };
 // Router selection is part of the compiler configuration; re-export
 // the kind so downstream crates need not depend on square-route.

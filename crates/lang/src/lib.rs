@@ -141,7 +141,7 @@ pub fn parse_program(source: &str) -> Result<Program, Vec<Diagnostic>> {
     if !diags.is_empty() {
         return Err(diags);
     }
-    lower::lower(&ast)
+    lower::lower_owned(ast)
 }
 
 /// A broken `parse(pretty(p)) == p` round trip (see [`check_roundtrip`]).

@@ -15,7 +15,9 @@
 //!
 //! The parser already stored each statement in IR form; the one thing
 //! left to map is a call's callee, an index into its module's callee
-//! table, which resolution turns into a global module index here.
+//! table, which resolution turns into a global module index here. The
+//! resolver owns the parse, so once every check passes each block
+//! moves into the builder rather than being copied.
 //!
 //! The per-module rules (operand bounds, duplicated gate operands,
 //! guarded wide MCX, clbit bounds, call arity, aliased arguments, the
@@ -39,9 +41,10 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::mem;
 
 use square_qir::validate::{self, Shape, Site};
-use square_qir::{ModuleId, Program, ProgramBuilder, QirError, Stmt};
+use square_qir::{ModuleBuilder, ModuleId, Program, ProgramBuilder, QirError, Stmt};
 
 use crate::ast::{Block, SourceModule, SourceProgram};
 use crate::diag::{suggest, Diagnostic, Span};
@@ -53,12 +56,12 @@ pub(crate) struct Unit<'a> {
     pub file: &'a str,
     /// The name the unit is imported as (`std` for `lib/std.sq`), for
     /// "add `import …;`" hints.
-    pub name: &'a str,
+    pub name: String,
     /// The file's modules; their spans are global.
-    pub ast: &'a SourceProgram,
-    /// Indices (into the resolver's unit slice) of the units this one
+    pub ast: SourceProgram,
+    /// Indices (into the resolver's unit list) of the units this one
     /// imports directly.
-    pub imports: &'a [usize],
+    pub imports: Vec<usize>,
 }
 
 /// Resolves and lowers a parsed single-file program onto the IR
@@ -69,12 +72,29 @@ pub(crate) struct Unit<'a> {
 /// Every resolution failure found, each with a source span; the vector
 /// is non-empty on failure.
 pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
-    resolve(&[Unit {
+    lower_owned(ast.clone())
+}
+
+/// [`lower`] on a parse the caller hands over, so its statements move
+/// into the builder instead of being copied.
+pub(crate) fn lower_owned(ast: SourceProgram) -> Result<Program, Vec<Diagnostic>> {
+    resolve(vec![Unit {
         file: "",
-        name: "",
+        name: String::new(),
         ast,
-        imports: &[],
+        imports: Vec::new(),
     }])
+}
+
+/// What the checks leave for the builder, by global module index.
+struct Plan {
+    /// `edges[g][c]`: the module that row `c` of `g`'s callee table
+    /// resolved to.
+    edges: Vec<Vec<usize>>,
+    /// The kept modules, callees first.
+    order: Vec<usize>,
+    /// The entry module.
+    entry: usize,
 }
 
 /// Resolves and lowers loaded units, the root first. Modules are
@@ -83,7 +103,67 @@ pub fn lower(ast: &SourceProgram) -> Result<Program, Vec<Diagnostic>> {
 /// pass: an imported entry and duplicate names, then callees, then the
 /// root's entry and the per-statement rules on the kept modules, then
 /// call cycles, then the store discipline.
-pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
+pub(crate) fn resolve(units: Vec<Unit<'_>>) -> Result<Program, Vec<Diagnostic>> {
+    let Plan {
+        edges,
+        order,
+        entry,
+    } = plan(&units)?;
+    let mut modules: Vec<SourceModule> = units.into_iter().flat_map(|u| u.ast.modules).collect();
+
+    // Lower in dependency order, moving each block into the builder.
+    let mut b = ProgramBuilder::new();
+    let mut ids: Vec<Option<ModuleId>> = vec![None; modules.len()];
+    for &g in &order {
+        let m = &mut modules[g];
+        let compute = mem::take(&mut m.compute);
+        let store = mem::take(&mut m.store);
+        let uncompute = m.uncompute.take();
+        let built = b.module(m.name.clone(), m.params, m.ancillas, |mb| {
+            mb.declare_clbits(m.clbits);
+            let emit = |mb: &mut ModuleBuilder, block: Block| {
+                for stmt in block.stmts {
+                    mb.stmt(match stmt {
+                        Stmt::Call { callee, args } => Stmt::Call {
+                            callee: ids[edges[g][callee.index()]]
+                                .expect("callees lower before callers"),
+                            args,
+                        },
+                        other => other,
+                    });
+                }
+            };
+            emit(mb, compute);
+            if !store.is_empty() {
+                mb.store();
+                emit(mb, store);
+            }
+            if let Some(unc) = uncompute {
+                mb.uncompute();
+                emit(mb, unc);
+            }
+        });
+        // `check_module` ran the builder's own per-statement checker on
+        // every statement, against the same shape and callee signatures.
+        ids[g] = Some(built.expect("every statement passed the shared checker"));
+    }
+    let entry_id = ids[entry].expect("entry was lowered");
+    // The store discipline, which needs every callee's may-write set,
+    // is the one rule left to `finish`; it anchors on the module's name.
+    b.finish(entry_id).map_err(|e| {
+        let span = match &e {
+            QirError::StoreDiscipline { module, .. } => modules
+                .iter()
+                .find(|m| m.name == *module)
+                .map_or(Span::default(), |m| m.name_span),
+            _ => Span::default(),
+        };
+        vec![Diagnostic::new(span, e.to_string())]
+    })
+}
+
+/// Every check of [`resolve`] but the store discipline, in its stages.
+fn plan(units: &[Unit<'_>]) -> Result<Plan, Vec<Diagnostic>> {
     let modules: Vec<&SourceModule> = units.iter().flat_map(|u| &u.ast.modules).collect();
     let unit_of: Vec<usize> = units
         .iter()
@@ -245,7 +325,7 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
     }
     // The shared per-statement rules, on the kept modules.
     for &g in &kept {
-        let ast = units[unit_of[g]].ast;
+        let ast = &units[unit_of[g]].ast;
         check_module(ast, modules[g], &edges[g], &modules, &mut diags);
     }
     if !diags.is_empty() {
@@ -269,48 +349,10 @@ pub(crate) fn resolve(units: &[Unit<'_>]) -> Result<Program, Vec<Diagnostic>> {
         }
     };
 
-    // Lower in dependency order.
-    let mut b = ProgramBuilder::new();
-    let mut ids: Vec<Option<ModuleId>> = vec![None; n];
-    for &g in &order {
-        let m = modules[g];
-        let built = b.module(m.name.clone(), m.params, m.ancillas, |mb| {
-            mb.declare_clbits(m.clbits);
-            let emit = |mb: &mut square_qir::ModuleBuilder, block: &Block| {
-                for stmt in &block.stmts {
-                    mb.stmt(match stmt {
-                        Stmt::Call { callee, args } => Stmt::Call {
-                            callee: ids[edges[g][callee.index()]]
-                                .expect("callees lower before callers"),
-                            args: args.clone(),
-                        },
-                        other => other.clone(),
-                    });
-                }
-            };
-            emit(mb, &m.compute);
-            if !m.store.is_empty() {
-                mb.store();
-                emit(mb, &m.store);
-            }
-            if let Some(unc) = &m.uncompute {
-                mb.uncompute();
-                emit(mb, unc);
-            }
-        });
-        // `check_module` ran the builder's own per-statement checker on
-        // every statement, against the same shape and callee signatures.
-        ids[g] = Some(built.expect("every statement passed the shared checker"));
-    }
-    let entry_id = ids[entries[0]].expect("entry was lowered");
-    // The store discipline, which needs every callee's may-write set,
-    // is the one rule left to `finish`; it anchors on the module's name.
-    b.finish(entry_id).map_err(|e| {
-        let span = match &e {
-            QirError::StoreDiscipline { module, .. } => modules[by_name[module.as_str()]].name_span,
-            _ => Span::default(),
-        };
-        vec![Diagnostic::new(span, e.to_string())]
+    Ok(Plan {
+        edges,
+        order,
+        entry: entries[0],
     })
 }
 

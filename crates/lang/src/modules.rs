@@ -366,15 +366,15 @@ pub fn parse_files(
         return (map, Err(diags));
     }
     let resolved = resolve(
-        &units
-            .iter()
+        units
+            .into_iter()
             .map(|u| Unit {
                 file: &map.file(u.file).name,
-                name: &u.unit_name,
-                ast: &u.ast,
-                imports: &u.deps,
+                name: u.unit_name,
+                ast: u.ast,
+                imports: u.deps,
             })
-            .collect::<Vec<_>>(),
+            .collect(),
     );
     (map, resolved)
 }

@@ -30,22 +30,22 @@ const GREEDY: &str = concat!(
     r#"{"router":"greedy","gates":132,"swaps":212,"depth":540,"qubits":24,"#,
     r#""peak_active":16,"aqv":7308,"comm_factor":3.1176470588235294,"machine_qubits":49,"#,
     r#""decisions":{"reclaimed":3,"garbage":1,"forced":2},"#,
-    r#""cer_cache":{"hits":0,"misses":0,"invalidations":0},"budget":18,"#,
+    r#""budget":18,"#,
     r#""recompute":{"early_uncomputed_frames":1,"early_uncompute_gates":2,"#,
     r#""recomputed_frames":1,"recompute_gates":2},"#,
-    r#""mbu":{"mbu_frames":1,"measurements":4,"cond_corrections":4,"mbu_gates":8,"#,
-    r#""unitary_gates_avoided":12}}"#,
+    r#""mbu":{"mbu_frames":1,"measurements":4,"cond_corrections":4,"mbu_cost":8,"#,
+    r#""unitary_cost":12}}"#,
 );
 
 const LOOKAHEAD: &str = concat!(
     r#"{"router":"lookahead","gates":132,"swaps":120,"depth":453,"qubits":23,"#,
     r#""peak_active":16,"aqv":6776,"comm_factor":1.7647058823529411,"machine_qubits":49,"#,
     r#""decisions":{"reclaimed":3,"garbage":1,"forced":2},"#,
-    r#""cer_cache":{"hits":0,"misses":0,"invalidations":0},"budget":18,"#,
+    r#""budget":18,"#,
     r#""recompute":{"early_uncomputed_frames":1,"early_uncompute_gates":2,"#,
     r#""recomputed_frames":1,"recompute_gates":2},"#,
-    r#""mbu":{"mbu_frames":1,"measurements":4,"cond_corrections":4,"mbu_gates":8,"#,
-    r#""unitary_gates_avoided":12}}"#,
+    r#""mbu":{"mbu_frames":1,"measurements":4,"cond_corrections":4,"mbu_cost":8,"#,
+    r#""unitary_cost":12}}"#,
 );
 
 fn cmp_demo_source() -> String {

@@ -6,15 +6,15 @@
 //! * [`cuccaro_add`] — the CDKM ripple-carry adder: in-place
 //!   `b += a (mod 2^n)` with a single borrowed ancilla that returns to
 //!   |0⟩ by construction (its uncompute block is empty).
-//! * [`ripple_add_out`] / [`ctrl_add_out`] — Bennett-form out-of-place
-//!   adders: a carry register is computed (ancilla), the sum is stored
-//!   to a fresh register, and the carries are mechanically uncomputed.
-//!   These are the modules whose ancilla SQUARE manages.
-//! * [`ctrl_add_inplace`] / [`cc_add_inplace`] / [`const_add_inplace`]
-//!   — in-place controlled additions via *operand loading*: a temp
-//!   register `t = ctrl·a` is computed, an uncontrolled in-place add
-//!   runs, and a custom uncompute unloads `t` (without undoing the
-//!   addition).
+//! * [`ctrl_add_out`] — the Bennett-form out-of-place adder: a carry
+//!   register is computed (ancilla), the controlled sum is stored to a
+//!   fresh register, and the carries are mechanically uncomputed —
+//!   the module whose ancilla SQUARE manages.
+//! * [`ctrl_add_inplace_ext`] / [`cc_add_inplace_ext`] /
+//!   [`const_add_inplace`] — in-place (controlled) additions via
+//!   *operand loading*: a temp register `t = ctrl·a` is computed, an
+//!   uncontrolled in-place add runs, and a custom uncompute unloads
+//!   `t` (without undoing the addition).
 
 use std::collections::HashMap;
 
@@ -89,45 +89,6 @@ pub fn cuccaro_add(
     })
 }
 
-/// Out-of-place ripple adder: params `[a(n), b(n), s(n+1)]`,
-/// `s ← a + b` with full carry-out; `a`, `b` preserved. The `n` carry
-/// ancillas follow the Bennett discipline (computed, read by the
-/// store, mechanically uncomputed) — the canonical module SQUARE's
-/// heuristics operate on.
-pub fn ripple_add_out(
-    b: &mut ProgramBuilder,
-    cache: &mut ModuleCache,
-    n: usize,
-) -> Result<ModuleId, QirError> {
-    assert!(n >= 1, "adder width must be at least 1");
-    cache.get_or_insert(("ripple_out", n, 0), || {
-        b.module(format!("addout{n}"), 3 * n + 1, n, |m| {
-            let a: Vec<Operand> = (0..n).map(|i| m.param(i)).collect();
-            let x: Vec<Operand> = (0..n).map(|i| m.param(n + i)).collect();
-            let s: Vec<Operand> = (0..=n).map(|i| m.param(2 * n + i)).collect();
-            // c[i] = carry into bit i+1.
-            let c: Vec<Operand> = (0..n).map(|i| m.ancilla(i)).collect();
-            // carry_{i+1} = maj(a_i, x_i, carry_i) = a·x ⊕ a·c ⊕ x·c
-            m.ccx(a[0], x[0], c[0]);
-            for i in 1..n {
-                m.ccx(a[i], x[i], c[i]);
-                m.ccx(a[i], c[i - 1], c[i]);
-                m.ccx(x[i], c[i - 1], c[i]);
-            }
-            m.store();
-            // s_i = a_i ⊕ x_i ⊕ carry_i
-            m.cx(a[0], s[0]);
-            m.cx(x[0], s[0]);
-            for i in 1..n {
-                m.cx(a[i], s[i]);
-                m.cx(x[i], s[i]);
-                m.cx(c[i - 1], s[i]);
-            }
-            m.cx(c[n - 1], s[n]);
-        })
-    })
-}
-
 /// Controlled out-of-place adder: params `[ctl, a(n), b(n), s(n+1)]`,
 /// `s ← ctl · (a + b)`. Carries are computed unconditionally (and
 /// uncomputed); only the stored sum is controlled.
@@ -159,68 +120,6 @@ pub fn ctrl_add_out(
                 m.ccx(ctl, c[i - 1], s[i]);
             }
             m.ccx(ctl, c[n - 1], s[n]);
-        })
-    })
-}
-
-/// In-place controlled adder: params `[ctl, a(n), b(n)]`,
-/// `b += ctl · a (mod 2^n)`. Implemented by loading `t = ctl·a` into a
-/// temp register, running the uncontrolled in-place adder, and
-/// unloading `t` in a custom uncompute block (the addition itself is
-/// *not* undone — only the operand register is cleaned).
-pub fn ctrl_add_inplace(
-    b: &mut ProgramBuilder,
-    cache: &mut ModuleCache,
-    n: usize,
-) -> Result<ModuleId, QirError> {
-    let adder = cuccaro_add(b, cache, n)?;
-    cache.get_or_insert(("ctrl_inplace", n, 0), || {
-        b.module(format!("cadd{n}"), 2 * n + 1, n, |m| {
-            let ctl = m.param(0);
-            let a: Vec<Operand> = (0..n).map(|i| m.param(1 + i)).collect();
-            let s: Vec<Operand> = (0..n).map(|i| m.param(1 + n + i)).collect();
-            let t: Vec<Operand> = (0..n).map(|i| m.ancilla(i)).collect();
-            for i in 0..n {
-                m.ccx(ctl, a[i], t[i]);
-            }
-            let mut args = t.clone();
-            args.extend_from_slice(&s);
-            m.call(adder, &args);
-            m.uncompute();
-            for i in 0..n {
-                m.ccx(ctl, a[i], t[i]);
-            }
-        })
-    })
-}
-
-/// Doubly-controlled in-place adder: params `[c0, c1, a(n), b(n)]`,
-/// `b += c0·c1·a (mod 2^n)`. The operand load uses 3-control MCX
-/// gates, which the compiler lowers to Toffoli V-chains with their own
-/// managed ancilla.
-pub fn cc_add_inplace(
-    b: &mut ProgramBuilder,
-    cache: &mut ModuleCache,
-    n: usize,
-) -> Result<ModuleId, QirError> {
-    let adder = cuccaro_add(b, cache, n)?;
-    cache.get_or_insert(("cc_inplace", n, 0), || {
-        b.module(format!("ccadd{n}"), 2 * n + 2, n, |m| {
-            let c0 = m.param(0);
-            let c1 = m.param(1);
-            let a: Vec<Operand> = (0..n).map(|i| m.param(2 + i)).collect();
-            let s: Vec<Operand> = (0..n).map(|i| m.param(2 + n + i)).collect();
-            let t: Vec<Operand> = (0..n).map(|i| m.ancilla(i)).collect();
-            for i in 0..n {
-                m.mcx(&[c0, c1, a[i]], t[i]);
-            }
-            let mut args = t.clone();
-            args.extend_from_slice(&s);
-            m.call(adder, &args);
-            m.uncompute();
-            for i in 0..n {
-                m.mcx(&[c0, c1, a[i]], t[i]);
-            }
         })
     })
 }
@@ -416,21 +315,24 @@ mod tests {
     }
 
     #[test]
-    fn out_of_place_adder_with_carry() {
+    fn controlled_out_of_place_adder_exhaustively() {
         for n in 1..=3usize {
-            let p = wrap(|b, c| ripple_add_out(b, c, n), 3 * n + 1);
-            for a in 0..(1u64 << n) {
-                for x in 0..(1u64 << n) {
-                    let mut inputs = to_bits(a, n);
-                    inputs.extend(to_bits(x, n));
-                    let out = run_case(&p, &inputs);
-                    assert_eq!(from_bits(&out[..n]), a);
-                    assert_eq!(from_bits(&out[n..2 * n]), x);
-                    assert_eq!(
-                        from_bits(&out[2 * n..3 * n + 1]),
-                        a + x,
-                        "full sum with carry, n={n}"
-                    );
+            let p = wrap(|b, c| ctrl_add_out(b, c, n), 3 * n + 2);
+            for ctl in [0u64, 1] {
+                for a in 0..(1u64 << n) {
+                    for x in 0..(1u64 << n) {
+                        let mut inputs = vec![ctl == 1];
+                        inputs.extend(to_bits(a, n));
+                        inputs.extend(to_bits(x, n));
+                        let out = run_case(&p, &inputs);
+                        assert_eq!(from_bits(&out[1..1 + n]), a);
+                        assert_eq!(from_bits(&out[1 + n..1 + 2 * n]), x);
+                        assert_eq!(
+                            from_bits(&out[1 + 2 * n..2 + 3 * n]),
+                            ctl * (a + x),
+                            "full sum with carry, n={n} ctl={ctl} a={a} b={x}"
+                        );
+                    }
                 }
             }
         }
@@ -442,65 +344,62 @@ mod tests {
         // garbage; the sum lands in the callee's *store*, which is
         // inside the entry's compute slice, so it is undone too — the
         // observable invariant is ancilla hygiene (no DirtyAncilla).
-        let n = 3;
-        let p = wrap(|b, c| ripple_add_out(b, c, n), 3 * n + 1);
-        let mut inputs = to_bits(5, n);
-        inputs.extend(to_bits(6, n));
-        let r = run(&p, &inputs, &mut TopLevelOnly).unwrap();
-        assert_eq!(r.final_live, 3 * n + 1, "only the entry register lives");
-    }
-
-    #[test]
-    fn controlled_out_of_place_adder() {
+        // The control is set, so the store writes the sum.
         let n = 3;
         let p = wrap(|b, c| ctrl_add_out(b, c, n), 3 * n + 2);
-        for ctl in [0u64, 1] {
-            for (a, x) in [(5u64, 6u64), (7, 7), (0, 3)] {
-                let mut inputs = vec![ctl == 1];
-                inputs.extend(to_bits(a, n));
-                inputs.extend(to_bits(x, n));
-                let out = run_case(&p, &inputs);
-                let s = from_bits(&out[1 + 2 * n..2 + 3 * n]);
-                assert_eq!(s, ctl * (a + x), "ctl={ctl} a={a} b={x}");
+        let mut inputs = vec![true];
+        inputs.extend(to_bits(5, n));
+        inputs.extend(to_bits(6, n));
+        let r = run(&p, &inputs, &mut TopLevelOnly).unwrap();
+        assert_eq!(r.final_live, 3 * n + 2, "only the entry register lives");
+    }
+
+    /// The `(na, nb)` widths the in-place adder specs run exhaustively:
+    /// equal widths, and widening (`na < nb`) where the carry must
+    /// ripple through the zero-extended high bits.
+    const INPLACE_WIDTHS: [(usize, usize); 4] = [(1, 1), (3, 3), (1, 3), (2, 4)];
+
+    #[test]
+    fn controlled_inplace_adder_exhaustively() {
+        for (na, nb) in INPLACE_WIDTHS {
+            let p = wrap(|b, c| ctrl_add_inplace_ext(b, c, na, nb), na + nb + 1);
+            for ctl in [false, true] {
+                for a in 0..(1u64 << na) {
+                    for x in 0..(1u64 << nb) {
+                        let mut inputs = vec![ctl];
+                        inputs.extend(to_bits(a, na));
+                        inputs.extend(to_bits(x, nb));
+                        // Reclaiming inner frames exercises the custom
+                        // uncompute (unload) path with the dirty-ancilla
+                        // check armed.
+                        let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
+                        let got = from_bits(&r.outputs[1 + na..1 + na + nb]);
+                        let want = if ctl { (a + x) & mask(nb) } else { x };
+                        assert_eq!(got, want, "na={na} nb={nb} ctl={ctl} a={a} b={x}");
+                        assert_eq!(from_bits(&r.outputs[1..1 + na]), a, "a preserved");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn controlled_inplace_adder() {
-        let n = 4;
-        let p = wrap(|b, c| ctrl_add_inplace(b, c, n), 2 * n + 1);
-        for ctl in [false, true] {
-            for (a, x) in [(9u64, 4u64), (15, 1), (8, 8)] {
-                let mut inputs = vec![ctl];
-                inputs.extend(to_bits(a, n));
-                inputs.extend(to_bits(x, n));
-                // Reclaiming inner frames exercises the custom
-                // uncompute (unload) path with the dirty-ancilla
-                // check armed.
-                let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
-                let got = from_bits(&r.outputs[1 + n..1 + 2 * n]);
-                let want = if ctl { (a + x) & mask(n) } else { x };
-                assert_eq!(got, want, "ctl={ctl} a={a} b={x}");
-                assert_eq!(from_bits(&r.outputs[1..1 + n]), a, "a preserved");
-            }
-        }
-    }
-
-    #[test]
-    fn doubly_controlled_inplace_adder() {
-        let n = 3;
-        let p = wrap(|b, c| cc_add_inplace(b, c, n), 2 * n + 2);
-        for c0 in [false, true] {
-            for c1 in [false, true] {
-                let (a, x) = (5u64, 4u64);
-                let mut inputs = vec![c0, c1];
-                inputs.extend(to_bits(a, n));
-                inputs.extend(to_bits(x, n));
-                let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
-                let got = from_bits(&r.outputs[2 + n..2 + 2 * n]);
-                let want = if c0 && c1 { (a + x) & mask(n) } else { x };
-                assert_eq!(got, want, "c0={c0} c1={c1}");
+    fn doubly_controlled_inplace_adder_exhaustively() {
+        for (na, nb) in INPLACE_WIDTHS {
+            let p = wrap(|b, c| cc_add_inplace_ext(b, c, na, nb), na + nb + 2);
+            for (c0, c1) in [(false, false), (false, true), (true, false), (true, true)] {
+                for a in 0..(1u64 << na) {
+                    for x in 0..(1u64 << nb) {
+                        let mut inputs = vec![c0, c1];
+                        inputs.extend(to_bits(a, na));
+                        inputs.extend(to_bits(x, nb));
+                        let r = run(&p, &inputs, &mut reclaim_inner).unwrap();
+                        let got = from_bits(&r.outputs[2 + na..2 + na + nb]);
+                        let want = if c0 && c1 { (a + x) & mask(nb) } else { x };
+                        assert_eq!(got, want, "na={na} nb={nb} c0={c0} c1={c1} a={a} b={x}");
+                        assert_eq!(from_bits(&r.outputs[2..2 + na]), a, "a preserved");
+                    }
+                }
             }
         }
     }

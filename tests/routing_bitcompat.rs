@@ -6,8 +6,8 @@
 //! sweep (`tests/golden/sweep_seed.json`, generated by the pre-trait
 //! compiler): every deterministic report field of the
 //! `benchmark × policy × {nisq, ft}` matrix must be *identical* —
-//! same gates, same swaps, same depth, same AQV, same CER cache
-//! counters, down to the floating-point communication factor.
+//! same gates, same swaps, same depth, same AQV, same reclamation
+//! decision counts, down to the floating-point communication factor.
 //!
 //! A second golden, `tests/golden/topology_seed.json`, pins the
 //! graph-backed layouts the same way: heavy-hex and ring cells under
@@ -116,21 +116,14 @@ fn check_against(golden: &str, spec: SweepSpec) -> usize {
                 "{name}: field `{field}` drifted: seed {expect:?} vs now {got:?}"
             );
         }
-        for (group, keys) in [
-            ("decisions", &["reclaimed", "garbage", "forced"][..]),
-            ("cer_cache", &["hits", "misses", "invalidations"][..]),
-        ] {
-            let Some(expect_group) = want.get(group) else {
-                continue;
-            };
-            for key in keys {
-                let got = now
-                    .get(group)
-                    .and_then(|g| g.get(key))
-                    .and_then(|v| v.as_u64());
-                let expect = expect_group.get(key).and_then(|v| v.as_u64());
-                assert_eq!(got, expect, "{name}: {group}.{key} drifted");
-            }
+        let expect_decisions = want.get("decisions").expect("golden cell has decisions");
+        for key in ["reclaimed", "garbage", "forced"] {
+            let got = now
+                .get("decisions")
+                .and_then(|g| g.get(key))
+                .and_then(|v| v.as_u64());
+            let expect = expect_decisions.get(key).and_then(|v| v.as_u64());
+            assert_eq!(got, expect, "{name}: decisions.{key} drifted");
         }
     }
     matrix.cells.len()
